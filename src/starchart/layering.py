@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .semantics import Prechart, StateId, chart_of, coproduct, expr_step, restriction
-from .syntax import Expr, Seq, Star, Sum
+from .semantics import Prechart, StateId, coproduct, expr_step, restriction
+from .syntax import Expr, Seq, Star, Sum, can_terminate, star_height
 
 Edge = tuple[StateId, str, StateId]
 
@@ -290,8 +289,6 @@ def loop_depth(L: LabelledPrechart, x: StateId, action: str, y: StateId) -> int:
     component's step; entering a star loop has depth one more than the star
     height of the iterated part.
     """
-    from .syntax import star_height
-
     tag = L.tag(x, action, y)
 
     def depth(e: Expr, f: Expr, t: str) -> int:
@@ -338,12 +335,6 @@ def from_llee(W: WeightedLabelling) -> LabelledPrechart:
 
 
 # --- the syntactic witness ------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def can_terminate(e: Expr) -> bool:
-    """Whether some expression reachable from ``e`` has an output."""
-    return bool(chart_of(e).outputs)
 
 
 def _syntactic_tag(e: Expr, action: str, f: Expr) -> str:

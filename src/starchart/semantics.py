@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from .syntax import Atom, Expr, Seq, Star, Sum, atoms
@@ -144,15 +143,18 @@ def restriction(X: Prechart, kept: Iterable[StateId], root: StateId | None = Non
 # --- the operational rules ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def expr_step(e: Expr) -> tuple[frozenset[str], Mapping[str, tuple[Expr, ...]]]:
     """Outputs and per-action successors of one expression.
 
     Atoms output themselves; sums merge both sides; ``e1 e2`` steps into
     ``e2`` when ``e1`` outputs and otherwise sequences the left step;
     ``e1*e2`` behaves as ``e2``, steps from ``e1`` into ``f(e1*e2)``, and
-    self-loops on the outputs of ``e1``.
+    self-loops on the outputs of ``e1``.  Memoised on the node, so the
+    successor expressions of one node are built once.
     """
+    step = getattr(e, "_step", None)
+    if step is not None:
+        return step
     succ: dict[str, list[Expr]] = {}
 
     def add(a: str, f: Expr) -> None:
@@ -205,8 +207,9 @@ def _alphabet_for(e: Expr, alphabet: Iterable[str] | None) -> tuple[str, ...]:
     return alpha
 
 
-@lru_cache(maxsize=None)
-def _chart_of(e: Expr, alphabet: tuple[str, ...]) -> Prechart:
+def chart_of(e: Expr, alphabet: Iterable[str] | None = None) -> Prechart:
+    """The chart of ``e``: its closure under outputs and transitions."""
+    alphabet = _alphabet_for(e, alphabet)
     order: list[Expr] = [e]
     seen = {e}
     outputs: dict[Expr, frozenset[str]] = {}
@@ -224,11 +227,6 @@ def _chart_of(e: Expr, alphabet: tuple[str, ...]) -> Prechart:
                     order.append(y)
                     queue.append(y)
     return Prechart.make(alphabet, order, outputs, transitions, root=e)
-
-
-def chart_of(e: Expr, alphabet: Iterable[str] | None = None) -> Prechart:
-    """The chart of ``e``: its closure under outputs and transitions."""
-    return _chart_of(e, _alphabet_for(e, alphabet))
 
 
 # --- coalgebra constructions ---------------------------------------------------

@@ -8,9 +8,10 @@ no unary Kleene star.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, fields
+from typing import Iterable
 
 ACTION_TOKEN = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -40,35 +41,62 @@ def declare_alphabet(actions: Iterable[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Expr:
-    """Base class of expression nodes; immutable, compared structurally."""
+    """Base class of expression nodes; immutable, compared structurally.
+
+    A node's hash is computed once, from its children's cached hashes, so
+    hashing never walks the tree again.  Per-expression facts (``atoms``,
+    ``size_bound``, ``star_height``, ``can_terminate`` and the one-step
+    semantics ``semantics.expr_step``) are memoised on the node on first
+    use, as attributes outside the dataclass fields: equality and repr see
+    only the tree.  A memo write stores the value every caller computes, so
+    racing threads are harmless, and the memos die with the expression.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return _memo_fold(self, "_hash", _leaf_hash, _HASH)
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt from the fields alone: a memoised
+        # hash is only valid in the process that computed it.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    # An explicit __hash__ stops the frozen dataclass from generating one
+    # that rehashes every field, and so the whole subtree, on each call.
+    cls.__hash__ = Expr.__hash__
+    return dataclass(frozen=True)(cls)
+
+
+@_node
 class Zero(Expr):
     """Deadlock: no outputs and no transitions."""
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Expr):
     action: str
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Star(Expr):
     """Binary star: iterate ``left``, then continue as ``right``."""
 
@@ -76,20 +104,64 @@ class Star(Expr):
     right: Expr
 
 
+_MISSING = object()
+
+
+def _memo_fold(e: Expr, slot: str, leaf, combine):
+    """A bottom-up measure of ``e``, memoised in ``slot`` of every node visited.
+
+    ``leaf(x)`` is the value at ``Zero`` and ``Atom``; ``combine`` maps each
+    binary node class to a function of its children's values.  Iterative,
+    so deep trees are fine.
+    """
+    value = getattr(e, slot, _MISSING)
+    if value is not _MISSING:
+        return value
+    stack = [e]
+    while stack:
+        x = stack[-1]
+        join = combine.get(type(x))
+        if join is not None:
+            left = getattr(x.left, slot, _MISSING)
+            if left is _MISSING:
+                stack.append(x.left)
+                continue
+            right = getattr(x.right, slot, _MISSING)
+            if right is _MISSING:
+                stack.append(x.right)
+                continue
+            value = join(left, right)
+        elif isinstance(x, (Zero, Atom)):
+            value = leaf(x)
+        else:
+            raise TypeError(f"not an expression: {x!r}")
+        object.__setattr__(x, slot, value)
+        stack.pop()
+    return value
+
+
+def _leaf_hash(x: Expr) -> int:
+    return hash(("Atom", x.action) if isinstance(x, Atom) else "Zero")
+
+
+_HASH = {
+    Sum: lambda l, r: hash(("Sum", l, r)),
+    Seq: lambda l, r: hash(("Seq", l, r)),
+    Star: lambda l, r: hash(("Star", l, r)),
+}
+_ATOMS = {Sum: operator.or_, Seq: operator.or_, Star: operator.or_}
+_SIZE_BOUND = {Sum: operator.add, Seq: lambda l, r: l * (1 + r), Star: operator.add}
+_STAR_HEIGHT = {Sum: max, Seq: max, Star: lambda l, r: 1 + max(l, r)}
+# a sum can terminate when either side can, a sequence when both sides can,
+# and e1*e2 exactly when e2 can, since every way out of the loop is via e2
+_CAN_TERMINATE = {Sum: operator.or_, Seq: operator.and_, Star: lambda l, r: r}
+
+
 def atoms(e: Expr) -> frozenset[str]:
     """Action names occurring in ``e``."""
-    if isinstance(e, Atom):
-        return frozenset((e.action,))
-    if isinstance(e, (Sum, Seq, Star)):
-        return atoms(e.left) | atoms(e.right)
-    return frozenset()
-
-
-def subterms(e: Expr) -> Iterator[Expr]:
-    yield e
-    if isinstance(e, (Sum, Seq, Star)):
-        yield from subterms(e.left)
-        yield from subterms(e.right)
+    return _memo_fold(
+        e, "_atoms", lambda x: frozenset((x.action,)) if isinstance(x, Atom) else frozenset(), _ATOMS
+    )
 
 
 # --- parsing ---------------------------------------------------------------
@@ -142,112 +214,129 @@ def _tokens(text: str, alphabet: set[str]) -> list[tuple[str, str, int]]:
 
 
 def parse(text: str, alphabet: Iterable[str]) -> Expr:
-    """Parse expression source over the declared alphabet."""
+    """Parse expression source over the declared alphabet.
+
+    Recursive descent run on an explicit stack, one frame per open
+    parenthesis, so nesting depth is bounded by memory, not the C stack.
+    """
     alpha = set(declare_alphabet(alphabet))
     toks = _tokens(text, alpha)
+    operand_start = ("act", "zero", "(")
+
+    def peek(i: int) -> str | None:
+        return toks[i][0] if i < len(toks) else None
+
+    def here(i: int) -> int:
+        return toks[i][2] if i < len(toks) else len(text)
+
+    # A frame holds the finished summands, the sequence being extended, and
+    # the left operand of a pending "*".
+    frames: list[tuple[list[Expr], Expr | None, Expr | None]] = []
+    terms: list[Expr] = []
+    seq: Expr | None = None
+    star_left: Expr | None = None
     pos = 0
-
-    def peek() -> str | None:
-        return toks[pos][0] if pos < len(toks) else None
-
-    def here() -> int:
-        return toks[pos][2] if pos < len(toks) else len(text)
-
-    def parse_sum() -> Expr:
-        left = parse_seq()
-        if peek() == "+":
-            nonlocal pos
-            pos += 1
-            return Sum(left, parse_sum())
-        return left
-
-    def parse_seq() -> Expr:
-        nonlocal pos
-        e = parse_star()
-        while True:
-            k = peek()
-            if k == ".":
-                pos += 1
-                k = peek()
-                if k not in ("act", "zero", "("):
-                    raise ParseError("expected expression after '.'", here())
-            if k in ("act", "zero", "("):
-                e = Seq(e, parse_star())
-            else:
-                return e
-
-    def parse_star() -> Expr:
-        nonlocal pos
-        e = parse_atom()
-        if peek() == "*":
-            pos += 1
-            return Star(e, parse_atom())
-        return e
-
-    def parse_atom() -> Expr:
-        nonlocal pos
-        k = peek()
-        if k == "act":
-            name = toks[pos][1]
-            pos += 1
-            return Atom(name)
-        if k == "zero":
-            pos += 1
-            return Zero()
+    while True:
+        # expect an operand of "*": an action, 0, or a parenthesised expression
+        k = peek(pos)
         if k == "(":
             pos += 1
-            e = parse_sum()
-            if peek() != ")":
-                raise ParseError("expected ')'", here())
+            frames.append((terms, seq, star_left))
+            terms, seq, star_left = [], None, None
+            continue
+        if k == "act":
+            e: Expr = Atom(toks[pos][1])
+        elif k == "zero":
+            e = Zero()
+        else:
+            raise ParseError("expected an expression", here(pos))
+        pos += 1
+        # fold the finished operand upwards until something needs another one
+        while True:
+            if star_left is not None:
+                e, star_left = Star(star_left, e), None
+            elif peek(pos) == "*":
+                pos += 1
+                star_left = e
+                break
+            seq = e if seq is None else Seq(seq, e)
+            k = peek(pos)
+            if k == ".":
+                pos += 1
+                if peek(pos) not in operand_start:
+                    raise ParseError("expected expression after '.'", here(pos))
+                break
+            if k in operand_start:
+                break
+            terms.append(seq)
+            seq = None
+            if k == "+":
+                pos += 1
+                break
+            e = gsum(terms)
+            if not frames:
+                if pos != len(toks):
+                    raise ParseError(f"unexpected {toks[pos][1]!r}", here(pos))
+                return e
+            if k != ")":
+                raise ParseError("expected ')'", here(pos))
             pos += 1
-            return e
-        raise ParseError("expected an expression", here())
-
-    e = parse_sum()
-    if pos != len(toks):
-        raise ParseError(f"unexpected {toks[pos][1]!r}", here())
-    return e
+            terms, seq, star_left = frames.pop()
 
 
 # --- printing --------------------------------------------------------------
 
 
-def _juxta(a: str, b: str) -> str:
-    # A separating space is only needed where two alphanumeric tokens would
-    # otherwise merge into one.
-    if a[-1] in "abcdefghijklmnopqrstuvwxyz0123456789_" and b[0] in "abcdefghijklmnopqrstuvwxyz0123456789":
-        return a + " " + b
-    return a + b
+# A separating space is only needed where two alphanumeric tokens would
+# otherwise merge into one.
+_WORD_END = "abcdefghijklmnopqrstuvwxyz0123456789_"
+_WORD_START = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+def _first_char(e: Expr) -> str:
+    # first character of the printed right operand of a sequence
+    if isinstance(e, Star):
+        e = e.left
+    if isinstance(e, Atom):
+        return e.action[0]
+    return "0" if isinstance(e, Zero) else "("
 
 
 def render(e: Expr) -> str:
-    """Print with minimal parentheses; ``parse(render(e))`` equals ``e``."""
-    if isinstance(e, Zero):
-        return "0"
-    if isinstance(e, Atom):
-        return e.action
-    if isinstance(e, Sum):
-        left = render(e.left)
-        if isinstance(e.left, Sum):
-            left = f"({left})"
-        return f"{left} + {render(e.right)}"
-    if isinstance(e, Seq):
-        left = render(e.left)
-        if isinstance(e.left, Sum):
-            left = f"({left})"
-        right = render(e.right)
-        if isinstance(e.right, (Sum, Seq)):
-            right = f"({right})"
-        return _juxta(left, right)
-    if isinstance(e, Star):
-        left = render(e.left)
-        if not isinstance(e.left, (Atom, Zero)):
-            left = f"({left})"
-        right = render(e.right)
-        if not isinstance(e.right, (Atom, Zero)):
-            right = f"({right})"
-        return f"{left}*{right}"
-    raise TypeError(f"not an expression: {e!r}")
+    """Print with minimal parentheses; ``parse(render(e))`` equals ``e``.
+
+    Iterative: pieces are emitted left to right from an explicit stack.
+    """
+    out: list[str] = []
+    # stack items: an expression to print, a literal piece, or a 1-tuple
+    # holding a sequence's right operand, which marks the point before it
+    stack: list = [e]
+    while stack:
+        x = stack.pop()
+        kind = type(x)
+        if kind is str:
+            out.append(x)
+        elif kind is Atom:
+            out.append(x.action)
+        elif kind is Zero:
+            out.append("0")
+        elif kind is Sum:
+            stack += (x.right, " + ")
+            stack += (")", x.left, "(") if type(x.left) is Sum else (x.left,)
+        elif kind is Seq:
+            stack += (")", x.right, "(") if type(x.right) in (Sum, Seq) else (x.right,)
+            stack.append((x.right,))
+            stack += (")", x.left, "(") if type(x.left) is Sum else (x.left,)
+        elif kind is Star:
+            stack += (x.right,) if type(x.right) in (Atom, Zero) else (")", x.right, "(")
+            stack.append("*")
+            stack += (x.left,) if type(x.left) in (Atom, Zero) else (")", x.left, "(")
+        elif kind is tuple:
+            if out[-1][-1] in _WORD_END and _first_char(x[0]) in _WORD_START:
+                out.append(" ")
+        else:
+            raise TypeError(f"not an expression: {x!r}")
+    return "".join(out)
 
 
 # --- generalised sums and measures ------------------------------------------
@@ -265,21 +354,14 @@ def gsum(terms: Iterable[Expr]) -> Expr:
 
 
 def star_height(e: Expr) -> int:
-    if isinstance(e, (Zero, Atom)):
-        return 0
-    if isinstance(e, (Sum, Seq)):
-        return max(star_height(e.left), star_height(e.right))
-    if isinstance(e, Star):
-        return 1 + max(star_height(e.left), star_height(e.right))
-    raise TypeError(f"not an expression: {e!r}")
+    return _memo_fold(e, "_star_height", lambda x: 0, _STAR_HEIGHT)
 
 
 def size_bound(e: Expr) -> int:
     """Upper bound on the number of states of the chart of ``e``."""
-    if isinstance(e, (Zero, Atom)):
-        return 1
-    if isinstance(e, (Sum, Star)):
-        return size_bound(e.left) + size_bound(e.right)
-    if isinstance(e, Seq):
-        return size_bound(e.left) * (1 + size_bound(e.right))
-    raise TypeError(f"not an expression: {e!r}")
+    return _memo_fold(e, "_size_bound", lambda x: 1, _SIZE_BOUND)
+
+
+def can_terminate(e: Expr) -> bool:
+    """Whether some expression reachable from ``e`` has an output."""
+    return _memo_fold(e, "_can_terminate", lambda x: isinstance(x, Atom), _CAN_TERMINATE)

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -121,7 +122,8 @@ class TestBisimilar:
 class TestAxiomSoundness:
     @pytest.mark.parametrize("name", AXIOM_NAMES)
     def test_each_axiom_spot_check(self, name):
-        rng = random.Random(hash(name) & 0xFFFF)
+        # crc32, not hash(): string hashes change from one process to the next
+        rng = random.Random(zlib.crc32(name.encode()))
         for _ in range(25):
             e1, e2, e3 = (random_expr(rng, depth=2) for _ in range(3))
             lhs, rhs = axiom_instances(name, e1, e2, e3)

@@ -38,6 +38,10 @@ class TestParseCommand:
         code, _, err = run(capsys, "parse", "a +")
         assert code == 2 and "error" in err
 
+    def test_deeply_nested_input(self, capsys):
+        code, out, _ = run(capsys, "parse", "(" * 30000 + "a" + ")" * 30000)
+        assert code == 0 and out == "a\n"
+
     def test_unknown_atom_with_declared_alphabet(self, capsys):
         code, _, err = run(capsys, "parse", "d", "--alphabet", "a,b")
         assert code == 2

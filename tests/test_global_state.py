@@ -1,0 +1,38 @@
+"""No hidden global state: no memo tables at module level retain expressions."""
+
+import gc
+import importlib
+import pkgutil
+import weakref
+
+import starchart
+from starchart import Sum, certify, chart_of, parse
+
+
+def _modules():
+    yield starchart
+    for info in pkgutil.iter_modules(starchart.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        yield importlib.import_module(f"starchart.{info.name}")
+
+
+def test_no_function_carries_a_cache():
+    cached = [
+        f"{module.__name__}.{name}"
+        for module in _modules()
+        for name, value in vars(module).items()
+        if callable(value) and hasattr(value, "cache_info")
+    ]
+    assert cached == []
+
+
+def test_expressions_die_after_use():
+    e = parse("(a b + a)*(b a*0) + c", ("a", "b", "c"))
+    X = chart_of(e)
+    cert = certify(e, Sum(e, e))
+    assert cert.verdict == "equivalent"
+    refs = [weakref.ref(x) for x in (e, cert.common, *X.states)]
+    del e, X, cert
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []

@@ -1,0 +1,99 @@
+"""Golden CLI output: ``certify``, ``solve``, ``parse`` and ``chart`` on a
+fixed seeded corpus must print byte-identical stdout with the same exit code.
+
+The expected output lives in ``golden_cli.json`` next to this file.  To
+re-record it after a deliberate output change, run
+``PYTHONPATH=src python tests/test_golden.py --record`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from starchart import chart_of, render
+from starchart.cli import main
+from starchart.formats import chart_to_json, witness_to_json
+from starchart.layering import syntactic_witness
+from gen import random_chart, random_expr, rewrite_steps
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def corpus() -> list[dict]:
+    """Command lines, with the chart and witness files some of them read."""
+    rng = random.Random(2106_08074)
+    cases: list[dict] = []
+    for depth in (3,) * 12 + (4,) * 4:
+        e = random_expr(rng, depth=depth)
+        f = rewrite_steps(rng, e, rng.randint(1, 4))
+        cases.append({"argv": ["certify", render(e), render(f)]})
+    for _ in range(8):
+        e, f = random_expr(rng, depth=3), random_expr(rng, depth=3)
+        cases.append({"argv": ["certify", render(e), render(f)]})
+    cases.append({"argv": ["certify", "a*0", "(aa)*0", "--alphabet", "b,a"]})
+    for _ in range(6):
+        e = random_expr(rng, depth=3)
+        cases.append({"argv": ["parse", render(e)]})
+        cases.append({"argv": ["chart", render(e)]})
+        X = chart_of(e)
+        files = {"chart": chart_to_json(X), "witness": witness_to_json(syntactic_witness(X))}
+        cases.append({"argv": ["solve", "{chart}"], "files": files})
+        cases.append({"argv": ["solve", "{chart}", "--witness", "{witness}", "--simplify"], "files": files})
+    for _ in range(6):
+        X = random_chart(rng, n_states=4, rooted=True)
+        cases.append({"argv": ["solve", "{chart}"], "files": {"chart": chart_to_json(X)}})
+    return cases
+
+
+def run_case(case: dict, work: Path) -> dict:
+    paths = {}
+    for name, doc in case.get("files", {}).items():
+        paths[name] = work / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    argv = [arg.format(**{k: str(p) for k, p in paths.items()}) for arg in case["argv"]]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"argv": case["argv"], "files": case.get("files", {}), "code": code, "stdout": out.getvalue()}
+
+
+# read at import so that each case is its own test; a missing file fails
+# test_golden_corpus_is_the_seeded_corpus instead of breaking collection
+RECORDED: list[dict] = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
+
+
+@pytest.mark.parametrize("index", range(len(RECORDED)))
+def test_cli_output_matches_golden(index, tmp_path):
+    expected = RECORDED[index]
+    got = run_case({"argv": expected["argv"], "files": expected["files"]}, tmp_path)
+    assert got["code"] == expected["code"]
+    assert got["stdout"] == expected["stdout"]
+
+
+def test_golden_corpus_is_the_seeded_corpus():
+    # the recorded inputs are exactly what the generators draw today
+    assert [{"argv": c["argv"], "files": c["files"]} for c in RECORDED] == [
+        {"argv": c["argv"], "files": c.get("files", {})} for c in corpus()
+    ]
+
+
+def record() -> None:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        results = [run_case(case, Path(work)) for case in corpus()]
+    GOLDEN.write_text(json.dumps(results, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    print(f"recorded {len(results)} cases to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+    record()

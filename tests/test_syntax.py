@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +13,16 @@ from starchart import (
     Sum,
     UnknownActionError,
     Zero,
+    atoms,
+    chart_of,
     gsum,
     parse,
     render,
     size_bound,
     star_height,
 )
+from starchart.syntax import can_terminate
+from gen import all_exprs
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 ALPHABET = ("a", "b", "c")
@@ -131,3 +138,47 @@ def test_size_bound_positive_and_star_height_zero_iff_star_free(e):
     assert size_bound(e) >= 1
     has_star = "*" in render(e)
     assert (star_height(e) == 0) == (not has_star)
+
+
+class TestNodeMemos:
+    def test_equal_trees_built_apart_hash_alike(self):
+        left, right = Star(Seq(A, B), Sum(C, Zero())), Star(Seq(A, B), Sum(C, Zero()))
+        assert left is not right and left == right and hash(left) == hash(right)
+        assert len({left, right, Seq(left, right), Seq(right, left)}) == 2
+
+    def test_memos_do_not_change_equality_or_repr(self):
+        e = Sum(Atom("a"), Zero())
+        fresh = Sum(Atom("a"), Zero())
+        atoms(e), size_bound(e), star_height(e), chart_of(e)
+        assert e == fresh and repr(e) == repr(fresh) == "Sum(left=Atom(action='a'), right=Zero())"
+
+    def test_copy_and_pickle_rebuild_the_hash(self):
+        e = Star(Seq(A, B), Zero())
+        for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert twin == e and hash(twin) == hash(e)
+
+    def test_can_terminate_agrees_with_the_chart(self):
+        for e in all_exprs(("a", "b"), 5):
+            assert can_terminate(e) == bool(chart_of(e).outputs), e
+
+
+class TestDeepInput:
+    DEPTH = 30000
+
+    def test_deep_trees_parse_render_and_measure_without_recursion(self):
+        text = " ".join(["a"] * self.DEPTH)
+        e = parse(text, ALPHABET)
+        assert render(e) == text
+        deep, twin = Zero(), Zero()
+        for _ in range(self.DEPTH):
+            deep, twin = Sum(B, Star(A, deep)), Sum(B, Star(A, twin))
+        assert atoms(deep) == {"a", "b"}
+        assert star_height(deep) == self.DEPTH and size_bound(deep) == 2 * self.DEPTH + 1
+        assert not can_terminate(Star(A, Seq(deep, Zero())))
+        assert hash(deep) == hash(twin)
+        assert render(deep).count("*") == self.DEPTH
+
+    def test_deep_syntax_errors_keep_their_position(self):
+        with pytest.raises(ParseError) as err:
+            parse("(" * self.DEPTH + "a", ALPHABET)
+        assert err.value.pos == self.DEPTH + 1
