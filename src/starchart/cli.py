@@ -434,8 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="1-free star expressions: charts, bisimilarity, layering witnesses, "
         "solutions, and equivalence certification",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized drivers; deterministic commands ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse an expression and print its canonical form")
@@ -498,8 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one instance serves every call
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, InvalidWitnessError) as exc:
@@ -508,6 +510,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # failed self-checks, RecursionError, MeasureError
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -78,14 +78,14 @@ class WeightedLabelling:
 class WitnessViolation:
     """First violated witness clause, with the offending states."""
 
-    clause: str  # locally_finite | flat | fully_specified_a | fully_specified_b | layered | goto_free
+    clause: str  # flat | fully_specified_a | fully_specified_b | layered | goto_free
     detail: tuple
 
     def __str__(self) -> str:
         return f"{self.clause}: {self.detail}"
 
 
-def _find_cycle(nodes: tuple[StateId, ...], adj: Mapping[StateId, tuple[StateId, ...]]) -> list[StateId] | None:
+def _find_cycle(nodes: tuple[StateId, ...], adj: Mapping[StateId, Iterable[StateId]]) -> list[StateId] | None:
     """A cycle in a finite digraph, as a closed node path, or None."""
     WHITE, GREY, BLACK = 0, 1, 2
     colour = {x: WHITE for x in nodes}
@@ -233,14 +233,13 @@ def derived_relations(
 def verify_witness(L: LabelledPrechart) -> tuple[bool, WitnessViolation | None]:
     """Check the five layering-witness conditions, reporting the first failure.
 
-    1. locally finite, 2. flat (no pair both entry and body), 3. fully
+    1. locally finite (holds by construction: a prechart has finitely many,
+    distinct states), 2. flat (no pair both entry and body), 3. fully
     specified (no body cycles; non-loop entries can return), 4. layered
     (loop descent is acyclic), 5. goto-free (no output strictly inside a
     loop).
     """
     a = _Analysis(L)
-    if len(a.states) != len(set(a.states)):  # finite by construction, still asserted
-        return False, WitnessViolation("locally_finite", ())
     mixed = sorted(set(a.entry_pairs) & set(a.body_pairs),
                    key=lambda p: (a.base.index(p[0]), a.base.index(p[1])))
     if mixed:
@@ -420,8 +419,14 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     Flatness lets the search assign one tag per state pair.  Self-loops are
     forced entries (a body self-loop is a body cycle); pairs with no return
     path, and pairs into an output state, are forced bodies.  The rest is a
-    backtracking search pruned by body-cycle checks, with a full verification
-    of every complete labelling.
+    depth-first search over the free pairs, body before entry.  A body tag
+    that would close a body cycle is skipped, and a partial labelling is cut
+    as soon as it is doomed: the loop descent of its decided tags (entry
+    steps followed by body steps, as in ``derived_relations``) reaches a
+    state with an output, or has a cycle.  Deciding more pairs only adds
+    descent pairs, so both violations persist to every completion and the
+    cut subtrees hold no witness.  Every complete labelling that survives is
+    checked by ``verify_witness``.
     """
     groups = _pair_groups(X)
     pairs = sorted(groups, key=lambda p: (X.index(p[0]), X.index(p[1])))
@@ -441,9 +446,9 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
             free.append((x, y))
 
     body_adj: dict[StateId, set[StateId]] = {}
+    entry_adj: dict[StateId, set[StateId]] = {}
     for (x, y), t in forced.items():
-        if t == BODY:
-            body_adj.setdefault(x, set()).add(y)
+        (body_adj if t == BODY else entry_adj).setdefault(x, set()).add(y)
 
     def creates_body_cycle(x: StateId, y: StateId) -> bool:
         # adding x -b-> y closes a cycle iff x is body-reachable from y
@@ -458,6 +463,18 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
                     seen.add(w)
                     queue.append(w)
         return False
+
+    def doomed() -> bool:
+        # loop descent of the decided tags, as in _Analysis._derived
+        descent: dict[StateId, frozenset[StateId]] = {}
+        for x, ys in entry_adj.items():
+            starts = [v for v in ys if v != x]
+            if not starts:
+                continue
+            descent[x] = _Analysis._closure(starts, body_adj, forbidden=x)
+            if any(X.out(y) for y in descent[x]):
+                return True  # not goto-free
+        return _find_cycle(X.states, descent) is not None  # not layered
 
     results: list[LabelledPrechart] = []
     assignment: dict[tuple[StateId, StateId], str] = {}
@@ -475,6 +492,8 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
         return limit is not None and len(results) >= limit
 
     def search(i: int) -> bool:
+        if doomed():
+            return False
         if i == len(free):
             return emit()
         x, y = free[i]
@@ -487,7 +506,9 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
             if stop:
                 return True
         assignment[(x, y)] = ENTRY
+        entry_adj.setdefault(x, set()).add(y)
         stop = search(i + 1)
+        entry_adj[x].discard(y)
         del assignment[(x, y)]
         return stop
 

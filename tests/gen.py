@@ -15,6 +15,7 @@ from starchart import (
     Sum,
     Zero,
     size_bound,
+    verify_witness,
 )
 
 DEFAULT_ALPHABET = ("a", "b", "c")
@@ -223,6 +224,78 @@ def all_labellings(X: Prechart) -> list[LabelledPrechart]:
     for combo in product("eb", repeat=len(edges)):
         out.append(LabelledPrechart(X, dict(zip(edges, combo))))
     return out
+
+
+def exhaustive_witnesses(X: Prechart) -> list[LabelledPrechart]:
+    """Every layering witness of ``X``, by the unpruned search.
+
+    The reference for ``enumerate_witnesses``: the same forced tags, free
+    pairs and depth-first order (body before entry, body tags skipped only
+    where they close a body cycle), with ``verify_witness`` run on every
+    complete labelling.  Both must return the same list in the same order.
+    """
+    groups: dict[tuple, list] = {}
+    for x, a, y in X.edges():
+        groups.setdefault((x, y), []).append((x, a, y))
+    pairs = sorted(groups, key=lambda p: (X.index(p[0]), X.index(p[1])))
+
+    def reach_plus(x) -> set:
+        seen: set = set()
+        stack = list(X.underlying_succ(x))
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(X.underlying_succ(v))
+        return seen
+
+    forced: dict[tuple, str] = {}
+    free: list[tuple] = []
+    for x, y in pairs:
+        if x == y:
+            forced[(x, y)] = "e"
+        elif x not in reach_plus(y) or X.out(y):
+            forced[(x, y)] = "b"
+        else:
+            free.append((x, y))
+
+    body: set = {pair for pair, t in forced.items() if t == "b"}
+
+    def body_reachable(src, dst) -> bool:
+        seen, stack = {src}, [src]
+        while stack:
+            v = stack.pop()
+            if v == dst:
+                return True
+            for (p, q) in body:
+                if p == v and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return False
+
+    results: list[LabelledPrechart] = []
+    assignment: dict[tuple, str] = {}
+
+    def search(i: int) -> None:
+        if i == len(free):
+            tags = {edge: forced.get(pair) or assignment[pair]
+                    for pair, edges in groups.items() for edge in edges}
+            candidate = LabelledPrechart(X, tags)
+            if verify_witness(candidate)[0]:
+                results.append(candidate)
+            return
+        x, y = free[i]
+        if not body_reachable(y, x):
+            assignment[(x, y)] = "b"
+            body.add((x, y))
+            search(i + 1)
+            body.discard((x, y))
+        assignment[(x, y)] = "e"
+        search(i + 1)
+        del assignment[(x, y)]
+
+    search(0)
+    return results
 
 
 # --- small graph oracles ----------------------------------------------------------

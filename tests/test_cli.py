@@ -249,6 +249,31 @@ class TestDotCommand:
         assert code == 2
 
 
+def test_internal_failure_exits_3_without_a_traceback():
+    # the chart of a 30 000-step sequence overflows the recursive semantics
+    proc = subprocess.run(
+        [sys.executable, "-m", "starchart", "chart", " ".join(["a"] * 30000)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": "src"},
+        cwd=__import__("pathlib").Path(__file__).resolve().parent.parent,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("internal error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    import starchart.cli as cli
+
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out, _ = run(capsys, "parse", "a*b")
+    assert code == 0 and out == "a*b\n"
+
+
 def test_module_entry_point_runs_in_a_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "starchart", "parse", "a*b"],

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -25,7 +26,15 @@ from starchart import (
     union_witness,
     verify_witness,
 )
-from gen import all_labellings, fig3_left, fig3_right, random_chart, random_expr, simple_cycles
+from gen import (
+    all_labellings,
+    exhaustive_witnesses,
+    fig3_left,
+    fig3_right,
+    random_chart,
+    random_expr,
+    simple_cycles,
+)
 
 A, B = Atom("a"), Atom("b")
 AA0 = Star(Seq(A, A), Zero())
@@ -38,6 +47,21 @@ def all_body(X: Prechart) -> LabelledPrechart:
 
 def acyclic_chart() -> Prechart:
     return chart_of(Seq(Sum(A, B), B), ("a", "b"))
+
+
+def erased(X: Prechart, extra: Prechart | None = None) -> Prechart:
+    """``X`` with states renamed s0, s1, ..., plus a disjoint copy of ``extra``."""
+    parts = [X] if extra is None else [X, extra]
+    ids: dict = {}
+    outputs: dict = {}
+    transitions: dict = {}
+    for i, Y in enumerate(parts):
+        for x in Y.states:
+            ids[(i, x)] = f"s{len(ids)}"
+            outputs[ids[(i, x)]] = set(Y.out(x))
+        for x, a, y in Y.edges():
+            transitions.setdefault(ids[(i, x)], {}).setdefault(a, []).append(ids[(i, y)])
+    return Prechart.make(X.alphabet, list(ids.values()), outputs, transitions, ids[(0, X.root)])
 
 
 def cycle_witness() -> LabelledPrechart:
@@ -249,6 +273,61 @@ class TestInferWitness:
             assert {frozenset(L.tags.items()) for L in found} == {
                 frozenset(L.tags.items()) for L in brute
             }
+
+
+class TestPrunedSearch:
+    """``enumerate_witnesses`` returns what the unpruned search returns, in order."""
+
+    @staticmethod
+    def assert_same(X: Prechart) -> int:
+        reference = exhaustive_witnesses(X)
+        assert [L.tags for L in enumerate_witnesses(X)] == [L.tags for L in reference]
+        return len(reference)
+
+    def test_random_charts(self):
+        rng = random.Random(61)
+        checked = found = 0
+        while checked < 100:
+            X = random_chart(rng, n_states=rng.randint(1, 6))
+            if sum(1 for _ in X.edges()) > 16:  # keeps the reference under a second
+                continue
+            checked += 1
+            found += self.assert_same(X)
+        assert found > 20
+
+    def test_erased_expression_charts(self):
+        rng = random.Random(67)
+        checked = found = 0
+        while checked < 60:
+            X = chart_of(random_expr(rng, depth=4))
+            if len(X.states) > 8:
+                continue
+            checked += 1
+            found += self.assert_same(erased(X))
+        assert found > 20
+
+    def test_erased_expression_charts_joined_with_fig3_right(self):
+        rng = random.Random(71)
+        checked = 0
+        while checked < 6:
+            X = chart_of(random_expr(rng, depth=4), ("a", "b", "c"))
+            if len(X.states) > 5:
+                continue
+            checked += 1
+            assert self.assert_same(erased(X, fig3_right())) == 0
+
+    def test_inference_on_eight_state_charts_is_bounded(self):
+        def expired(signum, frame):
+            raise TimeoutError("infer_witness ran past 10 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(10)
+        try:
+            for seed in range(20):
+                infer_witness(random_chart(random.Random(seed), n_states=8))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestWitnessClosureProperties:
