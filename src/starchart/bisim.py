@@ -115,6 +115,11 @@ class PartitionRelation:
         ] + [self.blocks[bx] + self.blocks[by]]
         return PartitionRelation.from_blocks(self.universe, blocks)
 
+    def without(self, x: StateId) -> "PartitionRelation":
+        """The restriction to every state but ``x``."""
+        universe = tuple(y for y in self.universe if y != x)
+        return PartitionRelation.from_blocks(universe, ((y for y in b if y != x) for b in self.blocks))
+
     def same_partition(self, other: "PartitionRelation") -> bool:
         return set(map(frozenset, self.blocks)) == set(map(frozenset, other.blocks))
 

@@ -224,7 +224,7 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
 # --- command surface ---------------------------------------------------------
 
 
-def _alphabet_arg(value: str | None, *exprs: str) -> tuple[str, ...] | None:
+def _alphabet_arg(value: str | None) -> tuple[str, ...] | None:
     if value is None:
         return None
     return declare_alphabet(a.strip() for a in value.split(",") if a.strip())

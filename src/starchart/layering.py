@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .semantics import Prechart, StateId, coproduct, expr_step, restriction
@@ -35,14 +36,22 @@ class LabelledPrechart:
     tags: Mapping[Edge, str]
 
     def __post_init__(self) -> None:
+        # a read-only copy: the memoised analysis (see ``_checked``) then
+        # cannot go stale through the caller's mapping
+        tags = MappingProxyType(dict(self.tags))
+        object.__setattr__(self, "tags", tags)
         edges = set(self.base.edges())
-        if set(self.tags) != edges:
-            missing = edges - set(self.tags)
-            extra = set(self.tags) - edges
+        if tags.keys() != edges:
+            missing = edges - tags.keys()
+            extra = tags.keys() - edges
             raise ValueError(f"tags must cover the transitions exactly (missing {missing}, extra {extra})")
-        for edge, tag in self.tags.items():
+        for edge, tag in tags.items():
             if tag not in (ENTRY, BODY):
                 raise ValueError(f"bad tag {tag!r} on {edge}")
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt from the fields, without the memo
+        return type(self), (self.base, dict(self.tags))
 
     def tag(self, x: StateId, a: str, y: StateId) -> str:
         return self.tags[(x, a, y)]
@@ -230,6 +239,40 @@ def derived_relations(
     return a.diredge, a.loopright
 
 
+def _first_violation(a: _Analysis) -> WitnessViolation | None:
+    index = a.base.index
+    mixed = sorted(set(a.entry_pairs) & set(a.body_pairs), key=lambda p: (index(p[0]), index(p[1])))
+    if mixed:
+        return WitnessViolation("flat", mixed[0])
+    body_cycle = _find_cycle(a.states, a.body_adj)
+    if body_cycle:
+        return WitnessViolation("fully_specified_a", tuple(body_cycle))
+    for x, y in a.entry_pairs:
+        if y != x and x not in a.reach_plus[y]:
+            return WitnessViolation("fully_specified_b", (x, y))
+    loop_cycle = _find_cycle(a.states, a.diredge_adj)
+    if loop_cycle:
+        return WitnessViolation("layered", tuple(loop_cycle))
+    for x, y in sorted(a.diredge, key=lambda p: (index(p[0]), index(p[1]))):
+        if a.has_output(y):
+            return WitnessViolation("goto_free", (x, y))
+    return None
+
+
+def _checked(L: LabelledPrechart) -> tuple[_Analysis, WitnessViolation | None]:
+    """The analysis of ``L`` and its first violated condition, built once.
+
+    Memoised on the labelling itself, as an attribute outside the dataclass
+    fields (``tags`` is read-only), so the memo dies with the labelling.
+    """
+    memo = getattr(L, "_checked", None)
+    if memo is None:
+        a = _Analysis(L)
+        memo = (a, _first_violation(a))
+        object.__setattr__(L, "_checked", memo)
+    return memo
+
+
 def verify_witness(L: LabelledPrechart) -> tuple[bool, WitnessViolation | None]:
     """Check the five layering-witness conditions, reporting the first failure.
 
@@ -239,32 +282,16 @@ def verify_witness(L: LabelledPrechart) -> tuple[bool, WitnessViolation | None]:
     (loop descent is acyclic), 5. goto-free (no output strictly inside a
     loop).
     """
-    a = _Analysis(L)
-    mixed = sorted(set(a.entry_pairs) & set(a.body_pairs),
-                   key=lambda p: (a.base.index(p[0]), a.base.index(p[1])))
-    if mixed:
-        return False, WitnessViolation("flat", mixed[0])
-    body_cycle = _find_cycle(a.states, {x: tuple(ys) for x, ys in a.body_adj.items()})
-    if body_cycle:
-        return False, WitnessViolation("fully_specified_a", tuple(body_cycle))
-    for x, y in a.entry_pairs:
-        if y != x and x not in a.reach_plus[y]:
-            return False, WitnessViolation("fully_specified_b", (x, y))
-    loop_cycle = _find_cycle(a.states, {x: tuple(ys) for x, ys in a.diredge_adj.items()})
-    if loop_cycle:
-        return False, WitnessViolation("layered", tuple(loop_cycle))
-    for x, y in sorted(a.diredge, key=lambda p: (a.base.index(p[0]), a.base.index(p[1]))):
-        if a.has_output(y):
-            return False, WitnessViolation("goto_free", (x, y))
-    return True, None
+    violation = _checked(L)[1]
+    return violation is None, violation
 
 
 def analysis_of_verified(L: LabelledPrechart) -> _Analysis:
     """Analysis of a witness that must verify; raises otherwise."""
-    ok, violation = verify_witness(L)
-    if not ok:
+    a, violation = _checked(L)
+    if violation is not None:
         raise InvalidWitnessError(str(violation))
-    return _Analysis(L)
+    return a
 
 
 def measures(L: LabelledPrechart, x: StateId) -> tuple[int, int]:

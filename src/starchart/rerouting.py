@@ -9,7 +9,6 @@ preserved at every step.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -22,12 +21,9 @@ from .layering import (
     LabelledPrechart,
     _Analysis,
     analysis_of_verified,
-    infer_witness,
     verify_witness,
 )
 from .semantics import Prechart, StateId
-
-log = logging.getLogger(__name__)
 
 CONDITIONS = ("C1", "C2", "C3")
 
@@ -210,8 +206,8 @@ def relabel(
     Redirected transitions keep their tags.  Under C2 the body steps out of
     the promotion state become entries first; in every case, entry
     transitions that lost their return path are demoted to body steps.  The
-    result is re-verified; if verification fails the witness is re-inferred
-    from scratch on the rerouted chart.
+    result is re-verified and a failure raises ``RuntimeError``: the paper
+    guarantees that a safe pair's relabelling stays a witness.
     """
     if condition not in CONDITIONS:
         raise ValueError(f"unknown condition {condition!r}")
@@ -246,19 +242,12 @@ def relabel(
 
     candidate = LabelledPrechart(base2, tags)
     ok, violation = verify_witness(candidate)
-    if ok:
-        return candidate
-    log.warning(
-        "relabelling after connecting %r through to %r under %s failed (%s); "
-        "re-inferring a witness", w1, w2, condition, violation,
-    )
-    inferred = infer_witness(base2)
-    if inferred is None:
+    if not ok:
         raise RuntimeError(
-            f"rerouted chart admits no layering witness after a {condition} step; "
-            "this contradicts the preservation guarantee"
+            f"relabelling after connecting {w1!r} through to {w2!r} under {condition} "
+            f"broke the witness ({violation}); this contradicts the preservation guarantee"
         )
-    return inferred
+    return candidate
 
 
 def collapse(L: LabelledPrechart) -> tuple[LabelledPrechart, dict[StateId, StateId]]:
@@ -266,19 +255,22 @@ def collapse(L: LabelledPrechart) -> tuple[LabelledPrechart, dict[StateId, State
 
     Returns the collapsed witness and the accumulated projection; the
     projection's kernel is the bisimilarity of the input, and the result is
-    bisimulation-minimal with a valid witness.
+    bisimulation-minimal with a valid witness.  Bisimilarity is computed
+    once: connecting ``w1`` through a bisimilar ``w2`` leaves the remaining
+    states' classes as they were, so each step only drops ``w1`` from the
+    partition (and ``find_pair`` re-checks it as a bisimulation).
     """
     ok, violation = verify_witness(L)
     if not ok:
         raise InvalidWitnessError(str(violation))
     current = L
     projection = {x: x for x in L.base.states}
-    while True:
-        R = bisimilarity(current.base)
-        if R.is_identity:
-            return current, projection
+    R = bisimilarity(L.base)
+    while not R.is_identity:
         w1, w2, condition = find_pair(current, R)
         current = relabel(current, w1, w2, condition)
         projection = {
             x: (w2 if v == w1 else v) for x, v in projection.items()
         }
+        R = R.without(w1)
+    return current, projection

@@ -209,12 +209,26 @@ def _alphabet_for(e: Expr, alphabet: Iterable[str] | None) -> tuple[str, ...]:
 
 def chart_of(e: Expr, alphabet: Iterable[str] | None = None) -> Prechart:
     """The chart of ``e``: its closure under outputs and transitions."""
-    alphabet = _alphabet_for(e, alphabet)
-    order: list[Expr] = [e]
-    seen = {e}
+    return joint_chart([e], _alphabet_for(e, alphabet), root=e)
+
+
+def joint_chart(
+    roots: Iterable[Expr], alphabet: tuple[str, ...], root: Expr | None = None
+) -> Prechart:
+    """The closure of several expressions under outputs and transitions.
+
+    States are discovered breadth-first from the roots in the given order.
+    ``alphabet`` must cover every atom of the roots.
+    """
+    order: list[Expr] = []
+    seen: set[Expr] = set()
+    for e in roots:
+        if e not in seen:
+            seen.add(e)
+            order.append(e)
     outputs: dict[Expr, frozenset[str]] = {}
     transitions: dict[Expr, dict[str, tuple[Expr, ...]]] = {}
-    queue = deque([e])
+    queue = deque(order)
     while queue:
         x = queue.popleft()
         outs, succ = expr_step(x)
@@ -226,7 +240,7 @@ def chart_of(e: Expr, alphabet: Iterable[str] | None = None) -> Prechart:
                     seen.add(y)
                     order.append(y)
                     queue.append(y)
-    return Prechart.make(alphabet, order, outputs, transitions, root=e)
+    return Prechart.make(alphabet, order, outputs, transitions, root=root)
 
 
 # --- coalgebra constructions ---------------------------------------------------

@@ -12,10 +12,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .bisim import bisimilar
+from .bisim import bisimilarity
 from .layering import BODY, ENTRY, LabelledPrechart, analysis_of_verified
-from .semantics import Prechart, StateId, expr_step
-from .syntax import Atom, Expr, Seq, Star, Sum, Zero, gsum
+from .semantics import Prechart, StateId, expr_step, joint_chart
+from .syntax import Atom, Expr, Seq, Star, Sum, Zero, atoms, gsum
 
 # canonical solutions of deep charts nest expressions proportionally
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
@@ -145,23 +145,28 @@ def verify_solution(
     """Semantically check the per-state equations, reporting a failing state.
 
     Each assigned expression must be bisimilar to the sum of the state's
-    outputs and of action-prefixed assignments of its successors.
+    outputs and of action-prefixed assignments of its successors.  All
+    equations are decided by one partition refinement over the joint chart
+    of both sides; a state's class depends only on what it reaches, so this
+    is the per-equation check.  The first failing state in ``X.states``
+    order is reported.
     """
     assign = solution.assign if isinstance(solution, Solution) else dict(solution)
     for x in X.states:
         if x not in assign:
             raise ValueError(f"partial assignment: no expression for state {x!r}")
+    rhs = {}
     for x in X.states:
         outputs = [Atom(a) for a in X.alphabet if a in X.out(x)]
         steps = [Seq(Atom(a), assign[y]) for a in X.alphabet for y in X.succ(x, a)]
-        rhs = Sum(gsum(outputs), gsum(steps))
-        if not bisimilar(assign[x], rhs):
-            if isinstance(solution, Solution):
-                solution.verified = False
-            return False, x
+        rhs[x] = Sum(gsum(outputs), gsum(steps))
+    sides = [e for x in X.states for e in (assign[x], rhs[x])]
+    alphabet = tuple(sorted(set().union(*map(atoms, sides))))
+    R = bisimilarity(joint_chart(sides, alphabet))
+    bad = next((x for x in X.states if not R.related(assign[x], rhs[x])), None)
     if isinstance(solution, Solution):
-        solution.verified = True
-    return True, None
+        solution.verified = bad is None
+    return bad is None, bad
 
 
 def simplify(e: Expr) -> Expr:

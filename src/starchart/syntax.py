@@ -174,16 +174,18 @@ def atoms(e: Expr) -> frozenset[str]:
 def _split_actions(word: str, alphabet: set[str], pos: int) -> list[str]:
     # Greedy longest-prefix split of an alphanumeric run into declared
     # actions, so "aa" means a.a under alphabet {a} while a declared
-    # multi-character action still lexes as itself.
+    # multi-character action still lexes as itself.  Only prefixes up to the
+    # longest declared action can match, so the split is linear in the run.
     if word in alphabet:
         return [word]
+    longest = max(map(len, alphabet), default=0)
     parts: list[str] = []
-    rest = word
-    while rest:
-        for k in range(len(rest), 0, -1):
-            if rest[:k] in alphabet:
-                parts.append(rest[:k])
-                rest = rest[k:]
+    i = 0
+    while i < len(word):
+        for k in range(min(longest, len(word) - i), 0, -1):
+            if word[i:i + k] in alphabet:
+                parts.append(word[i:i + k])
+                i += k
                 break
         else:
             raise UnknownActionError(f"unknown action {word!r}", pos)

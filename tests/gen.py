@@ -14,6 +14,8 @@ from starchart import (
     Star,
     Sum,
     Zero,
+    bisimilar,
+    gsum,
     size_bound,
     verify_witness,
 )
@@ -224,6 +226,21 @@ def all_labellings(X: Prechart) -> list[LabelledPrechart]:
     for combo in product("eb", repeat=len(edges)):
         out.append(LabelledPrechart(X, dict(zip(edges, combo))))
     return out
+
+
+def per_equation_check(X: Prechart, assign) -> tuple[bool, object]:
+    """``verify_solution`` one equation at a time: the test reference.
+
+    One ``bisimilar`` per state, in ``X.states`` order, between the assigned
+    expression and the sum of the state's outputs and action-prefixed
+    successor assignments; returns the first failing state.
+    """
+    for x in X.states:
+        outputs = [Atom(a) for a in X.alphabet if a in X.out(x)]
+        steps = [Seq(Atom(a), assign[y]) for a in X.alphabet for y in X.succ(x, a)]
+        if not bisimilar(assign[x], Sum(gsum(outputs), gsum(steps))):
+            return False, x
+    return True, None
 
 
 def exhaustive_witnesses(X: Prechart) -> list[LabelledPrechart]:

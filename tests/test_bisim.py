@@ -149,3 +149,10 @@ def test_partition_relation_shapes():
 def test_blocks_are_numbered_by_least_member():
     R = PartitionRelation.from_blocks("wxyz", [("z", "x"), ("y", "w")])
     assert R.blocks == (("w", "y"), ("x", "z"))
+
+
+def test_without_drops_a_state_and_renumbers_the_blocks():
+    R = PartitionRelation.from_blocks("wxyz", [("w", "z"), ("x",), ("y",)])
+    S = R.without("w")
+    assert S == PartitionRelation.from_blocks("xyz", [("x",), ("y",), ("z",)])
+    assert S.blocks == (("x",), ("y",), ("z",)) and S.is_identity

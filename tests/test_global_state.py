@@ -6,7 +6,8 @@ import pkgutil
 import weakref
 
 import starchart
-from starchart import Sum, certify, chart_of, parse
+from starchart import Sum, certify, chart_of, collapse, parse, syntactic_witness, verify_witness
+from starchart.layering import analysis_of_verified
 
 
 def _modules():
@@ -34,5 +35,17 @@ def test_expressions_die_after_use():
     assert cert.verdict == "equivalent"
     refs = [weakref.ref(x) for x in (e, cert.common, *X.states)]
     del e, X, cert
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
+def test_witnesses_and_their_analyses_die_after_use():
+    e = parse("(a b + a)*(b a*0) + (a b + a)*(b a*0)", ("a", "b"))
+    L = syntactic_witness(chart_of(e))
+    assert verify_witness(L) == (True, None)
+    analysis = analysis_of_verified(L)
+    collapsed, _ = collapse(L)
+    refs = [weakref.ref(x) for x in (L, analysis, collapsed, analysis_of_verified(collapsed))]
+    del e, L, analysis, collapsed
     gc.collect()
     assert [r for r in refs if r() is not None] == []

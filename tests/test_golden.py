@@ -1,5 +1,6 @@
-"""Golden CLI output: ``certify``, ``solve``, ``parse`` and ``chart`` on a
-fixed seeded corpus must print byte-identical stdout with the same exit code.
+"""Golden CLI output: ``certify``, ``solve``, ``parse``, ``chart`` and
+``collapse`` on a fixed seeded corpus must print byte-identical stdout with
+the same exit code.
 
 The expected output lives in ``golden_cli.json`` next to this file.  To
 re-record it after a deliberate output change, run
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from starchart import chart_of, render
+from starchart import Sum, chart_of, render
 from starchart.cli import main
 from starchart.formats import chart_to_json, witness_to_json
 from starchart.layering import syntactic_witness
@@ -49,6 +50,13 @@ def corpus() -> list[dict]:
     for _ in range(6):
         X = random_chart(rng, n_states=4, rooted=True)
         cases.append({"argv": ["solve", "{chart}"], "files": {"chart": chart_to_json(X)}})
+    # drawn last, so that the cases above keep their draws
+    for depth in (3, 3, 4, 4, 4, 4):
+        e = random_expr(rng, depth=depth)
+        X = chart_of(Sum(e, rewrite_steps(rng, e, rng.randint(1, 3))))
+        files = {"chart": chart_to_json(X), "witness": witness_to_json(syntactic_witness(X))}
+        cases.append({"argv": ["collapse", "{chart}"], "files": files})
+        cases.append({"argv": ["collapse", "{chart}", "--witness", "{witness}"], "files": files})
     return cases
 
 

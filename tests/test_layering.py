@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import signal
 
@@ -26,6 +28,7 @@ from starchart import (
     union_witness,
     verify_witness,
 )
+from starchart.layering import analysis_of_verified
 from gen import (
     all_labellings,
     exhaustive_witnesses,
@@ -143,6 +146,38 @@ class TestVerifyWitness:
 
     def test_entry_jump_witness_is_valid(self):
         assert verify_witness(entry_jump_witness()) == (True, None)
+
+
+class TestTheAnalysisIsBuiltOnce:
+    def test_tags_are_a_read_only_copy(self):
+        X = chart_of(AA0)
+        tags = {(AA0, "a", X1): "e", (X1, "a", AA0): "b"}
+        L = LabelledPrechart(X, tags)
+        tags[(X1, "a", AA0)] = "e"
+        assert L.tag(X1, "a", AA0) == "b"
+        with pytest.raises(TypeError):
+            L.tags[(X1, "a", AA0)] = "e"
+        assert L == cycle_witness() and L.retag({(X1, "a", AA0): "e"}).tag(X1, "a", AA0) == "e"
+
+    def test_every_query_shares_one_analysis(self):
+        L = syntactic_witness(chart_of(Star(Sum(A, Seq(A, B)), B)))
+        first = analysis_of_verified(L)
+        verify_witness(L), measures(L, L.base.root), to_llee(L)
+        assert analysis_of_verified(L) is first
+
+    def test_a_violation_is_remembered_and_raised_each_time(self):
+        L = all_body(chart_of(AA0))
+        assert verify_witness(L) == verify_witness(L)
+        for _ in range(2):
+            with pytest.raises(InvalidWitnessError, match="fully_specified_a"):
+                analysis_of_verified(L)
+
+    def test_copies_and_pickles_leave_the_memo_behind(self):
+        L = cycle_witness()
+        analysis_of_verified(L)
+        for twin in (copy.deepcopy(L), pickle.loads(pickle.dumps(L))):
+            assert twin == L and "_checked" not in vars(twin)
+            assert verify_witness(twin) == (True, None)
 
 
 class TestMeasures:

@@ -1,4 +1,6 @@
+import json
 import random
+import sys
 
 import pytest
 
@@ -28,8 +30,12 @@ from starchart import (
     syntactic_witness,
     verify_witness,
 )
+from starchart import layering
+from starchart.cli import main
+from starchart.formats import chart_to_json
+from starchart.layering import WitnessViolation, union_witness
 from starchart.rerouting import Splitting
-from gen import fig3_left, fig3_right, isomorphic, random_expr
+from gen import fig3_left, fig3_right, isomorphic, random_expr, rewrite_steps
 
 A = Atom("a")
 AA0 = Star(Seq(A, A), Zero())
@@ -262,6 +268,89 @@ class TestCollapse:
             assert verify_witness(result) == (True, None)
             assert is_homomorphism(projection, L.base, result.base) == (True, None)
             assert kernel_partition(projection, L.base.states).same_partition(R)
+
+
+def joined_witnesses(seed: int, count: int):
+    # the joined syntactic witnesses that certify collapses: e beside an
+    # axiom rewrite of e
+    rng = random.Random(seed)
+    for _ in range(count):
+        e = random_expr(rng, depth=rng.randint(2, 4))
+        f = rewrite_steps(rng, e, rng.randint(1, 3))
+        L, _, _ = union_witness(syntactic_witness(chart_of(e, ("a", "b", "c"))),
+                                syntactic_witness(chart_of(f, ("a", "b", "c"))))
+        yield L
+
+
+class TestCollapseDoesEachStepOnce:
+    def test_carried_partition_is_bisimilarity_at_every_merge(self):
+        merges = 0
+        for L in joined_witnesses(173, 100):
+            R = bisimilarity(L.base)
+            current = L
+            while not R.is_identity:
+                w1, w2, condition = find_pair(current, R)
+                current = relabel(current, w1, w2, condition)
+                R = R.without(w1)
+                assert R == bisimilarity(current.base)
+                merges += 1
+            result, _ = collapse(L)
+            assert result == current
+        assert merges > 100
+
+    def test_one_analysis_per_merge(self, monkeypatch):
+        built = 0
+        init = layering._Analysis.__init__
+
+        def counting(self, L):
+            nonlocal built
+            built += 1
+            init(self, L)
+
+        monkeypatch.setattr(layering._Analysis, "__init__", counting)
+        for L in joined_witnesses(179, 20):
+            built = 0
+            result, _ = collapse(L)
+            merges = len(L.base.states) - len(result.base.states)
+            assert built <= merges + 2
+
+    def test_bisimilarity_is_computed_once_per_collapse(self, monkeypatch):
+        calls = []
+        module = sys.modules["starchart.rerouting"]
+        monkeypatch.setattr(module, "bisimilarity", lambda X: calls.append(X) or bisimilarity(X))
+        for L in joined_witnesses(181, 20):
+            calls.clear()
+            collapse(L)
+            assert calls == [L.base]
+
+    @staticmethod
+    def fail_after_the_first_merge(monkeypatch, X):
+        # every labelling smaller than X "fails" verification; the input passes
+        violation = WitnessViolation("layered", ("w2", "w2"))
+        inferred = []
+        for module in ("starchart.layering", "starchart.rerouting"):
+            monkeypatch.setattr(sys.modules[module], "infer_witness", inferred.append, raising=False)
+        monkeypatch.setattr(
+            sys.modules["starchart.rerouting"], "verify_witness",
+            lambda L: (True, None) if len(L.base.states) == len(X.states) else (False, violation),
+        )
+        return inferred
+
+    def test_a_relabelling_that_breaks_the_witness_raises(self, monkeypatch):
+        L = two_sinks_witness()
+        inferred = self.fail_after_the_first_merge(monkeypatch, L.base)
+        with pytest.raises(RuntimeError, match=r"under C1 broke the witness \(layered: "):
+            relabel(L, "w1", "w2", "C1")
+        assert inferred == []
+
+    def test_the_command_line_reports_it_as_an_internal_error(self, monkeypatch, tmp_path, capsys):
+        X = two_sinks_chart()
+        inferred = self.fail_after_the_first_merge(monkeypatch, X)
+        chart = tmp_path / "chart.json"
+        chart.write_text(json.dumps(chart_to_json(X)), encoding="utf-8")
+        assert main(["collapse", str(chart)]) == 3
+        assert "internal error: RuntimeError: relabelling after connecting" in capsys.readouterr().err
+        assert inferred == []
 
 
 class TestRestrictRelation:

@@ -17,13 +17,14 @@ from starchart import (
     check_bisimulation,
     enumerate_witnesses,
     expr_step,
+    infer_witness,
     simplify,
     syntactic_witness,
     unfold,
     verify_solution,
     verify_witness,
 )
-from gen import random_expr
+from gen import per_equation_check, random_chart, random_expr
 
 A, B = Atom("a"), Atom("b")
 AA0 = Star(Seq(A, A), Zero())
@@ -170,6 +171,56 @@ class TestVerifySolution:
         solutions = [canonical_solution(L) for L in witnesses]
         for x in X.states:
             assert bisimilar(solutions[0].assign[x], solutions[1].assign[x])
+
+
+class TestOneRefinementPerCheck:
+    """``verify_solution`` returns what one ``bisimilar`` per state returns."""
+
+    @staticmethod
+    def corruptions(rng, X, assign):
+        yield assign
+        victims = list(X.states)
+        for _ in range(4):
+            broken = dict(assign)
+            for victim in rng.sample(victims, rng.randint(1, min(2, len(victims)))):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    broken[victim] = Atom("z")  # outside the chart's alphabet
+                elif kind == 1:
+                    broken[victim] = Zero()
+                elif kind == 2:
+                    broken[victim] = assign[rng.choice(victims)]
+                else:
+                    broken[victim] = Sum(assign[victim], Atom(rng.choice(("a", "b"))))
+            yield broken
+
+    def assert_agree(self, rng, X, assign):
+        for candidate in self.corruptions(rng, X, assign):
+            assert verify_solution(X, candidate) == per_equation_check(X, candidate)
+
+    def test_expression_charts(self):
+        rng = random.Random(163)
+        for _ in range(40):
+            X = chart_of(random_expr(rng, depth=rng.randint(2, 4)))
+            self.assert_agree(rng, X, canonical_solution(syntactic_witness(X)).assign)
+            self.assert_agree(rng, X, {x: x for x in X.states})
+
+    def test_charts_with_inferred_witnesses(self):
+        rng = random.Random(167)
+        checked = 0
+        while checked < 20:
+            L = infer_witness(random_chart(rng, n_states=rng.randint(1, 5), rooted=True))
+            if L is None:
+                continue
+            checked += 1
+            self.assert_agree(rng, L.base, canonical_solution(L).assign)
+
+    def test_the_failing_state_is_the_first_in_state_order(self):
+        X = chart_of(AA0)
+        z = Atom("z")
+        assert verify_solution(X, {AA0: Zero(), X1: z}) == (False, AA0)
+        # the root's equation a.z holds; the other one, a.(a.z) for z, fails
+        assert verify_solution(X, {AA0: Seq(A, z), X1: z}) == (False, X1)
 
 
 def _graph_passes(X, assign):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,21 @@ class TestDeepInput:
         assert not can_terminate(Star(A, Seq(deep, Zero())))
         assert hash(deep) == hash(twin)
         assert render(deep).count("*") == self.DEPTH
+
+    def test_an_unspaced_action_run_splits_in_linear_time(self):
+        def expired(signum, frame):
+            raise TimeoutError("splitting 30 000 actions ran past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(5)
+        try:
+            e = parse("a" * self.DEPTH, ["a"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        spaced = parse(" ".join("a" * self.DEPTH), ["a"])
+        # render and hash are iterative; == on trees this deep would recurse
+        assert render(e) == render(spaced) and hash(e) == hash(spaced)
 
     def test_deep_syntax_errors_keep_their_position(self):
         with pytest.raises(ParseError) as err:
