@@ -1,25 +1,29 @@
 """Command-line surface and end-to-end equivalence certification.
 
-``certify`` realizes the completeness pipeline: build both charts, join
-them, decide bisimilarity, collapse the joined witness so the two roots
-land on one state, and solve the collapsed chart to obtain a common
-expression.  Every stage is re-verified, and the emitted certificate
-carries enough data to replay each named check.
+``certify`` realizes the completeness pipeline: build both charts and
+decide bisimilarity on their coproduct.  Only when the roots are bisimilar
+is a layering witness built, on the same states: the joined syntactic
+witness is collapsed so the two roots land on one state, and the collapsed
+chart is solved to obtain a common expression.  Every stage is re-verified,
+and the emitted certificate carries enough data to replay each named check;
+``recheck_certificate`` replays them with the same check functions.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
-from .bisim import BisimViolation, PartitionRelation, bisimilar, bisimilarity, check_bisimulation
+from .bisim import BisimViolation, PartitionRelation, bisimilarity, check_bisimulation
 from .formats import (
     chart_from_json,
     chart_to_json,
     state_ids,
+    state_label,
     to_dot,
     weighted_to_json,
     witness_from_json,
@@ -35,8 +39,16 @@ from .layering import (
     verify_witness,
 )
 from .rerouting import collapse, connect_through
-from .semantics import Prechart, chart_of, is_homomorphism, kernel_partition
-from .solution import canonical_solution, simplify, verify_solution
+from .semantics import (
+    Prechart,
+    StateId,
+    chart_of,
+    coproduct,
+    is_homomorphism,
+    joint_chart,
+    kernel_partition,
+)
+from .solution import Solution, canonical_solution, simplify, verify_solution
 from .syntax import Expr, ParseError, atoms, declare_alphabet, parse, render
 
 
@@ -74,34 +86,57 @@ class Certificate:
             "common": render(self.common) if self.common is not None else None,
             "distinguishing": None,
         }
-        if self.distinguishing is not None:
-            v = self.distinguishing
-            doc["distinguishing"] = {
-                "clause": v.clause,
-                "left": _label_in(v.left),
-                "right": _label_in(v.right),
-                "action": v.action,
-                "successor": _label_in(v.successor) if v.successor is not None else None,
-            }
+        if (v := self.distinguishing) is not None:
+            doc["distinguishing"] = {"clause": v.clause, **_clause_doc(v)}
         return doc
 
 
-def _label_in(state: Any) -> str:
-    from .formats import state_label
+def _clause_doc(v: BisimViolation) -> dict[str, Any]:
+    return {
+        "left": state_label(v.left),
+        "right": state_label(v.right),
+        "action": v.action,
+        "successor": state_label(v.successor) if v.successor is not None else None,
+    }
 
-    return state_label(state)
+
+class _Decision(NamedTuple):
+    """Both charts, their coproduct and its bisimilarity: a verdict's data.
+
+    The states of ``joined`` are those of the union of the two syntactic
+    witnesses in the same order, so state names agree with a witness built
+    later from the same charts.
+    """
+
+    left: Prechart
+    right: Prechart
+    joined: Prechart
+    inl: dict[StateId, StateId]
+    inr: dict[StateId, StateId]
+    R: PartitionRelation
+
+    @property
+    def roots(self) -> tuple[StateId, StateId]:
+        return self.inl[self.left.root], self.inr[self.right.root]
+
+    @property
+    def bisimilar(self) -> bool:
+        return self.R.related(*self.roots)
 
 
-def _joined_setup(e: Expr, f: Expr, alphabet: tuple[str, ...]):
+def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
+    """Decide bisimilarity of ``e`` and ``f`` on the coproduct of their charts."""
     Xe, Xf = chart_of(e, alphabet), chart_of(f, alphabet)
-    Lc, inl, inr = union_witness(syntactic_witness(Xe), syntactic_witness(Xf))
-    return Lc, inl[e], inr[f]
+    Z, inl, inr = coproduct(Xe, Xf)
+    return _Decision(Xe, Xf, Z, inl, inr, bisimilarity(Z))
 
 
-def _distinguishing_violation(Lc: LabelledPrechart, R: PartitionRelation, re_: Any, rf: Any) -> BisimViolation:
-    candidate = R.merge(re_, rf)
+def _distinguishing_violation(d: _Decision) -> BisimViolation:
+    """The first failing clause once the roots' classes are joined, roots first."""
+    re_, rf = d.roots
+    candidate = d.R.merge(re_, rf)
     ordered = [(re_, rf)] + [p for p in candidate.pairs() if p != (re_, rf)]
-    ok, violation = check_bisimulation(Lc.base, Lc.base, ordered)
+    ok, violation = check_bisimulation(d.joined, d.joined, ordered)
     if ok or violation is None:
         raise RuntimeError("roots are not bisimilar yet joining their classes yields a bisimulation")
     return violation
@@ -121,6 +156,45 @@ def _violation_holds(X: Prechart, related: set, v: BisimViolation) -> bool:
     return False
 
 
+# The checks below are shared by ``certify``, which builds the evidence, and
+# ``recheck_certificate``, which reads it back from a certificate.
+
+
+def _relation_check(d: _Decision) -> Check:
+    return Check("bisimulation-relation-valid", check_bisimulation(d.joined, d.joined, d.R.pairs())[0])
+
+
+def _inequivalent_checks(d: _Decision, violation: BisimViolation) -> list[Check]:
+    candidate = d.R.merge(*d.roots)
+    return [
+        Check("roots-not-bisimilar", not d.bisimilar),
+        Check("distinguishing-clause", _violation_holds(d.joined, set(candidate.pairs()), violation)),
+    ]
+
+
+def _collapsed_checks(d: _Decision, collapsed: LabelledPrechart, solution: Solution) -> list[Check]:
+    return [
+        Check("roots-bisimilar", d.bisimilar),
+        Check("collapsed-witness-valid", verify_witness(collapsed)[0]),
+        Check("collapse-minimal", bisimilarity(collapsed.base).is_identity),
+        Check("solution-verified", verify_solution(collapsed.base, solution)[0]),
+    ]
+
+
+def _common_checks(d: _Decision, common: Expr) -> list[Check]:
+    """Both inputs against ``common``, decided by one refinement.
+
+    A state's class depends only on what it reaches, so this answers as
+    two ``bisimilar`` calls would, with one chart and one refinement.
+    """
+    e, f = d.left.root, d.right.root
+    R = bisimilarity(joint_chart([e, f, common], d.joined.alphabet))
+    return [
+        Check("common-bisimilar-left", R.related(e, common)),
+        Check("common-bisimilar-right", R.related(f, common)),
+    ]
+
+
 def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     """Certify two expressions equivalent (with a common solved collapse) or not."""
     alpha = (
@@ -131,26 +205,20 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     missing = (atoms(e) | atoms(f)) - set(alpha)
     if missing:
         raise ValueError(f"atoms outside the declared alphabet: {sorted(missing)}")
-    Lc, re_, rf = _joined_setup(e, f, alpha)
-    ok, violation = verify_witness(Lc)
-    if not ok:
-        raise RuntimeError(f"joined chart lost its witness: {violation}")
-    R = bisimilarity(Lc.base)
-    relation_ok, _ = check_bisimulation(Lc.base, Lc.base, R.pairs())
-    checks = [Check("bisimulation-relation-valid", relation_ok)]
+    d = _decide(e, f, alpha)
+    checks = [_relation_check(d)]
 
-    if not R.related(re_, rf):
-        witness_violation = _distinguishing_violation(Lc, R, re_, rf)
-        candidate = R.merge(re_, rf)
-        checks += [
-            Check("roots-not-bisimilar", not R.related(re_, rf)),
-            Check(
-                "distinguishing-clause",
-                _violation_holds(Lc.base, set(candidate.pairs()), witness_violation),
-            ),
-        ]
-        cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=witness_violation)
+    if not d.bisimilar:
+        violation = _distinguishing_violation(d)
+        checks += _inequivalent_checks(d, violation)
+        cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=violation)
     else:
+        # the witness is needed only to collapse
+        Lc, _, _ = union_witness(syntactic_witness(d.left), syntactic_witness(d.right))
+        ok, why = verify_witness(Lc)
+        if not ok:
+            raise RuntimeError(f"joined chart lost its witness: {why}")
+        re_, rf = d.roots
         collapsed, projection = collapse(Lc)
         z = projection[re_]
         if projection[rf] != z:
@@ -158,22 +226,12 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
         hom_ok, hom_why = is_homomorphism(projection, Lc.base, collapsed.base)
         if not hom_ok:
             raise RuntimeError(f"collapse projection is not a homomorphism: {hom_why}")
-        if not kernel_partition(projection, Lc.base.states).same_partition(R):
+        if not kernel_partition(projection, Lc.base.states).same_partition(d.R):
             raise RuntimeError("collapse projection kernel differs from bisimilarity")
-        import dataclasses
-
         rooted = LabelledPrechart(dataclasses.replace(collapsed.base, root=z), collapsed.tags)
         solution = canonical_solution(rooted)
-        solved_ok, bad_state = verify_solution(rooted.base, solution)
         common = solution.assign[z]
-        checks += [
-            Check("roots-bisimilar", R.related(re_, rf)),
-            Check("collapsed-witness-valid", verify_witness(rooted)[0]),
-            Check("collapse-minimal", bisimilarity(rooted.base).is_identity),
-            Check("solution-verified", solved_ok),
-            Check("common-bisimilar-left", bisimilar(e, common, alpha)),
-            Check("common-bisimilar-right", bisimilar(f, common, alpha)),
-        ]
+        checks += _collapsed_checks(d, rooted, solution) + _common_checks(d, common)
         cert = Certificate("equivalent", e, f, alpha, checks, collapsed=rooted, common=common)
     failed = [c.name for c in cert.checks if not c.passed]
     if failed:
@@ -186,13 +244,11 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     alpha = tuple(doc["alphabet"])
     e = parse(doc["inputs"]["left"], alpha)
     f = parse(doc["inputs"]["right"], alpha)
-    Lc, re_, rf = _joined_setup(e, f, alpha)
-    R = bisimilarity(Lc.base)
-    checks = [Check("bisimulation-relation-valid", check_bisimulation(Lc.base, Lc.base, R.pairs())[0])]
+    d = _decide(e, f, alpha)
+    checks = [_relation_check(d)]
     if doc["verdict"] == "inequivalent":
         v = doc["distinguishing"]
-        ids = state_ids(Lc.base)
-        by_id = {name: x for x, name in ids.items()}
+        by_id = {name: x for x, name in state_ids(d.joined).items()}
         violation = BisimViolation(
             v["clause"],
             by_id[v["left"]],
@@ -200,50 +256,32 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
             v["action"],
             by_id[v["successor"]] if v["successor"] is not None else None,
         )
-        candidate = R.merge(re_, rf)
-        checks += [
-            Check("roots-not-bisimilar", not R.related(re_, rf)),
-            Check("distinguishing-clause", _violation_holds(Lc.base, set(candidate.pairs()), violation)),
-        ]
-        return checks
+        return checks + _inequivalent_checks(d, violation)
     collapsed = witness_from_json(doc["collapsed"])
     solution = canonical_solution(collapsed)
     common = parse(doc["common"], alpha)
-    checks += [
-        Check("roots-bisimilar", R.related(re_, rf)),
-        Check("collapsed-witness-valid", verify_witness(collapsed)[0]),
-        Check("collapse-minimal", bisimilarity(collapsed.base).is_identity),
-        Check("solution-verified", verify_solution(collapsed.base, solution)[0]),
-        Check("common-at-root", solution.assign[collapsed.base.root] == common),
-        Check("common-bisimilar-left", bisimilar(e, common, alpha)),
-        Check("common-bisimilar-right", bisimilar(f, common, alpha)),
-    ]
-    return checks
+    return (
+        checks
+        + _collapsed_checks(d, collapsed, solution)
+        + [Check("common-at-root", solution.assign[collapsed.base.root] == common)]
+        + _common_checks(d, common)
+    )
 
 
 # --- command surface ---------------------------------------------------------
 
 
-def _alphabet_arg(value: str | None) -> tuple[str, ...] | None:
-    if value is None:
-        return None
-    return declare_alphabet(a.strip() for a in value.split(",") if a.strip())
+def _parse_exprs(args: argparse.Namespace, *texts: str) -> tuple[tuple[str, ...], list[Expr]]:
+    """Parse under ``--alphabet``, or else under the atoms used.
 
-
-def _default_alphabet(*parsed: Expr) -> tuple[str, ...]:
-    out: set[str] = set()
-    for e in parsed:
-        out |= atoms(e)
-    return tuple(sorted(out))
-
-
-def _parse_with(text: str, alphabet: tuple[str, ...] | None) -> Expr:
-    if alphabet is not None:
-        return parse(text, alphabet)
-    # default alphabet: the single letters occurring in the text, so "aa"
-    # reads as a.a; multi-character actions require --alphabet
-    probe = sorted({c for c in text if c.islower()})
-    return parse(text, probe or ["a"])
+    Without ``--alphabet`` each text is split into the single letters it
+    contains, so "aa" reads as a.a; multi-character actions need the flag.
+    """
+    if args.alphabet is not None:
+        alpha = declare_alphabet(a.strip() for a in args.alphabet.split(",") if a.strip())
+        return alpha, [parse(text, alpha) for text in texts]
+    exprs = [parse(text, sorted({c for c in text if c.islower()}) or ["a"]) for text in texts]
+    return tuple(sorted(set().union(*map(atoms, exprs)))), exprs
 
 
 def _emit(doc: Any) -> None:
@@ -255,17 +293,36 @@ def _read_json(path: str) -> Any:
         return json.load(fh)
 
 
+def _load_witness(args: argparse.Namespace, X: Prechart) -> LabelledPrechart | None:
+    """The verified ``--witness`` for ``X``, else an inferred one.
+
+    ``None``, after a message on stderr, when the given witness does not
+    verify or none can be inferred.
+    """
+    if not args.witness:
+        L = infer_witness(X)
+        if L is None:
+            print("no layering witness", file=sys.stderr)
+        return L
+    L = witness_from_json(_read_json(args.witness))
+    if chart_to_json(L.base) != chart_to_json(X):
+        raise ValueError("witness file does not label the given chart")
+    ok, violation = verify_witness(L)
+    if not ok:
+        print(f"witness does not verify: {violation}", file=sys.stderr)
+        return None
+    return L
+
+
 def cmd_parse(args: argparse.Namespace) -> int:
-    alpha = _alphabet_arg(args.alphabet)
-    e = parse(args.expr, alpha) if alpha is not None else _parse_with(args.expr, None)
+    _, (e,) = _parse_exprs(args, args.expr)
     print(render(e))
     return 0
 
 
 def cmd_chart(args: argparse.Namespace) -> int:
-    alpha = _alphabet_arg(args.alphabet)
-    e = parse(args.expr, alpha) if alpha is not None else _parse_with(args.expr, None)
-    X = chart_of(e, alpha if alpha is not None else _default_alphabet(e))
+    alpha, (e,) = _parse_exprs(args, args.expr)
+    X = chart_of(e, alpha)
     if args.dot:
         sys.stdout.write(to_dot(X))
     else:
@@ -274,48 +331,21 @@ def cmd_chart(args: argparse.Namespace) -> int:
 
 
 def cmd_bisim(args: argparse.Namespace) -> int:
-    alpha = _alphabet_arg(args.alphabet)
-    e = parse(args.left, alpha) if alpha is not None else _parse_with(args.left, None)
-    f = parse(args.right, alpha) if alpha is not None else _parse_with(args.right, None)
-    if alpha is None:
-        alpha = _default_alphabet(e, f)
-    from .semantics import coproduct
-
-    X, Y = chart_of(e, alpha), chart_of(f, alpha)
-    Z, inl, inr = coproduct(X, Y)
-    R = bisimilarity(Z)
-    same = R.related(inl[e], inr[f])
-    print("bisimilar" if same else "not-bisimilar")
-    if args.witness:
-        if same:
-            relation = [
-                [render(x), render(y)]
-                for x in X.states
-                for y in Y.states
-                if R.related(inl[x], inr[y])
-            ]
-            _emit({"bisimilar": True, "relation": relation})
-        else:
-            candidate = R.merge(inl[e], inr[f])
-            ordered = [(inl[e], inr[f])] + [p for p in candidate.pairs() if p != (inl[e], inr[f])]
-            _, violation = check_bisimulation(Z, Z, ordered)
-            from .formats import state_label
-
-            _emit(
-                {
-                    "bisimilar": False,
-                    "clause": {
-                        "kind": violation.clause,
-                        "left": state_label(violation.left),
-                        "right": state_label(violation.right),
-                        "action": violation.action,
-                        "successor": state_label(violation.successor)
-                        if violation.successor is not None
-                        else None,
-                    },
-                }
-            )
-    return 0 if same else 1
+    alpha, (e, f) = _parse_exprs(args, args.left, args.right)
+    d = _decide(e, f, alpha)
+    print("bisimilar" if d.bisimilar else "not-bisimilar")
+    if args.witness and d.bisimilar:
+        relation = [
+            [render(x), render(y)]
+            for x in d.left.states
+            for y in d.right.states
+            if d.R.related(d.inl[x], d.inr[y])
+        ]
+        _emit({"bisimilar": True, "relation": relation})
+    elif args.witness:
+        v = _distinguishing_violation(d)
+        _emit({"bisimilar": False, "clause": {"kind": v.clause, **_clause_doc(v)}})
+    return 0 if d.bisimilar else 1
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
@@ -335,9 +365,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
             return 1
         _emit(witness_to_json(L))
         return 0
-    alpha = _alphabet_arg(args.alphabet)
-    e = parse(args.syntactic, alpha) if alpha is not None else _parse_with(args.syntactic, None)
-    X = chart_of(e, alpha if alpha is not None else _default_alphabet(e))
+    alpha, (e,) = _parse_exprs(args, args.syntactic)
+    X = chart_of(e, alpha)
     doc = witness_to_json(syntactic_witness(X))
     if args.llee:
         doc = weighted_to_json(to_llee(syntactic_witness(X)))
@@ -347,19 +376,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     X = chart_from_json(_read_json(args.chart))
-    if args.witness:
-        L = witness_from_json(_read_json(args.witness))
-        if chart_to_json(L.base) != chart_to_json(X):
-            raise ValueError("witness file does not label the given chart")
-        ok, violation = verify_witness(L)
-        if not ok:
-            print(f"witness does not verify: {violation}", file=sys.stderr)
-            return 1
-    else:
-        L = infer_witness(X)
-        if L is None:
-            print("no layering witness", file=sys.stderr)
-            return 1
+    L = _load_witness(args, X)
+    if L is None:
+        return 1
     solution = canonical_solution(L)
     assign = {
         name: render(simplify(solution.assign[x]) if args.simplify else solution.assign[x])
@@ -380,19 +399,9 @@ def cmd_reroute(args: argparse.Namespace) -> int:
 
 def cmd_collapse(args: argparse.Namespace) -> int:
     X = chart_from_json(_read_json(args.chart))
-    if args.witness:
-        L = witness_from_json(_read_json(args.witness))
-        if chart_to_json(L.base) != chart_to_json(X):
-            raise ValueError("witness file does not label the given chart")
-        ok, violation = verify_witness(L)
-        if not ok:
-            print(f"witness does not verify: {violation}", file=sys.stderr)
-            return 1
-    else:
-        L = infer_witness(X)
-        if L is None:
-            print("no layering witness", file=sys.stderr)
-            return 1
+    L = _load_witness(args, X)
+    if L is None:
+        return 1
     collapsed, projection = collapse(L)
     if args.dot:
         sys.stdout.write(to_dot(collapsed.base, collapsed))
@@ -409,10 +418,8 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    alpha = _alphabet_arg(args.alphabet)
-    e = parse(args.left, alpha) if alpha is not None else _parse_with(args.left, None)
-    f = parse(args.right, alpha) if alpha is not None else _parse_with(args.right, None)
-    cert = certify(e, f, alpha if alpha is not None else _default_alphabet(e, f))
+    alpha, (e, f) = _parse_exprs(args, args.left, args.right)
+    cert = certify(e, f, alpha)
     _emit(cert.to_json())
     return 0 if cert.verdict == "equivalent" else 1
 

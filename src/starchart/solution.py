@@ -32,7 +32,6 @@ class Solution:
     chart: Prechart
     assign: dict[StateId, Expr]
     companion: dict[tuple[StateId, StateId], Expr] = field(default_factory=dict)
-    verified: bool | None = None
 
 
 def unfold(e: Expr) -> Expr:
@@ -164,8 +163,6 @@ def verify_solution(
     alphabet = tuple(sorted(set().union(*map(atoms, sides))))
     R = bisimilarity(joint_chart(sides, alphabet))
     bad = next((x for x in X.states if not R.related(assign[x], rhs[x])), None)
-    if isinstance(solution, Solution):
-        solution.verified = bad is None
     return bad is None, bad
 
 

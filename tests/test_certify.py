@@ -1,0 +1,201 @@
+"""Certification and replay decide first and share one check path.
+
+The verdict is read off the coproduct of the two charts; the syntactic
+witness is built only to collapse an equivalent pair, and both inputs are
+checked against the common expression by one refinement.  Replay runs the
+same checks on the certificate's data, so a tampered certificate fails.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+
+import pytest
+
+from starchart import Atom, Sum, Zero, bisimilar, certify, parse, recheck_certificate, render
+from starchart.cli import _common_checks, _decide
+from starchart.formats import state_ids
+from gen import random_expr, rewrite_steps
+
+ALPHA = ("a", "b", "c")
+
+# the check names, in order, that certification and replay reported before
+# they shared one path
+EQUIVALENT = [
+    "bisimulation-relation-valid", "roots-bisimilar", "collapsed-witness-valid",
+    "collapse-minimal", "solution-verified", "common-bisimilar-left", "common-bisimilar-right",
+]
+REPLAYED_EQUIVALENT = EQUIVALENT[:5] + ["common-at-root"] + EQUIVALENT[5:]
+INEQUIVALENT = ["bisimulation-relation-valid", "roots-not-bisimilar", "distinguishing-clause"]
+
+
+def pairs(seed: int, count: int):
+    """Seeded pairs: ``e`` beside an axiom rewrite, then independent draws."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        e = random_expr(rng, depth=3)
+        f = rewrite_steps(rng, e, rng.randint(1, 3)) if i % 2 == 0 else random_expr(rng, depth=3)
+        out.append((e, f))
+    return out
+
+
+def roundtrip(cert) -> dict:
+    return json.loads(json.dumps(cert.to_json()))
+
+
+def count_calls(monkeypatch, module: str, name: str) -> list:
+    """Count calls of ``starchart.<module>.<name>`` through every starchart binding."""
+    calls: list = []
+    original = getattr(sys.modules[f"starchart.{module}"], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "starchart" or mod_name.startswith("starchart."):
+            for bound, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, bound, counting)
+    return calls
+
+
+class TestOneRefinementForTheCommonExpression:
+    def test_agrees_with_two_bisimilar_calls(self):
+        corpus = pairs(401, 120)
+        commons = [certify(e, f, ALPHA).common for e, f in corpus]
+        outcomes = set()
+        for i, (e, f) in enumerate(corpus):
+            d = _decide(e, f, ALPHA)
+            other = next(c for c in commons[i + 1:] + commons[:i] if c is not None)
+            candidates = [e, f, Zero(), other]
+            if commons[i] is not None:
+                candidates += [commons[i], Sum(commons[i], Atom(ALPHA[i % 3]))]
+            for common in candidates:
+                checks = _common_checks(d, common)
+                assert [c.name for c in checks] == ["common-bisimilar-left", "common-bisimilar-right"]
+                got = tuple(c.passed for c in checks)
+                assert got == (bisimilar(e, common, ALPHA), bisimilar(f, common, ALPHA)), (e, f, common)
+                outcomes.add(got)
+        # every combination occurs, so neither side is compared vacuously
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestReplayKeepsItsChecks:
+    def test_every_check_passes_under_the_same_names(self):
+        verdicts = set()
+        for e, f in pairs(409, 100):
+            cert = certify(e, f)
+            replayed = recheck_certificate(roundtrip(cert))
+            assert all(c.passed for c in replayed)
+            names = [c.name for c in replayed]
+            if cert.verdict == "equivalent":
+                assert [c.name for c in cert.checks] == EQUIVALENT
+                assert names == REPLAYED_EQUIVALENT
+            else:
+                assert [c.name for c in cert.checks] == INEQUIVALENT
+                assert names == INEQUIVALENT
+            verdicts.add(cert.verdict)
+        assert verdicts == {"equivalent", "inequivalent"}
+
+
+class TestDecideFirst:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return {
+            "chart_of": count_calls(monkeypatch, "semantics", "chart_of"),
+            "syntactic_witness": count_calls(monkeypatch, "layering", "syntactic_witness"),
+            "bisimilar": count_calls(monkeypatch, "bisim", "bisimilar"),
+        }
+
+    def counts(self, calls) -> dict:
+        out = {name: len(c) for name, c in calls.items()}
+        for c in calls.values():
+            c.clear()
+        return out
+
+    def test_inequivalent_pairs_build_no_witness(self, calls):
+        seen = 0
+        for e, f in pairs(419, 60):
+            cert = certify(e, f)
+            certified = self.counts(calls)
+            if cert.verdict != "inequivalent":
+                continue
+            recheck_certificate(roundtrip(cert))
+            replayed = self.counts(calls)
+            for got in (certified, replayed):
+                assert got["syntactic_witness"] == 0
+                assert got["chart_of"] <= 2
+                assert got["bisimilar"] == 0
+            seen += 1
+        assert seen >= 20
+
+    def test_equivalent_pairs_build_each_chart_once(self, calls):
+        for e, f in pairs(421, 60)[::2]:
+            cert = certify(e, f)
+            assert self.counts(calls) == {"chart_of": 2, "syntactic_witness": 2, "bisimilar": 0}
+            recheck_certificate(roundtrip(cert))
+            assert self.counts(calls) == {"chart_of": 2, "syntactic_witness": 0, "bisimilar": 0}
+
+
+class TestTamperedCertificates:
+    def test_an_edited_common_fails_replay(self):
+        edited = 0
+        for e, f in pairs(431, 60)[::2]:
+            cert = certify(e, f, ALPHA)
+            doc = roundtrip(cert)
+            for wrong in (Zero(), Sum(cert.common, Atom("a"))):
+                if bisimilar(e, wrong, ALPHA):
+                    continue
+                doc["common"] = render(wrong)
+                failed = {c.name for c in recheck_certificate(doc) if not c.passed}
+                assert "common-at-root" in failed
+                assert failed & {"common-bisimilar-left", "common-bisimilar-right"}
+                edited += 1
+        assert edited >= 30
+
+    def test_an_edited_action_fails_the_distinguishing_clause(self):
+        doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
+        assert doc["distinguishing"]["clause"] == "output"
+        assert doc["distinguishing"]["action"] == "b"
+        assert all(c.passed for c in recheck_certificate(doc))
+        doc["distinguishing"]["action"] = "a"  # both sides output a
+        assert not dict((c.name, c.passed) for c in recheck_certificate(doc))["distinguishing-clause"]
+
+    def test_an_edited_successor_or_action_fails_on_random_pairs(self):
+        edited = 0
+        for e, f in pairs(433, 120)[1::2]:
+            cert = certify(e, f, ALPHA)
+            if cert.verdict != "inequivalent":
+                continue
+            doc = roundtrip(cert)
+            v = cert.distinguishing
+            Z = _decide(e, f, ALPHA).joined
+            ids = state_ids(Z)
+            edits = []
+            if v.clause == "output":
+                # an action on which the two outputs agree
+                edits += [
+                    {"action": a} for a in ALPHA if (a in Z.out(v.left)) == (a in Z.out(v.right))
+                ]
+            else:
+                # a successor neither state reaches by the action, or an
+                # action by which neither reaches the successor
+                near = set(Z.succ(v.left, v.action)) | set(Z.succ(v.right, v.action))
+                edits += [{"successor": ids[s]} for s in Z.states if s not in near][:2]
+                edits += [
+                    {"action": a}
+                    for a in ALPHA
+                    if v.successor not in Z.succ(v.left, a) + Z.succ(v.right, a)
+                ]
+            for edit in edits:
+                tampered = json.loads(json.dumps(doc))
+                tampered["distinguishing"].update(edit)
+                results = {c.name: c.passed for c in recheck_certificate(tampered)}
+                assert not results["distinguishing-clause"], (render(e), render(f), edit)
+                assert results["roots-not-bisimilar"]
+                edited += 1
+        assert edited >= 40

@@ -1,6 +1,6 @@
-"""Golden CLI output: ``certify``, ``solve``, ``parse``, ``chart`` and
-``collapse`` on a fixed seeded corpus must print byte-identical stdout with
-the same exit code.
+"""Golden CLI output: ``certify``, ``solve``, ``parse``, ``chart``,
+``collapse`` and ``bisim`` on a fixed seeded corpus must print byte-identical
+stdout with the same exit code.
 
 The expected output lives in ``golden_cli.json`` next to this file.  To
 re-record it after a deliberate output change, run
@@ -57,6 +57,22 @@ def corpus() -> list[dict]:
         files = {"chart": chart_to_json(X), "witness": witness_to_json(syntactic_witness(X))}
         cases.append({"argv": ["collapse", "{chart}"], "files": files})
         cases.append({"argv": ["collapse", "{chart}", "--witness", "{witness}"], "files": files})
+    # drawn after the collapse cases: bisimilar pairs (rewrites), then
+    # mostly inequivalent ones (independent draws)
+    for depth in (3, 3, 4, 4):
+        e = random_expr(rng, depth=depth)
+        f = rewrite_steps(rng, e, rng.randint(1, 3))
+        cases.append({"argv": ["bisim", render(e), render(f)]})
+        cases.append({"argv": ["bisim", render(e), render(f), "--witness"]})
+    for depth in (3, 3, 3, 4, 4, 4):
+        e, f = random_expr(rng, depth=depth), random_expr(rng, depth=depth)
+        cases.append({"argv": ["bisim", render(e), render(f)]})
+        cases.append({"argv": ["bisim", render(e), render(f), "--witness"]})
+    cases.append({"argv": ["bisim", "a*0", "(aa)*0", "--alphabet", "b,a", "--witness"]})
+    cases.append({"argv": ["bisim", "a*b", "(aa)*b", "--alphabet", "b,a", "--witness"]})
+    cases.append({"argv": ["bisim", "a b", "a c", "--witness"]})
+    cases.append({"argv": ["bisim", "a(b + c)", "a b + a c", "--witness"]})
+    cases.append({"argv": ["bisim", "a b + a c", "a(b + c)", "--witness"]})
     return cases
 
 
