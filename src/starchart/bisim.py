@@ -138,14 +138,20 @@ class BisimViolation:
 def check_bisimulation(
     X: Prechart,
     Y: Prechart,
-    relation: Iterable[tuple[StateId, StateId]],
+    relation: PartitionRelation | Iterable[tuple[StateId, StateId]],
 ) -> tuple[bool, BisimViolation | None]:
     """Check the three bisimulation clauses for every related pair.
 
     Outputs must agree; every left transition must be matched on the right
     within the relation, and symmetrically.  The first failing pair is
-    reported with its clause.
+    reported with its clause.  A ``PartitionRelation`` on the states of
+    ``X`` (with ``Y is X``) is decided in one pass over the transitions;
+    only when that fails are its pairs scanned, to name the violation.
     """
+    if isinstance(relation, PartitionRelation):
+        if Y is X and _partition_is_bisimulation(X, relation):
+            return True, None
+        relation = relation.pairs()
     pairs = list(relation)
     for x, y in pairs:
         if not X.has_state(x) or not Y.has_state(y):
@@ -165,34 +171,73 @@ def check_bisimulation(
     return True, None
 
 
+def _partition_is_bisimulation(X: Prechart, R: PartitionRelation) -> bool:
+    """Whether each block agrees on outputs and per-action successor blocks.
+
+    That is the pairwise check for a partition whose members and their
+    successors are all in its universe; anything else answers ``False``.
+    """
+    block_of = R._block_of  # type: ignore[attr-defined]
+    first: dict[int, tuple] = {}
+    for x in R.universe:
+        if not X.has_state(x):
+            return False
+        try:
+            sig = (X.out(x), _successor_blocks(X, x, block_of))
+        except KeyError:  # a successor outside the universe
+            return False
+        if first.setdefault(block_of[x], sig) != sig:
+            return False
+    return True
+
+
+def _successor_blocks(X: Prechart, x: StateId, block_of: dict[StateId, int]) -> tuple[frozenset[int], ...]:
+    """Per action, the set of blocks that ``x`` steps into."""
+    row = X.transitions.get(x, {})
+    return tuple(frozenset(block_of[y] for y in row.get(a, ())) for a in X.alphabet)
+
+
+def _refine(X: Prechart, block_of: dict[StateId, int]) -> tuple[dict[StateId, int], int]:
+    """One round: split blocks by per-action sets of successor blocks.
+
+    New blocks are numbered by their least member in ``X.states`` order;
+    returns the numbering and the number of blocks.
+    """
+    numbers: dict[tuple, int] = {}
+    refined: dict[StateId, int] = {}
+    for x in X.states:
+        sig = (block_of[x], _successor_blocks(X, x, block_of))
+        refined[x] = numbers.setdefault(sig, len(numbers))
+    return refined, len(numbers)
+
+
+def _partition(X: Prechart, block_of: dict[StateId, int], count: int) -> PartitionRelation:
+    blocks: list[list[StateId]] = [[] for _ in range(count)]
+    for x in X.states:
+        blocks[block_of[x]].append(x)
+    return PartitionRelation(X.states, tuple(map(tuple, blocks)))
+
+
 def refine_once(X: Prechart, partition: PartitionRelation) -> PartitionRelation:
     """Split blocks by per-action sets of successor blocks."""
     block_of = {x: partition.block_index(x) for x in X.states}
-    groups: dict[tuple, list[StateId]] = {}
-    for x in X.states:
-        sig = (
-            block_of[x],
-            tuple(frozenset(block_of[y] for y in X.succ(x, a)) for a in X.alphabet),
-        )
-        groups.setdefault(sig, []).append(x)
-    return PartitionRelation.from_blocks(X.states, groups.values())
+    return _partition(X, *_refine(X, block_of))
 
 
 def bisimilarity(X: Prechart) -> PartitionRelation:
     """Largest bisimulation equivalence on ``X`` by partition refinement.
 
     Starts from the per-action output signature and iterates successor-block
-    splitting to the greatest fixpoint.
+    splitting to the greatest fixpoint, on a plain state-to-block map.
     """
-    groups: dict[frozenset[str], list[StateId]] = {}
-    for x in X.states:
-        groups.setdefault(X.out(x), []).append(x)
-    partition = PartitionRelation.from_blocks(X.states, groups.values())
+    numbers: dict[frozenset[str], int] = {}
+    block_of = {x: numbers.setdefault(X.out(x), len(numbers)) for x in X.states}
+    count = len(numbers)
     while True:
-        refined = refine_once(X, partition)
-        if len(refined.blocks) == len(partition.blocks):
-            return refined
-        partition = refined
+        block_of, refined = _refine(X, block_of)
+        if refined == count:
+            return _partition(X, block_of, count)
+        count = refined
 
 
 def bisimilar(e: Expr, f: Expr, alphabet: Iterable[str] | None = None) -> bool:

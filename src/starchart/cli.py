@@ -22,6 +22,7 @@ from .bisim import BisimViolation, PartitionRelation, bisimilarity, check_bisimu
 from .formats import (
     chart_from_json,
     chart_to_json,
+    iter_state_ids,
     state_ids,
     state_label,
     to_dot,
@@ -32,10 +33,10 @@ from .formats import (
 from .layering import (
     InvalidWitnessError,
     LabelledPrechart,
+    _union_on,
     infer_witness,
     syntactic_witness,
     to_llee,
-    union_witness,
     verify_witness,
 )
 from .rerouting import collapse, connect_through
@@ -161,7 +162,7 @@ def _violation_holds(X: Prechart, related: set, v: BisimViolation) -> bool:
 
 
 def _relation_check(d: _Decision) -> Check:
-    return Check("bisimulation-relation-valid", check_bisimulation(d.joined, d.joined, d.R.pairs())[0])
+    return Check("bisimulation-relation-valid", check_bisimulation(d.joined, d.joined, d.R)[0])
 
 
 def _inequivalent_checks(d: _Decision, violation: BisimViolation) -> list[Check]:
@@ -214,7 +215,7 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
         cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=violation)
     else:
         # the witness is needed only to collapse
-        Lc, _, _ = union_witness(syntactic_witness(d.left), syntactic_witness(d.right))
+        Lc = _union_on(d.joined, d.inl, d.inr, syntactic_witness(d.left), syntactic_witness(d.right))
         ok, why = verify_witness(Lc)
         if not ok:
             raise RuntimeError(f"joined chart lost its witness: {why}")
@@ -248,7 +249,13 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     checks = [_relation_check(d)]
     if doc["verdict"] == "inequivalent":
         v = doc["distinguishing"]
-        by_id = {name: x for x, name in state_ids(d.joined).items()}
+        names = {v["left"], v["right"], v["successor"]} - {None}
+        by_id = {}
+        for x, name in iter_state_ids(d.joined):  # stop once the clause's names are known
+            if name in names:
+                by_id[name] = x
+                if len(by_id) == len(names):
+                    break
         violation = BisimViolation(
             v["clause"],
             by_id[v["left"]],

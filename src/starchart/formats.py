@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .layering import LabelledPrechart, WeightedLabelling
 from .semantics import Prechart, StateId
@@ -18,9 +18,9 @@ def state_label(s: StateId) -> str:
     return str(s)
 
 
-def state_ids(X: Prechart) -> dict[StateId, str]:
-    """Unique string ids in discovery order, uniquified on label clashes."""
-    ids: dict[StateId, str] = {}
+def iter_state_ids(X: Prechart) -> Iterator[tuple[StateId, str]]:
+    """``(state, id)`` in discovery order; an id clashing with an earlier
+    one gets the first free ``#n`` suffix, from 2 up."""
     used: set[str] = set()
     for x in X.states:
         base = state_label(x)
@@ -30,8 +30,12 @@ def state_ids(X: Prechart) -> dict[StateId, str]:
             name = f"{base}#{n}"
             n += 1
         used.add(name)
-        ids[x] = name
-    return ids
+        yield x, name
+
+
+def state_ids(X: Prechart) -> dict[StateId, str]:
+    """Unique string ids in discovery order, uniquified on label clashes."""
+    return dict(iter_state_ids(X))
 
 
 def chart_to_json(X: Prechart) -> dict[str, Any]:

@@ -139,12 +139,11 @@ class _Analysis:
         self.body_adj: dict[StateId, list[StateId]] = {}
         for x, y in self.body_pairs:
             self.body_adj.setdefault(x, []).append(y)
-        self.under_adj = {x: base.underlying_succ(x) for x in self.states}
         self.body_pred: dict[StateId, list[StateId]] = {}
         for x, y in self.body_pairs:
             self.body_pred.setdefault(y, []).append(x)
         # x -> states reachable in one or more steps, action labels forgotten
-        self.reach_plus = {x: self._closure(self.under_adj[x], self.under_adj) for x in self.states}
+        self.reach_plus = base.reach_plus()
         self.diredge, self.loopright = self._derived()
         self.diredge_adj: dict[StateId, list[StateId]] = {}
         for x, y in sorted(self.diredge, key=lambda p: (by_index(p[0]), by_index(p[1]))):
@@ -350,10 +349,7 @@ def to_llee(L: LabelledPrechart) -> WeightedLabelling:
 
 def from_llee(W: WeightedLabelling) -> LabelledPrechart:
     """Read tags off weights: positive weight with a return path is an entry."""
-    under_adj = {x: W.base.underlying_succ(x) for x in W.base.states}
-    reach_plus = {
-        x: _Analysis._closure(under_adj[x], under_adj) for x in W.base.states
-    }
+    reach_plus = W.base.reach_plus()
     tags = {}
     for (x, a, y), n in W.weights.items():
         tags[(x, a, y)] = ENTRY if n > 0 and x in reach_plus[y] else BODY
@@ -422,12 +418,21 @@ def union_witness(
 ) -> tuple[LabelledPrechart, dict[StateId, StateId], dict[StateId, StateId]]:
     """Disjoint union of labellings over the coproduct of their bases."""
     Z, inl, inr = coproduct(L1.base, L2.base)
+    return _union_on(Z, inl, inr, L1, L2), inl, inr
+
+
+def _union_on(
+    Z: Prechart, inl: Mapping[StateId, StateId], inr: Mapping[StateId, StateId],
+    L1: LabelledPrechart, L2: LabelledPrechart,
+) -> LabelledPrechart:
+    """The tags of both labellings carried along the injections into ``Z``,
+    the coproduct of their bases."""
     tags: dict[Edge, str] = {}
     for (x, a, y), t in L1.tags.items():
         tags[(inl[x], a, inl[y])] = t
     for (x, a, y), t in L2.tags.items():
         tags[(inr[x], a, inr[y])] = t
-    return LabelledPrechart(Z, tags), inl, inr
+    return LabelledPrechart(Z, tags)
 
 
 # --- witness inference -----------------------------------------------------------
@@ -457,8 +462,7 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     """
     groups = _pair_groups(X)
     pairs = sorted(groups, key=lambda p: (X.index(p[0]), X.index(p[1])))
-    under_adj = {x: X.underlying_succ(x) for x in X.states}
-    reach_plus = {x: _Analysis._closure(under_adj[x], under_adj) for x in X.states}
+    reach_plus = X.reach_plus()
 
     forced: dict[tuple[StateId, StateId], str] = {}
     free: list[tuple[StateId, StateId]] = []

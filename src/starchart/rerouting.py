@@ -157,19 +157,22 @@ def find_pair(
     such a pair.
     """
     a = analysis_of_verified(L)
-    if set(R.universe) != set(L.base.states):
+    states = L.base.states
+    if set(R.universe) != set(states):
         raise ValueError("relation universe differs from the state set")
-    ok, why = check_bisimulation(L.base, L.base, R.pairs())
+    ok, why = check_bisimulation(L.base, L.base, R)
     if not ok:
         raise ValueError(f"relation is not a bisimulation: {why}")
     if R.is_identity:
         return None
-    index = L.base.index
-    pairs = sorted(R.nontrivial_pairs(), key=lambda p: (index(p[0]), index(p[1])))
-    for w1, w2 in pairs:
-        condition = _condition_of(a, w1, w2)
-        if condition is not None:
-            return w1, w2, condition
+    if R.universe != states:  # block members must follow discovery order
+        R = PartitionRelation.from_blocks(states, R.blocks)
+    for w1 in states:
+        for w2 in R.block_containing(w1):
+            if w2 != w1:
+                condition = _condition_of(a, w1, w2)
+                if condition is not None:
+                    return w1, w2, condition
     raise RuntimeError("nontrivial bisimulation equivalence with no safe pair; "
                        "this contradicts the safe-pair existence guarantee")
 
@@ -234,8 +237,7 @@ def relabel(
                 tags[key] = ENTRY
 
     # demote entries with no remaining return path, against a fixed snapshot
-    under_adj = {x: base2.underlying_succ(x) for x in base2.states}
-    reach_plus = {x: _Analysis._closure(under_adj[x], under_adj) for x in base2.states}
+    reach_plus = base2.reach_plus()  # shared with the candidate's analysis
     for (x, act, y), t in list(tags.items()):
         if t == ENTRY and x not in reach_plus[y]:
             tags[(x, act, y)] = BODY

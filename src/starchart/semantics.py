@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from .syntax import Atom, Expr, Seq, Star, Sum, atoms
@@ -117,8 +118,39 @@ class Prechart:
                     queue.append(w)
         return tuple(order)
 
+    def reach_plus(self) -> Mapping[StateId, frozenset[StateId]]:
+        """States reachable from each state in one or more steps.
+
+        Computed once and memoised on the prechart, as an attribute outside
+        the dataclass fields, so the memo dies with the prechart.
+        """
+        memo = getattr(self, "_reach_plus", None)
+        if memo is None:
+            memo = MappingProxyType(_reach_plus(self))
+            object.__setattr__(self, "_reach_plus", memo)
+        return memo
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt from the fields, without the memo
+        return type(self), (self.alphabet, self.states, self.outputs, self.transitions, self.root)
+
     def is_chart(self) -> bool:
         return self.root is not None and len(self.reachable_from(self.root)) == len(self.states)
+
+
+def _reach_plus(X: Prechart) -> dict[StateId, frozenset[StateId]]:
+    adj = {x: X.underlying_succ(x) for x in X.states}
+    closures = {}
+    for x in X.states:
+        seen = set(adj[x])
+        queue = deque(seen)
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        closures[x] = frozenset(seen)
+    return closures
 
 
 def restriction(X: Prechart, kept: Iterable[StateId], root: StateId | None = None) -> Prechart:
@@ -330,7 +362,7 @@ def quotient(X: Prechart, R: "PartitionRelation") -> tuple[Prechart, dict[StateI
 
     if set(R.universe) != set(X.states):
         raise ValueError("relation universe differs from the state set")
-    ok, why = check_bisimulation(X, X, R.pairs())
+    ok, why = check_bisimulation(X, X, R)
     if not ok:
         raise ValueError(f"relation is not a bisimulation: {why}")
     projection = {x: min(R.block_containing(x), key=X.index) for x in X.states}

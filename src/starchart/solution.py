@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 from .bisim import bisimilarity
 from .layering import BODY, ENTRY, LabelledPrechart, analysis_of_verified
@@ -91,23 +91,26 @@ def canonical_solution(L: LabelledPrechart) -> Solution:
     s_memo: dict[StateId, Expr] = {}
     t_memo: dict[tuple[StateId, StateId], Expr] = {}
 
-    def check(cond: bool, what: str) -> None:
-        if not cond:
-            raise MeasureError(f"solution recursion failed to decrease: {what}")
+    def fail(kind: str, x: StateId, y: StateId, *under: StateId) -> NoReturn:
+        # formatted only here: a state's repr can be a whole expression tree
+        what = f"{kind} {x!r}->{y!r}" + "".join(f" under {z!r}" for z in under)
+        raise MeasureError(f"solution recursion failed to decrease: {what}")
 
     def companion(x: StateId, z: StateId) -> Expr:
         if (x, z) in t_memo:
             return t_memo[(x, z)]
         first_terms = []
         for act, y in entry_steps[x]:
-            check((x, y) in diredge and en[y] < en[x], f"entry {x!r}->{y!r}")
+            if not ((x, y) in diredge and en[y] < en[x]):
+                fail("entry", x, y)
             first_terms.append(Seq(Atom(act), companion(y, x)))
         second_terms: list[Expr] = []
         for act, y in body_steps[x]:
             if y == z:
                 second_terms.append(Atom(act))
             else:
-                check((z, y) in diredge and bd[y] < bd[x], f"body {x!r}->{y!r} under {z!r}")
+                if not ((z, y) in diredge and bd[y] < bd[x]):
+                    fail("body", x, y, z)
                 second_terms.append(Seq(Atom(act), companion(y, z)))
         result = Star(
             _component([Atom(act) for act in entry_self[x]], first_terms),
@@ -121,11 +124,13 @@ def canonical_solution(L: LabelledPrechart) -> Solution:
             return s_memo[x]
         first_terms = []
         for act, y in entry_steps[x]:
-            check((x, y) in diredge and en[y] < en[x], f"entry {x!r}->{y!r}")
+            if not ((x, y) in diredge and en[y] < en[x]):
+                fail("entry", x, y)
             first_terms.append(Seq(Atom(act), companion(y, x)))
         second_terms = []
         for act, y in body_steps[x]:
-            check(bd[y] < bd[x], f"body {x!r}->{y!r}")
+            if not bd[y] < bd[x]:
+                fail("body", x, y)
             second_terms.append(Seq(Atom(act), solve(y)))
         result = Star(
             _component([Atom(act) for act in entry_self[x]], first_terms),

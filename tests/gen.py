@@ -9,6 +9,7 @@ from starchart import (
     Atom,
     Expr,
     LabelledPrechart,
+    PartitionRelation,
     Prechart,
     Seq,
     Star,
@@ -241,6 +242,31 @@ def per_equation_check(X: Prechart, assign) -> tuple[bool, object]:
         if not bisimilar(assign[x], Sum(gsum(outputs), gsum(steps))):
             return False, x
     return True, None
+
+
+def round_by_round_bisimilarity(X: Prechart) -> PartitionRelation:
+    """``bisimilarity`` as one ``PartitionRelation`` per round: the test reference.
+
+    Starts from the output partition and splits every block by per-action
+    sets of successor blocks, building and validating a whole partition each
+    round, until a round splits nothing.
+    """
+    groups: dict = {}
+    for x in X.states:
+        groups.setdefault(X.out(x), []).append(x)
+    partition = PartitionRelation.from_blocks(X.states, groups.values())
+    while True:
+        groups = {}
+        for x in X.states:
+            sig = (
+                partition.block_index(x),
+                tuple(frozenset(partition.block_index(y) for y in X.succ(x, a)) for a in X.alphabet),
+            )
+            groups.setdefault(sig, []).append(x)
+        refined = PartitionRelation.from_blocks(X.states, groups.values())
+        if len(refined.blocks) == len(partition.blocks):
+            return refined
+        partition = refined
 
 
 def exhaustive_witnesses(X: Prechart) -> list[LabelledPrechart]:

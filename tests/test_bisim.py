@@ -19,7 +19,15 @@ from starchart import (
     quotient,
 )
 from starchart.bisim import refine_once
-from gen import AXIOM_NAMES, axiom_instances, fig3_left, random_expr
+from gen import (
+    AXIOM_NAMES,
+    axiom_instances,
+    fig3_left,
+    random_chart,
+    random_expr,
+    rewrite_steps,
+    round_by_round_bisimilarity,
+)
 
 A, B = Atom("a"), Atom("b")
 AA0 = Star(Seq(A, A), Zero())
@@ -57,7 +65,91 @@ class TestCheckBisimulation:
         assert not ok and why.clause == "forth" and why.action == "a"
 
 
+def seeded_charts(seed: int, count: int):
+    """Random charts, expression charts and coproducts of rewrites, by turns."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            yield random_chart(rng, n_states=rng.randint(1, 8), edge_prob=rng.choice((0.15, 0.3, 0.5)),
+                               out_prob=rng.choice((0.0, 0.25, 0.5)))
+        elif kind == 1:
+            yield chart_of(random_expr(rng, depth=rng.randint(2, 5)), ("a", "b", "c"))
+        else:
+            e = random_expr(rng, depth=rng.randint(2, 4))
+            f = rewrite_steps(rng, e, rng.randint(1, 3))
+            yield coproduct(chart_of(e, ("a", "b", "c")), chart_of(f, ("a", "b", "c")))[0]
+
+
+def partitions_of(rng: random.Random, X):
+    """Bisimilarity, identity, total, and random merges and splits of its blocks."""
+    R = bisimilarity(X)
+    yield R
+    yield PartitionRelation.identity(X.states)
+    yield PartitionRelation.total(X.states)
+    blocks = [list(b) for b in R.blocks]
+    if len(blocks) > 1:
+        i, j = rng.sample(range(len(blocks)), 2)
+        merged = [b for k, b in enumerate(blocks) if k not in (i, j)] + [blocks[i] + blocks[j]]
+        yield PartitionRelation.from_blocks(X.states, merged)
+    big = [b for b in blocks if len(b) > 1]
+    if big:
+        block = rng.choice(big)
+        cut = rng.randint(1, len(block) - 1)
+        members = rng.sample(block, len(block))
+        split = [b for b in blocks if b is not block] + [members[:cut], members[cut:]]
+        yield PartitionRelation.from_blocks(X.states, split)
+    labels = [rng.randrange(3) for _ in X.states]
+    yield PartitionRelation.from_blocks(
+        X.states, [[x for x, n in zip(X.states, labels) if n == k] for k in range(3)]
+    )
+    if len(X.states) > 1:
+        yield R.without(rng.choice(X.states))  # successors may leave the universe
+
+
+class TestOnePassPartitionCheck:
+    def test_a_partition_gets_the_verdict_and_violation_of_its_pairs(self):
+        rng = random.Random(41)
+        outcomes = []
+        for X in seeded_charts(43, 90):
+            for R in partitions_of(rng, X):
+                got = check_bisimulation(X, X, R)
+                assert got == check_bisimulation(X, X, list(R.pairs()))
+                outcomes.append(got[0])
+        assert len(outcomes) >= 300
+        assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
+
+    def test_unknown_states_raise_as_the_pairs_do(self):
+        X = chart_of(Seq(A, B), ("a", "b"))
+        R = PartitionRelation.from_blocks(X.states + ("z",), [X.states, ("z",)])
+        with pytest.raises(ValueError) as from_pairs:
+            check_bisimulation(X, X, list(R.pairs()))
+        with pytest.raises(ValueError) as from_partition:
+            check_bisimulation(X, X, R)
+        assert str(from_partition.value) == str(from_pairs.value)
+
+    def test_two_charts_are_checked_pairwise(self):
+        X, Y = chart_of(AA0), chart_of(AA0)  # equal, but not the same chart
+        for R in (PartitionRelation.total(X.states), PartitionRelation.identity(X.states)):
+            assert check_bisimulation(X, Y, R) == check_bisimulation(X, Y, list(R.pairs()))
+
+
 class TestBisimilarity:
+    def test_equals_the_round_by_round_refinement(self):
+        for X in seeded_charts(47, 510):
+            assert bisimilarity(X) == round_by_round_bisimilarity(X)
+
+    def test_one_round_splits_by_successor_blocks(self):
+        rng = random.Random(53)
+        for X in seeded_charts(59, 60):
+            P = rng.choice([p for p in partitions_of(rng, X) if p.universe == X.states])
+            groups: dict = {}
+            for x in X.states:
+                sig = (P.block_index(x),
+                       tuple(frozenset(P.block_index(y) for y in X.succ(x, a)) for a in X.alphabet))
+                groups.setdefault(sig, []).append(x)
+            assert refine_once(X, P) == PartitionRelation.from_blocks(X.states, groups.values())
+
     def test_roots_of_duplicated_output_only_charts_merge(self):
         X, inl, inr = coproduct(chart_of(A), chart_of(Sum(A, A)))
         R = bisimilarity(X)

@@ -16,7 +16,8 @@ import pytest
 
 from starchart import Atom, Sum, Zero, bisimilar, certify, parse, recheck_certificate, render
 from starchart.cli import _common_checks, _decide
-from starchart.formats import state_ids
+from starchart import Prechart, formats
+from starchart.formats import iter_state_ids, state_ids
 from gen import random_expr, rewrite_steps
 
 ALPHA = ("a", "b", "c")
@@ -139,6 +140,42 @@ class TestDecideFirst:
             assert self.counts(calls) == {"chart_of": 2, "syntactic_witness": 2, "bisimilar": 0}
             recheck_certificate(roundtrip(cert))
             assert self.counts(calls) == {"chart_of": 2, "syntactic_witness": 0, "bisimilar": 0}
+
+
+class TestReplayNamesOnlyTheClause:
+    def test_replay_labels_states_up_to_the_last_one_the_clause_names(self, monkeypatch):
+        labelled = []
+        label = formats.state_label
+
+        def counting(s):
+            # joined states are (side, expression) tuples; the inner call
+            # for the expression is not counted
+            if isinstance(s, tuple):
+                labelled.append(s)
+            return label(s)
+
+        monkeypatch.setattr(formats, "state_label", counting)
+        saved = seen = 0
+        for e, f in pairs(439, 80)[1::2]:
+            cert = certify(e, f, ALPHA)
+            if cert.verdict != "inequivalent":
+                continue
+            doc = roundtrip(cert)
+            labelled.clear()
+            assert all(c.passed for c in recheck_certificate(doc))
+            Z = _decide(e, f, ALPHA).joined
+            v = cert.distinguishing
+            named = [s for s in (v.left, v.right, v.successor) if s is not None]
+            assert labelled == list(Z.states[: 1 + max(map(Z.index, named))])
+            saved += len(Z.states) - len(labelled)
+            seen += 1
+        assert seen >= 20 and saved > 0
+
+    def test_lazy_ids_are_the_state_ids(self):
+        X = Prechart.make(("a",), ("L:x", (0, "x"), "L:x#2", (0, "y"), "L:x#3"), {}, {})
+        pairs_ = list(iter_state_ids(X))
+        assert [name for _, name in pairs_] == ["L:x", "L:x#2", "L:x#2#2", "L:y", "L:x#3"]
+        assert dict(pairs_) == state_ids(X)
 
 
 class TestTamperedCertificates:

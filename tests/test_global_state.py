@@ -1,7 +1,9 @@
 """No hidden global state: no memo tables at module level retain expressions."""
 
+import copy
 import gc
 import importlib
+import pickle
 import pkgutil
 import weakref
 
@@ -47,5 +49,21 @@ def test_witnesses_and_their_analyses_die_after_use():
     collapsed, _ = collapse(L)
     refs = [weakref.ref(x) for x in (L, analysis, collapsed, analysis_of_verified(collapsed))]
     del e, L, analysis, collapsed
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
+def test_reachability_dies_with_its_chart():
+    e = parse("(a b + a)*(b a*0) + c", ("a", "b", "c"))
+    X = chart_of(e)
+    reach = X.reach_plus()
+    assert X.reach_plus() is reach  # computed once per chart
+    assert "_reach_plus" in vars(X)
+    # copies and pickles are rebuilt from the fields, without the memo
+    for twin in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+        assert twin == X and "_reach_plus" not in vars(twin)
+        assert twin.reach_plus() == reach
+    refs = [weakref.ref(x) for x in (e, X, *X.states)]
+    del e, X, reach, twin
     gc.collect()
     assert [r for r in refs if r() is not None] == []

@@ -30,10 +30,10 @@ from starchart import (
     syntactic_witness,
     verify_witness,
 )
-from starchart import layering
+from starchart import layering, semantics
 from starchart.cli import main
 from starchart.formats import chart_to_json
-from starchart.layering import WitnessViolation, union_witness
+from starchart.layering import WitnessViolation, analysis_of_verified, union_witness
 from starchart.rerouting import Splitting
 from gen import fig3_left, fig3_right, isomorphic, random_expr, rewrite_steps
 
@@ -297,6 +297,49 @@ class TestCollapseDoesEachStepOnce:
             result, _ = collapse(L)
             assert result == current
         assert merges > 100
+
+    def test_the_lazy_scan_finds_the_first_pair_in_sorted_order(self):
+        def sorted_scan(L, R):
+            index = L.base.index
+            for w1, w2 in sorted(R.nontrivial_pairs(), key=lambda p: (index(p[0]), index(p[1]))):
+                condition = check_condition(L, w1, w2)
+                if condition is not None:
+                    return w1, w2, condition
+            return None
+
+        merges = 0
+        for L in joined_witnesses(191, 60):
+            R = bisimilarity(L.base)
+            current = L
+            while not R.is_identity:
+                found = find_pair(current, R)
+                assert found == sorted_scan(current, R)
+                # a universe in another order is scanned in discovery order too
+                shuffled = PartitionRelation.from_blocks(reversed(R.universe), R.blocks)
+                assert find_pair(current, shuffled) == found
+                current = relabel(current, *found)
+                R = R.without(found[0])
+                merges += 1
+        assert merges > 50
+
+    def test_one_reachability_per_merge(self, monkeypatch):
+        computed = []
+        closures = semantics._reach_plus
+        monkeypatch.setattr(semantics, "_reach_plus", lambda X: computed.append(X) or closures(X))
+        merges = 0
+        for L in joined_witnesses(193, 30):
+            R = bisimilarity(L.base)
+            current = L
+            analysis_of_verified(current)
+            while not R.is_identity:
+                computed.clear()
+                w1, w2, condition = find_pair(current, R)
+                current = relabel(current, w1, w2, condition)
+                # relabel's demotion snapshot and the new witness's analysis
+                assert computed == [current.base]
+                R = R.without(w1)
+                merges += 1
+        assert merges > 30
 
     def test_one_analysis_per_merge(self, monkeypatch):
         built = 0

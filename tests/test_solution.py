@@ -18,12 +18,15 @@ from starchart import (
     enumerate_witnesses,
     expr_step,
     infer_witness,
+    parse,
     simplify,
     syntactic_witness,
     unfold,
     verify_solution,
     verify_witness,
 )
+from starchart import layering
+from starchart.solution import MeasureError
 from gen import per_equation_check, random_chart, random_expr
 
 A, B = Atom("a"), Atom("b")
@@ -96,6 +99,35 @@ class TestCanonicalSolution:
         assert verify_witness(L) == (True, None)
         s = canonical_solution(L)
         assert verify_solution(X, s) == (True, None)
+
+    # MeasureError texts as they read when every check formatted its message
+    # up front, whether or not it failed
+    STAR_ABC = "Star(left=Seq(left=Atom(action='a'), right=Atom(action='b')), right=Atom(action='c'))"
+    B_STAR_ABC = f"Seq(left=Atom(action='b'), right={STAR_ABC})"
+    STAR_ABB0 = ("Star(left=Seq(left=Seq(left=Atom(action='a'), right=Atom(action='b')), "
+                 "right=Atom(action='b')), right=Zero())")
+
+    @pytest.mark.parametrize("text, flattened, what", [
+        ("(a b)*c", "loop", f"entry {STAR_ABC}->{B_STAR_ABC}"),
+        ("(a b)*c", "body", f"body {B_STAR_ABC}->{STAR_ABC}"),
+        ("(a b b)*0", "body",
+         f"body Seq(left=Seq(left=Atom(action='b'), right=Atom(action='b')), right={STAR_ABB0})"
+         f"->Seq(left=Atom(action='b'), right={STAR_ABB0}) under {STAR_ABB0}"),
+    ])
+    def test_a_failed_descent_names_its_step(self, monkeypatch, text, flattened, what):
+        longest_paths = layering._Analysis.longest_paths
+
+        def flatten(a, adj):
+            got = longest_paths(a, adj)
+            if (adj is a.diredge_adj) == (flattened == "loop"):
+                return dict.fromkeys(got, 0)
+            return got
+
+        monkeypatch.setattr(layering._Analysis, "longest_paths", flatten)
+        L = syntactic_witness(chart_of(parse(text, ("a", "b", "c"))))
+        with pytest.raises(MeasureError) as failure:
+            canonical_solution(L)
+        assert str(failure.value) == f"solution recursion failed to decrease: {what}"
 
     def test_companion_memo_is_keyed_on_state_and_anchor(self):
         L = syntactic_witness(chart_of(AA0))
