@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .semantics import Prechart, StateId, chart_of, coproduct
 from .syntax import Expr, atoms
@@ -177,21 +177,29 @@ def _partition_is_bisimulation(X: Prechart, R: PartitionRelation) -> bool:
     That is the pairwise check for a partition whose members and their
     successors are all in its universe; anything else answers ``False``.
     """
-    block_of = R._block_of  # type: ignore[attr-defined]
+    if not all(X.has_state(x) for x in R.universe):
+        return False
+    try:
+        return _blocks_agree(X, R.universe, R._block_of)  # type: ignore[attr-defined]
+    except KeyError:  # a successor outside the universe
+        return False
+
+
+def _blocks_agree(X: Prechart, states: Iterable[StateId], block_of: Mapping[StateId, int]) -> bool:
+    """Whether the members of each block agree on outputs and successor blocks.
+
+    ``X`` need only read like a prechart: ``alphabet``, ``out`` and
+    ``transitions``.
+    """
     first: dict[int, tuple] = {}
-    for x in R.universe:
-        if not X.has_state(x):
-            return False
-        try:
-            sig = (X.out(x), _successor_blocks(X, x, block_of))
-        except KeyError:  # a successor outside the universe
-            return False
+    for x in states:
+        sig = (X.out(x), _successor_blocks(X, x, block_of))
         if first.setdefault(block_of[x], sig) != sig:
             return False
     return True
 
 
-def _successor_blocks(X: Prechart, x: StateId, block_of: dict[StateId, int]) -> tuple[frozenset[int], ...]:
+def _successor_blocks(X: Prechart, x: StateId, block_of: Mapping[StateId, int]) -> tuple[frozenset[int], ...]:
     """Per action, the set of blocks that ``x`` steps into."""
     row = X.transitions.get(x, {})
     return tuple(frozenset(block_of[y] for y in row.get(a, ())) for a in X.alphabet)

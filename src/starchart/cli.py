@@ -214,13 +214,14 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
         checks += _inequivalent_checks(d, violation)
         cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=violation)
     else:
-        # the witness is needed only to collapse
+        # the witness is needed only to collapse; collapse verifies it, and
+        # re-checks the decided partition at every merge
         Lc = _union_on(d.joined, d.inl, d.inr, syntactic_witness(d.left), syntactic_witness(d.right))
-        ok, why = verify_witness(Lc)
-        if not ok:
-            raise RuntimeError(f"joined chart lost its witness: {why}")
+        try:
+            collapsed, projection = collapse(Lc, d.R)
+        except ValueError as exc:  # the joined witness or d.R is at fault, not the input
+            raise RuntimeError(f"collapse of the joined witness failed: {exc}") from exc
         re_, rf = d.roots
-        collapsed, projection = collapse(Lc)
         z = projection[re_]
         if projection[rf] != z:
             raise RuntimeError("collapse failed to merge the two roots")

@@ -124,15 +124,24 @@ def _find_cycle(nodes: tuple[StateId, ...], adj: Mapping[StateId, Iterable[State
 
 
 class _Analysis:
-    """Pair-level relations of a labelling, shared by the checks and measures."""
+    """Pair-level relations of a labelling, shared by the checks and measures.
+
+    ``L`` is a ``LabelledPrechart``, or anything that reads like one: a
+    ``base`` with ``states`` in discovery order, ``index``, ``out`` and
+    ``reach_plus()``, and ``tags`` keyed by transition.  The collapse's
+    integer-indexed working chart is analysed through the same code.
+    """
 
     def __init__(self, L: LabelledPrechart):
         base = L.base
         self.base = base
         self.states = base.states
         by_index = base.index
-        self.entry_pairs = sorted(L.entry_pairs(), key=lambda p: (by_index(p[0]), by_index(p[1])))
-        self.body_pairs = sorted(L.body_pairs(), key=lambda p: (by_index(p[0]), by_index(p[1])))
+        entries, bodies = set(), set()
+        for (x, _, y), t in L.tags.items():
+            (entries if t == ENTRY else bodies).add((x, y))
+        self.entry_pairs = sorted(entries, key=lambda p: (by_index(p[0]), by_index(p[1])))
+        self.body_pairs = sorted(bodies, key=lambda p: (by_index(p[0]), by_index(p[1])))
         self.entry_adj: dict[StateId, list[StateId]] = {}
         for x, y in self.entry_pairs:
             self.entry_adj.setdefault(x, []).append(y)

@@ -10,9 +10,9 @@ preserved at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .bisim import PartitionRelation, bisimilarity, check_bisimulation
+from .bisim import PartitionRelation, _blocks_agree, bisimilarity, check_bisimulation
 from .layering import (
     BODY,
     ENTRY,
@@ -23,7 +23,7 @@ from .layering import (
     analysis_of_verified,
     verify_witness,
 )
-from .semantics import Prechart, StateId
+from .semantics import Prechart, StateId, _reach_closures
 
 CONDITIONS = ("C1", "C2", "C3")
 
@@ -167,8 +167,17 @@ def find_pair(
         return None
     if R.universe != states:  # block members must follow discovery order
         R = PartitionRelation.from_blocks(states, R.blocks)
-    for w1 in states:
-        for w2 in R.block_containing(w1):
+    return _first_safe_pair(a, R.block_containing)
+
+
+def _first_safe_pair(
+    a: _Analysis, block_containing: Callable[[StateId], Sequence[StateId]]
+) -> tuple[StateId, StateId, str]:
+    """The first related distinct pair, in discovery order of both components,
+    that satisfies a safety condition; each block lists its members in
+    discovery order."""
+    for w1 in a.states:
+        for w2 in block_containing(w1):
             if w2 != w1:
                 condition = _condition_of(a, w1, w2)
                 if condition is not None:
@@ -218,61 +227,207 @@ def relabel(
     if actual != condition:
         raise ValueError(f"pair does not satisfy {condition} (got {actual})")
     a = analysis_of_verified(L)
-
+    promote = _c2_promotion_state(a, w1, w2) if condition == "C2" else None
     base2 = connect_through(L.base, w1, w2)
-    tags: dict[Edge, str] = {}
-    for (x, act, y), t in L.tags.items():
-        if x == w1:
-            continue
-        key = (x, act, w2 if y == w1 else y)
-        if key in tags and tags[key] != t:
-            tags[key] = ENTRY  # merged parallel edge; demotion may settle it
-        else:
-            tags.setdefault(key, t)
-
-    if condition == "C2":
-        promote = _c2_promotion_state(a, w1, w2)
-        for key, t in list(tags.items()):
-            if key[0] == promote and t == BODY:
-                tags[key] = ENTRY
-
-    # demote entries with no remaining return path, against a fixed snapshot
-    reach_plus = base2.reach_plus()  # shared with the candidate's analysis
-    for (x, act, y), t in list(tags.items()):
-        if t == ENTRY and x not in reach_plus[y]:
-            tags[(x, act, y)] = BODY
-
-    candidate = LabelledPrechart(base2, tags)
+    # base2's reachability is shared with the candidate's analysis
+    candidate = LabelledPrechart(base2, _carry_tags(L.tags, w1, w2, promote, base2.reach_plus()))
     ok, violation = verify_witness(candidate)
     if not ok:
-        raise RuntimeError(
-            f"relabelling after connecting {w1!r} through to {w2!r} under {condition} "
-            f"broke the witness ({violation}); this contradicts the preservation guarantee"
-        )
+        raise _broken_witness(w1, w2, condition, violation)
     return candidate
 
 
-def collapse(L: LabelledPrechart) -> tuple[LabelledPrechart, dict[StateId, StateId]]:
+def _carry_tags(
+    tags: Mapping[Edge, str], w1: StateId, w2: StateId, promote: StateId | None,
+    reach_plus: Mapping[StateId, Iterable[StateId]],
+) -> dict[Edge, str]:
+    """The tags carried across connecting ``w1`` through ``w2``.
+
+    Redirected transitions keep their tags (a merged parallel pair becomes
+    an entry, which demotion may settle); the body steps out of ``promote``
+    (the C2 promotion state, or None) become entries; then every entry with
+    no return path in the connected chart, whose reachability is
+    ``reach_plus``, is demoted to a body step.
+    """
+    carried: dict[Edge, str] = {}
+    for (x, act, y), t in tags.items():
+        if x == w1:
+            continue
+        key = (x, act, w2 if y == w1 else y)
+        if key in carried and carried[key] != t:
+            carried[key] = ENTRY
+        else:
+            carried.setdefault(key, t)
+    for key, t in carried.items():
+        x, _, y = key
+        if x == promote and t == BODY:
+            t = carried[key] = ENTRY
+        if t == ENTRY and x not in reach_plus[y]:
+            carried[key] = BODY
+    return carried
+
+
+def _broken_witness(w1: StateId, w2: StateId, condition: str, violation) -> RuntimeError:
+    return RuntimeError(
+        f"relabelling after connecting {w1!r} through to {w2!r} under {condition} "
+        f"broke the witness ({violation}); this contradicts the preservation guarantee"
+    )
+
+
+def collapse(
+    L: LabelledPrechart, R: PartitionRelation | None = None
+) -> tuple[LabelledPrechart, dict[StateId, StateId]]:
     """Merge bisimilar states one safe pair at a time until none remain.
 
-    Returns the collapsed witness and the accumulated projection; the
-    projection's kernel is the bisimilarity of the input, and the result is
-    bisimulation-minimal with a valid witness.  Bisimilarity is computed
-    once: connecting ``w1`` through a bisimilar ``w2`` leaves the remaining
-    states' classes as they were, so each step only drops ``w1`` from the
-    partition (and ``find_pair`` re-checks it as a bisimulation).
+    Returns the collapsed witness and the accumulated projection, whose
+    kernel is ``R``: by default the bisimilarity of ``L.base``, computed
+    here; a caller that has already decided it may pass it.  Connecting
+    ``w1`` through a bisimilar ``w2`` leaves the other states' classes as
+    they were, so each merge only drops ``w1`` from the partition, and
+    re-checks the partition as a bisimulation first (an ``R`` too coarse
+    raises ``ValueError``; one too fine leaves a result that is not
+    minimal).  Each merge is the one ``find_pair`` and ``relabel`` would
+    make, done in place on a working chart (``_WorkingChart``).
     """
-    ok, violation = verify_witness(L)
-    if not ok:
-        raise InvalidWitnessError(str(violation))
-    current = L
-    projection = {x: x for x in L.base.states}
-    R = bisimilarity(L.base)
-    while not R.is_identity:
-        w1, w2, condition = find_pair(current, R)
-        current = relabel(current, w1, w2, condition)
-        projection = {
-            x: (w2 if v == w1 else v) for x, v in projection.items()
+    if R is None:
+        R = bisimilarity(L.base)
+    elif set(R.universe) != set(L.base.states):
+        raise ValueError("relation universe differs from the state set")
+    work = _WorkingChart(L, R)
+    a = work.analysis()
+    if a is None:
+        raise InvalidWitnessError(str(verify_witness(L)[1]))
+    while work.has_related_pair():
+        a = work.merge_first_safe_pair(a)
+    return work.labelled(), work.projection()
+
+
+class _Labelled:
+    """A labelling of the working chart, read by the witness checks as a
+    ``LabelledPrechart``; valid until the chart's next merge."""
+
+    def __init__(self, base: "_WorkingChart", tags: dict[Edge, str]):
+        self.base = base
+        self.tags = tags
+
+
+class _WorkingChart:
+    """The witness being collapsed, on its states' discovery indices.
+
+    The states are numbered once, so integer order is the discovery order
+    that every tie-break follows.  Successor lists, tags, reachability, the
+    carried partition's blocks and the projection are held by index for the
+    whole collapse and updated in place at each merge; reachability is
+    recomputed only for the states that reached the deleted state.  The
+    original names come back once, in ``labelled`` and ``projection``.  The
+    chart reads like a ``Prechart`` (``alphabet``, ``states``, ``index``,
+    ``out``, ``transitions``, ``reach_plus``), so the witness checks
+    (``_Analysis``) and the partition check run on it unchanged.
+    """
+
+    def __init__(self, L: LabelledPrechart, R: PartitionRelation):
+        X = L.base
+        number = {x: i for i, x in enumerate(X.states)}
+        self.names = X.states
+        self.alphabet = X.alphabet
+        self.states = tuple(range(len(X.states)))
+        self.outputs = {number[x]: out for x, out in X.outputs.items()}
+        self.transitions = {
+            number[x]: {a: tuple(number[y] for y in ys) for a, ys in row.items()}
+            for x, row in X.transitions.items()
         }
-        R = R.without(w1)
-    return current, projection
+        self.root = number[X.root] if X.root is not None else None
+        self.succ = {x: set() for x in self.states}  # action labels forgotten
+        for x, row in self.transitions.items():
+            for ys in row.values():
+                self.succ[x].update(ys)
+        self.reach = _reach_closures(self.succ, self.states)
+        self.block_of = [R.block_index(x) for x in X.states]
+        self.blocks: dict[int, list[int]] = {}
+        for x in self.states:
+            self.blocks.setdefault(self.block_of[x], []).append(x)
+        self.image = list(self.states)  # the projection, by index
+        self.tags = {(number[x], a, number[y]): t for (x, a, y), t in L.tags.items()}
+
+    # --- the Prechart interface the checks read
+
+    @staticmethod
+    def index(x: int) -> int:
+        return x
+
+    def out(self, x: int) -> frozenset[str]:
+        return self.outputs.get(x, frozenset())
+
+    def reach_plus(self) -> Mapping[int, frozenset[int]]:
+        return self.reach
+
+    def analysis(self) -> _Analysis | None:
+        """The analysis of the current labelling, or None if it is no witness.
+
+        The analysis refers to this chart, not the other way round, so no
+        reference cycle keeps either alive.
+        """
+        view = _Labelled(self, self.tags)
+        return analysis_of_verified(view) if verify_witness(view)[0] else None
+
+    # --- one merge
+
+    def has_related_pair(self) -> bool:
+        return len(self.blocks) < len(self.states)
+
+    def merge_first_safe_pair(self, a: _Analysis) -> _Analysis:
+        """Connect the first safe pair through, as ``find_pair`` and
+        ``relabel`` would, and re-verify the witness; ``a`` is the analysis
+        of the current labelling, and the relabelled one's is returned."""
+        if not _blocks_agree(self, self.states, self.block_of):
+            X = self.labelled().base
+            named = PartitionRelation.from_blocks(
+                X.states, ([self.names[x] for x in b] for b in self.blocks.values()))
+            raise ValueError(f"relation is not a bisimulation: {check_bisimulation(X, X, named)[1]}")
+        w1, w2, condition = _first_safe_pair(a, lambda x: self.blocks[self.block_of[x]])
+        promote = _c2_promotion_state(a, w1, w2) if condition == "C2" else None
+        self._connect_through(w1, w2)
+        self.tags = _carry_tags(self.tags, w1, w2, promote, self.reach)
+        a = self.analysis()
+        if a is None:  # name the violation on the original states
+            name = self.names.__getitem__
+            raise _broken_witness(name(w1), name(w2), condition, verify_witness(self.labelled())[1])
+        return a
+
+    def _connect_through(self, w1: int, w2: int) -> None:
+        """Delete ``w1``, redirecting every transition into it to ``w2``."""
+        self.states = tuple(x for x in self.states if x != w1)
+        reached = [x for x in self.states if w1 in self.reach[x]]
+        for x in reached:
+            if w1 in self.succ[x]:
+                self.succ[x].discard(w1)
+                self.succ[x].add(w2)
+                row = self.transitions[x]
+                for act, ys in row.items():
+                    if w1 in ys:
+                        row[act] = tuple(sorted({w2 if y == w1 else y for y in ys}))
+        for table in (self.succ, self.reach, self.transitions, self.outputs):
+            table.pop(w1, None)
+        self.reach.update(_reach_closures(self.succ, reached, self.reach))
+        self.blocks[self.block_of[w1]].remove(w1)  # w2 stays, so no block empties
+        self.image = [w2 if v == w1 else v for v in self.image]
+        if self.root == w1:
+            self.root = w2
+
+    # --- back to the original names
+
+    def labelled(self) -> LabelledPrechart:
+        """The current witness, on the original state names."""
+        name = self.names.__getitem__
+        base = Prechart.make(
+            self.alphabet,
+            map(name, self.states),
+            {name(x): out for x, out in self.outputs.items()},
+            {name(x): {a: tuple(map(name, ys)) for a, ys in row.items()}
+             for x, row in self.transitions.items()},
+            name(self.root) if self.root is not None else None,
+        )
+        return LabelledPrechart(base, {(name(x), a, name(y)): t for (x, a, y), t in self.tags.items()})
+
+    def projection(self) -> dict[StateId, StateId]:
+        return {x: self.names[v] for x, v in zip(self.names, self.image)}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Hashable, Iterable, Iterator, Mapping
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .syntax import Atom, Expr, Seq, Star, Sum, atoms
 
@@ -139,17 +139,37 @@ class Prechart:
 
 
 def _reach_plus(X: Prechart) -> dict[StateId, frozenset[StateId]]:
-    adj = {x: X.underlying_succ(x) for x in X.states}
-    closures = {}
-    for x in X.states:
-        seen = set(adj[x])
-        queue = deque(seen)
-        while queue:
-            for w in adj[queue.popleft()]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+    return _reach_closures({x: X.underlying_succ(x) for x in X.states}, X.states)
+
+
+def _reach_closures(
+    adj: Mapping[StateId, Iterable[StateId]],
+    sources: Sequence[StateId],
+    known: Mapping[StateId, Iterable[StateId]] = MappingProxyType({}),
+) -> dict[StateId, frozenset[StateId]]:
+    """The states reachable in one or more steps from each of ``sources``.
+
+    ``adj`` maps every state to its successors.  ``known`` holds the still
+    valid closures of states outside ``sources``: a search that meets such
+    a state, or a source already done, takes its closure whole instead of
+    walking it again.
+    """
+    closures: dict[StateId, frozenset[StateId]] = {}
+    pending = set(sources)
+    for x in sources:
+        seen: set[StateId] = set()
+        stack = list(adj[x])
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            if v in pending:
+                stack.extend(adj[v])
+            else:
+                seen.update(closures[v] if v in closures else known[v])
         closures[x] = frozenset(seen)
+        pending.discard(x)
     return closures
 
 
@@ -182,7 +202,12 @@ def expr_step(e: Expr) -> tuple[frozenset[str], Mapping[str, tuple[Expr, ...]]]:
     ``e2`` when ``e1`` outputs and otherwise sequences the left step;
     ``e1*e2`` behaves as ``e2``, steps from ``e1`` into ``f(e1*e2)``, and
     self-loops on the outputs of ``e1``.  Memoised on the node, so the
-    successor expressions of one node are built once.
+    successor expressions of one node are built once; a second call
+    returns the same read-only result.  A star is the exception: its step
+    contains the star itself (the self-loop and every ``f(e1*e2)``), so a
+    memo would tie the node into a reference cycle that outlives its last
+    use until the cyclic garbage collector runs.  A star's step is rebuilt
+    from the memoised steps of its two children instead.
     """
     step = getattr(e, "_step", None)
     if step is not None:
@@ -226,7 +251,10 @@ def expr_step(e: Expr) -> tuple[frozenset[str], Mapping[str, tuple[Expr, ...]]]:
                 add(a, Seq(f, e))
         for a in sorted(louts):
             add(a, e)
-    return out, {a: tuple(fs) for a, fs in succ.items()}
+    step = (out, MappingProxyType({a: tuple(fs) for a, fs in succ.items()}))
+    if not isinstance(e, Star):
+        object.__setattr__(e, "_step", step)
+    return step
 
 
 def _alphabet_for(e: Expr, alphabet: Iterable[str] | None) -> tuple[str, ...]:
@@ -250,14 +278,14 @@ def joint_chart(
     """The closure of several expressions under outputs and transitions.
 
     States are discovered breadth-first from the roots in the given order.
-    ``alphabet`` must cover every atom of the roots.
+    Each transition targets the state object itself (the first discovered
+    of equal expressions), so lookups on it hit by identity before any
+    structural comparison.  ``alphabet`` must cover every atom of the roots.
     """
-    order: list[Expr] = []
-    seen: set[Expr] = set()
+    canon: dict[Expr, Expr] = {}  # expression -> its state object
     for e in roots:
-        if e not in seen:
-            seen.add(e)
-            order.append(e)
+        canon.setdefault(e, e)
+    order = list(canon)
     outputs: dict[Expr, frozenset[str]] = {}
     transitions: dict[Expr, dict[str, tuple[Expr, ...]]] = {}
     queue = deque(order)
@@ -265,14 +293,19 @@ def joint_chart(
         x = queue.popleft()
         outs, succ = expr_step(x)
         outputs[x] = outs
-        transitions[x] = {a: succ[a] for a in alphabet if a in succ}
+        row = transitions[x] = {}
         for a in alphabet:
+            targets = []
             for y in succ.get(a, ()):
-                if y not in seen:
-                    seen.add(y)
+                state = canon.get(y)
+                if state is None:
+                    state = canon[y] = y
                     order.append(y)
                     queue.append(y)
-    return Prechart.make(alphabet, order, outputs, transitions, root=root)
+                targets.append(state)
+            if targets:
+                row[a] = tuple(targets)
+    return Prechart.make(alphabet, order, outputs, transitions, root=canon.get(root, root))
 
 
 # --- coalgebra constructions ---------------------------------------------------

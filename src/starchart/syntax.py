@@ -45,11 +45,12 @@ class Expr:
 
     A node's hash is computed once, from its children's cached hashes, so
     hashing never walks the tree again.  Per-expression facts (``atoms``,
-    ``size_bound``, ``star_height``, ``can_terminate`` and the one-step
-    semantics ``semantics.expr_step``) are memoised on the node on first
-    use, as attributes outside the dataclass fields: equality and repr see
-    only the tree.  A memo write stores the value every caller computes, so
-    racing threads are harmless, and the memos die with the expression.
+    ``size_bound``, ``star_height``, ``can_terminate`` and, at every node
+    but a star, the one-step semantics ``semantics.expr_step``) are
+    memoised on the node on first use, as attributes outside the dataclass
+    fields: equality and repr see only the tree.  A memo write stores the
+    value every caller computes, so racing threads are harmless, and the
+    memos die with the expression.
     """
 
     def __hash__(self) -> int:

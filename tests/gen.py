@@ -78,6 +78,22 @@ def axiom_instances(name: str, e1: Expr, e2: Expr, e3: Expr) -> tuple[Expr, Expr
     return table[name]
 
 
+def wstar_pair(n: int) -> tuple[Expr, Expr]:
+    """The cycle family ``e = (w)*0`` against ``e + e``.
+
+    ``w`` is the left-nested word ``a b a b ...`` of length ``n``, so the
+    chart of ``e`` is one cycle of ``n`` states, and certifying ``e`` against
+    ``e + e`` collapses ``n`` pairs of bisimilar states.
+    """
+    if n < 1:
+        raise ValueError("the word needs at least one letter")
+    word: Expr = Atom("a")
+    for i in range(1, n):
+        word = Seq(word, Atom("ab"[i % 2]))
+    e = Star(word, Zero())
+    return e, Sum(e, e)
+
+
 AXIOM_NAMES = ("B1", "B2", "B3", "B4", "B5", "B6", "B7", "BKS1", "BKS2")
 
 

@@ -67,3 +67,21 @@ def test_reachability_dies_with_its_chart():
     del e, X, reach, twin
     gc.collect()
     assert [r for r in refs if r() is not None] == []
+
+
+def test_charts_and_collapses_leave_no_reference_cycles():
+    # everything is freed by reference counting, without waiting for the
+    # cyclic collector: no expression memo refers back to its node (a star
+    # keeps no step memo), and the collapse's working chart refers to
+    # nothing that refers back to it
+    e = parse("(a b + a)*(b a*0) + (a b + a)*(b a*0)", ("a", "b"))
+    gc.collect()
+    gc.disable()
+    try:
+        L = syntactic_witness(chart_of(e))
+        collapsed, _ = collapse(L)
+        assert len(collapsed.base.states) < len(L.base.states)
+        del e, L, collapsed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from starchart import (
     collapse,
     connect_through,
     find_pair,
+    infer_witness,
     is_homomorphism,
     kernel_partition,
     relabel,
@@ -35,7 +37,7 @@ from starchart.cli import main
 from starchart.formats import chart_to_json
 from starchart.layering import WitnessViolation, analysis_of_verified, union_witness
 from starchart.rerouting import Splitting
-from gen import fig3_left, fig3_right, isomorphic, random_expr, rewrite_steps
+from gen import fig3_left, fig3_right, isomorphic, random_chart, random_expr, rewrite_steps, wstar_pair
 
 A = Atom("a")
 AA0 = Star(Seq(A, A), Zero())
@@ -394,6 +396,98 @@ class TestCollapseDoesEachStepOnce:
         assert main(["collapse", str(chart)]) == 3
         assert "internal error: RuntimeError: relabelling after connecting" in capsys.readouterr().err
         assert inferred == []
+
+
+def hand_stepped(L, R):
+    """Collapse by the paper's steps, one public call each: find_pair, relabel.
+
+    Returns the result, the projection and, per merge, the relabelled
+    witness, the deleted state and the condition.
+    """
+    current, projection, steps = L, {x: x for x in L.base.states}, []
+    while not R.is_identity:
+        w1, w2, condition = find_pair(current, R)
+        current = relabel(current, w1, w2, condition)
+        projection = {x: (w2 if v == w1 else v) for x, v in projection.items()}
+        R = R.without(w1)
+        steps.append((current, w1, condition))
+    return current, projection, steps
+
+
+def oracle_corpus():
+    # joined syntactic witnesses, as certify collapses them, and inferred
+    # witnesses of random charts: between them they reach all three
+    # safe-pair conditions
+    for seed in range(300):
+        rng = random.Random(seed)
+        e = random_expr(rng, depth=rng.randint(3, 5))
+        f = rewrite_steps(rng, e, rng.randint(1, 3))
+        yield union_witness(syntactic_witness(chart_of(e, ("a", "b", "c"))),
+                            syntactic_witness(chart_of(f, ("a", "b", "c"))))[0]
+    rng = random.Random(7)
+    for _ in range(400):
+        L = infer_witness(random_chart(rng, n_states=rng.randint(3, 6), edge_prob=0.4, out_prob=0.15))
+        if L is not None:
+            yield L
+
+
+class TestCollapseOnTheWorkingChart:
+    def test_collapse_is_the_hand_stepped_oracle(self):
+        merges = Counter()
+        for L in oracle_corpus():
+            R = bisimilarity(L.base)
+            result, projection, steps = hand_stepped(L, R)
+            assert collapse(L, R) == (result, projection)
+            merges.update(condition for _, _, condition in steps)
+        assert merges["C2"] >= 10 and merges["C3"] >= 3
+
+    def test_a_passed_partition_is_checked(self):
+        L = syntactic_witness(chart_of(Seq(A, Atom("b"))))  # two states, outputs differ
+        with pytest.raises(ValueError, match=r"relation is not a bisimulation: BisimViolation\(clause='output'"):
+            collapse(L, PartitionRelation.total(L.base.states))
+        with pytest.raises(ValueError, match="relation universe differs"):
+            collapse(L, PartitionRelation.total(L.base.states[:1]))
+        # a partition finer than bisimilarity only stops the collapse early
+        assert collapse(L, PartitionRelation.identity(L.base.states)) == (L, {x: x for x in L.base.states})
+
+    def test_certify_reports_a_wrong_partition_as_an_internal_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys.modules["starchart.cli"], "bisimilarity",
+                            lambda X: PartitionRelation.total(X.states))
+        assert main(["certify", "a b", "b a"]) == 3
+        err = capsys.readouterr().err
+        assert "internal error: RuntimeError: collapse of the joined witness failed: " in err
+        assert "relation is not a bisimulation" in err
+
+    def test_reachability_is_recomputed_only_for_the_states_that_reached_w1(self, monkeypatch):
+        e, f = wstar_pair(12)
+        inputs = [union_witness(syntactic_witness(chart_of(e, ("a", "b"))),
+                                syntactic_witness(chart_of(f, ("a", "b"))))[0]]
+        inputs += joined_witnesses(197, 30)
+        expected = []  # per input: every state once, then per merge the states that reached w1
+        for L in inputs:
+            number = {x: i for i, x in enumerate(L.base.states)}
+            sources = [list(number.values())]
+            current = L
+            for after, w1, _ in hand_stepped(L, bisimilarity(L.base))[2]:
+                reach = current.base.reach_plus()
+                sources.append([number[x] for x in current.base.states if x != w1 and w1 in reach[x]])
+                current = after
+            expected.append(sources)
+
+        full = []
+        reach_plus = semantics._reach_plus
+        monkeypatch.setattr(semantics, "_reach_plus", lambda X: full.append(X) or reach_plus(X))
+        module = sys.modules["starchart.rerouting"]
+        closures = module._reach_closures
+        recomputed = []
+        monkeypatch.setattr(module, "_reach_closures", lambda adj, sources, *known:
+                            recomputed.append(list(sources)) or closures(adj, sources, *known))
+        for L, sources in zip(inputs, expected):
+            recomputed.clear()
+            collapse(L)
+            assert recomputed == sources
+        assert full == []  # no chart's reachability is computed whole besides the first
+        assert sum(len(sources) - 1 for sources in expected) > 40
 
 
 class TestRestrictRelation:

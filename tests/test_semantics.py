@@ -22,7 +22,8 @@ from starchart import (
     quotient,
     size_bound,
 )
-from gen import random_expr, rewrite_steps
+from gen import random_chart, random_expr, rewrite_steps
+from starchart.semantics import _reach_closures
 
 A, B = Atom("a"), Atom("b")
 AA0 = Star(Seq(A, A), Zero())  # (aa)*0, the two-state a-cycle
@@ -48,7 +49,46 @@ class TestExprStep:
         assert succ == {"a": (Star(A, B),), "b": (A,)}
 
 
+    def test_memoised_on_the_node(self):
+        def build():
+            return Seq(Sum(Seq(A, Star(A, B)), Atom("c")), Seq(B, A))
+
+        e = build()
+        first = expr_step(e)
+        assert expr_step(e) is first
+        # an equal but distinct node has its own memo, with equal contents
+        assert expr_step(build()) == first
+
+    def test_a_star_rebuilds_its_step_from_its_childrens_memos(self):
+        e = Star(Seq(A, B), A)
+        first = expr_step(e)
+        assert first == (frozenset({"a"}), {"a": (Seq(B, e),)})
+        assert expr_step(e) == first and expr_step(e) is not first
+        assert expr_step(e.left) is expr_step(e.left)
+
+    def test_the_memo_cannot_be_changed_through_a_result(self):
+        _, succ = expr_step(Seq(A, B))
+        with pytest.raises(TypeError):
+            succ["a"] = ()
+        assert expr_step(Seq(A, B)) == (frozenset(), {"a": (B,)})
+
+
 class TestChartOf:
+    def test_every_target_is_the_state_object(self):
+        # the derivatives of distinct states are distinct but equal
+        # objects; the chart stores the first one discovered
+        rng = random.Random(211)
+        copies = 0
+        for _ in range(150):
+            e = random_expr(rng, depth=5)
+            f = rewrite_steps(rng, e, 2)
+            X = chart_of(Sum(e, f), ("a", "b", "c"))
+            state = {id(x) for x in X.states}
+            for x, a, y in X.edges():
+                assert id(y) in state
+                copies += any(z == y and z is not y for z in expr_step(x)[1][a])
+        assert copies > 0  # without canonical targets these would be copies
+
     def test_single_atom(self):
         X = chart_of(A)
         assert X.states == (A,)
@@ -86,6 +126,30 @@ class TestChartOf:
                     assert X.succ(f, a) == tuple(
                         sorted(succ.get(a, ()), key=X.index)
                     )
+
+
+class TestReachability:
+    @staticmethod
+    def walked(X, x):
+        # one or more steps: the states reachable from x's successors
+        return set().union(*(X.reachable_from(y) for y in X.underlying_succ(x)))
+
+    def test_every_closure_is_the_walked_one(self):
+        rng = random.Random(223)
+        for _ in range(60):
+            X = random_chart(rng, n_states=rng.randint(1, 9), edge_prob=rng.choice((0.1, 0.3)))
+            assert X.reach_plus() == {x: frozenset(self.walked(X, x)) for x in X.states}
+
+    def test_recomputing_some_closures_reuses_the_others(self):
+        rng = random.Random(227)
+        for _ in range(60):
+            X = random_chart(rng, n_states=rng.randint(2, 9), edge_prob=rng.choice((0.1, 0.3)))
+            truth = X.reach_plus()
+            sources = [x for x in X.states if rng.random() < 0.5]
+            # stale closures for the sources, valid ones for every other state
+            known = {x: (frozenset() if x in sources else truth[x]) for x in X.states}
+            adj = {x: X.underlying_succ(x) for x in X.states}
+            assert _reach_closures(adj, sources, known) == {x: truth[x] for x in sources}
 
 
 class TestGenerated:
