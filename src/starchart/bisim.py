@@ -94,13 +94,6 @@ class PartitionRelation:
                 for y in block:
                     yield (x, y)
 
-    def nontrivial_pairs(self) -> Iterator[tuple[StateId, StateId]]:
-        for block in self.blocks:
-            for x in block:
-                for y in block:
-                    if x != y:
-                        yield (x, y)
-
     @property
     def is_identity(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)

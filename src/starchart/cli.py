@@ -136,8 +136,7 @@ def _distinguishing_violation(d: _Decision) -> BisimViolation:
     """The first failing clause once the roots' classes are joined, roots first."""
     re_, rf = d.roots
     candidate = d.R.merge(re_, rf)
-    ordered = [(re_, rf)] + [p for p in candidate.pairs() if p != (re_, rf)]
-    ok, violation = check_bisimulation(d.joined, d.joined, ordered)
+    ok, violation = check_bisimulation(d.joined, d.joined, [(re_, rf), *candidate.pairs()])
     if ok or violation is None:
         raise RuntimeError("roots are not bisimilar yet joining their classes yields a bisimulation")
     return violation
@@ -374,11 +373,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
         _emit(witness_to_json(L))
         return 0
     alpha, (e,) = _parse_exprs(args, args.syntactic)
-    X = chart_of(e, alpha)
-    doc = witness_to_json(syntactic_witness(X))
-    if args.llee:
-        doc = weighted_to_json(to_llee(syntactic_witness(X)))
-    _emit(doc)
+    L = syntactic_witness(chart_of(e, alpha))
+    _emit(weighted_to_json(to_llee(L)) if args.llee else witness_to_json(L))
     return 0
 
 

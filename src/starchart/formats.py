@@ -95,16 +95,6 @@ def weighted_to_json(W: WeightedLabelling) -> dict[str, Any]:
     return doc
 
 
-def weighted_from_json(doc: Mapping[str, Any]) -> WeightedLabelling:
-    base = chart_from_json(doc)
-    weights = {}
-    for t in doc.get("transitions", ()):
-        if "weight" not in t:
-            raise ValueError("weighted transitions need a 'weight' field")
-        weights[(t["from"], t["action"], t["to"])] = int(t["weight"])
-    return WeightedLabelling(base, weights)
-
-
 def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

@@ -56,12 +56,6 @@ class LabelledPrechart:
     def tag(self, x: StateId, a: str, y: StateId) -> str:
         return self.tags[(x, a, y)]
 
-    def entry_pairs(self) -> set[tuple[StateId, StateId]]:
-        return {(x, y) for (x, a, y), t in self.tags.items() if t == ENTRY}
-
-    def body_pairs(self) -> set[tuple[StateId, StateId]]:
-        return {(x, y) for (x, a, y), t in self.tags.items() if t == BODY}
-
     def retag(self, changes: Mapping[Edge, str]) -> "LabelledPrechart":
         tags = dict(self.tags)
         tags.update(changes)
@@ -196,40 +190,36 @@ class _Analysis:
         adj: dict[StateId, set[StateId]] = {}
         for x, y in pairs:
             adj.setdefault(x, set()).add(y)
-        closed: set[tuple[StateId, StateId]] = set()
-        for x in adj:
-            seen: set[StateId] = set()
-            queue = deque(adj[x])
-            seen.update(queue)
-            while queue:
-                v = queue.popleft()
-                for w in adj.get(v, ()):
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            closed.update((x, y) for y in seen)
-        return frozenset(closed)
+        return frozenset((x, y) for x in adj for y in _Analysis._closure(adj[x], adj))
 
     def has_output(self, x: StateId) -> bool:
         return bool(self.base.out(x))
 
     def longest_paths(self, adj: Mapping[StateId, Iterable[StateId]]) -> dict[StateId, int]:
-        """Longest path lengths out of each node of a DAG."""
-        memo: dict[StateId, int] = {}
-        done: set[StateId] = set()
-
-        def visit(x: StateId) -> int:
-            if x in memo:
-                return memo[x]
-            best = 0
-            for y in adj.get(x, ()):
-                best = max(best, 1 + visit(y))
-            memo[x] = best
-            return best
-
-        for x in self.states:
-            visit(x)
-        return memo
+        """Longest path lengths out of each node of a DAG; raises on a cycle."""
+        length: dict[StateId, int] = {}
+        for start in self.states:
+            if start in length:
+                continue
+            best = {start: 0}  # the nodes on the current path, and their best so far
+            stack = [(start, iter(adj.get(start, ())))]
+            while stack:
+                x, successors = stack[-1]
+                for y in successors:
+                    if y in best:
+                        raise RuntimeError("longest paths of a graph with a cycle")
+                    if y not in length:
+                        best[y] = 0
+                        stack.append((y, iter(adj.get(y, ()))))
+                        break
+                    best[x] = max(best[x], 1 + length[y])
+                else:
+                    length[x] = best.pop(x)
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
+                        best[parent] = max(best[parent], 1 + length[x])
+        return length
 
 
 def derived_relations(
@@ -324,19 +314,16 @@ def loop_depth(L: LabelledPrechart, x: StateId, action: str, y: StateId) -> int:
     height of the iterated part.
     """
     tag = L.tag(x, action, y)
-
-    def depth(e: Expr, f: Expr, t: str) -> int:
-        if not isinstance(e, Expr) or not isinstance(f, Expr):
-            raise ValueError("loop depth needs expression-structured states")
-        if t == BODY:
-            return 0
-        if isinstance(e, Seq) and isinstance(f, Seq) and f.right == e.right:
-            return depth(e.left, f.left, t)
-        if isinstance(e, Star) and (f == e or (isinstance(f, Seq) and f.right == e)):
-            return star_height(e.left) + 1
-        raise ValueError(f"no depth rule for {e} -> {f}")
-
-    return depth(x, y, tag)
+    if not isinstance(x, Expr) or not isinstance(y, Expr):
+        raise ValueError("loop depth needs expression-structured states")
+    if tag == BODY:
+        return 0
+    e, f = x, y
+    while isinstance(e, Seq) and isinstance(f, Seq) and f.right == e.right:
+        e, f = e.left, f.left
+    if isinstance(e, Star) and (f == e or (isinstance(f, Seq) and f.right == e)):
+        return star_height(e.left) + 1
+    raise ValueError(f"no depth rule for {e} -> {f}")
 
 
 # --- the weighted form --------------------------------------------------------
@@ -490,20 +477,6 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     for (x, y), t in forced.items():
         (body_adj if t == BODY else entry_adj).setdefault(x, set()).add(y)
 
-    def creates_body_cycle(x: StateId, y: StateId) -> bool:
-        # adding x -b-> y closes a cycle iff x is body-reachable from y
-        seen = {y}
-        queue = deque([y])
-        while queue:
-            v = queue.popleft()
-            if v == x:
-                return True
-            for w in body_adj.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return False
-
     def doomed() -> bool:
         # loop descent of the decided tags, as in _Analysis._derived
         descent: dict[StateId, frozenset[StateId]] = {}
@@ -537,7 +510,8 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
         if i == len(free):
             return emit()
         x, y = free[i]
-        if not creates_body_cycle(x, y):
+        # x -b-> y closes a body cycle iff x is body-reachable from y
+        if x not in _Analysis._closure((y,), body_adj):
             assignment[(x, y)] = BODY
             body_adj.setdefault(x, set()).add(y)
             stop = search(i + 1)

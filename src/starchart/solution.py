@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, NoReturn
 
 from .bisim import bisimilarity
-from .layering import BODY, ENTRY, LabelledPrechart, analysis_of_verified
+from .layering import BODY, LabelledPrechart, analysis_of_verified
 from .semantics import Prechart, StateId, expr_step, joint_chart
 from .syntax import Atom, Expr, Seq, Star, Sum, Zero, atoms, gsum
 
@@ -53,6 +53,70 @@ def _component(first: list[Expr], second: list[Expr]) -> Expr:
     return Sum(gsum(first), gsum(second))
 
 
+_OWN = object()  # the anchor of a state's own solution
+
+
+def _fail(kind: str, x: StateId, y: StateId, *under: StateId) -> NoReturn:
+    # formatted only here: a state's repr can be a whole expression tree
+    what = f"{kind} {x!r}->{y!r}" + "".join(f" under {z!r}" for z in under)
+    raise MeasureError(f"solution recursion failed to decrease: {what}")
+
+
+class _Terms:
+    """The starred term of each state of a verified witness, per anchor.
+
+    ``term(x, _OWN)`` is the solution at ``x``; ``term(x, z)`` is the
+    companion of ``x`` relative to the loop header ``z``, whose body steps
+    back to ``z`` end the term.  Both are memoised in ``memo``.
+    """
+
+    def __init__(self, L: LabelledPrechart):
+        a = analysis_of_verified(L)
+        X = L.base
+        self.en = a.longest_paths(a.diredge_adj)
+        self.bd = a.longest_paths(a.body_adj)
+        self.diredge = a.diredge
+        self.outputs = {x: [act for act in X.alphabet if act in X.out(x)] for x in X.states}
+        self.entry_self: dict[StateId, list[str]] = {x: [] for x in X.states}
+        self.entry_steps: dict[StateId, list[tuple[str, StateId]]] = {x: [] for x in X.states}
+        self.body_steps: dict[StateId, list[tuple[str, StateId]]] = {x: [] for x in X.states}
+        for edge in X.edges():
+            x, act, y = edge
+            if L.tags[edge] == BODY:
+                self.body_steps[x].append((act, y))
+            elif y == x:
+                self.entry_self[x].append(act)
+            else:
+                self.entry_steps[x].append((act, y))
+        self.memo: dict[tuple[StateId, object], Expr] = {}
+
+    def term(self, x: StateId, anchor: object) -> Expr:
+        key = (x, anchor)
+        if key in self.memo:
+            return self.memo[key]
+        en, bd, diredge = self.en, self.bd, self.diredge
+        first_terms = []
+        for act, y in self.entry_steps[x]:
+            if not ((x, y) in diredge and en[y] < en[x]):
+                _fail("entry", x, y)
+            first_terms.append(Seq(Atom(act), self.term(y, x)))
+        own = anchor is _OWN
+        second_terms: list[Expr] = []
+        for act, y in self.body_steps[x]:
+            if not own and y == anchor:
+                second_terms.append(Atom(act))
+                continue
+            if not (bd[y] < bd[x] and (own or (anchor, y) in diredge)):
+                _fail("body", x, y, *(() if own else (anchor,)))
+            second_terms.append(Seq(Atom(act), self.term(y, anchor)))
+        result = Star(
+            _component([Atom(act) for act in self.entry_self[x]], first_terms),
+            _component([Atom(act) for act in self.outputs[x]], second_terms),
+        )
+        self.memo[key] = result
+        return result
+
+
 def canonical_solution(L: LabelledPrechart) -> Solution:
     """The explicit solution of a chart carried by a layering witness.
 
@@ -63,84 +127,10 @@ def canonical_solution(L: LabelledPrechart) -> Solution:
     recursion must descend in loop level and body recursion in body depth,
     and companions are only ever taken inside the anchor's loop.
     """
-    a = analysis_of_verified(L)
-    X = L.base
-    en = a.longest_paths(a.diredge_adj)
-    bd = a.longest_paths(a.body_adj)
-    diredge = a.diredge
-
-    outputs = {x: [act for act in X.alphabet if act in X.out(x)] for x in X.states}
-    entry_self = {
-        x: [act for act in X.alphabet if (x, act, x) in L.tags and L.tags[(x, act, x)] == ENTRY]
-        for x in X.states
-    }
-    entry_steps = {
-        x: [
-            (act, y)
-            for act in X.alphabet
-            for y in X.succ(x, act)
-            if y != x and L.tags[(x, act, y)] == ENTRY
-        ]
-        for x in X.states
-    }
-    body_steps = {
-        x: [(act, y) for act in X.alphabet for y in X.succ(x, act) if L.tags[(x, act, y)] == BODY]
-        for x in X.states
-    }
-
-    s_memo: dict[StateId, Expr] = {}
-    t_memo: dict[tuple[StateId, StateId], Expr] = {}
-
-    def fail(kind: str, x: StateId, y: StateId, *under: StateId) -> NoReturn:
-        # formatted only here: a state's repr can be a whole expression tree
-        what = f"{kind} {x!r}->{y!r}" + "".join(f" under {z!r}" for z in under)
-        raise MeasureError(f"solution recursion failed to decrease: {what}")
-
-    def companion(x: StateId, z: StateId) -> Expr:
-        if (x, z) in t_memo:
-            return t_memo[(x, z)]
-        first_terms = []
-        for act, y in entry_steps[x]:
-            if not ((x, y) in diredge and en[y] < en[x]):
-                fail("entry", x, y)
-            first_terms.append(Seq(Atom(act), companion(y, x)))
-        second_terms: list[Expr] = []
-        for act, y in body_steps[x]:
-            if y == z:
-                second_terms.append(Atom(act))
-            else:
-                if not ((z, y) in diredge and bd[y] < bd[x]):
-                    fail("body", x, y, z)
-                second_terms.append(Seq(Atom(act), companion(y, z)))
-        result = Star(
-            _component([Atom(act) for act in entry_self[x]], first_terms),
-            _component([Atom(act) for act in outputs[x]], second_terms),
-        )
-        t_memo[(x, z)] = result
-        return result
-
-    def solve(x: StateId) -> Expr:
-        if x in s_memo:
-            return s_memo[x]
-        first_terms = []
-        for act, y in entry_steps[x]:
-            if not ((x, y) in diredge and en[y] < en[x]):
-                fail("entry", x, y)
-            first_terms.append(Seq(Atom(act), companion(y, x)))
-        second_terms = []
-        for act, y in body_steps[x]:
-            if not bd[y] < bd[x]:
-                fail("body", x, y)
-            second_terms.append(Seq(Atom(act), solve(y)))
-        result = Star(
-            _component([Atom(act) for act in entry_self[x]], first_terms),
-            _component([Atom(act) for act in outputs[x]], second_terms),
-        )
-        s_memo[x] = result
-        return result
-
-    assign = {x: solve(x) for x in X.states}
-    return Solution(X, assign, t_memo)
+    terms = _Terms(L)
+    assign = {x: terms.term(x, _OWN) for x in L.base.states}
+    companion = {key: t for key, t in terms.memo.items() if key[1] is not _OWN}
+    return Solution(L.base, assign, companion)
 
 
 def verify_solution(

@@ -4,8 +4,8 @@ from starchart import Atom, Seq, Star, Zero, chart_of, to_llee, verify_witness
 from starchart.formats import (
     chart_from_json,
     chart_to_json,
+    state_ids,
     to_dot,
-    weighted_from_json,
     weighted_to_json,
     witness_from_json,
     witness_to_json,
@@ -37,16 +37,17 @@ def test_witness_json_round_trip_preserves_tags_and_validity():
         assert verify_witness(M) == (True, None)
 
 
-def test_weighted_json_round_trip():
-    W = to_llee(syntactic_witness(chart_of(AA0)))
-    doc = weighted_to_json(W)
-    V = weighted_from_json(doc)
-    assert weighted_to_json(V) == doc
+def test_weighted_json_carries_the_llee_weights():
+    rng = random.Random(137)
+    for _ in range(20):
+        W = to_llee(syntactic_witness(chart_of(random_expr(rng, depth=4))))
+        ids = state_ids(W.base)
+        written = {(t["from"], t["action"], t["to"]): t["weight"] for t in weighted_to_json(W)["transitions"]}
+        assert written == {(ids[x], a, ids[y]): n for (x, a, y), n in W.weights.items()}
 
 
 def test_state_ids_are_uniquified_on_label_clashes():
     from starchart import Prechart
-    from starchart.formats import state_ids
 
     X = Prechart.make(("a",), ((0, "x"), (1, "x")), {}, {})
     ids = state_ids(X)

@@ -7,8 +7,22 @@ import pickle
 import pkgutil
 import weakref
 
+import pytest
+
 import starchart
-from starchart import Sum, certify, chart_of, collapse, parse, syntactic_witness, verify_witness
+from starchart import (
+    Sum,
+    canonical_solution,
+    certify,
+    chart_of,
+    collapse,
+    loop_depth,
+    measures,
+    parse,
+    syntactic_witness,
+    to_llee,
+    verify_witness,
+)
 from starchart.layering import analysis_of_verified
 
 
@@ -82,6 +96,31 @@ def test_charts_and_collapses_leave_no_reference_cycles():
         collapsed, _ = collapse(L)
         assert len(collapsed.base.states) < len(L.base.states)
         del e, L, collapsed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+
+# each is freed by reference counting alone: no helper on these paths is a
+# closure that refers to itself
+FREED_WITHOUT_THE_COLLECTOR = {
+    "certify": lambda e, L: certify(e, Sum(e, e)),
+    "canonical_solution": lambda e, L: canonical_solution(L),
+    "measures": lambda e, L: [measures(L, x) for x in L.base.states],
+    "to_llee": lambda e, L: to_llee(L),
+    "loop_depth": lambda e, L: [loop_depth(L, *edge) for edge in L.tags],
+}
+
+
+@pytest.mark.parametrize("op", FREED_WITHOUT_THE_COLLECTOR)
+def test_certify_solve_and_measures_leave_no_reference_cycles(op):
+    e = parse("(a b + a)*(b a*0) + c", ("a", "b", "c"))
+    L = syntactic_witness(chart_of(e))
+    gc.collect()
+    gc.disable()
+    try:
+        FREED_WITHOUT_THE_COLLECTOR[op](e, L)
         assert gc.collect() == 0
     finally:
         gc.enable()

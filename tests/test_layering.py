@@ -28,7 +28,7 @@ from starchart import (
     union_witness,
     verify_witness,
 )
-from starchart.layering import analysis_of_verified
+from starchart.layering import ENTRY, _Analysis, analysis_of_verified
 from gen import (
     all_labellings,
     exhaustive_witnesses,
@@ -198,6 +198,55 @@ class TestMeasures:
     def test_invalid_witness_rejected(self):
         with pytest.raises(InvalidWitnessError):
             measures(all_body(chart_of(AA0)), AA0)
+
+
+def brute_force_longest(adj, x):
+    """Longest path out of ``x`` by trying every path."""
+    return max((1 + brute_force_longest(adj, y) for y in adj.get(x, ())), default=0)
+
+
+class TestLongestPaths:
+    @staticmethod
+    def longest_paths(states, adj):
+        # the method reads only ``states`` off the analysis
+        return _Analysis.longest_paths(type("Nodes", (), {"states": tuple(states)})(), adj)
+
+    def test_matches_brute_force_on_random_dags(self):
+        rng = random.Random(131)
+        shared = isolated = 0
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            order = rng.sample(range(n), n)  # edges only go forward in this order
+            adj: dict[int, list[int]] = {}
+            for i, x in enumerate(order):
+                later = order[i + 1:]
+                succ = rng.sample(later, rng.randint(0, min(3, len(later))))
+                if succ or rng.random() < 0.5:  # a sink may have no entry at all
+                    adj[x] = succ
+            preds = [y for ys in adj.values() for y in ys]
+            shared += len(preds) != len(set(preds))
+            isolated += any(not adj.get(x) and x not in preds for x in range(n))
+            states = rng.sample(range(n), n)
+            assert self.longest_paths(states, adj) == {x: brute_force_longest(adj, x) for x in states}
+        assert shared > 50 and isolated > 50
+
+    @pytest.mark.parametrize("adj", [
+        {"x": ["x"]},
+        {"x": ["y"], "y": ["x"]},
+        {"x": ["y", "z"], "y": ["z"], "z": ["w"], "w": ["y"]},
+    ])
+    def test_a_cycle_raises_instead_of_hanging(self, adj):
+        def expired(signum, frame):
+            raise TimeoutError("longest_paths ran past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(5)
+        try:
+            with pytest.raises(RuntimeError, match="cycle"):
+                self.longest_paths("xyzw", adj)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestLoopDepth:
@@ -393,7 +442,7 @@ class TestWitnessClosureProperties:
             pair_adj: dict = {}
             for (x, _, y) in L.base.edges():
                 pair_adj.setdefault(x, set()).add(y)
-            entries = L.entry_pairs()
+            entries = {(x, y) for (x, _, y), t in L.tags.items() if t == ENTRY}
             for cycle in simple_cycles({k: sorted(v, key=str) for k, v in pair_adj.items()}):
                 hops = list(zip(cycle, cycle[1:] + cycle[:1]))
                 assert sum(1 for hop in hops if hop in entries) == 1

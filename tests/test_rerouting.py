@@ -303,7 +303,8 @@ class TestCollapseDoesEachStepOnce:
     def test_the_lazy_scan_finds_the_first_pair_in_sorted_order(self):
         def sorted_scan(L, R):
             index = L.base.index
-            for w1, w2 in sorted(R.nontrivial_pairs(), key=lambda p: (index(p[0]), index(p[1]))):
+            nontrivial = (p for p in R.pairs() if p[0] != p[1])
+            for w1, w2 in sorted(nontrivial, key=lambda p: (index(p[0]), index(p[1]))):
                 condition = check_condition(L, w1, w2)
                 if condition is not None:
                     return w1, w2, condition
