@@ -430,12 +430,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_dot(args: argparse.Namespace) -> int:
     doc = _read_json(args.input)
+    X = chart_from_json(doc)  # checks the document's shape first
     transitions = doc.get("transitions", [])
-    if transitions and "tag" in transitions[0]:
-        L = witness_from_json(doc)
-        sys.stdout.write(to_dot(L.base, L))
-    else:
-        sys.stdout.write(to_dot(chart_from_json(doc)))
+    L = witness_from_json(doc) if transitions and "tag" in transitions[0] else None
+    sys.stdout.write(to_dot(X, L))
     return 0
 
 

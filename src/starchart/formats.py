@@ -39,26 +39,63 @@ def state_ids(X: Prechart) -> dict[StateId, str]:
 
 
 def chart_to_json(X: Prechart) -> dict[str, Any]:
+    return _chart_doc(X)
+
+
+def _chart_doc(X: Prechart, field: str | None = None, values: Mapping | None = None) -> dict[str, Any]:
+    """The JSON document of ``X``; with a ``field``, each transition also
+    carries its entry of ``values`` under that name."""
     ids = state_ids(X)
+    transitions = []
+    for edge in X.edges():
+        x, a, y = edge
+        t = {"from": ids[x], "action": a, "to": ids[y]}
+        if field is not None:
+            t[field] = values[edge]
+        transitions.append(t)
     return {
         "alphabet": list(X.alphabet),
         "states": [ids[x] for x in X.states],
         "root": ids[X.root] if X.root is not None else None,
         "outputs": {ids[x]: sorted(X.out(x)) for x in X.states if X.out(x)},
-        "transitions": [
-            {"from": ids[x], "action": a, "to": ids[y]} for (x, a, y) in X.edges()
-        ],
+        "transitions": transitions,
     }
 
 
+def _is_strings(v: Any) -> bool:
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
+def _check_shape(doc: Any) -> None:
+    """Raise ``ValueError`` naming the first field of a chart or witness
+    document whose JSON shape is wrong."""
+    if not isinstance(doc, dict):
+        raise ValueError("a chart document must be a JSON object")
+    for key in ("alphabet", "states"):
+        if key not in doc:
+            raise ValueError(f"missing field {key!r}")
+        if not _is_strings(doc[key]):
+            raise ValueError(f"{key!r} must be a list of strings")
+    outputs = doc.get("outputs", {})
+    if not (isinstance(outputs, dict) and all(map(_is_strings, outputs.values()))):
+        raise ValueError("'outputs' must be an object of string lists")
+    transitions = doc.get("transitions", [])
+    if not (isinstance(transitions, list) and all(
+            isinstance(t, dict) and all(isinstance(t.get(k), str) for k in ("from", "action", "to"))
+            for t in transitions)):
+        raise ValueError("'transitions' must be a list of objects with string 'from', 'action' and 'to'")
+    if not isinstance(doc.get("root"), (str, type(None))):
+        raise ValueError("'root' must be a string or null")
+
+
 def chart_from_json(doc: Mapping[str, Any]) -> Prechart:
-    states = list(doc["states"])
+    _check_shape(doc)
     transitions: dict[str, dict[str, list[str]]] = {}
     for t in doc.get("transitions", ()):
         transitions.setdefault(t["from"], {}).setdefault(t["action"], []).append(t["to"])
     return Prechart.make(
         doc["alphabet"],
-        states,
+        doc["states"],
         {x: set(acts) for x, acts in doc.get("outputs", {}).items()},
         transitions,
         doc.get("root"),
@@ -66,13 +103,7 @@ def chart_from_json(doc: Mapping[str, Any]) -> Prechart:
 
 
 def witness_to_json(L: LabelledPrechart) -> dict[str, Any]:
-    doc = chart_to_json(L.base)
-    ids = state_ids(L.base)
-    doc["transitions"] = [
-        {"from": ids[x], "action": a, "to": ids[y], "tag": L.tags[(x, a, y)]}
-        for (x, a, y) in L.base.edges()
-    ]
-    return doc
+    return _chart_doc(L.base, "tag", L.tags)
 
 
 def witness_from_json(doc: Mapping[str, Any]) -> LabelledPrechart:
@@ -86,13 +117,7 @@ def witness_from_json(doc: Mapping[str, Any]) -> LabelledPrechart:
 
 
 def weighted_to_json(W: WeightedLabelling) -> dict[str, Any]:
-    doc = chart_to_json(W.base)
-    ids = state_ids(W.base)
-    doc["transitions"] = [
-        {"from": ids[x], "action": a, "to": ids[y], "weight": W.weights[(x, a, y)]}
-        for (x, a, y) in W.base.edges()
-    ]
-    return doc
+    return _chart_doc(W.base, "weight", W.weights)
 
 
 def _dot_quote(s: str) -> str:

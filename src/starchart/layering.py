@@ -56,11 +56,6 @@ class LabelledPrechart:
     def tag(self, x: StateId, a: str, y: StateId) -> str:
         return self.tags[(x, a, y)]
 
-    def retag(self, changes: Mapping[Edge, str]) -> "LabelledPrechart":
-        tags = dict(self.tags)
-        tags.update(changes)
-        return LabelledPrechart(self.base, tags)
-
 
 @dataclass(frozen=True)
 class WeightedLabelling:
@@ -117,6 +112,24 @@ def _find_cycle(nodes: tuple[StateId, ...], adj: Mapping[StateId, Iterable[State
     return None
 
 
+def _descent(
+    entry_adj: Mapping[StateId, Iterable[StateId]], body_adj: Mapping[StateId, Iterable[StateId]],
+) -> dict[StateId, frozenset[StateId]]:
+    """The loop descent of a labelling, given its entry and body adjacencies.
+
+    Maps each state with an entry step to another state onto the states
+    body-reachable from its entry successors, never passing the state
+    itself; the entry step alone (no body steps) already counts.  Keys
+    follow the order of ``entry_adj``.
+    """
+    descent: dict[StateId, frozenset[StateId]] = {}
+    for x, ys in entry_adj.items():
+        starts = [y for y in ys if y != x]
+        if starts:
+            descent[x] = _Analysis._closure(starts, body_adj, forbidden=x)
+    return descent
+
+
 class _Analysis:
     """Pair-level relations of a labelling, shared by the checks and measures.
 
@@ -147,10 +160,15 @@ class _Analysis:
             self.body_pred.setdefault(y, []).append(x)
         # x -> states reachable in one or more steps, action labels forgotten
         self.reach_plus = base.reach_plus()
-        self.diredge, self.loopright = self._derived()
-        self.diredge_adj: dict[StateId, list[StateId]] = {}
-        for x, y in sorted(self.diredge, key=lambda p: (by_index(p[0]), by_index(p[1]))):
-            self.diredge_adj.setdefault(x, []).append(y)
+        descent = _descent(self.entry_adj, self.body_adj)
+        self.diredge = frozenset((x, y) for x, ys in descent.items() for y in ys)
+        self.diredge_adj = {x: sorted(ys, key=by_index) for x, ys in descent.items()}
+        loopright: set[tuple[StateId, StateId]] = set()
+        for x, forward in descent.items():
+            # states lying on a body path from an entry successor back to x
+            back = self._closure(self.body_pred.get(x, ()), self.body_pred, forbidden=x)
+            loopright.update((y, x) for y in forward & back)
+        self.loopright = frozenset(loopright)
         self.loopright_plus = self._pair_closure(self.loopright)
 
     @staticmethod
@@ -166,24 +184,6 @@ class _Analysis:
                     seen.add(w)
                     queue.append(w)
         return frozenset(seen)
-
-    def _derived(self) -> tuple[frozenset[tuple[StateId, StateId]], frozenset[tuple[StateId, StateId]]]:
-        diredge: set[tuple[StateId, StateId]] = set()
-        loopright: set[tuple[StateId, StateId]] = set()
-        for x in self.states:
-            starts = [v for v in self.entry_adj.get(x, ()) if v != x]
-            if not starts:
-                continue
-            # body-reachable from the entry successors, never passing x;
-            # the entry step alone (no body steps) already counts
-            forward = self._closure(starts, self.body_adj, forbidden=x)
-            for y in forward:
-                diredge.add((x, y))
-            # states lying on a body path from an entry successor back to x
-            back = self._closure(self.body_pred.get(x, ()), self.body_pred, forbidden=x)
-            for y in forward & back:
-                loopright.add((y, x))
-        return frozenset(diredge), frozenset(loopright)
 
     @staticmethod
     def _pair_closure(pairs: frozenset[tuple[StateId, StateId]]) -> frozenset[tuple[StateId, StateId]]:
@@ -251,9 +251,10 @@ def _first_violation(a: _Analysis) -> WitnessViolation | None:
     loop_cycle = _find_cycle(a.states, a.diredge_adj)
     if loop_cycle:
         return WitnessViolation("layered", tuple(loop_cycle))
-    for x, y in sorted(a.diredge, key=lambda p: (index(p[0]), index(p[1]))):
-        if a.has_output(y):
-            return WitnessViolation("goto_free", (x, y))
+    for x, ys in a.diredge_adj.items():
+        for y in ys:
+            if a.has_output(y):
+                return WitnessViolation("goto_free", (x, y))
     return None
 
 
@@ -434,13 +435,6 @@ def _union_on(
 # --- witness inference -----------------------------------------------------------
 
 
-def _pair_groups(X: Prechart) -> dict[tuple[StateId, StateId], list[Edge]]:
-    groups: dict[tuple[StateId, StateId], list[Edge]] = {}
-    for x, a, y in X.edges():
-        groups.setdefault((x, y), []).append((x, a, y))
-    return groups
-
-
 def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledPrechart]:
     """All layering witnesses of ``X``, in a fixed deterministic order.
 
@@ -449,20 +443,20 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     path, and pairs into an output state, are forced bodies.  The rest is a
     depth-first search over the free pairs, body before entry.  A body tag
     that would close a body cycle is skipped, and a partial labelling is cut
-    as soon as it is doomed: the loop descent of its decided tags (entry
-    steps followed by body steps, as in ``derived_relations``) reaches a
-    state with an output, or has a cycle.  Deciding more pairs only adds
-    descent pairs, so both violations persist to every completion and the
-    cut subtrees hold no witness.  Every complete labelling that survives is
-    checked by ``verify_witness``.
+    as soon as it is doomed: the loop descent of its decided tags (as in
+    ``derived_relations``) reaches a state with an output, or has a cycle.
+    Deciding more pairs only adds descent pairs, so both violations persist
+    to every completion and the cut subtrees hold no witness.  Every
+    complete labelling that survives is checked by ``verify_witness``.
     """
-    groups = _pair_groups(X)
-    pairs = sorted(groups, key=lambda p: (X.index(p[0]), X.index(p[1])))
+    groups: dict[tuple[StateId, StateId], list[Edge]] = {}
+    for x, a, y in X.edges():
+        groups.setdefault((x, y), []).append((x, a, y))
     reach_plus = X.reach_plus()
 
     forced: dict[tuple[StateId, StateId], str] = {}
     free: list[tuple[StateId, StateId]] = []
-    for x, y in pairs:
+    for x, y in sorted(groups, key=lambda p: (X.index(p[0]), X.index(p[1]))):
         if x == y:
             forced[(x, y)] = ENTRY
         elif x not in reach_plus[y]:
@@ -472,61 +466,42 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
         else:
             free.append((x, y))
 
-    body_adj: dict[StateId, set[StateId]] = {}
-    entry_adj: dict[StateId, set[StateId]] = {}
+    adj: dict[str, dict[StateId, set[StateId]]] = {BODY: {}, ENTRY: {}}
     for (x, y), t in forced.items():
-        (body_adj if t == BODY else entry_adj).setdefault(x, set()).add(y)
-
-    def doomed() -> bool:
-        # loop descent of the decided tags, as in _Analysis._derived
-        descent: dict[StateId, frozenset[StateId]] = {}
-        for x, ys in entry_adj.items():
-            starts = [v for v in ys if v != x]
-            if not starts:
-                continue
-            descent[x] = _Analysis._closure(starts, body_adj, forbidden=x)
-            if any(X.out(y) for y in descent[x]):
-                return True  # not goto-free
-        return _find_cycle(X.states, descent) is not None  # not layered
+        adj[t].setdefault(x, set()).add(y)
 
     results: list[LabelledPrechart] = []
-    assignment: dict[tuple[StateId, StateId], str] = {}
-
-    def emit() -> bool:
-        tags: dict[Edge, str] = {}
-        for pair, edges in groups.items():
-            t = forced.get(pair) or assignment[pair]
-            for edge in edges:
-                tags[edge] = t
-        candidate = LabelledPrechart(X, tags)
-        ok, _ = verify_witness(candidate)
-        if ok:
-            results.append(candidate)
-        return limit is not None and len(results) >= limit
-
-    def search(i: int) -> bool:
-        if doomed():
-            return False
-        if i == len(free):
-            return emit()
-        x, y = free[i]
-        # x -b-> y closes a body cycle iff x is body-reachable from y
-        if x not in _Analysis._closure((y,), body_adj):
-            assignment[(x, y)] = BODY
-            body_adj.setdefault(x, set()).add(y)
-            stop = search(i + 1)
-            body_adj[x].discard(y)
-            del assignment[(x, y)]
-            if stop:
-                return True
-        assignment[(x, y)] = ENTRY
-        entry_adj.setdefault(x, set()).add(y)
-        stop = search(i + 1)
-        entry_adj[x].discard(y)
-        del assignment[(x, y)]
-        return stop
-
-    search(0)
+    assignment: dict[tuple[StateId, StateId], str] = {}  # the decided free pairs
+    todo: list[list[str]] = []  # per decided free pair, the tags still to try
+    while True:
+        # visit the node whose decided pairs are free[:len(todo)]
+        descent = _descent(adj[ENTRY], adj[BODY])
+        doomed = (any(X.out(y) for ys in descent.values() for y in ys)  # not goto-free
+                  or _find_cycle(X.states, descent) is not None)  # not layered
+        if not doomed and len(todo) == len(free):
+            tags = {edge: forced.get(pair) or assignment[pair]
+                    for pair, edges in groups.items() for edge in edges}
+            candidate = LabelledPrechart(X, tags)
+            if verify_witness(candidate)[0]:
+                results.append(candidate)
+                if limit is not None and len(results) >= limit:
+                    break
+        elif not doomed:
+            x, y = free[len(todo)]
+            # x -b-> y closes a body cycle iff x is body-reachable from y
+            todo.append([ENTRY] if x in _Analysis._closure((y,), adj[BODY]) else [ENTRY, BODY])
+        # move to the next node: retry the deepest pair with a tag left
+        while todo:
+            x, y = pair = free[len(todo) - 1]
+            if pair in assignment:
+                adj[assignment.pop(pair)][x].discard(y)
+            if todo[-1]:
+                t = assignment[pair] = todo[-1].pop()
+                adj[t].setdefault(x, set()).add(y)
+                break
+            todo.pop()
+        else:
+            break
     return results
 
 

@@ -1,10 +1,11 @@
 """Reroutings of precharts and the witness-preserving bisimulation collapse.
 
-Connect-through deletes a state and redirects its incoming transitions to a
-chosen survivor; a rerouting generalises this to any splitting (an inclusion
-with a retraction).  Collapsing repeatedly connects carefully chosen
-bisimilar pairs through each other, relabelling so that well-layeredness is
-preserved at every step.
+A rerouting pushes a prechart's structure along a splitting (an inclusion
+with a retraction).  Connect-through, which deletes a state and redirects
+its incoming transitions to a chosen survivor, is the rerouting along a
+one-state merge; the quotient by a bisimulation is another.  Collapsing
+repeatedly connects carefully chosen bisimilar pairs through each other,
+relabelling so that well-layeredness is preserved at every step.
 """
 
 from __future__ import annotations
@@ -65,21 +66,7 @@ def connect_through(X: Prechart, x1: StateId, x2: StateId) -> Prechart:
         raise ValueError("cannot connect a state through to itself")
     if not (X.has_state(x1) and X.has_state(x2)):
         raise ValueError("unknown states")
-    states = tuple(x for x in X.states if x != x1)
-    outputs = {x: X.out(x) for x in states}
-    transitions = {}
-    for x in states:
-        row = {}
-        for a in X.alphabet:
-            targets = X.succ(x, a)
-            if x1 in targets:
-                row[a] = tuple(y for y in targets if y != x1) + (x2,)
-            elif targets:
-                row[a] = targets
-        if row:
-            transitions[x] = row
-    root = X.root if X.root != x1 else x2
-    return Prechart.make(X.alphabet, states, outputs, transitions, root)
+    return rerouting(X, Splitting.merging(X, {x1: x2}))
 
 
 def rerouting(X: Prechart, s: Splitting) -> Prechart:

@@ -69,14 +69,17 @@ class Prechart:
         index = {x: i for i, x in enumerate(states)}
         outs = {x: frozenset(v) for x, v in outputs.items() if v}
         trans: dict[StateId, dict[str, tuple[StateId, ...]]] = {}
-        for x, row in transitions.items():
-            new_row = {}
-            for a, targets in row.items():
-                uniq = tuple(sorted(set(targets), key=index.__getitem__))
-                if uniq:
-                    new_row[a] = uniq
-            if new_row:
-                trans[x] = new_row
+        try:
+            for x, row in transitions.items():
+                new_row = {}
+                for a, targets in row.items():
+                    uniq = tuple(sorted(set(targets), key=index.__getitem__))
+                    if uniq:
+                        new_row[a] = uniq
+                if new_row:
+                    trans[x] = new_row
+        except KeyError as exc:  # a target outside ``states`` has no index to sort by
+            raise ValueError(f"transition target {exc.args[0]!r} not a state") from None
         return cls(tuple(alphabet), states, outs, trans, root)
 
     def index(self, x: StateId) -> int:
@@ -386,12 +389,14 @@ def is_homomorphism(
 
 
 def quotient(X: Prechart, R: "PartitionRelation") -> tuple[Prechart, dict[StateId, StateId]]:
-    """Quotient by a verified bisimulation equivalence.
+    """Quotient by a verified bisimulation equivalence: the rerouting along
+    the splitting that keeps one representative per block.
 
     Block representatives are the least members in discovery order; the
     returned projection is a homomorphism whose kernel is ``R``.
     """
     from .bisim import check_bisimulation  # cycle: bisim builds on semantics
+    from .rerouting import Splitting, rerouting  # and rerouting on both
 
     if set(R.universe) != set(X.states):
         raise ValueError("relation universe differs from the state set")
@@ -400,13 +405,7 @@ def quotient(X: Prechart, R: "PartitionRelation") -> tuple[Prechart, dict[StateI
         raise ValueError(f"relation is not a bisimulation: {why}")
     projection = {x: min(R.block_containing(x), key=X.index) for x in X.states}
     reps = tuple(x for x in X.states if projection[x] == x)
-    outputs = {r: X.out(r) for r in reps}
-    transitions = {
-        r: {a: tuple(projection[y] for y in X.succ(r, a)) for a in X.alphabet if X.succ(r, a)}
-        for r in reps
-    }
-    root = projection[X.root] if X.root is not None else None
-    return Prechart.make(X.alphabet, reps, outputs, transitions, root), projection
+    return rerouting(X, Splitting(reps, projection)), projection
 
 
 def kernel_partition(h: Mapping[StateId, StateId], states: tuple[StateId, ...]) -> "PartitionRelation":

@@ -205,6 +205,26 @@ def random_chart(
     return Prechart.make(alphabet, states, outputs, transitions, states[0] if rooted else None)
 
 
+def connect_through_reference(X: Prechart, x1, x2) -> Prechart:
+    """Connect-through built directly: drop ``x1`` and send every transition
+    into it to ``x2`` instead, without going through a splitting."""
+    states = tuple(x for x in X.states if x != x1)
+    outputs = {x: X.out(x) for x in states}
+    transitions = {}
+    for x in states:
+        row = {}
+        for a in X.alphabet:
+            targets = X.succ(x, a)
+            if x1 in targets:
+                row[a] = tuple(y for y in targets if y != x1) + (x2,)
+            elif targets:
+                row[a] = targets
+        if row:
+            transitions[x] = row
+    root = X.root if X.root != x1 else x2
+    return Prechart.make(X.alphabet, states, outputs, transitions, root)
+
+
 def fig3_left() -> tuple[Prechart, LabelledPrechart]:
     """The four-state well-layered chart whose naive rerouting loses layering."""
     states = ("x2", "v", "v'", "x1")

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starchart import (
     Atom,
@@ -284,3 +291,95 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "a*b"
+
+
+_FIELDS = ("alphabet", "states", "outputs", "transitions", "root", "from", "action", "to", "tag")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(["a", "b", "y", "", "e"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text("aby", max_size=2), inner, max_size=4),
+    max_leaves=8,
+)
+_VALID = witness_to_json(syntactic_witness(chart_of(AA0)))  # two states
+
+
+@st.composite
+def _mutated_witness(draw):
+    """The valid two-state witness document with one field replaced or removed."""
+    doc = json.loads(json.dumps(_VALID))
+    target = draw(st.sampled_from([doc, *doc["transitions"]]))
+    key = draw(st.sampled_from(sorted(target)))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(_JSON)
+    return doc
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestMalformedInput:
+    """Every input ends in an exit code, never in an escaping exception."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(doc=_JSON | _mutated_witness())
+    def test_json_files(self, doc):
+        left, right = _VALID["states"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "doc.json")
+            Path(path).write_text(json.dumps(doc))
+            for argv in (
+                ["solve", path], ["solve", path, "--witness", path],
+                ["witness", "--infer", path], ["witness", "--verify", path],
+                ["collapse", path], ["collapse", path, "--witness", path],
+                ["dot", path], ["reroute", path, "--merge", f"{right}:{left}"],
+            ):
+                assert _exit_code(argv) in (0, 1, 2, 3), argv
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(
+        texts=st.lists(st.text("abc01*+(). ", max_size=8), min_size=2, max_size=2),
+        alphabet=st.sampled_from([None, "a,b", "a,b,c", "b", "a1,b", ",", "A"]),
+    )
+    def test_expression_texts(self, texts, alphabet):
+        flag = [] if alphabet is None else [f"--alphabet={alphabet}"]
+        left, right = texts
+        for argv in (
+            ["parse", *flag, "--", left], ["chart", *flag, "--", left],
+            ["bisim", *flag, "--", left, right], ["certify", *flag, "--", left, right],
+            ["witness", *flag, f"--syntactic={left}"],
+        ):
+            assert _exit_code(argv) in (0, 1, 2, 3), argv
+
+    def test_wrong_shape_names_the_field(self, capsys, tmp_path):
+        for doc, field in (
+            ([], "object"),
+            ({"states": 5, "alphabet": ["a"]}, "'states'"),
+            ({"states": [["x"]], "alphabet": ["a"]}, "'states'"),
+            ({"states": ["x"], "alphabet": ["a"], "transitions": [{"from": "x", "action": "a"}]},
+             "'transitions'"),
+        ):
+            (tmp_path / "c.json").write_text(json.dumps(doc))
+            code, _, err = run(capsys, "dot", str(tmp_path / "c.json"))
+            assert code == 2 and field in err, (doc, err)
+
+    def test_undeclared_target_is_named(self, capsys, tmp_path):
+        doc = {"states": ["x"], "alphabet": ["a"], "transitions": [{"from": "x", "action": "a", "to": "y"}]}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        code, _, err = run(capsys, "dot", str(tmp_path / "c.json"))
+        assert code == 2 and err == "error: transition target 'y' not a state\n"
+
+    def test_solve_of_a_list_exits_2_without_a_traceback(self, tmp_path):
+        (tmp_path / "c.json").write_text("[]")
+        proc = subprocess.run(
+            [sys.executable, "-m", "starchart", "solve", str(tmp_path / "c.json")],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": "src"},
+            cwd=Path(__file__).resolve().parent.parent,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr

@@ -5,6 +5,7 @@ import gc
 import importlib
 import pickle
 import pkgutil
+import random
 import weakref
 
 import pytest
@@ -23,7 +24,8 @@ from starchart import (
     to_llee,
     verify_witness,
 )
-from starchart.layering import analysis_of_verified
+from starchart.layering import analysis_of_verified, enumerate_witnesses, infer_witness
+from gen import random_chart
 
 
 def _modules():
@@ -101,7 +103,6 @@ def test_charts_and_collapses_leave_no_reference_cycles():
         gc.enable()
 
 
-
 # each is freed by reference counting alone: no helper on these paths is a
 # closure that refers to itself
 FREED_WITHOUT_THE_COLLECTOR = {
@@ -121,6 +122,19 @@ def test_certify_solve_and_measures_leave_no_reference_cycles(op):
     gc.disable()
     try:
         FREED_WITHOUT_THE_COLLECTOR[op](e, L)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("infer", [infer_witness, enumerate_witnesses])
+def test_witness_inference_leaves_no_reference_cycles(infer):
+    # the search is one loop over an explicit stack, with no closure that
+    # refers to itself; the chart is built inside the call, as in the CLI
+    gc.collect()
+    gc.disable()
+    try:
+        assert infer(random_chart(random.Random(3), n_states=5))
         assert gc.collect() == 0
     finally:
         gc.enable()

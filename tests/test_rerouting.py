@@ -37,7 +37,16 @@ from starchart.cli import main
 from starchart.formats import chart_to_json
 from starchart.layering import WitnessViolation, analysis_of_verified, union_witness
 from starchart.rerouting import Splitting
-from gen import fig3_left, fig3_right, isomorphic, random_chart, random_expr, rewrite_steps, wstar_pair
+from gen import (
+    connect_through_reference,
+    fig3_left,
+    fig3_right,
+    isomorphic,
+    random_chart,
+    random_expr,
+    rewrite_steps,
+    wstar_pair,
+)
 
 A = Atom("a")
 AA0 = Star(Seq(A, A), Zero())
@@ -125,9 +134,8 @@ class TestRerouting:
                 continue
             done += 1
             x1, x2 = rng.sample(X.states, 2)
-            s = Splitting.merging(X, {x1: x2})
             Y1 = connect_through(X, x1, x2)
-            Y2 = rerouting(X, s)
+            Y2 = connect_through_reference(X, x1, x2)
             assert Y1.states == Y2.states
             assert Y1.transitions == Y2.transitions
             assert Y1.outputs == Y2.outputs
