@@ -172,24 +172,32 @@ def _partition_is_bisimulation(X: Prechart, R: PartitionRelation) -> bool:
     """
     if not all(X.has_state(x) for x in R.universe):
         return False
+    block_of = R._block_of  # type: ignore[attr-defined]
+    first: dict[int, tuple] = {}
     try:
-        return _blocks_agree(X, R.universe, R._block_of)  # type: ignore[attr-defined]
+        for x in R.universe:
+            sig = (X.out(x), _successor_blocks(X, x, block_of))
+            if first.setdefault(block_of[x], sig) != sig:
+                return False
     except KeyError:  # a successor outside the universe
         return False
-
-
-def _blocks_agree(X: Prechart, states: Iterable[StateId], block_of: Mapping[StateId, int]) -> bool:
-    """Whether the members of each block agree on outputs and successor blocks.
-
-    ``X`` need only read like a prechart: ``alphabet``, ``out`` and
-    ``transitions``.
-    """
-    first: dict[int, tuple] = {}
-    for x in states:
-        sig = (X.out(x), _successor_blocks(X, x, block_of))
-        if first.setdefault(block_of[x], sig) != sig:
-            return False
     return True
+
+
+def _checked_partition(X: Prechart, R: PartitionRelation) -> PartitionRelation:
+    """``R``, checked as a bisimulation equivalence on the states of ``X``.
+
+    Raises ``ValueError`` when its universe is another state set or when it
+    is no bisimulation, naming the violation.  Returns ``R`` renumbered to
+    the discovery order of ``X.states``, so that each block lists its
+    members in that order.
+    """
+    if set(R.universe) != set(X.states):
+        raise ValueError("relation universe differs from the state set")
+    ok, why = check_bisimulation(X, X, R)
+    if not ok:
+        raise ValueError(f"relation is not a bisimulation: {why}")
+    return R if R.universe == X.states else PartitionRelation.from_blocks(X.states, R.blocks)
 
 
 def _successor_blocks(X: Prechart, x: StateId, block_of: Mapping[StateId, int]) -> tuple[frozenset[int], ...]:

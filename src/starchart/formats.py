@@ -6,7 +6,7 @@ from typing import Any, Iterator, Mapping
 
 from .layering import LabelledPrechart, WeightedLabelling
 from .semantics import Prechart, StateId
-from .syntax import Expr, render
+from .syntax import Expr, declare_alphabet, render
 
 
 def state_label(s: StateId) -> str:
@@ -94,7 +94,7 @@ def chart_from_json(doc: Mapping[str, Any]) -> Prechart:
     for t in doc.get("transitions", ()):
         transitions.setdefault(t["from"], {}).setdefault(t["action"], []).append(t["to"])
     return Prechart.make(
-        doc["alphabet"],
+        declare_alphabet(doc["alphabet"]),  # as ``--alphabet`` reads it
         doc["states"],
         {x: set(acts) for x, acts in doc.get("outputs", {}).items()},
         transitions,
@@ -112,7 +112,9 @@ def witness_from_json(doc: Mapping[str, Any]) -> LabelledPrechart:
     for t in doc.get("transitions", ()):
         if "tag" not in t:
             raise ValueError("witness transitions need a 'tag' field")
-        tags[(t["from"], t["action"], t["to"])] = t["tag"]
+        edge = (t["from"], t["action"], t["to"])
+        if tags.setdefault(edge, t["tag"]) != t["tag"]:
+            raise ValueError(f"transition {edge} is tagged both {tags[edge]!r} and {t['tag']!r}")
     return LabelledPrechart(base, tags)
 
 

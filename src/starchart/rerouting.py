@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .bisim import PartitionRelation, _blocks_agree, bisimilarity, check_bisimulation
+from .bisim import PartitionRelation, _checked_partition, bisimilarity
 from .layering import (
     BODY,
     ENTRY,
@@ -144,16 +144,9 @@ def find_pair(
     such a pair.
     """
     a = analysis_of_verified(L)
-    states = L.base.states
-    if set(R.universe) != set(states):
-        raise ValueError("relation universe differs from the state set")
-    ok, why = check_bisimulation(L.base, L.base, R)
-    if not ok:
-        raise ValueError(f"relation is not a bisimulation: {why}")
+    R = _checked_partition(L.base, R)  # block members follow discovery order
     if R.is_identity:
         return None
-    if R.universe != states:  # block members must follow discovery order
-        R = PartitionRelation.from_blocks(states, R.blocks)
     return _first_safe_pair(a, R.block_containing)
 
 
@@ -268,75 +261,86 @@ def collapse(
 
     Returns the collapsed witness and the accumulated projection, whose
     kernel is ``R``: by default the bisimilarity of ``L.base``, computed
-    here; a caller that has already decided it may pass it.  Connecting
-    ``w1`` through a bisimilar ``w2`` leaves the other states' classes as
-    they were, so each merge only drops ``w1`` from the partition, and
-    re-checks the partition as a bisimulation first (an ``R`` too coarse
-    raises ``ValueError``; one too fine leaves a result that is not
-    minimal).  Each merge is the one ``find_pair`` and ``relabel`` would
-    make, done in place on a working chart (``_WorkingChart``).
+    here; a caller that has already decided it may pass it.  ``R`` is
+    checked once, after the witness verifies (one too coarse raises
+    ``ValueError``; one too fine leaves a result that is not minimal).
+    Connecting ``w1`` through a bisimilar ``w2`` maps every transition
+    target into its own block, so no surviving state's outputs or successor
+    blocks change, and each merge only drops ``w1`` from its block.  Each
+    merge is the one ``find_pair`` and ``relabel`` would make; it moves
+    only the tags, the reachability and the blocks (``_Merging``), and the
+    collapsed chart is ``L.base`` rerouted once, along the splitting that
+    the merges compose to.
     """
-    if R is None:
-        R = bisimilarity(L.base)
-    elif set(R.universe) != set(L.base.states):
-        raise ValueError("relation universe differs from the state set")
-    work = _WorkingChart(L, R)
+    work = _Merging(L)
     a = work.analysis()
     if a is None:
         raise InvalidWitnessError(str(verify_witness(L)[1]))
+    work.carry(_checked_partition(L.base, bisimilarity(L.base) if R is None else R))
     while work.has_related_pair():
-        a = work.merge_first_safe_pair(a)
-    return work.labelled(), work.projection()
+        w1, w2, condition = work.merge_first_safe_pair(a)
+        a = work.analysis()
+        if a is None:  # name the violation on the original states
+            name = L.base.states.__getitem__
+            violation = verify_witness(_collapsed(L, work)[0])[1]
+            raise _broken_witness(name(w1), name(w2), condition, violation)
+    return _collapsed(L, work)
+
+
+def _collapsed(L: LabelledPrechart, work: "_Merging") -> tuple[LabelledPrechart, dict[StateId, StateId]]:
+    """The merged witness on the original names, and its projection:
+    ``L.base`` rerouted along the splitting that the merges compose to."""
+    name = L.base.states.__getitem__
+    projection = {x: name(v) for x, v in zip(L.base.states, work.image)}
+    base = rerouting(L.base, Splitting(tuple(map(name, work.states)), projection))
+    tags = {(name(x), a, name(y)): t for (x, a, y), t in work.tags.items()}
+    return LabelledPrechart(base, tags), projection
 
 
 class _Labelled:
-    """A labelling of the working chart, read by the witness checks as a
-    ``LabelledPrechart``; valid until the chart's next merge."""
+    """A labelling of the states being merged, read by the witness checks
+    as a ``LabelledPrechart``; valid until the next merge."""
 
-    def __init__(self, base: "_WorkingChart", tags: dict[Edge, str]):
+    def __init__(self, base: "_Merging", tags: dict[Edge, str]):
         self.base = base
         self.tags = tags
 
 
-class _WorkingChart:
-    """The witness being collapsed, on its states' discovery indices.
+class _Merging:
+    """The merges of a collapse, on the states' discovery indices.
 
     The states are numbered once, so integer order is the discovery order
-    that every tie-break follows.  Successor lists, tags, reachability, the
-    carried partition's blocks and the projection are held by index for the
-    whole collapse and updated in place at each merge; reachability is
-    recomputed only for the states that reached the deleted state.  The
-    original names come back once, in ``labelled`` and ``projection``.  The
-    chart reads like a ``Prechart`` (``alphabet``, ``states``, ``index``,
-    ``out``, ``transitions``, ``reach_plus``), so the witness checks
-    (``_Analysis``) and the partition check run on it unchanged.
+    that every tie-break follows.  Each merge updates in place only what
+    the witness checks and the next merge read: the surviving states and
+    their outputs, the unlabelled successor sets and their reachability
+    (recomputed only for the states that reached the deleted state), the
+    tags, the carried partition's blocks and the projection (``image``).
+    The witness checks (``_Analysis``) read it as the ``base`` of a
+    labelling: ``states``, ``index``, ``out`` and ``reach_plus``.
     """
 
-    def __init__(self, L: LabelledPrechart, R: PartitionRelation):
+    def __init__(self, L: LabelledPrechart):
         X = L.base
         number = {x: i for i, x in enumerate(X.states)}
-        self.names = X.states
-        self.alphabet = X.alphabet
         self.states = tuple(range(len(X.states)))
         self.outputs = {number[x]: out for x, out in X.outputs.items()}
-        self.transitions = {
-            number[x]: {a: tuple(number[y] for y in ys) for a, ys in row.items()}
-            for x, row in X.transitions.items()
-        }
-        self.root = number[X.root] if X.root is not None else None
         self.succ = {x: set() for x in self.states}  # action labels forgotten
-        for x, row in self.transitions.items():
+        for x, row in X.transitions.items():
             for ys in row.values():
-                self.succ[x].update(ys)
+                self.succ[number[x]].update(number[y] for y in ys)
         self.reach = _reach_closures(self.succ, self.states)
-        self.block_of = [R.block_index(x) for x in X.states]
-        self.blocks: dict[int, list[int]] = {}
-        for x in self.states:
-            self.blocks.setdefault(self.block_of[x], []).append(x)
         self.image = list(self.states)  # the projection, by index
         self.tags = {(number[x], a, number[y]): t for (x, a, y), t in L.tags.items()}
 
-    # --- the Prechart interface the checks read
+    def carry(self, R: PartitionRelation) -> None:
+        """Carry the blocks of ``R``, a partition of the input states whose
+        universe lists them in discovery order; before the first merge."""
+        self.block_of = [R.block_index(x) for x in R.universe]
+        self.blocks: dict[int, list[int]] = {}
+        for x in self.states:
+            self.blocks.setdefault(self.block_of[x], []).append(x)
+
+    # --- what the witness checks read
 
     @staticmethod
     def index(x: int) -> int:
@@ -351,7 +355,7 @@ class _WorkingChart:
     def analysis(self) -> _Analysis | None:
         """The analysis of the current labelling, or None if it is no witness.
 
-        The analysis refers to this chart, not the other way round, so no
+        The analysis refers to this object, not the other way round, so no
         reference cycle keeps either alive.
         """
         view = _Labelled(self, self.tags)
@@ -362,59 +366,22 @@ class _WorkingChart:
     def has_related_pair(self) -> bool:
         return len(self.blocks) < len(self.states)
 
-    def merge_first_safe_pair(self, a: _Analysis) -> _Analysis:
-        """Connect the first safe pair through, as ``find_pair`` and
-        ``relabel`` would, and re-verify the witness; ``a`` is the analysis
-        of the current labelling, and the relabelled one's is returned."""
-        if not _blocks_agree(self, self.states, self.block_of):
-            X = self.labelled().base
-            named = PartitionRelation.from_blocks(
-                X.states, ([self.names[x] for x in b] for b in self.blocks.values()))
-            raise ValueError(f"relation is not a bisimulation: {check_bisimulation(X, X, named)[1]}")
+    def merge_first_safe_pair(self, a: _Analysis) -> tuple[int, int, str]:
+        """Connect the first safe pair ``w1`` through ``w2``, as ``find_pair``
+        and ``relabel`` would, and carry the tags across; ``a`` is the
+        analysis of the current labelling.  Returns ``(w1, w2, condition)``."""
         w1, w2, condition = _first_safe_pair(a, lambda x: self.blocks[self.block_of[x]])
         promote = _c2_promotion_state(a, w1, w2) if condition == "C2" else None
-        self._connect_through(w1, w2)
-        self.tags = _carry_tags(self.tags, w1, w2, promote, self.reach)
-        a = self.analysis()
-        if a is None:  # name the violation on the original states
-            name = self.names.__getitem__
-            raise _broken_witness(name(w1), name(w2), condition, verify_witness(self.labelled())[1])
-        return a
-
-    def _connect_through(self, w1: int, w2: int) -> None:
-        """Delete ``w1``, redirecting every transition into it to ``w2``."""
         self.states = tuple(x for x in self.states if x != w1)
         reached = [x for x in self.states if w1 in self.reach[x]]
         for x in reached:
             if w1 in self.succ[x]:
                 self.succ[x].discard(w1)
                 self.succ[x].add(w2)
-                row = self.transitions[x]
-                for act, ys in row.items():
-                    if w1 in ys:
-                        row[act] = tuple(sorted({w2 if y == w1 else y for y in ys}))
-        for table in (self.succ, self.reach, self.transitions, self.outputs):
+        for table in (self.succ, self.reach, self.outputs):
             table.pop(w1, None)
         self.reach.update(_reach_closures(self.succ, reached, self.reach))
         self.blocks[self.block_of[w1]].remove(w1)  # w2 stays, so no block empties
         self.image = [w2 if v == w1 else v for v in self.image]
-        if self.root == w1:
-            self.root = w2
-
-    # --- back to the original names
-
-    def labelled(self) -> LabelledPrechart:
-        """The current witness, on the original state names."""
-        name = self.names.__getitem__
-        base = Prechart.make(
-            self.alphabet,
-            map(name, self.states),
-            {name(x): out for x, out in self.outputs.items()},
-            {name(x): {a: tuple(map(name, ys)) for a, ys in row.items()}
-             for x, row in self.transitions.items()},
-            name(self.root) if self.root is not None else None,
-        )
-        return LabelledPrechart(base, {(name(x), a, name(y)): t for (x, a, y), t in self.tags.items()})
-
-    def projection(self) -> dict[StateId, StateId]:
-        return {x: self.names[v] for x, v in zip(self.names, self.image)}
+        self.tags = _carry_tags(self.tags, w1, w2, promote, self.reach)
+        return w1, w2, condition

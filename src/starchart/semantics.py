@@ -395,15 +395,11 @@ def quotient(X: Prechart, R: "PartitionRelation") -> tuple[Prechart, dict[StateI
     Block representatives are the least members in discovery order; the
     returned projection is a homomorphism whose kernel is ``R``.
     """
-    from .bisim import check_bisimulation  # cycle: bisim builds on semantics
+    from .bisim import _checked_partition  # cycle: bisim builds on semantics
     from .rerouting import Splitting, rerouting  # and rerouting on both
 
-    if set(R.universe) != set(X.states):
-        raise ValueError("relation universe differs from the state set")
-    ok, why = check_bisimulation(X, X, R)
-    if not ok:
-        raise ValueError(f"relation is not a bisimulation: {why}")
-    projection = {x: min(R.block_containing(x), key=X.index) for x in X.states}
+    R = _checked_partition(X, R)
+    projection = {x: R.block_containing(x)[0] for x in X.states}
     reps = tuple(x for x in X.states if projection[x] == x)
     return rerouting(X, Splitting(reps, projection)), projection
 

@@ -383,3 +383,41 @@ class TestMalformedInput:
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+
+class TestChartDocuments:
+    """A chart file's alphabet and tags are read as strictly as the flags."""
+
+    @staticmethod
+    def write(tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_a_repeated_action_is_declared_once(self, capsys, tmp_path):
+        doc = {"alphabet": ["a", "a"], "states": ["x", "y"], "root": "x",
+               "transitions": [{"from": "x", "action": "a", "to": "y"},
+                               {"from": "y", "action": "a", "to": "x"}]}
+        code, out, _ = run(capsys, "witness", "--infer", self.write(tmp_path, doc))
+        witness = json.loads(out)
+        assert code == 0 and witness["alphabet"] == ["a"]
+        assert [(t["from"], t["to"]) for t in witness["transitions"]] == [("x", "y"), ("y", "x")]
+
+    def test_an_invalid_action_name_is_an_input_error(self, capsys, tmp_path):
+        doc = {"alphabet": ["a b"], "states": ["x"], "root": "x",
+               "transitions": [{"from": "x", "action": "a b", "to": "x"}]}
+        code, out, err = run(capsys, "solve", self.write(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == "error: invalid action name: 'a b'\n"
+
+    def test_a_transition_tagged_twice_differently_is_an_input_error(self, capsys, tmp_path):
+        doc = {"alphabet": ["a"], "states": ["x", "y"], "root": "x",
+               "transitions": [{"from": "x", "action": "a", "to": "y", "tag": "b"},
+                               {"from": "y", "action": "a", "to": "x", "tag": "b"},
+                               {"from": "x", "action": "a", "to": "y", "tag": "e"}]}
+        code, out, err = run(capsys, "witness", "--verify", self.write(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == "error: transition ('x', 'a', 'y') is tagged both 'b' and 'e'\n"
+        doc["transitions"][0]["tag"] = "e"  # the same tag twice is one transition
+        code, out, _ = run(capsys, "witness", "--verify", self.write(tmp_path, doc))
+        assert (code, out) == (0, "valid\n")

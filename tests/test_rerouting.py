@@ -141,6 +141,22 @@ class TestRerouting:
             assert Y1.outputs == Y2.outputs
             assert Y1.root == Y2.root
 
+    def test_connecting_through_step_by_step_is_one_rerouting_along_the_composed_splitting(self):
+        # arbitrary merges, bisimilar or not, on charts with outputs: the
+        # splittings compose, and their composite reroutes in one step
+        rng = random.Random(211)
+        merges = 0
+        for _ in range(200):
+            X = random_chart(rng, n_states=rng.randint(2, 7), out_prob=0.3, rooted=rng.random() < 0.5)
+            current, projection = X, {x: x for x in X.states}
+            for _ in range(rng.randint(1, len(X.states) - 1)):
+                w1, w2 = rng.sample(current.states, 2)
+                current = connect_through(current, w1, w2)
+                projection = {x: (w2 if v == w1 else v) for x, v in projection.items()}
+                merges += 1
+            assert current == rerouting(X, Splitting(current.states, projection))
+        assert merges > 400
+
     def test_merging_bisimilar_sinks_preserves_bisimilarity(self):
         X = two_sinks_chart()
         R = bisimilarity(X)
@@ -447,6 +463,7 @@ class TestCollapseOnTheWorkingChart:
             R = bisimilarity(L.base)
             result, projection, steps = hand_stepped(L, R)
             assert collapse(L, R) == (result, projection)
+            assert result.base == rerouting(L.base, Splitting(result.base.states, projection))
             merges.update(condition for _, _, condition in steps)
         assert merges["C2"] >= 10 and merges["C3"] >= 3
 
