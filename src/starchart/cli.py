@@ -214,7 +214,7 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
         cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=violation)
     else:
         # the witness is needed only to collapse; collapse verifies it, and
-        # re-checks the decided partition at every merge
+        # checks the decided partition once, before the first merge
         Lc = _union_on(d.joined, d.inl, d.inr, syntactic_witness(d.left), syntactic_witness(d.right))
         try:
             collapsed, projection = collapse(Lc, d.R)

@@ -131,7 +131,14 @@ def _descent(
 
 
 class _Analysis:
-    """Pair-level relations of a labelling, shared by the checks and measures.
+    """Per-state loop relations of a labelling, shared by the checks and measures.
+
+    Each relation is held once, as a map from a state: its entry and body
+    successors (``entry_adj``, ``body_adj``, in discovery order) and body
+    predecessors; its loop descent (``descent``; ``diredge_adj`` lists it in
+    discovery order); ``descended``, the states some loop descends to; and,
+    for every state, the headers of the loops it lies directly inside
+    (``headers``) and their transitive closure (``headers_plus``).
 
     ``L`` is a ``LabelledPrechart``, or anything that reads like one: a
     ``base`` with ``states`` in discovery order, ``index``, ``out`` and
@@ -143,33 +150,32 @@ class _Analysis:
         base = L.base
         self.base = base
         self.states = base.states
-        by_index = base.index
-        entries, bodies = set(), set()
+        succ: dict[str, dict[StateId, set[StateId]]] = {ENTRY: {}, BODY: {}}
+        self.body_pred: dict[StateId, set[StateId]] = {}
         for (x, _, y), t in L.tags.items():
-            (entries if t == ENTRY else bodies).add((x, y))
-        self.entry_pairs = sorted(entries, key=lambda p: (by_index(p[0]), by_index(p[1])))
-        self.body_pairs = sorted(bodies, key=lambda p: (by_index(p[0]), by_index(p[1])))
-        self.entry_adj: dict[StateId, list[StateId]] = {}
-        for x, y in self.entry_pairs:
-            self.entry_adj.setdefault(x, []).append(y)
-        self.body_adj: dict[StateId, list[StateId]] = {}
-        for x, y in self.body_pairs:
-            self.body_adj.setdefault(x, []).append(y)
-        self.body_pred: dict[StateId, list[StateId]] = {}
-        for x, y in self.body_pairs:
-            self.body_pred.setdefault(y, []).append(x)
+            succ[t].setdefault(x, set()).add(y)
+            if t == BODY:
+                self.body_pred.setdefault(y, set()).add(x)
+        ordered = lambda adj: {x: sorted(adj[x], key=base.index) for x in self.states if x in adj}
+        self.entry_adj = ordered(succ[ENTRY])
+        self.body_adj = ordered(succ[BODY])
         # x -> states reachable in one or more steps, action labels forgotten
         self.reach_plus = base.reach_plus()
-        descent = _descent(self.entry_adj, self.body_adj)
-        self.diredge = frozenset((x, y) for x, ys in descent.items() for y in ys)
-        self.diredge_adj = {x: sorted(ys, key=by_index) for x, ys in descent.items()}
-        loopright: set[tuple[StateId, StateId]] = set()
-        for x, forward in descent.items():
+        self.descent = _descent(self.entry_adj, self.body_adj)
+        self.diredge_adj = ordered(self.descent)
+        self.descended = frozenset().union(*self.descent.values())
+        none: frozenset[StateId] = frozenset()
+        self.headers = dict.fromkeys(self.states, none)
+        for x, forward in self.descent.items():
             # states lying on a body path from an entry successor back to x
             back = self._closure(self.body_pred.get(x, ()), self.body_pred, forbidden=x)
-            loopright.update((y, x) for y in forward & back)
-        self.loopright = frozenset(loopright)
-        self.loopright_plus = self._pair_closure(self.loopright)
+            for y in forward & back:
+                self.headers[y] |= {x}
+        plus = {none: none}  # the states of one loop share their headers: close each set once
+        for xs in self.headers.values():
+            if xs not in plus:
+                plus[xs] = self._closure(xs, self.headers)
+        self.headers_plus = {y: plus[xs] for y, xs in self.headers.items()}
 
     @staticmethod
     def _closure(seeds: Iterable[StateId], adj: Mapping[StateId, Iterable[StateId]],
@@ -184,16 +190,6 @@ class _Analysis:
                     seen.add(w)
                     queue.append(w)
         return frozenset(seen)
-
-    @staticmethod
-    def _pair_closure(pairs: frozenset[tuple[StateId, StateId]]) -> frozenset[tuple[StateId, StateId]]:
-        adj: dict[StateId, set[StateId]] = {}
-        for x, y in pairs:
-            adj.setdefault(x, set()).add(y)
-        return frozenset((x, y) for x in adj for y in _Analysis._closure(adj[x], adj))
-
-    def has_output(self, x: StateId) -> bool:
-        return bool(self.base.out(x))
 
     def longest_paths(self, adj: Mapping[StateId, Iterable[StateId]]) -> dict[StateId, int]:
         """Longest path lengths out of each node of a DAG; raises on a cycle."""
@@ -234,26 +230,29 @@ def derived_relations(
     body steps.
     """
     a = _Analysis(L)
-    return a.diredge, a.loopright
+    return (frozenset((x, y) for x, ys in a.descent.items() for y in ys),
+            frozenset((y, x) for y, xs in a.headers.items() for x in xs))
 
 
 def _first_violation(a: _Analysis) -> WitnessViolation | None:
-    index = a.base.index
-    mixed = sorted(set(a.entry_pairs) & set(a.body_pairs), key=lambda p: (index(p[0]), index(p[1])))
-    if mixed:
-        return WitnessViolation("flat", mixed[0])
+    """The first violated clause, scanning pairs in discovery order."""
+    for x, ys in a.entry_adj.items():
+        for y in ys:
+            if y in a.body_adj.get(x, ()):
+                return WitnessViolation("flat", (x, y))
     body_cycle = _find_cycle(a.states, a.body_adj)
     if body_cycle:
         return WitnessViolation("fully_specified_a", tuple(body_cycle))
-    for x, y in a.entry_pairs:
-        if y != x and x not in a.reach_plus[y]:
-            return WitnessViolation("fully_specified_b", (x, y))
+    for x, ys in a.entry_adj.items():
+        for y in ys:
+            if y != x and x not in a.reach_plus[y]:
+                return WitnessViolation("fully_specified_b", (x, y))
     loop_cycle = _find_cycle(a.states, a.diredge_adj)
     if loop_cycle:
         return WitnessViolation("layered", tuple(loop_cycle))
     for x, ys in a.diredge_adj.items():
         for y in ys:
-            if a.has_output(y):
+            if a.base.out(y):
                 return WitnessViolation("goto_free", (x, y))
     return None
 
@@ -448,7 +447,11 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     Deciding more pairs only adds descent pairs, so both violations persist
     to every completion and the cut subtrees hold no witness.  Every
     complete labelling that survives is checked by ``verify_witness``.
+    With a ``limit``, the search stops after that many witnesses; a limit
+    of 0 returns none, and a negative limit raises ``ValueError``.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     groups: dict[tuple[StateId, StateId], list[Edge]] = {}
     for x, a, y in X.edges():
         groups.setdefault((x, y), []).append((x, a, y))
@@ -473,7 +476,7 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     results: list[LabelledPrechart] = []
     assignment: dict[tuple[StateId, StateId], str] = {}  # the decided free pairs
     todo: list[list[str]] = []  # per decided free pair, the tags still to try
-    while True:
+    while limit is None or len(results) < limit:
         # visit the node whose decided pairs are free[:len(todo)]
         descent = _descent(adj[ENTRY], adj[BODY])
         doomed = (any(X.out(y) for ys in descent.values() for y in ys)  # not goto-free
@@ -484,8 +487,6 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
             candidate = LabelledPrechart(X, tags)
             if verify_witness(candidate)[0]:
                 results.append(candidate)
-                if limit is not None and len(results) >= limit:
-                    break
         elif not doomed:
             x, y = free[len(todo)]
             # x -b-> y closes a body cycle iff x is body-reachable from y

@@ -102,26 +102,19 @@ def restrict_relation(
 
 
 def _condition_of(a: _Analysis, w1: StateId, w2: StateId) -> str | None:
-    base = a.base
-    reach_star = lambda x: {x} | set(a.reach_plus[x])
+    out, reach = a.base.out, a.reach_plus[w2]
     # C1: w1 is unreachable from w2, and if some loop descends to w1 then
     # nothing reachable from w2 has an output
-    if w1 not in reach_star(w2):
-        descended = any((x, w1) in a.diredge for x in base.states)
-        if not descended or not any(a.has_output(y) for y in reach_star(w2)):
-            return "C1"
+    if w1 not in reach and (w1 not in a.descended or not (out(w2) or any(out(y) for y in reach))):
+        return "C1"
     # C2: w2 lies (transitively) inside the loop at w1
-    if (w2, w1) in a.loopright_plus:
+    if w1 in a.headers_plus[w2]:
         return "C2"
     # C3: no body path from w2 to w1, and some loop containing w1 directly
     # also contains w2 below it and is minimal among w1's loops
-    body_reach = _Analysis._closure(a.body_adj.get(w2, ()), a.body_adj)
-    if w1 not in body_reach:
-        w1_headers = [x for x in base.states if (w1, x) in a.loopright]
-        for x in base.states:
-            if (w1, x) in a.loopright and (w2, x) in a.loopright_plus:
-                if all((x, y) in a.loopright for y in w1_headers if y != x):
-                    return "C3"
+    minimal = any(a.headers[w1] - {x} <= a.headers[x] for x in a.headers[w1] & a.headers_plus[w2])
+    if minimal and w1 not in _Analysis._closure(a.body_adj.get(w2, ()), a.body_adj):
+        return "C3"
     return None
 
 
@@ -172,22 +165,12 @@ def _first_safe_pair(
 def _c2_promotion_state(a: _Analysis, w1: StateId, w2: StateId) -> StateId:
     # the last loop header below w1 on a chain from w2: w2 lies (reflexively)
     # inside its loop and it lies directly inside the loop at w1, minimally so
-    index = a.base.index
-    lr, lr_plus = a.loopright, a.loopright_plus
-    candidates = [
-        w
-        for w in a.base.states
-        if (w == w2 or (w2, w) in lr_plus) and (w, w1) in lr
-    ]
-    filtered = [
-        w
-        for w in candidates
-        if all(v == w1 or (w1, v) in lr_plus for v in a.base.states if (w, v) in lr)
-    ]
+    candidates = [w for w in {w2} | a.headers_plus[w2] if w1 in a.headers[w]]
+    filtered = [w for w in candidates if a.headers[w] - {w1} <= a.headers_plus[w1]]
     pool = filtered or candidates
     if not pool:
         raise RuntimeError("C2 held but no promotion state exists")
-    return min(pool, key=index)
+    return min(pool, key=a.base.index)
 
 
 def relabel(

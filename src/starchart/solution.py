@@ -75,7 +75,7 @@ class _Terms:
         X = L.base
         self.en = a.longest_paths(a.diredge_adj)
         self.bd = a.longest_paths(a.body_adj)
-        self.diredge = a.diredge
+        self.descent = a.descent
         self.outputs = {x: [act for act in X.alphabet if act in X.out(x)] for x in X.states}
         self.entry_self: dict[StateId, list[str]] = {x: [] for x in X.states}
         self.entry_steps: dict[StateId, list[tuple[str, StateId]]] = {x: [] for x in X.states}
@@ -94,10 +94,10 @@ class _Terms:
         key = (x, anchor)
         if key in self.memo:
             return self.memo[key]
-        en, bd, diredge = self.en, self.bd, self.diredge
+        en, bd, descent = self.en, self.bd, self.descent
         first_terms = []
         for act, y in self.entry_steps[x]:
-            if not ((x, y) in diredge and en[y] < en[x]):
+            if not (y in descent[x] and en[y] < en[x]):
                 _fail("entry", x, y)
             first_terms.append(Seq(Atom(act), self.term(y, x)))
         own = anchor is _OWN
@@ -106,7 +106,7 @@ class _Terms:
             if not own and y == anchor:
                 second_terms.append(Atom(act))
                 continue
-            if not (bd[y] < bd[x] and (own or (anchor, y) in diredge)):
+            if not (bd[y] < bd[x] and (own or y in descent.get(anchor, ()))):
                 _fail("body", x, y, *(() if own else (anchor,)))
             second_terms.append(Seq(Atom(act), self.term(y, anchor)))
         result = Star(

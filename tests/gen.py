@@ -16,6 +16,7 @@ from starchart import (
     Sum,
     Zero,
     bisimilar,
+    derived_relations,
     gsum,
     size_bound,
     verify_witness,
@@ -378,6 +379,88 @@ def exhaustive_witnesses(X: Prechart) -> list[LabelledPrechart]:
 
 
 # --- small graph oracles ----------------------------------------------------------
+
+
+def pair_closure(pairs) -> frozenset:
+    """The transitive closure of a relation given as a set of pairs."""
+    succ: dict = {}
+    for x, y in pairs:
+        succ.setdefault(x, set()).add(y)
+    closure = set()
+    for x in succ:
+        stack = list(succ[x])
+        while stack:
+            y = stack.pop()
+            if (x, y) not in closure:
+                closure.add((x, y))
+                stack.extend(succ.get(y, ()))
+    return frozenset(closure)
+
+
+def path_relations(L: LabelledPrechart) -> tuple[frozenset, frozenset]:
+    """``derived_relations`` by its path definition: the test reference.
+
+    Descent: ``(x, y)`` when a path of one entry step out of ``x`` and then
+    body steps reaches ``y`` without passing ``x`` again.  Membership:
+    ``(y, x)`` when ``x`` descends to ``y`` and body steps lead from ``y``
+    back to ``x``.  Both are grown one step at a time until nothing changes.
+    """
+    entry = {(x, y) for (x, _, y), t in L.tags.items() if t == "e"}
+    body = {(x, y) for (x, _, y), t in L.tags.items() if t == "b"}
+    descent = {(x, y) for x, y in entry if y != x}
+    while True:
+        longer = {(x, w) for x, v in descent for u, w in body if u == v and w != x}
+        if longer <= descent:
+            break
+        descent |= longer
+    back = pair_closure(body)
+    return frozenset(descent), frozenset((y, x) for x, y in descent if (y, x) in back)
+
+
+class PairScan:
+    """The safe-pair conditions and the C2 promotion state, by scanning
+    state pairs of ``derived_relations`` and its transitive closure: the test
+    reference for ``check_condition`` and ``rerouting._c2_promotion_state``
+    on a verified witness ``L``."""
+
+    def __init__(self, L: LabelledPrechart):
+        X = self.X = L.base
+        self.diredge, self.loopright = derived_relations(L)
+        self.loopright_plus = pair_closure(self.loopright)
+        self.reach_plus = pair_closure((x, y) for x, _, y in X.edges())
+        self.body_plus = pair_closure((x, y) for (x, _, y), t in L.tags.items() if t == "b")
+
+    def condition(self, w1, w2):
+        X, lr, lr_plus = self.X, self.loopright, self.loopright_plus
+        reach_star = {w2} | {y for y in X.states if (w2, y) in self.reach_plus}
+        # C1: w1 is unreachable from w2, and if some loop descends to w1 then
+        # nothing reachable from w2 has an output
+        if w1 not in reach_star:
+            descended = any((x, w1) in self.diredge for x in X.states)
+            if not descended or not any(X.out(y) for y in reach_star):
+                return "C1"
+        # C2: w2 lies (transitively) inside the loop at w1
+        if (w2, w1) in lr_plus:
+            return "C2"
+        # C3: no body path from w2 to w1, and some loop containing w1 directly
+        # also contains w2 below it and is minimal among w1's loops
+        if (w2, w1) not in self.body_plus:
+            w1_headers = [x for x in X.states if (w1, x) in lr]
+            for x in X.states:
+                if (w1, x) in lr and (w2, x) in lr_plus:
+                    if all((x, y) in lr for y in w1_headers if y != x):
+                        return "C3"
+        return None
+
+    def promotion_state(self, w1, w2):
+        X, lr, lr_plus = self.X, self.loopright, self.loopright_plus
+        candidates = [w for w in X.states if (w == w2 or (w2, w) in lr_plus) and (w, w1) in lr]
+        filtered = [
+            w for w in candidates
+            if all(v == w1 or (w1, v) in lr_plus for v in X.states if (w, v) in lr)
+        ]
+        pool = filtered or candidates
+        return min(pool, key=X.index) if pool else None
 
 
 def isomorphic(X: Prechart, Y: Prechart) -> bool:

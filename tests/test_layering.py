@@ -22,6 +22,7 @@ from starchart import (
     infer_witness,
     loop_depth,
     measures,
+    parse,
     restrict_witness,
     syntactic_witness,
     to_llee,
@@ -34,6 +35,7 @@ from gen import (
     exhaustive_witnesses,
     fig3_left,
     fig3_right,
+    path_relations,
     random_chart,
     random_expr,
     simple_cycles,
@@ -102,6 +104,21 @@ class TestDerivedRelations:
         L = syntactic_witness(chart_of(Star(A, B)))
         diredge, loopright = derived_relations(L)
         assert diredge == frozenset() and loopright == frozenset()
+
+    def test_is_the_path_definition_on_every_labelling(self):
+        # every labelling, witnesses and non-witnesses (non-flat ones too)
+        rng = random.Random(139)
+        checked = members = 0
+        while checked < 40:
+            X = random_chart(rng, n_states=rng.randint(2, 4), edge_prob=0.4)
+            if not 3 <= sum(1 for _ in X.edges()) <= 8:
+                continue
+            checked += 1
+            for L in all_labellings(X):
+                relations = derived_relations(L)
+                assert relations == path_relations(L)
+                members += len(relations[1])
+        assert members > 1000
 
 
 class TestVerifyWitness:
@@ -334,6 +351,15 @@ class TestInferWitness:
         assert {frozenset(L.tags.items()) for L in found} == {
             frozenset(L.tags.items()) for L in brute
         }
+
+    def test_a_limit_stops_the_search(self):
+        X = chart_of(parse("(a b)*0 + a*b", "ab"))
+        every = enumerate_witnesses(X)
+        assert len(every) == 2
+        assert [L.tags for L in enumerate_witnesses(X, limit=1)] == [every[0].tags]
+        assert enumerate_witnesses(X, limit=0) == []
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_witnesses(X, limit=-1)
 
     def test_fig3_right_has_none(self):
         assert infer_witness(fig3_right()) is None

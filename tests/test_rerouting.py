@@ -36,8 +36,9 @@ from starchart import layering, semantics
 from starchart.cli import main
 from starchart.formats import chart_to_json
 from starchart.layering import WitnessViolation, analysis_of_verified, union_witness
-from starchart.rerouting import Splitting
+from starchart.rerouting import CONDITIONS, Splitting, _c2_promotion_state
 from gen import (
+    PairScan,
     connect_through_reference,
     fig3_left,
     fig3_right,
@@ -514,6 +515,24 @@ class TestCollapseOnTheWorkingChart:
             assert recomputed == sources
         assert full == []  # no chart's reachability is computed whole besides the first
         assert sum(len(sources) - 1 for sources in expected) > 40
+
+
+class TestTheConditionsAreThePairScan:
+    def test_on_every_ordered_pair_of_distinct_states(self):
+        # the set algebra on per-state relations against the pair-scan
+        # definitions, on witnesses whose collapses merge under C2 and C3
+        seen = Counter()
+        for L in [*oracle_corpus(), *joined_witnesses(199, 60)]:
+            a, scan = analysis_of_verified(L), PairScan(L)
+            for w1 in L.base.states:
+                for w2 in L.base.states:
+                    if w1 != w2:
+                        condition = check_condition(L, w1, w2)
+                        assert condition == scan.condition(w1, w2)
+                        if condition == "C2":
+                            assert _c2_promotion_state(a, w1, w2) == scan.promotion_state(w1, w2)
+                        seen[condition] += 1
+        assert min(seen[condition] for condition in (*CONDITIONS, None)) > 100
 
 
 class TestRestrictRelation:
