@@ -519,7 +519,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # failed self-checks, RecursionError, MeasureError
+    except RecursionError:  # a resource limit of the recursive semantics, not a fault
+        print("gave up: nesting too deep", file=sys.stderr)
+        return 4
+    except RuntimeError as exc:  # failed self-checks, MeasureError
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -2,8 +2,13 @@
 
 A solution assigns an expression to every state so that each state's
 expression is equivalent to the sum of its outputs and of action-prefixed
-successor expressions.  Equivalence is decided semantically: bisimilarity is
-an exact oracle for provable equivalence on this fragment.
+successor expressions.  Equations are checked in two stages.  The first
+proves them from sound axioms of Milner's system: expressions are compared
+by normal forms modulo ACI of ``+`` and the laws of sequencing, after one
+step of the fundamental theorem.  Provable implies bisimilar, so a proof is
+the answer.  The axioms used are not complete, so when they do not suffice
+equivalence is decided semantically: bisimilarity is an exact oracle for
+provable equivalence on this fragment.
 """
 
 from __future__ import annotations
@@ -133,22 +138,142 @@ def canonical_solution(L: LabelledPrechart) -> Solution:
     return Solution(L.base, assign, companion)
 
 
+class _NormalForms:
+    """Normal forms modulo sound axioms of Milner's system, interned as ints.
+
+    The axioms: ACI of ``+`` with ``0`` as unit, associativity of ``·``,
+    ``0·e = 0``, ``(e+f)·g = e·g + f·g`` and ``(e*f)·g = e*(f·g)``.  A
+    normal form is the frozenset of its summands' ids, so ``0`` is the
+    empty set.  A summand is a pair ``(head, tail)``: the head is an action
+    or the normal form of a star's left operand, and the tail is the normal
+    form that follows it, ``None`` for a bare action.  By associativity
+    and the star axiom ``(head, tail)·g`` is ``(head, tail·g)``, or
+    ``(head, g)`` for a bare action; by distributivity and ``0·g = 0`` a
+    sum is sequenced summand by summand.  Equal keys get equal ids, so
+    equal normal forms are equal ints.  Expressions are memoised by node
+    identity, so no structural comparison of expressions ever runs, and
+    both walks are iterative.
+    """
+
+    def __init__(self) -> None:
+        self.ids: dict = {}
+        self.keys: list = []
+        # id(node) -> (node, normal form); holding the node keeps its id unique
+        self.of_node: dict[int, tuple[Expr, int]] = {}
+        self.seqs: dict[tuple[int, int], int] = {}
+        self.zero = self.intern(frozenset())
+
+    def intern(self, key) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return i
+
+    def seq(self, n: int, g: int) -> int:
+        """The normal form of ``n·g``: ``g`` appended to every summand's tail."""
+        keys, seqs = self.keys, self.seqs
+        stack = [n]
+        while stack:
+            m = stack[-1]
+            if (m, g) in seqs:
+                stack.pop()
+                continue
+            tails = [keys[s][1] for s in keys[m]]
+            pending = [t for t in tails if t is not None and (t, g) not in seqs]
+            if pending:
+                stack += pending
+                continue
+            summands = (
+                self.intern((keys[s][0], g if t is None else seqs[t, g]))
+                for s, t in zip(keys[m], tails)
+            )
+            seqs[m, g] = self.intern(frozenset(summands))
+            stack.pop()
+        return seqs[n, g]
+
+    def of(self, e: Expr) -> int:
+        """The normal form of ``e``."""
+        memo = self.of_node
+        stack = [e]
+        while stack:
+            x = stack[-1]
+            if id(x) in memo:
+                stack.pop()
+                continue
+            kind = type(x)
+            if kind is Zero:
+                n = self.zero
+            elif kind is Atom:
+                n = self.intern(frozenset((self.intern((x.action, None)),)))
+            else:
+                left, right = memo.get(id(x.left)), memo.get(id(x.right))
+                if left is None:
+                    stack.append(x.left)
+                    continue
+                if right is None:
+                    stack.append(x.right)
+                    continue
+                l, r = left[1], right[1]
+                if kind is Sum:
+                    n = self.intern(self.keys[l] | self.keys[r])
+                elif kind is Seq:
+                    n = self.seq(l, r)
+                else:
+                    n = self.intern(frozenset((self.intern((l, r)),)))
+            memo[id(x)] = (x, n)
+            stack.pop()
+        return memo[id(e)][1]
+
+
+def _provable(X: Prechart, assign: Mapping[StateId, Expr]) -> bool:
+    """Whether every state's equation follows from the axioms of ``_NormalForms``.
+
+    By the fundamental theorem, ``assign[x]`` provably equals the sum of
+    its outputs and of ``a·f`` over its ``a``-derivatives ``f``.  So the
+    equation at ``x`` is provable when those outputs are ``X.out(x)`` and,
+    for each action, the derivatives and the successors' assignments have
+    the same set of normal forms.  Incomplete: ``False`` decides nothing.
+
+    Canonical solutions always pass.  Along a body step the derivative of
+    ``s(x)`` is the successor's solution itself.  Along an entry step into
+    ``y`` it is ``t·s(x)`` for the companion ``t`` of ``y`` relative to
+    ``x``, which the sequencing axioms rewrite into ``s(y)``, because
+    goto-freedom keeps the states of the loop free of outputs.
+    """
+    forms = _NormalForms()
+    alphabet = set(X.alphabet)
+    for x in X.states:
+        outs, succ = expr_step(assign[x])
+        if outs != X.out(x) or not alphabet.issuperset(succ):
+            return False
+        for a in X.alphabet:
+            derivatives = {forms.of(f) for f in succ.get(a, ())}
+            if derivatives != {forms.of(assign[y]) for y in X.succ(x, a)}:
+                return False
+    return True
+
+
 def verify_solution(
     X: Prechart, solution: Solution | Mapping[StateId, Expr]
 ) -> tuple[bool, StateId | None]:
-    """Semantically check the per-state equations, reporting a failing state.
+    """Check the per-state equations, reporting a failing state.
 
     Each assigned expression must be bisimilar to the sum of the state's
-    outputs and of action-prefixed assignments of its successors.  All
-    equations are decided by one partition refinement over the joint chart
-    of both sides; a state's class depends only on what it reaches, so this
-    is the per-equation check.  The first failing state in ``X.states``
-    order is reported.
+    outputs and of action-prefixed assignments of its successors.  The
+    first stage proves every equation from sound axioms (``_provable``);
+    provable implies bisimilar, so its success is the answer.  Otherwise
+    all equations are decided by one partition refinement over the joint
+    chart of both sides; a state's class depends only on what it reaches,
+    so this is the per-equation check.  The first failing state in
+    ``X.states`` order is reported.
     """
     assign = solution.assign if isinstance(solution, Solution) else dict(solution)
     for x in X.states:
         if x not in assign:
             raise ValueError(f"partial assignment: no expression for state {x!r}")
+    if _provable(X, assign):
+        return True, None
     rhs = {}
     for x in X.states:
         outputs = [Atom(a) for a in X.alphabet if a in X.out(x)]

@@ -256,7 +256,7 @@ class TestDotCommand:
         assert code == 2
 
 
-def test_internal_failure_exits_3_without_a_traceback():
+def test_nesting_too_deep_gives_up_with_exit_4_without_a_traceback():
     # the chart of a 30 000-step sequence overflows the recursive semantics
     proc = subprocess.run(
         [sys.executable, "-m", "starchart", "chart", " ".join(["a"] * 30000)],
@@ -265,8 +265,8 @@ def test_internal_failure_exits_3_without_a_traceback():
         env={"PYTHONPATH": "src"},
         cwd=__import__("pathlib").Path(__file__).resolve().parent.parent,
     )
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("internal error: ") and proc.stderr.count("\n") == 1
+    assert proc.returncode == 4
+    assert proc.stderr == "gave up: nesting too deep\n"
     assert "Traceback" not in proc.stderr
 
 

@@ -22,6 +22,7 @@ from starchart import (
     parse,
     syntactic_witness,
     to_llee,
+    verify_solution,
     verify_witness,
 )
 from starchart.layering import analysis_of_verified, enumerate_witnesses, infer_witness
@@ -108,6 +109,7 @@ def test_charts_and_collapses_leave_no_reference_cycles():
 FREED_WITHOUT_THE_COLLECTOR = {
     "certify": lambda e, L: certify(e, Sum(e, e)),
     "canonical_solution": lambda e, L: canonical_solution(L),
+    "verify_solution": lambda e, L: verify_solution(L.base, canonical_solution(L)),
     "measures": lambda e, L: [measures(L, x) for x in L.base.states],
     "to_llee": lambda e, L: to_llee(L),
     "loop_depth": lambda e, L: [loop_depth(L, *edge) for edge in L.tags],

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -13,12 +14,14 @@ from starchart import (
     Zero,
     bisimilar,
     canonical_solution,
+    certify,
     chart_of,
     check_bisimulation,
     enumerate_witnesses,
     expr_step,
     infer_witness,
     parse,
+    render,
     simplify,
     syntactic_witness,
     unfold,
@@ -26,8 +29,10 @@ from starchart import (
     verify_witness,
 )
 from starchart import layering
-from starchart.solution import MeasureError
+from starchart import solution as solution_module
+from starchart.solution import MeasureError, _provable
 from gen import per_equation_check, random_chart, random_expr
+from test_golden_certs import corpus as golden_corpus
 
 A, B = Atom("a"), Atom("b")
 AA0 = Star(Seq(A, A), Zero())
@@ -252,6 +257,132 @@ class TestOneRefinementPerCheck:
         assert verify_solution(X, {AA0: Zero(), X1: z}) == (False, AA0)
         # the root's equation a.z holds; the other one, a.(a.z) for z, fails
         assert verify_solution(X, {AA0: Seq(A, z), X1: z}) == (False, X1)
+
+
+def reparsed(assign, alphabet=("a", "b", "c", "z")):
+    """The assignment rendered and parsed afresh, as a replay reads it.
+
+    The same trees, with no node shared with the original or between
+    states.
+    """
+    return {x: parse(render(e), alphabet) for x, e in assign.items()}
+
+
+def solved_charts(rng, syntactic, inferred):
+    """Charts with their canonical solutions: syntactic witnesses of random
+    expressions of depth 2-6, then inferred witnesses of random charts of at
+    most 6 states."""
+    for _ in range(syntactic):
+        # skewed towards small depths: parsed afresh, a depth-6 solution can
+        # have 10^5 tree nodes
+        X = chart_of(random_expr(rng, depth=min(rng.randint(2, 6), rng.randint(2, 6))))
+        yield X, canonical_solution(syntactic_witness(X)).assign
+    while inferred:
+        L = infer_witness(random_chart(rng, n_states=rng.randint(1, 6), rooted=True))
+        if L is not None:
+            inferred -= 1
+            yield L.base, canonical_solution(L).assign
+
+
+class TestTheAxiomStage:
+    """``_provable`` accepts only true equations; canonical solutions need no more."""
+
+    def test_it_never_accepts_what_the_per_equation_check_rejects(self):
+        rng = random.Random(2295)
+        checked = accepted = rejected = 0
+        for X, assign in solved_charts(rng, syntactic=420, inferred=100):
+            for candidate in TestOneRefinementPerCheck.corruptions(rng, X, assign):
+                candidate = reparsed(candidate)
+                expected = per_equation_check(X, candidate)
+                if _provable(X, candidate):
+                    assert expected == (True, None)
+                    accepted += 1
+                assert verify_solution(X, candidate) == expected
+                checked += 1
+                rejected += not expected[0]
+        # 2 600 candidates: 883 proved, 1 667 rejected, and 50 that hold
+        # although the axioms do not prove them, so the refinement decides
+        assert accepted > 800 and rejected > 1500 and checked - accepted - rejected > 40
+
+    @pytest.mark.parametrize("X, candidate", [
+        # a step outside the chart's alphabet
+        (Prechart.make(("a",), ("x",), {"x": {"a"}}, {}, root="x"), {"x": "a + z 0"}),
+        # left distributivity, c(b + d) = cb + cd, which bisimilarity refutes
+        (Prechart.make(
+            ("a", "b", "c", "d"),
+            ("x", "y", "u", "w"),
+            {"u": {"b"}, "w": {"d"}},
+            {"x": {"a": ["y"]}, "y": {"c": ["u", "w"]}},
+            root="x",
+        ), {"x": "a(c(b + d))", "y": "cb + cd", "u": "b", "w": "d"}),
+    ])
+    def test_it_uses_no_unsound_law(self, X, candidate):
+        candidate = {x: parse(text, ("a", "b", "c", "d", "z")) for x, text in candidate.items()}
+        assert not _provable(X, candidate)
+        assert verify_solution(X, candidate) == per_equation_check(X, candidate) == (False, "x")
+
+    @pytest.fixture
+    def no_refinement(self, monkeypatch):
+        def refuse(X):
+            raise AssertionError("verify_solution fell back to partition refinement")
+
+        monkeypatch.setattr(solution_module, "bisimilarity", refuse)
+
+    def test_canonical_solutions_need_no_refinement(self, no_refinement):
+        for X, assign in solved_charts(random.Random(2296), syntactic=150, inferred=100):
+            assert verify_solution(X, assign) == (True, None)
+            assert verify_solution(X, reparsed(assign)) == (True, None)
+
+    def test_collapsed_certificate_charts_need_no_refinement(self, no_refinement):
+        equivalent = 0
+        for e, f in golden_corpus():
+            cert = certify(e, f)
+            if cert.verdict != "equivalent":
+                continue
+            equivalent += 1
+            X, s = cert.collapsed.base, canonical_solution(cert.collapsed)
+            assert verify_solution(X, s) == (True, None)
+            assert verify_solution(X, reparsed(s.assign, X.alphabet)) == (True, None)
+        assert equivalent >= 100
+
+    def test_the_worst_case_pair_needs_no_refinement(self, no_refinement):
+        alphabet = ("a", "b", "c")
+        e = parse(
+            "(0*((c*0 + c)*((c + b)*(a + a))) + 0 a)*((((a*c + b*c)*((0 + b) + b + b))"
+            "*(c*a 0*a b))*((b*(a b) + c + a*a) + a))",
+            alphabet,
+        )
+        cert = certify(e, Sum(e, e))
+        assert _tree_and_dag_nodes(cert.common) == (8191, 113)
+        X, s = cert.collapsed.base, canonical_solution(cert.collapsed)
+        assert verify_solution(X, s) == (True, None)
+        assert verify_solution(X, reparsed(s.assign, alphabet)) == (True, None)
+
+    def test_it_does_not_recurse(self, no_refinement):
+        # a chain's solution nests 3 expression nodes per state
+        n = 5000
+        X = Prechart.make(
+            ("a",), range(n), {n - 1: {"a"}}, {i: {"a": [i + 1]} for i in range(n - 1)}, root=0
+        )
+        s = canonical_solution(LabelledPrechart(X, {(i, "a", i + 1): "b" for i in range(n - 1)}))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            assert verify_solution(X, s) == (True, None)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+def _tree_and_dag_nodes(e):
+    """Nodes of ``e`` as a tree, and its distinct subterms."""
+    tree, distinct, stack = 0, set(), [e]
+    while stack:
+        x = stack.pop()
+        tree += 1
+        distinct.add(x)
+        if isinstance(x, (Sum, Seq, Star)):
+            stack += (x.left, x.right)
+    return tree, len(distinct)
 
 
 def _graph_passes(X, assign):
