@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .semantics import Prechart, StateId, chart_of, coproduct
 from .syntax import Expr, atoms
@@ -150,18 +150,31 @@ def check_bisimulation(
         if not X.has_state(x) or not Y.has_state(y):
             raise ValueError(f"relation references unknown states ({x!r}, {y!r})")
     related = set(pairs)
+    is_related = lambda x2, y2: (x2, y2) in related
     for x, y in pairs:
-        if X.out(x) != Y.out(y):
-            action = sorted(X.out(x) ^ Y.out(y))[0]
-            return False, BisimViolation("output", x, y, action)
-        for a in X.alphabet:
-            for x2 in X.succ(x, a):
-                if not any((x2, y2) in related for y2 in Y.succ(y, a)):
-                    return False, BisimViolation("forth", x, y, a, x2)
-            for y2 in Y.succ(y, a):
-                if not any((x2, y2) in related for x2 in X.succ(x, a)):
-                    return False, BisimViolation("back", x, y, a, y2)
+        for violation in _violations(X, Y, is_related, x, y):
+            return False, violation
     return True, None
+
+
+def _violations(
+    X: Prechart, Y: Prechart, related: Callable[[StateId, StateId], bool], x: StateId, y: StateId,
+) -> Iterator[BisimViolation]:
+    """The failed clauses of the pair ``(x, y)`` under the relation ``related``.
+
+    First the output actions on which the two disagree, in sorted order;
+    then, per action of the alphabet, each unmatched left transition
+    (``forth``) before each unmatched right one (``back``).
+    """
+    for action in sorted(X.out(x) ^ Y.out(y)):
+        yield BisimViolation("output", x, y, action)
+    for a in X.alphabet:
+        for x2 in X.succ(x, a):
+            if not any(related(x2, y2) for y2 in Y.succ(y, a)):
+                yield BisimViolation("forth", x, y, a, x2)
+        for y2 in Y.succ(y, a):
+            if not any(related(x2, y2) for x2 in X.succ(x, a)):
+                yield BisimViolation("back", x, y, a, y2)
 
 
 def _partition_is_bisimulation(X: Prechart, R: PartitionRelation) -> bool:

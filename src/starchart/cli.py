@@ -16,9 +16,10 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Mapping, NamedTuple
 
-from .bisim import BisimViolation, PartitionRelation, bisimilarity, check_bisimulation
+from .bisim import BisimViolation, PartitionRelation, _violations, bisimilarity, check_bisimulation
 from .formats import (
     chart_from_json,
     chart_to_json,
@@ -134,26 +135,11 @@ def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
 
 def _distinguishing_violation(d: _Decision) -> BisimViolation:
     """The first failing clause once the roots' classes are joined, roots first."""
-    re_, rf = d.roots
-    candidate = d.R.merge(re_, rf)
-    ok, violation = check_bisimulation(d.joined, d.joined, [(re_, rf), *candidate.pairs()])
-    if ok or violation is None:
-        raise RuntimeError("roots are not bisimilar yet joining their classes yields a bisimulation")
-    return violation
-
-
-def _violation_holds(X: Prechart, related: set, v: BisimViolation) -> bool:
-    if v.clause == "output":
-        return (v.action in X.out(v.left)) != (v.action in X.out(v.right))
-    if v.clause == "forth":
-        return v.successor in X.succ(v.left, v.action) and not any(
-            (v.successor, y2) in related for y2 in X.succ(v.right, v.action)
-        )
-    if v.clause == "back":
-        return v.successor in X.succ(v.right, v.action) and not any(
-            (x2, v.successor) in related for x2 in X.succ(v.left, v.action)
-        )
-    return False
+    candidate = d.R.merge(*d.roots)
+    for x, y in chain([d.roots], candidate.pairs()):
+        for violation in _violations(d.joined, d.joined, candidate.related, x, y):
+            return violation
+    raise RuntimeError("roots are not bisimilar yet joining their classes yields a bisimulation")
 
 
 # The checks below are shared by ``certify``, which builds the evidence, and
@@ -164,20 +150,24 @@ def _relation_check(d: _Decision) -> Check:
     return Check("bisimulation-relation-valid", check_bisimulation(d.joined, d.joined, d.R)[0])
 
 
-def _inequivalent_checks(d: _Decision, violation: BisimViolation) -> list[Check]:
+def _inequivalent_checks(d: _Decision, v: BisimViolation) -> list[Check]:
+    """The roots' verdict, and that ``v`` is a failed clause of a pair that
+    joining the roots' classes relates."""
     candidate = d.R.merge(*d.roots)
     return [
         Check("roots-not-bisimilar", not d.bisimilar),
-        Check("distinguishing-clause", _violation_holds(d.joined, set(candidate.pairs()), violation)),
+        Check("distinguishing-clause", candidate.related(v.left, v.right)
+              and v in _violations(d.joined, d.joined, candidate.related, v.left, v.right)),
     ]
 
 
-def _collapsed_checks(d: _Decision, collapsed: LabelledPrechart, solution: Solution) -> list[Check]:
+def _collapsed_checks(d: _Decision, collapsed: LabelledPrechart, solution: Solution | None) -> list[Check]:
+    """``solution`` is None when ``collapsed`` is no witness, so has none."""
     return [
         Check("roots-bisimilar", d.bisimilar),
         Check("collapsed-witness-valid", verify_witness(collapsed)[0]),
         Check("collapse-minimal", bisimilarity(collapsed.base).is_identity),
-        Check("solution-verified", verify_solution(collapsed.base, solution)[0]),
+        Check("solution-verified", solution is not None and verify_solution(collapsed.base, solution)[0]),
     ]
 
 
@@ -241,7 +231,14 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
 
 
 def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
-    """Replay every named check of a serialized certificate from scratch."""
+    """Replay every named check of a serialized certificate from scratch.
+
+    A collapsed witness that does not verify fails its named check, and the
+    checks that need its solution fail with it.  An unknown verdict raises
+    ``ValueError``.
+    """
+    if doc["verdict"] not in ("equivalent", "inequivalent"):
+        raise ValueError(f"unknown verdict {doc['verdict']!r}")
     alpha = tuple(doc["alphabet"])
     e = parse(doc["inputs"]["left"], alpha)
     f = parse(doc["inputs"]["right"], alpha)
@@ -265,12 +262,12 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
         )
         return checks + _inequivalent_checks(d, violation)
     collapsed = witness_from_json(doc["collapsed"])
-    solution = canonical_solution(collapsed)
+    solution = canonical_solution(collapsed) if verify_witness(collapsed)[0] else None
     common = parse(doc["common"], alpha)
     return (
         checks
         + _collapsed_checks(d, collapsed, solution)
-        + [Check("common-at-root", solution.assign[collapsed.base.root] == common)]
+        + [Check("common-at-root", solution is not None and solution.assign[collapsed.base.root] == common)]
         + _common_checks(d, common)
     )
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping
 
-from .layering import LabelledPrechart, WeightedLabelling
+from .layering import ENTRY, LabelledPrechart, WeightedLabelling
 from .semantics import Prechart, StateId
 from .syntax import Expr, declare_alphabet, render
 
@@ -141,7 +141,7 @@ def to_dot(X: Prechart, witness: LabelledPrechart | None = None) -> str:
         lines.append(f"  {_dot_quote(ids[x])} [{', '.join(attrs)}];")
     for x, a, y in X.edges():
         attrs = [f"label={_dot_quote(a)}"]
-        if witness is not None and witness.tags[(x, a, y)] == "e":
+        if witness is not None and witness.tags[(x, a, y)] == ENTRY:
             attrs.append("penwidth=2")
         lines.append(f"  {_dot_quote(ids[x])} -> {_dot_quote(ids[y])} [{', '.join(attrs)}];")
     lines.append("}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .semantics import Prechart, StateId, coproduct, expr_step, restriction
 from .syntax import Expr, Seq, Star, Sum, can_terminate, star_height
@@ -83,33 +83,50 @@ class WitnessViolation:
         return f"{self.clause}: {self.detail}"
 
 
-def _find_cycle(nodes: tuple[StateId, ...], adj: Mapping[StateId, Iterable[StateId]]) -> list[StateId] | None:
-    """A cycle in a finite digraph, as a closed node path, or None."""
+def _find_cycle(nodes: tuple[StateId, ...], adj: Mapping[StateId, Iterable[StateId]],
+                ) -> tuple[list[StateId] | None, list[StateId]]:
+    """A cycle in a finite digraph, as a closed node path, or None; and the
+    nodes in depth-first finishing order, each after all its successors
+    when there is no cycle."""
     WHITE, GREY, BLACK = 0, 1, 2
-    colour = {x: WHITE for x in nodes}
+    colour = dict.fromkeys(nodes, WHITE)
+    finished: list[StateId] = []
     for start in nodes:
         if colour[start] != WHITE:
             continue
         stack: list[tuple[StateId, Iterator[StateId]]] = [(start, iter(adj.get(start, ())))]
         colour[start] = GREY
-        path = [start]
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
-                if colour[nxt] == GREY:
-                    return path[path.index(nxt):] + [nxt]
-                if colour[nxt] == WHITE:
+                c = colour[nxt]
+                if c == WHITE:
                     colour[nxt] = GREY
-                    path.append(nxt)
                     stack.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
                     break
-            if not advanced:
+                if c == GREY:  # on the stack: close the path from it
+                    path = [x for x, _ in stack]
+                    return path[path.index(nxt):] + [nxt], finished
+            else:
                 colour[node] = BLACK
-                path.pop()
+                finished.append(node)
                 stack.pop()
-    return None
+    return None, finished
+
+
+def _closure(seeds: Iterable[StateId], adj: Mapping[StateId, Iterable[StateId]],
+             forbidden: StateId | object = _NO_STATE) -> frozenset[StateId]:
+    """The states reachable from ``seeds`` in ``adj``, avoiding ``forbidden``."""
+    seen: set[StateId] = set()
+    queue = deque(s for s in seeds if s != forbidden)
+    seen.update(queue)
+    while queue:
+        v = queue.popleft()
+        for w in adj.get(v, ()):
+            if w != forbidden and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
 
 
 def _descent(
@@ -126,7 +143,7 @@ def _descent(
     for x, ys in entry_adj.items():
         starts = [y for y in ys if y != x]
         if starts:
-            descent[x] = _Analysis._closure(starts, body_adj, forbidden=x)
+            descent[x] = _closure(starts, body_adj, forbidden=x)
     return descent
 
 
@@ -140,82 +157,59 @@ class _Analysis:
     for every state, the headers of the loops it lies directly inside
     (``headers``) and their transitive closure (``headers_plus``).
 
-    ``L`` is a ``LabelledPrechart``, or anything that reads like one: a
-    ``base`` with ``states`` in discovery order, ``index``, ``out`` and
-    ``reach_plus()``, and ``tags`` keyed by transition.  The collapse's
-    integer-indexed working chart is analysed through the same code.
+    It is built from the maps it reads: the ``states`` in discovery order,
+    their ``index`` key, the ``outputs``, the reachability ``reach_plus`` (in
+    one or more steps) and the ``tags``, keyed by transition.
     """
 
-    def __init__(self, L: LabelledPrechart):
-        base = L.base
-        self.base = base
-        self.states = base.states
+    def __init__(self, states: tuple[StateId, ...], index: Callable[[StateId], int],
+                 outputs: Mapping[StateId, frozenset[str]],
+                 reach_plus: Mapping[StateId, frozenset[StateId]], tags: Mapping[Edge, str]):
+        self.states = states
+        self.index = index
+        self.outputs = outputs
+        self.reach_plus = reach_plus
         succ: dict[str, dict[StateId, set[StateId]]] = {ENTRY: {}, BODY: {}}
         self.body_pred: dict[StateId, set[StateId]] = {}
-        for (x, _, y), t in L.tags.items():
+        for (x, _, y), t in tags.items():
             succ[t].setdefault(x, set()).add(y)
             if t == BODY:
                 self.body_pred.setdefault(y, set()).add(x)
-        ordered = lambda adj: {x: sorted(adj[x], key=base.index) for x in self.states if x in adj}
+        ordered = lambda adj: {x: sorted(adj[x], key=index) for x in states if x in adj}
         self.entry_adj = ordered(succ[ENTRY])
         self.body_adj = ordered(succ[BODY])
-        # x -> states reachable in one or more steps, action labels forgotten
-        self.reach_plus = base.reach_plus()
         self.descent = _descent(self.entry_adj, self.body_adj)
         self.diredge_adj = ordered(self.descent)
         self.descended = frozenset().union(*self.descent.values())
         none: frozenset[StateId] = frozenset()
-        self.headers = dict.fromkeys(self.states, none)
+        self.headers = dict.fromkeys(states, none)
         for x, forward in self.descent.items():
             # states lying on a body path from an entry successor back to x
-            back = self._closure(self.body_pred.get(x, ()), self.body_pred, forbidden=x)
+            back = _closure(self.body_pred.get(x, ()), self.body_pred, forbidden=x)
             for y in forward & back:
                 self.headers[y] |= {x}
         plus = {none: none}  # the states of one loop share their headers: close each set once
         for xs in self.headers.values():
             if xs not in plus:
-                plus[xs] = self._closure(xs, self.headers)
+                plus[xs] = _closure(xs, self.headers)
         self.headers_plus = {y: plus[xs] for y, xs in self.headers.items()}
 
-    @staticmethod
-    def _closure(seeds: Iterable[StateId], adj: Mapping[StateId, Iterable[StateId]],
-                 forbidden: StateId | object = _NO_STATE) -> frozenset[StateId]:
-        seen: set[StateId] = set()
-        queue = deque(s for s in seeds if s != forbidden)
-        seen.update(queue)
-        while queue:
-            v = queue.popleft()
-            for w in adj.get(v, ()):
-                if w != forbidden and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return frozenset(seen)
-
     def longest_paths(self, adj: Mapping[StateId, Iterable[StateId]]) -> dict[StateId, int]:
-        """Longest path lengths out of each node of a DAG; raises on a cycle."""
+        """Longest path lengths out of each node of a DAG, folded over the
+        finishing order of ``_find_cycle``; raises on a cycle."""
+        cycle, finished = _find_cycle(self.states, adj)
+        if cycle is not None:
+            raise RuntimeError("longest paths of a graph with a cycle")
         length: dict[StateId, int] = {}
-        for start in self.states:
-            if start in length:
-                continue
-            best = {start: 0}  # the nodes on the current path, and their best so far
-            stack = [(start, iter(adj.get(start, ())))]
-            while stack:
-                x, successors = stack[-1]
-                for y in successors:
-                    if y in best:
-                        raise RuntimeError("longest paths of a graph with a cycle")
-                    if y not in length:
-                        best[y] = 0
-                        stack.append((y, iter(adj.get(y, ()))))
-                        break
-                    best[x] = max(best[x], 1 + length[y])
-                else:
-                    length[x] = best.pop(x)
-                    stack.pop()
-                    if stack:
-                        parent = stack[-1][0]
-                        best[parent] = max(best[parent], 1 + length[x])
+        for x in finished:
+            ys = adj.get(x)
+            length[x] = 1 + max(map(length.__getitem__, ys)) if ys else 0
         return length
+
+
+def _analysis_of(L: LabelledPrechart) -> _Analysis:
+    X = L.base
+    return _Analysis(X.states, X.index, X.outputs, X.reach_plus(), L.tags)
 
 
 def derived_relations(
@@ -229,7 +223,7 @@ def derived_relations(
     inside a loop that leaves ``x`` by an entry step and returns to it by
     body steps.
     """
-    a = _Analysis(L)
+    a = _analysis_of(L)
     return (frozenset((x, y) for x, ys in a.descent.items() for y in ys),
             frozenset((y, x) for y, xs in a.headers.items() for x in xs))
 
@@ -240,19 +234,19 @@ def _first_violation(a: _Analysis) -> WitnessViolation | None:
         for y in ys:
             if y in a.body_adj.get(x, ()):
                 return WitnessViolation("flat", (x, y))
-    body_cycle = _find_cycle(a.states, a.body_adj)
+    body_cycle = _find_cycle(a.states, a.body_adj)[0]
     if body_cycle:
         return WitnessViolation("fully_specified_a", tuple(body_cycle))
     for x, ys in a.entry_adj.items():
         for y in ys:
             if y != x and x not in a.reach_plus[y]:
                 return WitnessViolation("fully_specified_b", (x, y))
-    loop_cycle = _find_cycle(a.states, a.diredge_adj)
+    loop_cycle = _find_cycle(a.states, a.diredge_adj)[0]
     if loop_cycle:
         return WitnessViolation("layered", tuple(loop_cycle))
     for x, ys in a.diredge_adj.items():
         for y in ys:
-            if a.base.out(y):
+            if a.outputs.get(y):
                 return WitnessViolation("goto_free", (x, y))
     return None
 
@@ -265,7 +259,7 @@ def _checked(L: LabelledPrechart) -> tuple[_Analysis, WitnessViolation | None]:
     """
     memo = getattr(L, "_checked", None)
     if memo is None:
-        a = _Analysis(L)
+        a = _analysis_of(L)
         memo = (a, _first_violation(a))
         object.__setattr__(L, "_checked", memo)
     return memo
@@ -309,21 +303,18 @@ def measures(L: LabelledPrechart, x: StateId) -> tuple[int, int]:
 def loop_depth(L: LabelledPrechart, x: StateId, action: str, y: StateId) -> int:
     """Loop depth of one transition of an expression-state labelling.
 
-    Body steps have depth 0; sequencing preserves the depth of the left
-    component's step; entering a star loop has depth one more than the star
-    height of the iterated part.
+    Body steps have depth 0; an entry, a star's self-loop or unrolling (see
+    ``_derivation``), has one more than the star height of the iterated part.
     """
     tag = L.tag(x, action, y)
     if not isinstance(x, Expr) or not isinstance(y, Expr):
         raise ValueError("loop depth needs expression-structured states")
     if tag == BODY:
         return 0
-    e, f = x, y
-    while isinstance(e, Seq) and isinstance(f, Seq) and f.right == e.right:
-        e, f = e.left, f.left
-    if isinstance(e, Star) and (f == e or (isinstance(f, Seq) and f.right == e)):
-        return star_height(e.left) + 1
-    raise ValueError(f"no depth rule for {e} -> {f}")
+    rule, e, f = _derivation(x, action, y)
+    if rule not in ("self-loop", "unrolling"):
+        raise ValueError(f"no depth rule for {e} -> {f}")
+    return star_height(e.left) + 1
 
 
 # --- the weighted form --------------------------------------------------------
@@ -355,45 +346,51 @@ def from_llee(W: WeightedLabelling) -> LabelledPrechart:
 # --- the syntactic witness ------------------------------------------------------
 
 
-def _syntactic_tag(e: Expr, action: str, f: Expr) -> str:
-    """Tag of the transition ``e -action-> f`` under the structural rules.
+def _derivation(e: Expr, action: str, f: Expr) -> tuple[str, Expr, Expr]:
+    """The rule deriving ``e -action-> f``, and the step it applies to.
 
-    Sum steps are body; sequencing propagates the left tag and its
-    output-step is body; a star's self-loop is an entry, its continuation
-    steps are body, and its unrolling step into ``f(e1*e2)`` is an entry
-    exactly when the residual ``f`` can still reach an output (so the loop
-    can be re-entered; a dead residual never returns and must be a body
-    step for the witness to stay fully specified).
+    Follows sequencing steps ``e1 e2 -> f1 e2`` down the left operand, then
+    matches the ``output`` step of ``e1 e2`` into ``e2``, a ``sum`` step, or
+    a star ``e1*e2``'s ``self-loop``, ``continuation`` (a step of ``e2``) or
+    ``unrolling`` into ``f1(e1*e2)``.  At most one rule applies; raises
+    ``ValueError`` when none does.
     """
-    found: set[str] = set()
-    if isinstance(e, Sum):
-        found.add(BODY)
-    elif isinstance(e, Seq):
+    while isinstance(e, Seq):
         louts, lsucc = expr_step(e.left)
         if action in louts and f == e.right:
-            found.add(BODY)
-        if isinstance(f, Seq) and f.right == e.right and f.left in lsucc.get(action, ()):
-            found.add(_syntactic_tag(e.left, action, f.left))
-    elif isinstance(e, Star):
+            return "output", e, f
+        if not (isinstance(f, Seq) and f.right == e.right and f.left in lsucc.get(action, ())):
+            break
+        e, f = e.left, f.left
+    if isinstance(e, Sum):
+        return "sum", e, f
+    if isinstance(e, Star):
         louts, lsucc = expr_step(e.left)
-        routs, rsucc = expr_step(e.right)
         if f == e and action in louts:
-            found.add(ENTRY)
-        if f in rsucc.get(action, ()):
-            found.add(BODY)
+            return "self-loop", e, f
+        if f in expr_step(e.right)[1].get(action, ()):
+            return "continuation", e, f
         if isinstance(f, Seq) and f.right == e and f.left in lsucc.get(action, ()):
-            found.add(ENTRY if can_terminate(f.left) else BODY)
-    if len(found) != 1:
-        raise ValueError(f"no unique tag derivation for {e} -{action}-> {f}: {found}")
-    return found.pop()
+            return "unrolling", e, f
+    raise ValueError(f"no rule derives {e} -{action}-> {f}")
 
 
 def syntactic_witness(X: Prechart) -> LabelledPrechart:
-    """The structural layering witness on a chart of expressions."""
+    """The structural layering witness on a chart of expressions.
+
+    A star's self-loop is an entry, and so is its unrolling into ``f(e1*e2)``
+    when the residual ``f`` can still reach an output (a dead residual never
+    returns, and must be a body step to stay fully specified).  Every other
+    step is a body step.
+    """
     for x in X.states:
         if not isinstance(x, Expr):
             raise ValueError("syntactic witness needs expression states")
-    tags = {(x, a, y): _syntactic_tag(x, a, y) for (x, a, y) in X.edges()}
+    tags = {}
+    for edge in X.edges():
+        rule, _, f = _derivation(*edge)
+        entry = rule == "self-loop" or (rule == "unrolling" and can_terminate(f.left))
+        tags[edge] = ENTRY if entry else BODY
     return LabelledPrechart(X, tags)
 
 
@@ -480,7 +477,7 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
         # visit the node whose decided pairs are free[:len(todo)]
         descent = _descent(adj[ENTRY], adj[BODY])
         doomed = (any(X.out(y) for ys in descent.values() for y in ys)  # not goto-free
-                  or _find_cycle(X.states, descent) is not None)  # not layered
+                  or _find_cycle(X.states, descent)[0] is not None)  # not layered
         if not doomed and len(todo) == len(free):
             tags = {edge: forced.get(pair) or assignment[pair]
                     for pair, edges in groups.items() for edge in edges}
@@ -490,7 +487,7 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
         elif not doomed:
             x, y = free[len(todo)]
             # x -b-> y closes a body cycle iff x is body-reachable from y
-            todo.append([ENTRY] if x in _Analysis._closure((y,), adj[BODY]) else [ENTRY, BODY])
+            todo.append([ENTRY] if x in _closure((y,), adj[BODY]) else [ENTRY, BODY])
         # move to the next node: retry the deepest pair with a tag left
         while todo:
             x, y = pair = free[len(todo) - 1]

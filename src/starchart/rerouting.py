@@ -20,7 +20,10 @@ from .layering import (
     Edge,
     InvalidWitnessError,
     LabelledPrechart,
+    WitnessViolation,
     _Analysis,
+    _closure,
+    _first_violation,
     analysis_of_verified,
     verify_witness,
 )
@@ -102,7 +105,7 @@ def restrict_relation(
 
 
 def _condition_of(a: _Analysis, w1: StateId, w2: StateId) -> str | None:
-    out, reach = a.base.out, a.reach_plus[w2]
+    out, reach = a.outputs.get, a.reach_plus[w2]
     # C1: w1 is unreachable from w2, and if some loop descends to w1 then
     # nothing reachable from w2 has an output
     if w1 not in reach and (w1 not in a.descended or not (out(w2) or any(out(y) for y in reach))):
@@ -113,7 +116,7 @@ def _condition_of(a: _Analysis, w1: StateId, w2: StateId) -> str | None:
     # C3: no body path from w2 to w1, and some loop containing w1 directly
     # also contains w2 below it and is minimal among w1's loops
     minimal = any(a.headers[w1] - {x} <= a.headers[x] for x in a.headers[w1] & a.headers_plus[w2])
-    if minimal and w1 not in _Analysis._closure(a.body_adj.get(w2, ()), a.body_adj):
+    if minimal and w1 not in _closure(a.body_adj.get(w2, ()), a.body_adj):
         return "C3"
     return None
 
@@ -170,7 +173,7 @@ def _c2_promotion_state(a: _Analysis, w1: StateId, w2: StateId) -> StateId:
     pool = filtered or candidates
     if not pool:
         raise RuntimeError("C2 held but no promotion state exists")
-    return min(pool, key=a.base.index)
+    return min(pool, key=a.index)
 
 
 def relabel(
@@ -256,17 +259,17 @@ def collapse(
     the merges compose to.
     """
     work = _Merging(L)
-    a = work.analysis()
-    if a is None:
-        raise InvalidWitnessError(str(verify_witness(L)[1]))
+    name = L.base.states.__getitem__
+    named = lambda v: WitnessViolation(v.clause, tuple(map(name, v.detail)))
+    a, violation = work.analysis()
+    if violation is not None:
+        raise InvalidWitnessError(str(named(violation)))
     work.carry(_checked_partition(L.base, bisimilarity(L.base) if R is None else R))
     while work.has_related_pair():
         w1, w2, condition = work.merge_first_safe_pair(a)
-        a = work.analysis()
-        if a is None:  # name the violation on the original states
-            name = L.base.states.__getitem__
-            violation = verify_witness(_collapsed(L, work)[0])[1]
-            raise _broken_witness(name(w1), name(w2), condition, violation)
+        a, violation = work.analysis()
+        if violation is not None:
+            raise _broken_witness(name(w1), name(w2), condition, named(violation))
     return _collapsed(L, work)
 
 
@@ -280,15 +283,6 @@ def _collapsed(L: LabelledPrechart, work: "_Merging") -> tuple[LabelledPrechart,
     return LabelledPrechart(base, tags), projection
 
 
-class _Labelled:
-    """A labelling of the states being merged, read by the witness checks
-    as a ``LabelledPrechart``; valid until the next merge."""
-
-    def __init__(self, base: "_Merging", tags: dict[Edge, str]):
-        self.base = base
-        self.tags = tags
-
-
 class _Merging:
     """The merges of a collapse, on the states' discovery indices.
 
@@ -298,8 +292,6 @@ class _Merging:
     their outputs, the unlabelled successor sets and their reachability
     (recomputed only for the states that reached the deleted state), the
     tags, the carried partition's blocks and the projection (``image``).
-    The witness checks (``_Analysis``) read it as the ``base`` of a
-    labelling: ``states``, ``index``, ``out`` and ``reach_plus``.
     """
 
     def __init__(self, L: LabelledPrechart):
@@ -323,26 +315,12 @@ class _Merging:
         for x in self.states:
             self.blocks.setdefault(self.block_of[x], []).append(x)
 
-    # --- what the witness checks read
-
-    @staticmethod
-    def index(x: int) -> int:
-        return x
-
-    def out(self, x: int) -> frozenset[str]:
-        return self.outputs.get(x, frozenset())
-
-    def reach_plus(self) -> Mapping[int, frozenset[int]]:
-        return self.reach
-
-    def analysis(self) -> _Analysis | None:
-        """The analysis of the current labelling, or None if it is no witness.
-
-        The analysis refers to this object, not the other way round, so no
-        reference cycle keeps either alive.
-        """
-        view = _Labelled(self, self.tags)
-        return analysis_of_verified(view) if verify_witness(view)[0] else None
+    def analysis(self) -> tuple[_Analysis, WitnessViolation | None]:
+        """The analysis of the current labelling and its first violated
+        condition; the analysis reads this object's maps, so it is valid
+        until the next merge."""
+        a = _Analysis(self.states, int, self.outputs, self.reach, self.tags)
+        return a, _first_violation(a)
 
     # --- one merge
 

@@ -155,11 +155,13 @@ def _reach_closures(
     ``adj`` maps every state to its successors.  ``known`` holds the still
     valid closures of states outside ``sources``: a search that meets such
     a state, or a source already done, takes its closure whole instead of
-    walking it again.
+    walking it again.  The sources are walked in reverse, so that on
+    sources in discovery order a walk mostly meets finished successors.
+    The result follows the order of ``sources``.
     """
     closures: dict[StateId, frozenset[StateId]] = {}
     pending = set(sources)
-    for x in sources:
+    for x in reversed(sources):
         seen: set[StateId] = set()
         stack = list(adj[x])
         while stack:
@@ -173,7 +175,7 @@ def _reach_closures(
                 seen.update(closures[v] if v in closures else known[v])
         closures[x] = frozenset(seen)
         pending.discard(x)
-    return closures
+    return {x: closures[x] for x in sources}
 
 
 def restriction(X: Prechart, kept: Iterable[StateId], root: StateId | None = None) -> Prechart:

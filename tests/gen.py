@@ -21,6 +21,8 @@ from starchart import (
     size_bound,
     verify_witness,
 )
+from starchart.semantics import expr_step
+from starchart.syntax import can_terminate, star_height
 
 DEFAULT_ALPHABET = ("a", "b", "c")
 
@@ -395,6 +397,78 @@ def pair_closure(pairs) -> frozenset:
                 closure.add((x, y))
                 stack.extend(succ.get(y, ()))
     return frozenset(closure)
+
+
+def recursive_syntactic_tag(e: Expr, action: str, f: Expr) -> str:
+    """Tag of ``e -action-> f`` by a separate match per expression form,
+    recursing into the left operand of sequencing: the reference for the one
+    derivation walk behind ``syntactic_witness``."""
+    found: set[str] = set()
+    if isinstance(e, Sum):
+        found.add("b")
+    elif isinstance(e, Seq):
+        louts, lsucc = expr_step(e.left)
+        if action in louts and f == e.right:
+            found.add("b")
+        if isinstance(f, Seq) and f.right == e.right and f.left in lsucc.get(action, ()):
+            found.add(recursive_syntactic_tag(e.left, action, f.left))
+    elif isinstance(e, Star):
+        louts, lsucc = expr_step(e.left)
+        routs, rsucc = expr_step(e.right)
+        if f == e and action in louts:
+            found.add("e")
+        if f in rsucc.get(action, ()):
+            found.add("b")
+        if isinstance(f, Seq) and f.right == e and f.left in lsucc.get(action, ()):
+            found.add("e" if can_terminate(f.left) else "b")
+    if len(found) != 1:
+        raise ValueError(f"no unique tag derivation for {e} -{action}-> {f}: {found}")
+    return found.pop()
+
+
+def matched_loop_depth(L: LabelledPrechart, x, action: str, y) -> int:
+    """Loop depth of a transition by its own match of the star rules: the
+    reference for ``loop_depth``."""
+    tag = L.tag(x, action, y)
+    if not isinstance(x, Expr) or not isinstance(y, Expr):
+        raise ValueError("loop depth needs expression-structured states")
+    if tag == "b":
+        return 0
+    e, f = x, y
+    while isinstance(e, Seq) and isinstance(f, Seq) and f.right == e.right:
+        e, f = e.left, f.left
+    if isinstance(e, Star) and (f == e or (isinstance(f, Seq) and f.right == e)):
+        return star_height(e.left) + 1
+    raise ValueError(f"no depth rule for {e} -> {f}")
+
+
+def searched_longest_paths(states, adj) -> dict:
+    """Longest path lengths out of each node of a DAG, by a depth-first
+    search of their own; raises ``RuntimeError`` on a cycle.  The reference
+    for ``_Analysis.longest_paths``."""
+    length: dict = {}
+    for start in states:
+        if start in length:
+            continue
+        best = {start: 0}  # the nodes on the current path, and their best so far
+        stack = [(start, iter(adj.get(start, ())))]
+        while stack:
+            x, successors = stack[-1]
+            for y in successors:
+                if y in best:
+                    raise RuntimeError("longest paths of a graph with a cycle")
+                if y not in length:
+                    best[y] = 0
+                    stack.append((y, iter(adj.get(y, ()))))
+                    break
+                best[x] = max(best[x], 1 + length[y])
+            else:
+                length[x] = best.pop(x)
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    best[parent] = max(best[parent], 1 + length[x])
+    return length
 
 
 def path_relations(L: LabelledPrechart) -> tuple[frozenset, frozenset]:

@@ -1,5 +1,7 @@
-"""The package exports its public names, and no submodule."""
+"""The package exports its public names, and no submodule; it keeps no unused private name."""
 
+import ast
+import pathlib
 import types
 
 import starchart
@@ -12,3 +14,31 @@ def test_all_names_resolve_to_no_module():
     namespace: dict = {}
     exec("from starchart import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(starchart.__all__)
+
+
+def test_every_private_module_name_is_used():
+    # a helper that a simplification leaves behind is referenced nowhere in
+    # the package but at its own definition
+    package = pathlib.Path(starchart.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = [(m, name) for m, name in defined
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+    assert len(private) > 20
+    assert [(m, name) for m, name in private if name not in used] == []

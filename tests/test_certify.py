@@ -236,3 +236,46 @@ class TestTamperedCertificates:
                 assert results["roots-not-bisimilar"]
                 edited += 1
         assert edited >= 40
+
+    def test_a_clause_on_a_pair_the_joined_classes_do_not_relate_fails(self):
+        rng = random.Random(5)
+        while True:
+            e, f = random_expr(rng, depth=3), random_expr(rng, depth=3)
+            cert = certify(e, f, ALPHA)
+            if cert.verdict == "inequivalent":
+                break
+        doc = roundtrip(cert)
+        assert all(c.passed for c in recheck_certificate(doc))
+        d = _decide(e, f, ALPHA)
+        candidate = d.R.merge(*d.roots)
+        ids = state_ids(d.joined)
+        x, y = next((x, y) for x in d.joined.states for y in d.joined.states
+                    if d.joined.out(x) != d.joined.out(y) and not candidate.related(x, y))
+        action = sorted(d.joined.out(x) ^ d.joined.out(y))[0]
+        doc["distinguishing"] = {"clause": "output", "left": ids[x], "right": ids[y],
+                                 "action": action, "successor": None}
+        results = {c.name: c.passed for c in recheck_certificate(doc)}
+        assert not results["distinguishing-clause"]
+        assert results["roots-not-bisimilar"]
+
+    def test_an_output_clause_names_no_successor(self):
+        doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
+        assert doc["distinguishing"]["successor"] is None
+        doc["distinguishing"]["successor"] = doc["distinguishing"]["left"]
+        assert not dict((c.name, c.passed) for c in recheck_certificate(doc))["distinguishing-clause"]
+
+    def test_flipped_tags_fail_their_named_checks(self):
+        left, right = parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))
+        doc = roundtrip(certify(left, right))
+        for transition in doc["collapsed"]["transitions"]:
+            transition["tag"] = "b"
+        replayed = recheck_certificate(doc)
+        assert [c.name for c in replayed] == REPLAYED_EQUIVALENT
+        assert {c.name for c in replayed if not c.passed} == {
+            "collapsed-witness-valid", "solution-verified", "common-at-root"}
+
+    def test_an_unknown_verdict_raises(self):
+        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        doc["verdict"] = "maybe"
+        with pytest.raises(ValueError, match="unknown verdict 'maybe'"):
+            recheck_certificate(doc)

@@ -2,6 +2,9 @@ import copy
 import pickle
 import random
 import signal
+import sys
+from collections import Counter
+from functools import reduce
 
 import pytest
 
@@ -35,9 +38,12 @@ from gen import (
     exhaustive_witnesses,
     fig3_left,
     fig3_right,
+    matched_loop_depth,
     path_relations,
     random_chart,
     random_expr,
+    recursive_syntactic_tag,
+    searched_longest_paths,
     simple_cycles,
 )
 
@@ -245,7 +251,8 @@ class TestLongestPaths:
             shared += len(preds) != len(set(preds))
             isolated += any(not adj.get(x) and x not in preds for x in range(n))
             states = rng.sample(range(n), n)
-            assert self.longest_paths(states, adj) == {x: brute_force_longest(adj, x) for x in states}
+            expected = {x: brute_force_longest(adj, x) for x in states}
+            assert self.longest_paths(states, adj) == searched_longest_paths(states, adj) == expected
         assert shared > 50 and isolated > 50
 
     @pytest.mark.parametrize("adj", [
@@ -338,6 +345,61 @@ class TestSyntacticWitness:
         for _ in range(60):
             L = syntactic_witness(chart_of(random_expr(rng, depth=4)))
             assert verify_witness(L) == (True, None)
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the message of the ``ValueError`` it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestOneDerivationWalk:
+    """The one derivation walk, and the fold over one depth-first search,
+    against the recursive tagging, the matched loop depth and the searched
+    longest paths they replace."""
+
+    @staticmethod
+    def charts():
+        rng = random.Random(347)
+        for i in range(300):
+            yield chart_of(random_expr(rng, depth=2 + i % 5))
+        for n in (1, 2, 7, 40):
+            chain = reduce(Seq, [A] * n)  # nested on the left, so walked n deep
+            yield chart_of(chain)
+            yield chart_of(reduce(lambda left, right: Seq(right, left), [A] * n))
+            yield chart_of(Star(chain, B))
+            yield chart_of(reduce(Seq, [Star(Seq(A, B), Sum(A, Zero()))] + [B] * n))
+
+    def test_tags_loop_depths_and_measures_are_unchanged(self):
+        depths = Counter()
+        for X in self.charts():
+            L = syntactic_witness(X)
+            assert dict(L.tags) == {edge: recursive_syntactic_tag(*edge) for edge in X.edges()}
+            all_entry = LabelledPrechart(X, dict.fromkeys(X.edges(), ENTRY))
+            for labelling in (L, all_entry):
+                for edge in X.edges():
+                    depth = outcome(loop_depth, labelling, *edge)
+                    assert depth == outcome(matched_loop_depth, labelling, *edge)
+                    depths[depth if isinstance(depth, int) else "error"] += 1
+            a = analysis_of_verified(L)
+            en = searched_longest_paths(X.states, a.diredge_adj)
+            bd = searched_longest_paths(X.states, a.body_adj)
+            assert [measures(L, x) for x in X.states] == [(en[x], bd[x]) for x in X.states]
+            assert to_llee(L).weights == {
+                (x, act, y): max(en[x], 1) if t == ENTRY else 0 for (x, act, y), t in L.tags.items()}
+        assert min(depths[0], depths[1], depths[2], depths["error"]) > 100
+
+    def test_a_long_sequence_is_tagged_without_recursion(self):
+        X = chart_of(reduce(Seq, [A] * 300))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            L = syntactic_witness(X)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert set(L.tags.values()) == {"b"} and len(L.tags) == 299
 
 
 class TestInferWitness:

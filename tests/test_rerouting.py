@@ -373,10 +373,10 @@ class TestCollapseDoesEachStepOnce:
         built = 0
         init = layering._Analysis.__init__
 
-        def counting(self, L):
+        def counting(self, *maps):
             nonlocal built
             built += 1
-            init(self, L)
+            init(self, *maps)
 
         monkeypatch.setattr(layering._Analysis, "__init__", counting)
         for L in joined_witnesses(179, 20):
@@ -396,15 +396,17 @@ class TestCollapseDoesEachStepOnce:
 
     @staticmethod
     def fail_after_the_first_merge(monkeypatch, X):
-        # every labelling smaller than X "fails" verification; the input passes
-        violation = WitnessViolation("layered", ("w2", "w2"))
+        # every labelling smaller than X "fails" verification; the input passes.
+        # relabel checks through verify_witness and collapse on its working
+        # chart, and both end in _first_violation
         inferred = []
         for module in ("starchart.layering", "starchart.rerouting"):
             monkeypatch.setattr(sys.modules[module], "infer_witness", inferred.append, raising=False)
-        monkeypatch.setattr(
-            sys.modules["starchart.rerouting"], "verify_witness",
-            lambda L: (True, None) if len(L.base.states) == len(X.states) else (False, violation),
-        )
+            monkeypatch.setattr(
+                sys.modules[module], "_first_violation",
+                lambda a: None if len(a.states) == len(X.states)
+                else WitnessViolation("layered", (a.states[-1],) * 2),
+            )
         return inferred
 
     def test_a_relabelling_that_breaks_the_witness_raises(self, monkeypatch):

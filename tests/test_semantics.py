@@ -151,6 +151,23 @@ class TestReachability:
             adj = {x: X.underlying_succ(x) for x in X.states}
             assert _reach_closures(adj, sources, known) == {x: truth[x] for x in sources}
 
+    def test_a_chain_looks_up_each_successor_list_about_once(self):
+        # sources in discovery order are walked in reverse, so each walk
+        # takes its successor's finished closure whole
+        class Counting(dict):
+            lookups = 0
+
+            def __getitem__(self, x):
+                Counting.lookups += 1
+                return dict.__getitem__(self, x)
+
+        n = 2000
+        adj = Counting({i: (i + 1,) if i + 1 < n else () for i in range(n)})
+        closures = _reach_closures(adj, range(n))
+        assert list(closures) == list(range(n))
+        assert closures[0] == frozenset(range(1, n)) and closures[n - 1] == frozenset()
+        assert Counting.lookups <= 2 * n
+
 
 class TestGenerated:
     def test_whole_chart_is_already_generated(self):
