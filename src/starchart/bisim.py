@@ -138,8 +138,8 @@ def check_bisimulation(
     Outputs must agree; every left transition must be matched on the right
     within the relation, and symmetrically.  The first failing pair is
     reported with its clause.  A ``PartitionRelation`` on the states of
-    ``X`` (with ``Y is X``) is decided in one pass over the transitions;
-    only when that fails are its pairs scanned, to name the violation.
+    ``X`` (with ``Y is X``) is decided by one refinement round; only when
+    that fails are its pairs scanned, to name the violation.
     """
     if isinstance(relation, PartitionRelation):
         if Y is X and _partition_is_bisimulation(X, relation):
@@ -178,23 +178,17 @@ def _violations(
 
 
 def _partition_is_bisimulation(X: Prechart, R: PartitionRelation) -> bool:
-    """Whether each block agrees on outputs and per-action successor blocks.
+    """Whether ``R`` is a bisimulation partition of exactly ``X.states``.
 
-    That is the pairwise check for a partition whose members and their
-    successors are all in its universe; anything else answers ``False``.
+    Its blocks must agree on outputs, and one refinement round must split
+    none of them: then each block agrees on per-action successor blocks.
+    A partition of any other state set answers ``False``.
     """
-    if not all(X.has_state(x) for x in R.universe):
+    if len(R.universe) != len(X.states) or not all(X.has_state(x) for x in R.universe):
         return False
-    block_of = R._block_of  # type: ignore[attr-defined]
-    first: dict[int, tuple] = {}
-    try:
-        for x in R.universe:
-            sig = (X.out(x), _successor_blocks(X, x, block_of))
-            if first.setdefault(block_of[x], sig) != sig:
-                return False
-    except KeyError:  # a successor outside the universe
+    if any(X.out(x) != X.out(block[0]) for block in R.blocks for x in block):
         return False
-    return True
+    return _refine(X, R._block_of)[1] == len(R.blocks)  # type: ignore[attr-defined]
 
 
 def _checked_partition(X: Prechart, R: PartitionRelation) -> PartitionRelation:

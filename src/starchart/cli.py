@@ -32,7 +32,6 @@ from .formats import (
     witness_to_json,
 )
 from .layering import (
-    InvalidWitnessError,
     LabelledPrechart,
     _union_on,
     infer_witness,
@@ -51,7 +50,7 @@ from .semantics import (
     kernel_partition,
 )
 from .solution import Solution, canonical_solution, simplify, verify_solution
-from .syntax import Expr, ParseError, atoms, declare_alphabet, parse, render
+from .syntax import Expr, atoms, declare_alphabet, parse, render
 
 
 @dataclass(frozen=True)
@@ -150,13 +149,14 @@ def _relation_check(d: _Decision) -> Check:
     return Check("bisimulation-relation-valid", check_bisimulation(d.joined, d.joined, d.R)[0])
 
 
-def _inequivalent_checks(d: _Decision, v: BisimViolation) -> list[Check]:
+def _inequivalent_checks(d: _Decision, v: BisimViolation | None) -> list[Check]:
     """The roots' verdict, and that ``v`` is a failed clause of a pair that
-    joining the roots' classes relates."""
+    joining the roots' classes relates; ``None``, a clause naming states the
+    joined chart lacks, fails."""
     candidate = d.R.merge(*d.roots)
     return [
         Check("roots-not-bisimilar", not d.bisimilar),
-        Check("distinguishing-clause", candidate.related(v.left, v.right)
+        Check("distinguishing-clause", v is not None and candidate.related(v.left, v.right)
               and v in _violations(d.joined, d.joined, candidate.related, v.left, v.right)),
     ]
 
@@ -259,7 +259,7 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
             by_id[v["right"]],
             v["action"],
             by_id[v["successor"]] if v["successor"] is not None else None,
-        )
+        ) if len(by_id) == len(names) else None
         return checks + _inequivalent_checks(d, violation)
     collapsed = witness_from_json(doc["collapsed"])
     solution = canonical_solution(collapsed) if verify_witness(collapsed)[0] else None
@@ -267,7 +267,7 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     return (
         checks
         + _collapsed_checks(d, collapsed, solution)
-        + [Check("common-at-root", solution is not None and solution.assign[collapsed.base.root] == common)]
+        + [Check("common-at-root", solution is not None and solution.assign.get(collapsed.base.root) == common)]
         + _common_checks(d, common)
     )
 
@@ -510,10 +510,7 @@ def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidWitnessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # ParseError, InvalidWitnessError, bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:  # a resource limit of the recursive semantics, not a fault

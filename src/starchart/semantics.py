@@ -381,12 +381,15 @@ def is_homomorphism(
         for a in X.alphabet:
             if (a in X.out(x)) != (a in Y.out(hx)):
                 return False, HomViolation("output", x, a)
-            image = {h[y] for y in X.succ(x, a)}
-            actual = set(Y.succ(hx, a))
-            for y in image - actual:
-                return False, HomViolation("extra-edge", x, a, y)
-            for y in actual - image:
-                return False, HomViolation("missing-edge", x, a, y)
+            # dicts keep successor order, so hashing cannot pick the target
+            image = dict.fromkeys(h[y] for y in X.succ(x, a))
+            actual = dict.fromkeys(Y.succ(hx, a))
+            for y in image:
+                if y not in actual:
+                    return False, HomViolation("extra-edge", x, a, y)
+            for y in actual:
+                if y not in image:
+                    return False, HomViolation("missing-edge", x, a, y)
     return True, None
 
 

@@ -2,20 +2,20 @@
 
 A solution assigns an expression to every state so that each state's
 expression is equivalent to the sum of its outputs and of action-prefixed
-successor expressions.  Equations are checked in two stages.  The first
-proves them from sound axioms of Milner's system: expressions are compared
-by normal forms modulo ACI of ``+`` and the laws of sequencing, after one
-step of the fundamental theorem.  Provable implies bisimilar, so a proof is
-the answer.  The axioms used are not complete, so when they do not suffice
-equivalence is decided semantically: bisimilarity is an exact oracle for
-provable equivalence on this fragment.
+successor expressions.  One equation loop checks them, after one step of
+the fundamental theorem, in two stages.  The first proves them from sound
+axioms of Milner's system: expressions are compared by normal forms modulo
+ACI of ``+`` and the laws of sequencing.  Provable implies bisimilar, so a
+proof is the answer.  The axioms used are not complete, so when they do not
+suffice the same loop compares bisimilarity classes instead: bisimilarity
+is an exact oracle for provable equivalence on this fragment.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping, NoReturn
+from typing import Callable, Mapping, NoReturn
 
 from .bisim import bisimilarity
 from .layering import BODY, LabelledPrechart, analysis_of_verified
@@ -226,32 +226,35 @@ class _NormalForms:
         return memo[id(e)][1]
 
 
-def _provable(X: Prechart, assign: Mapping[StateId, Expr]) -> bool:
-    """Whether every state's equation follows from the axioms of ``_NormalForms``.
+def _first_unsolved(
+    X: Prechart, assign: Mapping[StateId, Expr], cls: Callable[[Expr], object]
+) -> StateId | None:
+    """The first state in ``X.states`` order whose equation fails under ``cls``.
 
-    By the fundamental theorem, ``assign[x]`` provably equals the sum of
-    its outputs and of ``a·f`` over its ``a``-derivatives ``f``.  So the
-    equation at ``x`` is provable when those outputs are ``X.out(x)`` and,
-    for each action, the derivatives and the successors' assignments have
-    the same set of normal forms.  Incomplete: ``False`` decides nothing.
+    By the fundamental theorem ``assign[x]`` equals the sum of its outputs
+    and of ``a·f`` over its ``a``-derivatives ``f``.  So the equation at
+    ``x`` holds when those outputs are ``X.out(x)``, no step leaves
+    ``X.alphabet``, and per action the derivatives and the successors'
+    assignments have the same classes.  Under normal forms this proves
+    equations but decides nothing when it fails; under bisimilarity
+    classes it is exact, as the right side's ``a``-derivatives are the
+    successors' assignments.
 
-    Canonical solutions always pass.  Along a body step the derivative of
-    ``s(x)`` is the successor's solution itself.  Along an entry step into
-    ``y`` it is ``t·s(x)`` for the companion ``t`` of ``y`` relative to
-    ``x``, which the sequencing axioms rewrite into ``s(y)``, because
-    goto-freedom keeps the states of the loop free of outputs.
+    Canonical solutions pass under normal forms.  Along a body step the
+    derivative of ``s(x)`` is the successor's solution itself.  Along an
+    entry step into ``y`` it is ``t·s(x)`` for the companion ``t`` of ``y``
+    relative to ``x``, which the sequencing axioms rewrite into ``s(y)``,
+    because goto-freedom keeps the states of the loop free of outputs.
     """
-    forms = _NormalForms()
     alphabet = set(X.alphabet)
     for x in X.states:
         outs, succ = expr_step(assign[x])
         if outs != X.out(x) or not alphabet.issuperset(succ):
-            return False
+            return x
         for a in X.alphabet:
-            derivatives = {forms.of(f) for f in succ.get(a, ())}
-            if derivatives != {forms.of(assign[y]) for y in X.succ(x, a)}:
-                return False
-    return True
+            if {cls(f) for f in succ.get(a, ())} != {cls(assign[y]) for y in X.succ(x, a)}:
+                return x
+    return None
 
 
 def verify_solution(
@@ -261,28 +264,20 @@ def verify_solution(
 
     Each assigned expression must be bisimilar to the sum of the state's
     outputs and of action-prefixed assignments of its successors.  The
-    first stage proves every equation from sound axioms (``_provable``);
-    provable implies bisimilar, so its success is the answer.  Otherwise
-    all equations are decided by one partition refinement over the joint
-    chart of both sides; a state's class depends only on what it reaches,
-    so this is the per-equation check.  The first failing state in
-    ``X.states`` order is reported.
+    equation loop ``_first_unsolved`` first compares normal forms; if every
+    equation is provable, it is bisimilar.  Otherwise the loop runs again
+    on the bisimilarity classes of the joint chart of the assigned
+    expressions and reports the first failing state in ``X.states`` order.
     """
     assign = solution.assign if isinstance(solution, Solution) else dict(solution)
     for x in X.states:
         if x not in assign:
             raise ValueError(f"partial assignment: no expression for state {x!r}")
-    if _provable(X, assign):
+    if _first_unsolved(X, assign, _NormalForms().of) is None:
         return True, None
-    rhs = {}
-    for x in X.states:
-        outputs = [Atom(a) for a in X.alphabet if a in X.out(x)]
-        steps = [Seq(Atom(a), assign[y]) for a in X.alphabet for y in X.succ(x, a)]
-        rhs[x] = Sum(gsum(outputs), gsum(steps))
-    sides = [e for x in X.states for e in (assign[x], rhs[x])]
-    alphabet = tuple(sorted(set().union(*map(atoms, sides))))
-    R = bisimilarity(joint_chart(sides, alphabet))
-    bad = next((x for x in X.states if not R.related(assign[x], rhs[x])), None)
+    exprs = list(assign.values())
+    R = bisimilarity(joint_chart(exprs, tuple(sorted(set().union(*map(atoms, exprs))))))
+    bad = _first_unsolved(X, assign, R.block_index)
     return bad is None, bad
 
 

@@ -18,7 +18,7 @@ from starchart import (
     is_homomorphism,
     quotient,
 )
-from starchart.bisim import refine_once
+from starchart.bisim import _partition_is_bisimulation, refine_once
 from gen import (
     AXIOM_NAMES,
     axiom_instances,
@@ -115,6 +115,10 @@ class TestOnePassPartitionCheck:
             for R in partitions_of(rng, X):
                 got = check_bisimulation(X, X, R)
                 assert got == check_bisimulation(X, X, list(R.pairs()))
+                # the pair scan behind the fast path would hide its wrong False;
+                # a partition of another state set always answers False
+                fast = _partition_is_bisimulation(X, R)
+                assert fast == got[0] if R.universe == X.states else not fast
                 outcomes.append(got[0])
         assert len(outcomes) >= 300
         assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100

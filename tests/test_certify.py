@@ -264,6 +264,21 @@ class TestTamperedCertificates:
         doc["distinguishing"]["successor"] = doc["distinguishing"]["left"]
         assert not dict((c.name, c.passed) for c in recheck_certificate(doc))["distinguishing-clause"]
 
+    def test_a_clause_naming_an_unknown_state_fails(self):
+        doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
+        doc["distinguishing"]["left"] = "L:zz"
+        results = {c.name: c.passed for c in recheck_certificate(doc)}
+        assert list(results) == INEQUIVALENT
+        assert not results["distinguishing-clause"]
+        assert results["roots-not-bisimilar"]
+
+    def test_a_collapsed_witness_without_a_root_fails_common_at_root(self):
+        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        doc["collapsed"]["root"] = None
+        replayed = recheck_certificate(doc)
+        assert [c.name for c in replayed] == REPLAYED_EQUIVALENT
+        assert {c.name for c in replayed if not c.passed} == {"common-at-root"}
+
     def test_flipped_tags_fail_their_named_checks(self):
         left, right = parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))
         doc = roundtrip(certify(left, right))

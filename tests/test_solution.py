@@ -30,7 +30,7 @@ from starchart import (
 )
 from starchart import layering
 from starchart import solution as solution_module
-from starchart.solution import MeasureError, _provable
+from starchart.solution import MeasureError, _NormalForms, _first_unsolved
 from gen import per_equation_check, random_chart, random_expr
 from test_golden_certs import corpus as golden_corpus
 
@@ -285,7 +285,7 @@ def solved_charts(rng, syntactic, inferred):
 
 
 class TestTheAxiomStage:
-    """``_provable`` accepts only true equations; canonical solutions need no more."""
+    """The normal-form stage accepts only true equations; canonical solutions need no more."""
 
     def test_it_never_accepts_what_the_per_equation_check_rejects(self):
         rng = random.Random(2295)
@@ -294,7 +294,7 @@ class TestTheAxiomStage:
             for candidate in TestOneRefinementPerCheck.corruptions(rng, X, assign):
                 candidate = reparsed(candidate)
                 expected = per_equation_check(X, candidate)
-                if _provable(X, candidate):
+                if _first_unsolved(X, candidate, _NormalForms().of) is None:
                     assert expected == (True, None)
                     accepted += 1
                 assert verify_solution(X, candidate) == expected
@@ -318,7 +318,7 @@ class TestTheAxiomStage:
     ])
     def test_it_uses_no_unsound_law(self, X, candidate):
         candidate = {x: parse(text, ("a", "b", "c", "d", "z")) for x, text in candidate.items()}
-        assert not _provable(X, candidate)
+        assert _first_unsolved(X, candidate, _NormalForms().of) is not None
         assert verify_solution(X, candidate) == per_equation_check(X, candidate) == (False, "x")
 
     @pytest.fixture
