@@ -171,17 +171,21 @@ def _collapsed_checks(d: _Decision, collapsed: LabelledPrechart, solution: Solut
     ]
 
 
-def _common_checks(d: _Decision, common: Expr) -> list[Check]:
-    """Both inputs against ``common``, decided by one refinement.
+def _common_checks(d: _Decision, common: Expr | None) -> list[Check]:
+    """Both inputs against ``common``, decided by one refinement; both
+    fail when there is no common expression.
 
     A state's class depends only on what it reaches, so this answers as
     two ``bisimilar`` calls would, with one chart and one refinement.
     """
     e, f = d.left.root, d.right.root
-    R = bisimilarity(joint_chart([e, f, common], d.joined.alphabet))
+    left = right = False
+    if common is not None:
+        R = bisimilarity(joint_chart([e, f, common], d.joined.alphabet))
+        left, right = R.related(e, common), R.related(f, common)
     return [
-        Check("common-bisimilar-left", R.related(e, common)),
-        Check("common-bisimilar-right", R.related(f, common)),
+        Check("common-bisimilar-left", left),
+        Check("common-bisimilar-right", right),
     ]
 
 
@@ -230,12 +234,30 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     return cert
 
 
+def _named_violation(d: _Decision, v: Mapping[str, Any] | None) -> BisimViolation | None:
+    """The serialized clause ``v`` on the states of ``d.joined``; ``None``
+    when ``v`` is null or names a state the joined chart lacks."""
+    if v is None:
+        return None
+    names = {v["left"], v["right"], v["successor"]} - {None}
+    by_id = {}
+    for x, name in iter_state_ids(d.joined):  # stop once the clause's names are known
+        if name in names:
+            by_id[name] = x
+            if len(by_id) == len(names):
+                break
+    if len(by_id) != len(names):
+        return None
+    successor = by_id[v["successor"]] if v["successor"] is not None else None
+    return BisimViolation(v["clause"], by_id[v["left"]], by_id[v["right"]], v["action"], successor)
+
+
 def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     """Replay every named check of a serialized certificate from scratch.
 
     A collapsed witness that does not verify fails its named check, and the
-    checks that need its solution fail with it.  An unknown verdict raises
-    ``ValueError``.
+    checks that need its solution fail with it; so does a null distinguishing
+    clause or common expression.  An unknown verdict raises ``ValueError``.
     """
     if doc["verdict"] not in ("equivalent", "inequivalent"):
         raise ValueError(f"unknown verdict {doc['verdict']!r}")
@@ -245,29 +267,15 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     d = _decide(e, f, alpha)
     checks = [_relation_check(d)]
     if doc["verdict"] == "inequivalent":
-        v = doc["distinguishing"]
-        names = {v["left"], v["right"], v["successor"]} - {None}
-        by_id = {}
-        for x, name in iter_state_ids(d.joined):  # stop once the clause's names are known
-            if name in names:
-                by_id[name] = x
-                if len(by_id) == len(names):
-                    break
-        violation = BisimViolation(
-            v["clause"],
-            by_id[v["left"]],
-            by_id[v["right"]],
-            v["action"],
-            by_id[v["successor"]] if v["successor"] is not None else None,
-        ) if len(by_id) == len(names) else None
-        return checks + _inequivalent_checks(d, violation)
+        return checks + _inequivalent_checks(d, _named_violation(d, doc["distinguishing"]))
     collapsed = witness_from_json(doc["collapsed"])
     solution = canonical_solution(collapsed) if verify_witness(collapsed)[0] else None
-    common = parse(doc["common"], alpha)
+    common = parse(doc["common"], alpha) if doc["common"] is not None else None
     return (
         checks
         + _collapsed_checks(d, collapsed, solution)
-        + [Check("common-at-root", solution is not None and solution.assign.get(collapsed.base.root) == common)]
+        + [Check("common-at-root", common is not None and solution is not None
+                 and solution.assign.get(collapsed.base.root) == common)]
         + _common_checks(d, common)
     )
 

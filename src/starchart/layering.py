@@ -129,21 +129,30 @@ def _closure(seeds: Iterable[StateId], adj: Mapping[StateId, Iterable[StateId]],
     return frozenset(seen)
 
 
+def _loop(x: StateId, entry_succ: Iterable[StateId],
+          body_adj: Mapping[StateId, Iterable[StateId]]) -> frozenset[StateId]:
+    """The loop descent of one state ``x``, given its entry successors.
+
+    The states body-reachable from its entry successors other than ``x``,
+    never passing ``x`` itself; the entry step alone (no body steps) already
+    counts.  Empty when ``x`` has no entry step to another state.
+    """
+    return _closure(entry_succ, body_adj, forbidden=x)
+
+
 def _descent(
     entry_adj: Mapping[StateId, Iterable[StateId]], body_adj: Mapping[StateId, Iterable[StateId]],
 ) -> dict[StateId, frozenset[StateId]]:
     """The loop descent of a labelling, given its entry and body adjacencies.
 
-    Maps each state with an entry step to another state onto the states
-    body-reachable from its entry successors, never passing the state
-    itself; the entry step alone (no body steps) already counts.  Keys
-    follow the order of ``entry_adj``.
+    Maps each state with an entry step to another state onto its ``_loop``.
+    Keys follow the order of ``entry_adj``.
     """
     descent: dict[StateId, frozenset[StateId]] = {}
     for x, ys in entry_adj.items():
-        starts = [y for y in ys if y != x]
-        if starts:
-            descent[x] = _closure(starts, body_adj, forbidden=x)
+        loop = _loop(x, ys, body_adj)
+        if loop:
+            descent[x] = loop
     return descent
 
 
@@ -436,16 +445,27 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
 
     Flatness lets the search assign one tag per state pair.  Self-loops are
     forced entries (a body self-loop is a body cycle); pairs with no return
-    path, and pairs into an output state, are forced bodies.  The rest is a
-    depth-first search over the free pairs, body before entry.  A body tag
-    that would close a body cycle is skipped, and a partial labelling is cut
-    as soon as it is doomed: the loop descent of its decided tags (as in
+    path, and pairs into an output state, are forced bodies.  When the
+    forced bodies already close a body cycle there is no witness.  The rest
+    is a depth-first search over the free pairs, body before entry.  A body
+    tag that would close a body cycle is skipped, and a partial labelling is
+    cut as soon as it is doomed: the loop descent of its decided tags (as in
     ``derived_relations``) reaches a state with an output, or has a cycle.
     Deciding more pairs only adds descent pairs, so both violations persist
-    to every completion and the cut subtrees hold no witness.  Every
-    complete labelling that survives is checked by ``verify_witness``.
-    With a ``limit``, the search stops after that many witnesses; a limit
-    of 0 returns none, and a negative limit raises ``ValueError``.
+    to every completion and the cut subtrees hold no witness.
+
+    The search keeps each state's ``_loop`` under the decided tags and, per
+    decided pair, the loops its tag replaced, restored on backtracking.  An
+    entry ``x -> y`` changes only ``x``'s loop, and a body step ``x -> y``
+    exactly the loops that contain ``x``; only those are recomputed and
+    tested, each for an output or for reaching its own state through the
+    descent.  Since the parent node was not doomed and descents only grow,
+    any new violation runs through a changed loop, so this cuts exactly the
+    nodes that testing the whole descent would.  Every complete labelling
+    that survives is therefore a witness, and is checked by
+    ``verify_witness``.  With a ``limit``, the search stops after that many
+    witnesses; a limit of 0 returns none, and a negative limit raises
+    ``ValueError``.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
@@ -469,15 +489,21 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     adj: dict[str, dict[StateId, set[StateId]]] = {BODY: {}, ENTRY: {}}
     for (x, y), t in forced.items():
         adj[t].setdefault(x, set()).add(y)
+    if _find_cycle(X.states, adj[BODY])[0] is not None:
+        return []  # never fully specified
 
+    outputs = frozenset(x for x in X.states if X.out(x))
+    loops = {x: _loop(x, adj[ENTRY].get(x, ()), adj[BODY]) for x in X.states}
+    changed: Iterable[StateId] = X.states  # at the root, test every loop
     results: list[LabelledPrechart] = []
     assignment: dict[tuple[StateId, StateId], str] = {}  # the decided free pairs
     todo: list[list[str]] = []  # per decided free pair, the tags still to try
+    replaced: list[list[tuple[StateId, frozenset[StateId]]]] = []  # per assigned pair, the loops it replaced
     while limit is None or len(results) < limit:
         # visit the node whose decided pairs are free[:len(todo)]
-        descent = _descent(adj[ENTRY], adj[BODY])
-        doomed = (any(X.out(y) for ys in descent.values() for y in ys)  # not goto-free
-                  or _find_cycle(X.states, descent)[0] is not None)  # not layered
+        doomed = any(not loops[s].isdisjoint(outputs)  # not goto-free
+                     or s in _closure(loops[s], loops)  # not layered
+                     for s in changed)
         if not doomed and len(todo) == len(free):
             tags = {edge: forced.get(pair) or assignment[pair]
                     for pair, edges in groups.items() for edge in edges}
@@ -493,9 +519,14 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
             x, y = pair = free[len(todo) - 1]
             if pair in assignment:
                 adj[assignment.pop(pair)][x].discard(y)
+                loops.update(replaced.pop())
             if todo[-1]:
                 t = assignment[pair] = todo[-1].pop()
                 adj[t].setdefault(x, set()).add(y)
+                changed = [x] if t == ENTRY else [s for s in X.states if x in loops[s]]
+                replaced.append([(s, loops[s]) for s in changed])
+                for s in changed:
+                    loops[s] = _loop(s, adj[ENTRY].get(s, ()), adj[BODY])
                 break
             todo.pop()
         else:

@@ -279,6 +279,21 @@ class TestTamperedCertificates:
         assert [c.name for c in replayed] == REPLAYED_EQUIVALENT
         assert {c.name for c in replayed if not c.passed} == {"common-at-root"}
 
+    def test_a_null_distinguishing_clause_fails(self):
+        doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
+        doc["distinguishing"] = None
+        results = {c.name: c.passed for c in recheck_certificate(doc)}
+        assert list(results) == INEQUIVALENT
+        assert {name for name, passed in results.items() if not passed} == {"distinguishing-clause"}
+
+    def test_a_null_common_expression_fails_its_three_checks(self):
+        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        doc["common"] = None
+        replayed = recheck_certificate(doc)
+        assert [c.name for c in replayed] == REPLAYED_EQUIVALENT
+        assert {c.name for c in replayed if not c.passed} == {
+            "common-at-root", "common-bisimilar-left", "common-bisimilar-right"}
+
     def test_flipped_tags_fail_their_named_checks(self):
         left, right = parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))
         doc = roundtrip(certify(left, right))

@@ -32,6 +32,7 @@ from starchart import (
     union_witness,
     verify_witness,
 )
+from starchart import layering
 from starchart.layering import ENTRY, _Analysis, analysis_of_verified
 from gen import (
     all_labellings,
@@ -489,6 +490,29 @@ class TestPrunedSearch:
             checked += 1
             assert self.assert_same(erased(X, fig3_right())) == 0
 
+    def test_bench_shaped_negatives(self):
+        # as in the solve_infer bench: depth-4 expression charts of at most
+        # 10 states and 16 transitions, joined with fig3_right
+        rng = random.Random(79)
+        checked = 0
+        while checked < 40:
+            X = chart_of(random_expr(rng, depth=4), ("a", "b", "c"))
+            if len(X.states) > 10 or sum(1 for _ in X.edges()) > 16:
+                continue
+            checked += 1
+            assert self.assert_same(erased(X, fig3_right())) == 0
+
+    def test_output_free_random_charts(self):
+        rng = random.Random(83)
+        checked = found = 0
+        while checked < 150:
+            X = random_chart(rng, n_states=rng.randint(1, 8), out_prob=0)
+            if sum(1 for _ in X.edges()) > 14:
+                continue
+            checked += 1
+            found += self.assert_same(X)
+        assert found > 100
+
     def test_inference_on_eight_state_charts_is_bounded(self):
         def expired(signum, frame):
             raise TimeoutError("infer_witness ran past 10 s")
@@ -501,6 +525,51 @@ class TestPrunedSearch:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+
+def two_cycles_beside_a_body_cycle(k: int) -> Prechart:
+    """Two output states stepping into each other, whose steps are forced
+    body steps that close a body cycle, beside ``k`` output-free 2-cycles,
+    each of whose two pairs is free."""
+    transitions = {"o0": {"a": ["o1"]}, "o1": {"a": ["o0"]}}
+    for i in range(k):
+        transitions[f"p{i}"] = {"a": [f"q{i}"]}
+        transitions[f"q{i}"] = {"a": [f"p{i}"]}
+    return Prechart.make(("a",), list(transitions), {"o0": {"a"}, "o1": {"a"}}, transitions)
+
+
+class TestSearchLeaves:
+    """``enumerate_witnesses`` checks only complete labellings that are witnesses."""
+
+    @pytest.fixture
+    def leaves(self, monkeypatch) -> list:
+        calls: list = []
+
+        def counting(L):
+            calls.append(L)
+            return verify_witness(L)
+
+        monkeypatch.setattr(layering, "verify_witness", counting)
+        return calls
+
+    def test_a_forced_body_cycle_ends_the_search(self, leaves):
+        X = two_cycles_beside_a_body_cycle(10)
+        assert enumerate_witnesses(X) == []
+        assert leaves == []
+
+    def test_every_surviving_leaf_is_a_witness(self, leaves):
+        rng = random.Random(73)
+        checked = found = 0
+        while checked < 420:
+            X = random_chart(rng, n_states=rng.randint(1, 7), out_prob=(0, 0.3, 0.6)[checked % 3])
+            if sum(1 for _ in X.edges()) > 18:  # keeps the whole search under a second
+                continue
+            checked += 1
+            leaves.clear()
+            witnesses = enumerate_witnesses(X)
+            assert len(leaves) == len(witnesses)
+            found += len(witnesses)
+        assert found > 300
 
 
 class TestWitnessClosureProperties:
