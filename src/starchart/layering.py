@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .semantics import Prechart, StateId, coproduct, expr_step, restriction
 from .syntax import Expr, Seq, Star, Sum, can_terminate, star_height
@@ -20,9 +20,6 @@ Edge = tuple[StateId, str, StateId]
 
 ENTRY = "e"
 BODY = "b"
-
-_NO_STATE = object()  # sentinel: no forbidden state in a closure
-
 
 class InvalidWitnessError(ValueError):
     """An operation required a verified layering witness and got none."""
@@ -114,61 +111,73 @@ def _find_cycle(nodes: tuple[StateId, ...], adj: Mapping[StateId, Iterable[State
     return None, finished
 
 
-def _closure(seeds: Iterable[StateId], adj: Mapping[StateId, Iterable[StateId]],
-             forbidden: StateId | object = _NO_STATE) -> frozenset[StateId]:
-    """The states reachable from ``seeds`` in ``adj``, avoiding ``forbidden``."""
-    seen: set[StateId] = set()
-    queue = deque(s for s in seeds if s != forbidden)
-    seen.update(queue)
+def _closure(seeds: Iterable[StateId], adj: Mapping[StateId, Iterable[StateId]]) -> frozenset[StateId]:
+    """The states reachable from ``seeds`` in ``adj``, the seeds included."""
+    seen: set[StateId] = set(seeds)
+    queue = deque(seen)
     while queue:
         v = queue.popleft()
         for w in adj.get(v, ()):
-            if w != forbidden and w not in seen:
+            if w not in seen:
                 seen.add(w)
                 queue.append(w)
     return frozenset(seen)
 
 
-def _loop(x: StateId, entry_succ: Iterable[StateId],
-          body_adj: Mapping[StateId, Iterable[StateId]]) -> frozenset[StateId]:
-    """The loop descent of one state ``x``, given its entry successors.
+def _reach(seeds: int, adj: Sequence[int], forbidden: int = 0) -> int:
+    """The states reachable from ``seeds`` in ``adj``, never passing
+    ``forbidden``, the seeds included: the one loop primitive.
 
-    The states body-reachable from its entry successors other than ``x``,
-    never passing ``x`` itself; the entry step alone (no body steps) already
-    counts.  Empty when ``x`` has no entry step to another state.
+    States are numbered, and a set of them is a bitmask whose bit ``i``
+    stands for state ``i``; ``adj[i]`` is the mask of ``i``'s successors.
+    ``forbidden`` may also be a complement ``~allowed``, which confines the
+    search to ``allowed``.
+
+    The loop of state ``x``, given its entry successors ``entry[x]`` and the
+    body successors ``body``, is ``_reach(entry[x], body, 1 << x)``: the
+    states body-reachable from an entry successor other than ``x``, never
+    passing ``x`` itself, where the entry step alone (no body steps) already
+    counts.  It is empty when ``x`` has no entry step to another state.
     """
-    return _closure(entry_succ, body_adj, forbidden=x)
+    seen = seeds | forbidden
+    frontier = seeds & ~forbidden
+    while frontier:
+        low = frontier & -frontier
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier = (frontier ^ low) | new
+    return seen & ~forbidden
 
 
-def _descent(
-    entry_adj: Mapping[StateId, Iterable[StateId]], body_adj: Mapping[StateId, Iterable[StateId]],
-) -> dict[StateId, frozenset[StateId]]:
-    """The loop descent of a labelling, given its entry and body adjacencies.
-
-    Maps each state with an entry step to another state onto its ``_loop``.
-    Keys follow the order of ``entry_adj``.
-    """
-    descent: dict[StateId, frozenset[StateId]] = {}
-    for x, ys in entry_adj.items():
-        loop = _loop(x, ys, body_adj)
-        if loop:
-            descent[x] = loop
-    return descent
+def _members(mask: int, states: Sequence[StateId]) -> list[StateId]:
+    """The states of a mask over ``states``, in their order."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(states[low.bit_length() - 1])
+        mask ^= low
+    return members
 
 
 class _Analysis:
     """Per-state loop relations of a labelling, shared by the checks and measures.
 
     Each relation is held once, as a map from a state: its entry and body
-    successors (``entry_adj``, ``body_adj``, in discovery order) and body
-    predecessors; its loop descent (``descent``; ``diredge_adj`` lists it in
-    discovery order); ``descended``, the states some loop descends to; and,
-    for every state, the headers of the loops it lies directly inside
+    successors (``entry_adj``, ``body_adj``, in discovery order); its loop
+    descent (``descent``, keyed in discovery order; ``diredge_adj`` lists it
+    in discovery order); ``descended``, the states some loop descends to;
+    and, for every state, the headers of the loops it lies directly inside
     (``headers``) and their transitive closure (``headers_plus``).
 
     It is built from the maps it reads: the ``states`` in discovery order,
     their ``index`` key, the ``outputs``, the reachability ``reach_plus`` (in
-    one or more steps) and the ``tags``, keyed by transition.
+    one or more steps) and the ``tags``, keyed by transition.  The relations
+    are computed on masks over the states' positions in ``states`` (see
+    ``_reach``): one pass over the tags gives each state's entry, body and
+    body-predecessor masks; a state's loop is its ``_reach`` forward through
+    the body steps, and the states lying directly inside it are those of
+    the loop that also reach it back through body steps, ``_reach`` over
+    the predecessors confined to the loop.
     """
 
     def __init__(self, states: tuple[StateId, ...], index: Callable[[StateId], int],
@@ -178,30 +187,45 @@ class _Analysis:
         self.index = index
         self.outputs = outputs
         self.reach_plus = reach_plus
-        succ: dict[str, dict[StateId, set[StateId]]] = {ENTRY: {}, BODY: {}}
-        self.body_pred: dict[StateId, set[StateId]] = {}
+        n = len(states)
+        number = {x: i for i, x in enumerate(states)}
+        entry, body, body_pred = [0] * n, [0] * n, [0] * n
         for (x, _, y), t in tags.items():
-            succ[t].setdefault(x, set()).add(y)
-            if t == BODY:
-                self.body_pred.setdefault(y, set()).add(x)
-        ordered = lambda adj: {x: sorted(adj[x], key=index) for x in states if x in adj}
-        self.entry_adj = ordered(succ[ENTRY])
-        self.body_adj = ordered(succ[BODY])
-        self.descent = _descent(self.entry_adj, self.body_adj)
-        self.diredge_adj = ordered(self.descent)
-        self.descended = frozenset().union(*self.descent.values())
-        none: frozenset[StateId] = frozenset()
-        self.headers = dict.fromkeys(states, none)
-        for x, forward in self.descent.items():
-            # states lying on a body path from an entry successor back to x
-            back = _closure(self.body_pred.get(x, ()), self.body_pred, forbidden=x)
-            for y in forward & back:
-                self.headers[y] |= {x}
-        plus = {none: none}  # the states of one loop share their headers: close each set once
-        for xs in self.headers.values():
-            if xs not in plus:
-                plus[xs] = _closure(xs, self.headers)
-        self.headers_plus = {y: plus[xs] for y, xs in self.headers.items()}
+            i, j = number[x], number[y]
+            if t == ENTRY:
+                entry[i] |= 1 << j
+            else:
+                body[i] |= 1 << j
+                body_pred[j] |= 1 << i
+        self.entry_adj = {states[i]: _members(m, states) for i, m in enumerate(entry) if m}
+        self.body_adj = {states[i]: _members(m, states) for i, m in enumerate(body) if m}
+        self.descent: dict[StateId, frozenset[StateId]] = {}
+        self.diredge_adj: dict[StateId, list[StateId]] = {}
+        descended = 0
+        headers = [0] * n  # per state, the mask of the headers of its loops
+        for i, m in enumerate(entry):
+            if not m or m == 1 << i:
+                continue  # no entry step to another state: an empty loop
+            forward = _reach(m, body, 1 << i)
+            x = states[i]
+            self.diredge_adj[x] = ys = _members(forward, states)
+            self.descent[x] = frozenset(ys)
+            descended |= forward
+            # the states of the loop with a body path back to x; the path
+            # stays inside the loop, so the search back is confined to it
+            inside = _reach(body_pred[i] & forward, body_pred, ~forward)
+            while inside:
+                low = inside & -inside
+                headers[low.bit_length() - 1] |= 1 << i
+                inside ^= low
+        self.descended = frozenset(_members(descended, states))
+        sets = {0: (frozenset(), frozenset())}  # the states of one loop share their headers
+        for m in headers:
+            if m not in sets:
+                plus = _reach(m, headers)
+                sets[m] = frozenset(_members(m, states)), frozenset(_members(plus, states))
+        self.headers = {y: sets[m][0] for y, m in zip(states, headers)}
+        self.headers_plus = {y: sets[m][1] for y, m in zip(states, headers)}
 
     def longest_paths(self, adj: Mapping[StateId, Iterable[StateId]]) -> dict[StateId, int]:
         """Longest path lengths out of each node of a DAG, folded over the
@@ -454,55 +478,67 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     Deciding more pairs only adds descent pairs, so both violations persist
     to every completion and the cut subtrees hold no witness.
 
-    The search keeps each state's ``_loop`` under the decided tags and, per
-    decided pair, the loops its tag replaced, restored on backtracking.  An
-    entry ``x -> y`` changes only ``x``'s loop, and a body step ``x -> y``
-    exactly the loops that contain ``x``; only those are recomputed and
-    tested, each for an output or for reaching its own state through the
-    descent.  Since the parent node was not doomed and descents only grow,
-    any new violation runs through a changed loop, so this cuts exactly the
-    nodes that testing the whole descent would.  Every complete labelling
-    that survives is therefore a witness, and is checked by
-    ``verify_witness``.  With a ``limit``, the search stops after that many
-    witnesses; a limit of 0 returns none, and a negative limit raises
-    ``ValueError``.
+    The search numbers the states in discovery order and holds every
+    relation as masks over those numbers (see ``_reach``): per state, its
+    entry and body successors and its loop, the ``_reach`` of its entry
+    successors through the body steps.  Per decided pair it keeps the loops
+    its tag replaced, restored on backtracking.  An entry ``x -> y`` changes
+    only ``x``'s loop, and a body step ``x -> y`` exactly the loops whose
+    mask holds ``x``; only those are recomputed and tested, each for an
+    output in its mask or for reaching its own state through the loops.
+    Since the parent node was not doomed and a decision only grows the
+    loops, any new violation runs through a changed loop, so this cuts
+    exactly the nodes that testing every loop would.  Every complete
+    labelling that survives is therefore a witness, and is built on the
+    original transitions and checked by ``verify_witness``.  With a
+    ``limit``, the search stops after that many witnesses; a limit of 0
+    returns none, and a negative limit raises ``ValueError``.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    groups: dict[tuple[StateId, StateId], list[Edge]] = {}
-    for x, a, y in X.edges():
-        groups.setdefault((x, y), []).append((x, a, y))
-    reach_plus = X.reach_plus()
+    n = len(X.states)
+    number = {x: i for i, x in enumerate(X.states)}
+    groups: dict[tuple[int, int], list[Edge]] = {}
+    for edge in X.edges():
+        groups.setdefault((number[edge[0]], number[edge[2]]), []).append(edge)
+    succ = [0] * n  # action labels forgotten
+    for x, y in groups:
+        succ[x] |= 1 << y
+    reach_plus = [_reach(ys, succ) for ys in succ]  # in one or more steps
+    outputs = sum(1 << number[x] for x in X.outputs)
 
-    forced: dict[tuple[StateId, StateId], str] = {}
-    free: list[tuple[StateId, StateId]] = []
-    for x, y in sorted(groups, key=lambda p: (X.index(p[0]), X.index(p[1]))):
+    forced: dict[tuple[int, int], str] = {}
+    free: list[tuple[int, int]] = []
+    for x, y in sorted(groups):
         if x == y:
             forced[(x, y)] = ENTRY
-        elif x not in reach_plus[y]:
+        elif not reach_plus[y] >> x & 1:
             forced[(x, y)] = BODY  # an entry here could never be fully specified
-        elif X.out(y):
+        elif outputs >> y & 1:
             forced[(x, y)] = BODY  # an entry here could never be goto-free
         else:
             free.append((x, y))
 
-    adj: dict[str, dict[StateId, set[StateId]]] = {BODY: {}, ENTRY: {}}
+    adj: dict[str, list[int]] = {ENTRY: [0] * n, BODY: [0] * n}
+    forced_body: dict[int, list[int]] = {}
     for (x, y), t in forced.items():
-        adj[t].setdefault(x, set()).add(y)
-    if _find_cycle(X.states, adj[BODY])[0] is not None:
+        adj[t][x] |= 1 << y
+        if t == BODY:
+            forced_body.setdefault(x, []).append(y)
+    if _find_cycle(tuple(range(n)), forced_body)[0] is not None:
         return []  # never fully specified
 
-    outputs = frozenset(x for x in X.states if X.out(x))
-    loops = {x: _loop(x, adj[ENTRY].get(x, ()), adj[BODY]) for x in X.states}
-    changed: Iterable[StateId] = X.states  # at the root, test every loop
+    entry, body = adj[ENTRY], adj[BODY]
+    loops = [_reach(entry[s], body, 1 << s) for s in range(n)]
+    changed: Iterable[int] = range(n)  # at the root, test every loop
     results: list[LabelledPrechart] = []
-    assignment: dict[tuple[StateId, StateId], str] = {}  # the decided free pairs
+    assignment: dict[tuple[int, int], str] = {}  # the decided free pairs
     todo: list[list[str]] = []  # per decided free pair, the tags still to try
-    replaced: list[list[tuple[StateId, frozenset[StateId]]]] = []  # per assigned pair, the loops it replaced
+    replaced: list[list[tuple[int, int]]] = []  # per assigned pair, the loops it replaced
     while limit is None or len(results) < limit:
         # visit the node whose decided pairs are free[:len(todo)]
-        doomed = any(not loops[s].isdisjoint(outputs)  # not goto-free
-                     or s in _closure(loops[s], loops)  # not layered
+        doomed = any(loops[s] & outputs  # not goto-free
+                     or _reach(loops[s], loops) >> s & 1  # not layered
                      for s in changed)
         if not doomed and len(todo) == len(free):
             tags = {edge: forced.get(pair) or assignment[pair]
@@ -513,20 +549,21 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
         elif not doomed:
             x, y = free[len(todo)]
             # x -b-> y closes a body cycle iff x is body-reachable from y
-            todo.append([ENTRY] if x in _closure((y,), adj[BODY]) else [ENTRY, BODY])
+            todo.append([ENTRY] if _reach(1 << y, body) >> x & 1 else [ENTRY, BODY])
         # move to the next node: retry the deepest pair with a tag left
         while todo:
             x, y = pair = free[len(todo) - 1]
             if pair in assignment:
-                adj[assignment.pop(pair)][x].discard(y)
-                loops.update(replaced.pop())
+                adj[assignment.pop(pair)][x] &= ~(1 << y)
+                for s, loop in replaced.pop():
+                    loops[s] = loop
             if todo[-1]:
                 t = assignment[pair] = todo[-1].pop()
-                adj[t].setdefault(x, set()).add(y)
-                changed = [x] if t == ENTRY else [s for s in X.states if x in loops[s]]
+                adj[t][x] |= 1 << y
+                changed = [x] if t == ENTRY else [s for s in range(n) if loops[s] >> x & 1]
                 replaced.append([(s, loops[s]) for s in changed])
                 for s in changed:
-                    loops[s] = _loop(s, adj[ENTRY].get(s, ()), adj[BODY])
+                    loops[s] = _reach(entry[s], body, 1 << s)
                 break
             todo.pop()
         else:

@@ -1,6 +1,6 @@
 """Golden CLI output: ``certify``, ``solve``, ``parse``, ``chart``,
-``collapse`` and ``bisim`` on a fixed seeded corpus must print byte-identical
-stdout with the same exit code.
+``collapse``, ``bisim`` and ``witness --infer`` on a fixed seeded corpus must
+print byte-identical stdout with the same exit code.
 
 The expected output lives in ``golden_cli.json`` next to this file.  To
 re-record it after a deliberate output change, run
@@ -22,7 +22,7 @@ from starchart import Sum, chart_of, render
 from starchart.cli import main
 from starchart.formats import chart_to_json, witness_to_json
 from starchart.layering import syntactic_witness
-from gen import random_chart, random_expr, rewrite_steps
+from gen import fig3_right, random_chart, random_expr, rewrite_steps
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -73,6 +73,12 @@ def corpus() -> list[dict]:
     cases.append({"argv": ["bisim", "a b", "a c", "--witness"]})
     cases.append({"argv": ["bisim", "a(b + c)", "a b + a c", "--witness"]})
     cases.append({"argv": ["bisim", "a b + a c", "a(b + c)", "--witness"]})
+    # drawn after the bisim cases: inferred witnesses of output-free charts
+    # and of charts with outputs, then of a chart that has none
+    for n_states, out_prob in ((5, 0), (6, 0), (7, 0), (5, 0.3), (6, 0.3), (7, 0.3)):
+        X = random_chart(rng, n_states=n_states, edge_prob=0.2, out_prob=out_prob, rooted=True)
+        cases.append({"argv": ["witness", "--infer", "{chart}"], "files": {"chart": chart_to_json(X)}})
+    cases.append({"argv": ["witness", "--infer", "{chart}"], "files": {"chart": chart_to_json(fig3_right())}})
     return cases
 
 

@@ -76,6 +76,11 @@ def erased(X: Prechart, extra: Prechart | None = None) -> Prechart:
     return Prechart.make(X.alphabet, list(ids.values()), outputs, transitions, ids[(0, X.root)])
 
 
+def a_then(n: int, e):
+    """``e`` after a sequence of ``n`` ``a`` steps."""
+    return reduce(lambda f, _: Seq(A, f), range(n), e)
+
+
 def cycle_witness() -> LabelledPrechart:
     # the two-state a-cycle with the entry placed at the root
     X = chart_of(AA0)
@@ -126,6 +131,16 @@ class TestDerivedRelations:
                 assert relations == path_relations(L)
                 members += len(relations[1])
         assert members > 1000
+
+    def test_is_the_path_definition_past_one_machine_word(self):
+        # a loop header and the states of its loops numbered past 64
+        e = a_then(66, Star(a_then(6, Star(Seq(A, B), B)), Atom("c")))
+        X = chart_of(e, ("a", "b", "c"))
+        assert len(X.states) >= 70
+        L = syntactic_witness(X)
+        diredge, loopright = relations = derived_relations(L)
+        assert relations == path_relations(L)
+        assert min(X.index(x) for _, x in loopright) > 64 and len(diredge) > 6
 
 
 class TestVerifyWitness:
@@ -501,6 +516,18 @@ class TestPrunedSearch:
                 continue
             checked += 1
             assert self.assert_same(erased(X, fig3_right())) == 0
+
+    def test_no_states(self):
+        assert self.assert_same(Prechart.make((), (), {}, {})) == 1
+
+    def test_a_cyclic_part_numbered_past_one_machine_word(self):
+        # a 70-step sequence into two star loops, alone and joined
+        # with fig3_right
+        X = chart_of(a_then(70, parse("(a a a)*(b (a b)*0)", ("a", "b"))))
+        assert len(X.states) >= 70
+        assert min(X.index(x) for x in X.states if x in X.reach_plus()[x]) > 64
+        assert self.assert_same(erased(X)) > 1
+        assert self.assert_same(erased(X, fig3_right())) == 0
 
     def test_output_free_random_charts(self):
         rng = random.Random(83)
