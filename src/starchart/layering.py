@@ -149,6 +149,21 @@ def _reach(seeds: int, adj: Sequence[int], forbidden: int = 0) -> int:
     return seen & ~forbidden
 
 
+def _acyclic(states: int, adj: Sequence[int]) -> bool:
+    """Whether the steps of ``adj`` among ``states`` close no cycle, masks as
+    in ``_reach``: the states with no step left among them are peeled off
+    until none is left, or none can be."""
+    while states:
+        sinks = 0
+        for i in _members(states, range(len(adj))):
+            if not adj[i] & states:
+                sinks |= 1 << i
+        if not sinks:
+            return False
+        states ^= sinks
+    return True
+
+
 def _members(mask: int, states: Sequence[StateId]) -> list[StateId]:
     """The states of a mask over ``states``, in their order."""
     members = []
@@ -464,14 +479,63 @@ def _union_on(
 # --- witness inference -----------------------------------------------------------
 
 
+def _eliminable(succ: Sequence[int], outputs: int) -> bool:
+    """Whether greedy loop elimination leaves no cycle in a chart.
+
+    ``succ`` holds each state's successor mask, action labels forgotten, and
+    ``outputs`` the mask of the states with an output (masks as in
+    ``_reach``).  The steps of a pair ``v -> w`` span a loop when ``w == v``,
+    or when the states ``_reach(1 << w, succ, 1 << v)``, those that ``w``
+    reaches without passing ``v``, have no output, close no cycle and step
+    back to ``v``: then every path out of ``w`` returns to ``v`` or stops.
+    Such a pair is eliminable: its steps are removed, and pairs are removed
+    until none is left.  The answer is whether the steps left are acyclic.
+    (A pair that never steps back lies on no cycle, so its removal would
+    not change the answer; the test keeps each removed pair a loop, whose
+    steps could be tagged as returning entries.)
+
+    This is loop existence and elimination (LEE), which holds exactly when
+    the chart has a layering witness (Grabmayer & Fokkink, LICS 2020).  The
+    order of eliminations does not matter, by two facts.  Removing an
+    eliminable pair never destroys a witness (the tests check this against
+    the search on every chart of up to three states).  And a chart that has
+    a witness and a cycle always has an eliminable pair: a self-loop, or
+    else an entry ``v -> w`` out of a state whose loop descends into no
+    other loop; that loop holds body steps only and contains the states
+    ``_reach(1 << w, succ, 1 << v)``, so they have no output (goto-free),
+    close no cycle (fully specified) and step back to ``v`` (the entry
+    returns).  So a chart with a witness is always eliminated to an acyclic
+    one, and ``False`` means that there is no witness.
+    """
+    succ = list(succ)
+    states = range(len(succ))
+    eliminated = True
+    while eliminated:
+        eliminated = False
+        for v in states:
+            for w in _members(succ[v], states):
+                if w != v:
+                    inside = _reach(1 << w, succ, 1 << v)
+                    if (inside & outputs or not _acyclic(inside, succ)
+                            or not any(succ[u] >> v & 1 for u in _members(inside, states))):
+                        continue
+                succ[v] &= ~(1 << w)
+                eliminated = True
+    return _acyclic((1 << len(succ)) - 1, succ)
+
+
 def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledPrechart]:
     """All layering witnesses of ``X``, in a fixed deterministic order.
 
+    A chart that greedy loop elimination (``_eliminable``) does not clear of
+    cycles has no witness, and is answered without a search.  Otherwise it
+    has one, and the search finds it; a search that finds none raises
+    ``RuntimeError``.
+
     Flatness lets the search assign one tag per state pair.  Self-loops are
     forced entries (a body self-loop is a body cycle); pairs with no return
-    path, and pairs into an output state, are forced bodies.  When the
-    forced bodies already close a body cycle there is no witness.  The rest
-    is a depth-first search over the free pairs, body before entry.  A body
+    path, and pairs into an output state, are forced bodies.  The rest is a
+    depth-first search over the free pairs, body before entry.  A body
     tag that would close a body cycle is skipped, and a partial labelling is
     cut as soon as it is doomed: the loop descent of its decided tags (as in
     ``derived_relations``) reaches a state with an output, or has a cycle.
@@ -504,8 +568,10 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     succ = [0] * n  # action labels forgotten
     for x, y in groups:
         succ[x] |= 1 << y
-    reach_plus = [_reach(ys, succ) for ys in succ]  # in one or more steps
     outputs = sum(1 << number[x] for x in X.outputs)
+    if not _eliminable(succ, outputs):
+        return []
+    reach_plus = [_reach(ys, succ) for ys in succ]  # in one or more steps
 
     forced: dict[tuple[int, int], str] = {}
     free: list[tuple[int, int]] = []
@@ -520,14 +586,8 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
             free.append((x, y))
 
     adj: dict[str, list[int]] = {ENTRY: [0] * n, BODY: [0] * n}
-    forced_body: dict[int, list[int]] = {}
     for (x, y), t in forced.items():
         adj[t][x] |= 1 << y
-        if t == BODY:
-            forced_body.setdefault(x, []).append(y)
-    if _find_cycle(tuple(range(n)), forced_body)[0] is not None:
-        return []  # never fully specified
-
     entry, body = adj[ENTRY], adj[BODY]
     loops = [_reach(entry[s], body, 1 << s) for s in range(n)]
     changed: Iterable[int] = range(n)  # at the root, test every loop
@@ -568,6 +628,9 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
             todo.pop()
         else:
             break
+    if not results and limit != 0:
+        raise RuntimeError(f"loop elimination clears the {n}-state chart of cycles, "
+                           "yet the search found no layering witness")
     return results
 
 

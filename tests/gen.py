@@ -258,6 +258,51 @@ def fig3_right() -> Prechart:
     return Prechart.make(("a",), states, {}, transitions)
 
 
+def milner_clique() -> Prechart:
+    """Three states that each step to the other two, in the style of Milner's
+    (1984) chart: minimal, with no layering witness, so bisimilar to no
+    expression."""
+    transitions = {
+        "x": {"b": ["y"], "c": ["z"]},
+        "y": {"a": ["x"], "c": ["z"]},
+        "z": {"a": ["x"], "b": ["y"]},
+    }
+    return Prechart.make(("a", "b", "c"), ("x", "y", "z"), {}, transitions, "x")
+
+
+def eliminable_pairs(X: Prechart) -> list[tuple]:
+    """The state pairs ``(v, w)`` whose steps span a loop that can be
+    eliminated: ``w == v``, or the states ``w`` reaches without passing
+    ``v`` have no output, no cycle among them, and a step back to ``v``.
+
+    The reference for the elimination step of ``layering._eliminable``,
+    on state sets instead of masks.
+    """
+    pairs = {(x, y) for x, _, y in X.edges()}
+    found = []
+    for v, w in sorted(pairs, key=lambda p: (X.index(p[0]), X.index(p[1]))):
+        inside, stack = {w}, [w]
+        while stack:
+            for y in X.underlying_succ(stack.pop()):
+                if y != v and y not in inside:
+                    inside.add(y)
+                    stack.append(y)
+        among = {x: [y for y in X.underlying_succ(x) if y in inside] for x in inside}
+        if w == v or (not any(X.out(x) for x in inside) and not simple_cycles(among)
+                      and any(v in X.underlying_succ(x) for x in inside)):
+            found.append((v, w))
+    return found
+
+
+def without_pair(X: Prechart, v, w) -> Prechart:
+    """``X`` with every step from ``v`` to ``w`` removed."""
+    transitions: dict = {}
+    for x, a, y in X.edges():
+        if (x, y) != (v, w):
+            transitions.setdefault(x, {}).setdefault(a, []).append(y)
+    return Prechart.make(X.alphabet, X.states, X.outputs, transitions, X.root)
+
+
 def all_labellings(X: Prechart) -> list[LabelledPrechart]:
     """Every entry/body labelling of ``X`` (flat ones and non-flat ones alike),
     labelling each transition independently."""

@@ -21,6 +21,7 @@ from starchart import (
     parse,
     recheck_certificate,
 )
+from starchart import layering
 from starchart.cli import main
 from starchart.formats import chart_to_json, witness_to_json
 from starchart.layering import syntactic_witness
@@ -162,6 +163,13 @@ class TestSolveCommand:
         path.write_text(json.dumps(chart_to_json(fig3_right())))
         code, _, err = run(capsys, "solve", str(path))
         assert code == 1 and "no layering witness" in err
+
+    def test_a_search_that_misses_an_eliminated_chart_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(layering, "_eliminable", lambda succ, outputs: True)
+        path = tmp_path / "fig3-right.json"
+        path.write_text(json.dumps(chart_to_json(fig3_right())))
+        code, _, err = run(capsys, "solve", str(path))
+        assert code == 3 and "3-state chart" in err
 
     def test_foreign_witness_rejected(self, capsys, tmp_path):
         path = tmp_path / "cycle.json"

@@ -22,7 +22,7 @@ from starchart import Sum, chart_of, render
 from starchart.cli import main
 from starchart.formats import chart_to_json, witness_to_json
 from starchart.layering import syntactic_witness
-from gen import fig3_right, random_chart, random_expr, rewrite_steps
+from gen import fig3_right, milner_clique, random_chart, random_expr, rewrite_steps
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -79,6 +79,13 @@ def corpus() -> list[dict]:
         X = random_chart(rng, n_states=n_states, edge_prob=0.2, out_prob=out_prob, rooted=True)
         cases.append({"argv": ["witness", "--infer", "{chart}"], "files": {"chart": chart_to_json(X)}})
     cases.append({"argv": ["witness", "--infer", "{chart}"], "files": {"chart": chart_to_json(fig3_right())}})
+    # built from fixed inputs, not drawn from ``rng``: charts with no witness,
+    # an inexpressible clique and an output-free ten-state chart
+    clique = {"chart": chart_to_json(milner_clique())}
+    for argv in (["witness", "--infer", "{chart}"], ["solve", "{chart}"], ["collapse", "{chart}"]):
+        cases.append({"argv": argv, "files": clique})
+    X = random_chart(random.Random(1), n_states=10, out_prob=0)
+    cases.append({"argv": ["witness", "--infer", "{chart}"], "files": {"chart": chart_to_json(X)}})
     return cases
 
 

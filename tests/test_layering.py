@@ -36,6 +36,7 @@ from starchart import layering
 from starchart.layering import ENTRY, _Analysis, analysis_of_verified
 from gen import (
     all_labellings,
+    eliminable_pairs,
     exhaustive_witnesses,
     fig3_left,
     fig3_right,
@@ -46,6 +47,7 @@ from gen import (
     recursive_syntactic_tag,
     searched_longest_paths,
     simple_cycles,
+    without_pair,
 )
 
 A, B = Atom("a"), Atom("b")
@@ -597,6 +599,74 @@ class TestSearchLeaves:
             assert len(leaves) == len(witnesses)
             found += len(witnesses)
         assert found > 300
+
+
+def one_action_charts(max_states: int):
+    """Every chart over one action of up to ``max_states`` states, with
+    every set of output states."""
+    for n in range(1, max_states + 1):
+        states = [f"s{i}" for i in range(n)]
+        pairs = [(x, y) for x in states for y in states]
+        for chosen in range(1 << len(pairs)):
+            transitions: dict = {}
+            for bit, (x, y) in enumerate(pairs):
+                if chosen >> bit & 1:
+                    transitions.setdefault(x, {}).setdefault("a", []).append(y)
+            for outs in range(1 << n):
+                outputs = {x: {"a"} for i, x in enumerate(states) if outs >> i & 1}
+                yield Prechart.make(("a",), states, outputs, transitions)
+
+
+def eliminable(X: Prechart) -> bool:
+    """``layering._eliminable`` on the state-number masks of ``X``."""
+    succ = [0] * len(X.states)
+    for x, _, y in X.edges():
+        succ[X.index(x)] |= 1 << X.index(y)
+    return layering._eliminable(succ, sum(1 << X.index(x) for x in X.outputs))
+
+
+class TestLoopElimination:
+    """Greedy loop elimination clears a chart of cycles exactly when the
+    chart has a layering witness."""
+
+    def test_agrees_with_the_search_on_every_chart_of_three_states(self):
+        answers = [(eliminable(X), bool(exhaustive_witnesses(X))) for X in one_action_charts(3)]
+        assert len(answers) == 4164
+        assert all(eliminated == has for eliminated, has in answers)
+        assert sum(has for _, has in answers) == 3048
+
+    def test_removing_an_eliminable_pair_keeps_a_witness(self):
+        removed = 0
+        for X in one_action_charts(3):
+            if exhaustive_witnesses(X):
+                for v, w in eliminable_pairs(X):
+                    assert exhaustive_witnesses(without_pair(X, v, w)), (X, v, w)
+                    removed += 1
+        assert removed > 1000
+
+    def test_agrees_with_the_search_on_random_charts(self):
+        rng = random.Random(89)
+        checked = found = 0
+        while checked < 400:
+            X = random_chart(rng, n_states=rng.randint(4, 6), out_prob=(0, 0.2)[checked % 2])
+            if sum(1 for _ in X.edges()) > 12:
+                continue
+            checked += 1
+            has = bool(exhaustive_witnesses(X))
+            assert eliminable(X) == has
+            found += has
+        assert 100 < found < 300
+
+    def test_output_free_ten_state_charts_have_none(self):
+        # the answers the full search gave; s = 2 and 4 it never finished
+        for seed in (0, 1, 3, 5, 6, 7, 8, 9):
+            assert infer_witness(random_chart(random.Random(seed), n_states=10, out_prob=0)) is None
+
+    def test_a_search_that_misses_an_eliminated_chart_raises(self, monkeypatch):
+        monkeypatch.setattr(layering, "_eliminable", lambda succ, outputs: True)
+        with pytest.raises(RuntimeError, match="3-state"):
+            enumerate_witnesses(fig3_right())
+        assert enumerate_witnesses(fig3_right(), limit=0) == []
 
 
 class TestWitnessClosureProperties:
