@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
-from .semantics import Prechart, StateId, chart_of, coproduct
+from .semantics import Prechart, StateId, _alphabet_for, expr_coproduct
 from .syntax import Expr, atoms
 
 
@@ -188,7 +188,8 @@ def _partition_is_bisimulation(X: Prechart, R: PartitionRelation) -> bool:
         return False
     if any(X.out(x) != X.out(block[0]) for block in R.blocks for x in block):
         return False
-    return _refine(X, R._block_of)[1] == len(R.blocks)  # type: ignore[attr-defined]
+    block_of = list(map(R._block_of.__getitem__, X.states))  # type: ignore[attr-defined]
+    return _refine(X, block_of)[1] == len(R.blocks)
 
 
 def _checked_partition(X: Prechart, R: PartitionRelation) -> PartitionRelation:
@@ -207,47 +208,43 @@ def _checked_partition(X: Prechart, R: PartitionRelation) -> PartitionRelation:
     return R if R.universe == X.states else PartitionRelation.from_blocks(X.states, R.blocks)
 
 
-def _successor_blocks(X: Prechart, x: StateId, block_of: Mapping[StateId, int]) -> tuple[frozenset[int], ...]:
-    """Per action, the set of blocks that ``x`` steps into."""
-    row = X.transitions.get(x, {})
-    return tuple(frozenset(block_of[y] for y in row.get(a, ())) for a in X.alphabet)
-
-
-def _refine(X: Prechart, block_of: dict[StateId, int]) -> tuple[dict[StateId, int], int]:
+def _refine(X: Prechart, block_of: list[int]) -> tuple[list[int], int]:
     """One round: split blocks by per-action sets of successor blocks.
 
-    New blocks are numbered by their least member in ``X.states`` order;
-    returns the numbering and the number of blocks.
+    ``block_of`` and the result hold the block of each state by its number
+    (see ``Prechart.numbered_succ``).  New blocks are numbered by their
+    least member in ``X.states`` order; returns the numbering and the
+    number of blocks.
     """
     numbers: dict[tuple, int] = {}
-    refined: dict[StateId, int] = {}
-    for x in X.states:
-        sig = (block_of[x], _successor_blocks(X, x, block_of))
-        refined[x] = numbers.setdefault(sig, len(numbers))
+    block = block_of.__getitem__
+    refined = [
+        numbers.setdefault((b, tuple([frozenset(map(block, js)) for js in rows])), len(numbers))
+        for b, rows in zip(block_of, X.numbered_succ())
+    ]
     return refined, len(numbers)
 
 
-def _partition(X: Prechart, block_of: dict[StateId, int], count: int) -> PartitionRelation:
+def _partition(X: Prechart, block_of: list[int], count: int) -> PartitionRelation:
     blocks: list[list[StateId]] = [[] for _ in range(count)]
-    for x in X.states:
-        blocks[block_of[x]].append(x)
+    for x, b in zip(X.states, block_of):
+        blocks[b].append(x)
     return PartitionRelation(X.states, tuple(map(tuple, blocks)))
 
 
 def refine_once(X: Prechart, partition: PartitionRelation) -> PartitionRelation:
     """Split blocks by per-action sets of successor blocks."""
-    block_of = {x: partition.block_index(x) for x in X.states}
-    return _partition(X, *_refine(X, block_of))
+    return _partition(X, *_refine(X, list(map(partition.block_index, X.states))))
 
 
 def bisimilarity(X: Prechart) -> PartitionRelation:
     """Largest bisimulation equivalence on ``X`` by partition refinement.
 
     Starts from the per-action output signature and iterates successor-block
-    splitting to the greatest fixpoint, on a plain state-to-block map.
+    splitting to the greatest fixpoint, on a list of blocks by state number.
     """
     numbers: dict[frozenset[str], int] = {}
-    block_of = {x: numbers.setdefault(X.out(x), len(numbers)) for x in X.states}
+    block_of = [numbers.setdefault(X.out(x), len(numbers)) for x in X.states]
     count = len(numbers)
     while True:
         block_of, refined = _refine(X, block_of)
@@ -259,7 +256,7 @@ def bisimilarity(X: Prechart) -> PartitionRelation:
 def bisimilar(e: Expr, f: Expr, alphabet: Iterable[str] | None = None) -> bool:
     """Decide whether two expressions have bisimilar charts."""
     alpha = tuple(alphabet) if alphabet is not None else tuple(sorted(atoms(e) | atoms(f)))
-    X = chart_of(e, alpha)
-    Y = chart_of(f, alpha)
-    Z, inl, inr = coproduct(X, Y)
+    for x in (e, f):
+        _alphabet_for(x, alpha)  # raises on an atom outside the alphabet
+    Z, inl, inr, _ = expr_coproduct(e, f, alpha)
     return bisimilarity(Z).related(inl[e], inr[f])

@@ -1,12 +1,13 @@
 """Command-line surface and end-to-end equivalence certification.
 
-``certify`` realizes the completeness pipeline: build both charts and
-decide bisimilarity on their coproduct.  Only when the roots are bisimilar
-is a layering witness built, on the same states: the joined syntactic
-witness is collapsed so the two roots land on one state, and the collapsed
-chart is solved to obtain a common expression.  Every stage is re-verified,
-and the emitted certificate carries enough data to replay each named check;
-``recheck_certificate`` replays them with the same check functions.
+``certify`` realizes the completeness pipeline: walk both expressions into
+the coproduct of their charts and decide bisimilarity there.  Only when the
+roots are bisimilar are the two charts built, and a layering witness on the
+same states: the joined syntactic witness is collapsed so the two roots land
+on one state, and the collapsed chart is solved to obtain a common
+expression.  Every stage is re-verified, and the emitted certificate
+carries enough data to replay each named check; ``recheck_certificate``
+replays them with the same check functions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .bisim import BisimViolation, PartitionRelation, _violations, bisimilarity, check_bisimulation
 from .formats import (
@@ -44,7 +45,7 @@ from .semantics import (
     Prechart,
     StateId,
     chart_of,
-    coproduct,
+    expr_coproduct,
     is_homomorphism,
     joint_chart,
     kernel_partition,
@@ -102,23 +103,23 @@ def _clause_doc(v: BisimViolation) -> dict[str, Any]:
 
 
 class _Decision(NamedTuple):
-    """Both charts, their coproduct and its bisimilarity: a verdict's data.
+    """The coproduct of both charts and its bisimilarity: a verdict's data.
 
     The states of ``joined`` are those of the union of the two syntactic
     witnesses in the same order, so state names agree with a witness built
-    later from the same charts.
+    later from the same charts.  ``side(0)`` and ``side(1)`` build the chart
+    of either input from the walk, for a caller that needs it.
     """
 
-    left: Prechart
-    right: Prechart
     joined: Prechart
     inl: dict[StateId, StateId]
     inr: dict[StateId, StateId]
+    side: Callable[[int], Prechart]
     R: PartitionRelation
 
     @property
     def roots(self) -> tuple[StateId, StateId]:
-        return self.inl[self.left.root], self.inr[self.right.root]
+        return self.joined.states[0], self.joined.states[len(self.inl)]
 
     @property
     def bisimilar(self) -> bool:
@@ -127,14 +128,13 @@ class _Decision(NamedTuple):
 
 def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
     """Decide bisimilarity of ``e`` and ``f`` on the coproduct of their charts."""
-    Xe, Xf = chart_of(e, alphabet), chart_of(f, alphabet)
-    Z, inl, inr = coproduct(Xe, Xf)
-    return _Decision(Xe, Xf, Z, inl, inr, bisimilarity(Z))
+    Z, inl, inr, side = expr_coproduct(e, f, alphabet)
+    return _Decision(Z, inl, inr, side, bisimilarity(Z))
 
 
-def _distinguishing_violation(d: _Decision) -> BisimViolation:
-    """The first failing clause once the roots' classes are joined, roots first."""
-    candidate = d.R.merge(*d.roots)
+def _distinguishing_violation(d: _Decision, candidate: PartitionRelation) -> BisimViolation:
+    """The first failing clause of ``candidate``, ``d.R`` with the roots'
+    classes joined, roots first."""
     for x, y in chain([d.roots], candidate.pairs()):
         for violation in _violations(d.joined, d.joined, candidate.related, x, y):
             return violation
@@ -149,11 +149,12 @@ def _relation_check(d: _Decision) -> Check:
     return Check("bisimulation-relation-valid", check_bisimulation(d.joined, d.joined, d.R)[0])
 
 
-def _inequivalent_checks(d: _Decision, v: BisimViolation | None) -> list[Check]:
+def _inequivalent_checks(
+    d: _Decision, candidate: PartitionRelation, v: BisimViolation | None
+) -> list[Check]:
     """The roots' verdict, and that ``v`` is a failed clause of a pair that
-    joining the roots' classes relates; ``None``, a clause naming states the
-    joined chart lacks, fails."""
-    candidate = d.R.merge(*d.roots)
+    ``candidate``, ``d.R`` with the roots' classes joined, relates; ``None``,
+    a clause naming states the joined chart lacks, fails."""
     return [
         Check("roots-not-bisimilar", not d.bisimilar),
         Check("distinguishing-clause", v is not None and candidate.related(v.left, v.right)
@@ -178,7 +179,7 @@ def _common_checks(d: _Decision, common: Expr | None) -> list[Check]:
     A state's class depends only on what it reaches, so this answers as
     two ``bisimilar`` calls would, with one chart and one refinement.
     """
-    e, f = d.left.root, d.right.root
+    (_, e), (_, f) = d.roots
     left = right = False
     if common is not None:
         R = bisimilarity(joint_chart([e, f, common], d.joined.alphabet))
@@ -203,13 +204,14 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     checks = [_relation_check(d)]
 
     if not d.bisimilar:
-        violation = _distinguishing_violation(d)
-        checks += _inequivalent_checks(d, violation)
+        candidate = d.R.merge(*d.roots)
+        violation = _distinguishing_violation(d, candidate)
+        checks += _inequivalent_checks(d, candidate, violation)
         cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=violation)
     else:
         # the witness is needed only to collapse; collapse verifies it, and
         # checks the decided partition once, before the first merge
-        Lc = _union_on(d.joined, d.inl, d.inr, syntactic_witness(d.left), syntactic_witness(d.right))
+        Lc = _union_on(d.joined, d.inl, d.inr, syntactic_witness(d.side(0)), syntactic_witness(d.side(1)))
         try:
             collapsed, projection = collapse(Lc, d.R)
         except ValueError as exc:  # the joined witness or d.R is at fault, not the input
@@ -234,12 +236,16 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     return cert
 
 
-def _named_violation(d: _Decision, v: Mapping[str, Any] | None) -> BisimViolation | None:
+def _named_violation(d: _Decision, v: Any) -> BisimViolation | None:
     """The serialized clause ``v`` on the states of ``d.joined``; ``None``
-    when ``v`` is null or names a state the joined chart lacks."""
-    if v is None:
+    when ``v`` is no mapping of string state names (null included) or names
+    a state the joined chart lacks."""
+    if not isinstance(v, Mapping):
         return None
-    names = {v["left"], v["right"], v["successor"]} - {None}
+    left, right, successor = v.get("left"), v.get("right"), v.get("successor")
+    if not (isinstance(left, str) and isinstance(right, str) and isinstance(successor, (str, type(None)))):
+        return None
+    names = {left, right, successor} - {None}
     by_id = {}
     for x, name in iter_state_ids(d.joined):  # stop once the clause's names are known
         if name in names:
@@ -248,16 +254,16 @@ def _named_violation(d: _Decision, v: Mapping[str, Any] | None) -> BisimViolatio
                 break
     if len(by_id) != len(names):
         return None
-    successor = by_id[v["successor"]] if v["successor"] is not None else None
-    return BisimViolation(v["clause"], by_id[v["left"]], by_id[v["right"]], v["action"], successor)
+    return BisimViolation(v.get("clause"), by_id[left], by_id[right], v.get("action"), by_id.get(successor))
 
 
 def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     """Replay every named check of a serialized certificate from scratch.
 
     A collapsed witness that does not verify fails its named check, and the
-    checks that need its solution fail with it; so does a null distinguishing
-    clause or common expression.  An unknown verdict raises ``ValueError``.
+    checks that need its solution fail with it; so does a distinguishing
+    clause that is no mapping of state names, or a common expression that is
+    no string, null included.  An unknown verdict raises ``ValueError``.
     """
     if doc["verdict"] not in ("equivalent", "inequivalent"):
         raise ValueError(f"unknown verdict {doc['verdict']!r}")
@@ -267,10 +273,11 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     d = _decide(e, f, alpha)
     checks = [_relation_check(d)]
     if doc["verdict"] == "inequivalent":
-        return checks + _inequivalent_checks(d, _named_violation(d, doc["distinguishing"]))
+        v = _named_violation(d, doc["distinguishing"])
+        return checks + _inequivalent_checks(d, d.R.merge(*d.roots), v)
     collapsed = witness_from_json(doc["collapsed"])
     solution = canonical_solution(collapsed) if verify_witness(collapsed)[0] else None
-    common = parse(doc["common"], alpha) if doc["common"] is not None else None
+    common = parse(doc["common"], alpha) if isinstance(doc["common"], str) else None
     return (
         checks
         + _collapsed_checks(d, collapsed, solution)
@@ -349,13 +356,13 @@ def cmd_bisim(args: argparse.Namespace) -> int:
     if args.witness and d.bisimilar:
         relation = [
             [render(x), render(y)]
-            for x in d.left.states
-            for y in d.right.states
-            if d.R.related(d.inl[x], d.inr[y])
+            for x, zx in d.inl.items()
+            for y, zy in d.inr.items()
+            if d.R.related(zx, zy)
         ]
         _emit({"bisimilar": True, "relation": relation})
     elif args.witness:
-        v = _distinguishing_violation(d)
+        v = _distinguishing_violation(d, d.R.merge(*d.roots))
         _emit({"bisimilar": False, "clause": {"kind": v.clause, **_clause_doc(v)}})
     return 0 if d.bisimilar else 1
 

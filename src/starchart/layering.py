@@ -571,14 +571,14 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     outputs = sum(1 << number[x] for x in X.outputs)
     if not _eliminable(succ, outputs):
         return []
-    reach_plus = [_reach(ys, succ) for ys in succ]  # in one or more steps
+    reach_plus, states = X.reach_plus(), X.states  # memoised for the leaf's verify_witness
 
     forced: dict[tuple[int, int], str] = {}
     free: list[tuple[int, int]] = []
     for x, y in sorted(groups):
         if x == y:
             forced[(x, y)] = ENTRY
-        elif not reach_plus[y] >> x & 1:
+        elif states[x] not in reach_plus[states[y]]:
             forced[(x, y)] = BODY  # an entry here could never be fully specified
         elif outputs >> y & 1:
             forced[(x, y)] = BODY  # an entry here could never be goto-free

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .syntax import Atom, Expr, Seq, Star, Sum, atoms
 
@@ -133,8 +133,22 @@ class Prechart:
             object.__setattr__(self, "_reach_plus", memo)
         return memo
 
+    def numbered_succ(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per state and action, the distinct successors as state numbers
+        (positions in ``states``), in discovery order.  Memoised like
+        ``reach_plus``; the charting walk fills the memo as it goes."""
+        memo = getattr(self, "_numbered", None)
+        if memo is None:
+            number = self._index.__getitem__  # type: ignore[attr-defined]
+            memo = tuple(
+                tuple(tuple(sorted(set(map(number, row.get(a, ()))))) for a in self.alphabet)
+                for row in (self.transitions.get(x, {}) for x in self.states)
+            )
+            object.__setattr__(self, "_numbered", memo)
+        return memo
+
     def __reduce__(self):
-        # copies and pickles are rebuilt from the fields, without the memo
+        # copies and pickles are rebuilt from the fields, without the memos
         return type(self), (self.alphabet, self.states, self.outputs, self.transitions, self.root)
 
     def is_chart(self) -> bool:
@@ -281,36 +295,63 @@ def joint_chart(
     roots: Iterable[Expr], alphabet: tuple[str, ...], root: Expr | None = None
 ) -> Prechart:
     """The closure of several expressions under outputs and transitions.
+    ``alphabet`` must cover every atom of the roots."""
+    return _numbered_chart(alphabet, _walk(roots, alphabet), root)
 
-    States are discovered breadth-first from the roots in the given order.
-    Each transition targets the state object itself (the first discovered
-    of equal expressions), so lookups on it hit by identity before any
-    structural comparison.  ``alphabet`` must cover every atom of the roots.
-    """
-    canon: dict[Expr, Expr] = {}  # expression -> its state object
-    for e in roots:
-        canon.setdefault(e, e)
-    order = list(canon)
-    outputs: dict[Expr, frozenset[str]] = {}
-    transitions: dict[Expr, dict[str, tuple[Expr, ...]]] = {}
-    queue = deque(order)
-    while queue:
-        x = queue.popleft()
-        outs, succ = expr_step(x)
-        outputs[x] = outs
-        row = transitions[x] = {}
+
+def expr_coproduct(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> tuple[
+    Prechart, dict[Expr, StateId], dict[Expr, StateId], Callable[[int], Prechart]
+]:
+    """``coproduct(chart_of(e), chart_of(f))`` from a walk of each side, with
+    its own state table, and no side chart.  The fourth component builds
+    the chart of side 0 (``e``) or 1 (``f``) from its walk, on demand."""
+    walks = _walk([e], alphabet), _walk([f], alphabet)
+    side = lambda k: _numbered_chart(alphabet, walks[k], root=walks[k][0][0])
+    return (*_disjoint_union(alphabet, *walks), side)
+
+
+# what the charting walk finds: the states, their outputs, their numbered successors
+_Walk = tuple[tuple[StateId, ...], Sequence[frozenset[str]], Sequence[tuple[tuple[int, ...], ...]]]
+
+
+def _walk(roots: Iterable[Expr], alphabet: tuple[str, ...]) -> _Walk:
+    """The charting walk: the states, in the order it discovers them
+    breadth first from ``roots``, their outputs, and their numbered
+    successors (see ``Prechart.numbered_succ``).  Equal expressions are
+    one state, the first discovered."""
+    states = list(dict.fromkeys(roots))
+    number = {x: i for i, x in enumerate(states)}
+    outs, numbered = [], []
+    for x in states:  # grows as the walk discovers states: a queue
+        out, succ = expr_step(x)
+        outs.append(out)
+        rows = []
         for a in alphabet:
-            targets = []
-            for y in succ.get(a, ()):
-                state = canon.get(y)
-                if state is None:
-                    state = canon[y] = y
-                    order.append(y)
-                    queue.append(y)
-                targets.append(state)
-            if targets:
-                row[a] = tuple(targets)
-    return Prechart.make(alphabet, order, outputs, transitions, root=canon.get(root, root))
+            js = []
+            for y in succ.get(a, ()):  # distinct expressions, so distinct numbers
+                j = number.get(y)
+                if j is None:
+                    j = number[y] = len(states)
+                    states.append(y)
+                js.append(j)
+            rows.append(tuple(sorted(js)))
+        numbered.append(tuple(rows))
+    return tuple(states), outs, numbered
+
+
+def _numbered_chart(alphabet: tuple[str, ...], walk: _Walk, root: StateId | None = None) -> Prechart:
+    """The prechart of a walk's states, outputs and numbered successors,
+    normalised as ``Prechart.make`` would; its ``numbered_succ`` memo is
+    the walk's."""
+    states, outs, numbered = walk
+    transitions: dict[StateId, dict[str, tuple[StateId, ...]]] = {}
+    for x, rows in zip(states, numbered):
+        row = {a: tuple(map(states.__getitem__, js)) for a, js in zip(alphabet, rows) if js}
+        if row:
+            transitions[x] = row
+    X = Prechart(alphabet, states, {x: out for x, out in zip(states, outs) if out}, transitions, root)
+    object.__setattr__(X, "_numbered", tuple(numbered))
+    return X
 
 
 # --- coalgebra constructions ---------------------------------------------------
@@ -322,21 +363,21 @@ def coproduct(
     """Disjoint union with injection maps; the result has no root."""
     if X.alphabet != Y.alphabet:
         raise ValueError("alphabet mismatch")
-    inl = {x: (0, x) for x in X.states}
-    inr = {y: (1, y) for y in Y.states}
-    states = tuple(inl[x] for x in X.states) + tuple(inr[y] for y in Y.states)
-    outputs = {inl[x]: X.out(x) for x in X.states}
-    outputs.update({inr[y]: Y.out(y) for y in Y.states})
-    transitions: dict[StateId, dict[str, tuple[StateId, ...]]] = {}
-    for x in X.states:
-        transitions[inl[x]] = {
-            a: tuple(inl[y] for y in X.succ(x, a)) for a in X.alphabet if X.succ(x, a)
-        }
-    for y in Y.states:
-        transitions[inr[y]] = {
-            a: tuple(inr[z] for z in Y.succ(y, a)) for a in Y.alphabet if Y.succ(y, a)
-        }
-    return Prechart.make(X.alphabet, states, outputs, transitions), inl, inr
+    walks = [(Z.states, [Z.out(x) for x in Z.states], Z.numbered_succ()) for Z in (X, Y)]
+    return _disjoint_union(X.alphabet, *walks)
+
+
+def _disjoint_union(
+    alphabet: tuple[str, ...], left: _Walk, right: _Walk
+) -> tuple[Prechart, dict[StateId, StateId], dict[StateId, StateId]]:
+    """The chart on the states ``(0, x)`` of ``left`` and then ``(1, y)`` of
+    ``right``, with both injections."""
+    (xs, x_outs, x_numbered), (ys, y_outs, y_numbered) = left, right
+    n = len(xs)
+    states = tuple((0, x) for x in xs) + tuple((1, y) for y in ys)
+    shifted = [tuple(tuple(j + n for j in js) for js in rows) for rows in y_numbered]
+    Z = _numbered_chart(alphabet, (states, [*x_outs, *y_outs], [*x_numbered, *shifted]))
+    return Z, dict(zip(xs, states)), dict(zip(ys, states[n:]))
 
 
 def generated(X: Prechart, x: StateId) -> Prechart:

@@ -6,6 +6,7 @@ import pytest
 from starchart import (
     Atom,
     PartitionRelation,
+    Prechart,
     Seq,
     Star,
     Sum,
@@ -19,6 +20,8 @@ from starchart import (
     quotient,
 )
 from starchart.bisim import _partition_is_bisimulation, refine_once
+from starchart.formats import chart_from_json, chart_to_json
+from starchart.semantics import expr_coproduct, joint_chart
 from gen import (
     AXIOM_NAMES,
     axiom_instances,
@@ -142,6 +145,26 @@ class TestBisimilarity:
     def test_equals_the_round_by_round_refinement(self):
         for X in seeded_charts(47, 510):
             assert bisimilarity(X) == round_by_round_bisimilarity(X)
+
+    def test_every_constructor_gives_the_round_by_round_refinement(self):
+        # a chart from the walk has its numbered successors from the walk;
+        # one from any other constructor computes them on first use
+        rng = random.Random(61)
+        alpha = ("a", "b", "c")
+        for X in seeded_charts(67, 150):
+            e, f = random_expr(rng, depth=3), random_expr(rng, depth=3)
+            built = [
+                X,
+                quotient(X, bisimilarity(X))[0],
+                chart_from_json(chart_to_json(X)),
+                Prechart.make(X.alphabet, X.states[::-1], X.outputs, X.transitions),
+                chart_of(e, alpha),
+                joint_chart([e, f, Sum(e, f)], alpha),
+                expr_coproduct(e, f, alpha)[0],
+                coproduct(chart_of(e, alpha), chart_of(f, alpha))[0],
+            ]
+            for Y in built:
+                assert bisimilarity(Y) == round_by_round_bisimilarity(Y)
 
     def test_one_round_splits_by_successor_blocks(self):
         rng = random.Random(53)

@@ -14,11 +14,11 @@ import sys
 
 import pytest
 
-from starchart import Atom, Sum, Zero, bisimilar, certify, parse, recheck_certificate, render
+from starchart import (Atom, Prechart, Sum, Zero, bisimilar, certify, chart_of, coproduct, formats,
+                       parse, recheck_certificate, render)
 from starchart.cli import _common_checks, _decide
-from starchart import Prechart, formats
 from starchart.formats import iter_state_ids, state_ids
-from gen import random_expr, rewrite_steps
+from gen import random_expr, rewrite_steps, round_by_round_bisimilarity
 
 ALPHA = ("a", "b", "c")
 
@@ -106,11 +106,12 @@ class TestReplayKeepsItsChecks:
 class TestDecideFirst:
     @pytest.fixture
     def calls(self, monkeypatch):
-        return {
-            "chart_of": count_calls(monkeypatch, "semantics", "chart_of"),
-            "syntactic_witness": count_calls(monkeypatch, "layering", "syntactic_witness"),
-            "bisimilar": count_calls(monkeypatch, "bisim", "bisimilar"),
-        }
+        # ``_numbered_chart`` builds every chart the walk finds: the joined
+        # chart, a side chart, or the joint chart of the common check
+        counted = [("semantics", "chart_of"), ("semantics", "expr_coproduct"),
+                   ("semantics", "_numbered_chart"), ("layering", "syntactic_witness"),
+                   ("bisim", "bisimilar")]
+        return {name: count_calls(monkeypatch, module, name) for module, name in counted}
 
     def counts(self, calls) -> dict:
         out = {name: len(c) for name, c in calls.items()}
@@ -128,18 +129,48 @@ class TestDecideFirst:
             recheck_certificate(roundtrip(cert))
             replayed = self.counts(calls)
             for got in (certified, replayed):
-                assert got["syntactic_witness"] == 0
-                assert got["chart_of"] <= 2
-                assert got["bisimilar"] == 0
+                # one walk, and the joined chart only: no side chart
+                assert got == {"chart_of": 0, "expr_coproduct": 1, "_numbered_chart": 1,
+                               "syntactic_witness": 0, "bisimilar": 0}
             seen += 1
         assert seen >= 20
 
     def test_equivalent_pairs_build_each_chart_once(self, calls):
         for e, f in pairs(421, 60)[::2]:
             cert = certify(e, f)
-            assert self.counts(calls) == {"chart_of": 2, "syntactic_witness": 2, "bisimilar": 0}
+            # the joined chart, both side charts for the syntactic witnesses,
+            # and the joint chart of the common check
+            assert self.counts(calls) == {"chart_of": 0, "expr_coproduct": 1, "_numbered_chart": 4,
+                                          "syntactic_witness": 2, "bisimilar": 0}
             recheck_certificate(roundtrip(cert))
-            assert self.counts(calls) == {"chart_of": 2, "syntactic_witness": 0, "bisimilar": 0}
+            assert self.counts(calls) == {"chart_of": 0, "expr_coproduct": 1, "_numbered_chart": 2,
+                                          "syntactic_witness": 0, "bisimilar": 0}
+
+
+class TestOneWalkDecides:
+    def test_the_decision_is_the_coproduct_of_both_charts_and_its_refinement(self):
+        rng = random.Random(449)
+        alphabets = [ALPHA, ("x", "y"), ("c", "a", "b"), ("ab", "b", "c1", "d")]
+        verdicts = set()
+        for i in range(520):
+            alpha = alphabets[i % len(alphabets)]
+            e = random_expr(rng, alpha, depth=rng.randint(1, 4))
+            f = rewrite_steps(rng, e, rng.randint(1, 3)) if i % 2 == 0 else random_expr(rng, alpha, depth=3)
+            d = _decide(e, f, alpha)
+            X, Y = chart_of(e, alpha), chart_of(f, alpha)
+            Z, inl, inr = coproduct(X, Y)
+            assert d.joined == Z
+            assert [list(m) for m in (d.joined.outputs, d.joined.transitions)] == [
+                list(m) for m in (Z.outputs, Z.transitions)]
+            assert list(d.inl.items()) == list(inl.items())
+            assert list(d.inr.items()) == list(inr.items())
+            assert d.R == round_by_round_bisimilarity(Z)
+            # the walk's numbered successors are those a copy computes
+            assert d.joined.numbered_succ() == Prechart.make(
+                alpha, Z.states, Z.outputs, Z.transitions).numbered_succ()
+            assert (d.side(0), d.side(1)) == (X, Y)
+            verdicts.add(d.bisimilar)
+        assert verdicts == {True, False}
 
 
 class TestReplayNamesOnlyTheClause:
@@ -293,6 +324,24 @@ class TestTamperedCertificates:
         assert [c.name for c in replayed] == REPLAYED_EQUIVALENT
         assert {c.name for c in replayed if not c.passed} == {
             "common-at-root", "common-bisimilar-left", "common-bisimilar-right"}
+
+    def test_a_clause_that_is_no_mapping_of_state_names_fails(self):
+        doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
+        clause = doc["distinguishing"]
+        malformed = [{}, "x", {**clause, "left": []}, {**clause, "right": None},
+                     {**clause, "successor": 5}]
+        for wrong in malformed:
+            results = {c.name: c.passed for c in recheck_certificate({**doc, "distinguishing": wrong})}
+            assert list(results) == INEQUIVALENT
+            assert {name for name, passed in results.items() if not passed} == {"distinguishing-clause"}
+
+    def test_a_common_expression_that_is_no_string_fails_its_three_checks(self):
+        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        for wrong in (5, ["a"], {"common": doc["common"]}):
+            replayed = recheck_certificate({**doc, "common": wrong})
+            assert [c.name for c in replayed] == REPLAYED_EQUIVALENT
+            assert {c.name for c in replayed if not c.passed} == {
+                "common-at-root", "common-bisimilar-left", "common-bisimilar-right"}
 
     def test_flipped_tags_fail_their_named_checks(self):
         left, right = parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))
