@@ -226,54 +226,58 @@ def expr_step(e: Expr) -> tuple[frozenset[str], Mapping[str, tuple[Expr, ...]]]:
     contains the star itself (the self-loop and every ``f(e1*e2)``), so a
     memo would tie the node into a reference cycle that outlives its last
     use until the cyclic garbage collector runs.  A star's step is rebuilt
-    from the memoised steps of its two children instead.
+    from the memoised steps of its two children instead.  Only where two
+    rows merge (a sum's sides, a star's continuation, unrolling and
+    self-loop) is a successor tested against the row it joins.
     """
     step = getattr(e, "_step", None)
     if step is not None:
         return step
-    succ: dict[str, list[Expr]] = {}
-
-    def add(a: str, f: Expr) -> None:
-        row = succ.setdefault(a, [])
-        if f not in row:
-            row.append(f)
-
-    out: frozenset[str] = frozenset()
-    if isinstance(e, Atom):
-        out = frozenset((e.action,))
-    elif isinstance(e, Sum):
+    kind = type(e)
+    if kind is Seq:
+        # no membership tests: e.right is a proper subterm of every
+        # Seq(f, e.right), and distinct f give distinct sequences
         louts, lsucc = expr_step(e.left)
+        right = e.right
+        succ = {a: (right,) for a in sorted(louts)}
+        for a, fs in lsucc.items():
+            row = tuple([Seq(f, right) for f in fs])
+            succ[a] = succ[a] + row if a in succ else row
+        step = (_NO_OUTPUT, MappingProxyType(succ))
+    elif kind is Sum:
+        louts, succ = expr_step(e.left)
         routs, rsucc = expr_step(e.right)
-        out = louts | routs
-        for a, fs in lsucc.items():
-            for f in fs:
-                add(a, f)
-        for a, fs in rsucc.items():
-            for f in fs:
-                add(a, f)
-    elif isinstance(e, Seq):
+        if succ and rsucc:
+            succ = dict(succ)
+            for a, fs in rsucc.items():
+                _extend(succ, a, fs)
+            succ = MappingProxyType(succ)
+        step = (louts | routs, succ or rsucc)
+    elif kind is Star:
         louts, lsucc = expr_step(e.left)
-        for a in sorted(louts):
-            add(a, e.right)
+        out, rsucc = expr_step(e.right)
+        succ = dict(rsucc)
         for a, fs in lsucc.items():
-            for f in fs:
-                add(a, Seq(f, e.right))
-    elif isinstance(e, Star):
-        louts, lsucc = expr_step(e.left)
-        routs, rsucc = expr_step(e.right)
-        out = routs
-        for a, fs in rsucc.items():
-            for f in fs:
-                add(a, f)
-        for a, fs in lsucc.items():
-            for f in fs:
-                add(a, Seq(f, e))
+            _extend(succ, a, [Seq(f, e) for f in fs])
         for a in sorted(louts):
-            add(a, e)
-    step = (out, MappingProxyType({a: tuple(fs) for a, fs in succ.items()}))
-    if not isinstance(e, Star):
-        object.__setattr__(e, "_step", step)
+            _extend(succ, a, (e,))
+        return out, MappingProxyType(succ)
+    elif kind is Atom:
+        step = (frozenset((e.action,)), _NO_STEPS)
+    else:
+        step = (_NO_OUTPUT, _NO_STEPS)
+    object.__setattr__(e, "_step", step)
     return step
+
+
+_NO_OUTPUT: frozenset[str] = frozenset()
+_NO_STEPS: Mapping[str, tuple[Expr, ...]] = MappingProxyType({})
+
+
+def _extend(succ: dict[str, tuple[Expr, ...]], a: str, fs: Iterable[Expr]) -> None:
+    """Append to ``succ[a]`` the expressions of ``fs`` it does not hold yet."""
+    row = succ.get(a, ())
+    succ[a] = row + tuple([f for f in fs if f not in row])
 
 
 def _alphabet_for(e: Expr, alphabet: Iterable[str] | None) -> tuple[str, ...]:

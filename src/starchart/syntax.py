@@ -43,24 +43,40 @@ def declare_alphabet(actions: Iterable[str]) -> tuple[str, ...]:
 class Expr:
     """Base class of expression nodes; immutable, compared structurally.
 
-    A node's hash is computed once, from its children's cached hashes, so
-    hashing never walks the tree again.  Per-expression facts (``atoms``,
-    ``size_bound``, ``star_height``, ``can_terminate`` and, at every node
-    but a star, the one-step semantics ``semantics.expr_step``) are
-    memoised on the node on first use, as attributes outside the dataclass
-    fields: equality and repr see only the tree.  A memo write stores the
-    value every caller computes, so racing threads are harmless, and the
-    memos die with the expression.
+    A node's hash is stored in it when it is built, from its children's:
+    ``hash(("Atom", a))``, ``hash("Zero")`` or ``hash((name, hash(left),
+    hash(right)))``.  Equality compares hashes first, then walks both trees
+    on an explicit stack.  Other facts (``atoms``, ``size_bound``,
+    ``star_height``, ``can_terminate`` and, at every node but a star,
+    ``semantics.expr_step``) are memoised on the node on first use, as
+    attributes outside the dataclass fields: equality and repr see only the
+    tree.  A memo write stores the value every caller computes, so racing
+    threads are harmless, and the memos die with the expression.
     """
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            return _memo_fold(self, "_hash", _leaf_hash, _HASH)
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Expr):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            kind = type(x)
+            if kind is not type(y) or x._hash != y._hash:
+                return False
+            if kind is Atom:
+                if x.action != y.action:
+                    return False
+            elif kind is not Zero:
+                stack += ((x.left, y.left), (x.right, y.right))
+        return True
 
     def __reduce__(self):
-        # Copies and pickles are rebuilt from the fields alone: a memoised
+        # Copies and pickles are rebuilt from the fields alone: a stored
         # hash is only valid in the process that computed it.
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
@@ -68,33 +84,53 @@ class Expr:
         return render(self)
 
 
+_set = object.__setattr__
+
+
 def _node(cls):
-    # An explicit __hash__ stops the frozen dataclass from generating one
-    # that rehashes every field, and so the whole subtree, on each call.
-    cls.__hash__ = Expr.__hash__
-    return dataclass(frozen=True)(cls)
+    # Atom and the binary classes store the hash in their own __init__,
+    # which dataclass keeps (Zero's is a class attribute); all inherit
+    # __eq__ and __hash__ from Expr, since eq=False generates neither.
+    return dataclass(frozen=True, eq=False)(cls)
 
 
 @_node
 class Zero(Expr):
     """Deadlock: no outputs and no transitions."""
 
+    _hash = hash("Zero")
+
 
 @_node
 class Atom(Expr):
     action: str
+
+    def __init__(self, action: str):
+        _set(self, "action", action)
+        _set(self, "_hash", hash(("Atom", action)))
+
+
+def _binary_init(name: str):
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((name, left._hash, right._hash)))
+
+    return __init__
 
 
 @_node
 class Sum(Expr):
     left: Expr
     right: Expr
+    __init__ = _binary_init("Sum")
 
 
 @_node
 class Seq(Expr):
     left: Expr
     right: Expr
+    __init__ = _binary_init("Seq")
 
 
 @_node
@@ -103,6 +139,7 @@ class Star(Expr):
 
     left: Expr
     right: Expr
+    __init__ = _binary_init("Star")
 
 
 _MISSING = object()
@@ -141,15 +178,6 @@ def _memo_fold(e: Expr, slot: str, leaf, combine):
     return value
 
 
-def _leaf_hash(x: Expr) -> int:
-    return hash(("Atom", x.action) if isinstance(x, Atom) else "Zero")
-
-
-_HASH = {
-    Sum: lambda l, r: hash(("Sum", l, r)),
-    Seq: lambda l, r: hash(("Seq", l, r)),
-    Star: lambda l, r: hash(("Star", l, r)),
-}
 _ATOMS = {Sum: operator.or_, Seq: operator.or_, Star: operator.or_}
 _SIZE_BOUND = {Sum: operator.add, Seq: lambda l, r: l * (1 + r), Star: operator.add}
 _STAR_HEIGHT = {Sum: max, Seq: max, Star: lambda l, r: 1 + max(l, r)}

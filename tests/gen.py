@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from types import MappingProxyType
+from typing import Mapping
 
 from starchart import (
     Atom,
@@ -60,6 +62,59 @@ def all_exprs(alphabet, max_nodes: int) -> list[Expr]:
                     out.extend((Sum(left, right), Seq(left, right), Star(left, right)))
         by_size[n] = out
     return [e for size in sorted(by_size) for e in by_size[size]]
+
+
+def reference_step(e: Expr) -> tuple[frozenset[str], Mapping[str, tuple[Expr, ...]]]:
+    """The operational rules as ``semantics.expr_step`` stated them before it
+    was made lean, kept as its oracle: one closure per call, a membership
+    scan on every row append.  Memoised in its own slot, so it never reads
+    the memo of the code it checks."""
+    step = getattr(e, "_reference_step", None)
+    if step is not None:
+        return step
+    succ: dict[str, list[Expr]] = {}
+
+    def add(a: str, f: Expr) -> None:
+        row = succ.setdefault(a, [])
+        if f not in row:
+            row.append(f)
+
+    out: frozenset[str] = frozenset()
+    if isinstance(e, Atom):
+        out = frozenset((e.action,))
+    elif isinstance(e, Sum):
+        louts, lsucc = reference_step(e.left)
+        routs, rsucc = reference_step(e.right)
+        out = louts | routs
+        for a, fs in lsucc.items():
+            for f in fs:
+                add(a, f)
+        for a, fs in rsucc.items():
+            for f in fs:
+                add(a, f)
+    elif isinstance(e, Seq):
+        louts, lsucc = reference_step(e.left)
+        for a in sorted(louts):
+            add(a, e.right)
+        for a, fs in lsucc.items():
+            for f in fs:
+                add(a, Seq(f, e.right))
+    elif isinstance(e, Star):
+        louts, lsucc = reference_step(e.left)
+        routs, rsucc = reference_step(e.right)
+        out = routs
+        for a, fs in rsucc.items():
+            for f in fs:
+                add(a, f)
+        for a, fs in lsucc.items():
+            for f in fs:
+                add(a, Seq(f, e))
+        for a in sorted(louts):
+            add(a, e)
+    step = (out, MappingProxyType({a: tuple(fs) for a, fs in succ.items()}))
+    if not isinstance(e, Star):
+        object.__setattr__(e, "_reference_step", step)
+    return step
 
 
 # --- axiom schemes -----------------------------------------------------------------

@@ -22,7 +22,7 @@ from starchart import (
     quotient,
     size_bound,
 )
-from gen import random_chart, random_expr, rewrite_steps
+from gen import all_exprs, random_chart, random_expr, reference_step, rewrite_steps
 from starchart.semantics import _reach_closures
 
 A, B = Atom("a"), Atom("b")
@@ -71,6 +71,63 @@ class TestExprStep:
         with pytest.raises(TypeError):
             succ["a"] = ()
         assert expr_step(Seq(A, B)) == (frozenset(), {"a": (B,)})
+
+
+def subterms(e):
+    stack, seen = [e], []
+    while stack:
+        x = stack.pop()
+        seen.append(x)
+        if isinstance(x, (Sum, Seq, Star)):
+            stack += (x.right, x.left)
+    return seen
+
+
+def hash_formula(x):
+    if isinstance(x, Atom):
+        return hash(("Atom", x.action))
+    if isinstance(x, Zero):
+        return hash("Zero")
+    return hash((type(x).__name__, hash_formula(x.left), hash_formula(x.right)))
+
+
+class TestLeanStepAgainstTheReference:
+    """``expr_step`` gives exactly what the closure-and-scan rules of
+    ``gen.reference_step`` give: outputs, key order and successor tuples."""
+
+    @staticmethod
+    def assert_same_step(e):
+        outs, succ = expr_step(e)
+        ref_outs, ref_succ = reference_step(e)
+        assert outs == ref_outs, e
+        assert list(succ) == list(ref_succ), e
+        assert list(succ.values()) == list(ref_succ.values()), e
+
+    def test_every_small_expression(self):
+        exprs = all_exprs(("a", "b", "c"), 7)
+        assert len(exprs) == 35764
+        for e in exprs:
+            self.assert_same_step(e)
+
+    def test_seeded_random_expressions_and_their_derivatives(self):
+        rng = random.Random(2006)
+        alphabets = [("x", "y"), ("b", "a"), ("p", "q", "r"), ("ab", "a", "b")]
+        for i in range(600):
+            e = random_expr(rng, alphabets[i % 4], depth=4 + i % 3)
+            for x in chart_of(e).states:
+                self.assert_same_step(x)
+
+    def test_a_stars_step_is_not_memoised(self):
+        for e in all_exprs(("a",), 5):
+            expr_step(e)
+            assert (getattr(e, "_step", None) is None) == isinstance(e, Star), e
+
+    def test_every_node_stores_the_hash_formula(self):
+        rng = random.Random(2006)
+        exprs = all_exprs(("a", "b"), 5) + [random_expr(rng, ("x", "y"), depth=6) for _ in range(200)]
+        for e in exprs:
+            for x in subterms(e):
+                assert hash(x) == hash_formula(x), x
 
 
 class TestChartOf:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import signal
 
@@ -158,6 +159,27 @@ class TestNodeMemos:
         for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
             assert twin == e and hash(twin) == hash(e)
 
+    def test_copies_keywords_and_replace_rebuild_equal_nodes(self):
+        e = Sum(Star(Seq(A, B), Zero()), Atom("c"))
+        twins = [
+            copy.copy(e),
+            copy.deepcopy(e),
+            pickle.loads(pickle.dumps(e)),
+            Sum(left=Star(left=Seq(left=A, right=B), right=Zero()), right=Atom(action="c")),
+            dataclasses.replace(e),
+            dataclasses.replace(e, right=Atom("c")),
+            dataclasses.replace(Sum(A, B), left=e.left, right=e.right),
+        ]
+        for twin in twins:
+            assert twin == e and hash(twin) == hash(e)
+        changed = dataclasses.replace(e, right=Atom("a"))
+        assert changed != e and hash(changed) == hash(Sum(e.left, Atom("a")))
+
+    def test_equality_is_structural_across_classes(self):
+        assert Seq(A, B) != Sum(A, B) and Star(A, B) != Seq(A, B)
+        assert Atom("a") != Atom("b") and Zero() == Zero() and Atom("a") != Zero()
+        assert Seq(A, B) != ("Seq", A, B) and (A == "a") is False
+
     def test_can_terminate_agrees_with_the_chart(self):
         for e in all_exprs(("a", "b"), 5):
             assert can_terminate(e) == bool(chart_of(e).outputs), e
@@ -191,8 +213,16 @@ class TestDeepInput:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         spaced = parse(" ".join("a" * self.DEPTH), ["a"])
-        # render and hash are iterative; == on trees this deep would recurse
-        assert render(e) == render(spaced) and hash(e) == hash(spaced)
+        # render, hash and == are all iterative
+        assert render(e) == render(spaced) and hash(e) == hash(spaced) and e == spaced
+
+    def test_deep_trees_compare_without_recursion(self):
+        text = " ".join(["a"] * self.DEPTH)
+        e, twin = parse(text, ALPHABET), parse(text, ALPHABET)
+        assert e is not twin and e == twin and not e != twin
+        other = parse(text + " b", ALPHABET)
+        assert e != other and other != e
+        assert other == parse(text + " b", ALPHABET)
 
     def test_deep_syntax_errors_keep_their_position(self):
         with pytest.raises(ParseError) as err:
