@@ -258,5 +258,5 @@ def bisimilar(e: Expr, f: Expr, alphabet: Iterable[str] | None = None) -> bool:
     alpha = tuple(alphabet) if alphabet is not None else tuple(sorted(atoms(e) | atoms(f)))
     for x in (e, f):
         _alphabet_for(x, alpha)  # raises on an atom outside the alphabet
-    Z, inl, inr, _ = expr_coproduct(e, f, alpha)
+    Z, inl, inr = expr_coproduct(e, f, alpha)
     return bisimilarity(Z).related(inl[e], inr[f])

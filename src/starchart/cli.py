@@ -1,13 +1,15 @@
 """Command-line surface and end-to-end equivalence certification.
 
-``certify`` realizes the completeness pipeline: walk both expressions into
-the coproduct of their charts and decide bisimilarity there.  Only when the
-roots are bisimilar are the two charts built, and a layering witness on the
-same states: the joined syntactic witness is collapsed so the two roots land
-on one state, and the collapsed chart is solved to obtain a common
-expression.  Every stage is re-verified, and the emitted certificate
-carries enough data to replay each named check; ``recheck_certificate``
-replays them with the same check functions.
+``certify`` realizes the completeness pipeline by the global route: walk
+both expressions into the coproduct of their charts and decide
+bisimilarity there.  Only when the roots are bisimilar is the quotient by
+that partition built, the minimal chart in which both roots are one state;
+it is isomorphic to the collapse of any witness of the coproduct (the
+collapse theorem).  Loop elimination gives it a layering witness, and its
+canonical solution at the roots' image is the common expression.  Every
+stage is re-verified, and the emitted certificate carries enough data to
+replay each named check; ``recheck_certificate`` replays them with the
+same check functions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Mapping, NamedTuple
 
 from .bisim import BisimViolation, PartitionRelation, _violations, bisimilarity, check_bisimulation
 from .formats import (
@@ -32,24 +34,9 @@ from .formats import (
     witness_from_json,
     witness_to_json,
 )
-from .layering import (
-    LabelledPrechart,
-    _union_on,
-    infer_witness,
-    syntactic_witness,
-    to_llee,
-    verify_witness,
-)
+from .layering import LabelledPrechart, infer_witness, syntactic_witness, to_llee, verify_witness
 from .rerouting import collapse, connect_through
-from .semantics import (
-    Prechart,
-    StateId,
-    chart_of,
-    expr_coproduct,
-    is_homomorphism,
-    joint_chart,
-    kernel_partition,
-)
+from .semantics import Prechart, StateId, chart_of, expr_coproduct, joint_chart, quotient
 from .solution import Solution, canonical_solution, simplify, verify_solution
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
@@ -64,9 +51,10 @@ class Check:
 class Certificate:
     """Outcome of certifying two expressions equivalent or not.
 
-    When the verdict is ``equivalent``, ``collapsed`` is the collapsed
-    witness rooted at the merged image of both inputs and ``common`` is the
-    canonical solution there; every listed check passed.
+    When the verdict is ``equivalent``, ``collapsed`` is a witness on the
+    minimal quotient of both charts, rooted at the image of both inputs,
+    and ``common`` is the canonical solution there; every listed check
+    passed.
     """
 
     verdict: str  # "equivalent" | "inequivalent"
@@ -105,16 +93,16 @@ def _clause_doc(v: BisimViolation) -> dict[str, Any]:
 class _Decision(NamedTuple):
     """The coproduct of both charts and its bisimilarity: a verdict's data.
 
-    The states of ``joined`` are those of the union of the two syntactic
-    witnesses in the same order, so state names agree with a witness built
-    later from the same charts.  ``side(0)`` and ``side(1)`` build the chart
-    of either input from the walk, for a caller that needs it.
+    The states of ``joined`` are those of ``coproduct(chart_of(e),
+    chart_of(f))`` in the same order: the states of ``e``'s chart and then
+    those of ``f``'s, so the root of each comes first in its part.  ``R`` is
+    the bisimilarity of ``joined``, and the quotient by it is the chart that
+    an equivalent pair's certificate is built on.
     """
 
     joined: Prechart
     inl: dict[StateId, StateId]
     inr: dict[StateId, StateId]
-    side: Callable[[int], Prechart]
     R: PartitionRelation
 
     @property
@@ -128,8 +116,8 @@ class _Decision(NamedTuple):
 
 def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
     """Decide bisimilarity of ``e`` and ``f`` on the coproduct of their charts."""
-    Z, inl, inr, side = expr_coproduct(e, f, alphabet)
-    return _Decision(Z, inl, inr, side, bisimilarity(Z))
+    Z, inl, inr = expr_coproduct(e, f, alphabet)
+    return _Decision(Z, inl, inr, bisimilarity(Z))
 
 
 def _distinguishing_violation(d: _Decision, candidate: PartitionRelation) -> BisimViolation:
@@ -209,27 +197,21 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
         checks += _inequivalent_checks(d, candidate, violation)
         cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=violation)
     else:
-        # the witness is needed only to collapse; collapse verifies it, and
-        # checks the decided partition once, before the first merge
-        Lc = _union_on(d.joined, d.inl, d.inr, syntactic_witness(d.side(0)), syntactic_witness(d.side(1)))
+        # the minimal quotient is isomorphic to the collapse of any witness
+        # of the joined chart (the collapse theorem), so it is built directly
         try:
-            collapsed, projection = collapse(Lc, d.R)
-        except ValueError as exc:  # the joined witness or d.R is at fault, not the input
-            raise RuntimeError(f"collapse of the joined witness failed: {exc}") from exc
-        re_, rf = d.roots
-        z = projection[re_]
-        if projection[rf] != z:
-            raise RuntimeError("collapse failed to merge the two roots")
-        hom_ok, hom_why = is_homomorphism(projection, Lc.base, collapsed.base)
-        if not hom_ok:
-            raise RuntimeError(f"collapse projection is not a homomorphism: {hom_why}")
-        if not kernel_partition(projection, Lc.base.states).same_partition(d.R):
-            raise RuntimeError("collapse projection kernel differs from bisimilarity")
-        rooted = LabelledPrechart(dataclasses.replace(collapsed.base, root=z), collapsed.tags)
-        solution = canonical_solution(rooted)
+            Q, projection = quotient(d.joined, d.R)
+        except ValueError as exc:  # d.R is at fault, not the input
+            raise RuntimeError(f"quotient by the decided partition failed: {exc}") from exc
+        z = projection[d.roots[0]]
+        witness = infer_witness(dataclasses.replace(Q, root=z))
+        if witness is None:
+            raise RuntimeError("the minimal quotient has no layering witness, "
+                               "which contradicts the collapse theorem")
+        solution = canonical_solution(witness)
         common = solution.assign[z]
-        checks += _collapsed_checks(d, rooted, solution) + _common_checks(d, common)
-        cert = Certificate("equivalent", e, f, alpha, checks, collapsed=rooted, common=common)
+        checks += _collapsed_checks(d, witness, solution) + _common_checks(d, common)
+        cert = Certificate("equivalent", e, f, alpha, checks, collapsed=witness, common=common)
     failed = [c.name for c in cert.checks if not c.passed]
     if failed:
         raise RuntimeError(f"certification checks failed: {failed}")
@@ -530,6 +512,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:  # a resource limit of the recursive semantics, not a fault
         print("gave up: nesting too deep", file=sys.stderr)
+        return 4
+    except MemoryError:  # likewise a resource limit: never the negative verdict's exit 1
+        print("gave up: out of memory", file=sys.stderr)
         return 4
     except RuntimeError as exc:  # failed self-checks, MeasureError
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -459,24 +459,25 @@ def union_witness(
 ) -> tuple[LabelledPrechart, dict[StateId, StateId], dict[StateId, StateId]]:
     """Disjoint union of labellings over the coproduct of their bases."""
     Z, inl, inr = coproduct(L1.base, L2.base)
-    return _union_on(Z, inl, inr, L1, L2), inl, inr
-
-
-def _union_on(
-    Z: Prechart, inl: Mapping[StateId, StateId], inr: Mapping[StateId, StateId],
-    L1: LabelledPrechart, L2: LabelledPrechart,
-) -> LabelledPrechart:
-    """The tags of both labellings carried along the injections into ``Z``,
-    the coproduct of their bases."""
     tags: dict[Edge, str] = {}
     for (x, a, y), t in L1.tags.items():
         tags[(inl[x], a, inl[y])] = t
     for (x, a, y), t in L2.tags.items():
         tags[(inr[x], a, inr[y])] = t
-    return LabelledPrechart(Z, tags)
+    return LabelledPrechart(Z, tags), inl, inr
 
 
 # --- witness inference -----------------------------------------------------------
+
+
+def _loop_spanned(succ: Sequence[int], outputs: int, v: int, w: int) -> int | None:
+    """The states inside the loop that the steps of ``v -> w`` span, as a
+    mask, or None when they span none (see ``_eliminable``)."""
+    inside = _reach(1 << w, succ, 1 << v)
+    if w != v and (inside & outputs or not _acyclic(inside, succ)
+                   or not any(succ[u] >> v & 1 for u in _members(inside, range(len(succ))))):
+        return None
+    return inside
 
 
 def _eliminable(succ: Sequence[int], outputs: int) -> bool:
@@ -488,11 +489,11 @@ def _eliminable(succ: Sequence[int], outputs: int) -> bool:
     or when the states ``_reach(1 << w, succ, 1 << v)``, those that ``w``
     reaches without passing ``v``, have no output, close no cycle and step
     back to ``v``: then every path out of ``w`` returns to ``v`` or stops.
-    Such a pair is eliminable: its steps are removed, and pairs are removed
-    until none is left.  The answer is whether the steps left are acyclic.
-    (A pair that never steps back lies on no cycle, so its removal would
-    not change the answer; the test keeps each removed pair a loop, whose
-    steps could be tagged as returning entries.)
+    Such a pair is eliminable (``_loop_spanned``): its steps are removed,
+    and pairs are removed until none is left.  The answer is whether the
+    steps left are acyclic.  (A pair that never steps back lies on no cycle,
+    so its removal would not change the answer; the test keeps each removed
+    pair a loop, whose steps could be tagged as returning entries.)
 
     This is loop existence and elimination (LEE), which holds exactly when
     the chart has a layering witness (Grabmayer & Fokkink, LICS 2020).  The
@@ -514,13 +515,9 @@ def _eliminable(succ: Sequence[int], outputs: int) -> bool:
         eliminated = False
         for v in states:
             for w in _members(succ[v], states):
-                if w != v:
-                    inside = _reach(1 << w, succ, 1 << v)
-                    if (inside & outputs or not _acyclic(inside, succ)
-                            or not any(succ[u] >> v & 1 for u in _members(inside, states))):
-                        continue
-                succ[v] &= ~(1 << w)
-                eliminated = True
+                if _loop_spanned(succ, outputs, v, w) is not None:
+                    succ[v] &= ~(1 << w)
+                    eliminated = True
     return _acyclic((1 << len(succ)) - 1, succ)
 
 
@@ -635,6 +632,49 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
 
 
 def infer_witness(X: Prechart) -> LabelledPrechart | None:
-    """Some layering witness of ``X`` if one exists, deterministically."""
-    found = enumerate_witnesses(X, limit=1)
-    return found[0] if found else None
+    """Some layering witness of ``X`` if one exists: the trace of loop
+    elimination, built in polynomial time.
+
+    The elimination of ``_eliminable`` runs on the state-number masks of
+    ``X``, and the steps of each removed pair become entries; every other
+    step is a body step.  When a pair ``v -> w`` is removed, the steps still
+    present out of the states of its loop, ``_reach(1 << w, succ, 1 << v)``,
+    are frozen: they are the body of the loop that the removed steps enter,
+    so they stay body steps and are never removed later.  A run that ends
+    acyclic gives the labelling, which must pass ``verify_witness``.  A
+    frozen run left with a cycle goes on from there without freezing, by
+    ``_eliminable``, whose answer does not depend on the order of the
+    eliminations: when that clears the cycles, a witness exists that this
+    construction missed.  A missed witness, or a labelling that does not
+    verify, raises ``RuntimeError``; otherwise the answer is ``None``.
+    """
+    n = len(X.states)
+    number = {x: i for i, x in enumerate(X.states)}
+    succ, frozen, entries = [0] * n, [0] * n, set()
+    for x, _, y in X.edges():  # action labels forgotten
+        succ[number[x]] |= 1 << number[y]
+    outputs = sum(1 << number[x] for x in X.outputs)
+    states = range(n)
+    eliminated = True
+    while eliminated:
+        eliminated = False
+        for v in states:
+            for w in _members(succ[v] & ~frozen[v], states):
+                inside = _loop_spanned(succ, outputs, v, w)
+                if inside is not None:
+                    succ[v] &= ~(1 << w)
+                    entries.add((v, w))
+                    for u in _members(inside, states):
+                        frozen[u] = succ[u]
+                    eliminated = True
+    if not _acyclic((1 << n) - 1, succ):
+        if _eliminable(succ, outputs):
+            raise RuntimeError(f"loop elimination clears the {n}-state chart of cycles, "
+                               "yet the frozen run was left with one")
+        return None
+    L = LabelledPrechart(X, {(x, a, y): ENTRY if (number[x], number[y]) in entries else BODY
+                             for x, a, y in X.edges()})
+    ok, violation = verify_witness(L)
+    if not ok:
+        raise RuntimeError(f"loop elimination labelled the {n}-state chart with no witness: {violation}")
+    return L

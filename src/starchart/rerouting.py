@@ -240,23 +240,18 @@ def _broken_witness(w1: StateId, w2: StateId, condition: str, violation) -> Runt
     )
 
 
-def collapse(
-    L: LabelledPrechart, R: PartitionRelation | None = None
-) -> tuple[LabelledPrechart, dict[StateId, StateId]]:
+def collapse(L: LabelledPrechart) -> tuple[LabelledPrechart, dict[StateId, StateId]]:
     """Merge bisimilar states one safe pair at a time until none remain.
 
     Returns the collapsed witness and the accumulated projection, whose
-    kernel is ``R``: by default the bisimilarity of ``L.base``, computed
-    here; a caller that has already decided it may pass it.  ``R`` is
-    checked once, after the witness verifies (one too coarse raises
-    ``ValueError``; one too fine leaves a result that is not minimal).
-    Connecting ``w1`` through a bisimilar ``w2`` maps every transition
-    target into its own block, so no surviving state's outputs or successor
-    blocks change, and each merge only drops ``w1`` from its block.  Each
-    merge is the one ``find_pair`` and ``relabel`` would make; it moves
-    only the tags, the reachability and the blocks (``_Merging``), and the
-    collapsed chart is ``L.base`` rerouted once, along the splitting that
-    the merges compose to.
+    kernel is the bisimilarity of ``L.base``, computed once, after the
+    witness verifies.  Connecting ``w1`` through a bisimilar ``w2`` maps
+    every transition target into its own block, so no surviving state's
+    outputs or successor blocks change, and each merge only drops ``w1``
+    from its block.  Each merge is the one ``find_pair`` and ``relabel``
+    would make; it moves only the tags, the reachability and the blocks
+    (``_Merging``), and the collapsed chart is ``L.base`` rerouted once,
+    along the splitting that the merges compose to.
     """
     work = _Merging(L)
     name = L.base.states.__getitem__
@@ -264,7 +259,7 @@ def collapse(
     a, violation = work.analysis()
     if violation is not None:
         raise InvalidWitnessError(str(named(violation)))
-    work.carry(_checked_partition(L.base, bisimilarity(L.base) if R is None else R))
+    work.carry(bisimilarity(L.base))
     while work.has_related_pair():
         w1, w2, condition = work.merge_first_safe_pair(a)
         a, violation = work.analysis()
@@ -308,8 +303,9 @@ class _Merging:
         self.tags = {(number[x], a, number[y]): t for (x, a, y), t in L.tags.items()}
 
     def carry(self, R: PartitionRelation) -> None:
-        """Carry the blocks of ``R``, a partition of the input states whose
-        universe lists them in discovery order; before the first merge."""
+        """Carry the blocks of ``R``, the bisimilarity of the input chart,
+        whose universe lists the states in discovery order; before the
+        first merge."""
         self.block_of = [R.block_index(x) for x in R.universe]
         self.blocks: dict[int, list[int]] = {}
         for x in self.states:

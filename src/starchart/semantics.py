@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .syntax import Atom, Expr, Seq, Star, Sum, atoms
 
@@ -304,14 +304,11 @@ def joint_chart(
 
 
 def expr_coproduct(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> tuple[
-    Prechart, dict[Expr, StateId], dict[Expr, StateId], Callable[[int], Prechart]
+    Prechart, dict[Expr, StateId], dict[Expr, StateId]
 ]:
     """``coproduct(chart_of(e), chart_of(f))`` from a walk of each side, with
-    its own state table, and no side chart.  The fourth component builds
-    the chart of side 0 (``e``) or 1 (``f``) from its walk, on demand."""
-    walks = _walk([e], alphabet), _walk([f], alphabet)
-    side = lambda k: _numbered_chart(alphabet, walks[k], root=walks[k][0][0])
-    return (*_disjoint_union(alphabet, *walks), side)
+    its own state table, and no side chart."""
+    return _disjoint_union(alphabet, _walk([e], alphabet), _walk([f], alphabet))
 
 
 # what the charting walk finds: the states, their outputs, their numbered successors

@@ -1,9 +1,10 @@
 """Certification and replay decide first and share one check path.
 
-The verdict is read off the coproduct of the two charts; the syntactic
-witness is built only to collapse an equivalent pair, and both inputs are
-checked against the common expression by one refinement.  Replay runs the
-same checks on the certificate's data, so a tampered certificate fails.
+The verdict is read off the coproduct of the two charts; an equivalent
+pair is certified on the quotient by that decision, with no syntactic
+witness and no collapse, and both inputs are checked against the common
+expression by one refinement.  Replay runs the same checks on the
+certificate's data, so a tampered certificate fails.
 """
 
 from __future__ import annotations
@@ -107,10 +108,11 @@ class TestDecideFirst:
     @pytest.fixture
     def calls(self, monkeypatch):
         # ``_numbered_chart`` builds every chart the walk finds: the joined
-        # chart, a side chart, or the joint chart of the common check
+        # chart, or the joint chart of the common check
         counted = [("semantics", "chart_of"), ("semantics", "expr_coproduct"),
                    ("semantics", "_numbered_chart"), ("layering", "syntactic_witness"),
-                   ("bisim", "bisimilar")]
+                   ("bisim", "bisimilar"), ("rerouting", "collapse"),
+                   ("layering", "enumerate_witnesses")]
         return {name: count_calls(monkeypatch, module, name) for module, name in counted}
 
     def counts(self, calls) -> dict:
@@ -131,20 +133,22 @@ class TestDecideFirst:
             for got in (certified, replayed):
                 # one walk, and the joined chart only: no side chart
                 assert got == {"chart_of": 0, "expr_coproduct": 1, "_numbered_chart": 1,
-                               "syntactic_witness": 0, "bisimilar": 0}
+                               "syntactic_witness": 0, "bisimilar": 0, "collapse": 0,
+                               "enumerate_witnesses": 0}
             seen += 1
         assert seen >= 20
 
     def test_equivalent_pairs_build_each_chart_once(self, calls):
         for e, f in pairs(421, 60)[::2]:
             cert = certify(e, f)
-            # the joined chart, both side charts for the syntactic witnesses,
-            # and the joint chart of the common check
-            assert self.counts(calls) == {"chart_of": 0, "expr_coproduct": 1, "_numbered_chart": 4,
-                                          "syntactic_witness": 2, "bisimilar": 0}
+            # the joined chart and the joint chart of the common check; the
+            # witness is inferred on the quotient, with neither a syntactic
+            # witness, a collapse nor the search
+            expected = {"chart_of": 0, "expr_coproduct": 1, "_numbered_chart": 2,
+                        "syntactic_witness": 0, "bisimilar": 0, "collapse": 0, "enumerate_witnesses": 0}
+            assert self.counts(calls) == expected
             recheck_certificate(roundtrip(cert))
-            assert self.counts(calls) == {"chart_of": 0, "expr_coproduct": 1, "_numbered_chart": 2,
-                                          "syntactic_witness": 0, "bisimilar": 0}
+            assert self.counts(calls) == expected
 
 
 class TestOneWalkDecides:
@@ -168,7 +172,6 @@ class TestOneWalkDecides:
             # the walk's numbered successors are those a copy computes
             assert d.joined.numbered_succ() == Prechart.make(
                 alpha, Z.states, Z.outputs, Z.transitions).numbered_succ()
-            assert (d.side(0), d.side(1)) == (X, Y)
             verdicts.add(d.bisimilar)
         assert verdicts == {True, False}
 

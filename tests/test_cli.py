@@ -278,6 +278,19 @@ def test_nesting_too_deep_gives_up_with_exit_4_without_a_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_out_of_memory_gives_up_with_exit_4_without_a_traceback(monkeypatch, capsys):
+    # a certificate whose common expression is too large to render ends
+    # this way; exit 1 would read as the negative verdict
+    import starchart.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "certify", exhausted)
+    code, out, err = run(capsys, "certify", "a", "a")
+    assert (code, out, err) == (4, "", "gave up: out of memory\n")
+
+
 def test_main_reuses_one_parser(monkeypatch, capsys):
     import starchart.cli as cli
 

@@ -669,6 +669,78 @@ class TestLoopElimination:
         assert enumerate_witnesses(fig3_right(), limit=0) == []
 
 
+class TestEliminationWitness:
+    """``infer_witness`` builds its witness from the trace of loop
+    elimination, with no search."""
+
+    @pytest.fixture(autouse=True)
+    def no_search(self, monkeypatch):
+        # the search is the oracle here, called from the tests only
+        search = layering.enumerate_witnesses
+
+        def refused(*args, **kwargs):
+            raise AssertionError("infer_witness ran the search")
+
+        monkeypatch.setattr(layering, "enumerate_witnesses", refused)
+        return search
+
+    def assert_agrees(self, search, X: Prechart) -> bool:
+        L = infer_witness(X)
+        assert (L is not None) == bool(search(X, limit=1))
+        assert L is None or verify_witness(L) == (True, None)
+        return L is not None
+
+    def test_agrees_with_the_search_on_every_chart_of_three_states(self, no_search):
+        found = [self.assert_agrees(no_search, X) for X in one_action_charts(3)]
+        assert len(found) == 4164 and sum(found) == 3048
+
+    def test_agrees_with_the_search_on_seeded_charts(self, no_search):
+        rng = random.Random(283)
+        checked = found = 0
+        while checked < 2000:
+            X = random_chart(rng, n_states=rng.randint(4, 8), out_prob=(0, 0.25)[checked % 2])
+            if sum(1 for _ in X.edges()) > 14:
+                continue
+            checked += 1
+            found += self.assert_agrees(no_search, X)
+        assert 800 < found < 1800
+
+    def test_a_loop_body_is_frozen(self):
+        # s2 -> s0 is eliminated first, and its loop holds s0; the body step
+        # s0 -> s2 that returns out of it is never eliminated after it
+        X = random_chart(random.Random(284), n_states=5, out_prob=0)
+        L = infer_witness(X)
+        assert sorted(edge for edge, t in L.tags.items() if t == ENTRY) == [
+            ("s0", "a", "s0"), ("s0", "b", "s0"), ("s2", "a", "s1"), ("s2", "a", "s2"),
+            ("s2", "a", "s3"), ("s2", "b", "s0"), ("s2", "b", "s3"), ("s2", "b", "s4"),
+            ("s3", "b", "s3"), ("s4", "a", "s4"),
+        ]
+        unfrozen = LabelledPrechart(X, {**L.tags, ("s0", "a", "s2"): ENTRY})
+        assert str(verify_witness(unfrozen)[1]) == "layered: ('s0', 's2', 's0')"
+
+    def test_erased_depth_twelve_expression_charts_each_infer_within_a_second(self):
+        def expired(signum, frame):
+            raise TimeoutError("infer_witness ran past 1 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        try:
+            for seed in range(100):
+                X = erased(chart_of(random_expr(random.Random(seed), depth=12)))
+                signal.alarm(1)
+                L = infer_witness(X)
+                signal.alarm(0)
+                assert L is not None and verify_witness(L) == (True, None)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_a_stuck_run_raises_naming_the_chart_size(self, monkeypatch):
+        # fig3_right has no witness, so the frozen run is left with a cycle
+        monkeypatch.setattr(layering, "_eliminable", lambda succ, outputs: True)
+        with pytest.raises(RuntimeError, match="3-state chart"):
+            infer_witness(fig3_right())
+
+
 class TestWitnessClosureProperties:
     def test_restriction_preserves_validity(self):
         rng = random.Random(47)

@@ -14,6 +14,7 @@ from starchart import (
     Star,
     Sum,
     Zero,
+    atoms,
     bisimilar,
     bisimilarity,
     canonical_solution,
@@ -26,6 +27,7 @@ from starchart import (
     infer_witness,
     is_homomorphism,
     kernel_partition,
+    quotient,
     relabel,
     rerouting,
     restrict_relation,
@@ -48,6 +50,7 @@ from gen import (
     rewrite_steps,
     wstar_pair,
 )
+from test_golden_certs import RECORDED, corpus as golden_cert_pairs
 
 A = Atom("a")
 AA0 = Star(Seq(A, A), Zero())
@@ -465,26 +468,17 @@ class TestCollapseOnTheWorkingChart:
         for L in oracle_corpus():
             R = bisimilarity(L.base)
             result, projection, steps = hand_stepped(L, R)
-            assert collapse(L, R) == (result, projection)
+            assert collapse(L) == (result, projection)
             assert result.base == rerouting(L.base, Splitting(result.base.states, projection))
             merges.update(condition for _, _, condition in steps)
         assert merges["C2"] >= 10 and merges["C3"] >= 3
-
-    def test_a_passed_partition_is_checked(self):
-        L = syntactic_witness(chart_of(Seq(A, Atom("b"))))  # two states, outputs differ
-        with pytest.raises(ValueError, match=r"relation is not a bisimulation: BisimViolation\(clause='output'"):
-            collapse(L, PartitionRelation.total(L.base.states))
-        with pytest.raises(ValueError, match="relation universe differs"):
-            collapse(L, PartitionRelation.total(L.base.states[:1]))
-        # a partition finer than bisimilarity only stops the collapse early
-        assert collapse(L, PartitionRelation.identity(L.base.states)) == (L, {x: x for x in L.base.states})
 
     def test_certify_reports_a_wrong_partition_as_an_internal_error(self, monkeypatch, capsys):
         monkeypatch.setattr(sys.modules["starchart.cli"], "bisimilarity",
                             lambda X: PartitionRelation.total(X.states))
         assert main(["certify", "a b", "b a"]) == 3
         err = capsys.readouterr().err
-        assert "internal error: RuntimeError: collapse of the joined witness failed: " in err
+        assert "internal error: RuntimeError: quotient by the decided partition failed: " in err
         assert "relation is not a bisimulation" in err
 
     def test_reachability_is_recomputed_only_for_the_states_that_reached_w1(self, monkeypatch):
@@ -517,6 +511,27 @@ class TestCollapseOnTheWorkingChart:
             assert recomputed == sources
         assert full == []  # no chart's reachability is computed whole besides the first
         assert sum(len(sources) - 1 for sources in expected) > 40
+
+
+class TestCollapseTheorem:
+    """The collapse of a witness is isomorphic to the bisimulation quotient
+    of its chart: the theorem that lets certify build the quotient instead."""
+
+    @staticmethod
+    def assert_collapses_to_the_quotient(L: LabelledPrechart) -> None:
+        assert isomorphic(collapse(L)[0].base, quotient(L.base, bisimilarity(L.base))[0])
+
+    def test_on_joined_syntactic_witnesses(self):
+        for L in joined_witnesses(211, 100):
+            self.assert_collapses_to_the_quotient(L)
+
+    def test_on_the_equivalent_golden_certificate_pairs(self):
+        pairs = [pair for pair, r in zip(golden_cert_pairs(), RECORDED) if r["verdict"] == "equivalent"]
+        assert len(pairs) == 164
+        for e, f in pairs:
+            alpha = tuple(sorted(atoms(e) | atoms(f)))
+            L, _, _ = union_witness(syntactic_witness(chart_of(e, alpha)), syntactic_witness(chart_of(f, alpha)))
+            self.assert_collapses_to_the_quotient(L)
 
 
 class TestTheConditionsAreThePairScan:
