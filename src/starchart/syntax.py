@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 ACTION_TOKEN = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -45,13 +45,15 @@ class Expr:
 
     A node's hash is stored in it when it is built, from its children's:
     ``hash(("Atom", a))``, ``hash("Zero")`` or ``hash((name, hash(left),
-    hash(right)))``.  Equality compares hashes first, then walks both trees
-    on an explicit stack.  Other facts (``atoms``, ``size_bound``,
+    hash(right)))``.  Equality compares hashes first, then walks both
+    expressions on an explicit stack, expanding each pair of nodes once, so
+    it is linear in the DAGs.  Other facts (``atoms``, ``size_bound``,
     ``star_height``, ``can_terminate`` and, at every node but a star,
     ``semantics.expr_step``) are memoised on the node on first use, as
     attributes outside the dataclass fields: equality and repr see only the
     tree.  A memo write stores the value every caller computes, so racing
-    threads are harmless, and the memos die with the expression.
+    threads are harmless, and the memos die with the expression.  Equal
+    subterms of one ``parse`` are one node, so they share these memos.
     """
 
     def __hash__(self) -> int:
@@ -61,6 +63,9 @@ class Expr:
         if not isinstance(other, Expr):
             return NotImplemented
         stack = [(self, other)]
+        # a pair of binary nodes is expanded once, so shared subterms are
+        # not walked again: comparing two DAGs is linear in their pairs
+        expanded = set()
         while stack:
             x, y = stack.pop()
             if x is y:
@@ -72,7 +77,10 @@ class Expr:
                 if x.action != y.action:
                     return False
             elif kind is not Zero:
-                stack += ((x.left, y.left), (x.right, y.right))
+                pair = (id(x), id(y))
+                if pair not in expanded:
+                    expanded.add(pair)
+                    stack += ((x.left, y.left), (x.right, y.right))
         return True
 
     def __reduce__(self):
@@ -200,11 +208,20 @@ def atoms(e: Expr) -> frozenset[str]:
 # expression.  "+" parses right-nested, juxtaposition left-nested.
 
 
-def _split_actions(word: str, alphabet: set[str], pos: int) -> list[str]:
+# One token per match: a run that may name actions, or any other single
+# non-space character.
+_TOKEN = re.compile(ACTION_TOKEN.pattern + r"|\S")
+_PUNCTUATION = frozenset("+*().0")
+# the tokens that cannot begin an operand
+_NON_OPERAND = frozenset("+*).")
+
+
+def _split_actions(word: str, alphabet: set[str]) -> list[str] | None:
     # Greedy longest-prefix split of an alphanumeric run into declared
     # actions, so "aa" means a.a under alphabet {a} while a declared
-    # multi-character action still lexes as itself.  Only prefixes up to the
-    # longest declared action can match, so the split is linear in the run.
+    # multi-character action still lexes as itself; None if it does not
+    # split.  Only prefixes up to the longest declared action can match, so
+    # the split is linear in the run.
     if word in alphabet:
         return [word]
     longest = max(map(len, alphabet), default=0)
@@ -217,48 +234,70 @@ def _split_actions(word: str, alphabet: set[str], pos: int) -> list[str]:
                 i += k
                 break
         else:
-            raise UnknownActionError(f"unknown action {word!r}", pos)
+            return None
     return parts
 
 
-def _tokens(text: str, alphabet: set[str]) -> list[tuple[str, str, int]]:
-    out: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+*().":
-            out.append((c, c, i))
-            i += 1
-        elif c == "0":
-            out.append(("zero", "0", i))
-            i += 1
-        else:
-            m = ACTION_TOKEN.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {c!r}", i)
-            for name in _split_actions(m.group(), alphabet, i):
-                out.append(("act", name, i))
-            i = m.end()
+def _position(text: str, alphabet: set[str], k: int) -> int:
+    # Where the k-th token starts (len(text) past the last one).  Only an
+    # error needs a position, so the text is lexed again to find it.
+    for m in _TOKEN.finditer(text):
+        if k == 0:
+            return m.start()
+        t = m.group()
+        k -= 1 if t in alphabet or t in _PUNCTUATION else len(_split_actions(t, alphabet))
+        if k < 0:
+            return m.start()
+    return len(text)
+
+
+def _tokens(text: str, alphabet: set[str]) -> list[str]:
+    # One pass of the regex engine; a run outside the alphabet is split
+    # over it, and positions are found only for an error.
+    raw = _TOKEN.findall(text)
+    known = alphabet | _PUNCTUATION
+    if known.issuperset(raw):
+        return raw
+    out: list[str] = []
+    for t in raw:
+        if t in known:
+            out.append(t)
+            continue
+        if not "a" <= t[0] <= "z":
+            raise ParseError(f"unexpected character {t!r}", _position(text, alphabet, len(out)))
+        parts = _split_actions(t, alphabet)
+        if parts is None:
+            raise UnknownActionError(f"unknown action {t!r}", _position(text, alphabet, len(out)))
+        out += parts
     return out
 
 
 def parse(text: str, alphabet: Iterable[str]) -> Expr:
     """Parse expression source over the declared alphabet.
 
+    Equal subterms of one parse are one node, so they share their memos:
+    a table that the call owns, and drops on return, maps each action and
+    ``0`` to one leaf and each (class, left, right) to one node, keyed by
+    the identities of the already shared children.  Two parses share no
+    node.  The root carries the ``atoms`` memo, the actions read.
+
     Recursive descent run on an explicit stack, one frame per open
     parenthesis, so nesting depth is bounded by memory, not the C stack.
     """
     alpha = set(declare_alphabet(alphabet))
     toks = _tokens(text, alpha)
-    operand_start = ("act", "zero", "(")
+    end = len(toks)
+    shared: dict = {}
 
-    def peek(i: int) -> str | None:
-        return toks[i][0] if i < len(toks) else None
+    def node(cls, left: Expr, right: Expr) -> Expr:
+        key = (cls, id(left), id(right))
+        x = shared.get(key)
+        if x is None:
+            x = shared[key] = cls(left, right)
+        return x
 
-    def here(i: int) -> int:
-        return toks[i][2] if i < len(toks) else len(text)
+    def fail(message: str, i: int) -> NoReturn:
+        raise ParseError(message, _position(text, alpha, i))
 
     # A frame holds the finished summands, the sequence being extended, and
     # the left operand of a pending "*".
@@ -269,48 +308,50 @@ def parse(text: str, alphabet: Iterable[str]) -> Expr:
     pos = 0
     while True:
         # expect an operand of "*": an action, 0, or a parenthesised expression
-        k = peek(pos)
-        if k == "(":
+        t = toks[pos] if pos < end else None
+        if t == "(":
             pos += 1
             frames.append((terms, seq, star_left))
             terms, seq, star_left = [], None, None
             continue
-        if k == "act":
-            e: Expr = Atom(toks[pos][1])
-        elif k == "zero":
-            e = Zero()
-        else:
-            raise ParseError("expected an expression", here(pos))
+        if t is None or t in _NON_OPERAND:
+            fail("expected an expression", pos)
+        e = shared.get(t)
+        if e is None:
+            e = shared[t] = Zero() if t == "0" else Atom(t)
         pos += 1
         # fold the finished operand upwards until something needs another one
         while True:
             if star_left is not None:
-                e, star_left = Star(star_left, e), None
-            elif peek(pos) == "*":
+                e, star_left = node(Star, star_left, e), None
+            elif pos < end and toks[pos] == "*":
                 pos += 1
                 star_left = e
                 break
-            seq = e if seq is None else Seq(seq, e)
-            k = peek(pos)
-            if k == ".":
+            seq = e if seq is None else node(Seq, seq, e)
+            t = toks[pos] if pos < end else None
+            if t == ".":
                 pos += 1
-                if peek(pos) not in operand_start:
-                    raise ParseError("expected expression after '.'", here(pos))
+                if pos == end or toks[pos] in _NON_OPERAND:
+                    fail("expected expression after '.'", pos)
                 break
-            if k in operand_start:
+            if t is not None and t not in _NON_OPERAND:
                 break
             terms.append(seq)
             seq = None
-            if k == "+":
+            if t == "+":
                 pos += 1
                 break
-            e = gsum(terms)
+            e = terms[-1]
+            for term in reversed(terms[:-1]):
+                e = node(Sum, term, e)
             if not frames:
-                if pos != len(toks):
-                    raise ParseError(f"unexpected {toks[pos][1]!r}", here(pos))
+                if pos != end:
+                    fail(f"unexpected {t!r}", pos)
+                _set(e, "_atoms", frozenset(alpha.intersection(toks)))
                 return e
-            if k != ")":
-                raise ParseError("expected ')'", here(pos))
+            if t != ")":
+                fail("expected ')'", pos)
             pos += 1
             terms, seq, star_left = frames.pop()
 

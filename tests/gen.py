@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from itertools import product
 from types import MappingProxyType
 from typing import Mapping
@@ -46,6 +48,44 @@ def node_count(e: Expr) -> int:
     if isinstance(e, (Zero, Atom)):
         return 1
     return 1 + node_count(e.left) + node_count(e.right)
+
+
+def distinct_nodes(e: Expr) -> list[Expr]:
+    """The nodes of ``e`` as a DAG: each node object once, however often it occurs."""
+    seen = {id(e): e}
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (Sum, Seq, Star)):
+            for child in (x.left, x.right):
+                if id(child) not in seen:
+                    seen[id(child)] = child
+                    stack.append(child)
+    return list(seen.values())
+
+
+def doubling_chain(k: int, base: Expr) -> Expr:
+    """``e_k = e_{k-1} + e_{k-1}*0`` from ``e_0 = base``: a DAG of 3k + |base| nodes, whose tree doubles with k."""
+    e = base
+    for _ in range(k):
+        e = Sum(e, Star(e, Zero()))
+    return e
+
+
+@contextmanager
+def deadline(seconds: int, what: str):
+    """Raise ``TimeoutError`` in the block once it has run ``seconds`` (SIGALRM)."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"{what} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def all_exprs(alphabet, max_nodes: int) -> list[Expr]:

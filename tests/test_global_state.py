@@ -26,7 +26,7 @@ from starchart import (
     verify_witness,
 )
 from starchart.layering import analysis_of_verified, enumerate_witnesses, infer_witness
-from gen import random_chart
+from gen import distinct_nodes, random_chart
 
 
 def _modules():
@@ -55,6 +55,23 @@ def test_expressions_die_after_use():
     refs = [weakref.ref(x) for x in (e, cert.common, *X.states)]
     del e, X, cert
     gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
+def test_parses_share_nothing_and_keep_nothing():
+    # the table that makes equal subterms one node is the call's own
+    text = "(a b + a)*(a b + a) + (a b + a)*(b a*0) + a b"
+    gc.collect()
+    gc.disable()
+    try:
+        e, twin = parse(text, ("a", "b")), parse(text, ("a", "b"))
+        assert e == twin and len(distinct_nodes(e)) == 11
+        assert {id(x) for x in distinct_nodes(e)}.isdisjoint(map(id, distinct_nodes(twin)))
+        refs = [weakref.ref(x) for x in distinct_nodes(e) + distinct_nodes(twin)]
+        del e, twin
+        assert gc.collect() == 0  # freed by reference counting alone
+    finally:
+        gc.enable()
     assert [r for r in refs if r() is not None] == []
 
 

@@ -1,7 +1,6 @@
 import copy
 import pickle
 import random
-import signal
 import sys
 from collections import Counter
 from functools import reduce
@@ -36,6 +35,7 @@ from starchart import layering
 from starchart.layering import ENTRY, _Analysis, analysis_of_verified
 from gen import (
     all_labellings,
+    deadline,
     eliminable_pairs,
     exhaustive_witnesses,
     fig3_left,
@@ -279,17 +279,8 @@ class TestLongestPaths:
         {"x": ["y", "z"], "y": ["z"], "z": ["w"], "w": ["y"]},
     ])
     def test_a_cycle_raises_instead_of_hanging(self, adj):
-        def expired(signum, frame):
-            raise TimeoutError("longest_paths ran past 5 s")
-
-        previous = signal.signal(signal.SIGALRM, expired)
-        signal.alarm(5)
-        try:
-            with pytest.raises(RuntimeError, match="cycle"):
-                self.longest_paths("xyzw", adj)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        with deadline(5, "longest_paths"), pytest.raises(RuntimeError, match="cycle"):
+            self.longest_paths("xyzw", adj)
 
 
 class TestLoopDepth:
@@ -543,17 +534,9 @@ class TestPrunedSearch:
         assert found > 100
 
     def test_inference_on_eight_state_charts_is_bounded(self):
-        def expired(signum, frame):
-            raise TimeoutError("infer_witness ran past 10 s")
-
-        previous = signal.signal(signal.SIGALRM, expired)
-        signal.alarm(10)
-        try:
+        with deadline(10, "infer_witness"):
             for seed in range(20):
                 infer_witness(random_chart(random.Random(seed), n_states=8))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
 
 def two_cycles_beside_a_body_cycle(k: int) -> Prechart:
@@ -719,20 +702,11 @@ class TestEliminationWitness:
         assert str(verify_witness(unfrozen)[1]) == "layered: ('s0', 's2', 's0')"
 
     def test_erased_depth_twelve_expression_charts_each_infer_within_a_second(self):
-        def expired(signum, frame):
-            raise TimeoutError("infer_witness ran past 1 s")
-
-        previous = signal.signal(signal.SIGALRM, expired)
-        try:
-            for seed in range(100):
-                X = erased(chart_of(random_expr(random.Random(seed), depth=12)))
-                signal.alarm(1)
+        for seed in range(100):
+            X = erased(chart_of(random_expr(random.Random(seed), depth=12)))
+            with deadline(1, "infer_witness"):
                 L = infer_witness(X)
-                signal.alarm(0)
-                assert L is not None and verify_witness(L) == (True, None)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+            assert L is not None and verify_witness(L) == (True, None)
 
     def test_a_stuck_run_raises_naming_the_chart_size(self, monkeypatch):
         # fig3_right has no witness, so the frozen run is left with a cycle

@@ -31,7 +31,7 @@ from starchart import (
 from starchart import layering
 from starchart import solution as solution_module
 from starchart.solution import MeasureError, _NormalForms, _first_unsolved
-from gen import per_equation_check, random_chart, random_expr
+from gen import deadline, distinct_nodes, doubling_chain, per_equation_check, random_chart, random_expr
 from test_golden_certs import corpus as golden_corpus
 
 A, B = Atom("a"), Atom("b")
@@ -428,3 +428,18 @@ class TestSimplify:
         for _ in range(40):
             e = random_expr(rng, depth=4)
             assert bisimilar(e, simplify(e))
+
+    def test_linear_in_the_dag(self):
+        # the trees of e_64 have ~10^20 nodes; simplify visits each node once
+        with deadline(1, "simplifying e_64"):
+            clean = doubling_chain(64, Seq(A, Zero()))
+            assert simplify(clean) is clean
+            messy = doubling_chain(64, Sum(Zero(), Seq(Sum(A, Zero()), Zero())))
+            simplified = simplify(messy)
+            assert simplified == clean and len(distinct_nodes(simplified)) == 3 * 64 + 3
+
+    def test_deep_chains_do_not_recurse(self):
+        e = A
+        for _ in range(30000):
+            e = Seq(Sum(e, Zero()), Sum(Zero(), B))
+        assert render(simplify(e)) == "a" + " b" * 30000

@@ -1,7 +1,7 @@
 import copy
 import dataclasses
 import pickle
-import signal
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,18 +16,21 @@ from starchart import (
     UnknownActionError,
     Zero,
     atoms,
+    canonical_solution,
     chart_of,
     gsum,
     parse,
     render,
     size_bound,
     star_height,
+    syntactic_witness,
 )
 from starchart.syntax import can_terminate
-from gen import all_exprs
+from gen import all_exprs, deadline, distinct_nodes, doubling_chain, random_expr
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 ALPHABET = ("a", "b", "c")
+WITH_AB = ("a", "b", "ab")
 
 
 class TestParse:
@@ -67,6 +70,104 @@ class TestParse:
     def test_unknown_atom(self):
         with pytest.raises(UnknownActionError):
             parse("a + d", ALPHABET)
+
+
+# Malformed texts with the exception class, message and position that the
+# parser gave before it read text into shared nodes; they must not change.
+MALFORMED = [
+    ("", ALPHABET, ParseError, "expected an expression (at position 0)", 0),
+    ("   ", ALPHABET, ParseError, "expected an expression (at position 3)", 3),
+    ("a +", ALPHABET, ParseError, "expected an expression (at position 3)", 3),
+    ("a + ", ALPHABET, ParseError, "expected an expression (at position 4)", 4),
+    ("+ a", ALPHABET, ParseError, "expected an expression (at position 0)", 0),
+    ("(a", ALPHABET, ParseError, "expected ')' (at position 2)", 2),
+    ("a)", ALPHABET, ParseError, "unexpected ')' (at position 1)", 1),
+    ("()", ALPHABET, ParseError, "expected an expression (at position 1)", 1),
+    ("(a))", ALPHABET, ParseError, "unexpected ')' (at position 3)", 3),
+    ("a**b", ALPHABET, ParseError, "expected an expression (at position 2)", 2),
+    ("a*", ALPHABET, ParseError, "expected an expression (at position 2)", 2),
+    ("*a", ALPHABET, ParseError, "expected an expression (at position 0)", 0),
+    ("a.", ALPHABET, ParseError, "expected expression after '.' (at position 2)", 2),
+    (".a", ALPHABET, ParseError, "expected an expression (at position 0)", 0),
+    ("a..b", ALPHABET, ParseError, "expected expression after '.' (at position 2)", 2),
+    ("a.*b", ALPHABET, ParseError, "expected expression after '.' (at position 2)", 2),
+    ("a . + b", ALPHABET, ParseError, "expected expression after '.' (at position 4)", 4),
+    ("a + + b", ALPHABET, ParseError, "expected an expression (at position 4)", 4),
+    ("d", ALPHABET, UnknownActionError, "unknown action 'd' (at position 0)", 0),
+    ("a + d", ALPHABET, UnknownActionError, "unknown action 'd' (at position 4)", 4),
+    ("ad", ALPHABET, UnknownActionError, "unknown action 'ad' (at position 0)", 0),
+    ("a d b", ALPHABET, UnknownActionError, "unknown action 'd' (at position 2)", 2),
+    ("a0", ALPHABET, UnknownActionError, "unknown action 'a0' (at position 0)", 0),
+    ("a_b", ALPHABET, UnknownActionError, "unknown action 'a_b' (at position 0)", 0),
+    ("A", ALPHABET, ParseError, "unexpected character 'A' (at position 0)", 0),
+    ("a # b", ALPHABET, ParseError, "unexpected character '#' (at position 2)", 2),
+    ("1", ALPHABET, ParseError, "unexpected character '1' (at position 0)", 0),
+    ("a1", ALPHABET, UnknownActionError, "unknown action 'a1' (at position 0)", 0),
+    ("0*", ALPHABET, ParseError, "expected an expression (at position 2)", 2),
+    ("a*(b", ALPHABET, ParseError, "expected ')' (at position 4)", 4),
+    ("a b )", ALPHABET, ParseError, "unexpected ')' (at position 4)", 4),
+    ("\u00e9", ALPHABET, ParseError, "unexpected character '\u00e9' (at position 0)", 0),
+    ("a\u00a0+\u2003b +", ALPHABET, ParseError, "expected an expression (at position 7)", 7),
+    ("ab\tc)", ALPHABET, ParseError, "unexpected ')' (at position 4)", 4),
+    ("(a b)(", ALPHABET, ParseError, "expected an expression (at position 6)", 6),
+    ("abc d", WITH_AB + ("c",), UnknownActionError, "unknown action 'd' (at position 4)", 4),
+    ("abd", WITH_AB, UnknownActionError, "unknown action 'abd' (at position 0)", 0),
+    ("ab*", WITH_AB, ParseError, "expected an expression (at position 3)", 3),
+    ("aab + ba)", WITH_AB, ParseError, "unexpected ')' (at position 8)", 8),
+    ("a b c ab abc)", WITH_AB + ("c",), ParseError, "unexpected ')' (at position 12)", 12),
+    ("aaaa *", ("a",), ParseError, "expected an expression (at position 6)", 6),
+    ("aa.a.", ("a",), ParseError, "expected expression after '.' (at position 5)", 5),
+    ("(((a", ALPHABET, ParseError, "expected ')' (at position 4)", 4),
+    ("a)b", ALPHABET, ParseError, "unexpected ')' (at position 1)", 1),
+    ("0 0 0 +", ALPHABET, ParseError, "expected an expression (at position 7)", 7),
+    ("a*b*c*", ALPHABET, ParseError, "unexpected '*' (at position 3)", 3),
+    ("a+b)*c", ALPHABET, ParseError, "unexpected ')' (at position 3)", 3),
+    ("[a]", ALPHABET, ParseError, "unexpected character '[' (at position 0)", 0),
+    ("a -b", ALPHABET, ParseError, "unexpected character '-' (at position 2)", 2),
+    ("a*+b", ALPHABET, ParseError, "expected an expression (at position 2)", 2),
+]
+
+
+@pytest.mark.parametrize("text, alphabet, error, message, pos", MALFORMED)
+def test_malformed_text_keeps_its_message_and_position(text, alphabet, error, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text, alphabet)
+    assert type(err.value) is error and str(err.value) == message and err.value.pos == pos
+
+
+class TestSharedParse:
+    def test_equal_subterms_are_one_node(self):
+        e = parse("(a b)*(a b) + a b", ALPHABET)
+        assert e == Sum(Star(Seq(A, B), Seq(A, B)), Seq(A, B))
+        assert e.left.left is e.left.right is e.right
+        assert e.right.left is e.left.left.left
+
+    def test_one_node_per_distinct_subterm(self):
+        rng = random.Random(23)
+        texts = [render(random_expr(rng, ALPHABET, depth=6)) for _ in range(200)]
+        texts += ["a " * 40 + "a", "(a + b)*(a + b) + (a + b)*(a + b)", "0 + 0 + 0*0"]
+        for _ in range(40):  # canonical solutions print DAGs as trees
+            solution = canonical_solution(syntactic_witness(chart_of(random_expr(rng, ALPHABET, depth=4))))
+            texts += map(render, solution.assign.values())
+        for text in texts:
+            nodes = distinct_nodes(parse(text, ALPHABET))
+            assert len(nodes) == len(set(nodes)), text
+
+    def test_the_root_carries_the_actions_read(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            e = random_expr(rng, ALPHABET, depth=5)
+            parsed = parse(render(e), ALPHABET)
+            assert "_atoms" in vars(parsed)
+            assert atoms(parsed) == atoms(e)
+        assert atoms(parse("0*0", ALPHABET)) == frozenset()
+        assert atoms(parse("aab", WITH_AB)) == {"a", "ab"}
+
+    def test_a_parse_is_a_dag_of_its_distinct_subterms_however_long_its_text(self):
+        # the text of e_12 prints a tree of ~25 000 nodes; it has 27 distinct subterms
+        e = doubling_chain(12, Seq(A, Zero()))
+        parsed = parse(render(e), ALPHABET)
+        assert parsed == e and len(distinct_nodes(parsed)) == len(set(distinct_nodes(e))) == 27
 
 
 class TestRender:
@@ -202,19 +303,19 @@ class TestDeepInput:
         assert render(deep).count("*") == self.DEPTH
 
     def test_an_unspaced_action_run_splits_in_linear_time(self):
-        def expired(signum, frame):
-            raise TimeoutError("splitting 30 000 actions ran past 5 s")
-
-        previous = signal.signal(signal.SIGALRM, expired)
-        signal.alarm(5)
-        try:
+        with deadline(5, "splitting 30 000 actions"):
             e = parse("a" * self.DEPTH, ["a"])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         spaced = parse(" ".join("a" * self.DEPTH), ["a"])
         # render, hash and == are all iterative
         assert render(e) == render(spaced) and hash(e) == hash(spaced) and e == spaced
+
+    def test_dags_compare_each_pair_of_nodes_once(self):
+        # the trees of e_64 have ~10^20 nodes; a walk of the tree never ends
+        e, twin = doubling_chain(64, Seq(A, Zero())), doubling_chain(64, Seq(A, Zero()))
+        other = doubling_chain(64, Seq(B, Zero()))
+        with deadline(1, "comparing e_64"):
+            assert e is not twin and e == twin and not e != twin
+            assert e != other and Sum(e, e) == Sum(twin, e) != Sum(other, e)
 
     def test_deep_trees_compare_without_recursion(self):
         text = " ".join(["a"] * self.DEPTH)
