@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .semantics import Prechart, StateId, _alphabet_for, expr_coproduct
+from .semantics import Prechart, StateId, _alphabet_for, _coproduct_walk
 from .syntax import Expr, atoms
 
 
@@ -178,18 +178,12 @@ def _violations(
 
 
 def _partition_is_bisimulation(X: Prechart, R: PartitionRelation) -> bool:
-    """Whether ``R`` is a bisimulation partition of exactly ``X.states``.
-
-    Its blocks must agree on outputs, and one refinement round must split
-    none of them: then each block agrees on per-action successor blocks.
-    A partition of any other state set answers ``False``.
-    """
+    """Whether ``R`` is a bisimulation partition of exactly ``X.states``;
+    a partition of any other state set answers ``False``."""
     if len(R.universe) != len(X.states) or not all(X.has_state(x) for x in R.universe):
         return False
-    if any(X.out(x) != X.out(block[0]) for block in R.blocks for x in block):
-        return False
     block_of = list(map(R._block_of.__getitem__, X.states))  # type: ignore[attr-defined]
-    return _refine(X, block_of)[1] == len(R.blocks)
+    return _stable(_outputs(X), X.numbered_succ(), block_of, len(R.blocks))
 
 
 def _checked_partition(X: Prechart, R: PartitionRelation) -> PartitionRelation:
@@ -208,21 +202,55 @@ def _checked_partition(X: Prechart, R: PartitionRelation) -> PartitionRelation:
     return R if R.universe == X.states else PartitionRelation.from_blocks(X.states, R.blocks)
 
 
-def _refine(X: Prechart, block_of: list[int]) -> tuple[list[int], int]:
+# The refinement core works on state numbers: ``outs`` and ``numbered`` hold
+# the outputs and the per-action successor numbers of each state (see
+# ``Prechart.numbered_succ``), and ``block_of`` the block of each state.
+
+
+_Numbered = Sequence[tuple[tuple[int, ...], ...]]
+
+
+def _refine(numbered: _Numbered, block_of: list[int]) -> tuple[list[int], int]:
     """One round: split blocks by per-action sets of successor blocks.
 
-    ``block_of`` and the result hold the block of each state by its number
-    (see ``Prechart.numbered_succ``).  New blocks are numbered by their
-    least member in ``X.states`` order; returns the numbering and the
-    number of blocks.
+    New blocks are numbered by their least member; returns the numbering
+    and the number of blocks.
     """
     numbers: dict[tuple, int] = {}
     block = block_of.__getitem__
     refined = [
         numbers.setdefault((b, tuple([frozenset(map(block, js)) for js in rows])), len(numbers))
-        for b, rows in zip(block_of, X.numbered_succ())
+        for b, rows in zip(block_of, numbered)
     ]
     return refined, len(numbers)
+
+
+def _coarsest(outs: Sequence[frozenset[str]], numbered: _Numbered) -> tuple[list[int], int]:
+    """The largest bisimulation as ``(block_of, count)``: blocks by output
+    set, split by successor blocks until a round splits none.  Blocks are
+    numbered by their least member."""
+    numbers: dict[frozenset[str], int] = {}
+    block_of = [numbers.setdefault(out, len(numbers)) for out in outs]
+    count = len(numbers)
+    while True:
+        block_of, refined = _refine(numbered, block_of)
+        if refined == count:
+            return block_of, count
+        count = refined
+
+
+def _stable(outs: Sequence[frozenset[str]], numbered: _Numbered, block_of: list[int], count: int) -> bool:
+    """Whether the partition into ``count`` blocks that ``block_of`` numbers
+    is a bisimulation: outputs agree within each block, and one refinement
+    round splits none, so each block agrees on per-action successor blocks."""
+    first: dict[int, frozenset[str]] = {}
+    if any(first.setdefault(b, out) != out for b, out in zip(block_of, outs)):
+        return False
+    return _refine(numbered, block_of)[1] == count
+
+
+def _outputs(X: Prechart) -> list[frozenset[str]]:
+    return [X.out(x) for x in X.states]
 
 
 def _partition(X: Prechart, block_of: list[int], count: int) -> PartitionRelation:
@@ -234,7 +262,7 @@ def _partition(X: Prechart, block_of: list[int], count: int) -> PartitionRelatio
 
 def refine_once(X: Prechart, partition: PartitionRelation) -> PartitionRelation:
     """Split blocks by per-action sets of successor blocks."""
-    return _partition(X, *_refine(X, list(map(partition.block_index, X.states))))
+    return _partition(X, *_refine(X.numbered_succ(), list(map(partition.block_index, X.states))))
 
 
 def bisimilarity(X: Prechart) -> PartitionRelation:
@@ -243,14 +271,7 @@ def bisimilarity(X: Prechart) -> PartitionRelation:
     Starts from the per-action output signature and iterates successor-block
     splitting to the greatest fixpoint, on a list of blocks by state number.
     """
-    numbers: dict[frozenset[str], int] = {}
-    block_of = [numbers.setdefault(X.out(x), len(numbers)) for x in X.states]
-    count = len(numbers)
-    while True:
-        block_of, refined = _refine(X, block_of)
-        if refined == count:
-            return _partition(X, block_of, count)
-        count = refined
+    return _partition(X, *_coarsest(_outputs(X), X.numbered_succ()))
 
 
 def bisimilar(e: Expr, f: Expr, alphabet: Iterable[str] | None = None) -> bool:
@@ -258,5 +279,6 @@ def bisimilar(e: Expr, f: Expr, alphabet: Iterable[str] | None = None) -> bool:
     alpha = tuple(alphabet) if alphabet is not None else tuple(sorted(atoms(e) | atoms(f)))
     for x in (e, f):
         _alphabet_for(x, alpha)  # raises on an atom outside the alphabet
-    Z, inl, inr = expr_coproduct(e, f, alpha)
-    return bisimilarity(Z).related(inl[e], inr[f])
+    (_, outs, numbered), n = _coproduct_walk(e, f, alpha)
+    block_of = _coarsest(outs, numbered)[0]
+    return block_of[0] == block_of[n]

@@ -1,15 +1,20 @@
 """Command-line surface and end-to-end equivalence certification.
 
 ``certify`` realizes the completeness pipeline by the global route: walk
-both expressions into the coproduct of their charts and decide
-bisimilarity there.  Only when the roots are bisimilar is the quotient by
-that partition built, the minimal chart in which both roots are one state;
-it is isomorphic to the collapse of any witness of the coproduct (the
-collapse theorem).  Loop elimination gives it a layering witness, and its
-canonical solution at the roots' image is the common expression.  Every
-stage is re-verified, and the emitted certificate carries enough data to
-replay each named check; ``recheck_certificate`` replays them with the
-same check functions.
+both expressions, numbering the states of the coproduct of their charts,
+and decide bisimilarity there by partition refinement on those numbers.
+The relation check, the verdict and the distinguishing clause of an
+inequivalent pair read the numbered arrays; no chart is built for them.
+Only when the roots are bisimilar is the joined chart built, and its
+quotient by the decided partition, the minimal chart in which both roots
+are one state; it is isomorphic to the collapse of any witness of the
+coproduct (the collapse theorem).  Loop elimination gives it a layering
+witness, and its canonical solution at the roots' image is the common
+expression, which one more refinement checks against both inputs after
+walking only the common expression.  Every stage is re-verified, and the
+emitted certificate carries enough data to replay each named check;
+``recheck_certificate`` replays them with the same check functions, and
+builds no joined chart.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ import json
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Iterator, Mapping, NamedTuple
 
-from .bisim import BisimViolation, PartitionRelation, _violations, bisimilarity, check_bisimulation
+from .bisim import BisimViolation, PartitionRelation, _coarsest, _partition, _stable, bisimilarity
 from .formats import (
     chart_from_json,
     chart_to_json,
@@ -36,7 +41,7 @@ from .formats import (
 )
 from .layering import LabelledPrechart, infer_witness, syntactic_witness, to_llee, verify_witness
 from .rerouting import collapse, connect_through
-from .semantics import Prechart, StateId, chart_of, expr_coproduct, joint_chart, quotient
+from .semantics import Prechart, StateId, _coproduct_walk, _disjoint_union, _join, _walk, chart_of, quotient
 from .solution import Solution, canonical_solution, simplify, verify_solution
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
@@ -91,42 +96,91 @@ def _clause_doc(v: BisimViolation) -> dict[str, Any]:
 
 
 class _Decision(NamedTuple):
-    """The coproduct of both charts and its bisimilarity: a verdict's data.
+    """The coproduct of both charts and its bisimilarity, on state numbers:
+    a verdict's data.
 
-    The states of ``joined`` are those of ``coproduct(chart_of(e),
-    chart_of(f))`` in the same order: the states of ``e``'s chart and then
-    those of ``f``'s, so the root of each comes first in its part.  ``R`` is
-    the bisimilarity of ``joined``, and the quotient by it is the chart that
-    an equivalent pair's certificate is built on.
+    ``states`` are the expressions that the walks of ``e`` and then of ``f``
+    discover, the states of ``coproduct(chart_of(e), chart_of(f))`` in its
+    order but untagged; ``outs`` and ``numbered`` hold each one's outputs
+    and per-action successor numbers.  The first ``n`` are ``e``'s, so the
+    roots are numbers 0 and ``n``.  ``block_of`` numbers the block of each
+    state in the bisimilarity, which has ``count`` blocks.  The joined chart
+    itself, on which an equivalent pair's quotient is built, is built only
+    by ``joined``.
     """
 
-    joined: Prechart
-    inl: dict[StateId, StateId]
-    inr: dict[StateId, StateId]
-    R: PartitionRelation
-
-    @property
-    def roots(self) -> tuple[StateId, StateId]:
-        return self.joined.states[0], self.joined.states[len(self.inl)]
+    alphabet: tuple[str, ...]
+    states: tuple[Expr, ...]
+    outs: list[frozenset[str]]
+    numbered: list[tuple[tuple[int, ...], ...]]
+    n: int
+    block_of: list[int]
+    count: int
 
     @property
     def bisimilar(self) -> bool:
-        return self.R.related(*self.roots)
+        return self.block_of[0] == self.block_of[self.n]
+
+    def state(self, x: int) -> StateId:
+        """The state of the joined chart numbered ``x``."""
+        return (0 if x < self.n else 1, self.states[x])
+
+    def joined(self) -> tuple[Prechart, PartitionRelation]:
+        """The joined chart, states ``(0, x)`` of ``e``'s chart and then
+        ``(1, y)`` of ``f``'s, and its bisimilarity."""
+        Z = _disjoint_union(self.alphabet, (self.states, self.outs, self.numbered), self.n)[0]
+        return Z, _partition(Z, self.block_of, self.count)
 
 
 def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
     """Decide bisimilarity of ``e`` and ``f`` on the coproduct of their charts."""
-    Z, inl, inr = expr_coproduct(e, f, alphabet)
-    return _Decision(Z, inl, inr, bisimilarity(Z))
+    (states, outs, numbered), n = _coproduct_walk(e, f, alphabet)
+    return _Decision(alphabet, states, outs, numbered, n, *_coarsest(outs, numbered))
 
 
-def _distinguishing_violation(d: _Decision, candidate: PartitionRelation) -> BisimViolation:
-    """The first failing clause of ``candidate``, ``d.R`` with the roots'
-    classes joined, roots first."""
-    for x, y in chain([d.roots], candidate.pairs()):
-        for violation in _violations(d.joined, d.joined, candidate.related, x, y):
+def _candidate(d: _Decision) -> list[int]:
+    """``d.block_of`` with the roots' blocks joined."""
+    left, right = d.block_of[0], d.block_of[d.n]
+    return [left if b == right else b for b in d.block_of]
+
+
+def _clauses(d: _Decision, candidate: list[int], x: int, y: int) -> Iterator[BisimViolation]:
+    """The failed clauses of the pair of state numbers ``(x, y)`` under the
+    partition ``candidate``, on state numbers, in the order of
+    ``bisim._violations``: the output actions on which the two disagree,
+    sorted; then, per action, each unmatched successor of ``x`` (``forth``)
+    before each unmatched one of ``y`` (``back``)."""
+    for action in sorted(d.outs[x] ^ d.outs[y]):
+        yield BisimViolation("output", x, y, action)
+    for a, xs, ys in zip(d.alphabet, d.numbered[x], d.numbered[y]):
+        x_blocks = {candidate[j] for j in xs}
+        y_blocks = {candidate[k] for k in ys}
+        for j in xs:
+            if candidate[j] not in y_blocks:
+                yield BisimViolation("forth", x, y, a, j)
+        for k in ys:
+            if candidate[k] not in x_blocks:
+                yield BisimViolation("back", x, y, a, k)
+
+
+def _distinguishing_violation(d: _Decision, candidate: list[int]) -> BisimViolation:
+    """The first failing clause of ``candidate``, on state numbers: the
+    roots' pair first, then every related pair, blocks by least member and
+    members in discovery order."""
+    blocks: dict[int, list[int]] = {}
+    for x, b in enumerate(candidate):
+        blocks.setdefault(b, []).append(x)
+    pairs = ((x, y) for block in blocks.values() for x in block for y in block)
+    for x, y in chain([(0, d.n)], pairs):
+        for violation in _clauses(d, candidate, x, y):
             return violation
     raise RuntimeError("roots are not bisimilar yet joining their classes yields a bisimulation")
+
+
+def _on_states(d: _Decision, v: BisimViolation) -> BisimViolation:
+    """The clause ``v`` on state numbers as a clause on the joined chart's states."""
+    successor = d.state(v.successor) if v.successor is not None else None
+    return BisimViolation(v.clause, d.state(v.left), d.state(v.right), v.action, successor)
 
 
 # The checks below are shared by ``certify``, which builds the evidence, and
@@ -134,19 +188,18 @@ def _distinguishing_violation(d: _Decision, candidate: PartitionRelation) -> Bis
 
 
 def _relation_check(d: _Decision) -> Check:
-    return Check("bisimulation-relation-valid", check_bisimulation(d.joined, d.joined, d.R)[0])
+    return Check("bisimulation-relation-valid", _stable(d.outs, d.numbered, d.block_of, d.count))
 
 
-def _inequivalent_checks(
-    d: _Decision, candidate: PartitionRelation, v: BisimViolation | None
-) -> list[Check]:
-    """The roots' verdict, and that ``v`` is a failed clause of a pair that
-    ``candidate``, ``d.R`` with the roots' classes joined, relates; ``None``,
-    a clause naming states the joined chart lacks, fails."""
+def _inequivalent_checks(d: _Decision, candidate: list[int], v: BisimViolation | None) -> list[Check]:
+    """The roots' verdict, and that ``v``, on state numbers, is a failed
+    clause of a pair that ``candidate``, ``d.block_of`` with the roots'
+    blocks joined, relates; ``None``, a clause naming states the joined
+    chart lacks, fails."""
     return [
         Check("roots-not-bisimilar", not d.bisimilar),
-        Check("distinguishing-clause", v is not None and candidate.related(v.left, v.right)
-              and v in _violations(d.joined, d.joined, candidate.related, v.left, v.right)),
+        Check("distinguishing-clause", v is not None and candidate[v.left] == candidate[v.right]
+              and v in _clauses(d, candidate, v.left, v.right)),
     ]
 
 
@@ -165,13 +218,15 @@ def _common_checks(d: _Decision, common: Expr | None) -> list[Check]:
     fail when there is no common expression.
 
     A state's class depends only on what it reaches, so this answers as
-    two ``bisimilar`` calls would, with one chart and one refinement.
+    two ``bisimilar`` calls would: only ``common`` is walked, and its
+    states join the decision's, from number ``len(d.outs)`` on.
     """
-    (_, e), (_, f) = d.roots
     left = right = False
     if common is not None:
-        R = bisimilarity(joint_chart([e, f, common], d.joined.alphabet))
-        left, right = R.related(e, common), R.related(f, common)
+        _, outs, numbered = _join((d.states, d.outs, d.numbered), _walk([common], d.alphabet))
+        block_of = _coarsest(outs, numbered)[0]
+        c = block_of[len(d.outs)]
+        left, right = block_of[0] == c, block_of[d.n] == c
     return [
         Check("common-bisimilar-left", left),
         Check("common-bisimilar-right", right),
@@ -192,18 +247,19 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     checks = [_relation_check(d)]
 
     if not d.bisimilar:
-        candidate = d.R.merge(*d.roots)
+        candidate = _candidate(d)
         violation = _distinguishing_violation(d, candidate)
         checks += _inequivalent_checks(d, candidate, violation)
-        cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=violation)
+        cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=_on_states(d, violation))
     else:
         # the minimal quotient is isomorphic to the collapse of any witness
         # of the joined chart (the collapse theorem), so it is built directly
+        Z, R = d.joined()
         try:
-            Q, projection = quotient(d.joined, d.R)
-        except ValueError as exc:  # d.R is at fault, not the input
+            Q, projection = quotient(Z, R)
+        except ValueError as exc:  # R is at fault, not the input
             raise RuntimeError(f"quotient by the decided partition failed: {exc}") from exc
-        z = projection[d.roots[0]]
+        z = projection[Z.states[0]]
         witness = infer_witness(dataclasses.replace(Q, root=z))
         if witness is None:
             raise RuntimeError("the minimal quotient has no layering witness, "
@@ -219,7 +275,7 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
 
 
 def _named_violation(d: _Decision, v: Any) -> BisimViolation | None:
-    """The serialized clause ``v`` on the states of ``d.joined``; ``None``
+    """The serialized clause ``v`` on the state numbers of ``d``; ``None``
     when ``v`` is no mapping of string state names (null included) or names
     a state the joined chart lacks."""
     if not isinstance(v, Mapping):
@@ -228,15 +284,16 @@ def _named_violation(d: _Decision, v: Any) -> BisimViolation | None:
     if not (isinstance(left, str) and isinstance(right, str) and isinstance(successor, (str, type(None)))):
         return None
     names = {left, right, successor} - {None}
-    by_id = {}
-    for x, name in iter_state_ids(d.joined):  # stop once the clause's names are known
+    number = {}
+    tagged = map(d.state, range(len(d.states)))
+    for x, (_, name) in enumerate(iter_state_ids(tagged)):  # stop once the clause's names are known
         if name in names:
-            by_id[name] = x
-            if len(by_id) == len(names):
+            number[name] = x
+            if len(number) == len(names):
                 break
-    if len(by_id) != len(names):
+    if len(number) != len(names):
         return None
-    return BisimViolation(v.get("clause"), by_id[left], by_id[right], v.get("action"), by_id.get(successor))
+    return BisimViolation(v.get("clause"), number[left], number[right], v.get("action"), number.get(successor))
 
 
 def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
@@ -256,7 +313,7 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     checks = [_relation_check(d)]
     if doc["verdict"] == "inequivalent":
         v = _named_violation(d, doc["distinguishing"])
-        return checks + _inequivalent_checks(d, d.R.merge(*d.roots), v)
+        return checks + _inequivalent_checks(d, _candidate(d), v)
     collapsed = witness_from_json(doc["collapsed"])
     solution = canonical_solution(collapsed) if verify_witness(collapsed)[0] else None
     common = parse(doc["common"], alpha) if isinstance(doc["common"], str) else None
@@ -336,15 +393,16 @@ def cmd_bisim(args: argparse.Namespace) -> int:
     d = _decide(e, f, alpha)
     print("bisimilar" if d.bisimilar else "not-bisimilar")
     if args.witness and d.bisimilar:
+        block_of, n = d.block_of, d.n
         relation = [
             [render(x), render(y)]
-            for x, zx in d.inl.items()
-            for y, zy in d.inr.items()
-            if d.R.related(zx, zy)
+            for i, x in enumerate(d.states[:n])
+            for j, y in enumerate(d.states[n:], n)
+            if block_of[i] == block_of[j]
         ]
         _emit({"bisimilar": True, "relation": relation})
     elif args.witness:
-        v = _distinguishing_violation(d, d.R.merge(*d.roots))
+        v = _on_states(d, _distinguishing_violation(d, _candidate(d)))
         _emit({"bisimilar": False, "clause": {"kind": v.clause, **_clause_doc(v)}})
     return 0 if d.bisimilar else 1
 

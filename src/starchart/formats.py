@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .layering import ENTRY, LabelledPrechart, WeightedLabelling
 from .semantics import Prechart, StateId
@@ -18,11 +18,11 @@ def state_label(s: StateId) -> str:
     return str(s)
 
 
-def iter_state_ids(X: Prechart) -> Iterator[tuple[StateId, str]]:
-    """``(state, id)`` in discovery order; an id clashing with an earlier
-    one gets the first free ``#n`` suffix, from 2 up."""
+def iter_state_ids(states: Iterable[StateId]) -> Iterator[tuple[StateId, str]]:
+    """``(state, id)`` in the order of ``states``; an id clashing with an
+    earlier one gets the first free ``#n`` suffix, from 2 up."""
     used: set[str] = set()
-    for x in X.states:
+    for x in states:
         base = state_label(x)
         name = base
         n = 2
@@ -35,7 +35,7 @@ def iter_state_ids(X: Prechart) -> Iterator[tuple[StateId, str]]:
 
 def state_ids(X: Prechart) -> dict[StateId, str]:
     """Unique string ids in discovery order, uniquified on label clashes."""
-    return dict(iter_state_ids(X))
+    return dict(iter_state_ids(X.states))
 
 
 def chart_to_json(X: Prechart) -> dict[str, Any]:

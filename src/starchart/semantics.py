@@ -303,14 +303,6 @@ def joint_chart(
     return _numbered_chart(alphabet, _walk(roots, alphabet), root)
 
 
-def expr_coproduct(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> tuple[
-    Prechart, dict[Expr, StateId], dict[Expr, StateId]
-]:
-    """``coproduct(chart_of(e), chart_of(f))`` from a walk of each side, with
-    its own state table, and no side chart."""
-    return _disjoint_union(alphabet, _walk([e], alphabet), _walk([f], alphabet))
-
-
 # what the charting walk finds: the states, their outputs, their numbered successors
 _Walk = tuple[tuple[StateId, ...], Sequence[frozenset[str]], Sequence[tuple[tuple[int, ...], ...]]]
 
@@ -340,6 +332,23 @@ def _walk(roots: Iterable[Expr], alphabet: tuple[str, ...]) -> _Walk:
     return tuple(states), outs, numbered
 
 
+def _coproduct_walk(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> tuple[_Walk, int]:
+    """The walks of ``e`` and ``f`` joined: the states of ``coproduct(chart_of(e),
+    chart_of(f))``, untagged, in its order, and the number of ``e``'s states,
+    which is the number of ``f``'s root."""
+    left = _walk([e], alphabet)
+    return _join(left, _walk([f], alphabet)), len(left[0])
+
+
+def _join(left: _Walk, right: _Walk) -> _Walk:
+    """The states of ``left`` and then those of ``right``, whose successor
+    numbers are shifted past ``left``'s states."""
+    (xs, x_outs, x_numbered), (ys, y_outs, y_numbered) = left, right
+    n = len(xs)
+    shifted = [tuple([tuple([j + n for j in js]) for js in rows]) for rows in y_numbered]
+    return (*xs, *ys), [*x_outs, *y_outs], [*x_numbered, *shifted]
+
+
 def _numbered_chart(alphabet: tuple[str, ...], walk: _Walk, root: StateId | None = None) -> Prechart:
     """The prechart of a walk's states, outputs and numbered successors,
     normalised as ``Prechart.make`` would; its ``numbered_succ`` memo is
@@ -365,20 +374,18 @@ def coproduct(
     if X.alphabet != Y.alphabet:
         raise ValueError("alphabet mismatch")
     walks = [(Z.states, [Z.out(x) for x in Z.states], Z.numbered_succ()) for Z in (X, Y)]
-    return _disjoint_union(X.alphabet, *walks)
+    return _disjoint_union(X.alphabet, _join(*walks), len(X.states))
 
 
 def _disjoint_union(
-    alphabet: tuple[str, ...], left: _Walk, right: _Walk
+    alphabet: tuple[str, ...], walk: _Walk, n: int
 ) -> tuple[Prechart, dict[StateId, StateId], dict[StateId, StateId]]:
-    """The chart on the states ``(0, x)`` of ``left`` and then ``(1, y)`` of
-    ``right``, with both injections."""
-    (xs, x_outs, x_numbered), (ys, y_outs, y_numbered) = left, right
-    n = len(xs)
-    states = tuple((0, x) for x in xs) + tuple((1, y) for y in ys)
-    shifted = [tuple(tuple(j + n for j in js) for js in rows) for rows in y_numbered]
-    Z = _numbered_chart(alphabet, (states, [*x_outs, *y_outs], [*x_numbered, *shifted]))
-    return Z, dict(zip(xs, states)), dict(zip(ys, states[n:]))
+    """The chart of a joined walk on the states ``(0, x)`` of its first ``n``
+    states and then ``(1, y)`` of the others, with both injections."""
+    states, outs, numbered = walk
+    tagged = tuple((0, x) for x in states[:n]) + tuple((1, y) for y in states[n:])
+    Z = _numbered_chart(alphabet, (tagged, outs, numbered))
+    return Z, dict(zip(states[:n], tagged)), dict(zip(states[n:], tagged[n:]))
 
 
 def generated(X: Prechart, x: StateId) -> Prechart:

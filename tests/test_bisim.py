@@ -19,9 +19,9 @@ from starchart import (
     is_homomorphism,
     quotient,
 )
-from starchart.bisim import _partition_is_bisimulation, refine_once
+from starchart.bisim import _coarsest, _partition, _partition_is_bisimulation, _stable, refine_once
 from starchart.formats import chart_from_json, chart_to_json
-from starchart.semantics import expr_coproduct, joint_chart
+from starchart.semantics import _coproduct_walk, joint_chart
 from gen import (
     AXIOM_NAMES,
     axiom_instances,
@@ -160,7 +160,6 @@ class TestBisimilarity:
                 Prechart.make(X.alphabet, X.states[::-1], X.outputs, X.transitions),
                 chart_of(e, alpha),
                 joint_chart([e, f, Sum(e, f)], alpha),
-                expr_coproduct(e, f, alpha)[0],
                 coproduct(chart_of(e, alpha), chart_of(f, alpha))[0],
             ]
             for Y in built:
@@ -222,6 +221,46 @@ class TestBisimilarity:
         R = bisimilarity(Z)
         for x in X.states:
             assert R.related(inl[x], inr[h[x]])
+
+
+class TestRefinementOnStateNumbers:
+    def test_the_walks_numbers_decide_as_the_coproduct_chart_does(self):
+        # over declared orders other than the sorted one and multi-letter actions
+        alphabets = [("a", "b", "c"), ("x", "y"), ("c", "a", "b"), ("ab", "b", "c1", "d")]
+        rng = random.Random(467)
+        outcomes = {"decided": [], "merged": [], "split": []}
+        for i in range(520):
+            alpha = alphabets[i % len(alphabets)]
+            e = random_expr(rng, alpha, depth=rng.randint(1, 4))
+            f = rewrite_steps(rng, e, rng.randint(1, 3)) if i % 2 == 0 else random_expr(rng, alpha, depth=3)
+            (states, outs, numbered), n = _coproduct_walk(e, f, alpha)
+            Z, inl, inr = coproduct(chart_of(e, alpha), chart_of(f, alpha))
+            assert (len(states), n) == (len(Z.states), len(inl))
+            block_of, count = _coarsest(outs, numbered)
+            R = _partition(Z, block_of, count)
+            assert R == bisimilarity(Z) == round_by_round_bisimilarity(Z)
+            assert bisimilar(e, f, alpha) == (block_of[0] == block_of[n]) == R.related(inl[e], inr[f])
+            # the decided partition, two of its blocks merged, one block split
+            partitions = {"decided": (block_of, count)}
+            if count > 1:
+                b1, b2 = rng.sample(range(count), 2)
+                partitions["merged"] = ([b1 if b == b2 else b for b in block_of], count - 1)
+            sizes = [block_of.count(b) for b in range(count)]
+            if max(sizes) > 1:
+                big = rng.choice([b for b in range(count) if sizes[b] > 1])
+                members = [x for x, b in enumerate(block_of) if b == big]
+                moved = set(rng.sample(members, rng.randint(1, len(members) - 1)))
+                partitions["split"] = ([count if x in moved else b for x, b in enumerate(block_of)], count + 1)
+            for kind, (labels, k) in partitions.items():
+                P = PartitionRelation.from_blocks(
+                    Z.states, [[x for x, b in zip(Z.states, labels) if b == c] for c in set(labels)])
+                got = _stable(outs, numbered, labels, k)
+                assert got == check_bisimulation(Z, Z, list(P.pairs()))[0] == check_bisimulation(Z, Z, P)[0]
+                outcomes[kind].append(got)
+        assert all(outcomes["decided"]) and len(outcomes["decided"]) == 520
+        # the bisimilarity is the largest bisimulation, so no merge is one
+        assert not any(outcomes["merged"]) and len(outcomes["merged"]) >= 300
+        assert outcomes["split"].count(True) >= 50 and outcomes["split"].count(False) >= 50
 
 
 class TestBisimilar:

@@ -1,10 +1,12 @@
 """Certification and replay decide first and share one check path.
 
-The verdict is read off the coproduct of the two charts; an equivalent
-pair is certified on the quotient by that decision, with no syntactic
-witness and no collapse, and both inputs are checked against the common
-expression by one refinement.  Replay runs the same checks on the
-certificate's data, so a tampered certificate fails.
+The verdict is read off the coproduct of the two charts, refined on the
+state numbers of the two walks; an equivalent pair is certified on the
+quotient by that decision, with no syntactic witness and no collapse, and
+both inputs are checked against the common expression by one refinement
+that walks only the common expression.  Replay runs the same checks on
+the certificate's data, so a tampered certificate fails.  The checks on
+state numbers are compared with the same checks on the joined chart.
 """
 
 from __future__ import annotations
@@ -12,16 +14,22 @@ from __future__ import annotations
 import json
 import random
 import sys
+from itertools import chain
 
 import pytest
 
-from starchart import (Atom, Prechart, Sum, Zero, bisimilar, certify, chart_of, coproduct, formats,
-                       parse, recheck_certificate, render)
-from starchart.cli import _common_checks, _decide
-from starchart.formats import iter_state_ids, state_ids
+from starchart import (Atom, PartitionRelation, Prechart, Sum, Zero, atoms, bisimilar, bisimilarity, certify,
+                       chart_of, coproduct, formats, parse, recheck_certificate, render)
+from starchart.bisim import _violations
+from starchart.cli import (_candidate, _clauses, _common_checks, _decide, _distinguishing_violation,
+                           _on_states)
+from starchart.formats import iter_state_ids, state_ids, witness_from_json
+from starchart.semantics import joint_chart
 from gen import random_expr, rewrite_steps, round_by_round_bisimilarity
 
 ALPHA = ("a", "b", "c")
+# declared orders other than the sorted one, and multi-letter actions
+ALPHABETS = [ALPHA, ("x", "y"), ("c", "a", "b"), ("ab", "b", "c1", "d")]
 
 # the check names, in order, that certification and replay reported before
 # they shared one path
@@ -42,6 +50,25 @@ def pairs(seed: int, count: int):
         f = rewrite_steps(rng, e, rng.randint(1, 3)) if i % 2 == 0 else random_expr(rng, depth=3)
         out.append((e, f))
     return out
+
+
+def alphabet_pairs(seed: int, count: int):
+    """Seeded ``(alphabet, e, f)`` over ``ALPHABETS`` by turns: ``e``
+    beside an axiom rewrite, then independent draws."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alpha = ALPHABETS[i % len(ALPHABETS)]
+        e = random_expr(rng, alpha, depth=rng.randint(1, 4))
+        f = rewrite_steps(rng, e, rng.randint(1, 3)) if i % 2 == 0 else random_expr(rng, alpha, depth=3)
+        yield alpha, e, f
+
+
+def partition_of(Z: Prechart, block_of: list) -> PartitionRelation:
+    """The partition of ``Z.states`` that a list of block labels by state number gives."""
+    groups: dict = {}
+    for x, b in zip(Z.states, block_of):
+        groups.setdefault(b, []).append(x)
+    return PartitionRelation.from_blocks(Z.states, groups.values())
 
 
 def roundtrip(cert) -> dict:
@@ -67,20 +94,25 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
 
 class TestOneRefinementForTheCommonExpression:
     def test_agrees_with_two_bisimilar_calls(self):
-        corpus = pairs(401, 120)
-        commons = [certify(e, f, ALPHA).common for e, f in corpus]
+        corpus = list(alphabet_pairs(401, 520))
+        commons = [certify(e, f, alpha).common for alpha, e, f in corpus]
         outcomes = set()
-        for i, (e, f) in enumerate(corpus):
-            d = _decide(e, f, ALPHA)
-            other = next(c for c in commons[i + 1:] + commons[:i] if c is not None)
+        for i, (alpha, e, f) in enumerate(corpus):
+            d = _decide(e, f, alpha)
+            # another pair's common over the same alphabet
+            other = next(c for c in commons[i + 1:] + commons[:i]
+                         if c is not None and atoms(c) <= set(alpha))
             candidates = [e, f, Zero(), other]
             if commons[i] is not None:
-                candidates += [commons[i], Sum(commons[i], Atom(ALPHA[i % 3]))]
+                candidates += [commons[i], Sum(commons[i], Atom(alpha[i % len(alpha)]))]
             for common in candidates:
                 checks = _common_checks(d, common)
                 assert [c.name for c in checks] == ["common-bisimilar-left", "common-bisimilar-right"]
                 got = tuple(c.passed for c in checks)
-                assert got == (bisimilar(e, common, ALPHA), bisimilar(f, common, ALPHA)), (e, f, common)
+                # as one refinement of the joint chart of all three expressions
+                R = round_by_round_bisimilarity(joint_chart([e, f, common], alpha))
+                assert got == (R.related(e, common), R.related(f, common)), (e, f, common)
+                assert got == (bisimilar(e, common, alpha), bisimilar(f, common, alpha)), (e, f, common)
                 outcomes.add(got)
         # every combination occurs, so neither side is compared vacuously
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
@@ -107,11 +139,12 @@ class TestReplayKeepsItsChecks:
 class TestDecideFirst:
     @pytest.fixture
     def calls(self, monkeypatch):
-        # ``_numbered_chart`` builds every chart the walk finds: the joined
-        # chart, or the joint chart of the common check
-        counted = [("semantics", "chart_of"), ("semantics", "expr_coproduct"),
+        # ``_walk`` walks each expression; ``_numbered_chart`` builds every
+        # chart a walk finds: the joined chart, or the joint chart of
+        # ``verify_solution``'s fallback
+        counted = [("semantics", "chart_of"), ("semantics", "_walk"),
                    ("semantics", "_numbered_chart"), ("layering", "syntactic_witness"),
-                   ("bisim", "bisimilar"), ("rerouting", "collapse"),
+                   ("bisim", "bisimilar"), ("bisim", "bisimilarity"), ("rerouting", "collapse"),
                    ("layering", "enumerate_witnesses")]
         return {name: count_calls(monkeypatch, module, name) for module, name in counted}
 
@@ -131,49 +164,85 @@ class TestDecideFirst:
             recheck_certificate(roundtrip(cert))
             replayed = self.counts(calls)
             for got in (certified, replayed):
-                # one walk, and the joined chart only: no side chart
-                assert got == {"chart_of": 0, "expr_coproduct": 1, "_numbered_chart": 1,
-                               "syntactic_witness": 0, "bisimilar": 0, "collapse": 0,
-                               "enumerate_witnesses": 0}
+                # one walk of each side, refined on its numbers: no chart at all
+                assert got == {"chart_of": 0, "_walk": 2, "_numbered_chart": 0,
+                               "syntactic_witness": 0, "bisimilar": 0, "bisimilarity": 0,
+                               "collapse": 0, "enumerate_witnesses": 0}
             seen += 1
         assert seen >= 20
 
     def test_equivalent_pairs_build_each_chart_once(self, calls):
+        seen = 0
         for e, f in pairs(421, 60)[::2]:
             cert = certify(e, f)
-            # the joined chart and the joint chart of the common check; the
-            # witness is inferred on the quotient, with neither a syntactic
-            # witness, a collapse nor the search
-            expected = {"chart_of": 0, "expr_coproduct": 1, "_numbered_chart": 2,
-                        "syntactic_witness": 0, "bisimilar": 0, "collapse": 0, "enumerate_witnesses": 0}
+            # both sides and the common expression are walked once each; the
+            # joined chart is built for the quotient, and ``bisimilarity``
+            # runs once, for collapse-minimal; the witness is inferred on the
+            # quotient, with neither a syntactic witness, a collapse nor the
+            # search
+            expected = {"chart_of": 0, "_walk": 3, "_numbered_chart": 1, "syntactic_witness": 0,
+                        "bisimilar": 0, "bisimilarity": 1, "collapse": 0, "enumerate_witnesses": 0}
+            assert [args[0] for args in calls["bisimilarity"]] == [cert.collapsed.base]
             assert self.counts(calls) == expected
-            recheck_certificate(roundtrip(cert))
-            assert self.counts(calls) == expected
+            doc = roundtrip(cert)
+            recheck_certificate(doc)
+            # replay builds no joined chart
+            assert [args[0] for args in calls["bisimilarity"]] == [witness_from_json(doc["collapsed"]).base]
+            assert self.counts(calls) == {**expected, "_numbered_chart": 0}
+            seen += 1
+        assert seen == 30
 
 
 class TestOneWalkDecides:
     def test_the_decision_is_the_coproduct_of_both_charts_and_its_refinement(self):
-        rng = random.Random(449)
-        alphabets = [ALPHA, ("x", "y"), ("c", "a", "b"), ("ab", "b", "c1", "d")]
         verdicts = set()
-        for i in range(520):
-            alpha = alphabets[i % len(alphabets)]
-            e = random_expr(rng, alpha, depth=rng.randint(1, 4))
-            f = rewrite_steps(rng, e, rng.randint(1, 3)) if i % 2 == 0 else random_expr(rng, alpha, depth=3)
+        for alpha, e, f in alphabet_pairs(449, 520):
             d = _decide(e, f, alpha)
             X, Y = chart_of(e, alpha), chart_of(f, alpha)
             Z, inl, inr = coproduct(X, Y)
-            assert d.joined == Z
-            assert [list(m) for m in (d.joined.outputs, d.joined.transitions)] == [
+            joined, R = d.joined()
+            assert joined == Z
+            assert [list(m) for m in (joined.outputs, joined.transitions)] == [
                 list(m) for m in (Z.outputs, Z.transitions)]
-            assert list(d.inl.items()) == list(inl.items())
-            assert list(d.inr.items()) == list(inr.items())
-            assert d.R == round_by_round_bisimilarity(Z)
+            assert d.n == len(X.states)
+            assert [d.state(x) for x in range(len(d.states))] == list(Z.states)
+            assert list(inl.items()) == [(x, d.state(i)) for i, x in enumerate(X.states)]
+            assert list(inr.items()) == [(y, d.state(d.n + i)) for i, y in enumerate(Y.states)]
+            # ``block_of`` numbers the bisimilarity's blocks by least member
+            assert R == bisimilarity(Z) == round_by_round_bisimilarity(Z)
+            assert d.block_of == [R.block_index(x) for x in Z.states] and d.count == len(R.blocks)
+            assert d.bisimilar == R.related(inl[e], inr[f]) == bisimilar(e, f, alpha)
             # the walk's numbered successors are those a copy computes
-            assert d.joined.numbered_succ() == Prechart.make(
+            assert tuple(d.numbered) == joined.numbered_succ() == Prechart.make(
                 alpha, Z.states, Z.outputs, Z.transitions).numbered_succ()
             verdicts.add(d.bisimilar)
         assert verdicts == {True, False}
+
+    def test_clauses_on_numbers_are_the_violations_of_the_joined_chart(self):
+        verdicts = set()
+        clauses = set()
+        for alpha, e, f in alphabet_pairs(457, 520):
+            d = _decide(e, f, alpha)
+            Z, R = d.joined()
+            roots = (Z.states[0], Z.states[d.n])
+            merged = R.merge(*roots)
+            assert partition_of(Z, _candidate(d)) == merged
+            # the output partition is coarser, so many of its pairs fail a clause
+            outputs: dict = {}
+            by_output = [outputs.setdefault(out, len(outputs)) for out in d.outs]
+            for candidate in (_candidate(d), by_output):
+                P = partition_of(Z, candidate)
+                for x, y in P.pairs():
+                    got = [_on_states(d, v) for v in _clauses(d, candidate, Z.index(x), Z.index(y))]
+                    assert got == list(_violations(Z, Z, P.related, x, y))
+                    clauses.update(v.clause for v in got)
+            if not d.bisimilar:
+                first = next(v for x, y in chain([roots], merged.pairs())
+                             for v in _violations(Z, Z, merged.related, x, y))
+                assert _on_states(d, _distinguishing_violation(d, _candidate(d))) == first
+            verdicts.add(d.bisimilar)
+        assert verdicts == {True, False}
+        assert clauses == {"output", "forth", "back"}
 
 
 class TestReplayNamesOnlyTheClause:
@@ -197,7 +266,7 @@ class TestReplayNamesOnlyTheClause:
             doc = roundtrip(cert)
             labelled.clear()
             assert all(c.passed for c in recheck_certificate(doc))
-            Z = _decide(e, f, ALPHA).joined
+            Z = _decide(e, f, ALPHA).joined()[0]
             v = cert.distinguishing
             named = [s for s in (v.left, v.right, v.successor) if s is not None]
             assert labelled == list(Z.states[: 1 + max(map(Z.index, named))])
@@ -207,7 +276,7 @@ class TestReplayNamesOnlyTheClause:
 
     def test_lazy_ids_are_the_state_ids(self):
         X = Prechart.make(("a",), ("L:x", (0, "x"), "L:x#2", (0, "y"), "L:x#3"), {}, {})
-        pairs_ = list(iter_state_ids(X))
+        pairs_ = list(iter_state_ids(X.states))
         assert [name for _, name in pairs_] == ["L:x", "L:x#2", "L:x#2#2", "L:y", "L:x#3"]
         assert dict(pairs_) == state_ids(X)
 
@@ -244,7 +313,7 @@ class TestTamperedCertificates:
                 continue
             doc = roundtrip(cert)
             v = cert.distinguishing
-            Z = _decide(e, f, ALPHA).joined
+            Z = _decide(e, f, ALPHA).joined()[0]
             ids = state_ids(Z)
             edits = []
             if v.clause == "output":
@@ -281,11 +350,12 @@ class TestTamperedCertificates:
         doc = roundtrip(cert)
         assert all(c.passed for c in recheck_certificate(doc))
         d = _decide(e, f, ALPHA)
-        candidate = d.R.merge(*d.roots)
-        ids = state_ids(d.joined)
-        x, y = next((x, y) for x in d.joined.states for y in d.joined.states
-                    if d.joined.out(x) != d.joined.out(y) and not candidate.related(x, y))
-        action = sorted(d.joined.out(x) ^ d.joined.out(y))[0]
+        Z, R = d.joined()
+        candidate = R.merge(Z.states[0], Z.states[d.n])
+        ids = state_ids(Z)
+        x, y = next((x, y) for x in Z.states for y in Z.states
+                    if Z.out(x) != Z.out(y) and not candidate.related(x, y))
+        action = sorted(Z.out(x) ^ Z.out(y))[0]
         doc["distinguishing"] = {"clause": "output", "left": ids[x], "right": ids[y],
                                  "action": action, "successor": None}
         results = {c.name: c.passed for c in recheck_certificate(doc)}
