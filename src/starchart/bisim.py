@@ -98,16 +98,6 @@ class PartitionRelation:
     def is_identity(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
 
-    def merge(self, x: StateId, y: StateId) -> "PartitionRelation":
-        """Coarsen by joining the blocks of ``x`` and ``y``."""
-        bx, by = self.block_index(x), self.block_index(y)
-        if bx == by:
-            return self
-        blocks = [
-            b for i, b in enumerate(self.blocks) if i not in (bx, by)
-        ] + [self.blocks[bx] + self.blocks[by]]
-        return PartitionRelation.from_blocks(self.universe, blocks)
-
     def without(self, x: StateId) -> "PartitionRelation":
         """The restriction to every state but ``x``."""
         universe = tuple(y for y in self.universe if y != x)
@@ -163,12 +153,13 @@ def _violations(
     """The failed clauses of the pair ``(x, y)`` under the relation ``related``.
 
     First the output actions on which the two disagree, in sorted order;
-    then, per action of the alphabet, each unmatched left transition
-    (``forth``) before each unmatched right one (``back``).
+    then, per action of either alphabet (those of ``X`` in order, then those
+    only ``Y`` has), each unmatched left transition (``forth``) before each
+    unmatched right one (``back``).
     """
     for action in sorted(X.out(x) ^ Y.out(y)):
         yield BisimViolation("output", x, y, action)
-    for a in X.alphabet:
+    for a in dict.fromkeys(X.alphabet + Y.alphabet):
         for x2 in X.succ(x, a):
             if not any(related(x2, y2) for y2 in Y.succ(y, a)):
                 yield BisimViolation("forth", x, y, a, x2)

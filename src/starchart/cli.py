@@ -5,13 +5,14 @@ both expressions, numbering the states of the coproduct of their charts,
 and decide bisimilarity there by partition refinement on those numbers.
 The relation check, the verdict and the distinguishing clause of an
 inequivalent pair read the numbered arrays; no chart is built for them.
-Only when the roots are bisimilar is the joined chart built, and its
-quotient by the decided partition, the minimal chart in which both roots
-are one state; it is isomorphic to the collapse of any witness of the
-coproduct (the collapse theorem).  Loop elimination gives it a layering
-witness, and its canonical solution at the roots' image is the common
-expression, which one more refinement checks against both inputs after
-walking only the common expression.  Every stage is re-verified, and the
+Only when the roots are bisimilar is a chart built: the quotient by the
+decided partition, read off the same arrays, which is the minimal chart,
+in which both roots are one state; it is isomorphic to the collapse of
+any witness of the coproduct (the collapse theorem).  No joined chart is
+built.  Loop elimination gives the quotient a layering witness, and its
+canonical solution at the roots' image is the common expression, which
+one more refinement checks against both inputs after walking only the
+common expression.  Every stage is re-verified, and the
 emitted certificate carries enough data to replay each named check;
 ``recheck_certificate`` replays them with the same check functions, and
 builds no joined chart.
@@ -20,14 +21,13 @@ builds no joined chart.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Iterator, Mapping, NamedTuple
 
-from .bisim import BisimViolation, PartitionRelation, _coarsest, _partition, _stable, bisimilarity
+from .bisim import BisimViolation, _coarsest, _stable, bisimilarity
 from .formats import (
     chart_from_json,
     chart_to_json,
@@ -41,7 +41,7 @@ from .formats import (
 )
 from .layering import LabelledPrechart, infer_witness, syntactic_witness, to_llee, verify_witness
 from .rerouting import collapse, connect_through
-from .semantics import Prechart, StateId, _coproduct_walk, _disjoint_union, _join, _walk, chart_of, quotient
+from .semantics import Prechart, StateId, _coproduct_walk, _join, _quotient, _walk, chart_of
 from .solution import Solution, canonical_solution, simplify, verify_solution
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
@@ -104,9 +104,9 @@ class _Decision(NamedTuple):
     order but untagged; ``outs`` and ``numbered`` hold each one's outputs
     and per-action successor numbers.  The first ``n`` are ``e``'s, so the
     roots are numbers 0 and ``n``.  ``block_of`` numbers the block of each
-    state in the bisimilarity, which has ``count`` blocks.  The joined chart
-    itself, on which an equivalent pair's quotient is built, is built only
-    by ``joined``.
+    state in the bisimilarity, which has ``count`` blocks.  No chart of
+    these states is built: an equivalent pair's quotient is built from the
+    arrays, on the states that ``state`` tags.
     """
 
     alphabet: tuple[str, ...]
@@ -124,12 +124,6 @@ class _Decision(NamedTuple):
     def state(self, x: int) -> StateId:
         """The state of the joined chart numbered ``x``."""
         return (0 if x < self.n else 1, self.states[x])
-
-    def joined(self) -> tuple[Prechart, PartitionRelation]:
-        """The joined chart, states ``(0, x)`` of ``e``'s chart and then
-        ``(1, y)`` of ``f``'s, and its bisimilarity."""
-        Z = _disjoint_union(self.alphabet, (self.states, self.outs, self.numbered), self.n)[0]
-        return Z, _partition(Z, self.block_of, self.count)
 
 
 def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
@@ -251,21 +245,18 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
         violation = _distinguishing_violation(d, candidate)
         checks += _inequivalent_checks(d, candidate, violation)
         cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=_on_states(d, violation))
+    elif not checks[0].passed:  # only a bisimulation has a quotient to build
+        raise RuntimeError(f"certification checks failed: {[checks[0].name]}")
     else:
         # the minimal quotient is isomorphic to the collapse of any witness
         # of the joined chart (the collapse theorem), so it is built directly
-        Z, R = d.joined()
-        try:
-            Q, projection = quotient(Z, R)
-        except ValueError as exc:  # R is at fault, not the input
-            raise RuntimeError(f"quotient by the decided partition failed: {exc}") from exc
-        z = projection[Z.states[0]]
-        witness = infer_witness(dataclasses.replace(Q, root=z))
+        tagged = [d.state(x) for x in range(len(d.states))]
+        witness = infer_witness(_quotient(alpha, (tagged, d.outs, d.numbered), d.block_of, d.block_of[0]))
         if witness is None:
             raise RuntimeError("the minimal quotient has no layering witness, "
                                "which contradicts the collapse theorem")
         solution = canonical_solution(witness)
-        common = solution.assign[z]
+        common = solution.assign[witness.base.root]
         checks += _collapsed_checks(d, witness, solution) + _common_checks(d, common)
         cert = Certificate("equivalent", e, f, alpha, checks, collapsed=witness, common=common)
     failed = [c.name for c in cert.checks if not c.passed]

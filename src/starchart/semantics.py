@@ -370,22 +370,14 @@ def _numbered_chart(alphabet: tuple[str, ...], walk: _Walk, root: StateId | None
 def coproduct(
     X: Prechart, Y: Prechart
 ) -> tuple[Prechart, dict[StateId, StateId], dict[StateId, StateId]]:
-    """Disjoint union with injection maps; the result has no root."""
+    """Disjoint union on the states ``(0, x)`` of ``X`` and then ``(1, y)``
+    of ``Y``, with both injections; the result has no root."""
     if X.alphabet != Y.alphabet:
         raise ValueError("alphabet mismatch")
     walks = [(Z.states, [Z.out(x) for x in Z.states], Z.numbered_succ()) for Z in (X, Y)]
-    return _disjoint_union(X.alphabet, _join(*walks), len(X.states))
-
-
-def _disjoint_union(
-    alphabet: tuple[str, ...], walk: _Walk, n: int
-) -> tuple[Prechart, dict[StateId, StateId], dict[StateId, StateId]]:
-    """The chart of a joined walk on the states ``(0, x)`` of its first ``n``
-    states and then ``(1, y)`` of the others, with both injections."""
-    states, outs, numbered = walk
-    tagged = tuple((0, x) for x in states[:n]) + tuple((1, y) for y in states[n:])
-    Z = _numbered_chart(alphabet, (tagged, outs, numbered))
-    return Z, dict(zip(states[:n], tagged)), dict(zip(states[n:], tagged[n:]))
+    _, outs, numbered = _join(*walks)
+    inl, inr = {x: (0, x) for x in X.states}, {y: (1, y) for y in Y.states}
+    return _numbered_chart(X.alphabet, ((*inl.values(), *inr.values()), outs, numbered)), inl, inr
 
 
 def generated(X: Prechart, x: StateId) -> Prechart:
@@ -443,19 +435,37 @@ def is_homomorphism(
 
 
 def quotient(X: Prechart, R: "PartitionRelation") -> tuple[Prechart, dict[StateId, StateId]]:
-    """Quotient by a verified bisimulation equivalence: the rerouting along
-    the splitting that keeps one representative per block.
+    """Quotient by a verified bisimulation equivalence (see ``_quotient``).
 
     Block representatives are the least members in discovery order; the
     returned projection is a homomorphism whose kernel is ``R``.
     """
     from .bisim import _checked_partition  # cycle: bisim builds on semantics
-    from .rerouting import Splitting, rerouting  # and rerouting on both
 
-    R = _checked_partition(X, R)
-    projection = {x: R.block_containing(x)[0] for x in X.states}
-    reps = tuple(x for x in X.states if projection[x] == x)
-    return rerouting(X, Splitting(reps, projection)), projection
+    _checked_partition(X, R)
+    numbers: dict[int, int] = {}  # blocks renumbered by least member
+    block_of = [numbers.setdefault(R.block_index(x), len(numbers)) for x in X.states]
+    walk = (X.states, [X.out(x) for x in X.states], X.numbered_succ())
+    root = None if X.root is None else block_of[X.index(X.root)]
+    Q = _quotient(X.alphabet, walk, block_of, root)
+    return Q, {x: Q.states[b] for x, b in zip(X.states, block_of)}
+
+
+def _quotient(alphabet: tuple[str, ...], walk: _Walk, block_of: Sequence[int], root: int | None) -> Prechart:
+    """The quotient of a walk's prechart by a bisimulation partition whose
+    blocks ``block_of`` numbers by least member: each block's least member
+    stands for the block, and each successor is its block, so block ``b`` is
+    state number ``b``; rooted at block ``root``.  Not checked: the caller
+    has checked that the partition is a bisimulation."""
+    states, outs, numbered = walk
+    reps: list[int] = []
+    for x, b in enumerate(block_of):
+        if b == len(reps):
+            reps.append(x)
+    kept = tuple([states[x] for x in reps])
+    rows = [tuple([tuple(sorted({block_of[j] for j in js})) for js in numbered[x]]) for x in reps]
+    outputs = [outs[x] for x in reps]
+    return _numbered_chart(alphabet, (kept, outputs, rows), None if root is None else kept[root])
 
 
 def kernel_partition(h: Mapping[StateId, StateId], states: tuple[StateId, ...]) -> "PartitionRelation":

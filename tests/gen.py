@@ -19,9 +19,13 @@ from starchart import (
     Star,
     Sum,
     Zero,
+    Splitting,
     bisimilar,
+    chart_of,
+    coproduct,
     derived_relations,
     gsum,
+    rerouting,
     size_bound,
     verify_witness,
 )
@@ -321,6 +325,21 @@ def connect_through_reference(X: Prechart, x1, x2) -> Prechart:
             transitions[x] = row
     root = X.root if X.root != x1 else x2
     return Prechart.make(X.alphabet, states, outputs, transitions, root)
+
+
+def reference_quotient(X: Prechart, R: PartitionRelation) -> tuple[Prechart, dict]:
+    """The quotient by a bisimulation partition as a rerouting: the
+    splitting keeps each block's least member in discovery order and
+    retracts every state onto it.  Returns the chart and the retraction."""
+    projection = {x: min(R.block_containing(x), key=X.index) for x in X.states}
+    reps = tuple(x for x in X.states if projection[x] == x)
+    return rerouting(X, Splitting(reps, projection)), projection
+
+
+def joined_chart(e: Expr, f: Expr, alphabet) -> Prechart:
+    """The coproduct of the charts of ``e`` and ``f``, on which certification
+    decides them."""
+    return coproduct(chart_of(e, alphabet), chart_of(f, alphabet))[0]
 
 
 def fig3_left() -> tuple[Prechart, LabelledPrechart]:

@@ -5,6 +5,7 @@ import pytest
 
 from starchart import (
     Atom,
+    BisimViolation,
     PartitionRelation,
     Prechart,
     Seq,
@@ -66,6 +67,16 @@ class TestCheckBisimulation:
         Y = chart_of(Zero(), ("a", "b"))
         ok, why = check_bisimulation(X, Y, [(Seq(A, B), Zero())])
         assert not ok and why.clause == "forth" and why.action == "a"
+
+    def test_actions_of_either_alphabet_are_checked(self):
+        # the step on c, which only Y's alphabet has, is unmatched either way round
+        X = Prechart.make(("a",), ["s"], {}, {})
+        Y = Prechart.make(("a", "c"), ["t"], {}, {"t": {"c": ["t"]}})
+        assert check_bisimulation(X, Y, [("s", "t")]) == (False, BisimViolation("back", "s", "t", "c", "t"))
+        assert check_bisimulation(Y, X, [("t", "s")]) == (False, BisimViolation("forth", "t", "s", "c", "t"))
+        # the left alphabet's actions come first, in its order
+        X = Prechart.make(("b", "a"), ["s"], {}, {"s": {"b": ["s"]}})
+        assert check_bisimulation(X, Y, [("s", "t")]) == (False, BisimViolation("forth", "s", "t", "b", "s"))
 
 
 def seeded_charts(seed: int, count: int):
@@ -300,7 +311,6 @@ def test_partition_relation_shapes():
     assert R.related("x", "y") and not R.related("x", "z")
     assert sorted(p for p in R.pairs() if p[0] != p[1]) == [("x", "y"), ("y", "x")]
     assert not R.is_identity
-    assert R.merge("x", "z").related("y", "z")
     assert PartitionRelation.identity("xyz").is_identity
 
 

@@ -6,11 +6,13 @@ quotient by that decision, with no syntactic witness and no collapse, and
 both inputs are checked against the common expression by one refinement
 that walks only the common expression.  Replay runs the same checks on
 the certificate's data, so a tampered certificate fails.  The checks on
-state numbers are compared with the same checks on the joined chart.
+state numbers are compared with the same checks on the joined chart, the
+coproduct of both charts, which certification itself never builds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import sys
@@ -19,13 +21,13 @@ from itertools import chain
 import pytest
 
 from starchart import (Atom, PartitionRelation, Prechart, Sum, Zero, atoms, bisimilar, bisimilarity, certify,
-                       chart_of, coproduct, formats, parse, recheck_certificate, render)
+                       chart_of, coproduct, formats, parse, quotient, recheck_certificate, render)
 from starchart.bisim import _violations
 from starchart.cli import (_candidate, _clauses, _common_checks, _decide, _distinguishing_violation,
                            _on_states)
 from starchart.formats import iter_state_ids, state_ids, witness_from_json
-from starchart.semantics import joint_chart
-from gen import random_expr, rewrite_steps, round_by_round_bisimilarity
+from starchart.semantics import _numbered_chart, joint_chart
+from gen import joined_chart, random_expr, rewrite_steps, round_by_round_bisimilarity
 
 ALPHA = ("a", "b", "c")
 # declared orders other than the sorted one, and multi-letter actions
@@ -140,12 +142,14 @@ class TestDecideFirst:
     @pytest.fixture
     def calls(self, monkeypatch):
         # ``_walk`` walks each expression; ``_numbered_chart`` builds every
-        # chart a walk finds: the joined chart, or the joint chart of
-        # ``verify_solution``'s fallback
+        # chart from numbered arrays: the quotient, or the joint chart of
+        # ``verify_solution``'s fallback; ``_stable`` checks a partition
         counted = [("semantics", "chart_of"), ("semantics", "_walk"),
                    ("semantics", "_numbered_chart"), ("layering", "syntactic_witness"),
                    ("bisim", "bisimilar"), ("bisim", "bisimilarity"), ("rerouting", "collapse"),
-                   ("layering", "enumerate_witnesses")]
+                   ("layering", "enumerate_witnesses"), ("bisim", "_stable"),
+                   ("bisim", "_checked_partition"), ("bisim", "check_bisimulation"),
+                   ("semantics", "quotient"), ("semantics", "_quotient")]
         return {name: count_calls(monkeypatch, module, name) for module, name in counted}
 
     def counts(self, calls) -> dict:
@@ -167,7 +171,9 @@ class TestDecideFirst:
                 # one walk of each side, refined on its numbers: no chart at all
                 assert got == {"chart_of": 0, "_walk": 2, "_numbered_chart": 0,
                                "syntactic_witness": 0, "bisimilar": 0, "bisimilarity": 0,
-                               "collapse": 0, "enumerate_witnesses": 0}
+                               "collapse": 0, "enumerate_witnesses": 0, "_stable": 1,
+                               "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
+                               "_quotient": 0}
             seen += 1
         assert seen >= 20
 
@@ -176,21 +182,40 @@ class TestDecideFirst:
         for e, f in pairs(421, 60)[::2]:
             cert = certify(e, f)
             # both sides and the common expression are walked once each; the
-            # joined chart is built for the quotient, and ``bisimilarity``
-            # runs once, for collapse-minimal; the witness is inferred on the
-            # quotient, with neither a syntactic witness, a collapse nor the
-            # search
+            # partition is checked once, and the only chart built is the
+            # quotient, from the decision's arrays, with no joined chart and
+            # no second check; ``bisimilarity`` runs once, for
+            # collapse-minimal; the witness is inferred on the quotient, with
+            # neither a syntactic witness, a collapse nor the search
             expected = {"chart_of": 0, "_walk": 3, "_numbered_chart": 1, "syntactic_witness": 0,
-                        "bisimilar": 0, "bisimilarity": 1, "collapse": 0, "enumerate_witnesses": 0}
+                        "bisimilar": 0, "bisimilarity": 1, "collapse": 0, "enumerate_witnesses": 0,
+                        "_stable": 1, "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
+                        "_quotient": 1}
             assert [args[0] for args in calls["bisimilarity"]] == [cert.collapsed.base]
             assert self.counts(calls) == expected
             doc = roundtrip(cert)
             recheck_certificate(doc)
-            # replay builds no joined chart
+            # replay builds no chart from arrays
             assert [args[0] for args in calls["bisimilarity"]] == [witness_from_json(doc["collapsed"]).base]
-            assert self.counts(calls) == {**expected, "_numbered_chart": 0}
+            assert self.counts(calls) == {**expected, "_numbered_chart": 0, "_quotient": 0}
             seen += 1
         assert seen == 30
+
+
+class TestOneQuotient:
+    def test_certify_builds_the_quotient_of_the_joined_chart(self):
+        seen = 0
+        for alpha, e, f in alphabet_pairs(463, 480):
+            cert = certify(e, f, alpha)
+            if cert.verdict != "equivalent":
+                continue
+            Z, inl, inr = coproduct(chart_of(e, alpha), chart_of(f, alpha))
+            Q, projection = quotient(Z, bisimilarity(Z))
+            z = projection[inl[e]]
+            assert projection[inr[f]] == z
+            assert cert.collapsed.base == dataclasses.replace(Q, root=z)
+            seen += 1
+        assert seen >= 200
 
 
 class TestOneWalkDecides:
@@ -200,7 +225,9 @@ class TestOneWalkDecides:
             d = _decide(e, f, alpha)
             X, Y = chart_of(e, alpha), chart_of(f, alpha)
             Z, inl, inr = coproduct(X, Y)
-            joined, R = d.joined()
+            # the chart of the decision's arrays is the coproduct
+            joined = _numbered_chart(alpha, (tuple(map(d.state, range(len(d.states)))), d.outs, d.numbered))
+            R = bisimilarity(Z)
             assert joined == Z
             assert [list(m) for m in (joined.outputs, joined.transitions)] == [
                 list(m) for m in (Z.outputs, Z.transitions)]
@@ -209,7 +236,7 @@ class TestOneWalkDecides:
             assert list(inl.items()) == [(x, d.state(i)) for i, x in enumerate(X.states)]
             assert list(inr.items()) == [(y, d.state(d.n + i)) for i, y in enumerate(Y.states)]
             # ``block_of`` numbers the bisimilarity's blocks by least member
-            assert R == bisimilarity(Z) == round_by_round_bisimilarity(Z)
+            assert R == round_by_round_bisimilarity(Z)
             assert d.block_of == [R.block_index(x) for x in Z.states] and d.count == len(R.blocks)
             assert d.bisimilar == R.related(inl[e], inr[f]) == bisimilar(e, f, alpha)
             # the walk's numbered successors are those a copy computes
@@ -223,10 +250,11 @@ class TestOneWalkDecides:
         clauses = set()
         for alpha, e, f in alphabet_pairs(457, 520):
             d = _decide(e, f, alpha)
-            Z, R = d.joined()
+            Z = joined_chart(e, f, alpha)
             roots = (Z.states[0], Z.states[d.n])
-            merged = R.merge(*roots)
-            assert partition_of(Z, _candidate(d)) == merged
+            merged = partition_of(Z, _candidate(d))
+            # the bisimilarity with the roots' blocks joined
+            assert merged == PartitionRelation.from_pairs(Z.states, chain(bisimilarity(Z).pairs(), [roots]))
             # the output partition is coarser, so many of its pairs fail a clause
             outputs: dict = {}
             by_output = [outputs.setdefault(out, len(outputs)) for out in d.outs]
@@ -266,7 +294,7 @@ class TestReplayNamesOnlyTheClause:
             doc = roundtrip(cert)
             labelled.clear()
             assert all(c.passed for c in recheck_certificate(doc))
-            Z = _decide(e, f, ALPHA).joined()[0]
+            Z = joined_chart(e, f, ALPHA)
             v = cert.distinguishing
             named = [s for s in (v.left, v.right, v.successor) if s is not None]
             assert labelled == list(Z.states[: 1 + max(map(Z.index, named))])
@@ -313,7 +341,7 @@ class TestTamperedCertificates:
                 continue
             doc = roundtrip(cert)
             v = cert.distinguishing
-            Z = _decide(e, f, ALPHA).joined()[0]
+            Z = joined_chart(e, f, ALPHA)
             ids = state_ids(Z)
             edits = []
             if v.clause == "output":
@@ -350,8 +378,8 @@ class TestTamperedCertificates:
         doc = roundtrip(cert)
         assert all(c.passed for c in recheck_certificate(doc))
         d = _decide(e, f, ALPHA)
-        Z, R = d.joined()
-        candidate = R.merge(Z.states[0], Z.states[d.n])
+        Z = joined_chart(e, f, ALPHA)
+        candidate = partition_of(Z, _candidate(d))
         ids = state_ids(Z)
         x, y = next((x, y) for x in Z.states for y in Z.states
                     if Z.out(x) != Z.out(y) and not candidate.related(x, y))

@@ -475,12 +475,16 @@ class TestCollapseOnTheWorkingChart:
 
     def test_certify_reports_a_wrong_partition_as_an_internal_error(self, monkeypatch, capsys):
         # the refinement seam of the decision answers one block
-        monkeypatch.setattr(sys.modules["starchart.cli"], "_coarsest",
-                            lambda outs, numbered: ([0] * len(outs), 1))
+        cli = sys.modules["starchart.cli"]
+        monkeypatch.setattr(cli, "_coarsest", lambda outs, numbered: ([0] * len(outs), 1))
+        built = []
+        for name in ("infer_witness", "_quotient"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: built.append(name))
         assert main(["certify", "a b", "b a"]) == 3
         err = capsys.readouterr().err
-        assert "internal error: RuntimeError: quotient by the decided partition failed: " in err
-        assert "relation is not a bisimulation" in err
+        assert "internal error: RuntimeError: certification checks failed: ['bisimulation-relation-valid']" in err
+        # the relation check fails before any quotient or witness is built
+        assert built == []
 
     def test_reachability_is_recomputed_only_for_the_states_that_reached_w1(self, monkeypatch):
         e, f = wstar_pair(12)

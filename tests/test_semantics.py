@@ -22,7 +22,7 @@ from starchart import (
     quotient,
     size_bound,
 )
-from gen import all_exprs, random_chart, random_expr, reference_step, rewrite_steps
+from gen import all_exprs, random_chart, random_expr, reference_quotient, reference_step, rewrite_steps
 from starchart.semantics import _reach_closures
 
 A, B = Atom("a"), Atom("b")
@@ -300,6 +300,31 @@ class TestQuotient:
         bad = PartitionRelation.total(X.states)
         with pytest.raises(ValueError):
             quotient(X, bad)
+
+    def test_is_the_rerouting_onto_least_members(self):
+        rng = random.Random(19)
+        alpha = ("a", "b", "c")
+        merged = 0
+        for i in range(240):
+            if i % 3 == 0:
+                X = random_chart(rng, n_states=rng.randint(1, 8), out_prob=rng.choice((0.0, 0.25)),
+                                 rooted=i % 2 == 0)
+            else:
+                e = random_expr(rng, depth=rng.randint(2, 4))
+                X = chart_of(e, alpha)
+                if i % 3 == 2:
+                    X = coproduct(X, chart_of(rewrite_steps(rng, e, rng.randint(1, 3)), alpha))[0]
+            for R in (bisimilarity(X), PartitionRelation.identity(X.states)):
+                Q, proj = quotient(X, R)
+                expected, expected_proj = reference_quotient(X, R)
+                assert Q == expected and list(proj.items()) == list(expected_proj.items())
+                # in the same order, with the numbered successors a copy computes
+                assert list(Q.outputs.items()) == list(expected.outputs.items())
+                assert [(x, list(row.items())) for x, row in Q.transitions.items()] == [
+                    (x, list(row.items())) for x, row in expected.transitions.items()]
+                assert Q.numbered_succ() == expected.numbered_succ()
+                merged += len(Q.states) < len(X.states)
+        assert merged >= 50
 
     def test_projection_kernel_is_the_relation(self):
         rng = random.Random(13)
