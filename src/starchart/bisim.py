@@ -177,20 +177,14 @@ def _partition_is_bisimulation(X: Prechart, R: PartitionRelation) -> bool:
     return _stable(_outputs(X), X.numbered_succ(), block_of, len(R.blocks))
 
 
-def _checked_partition(X: Prechart, R: PartitionRelation) -> PartitionRelation:
-    """``R``, checked as a bisimulation equivalence on the states of ``X``.
-
-    Raises ``ValueError`` when its universe is another state set or when it
-    is no bisimulation, naming the violation.  Returns ``R`` renumbered to
-    the discovery order of ``X.states``, so that each block lists its
-    members in that order.
-    """
+def _checked_partition(X: Prechart, R: PartitionRelation) -> None:
+    """Raise ``ValueError`` unless ``R`` is a bisimulation equivalence on
+    the states of ``X``, naming the violation."""
     if set(R.universe) != set(X.states):
         raise ValueError("relation universe differs from the state set")
     ok, why = check_bisimulation(X, X, R)
     if not ok:
         raise ValueError(f"relation is not a bisimulation: {why}")
-    return R if R.universe == X.states else PartitionRelation.from_blocks(X.states, R.blocks)
 
 
 # The refinement core works on state numbers: ``outs`` and ``numbered`` hold

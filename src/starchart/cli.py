@@ -1,21 +1,24 @@
 """Command-line surface and end-to-end equivalence certification.
 
-``certify`` realizes the completeness pipeline by the global route: walk
-both expressions, numbering the states of the coproduct of their charts,
-and decide bisimilarity there by partition refinement on those numbers.
-The relation check, the verdict and the distinguishing clause of an
-inequivalent pair read the numbered arrays; no chart is built for them.
-Only when the roots are bisimilar is a chart built: the quotient by the
-decided partition, read off the same arrays, which is the minimal chart,
-in which both roots are one state; it is isomorphic to the collapse of
-any witness of the coproduct (the collapse theorem).  No joined chart is
-built.  Loop elimination gives the quotient a layering witness, and its
-canonical solution at the roots' image is the common expression, which
-one more refinement checks against both inputs after walking only the
-common expression.  Every stage is re-verified, and the
-emitted certificate carries enough data to replay each named check;
-``recheck_certificate`` replays them with the same check functions, and
-builds no joined chart.
+``certify`` walks both expressions, numbering the states of the coproduct
+of their charts, and decides bisimilarity there by partition refinement on
+those numbers; an inequivalent pair's checks and distinguishing clause
+read the numbered arrays, and no chart is built for them.  For an
+equivalent pair the quotient ``C`` by the decided partition is built from
+the same arrays: the minimal chart, in which both roots are one state.
+Loop elimination gives ``C`` a layering witness, and the certificate
+carries it with the projections of both walks onto ``C``.
+
+Replay of an equivalent certificate checks the local proof (Grabmayer and
+Fokkink, LICS 2020) with no refinement: it walks each input once, checks
+that each projection ``h`` is a homomorphism and that the roots meet, and
+proves ``C``'s canonical solution ``s`` by the axioms alone.  This is
+sound: homomorphisms whose roots meet make ``e`` and ``f`` bisimilar, and
+as ``s ∘ h`` and the identity both solve the chart of ``e``, which has
+the syntactic LLEE witness, uniqueness of solutions gives ``e ≡ s(h(e))``
+in Milner's system, and likewise for ``f``.  Minimality of ``C`` is not
+needed; ``certify`` checks it, and the decided partition, before the
+checks it shares with ``recheck_certificate``.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from .formats import (
 )
 from .layering import LabelledPrechart, infer_witness, syntactic_witness, to_llee, verify_witness
 from .rerouting import collapse, connect_through
-from .semantics import Prechart, StateId, _coproduct_walk, _join, _quotient, _walk, chart_of
-from .solution import Solution, canonical_solution, simplify, verify_solution
+from .semantics import Prechart, StateId, _coproduct_walk, _quotient, _Walk, chart_of
+from .solution import Solution, _proved, canonical_solution, simplify
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
 
@@ -57,9 +60,10 @@ class Certificate:
     """Outcome of certifying two expressions equivalent or not.
 
     When the verdict is ``equivalent``, ``collapsed`` is a witness on the
-    minimal quotient of both charts, rooted at the image of both inputs,
-    and ``common`` is the canonical solution there; every listed check
-    passed.
+    minimal quotient of both charts, rooted at the image of both inputs;
+    ``projection`` lists, per walk, its states' positions there (the
+    decision's blocks); ``common``, the canonical solution at the root, is
+    not serialized.  Every listed check passed.
     """
 
     verdict: str  # "equivalent" | "inequivalent"
@@ -68,6 +72,7 @@ class Certificate:
     alphabet: tuple[str, ...]
     checks: list[Check] = field(default_factory=list)
     collapsed: LabelledPrechart | None = None
+    projection: dict[str, list[int]] | None = None
     common: Expr | None = None
     distinguishing: BisimViolation | None = None
 
@@ -78,7 +83,7 @@ class Certificate:
             "alphabet": list(self.alphabet),
             "checks": [{"name": c.name, "passed": c.passed} for c in self.checks],
             "collapsed": witness_to_json(self.collapsed) if self.collapsed else None,
-            "common": render(self.common) if self.common is not None else None,
+            "projection": self.projection,
             "distinguishing": None,
         }
         if (v := self.distinguishing) is not None:
@@ -197,33 +202,32 @@ def _inequivalent_checks(d: _Decision, candidate: list[int], v: BisimViolation |
     ]
 
 
-def _collapsed_checks(d: _Decision, collapsed: LabelledPrechart, solution: Solution | None) -> list[Check]:
-    """``solution`` is None when ``collapsed`` is no witness, so has none."""
+def _proof_checks(alphabet: tuple[str, ...], walk: _Walk, n: int, collapsed: LabelledPrechart,
+                  projection: Any, solution: Solution | None) -> list[Check]:
+    """The local proof: the witness ``collapsed``; ``projection``, which maps
+    the walk's first ``n`` states by its list ``left`` and the rest by
+    ``right`` to positions in the witness's chart ``C``, as a homomorphism
+    (outputs agree, and per action the images of a state's successors are
+    its image's successors), checked in time linear in the walk; both
+    roots' images at ``C``'s root; and the canonical ``solution``, ``None``
+    when ``collapsed`` is no witness, proved by the axioms alone."""
+    C, (_, outs, numbered) = collapsed.base, walk
+    sides = [projection.get(k) for k in ("left", "right")] if isinstance(projection, Mapping) else [None] * 2
+    lists = all(isinstance(h, list) for h in sides)
+    image = sides[0] + sides[1] if lists else []
+    rows, states = C.numbered_succ(), range(len(C.states))
+    homomorphism = (
+        lists and C.alphabet == alphabet and len(sides[0]) == n and len(image) == len(outs)
+        and all(type(b) is int and b in states for b in image)  # neither bools nor strings
+        and all(out == C.out(C.states[b])
+                and tuple([tuple(sorted({image[j] for j in js})) for js in succ]) == rows[b]
+                for out, succ, b in zip(outs, numbered, image)))
+    root = None if C.root is None else C.index(C.root)
     return [
-        Check("roots-bisimilar", d.bisimilar),
         Check("collapsed-witness-valid", verify_witness(collapsed)[0]),
-        Check("collapse-minimal", bisimilarity(collapsed.base).is_identity),
-        Check("solution-verified", solution is not None and verify_solution(collapsed.base, solution)[0]),
-    ]
-
-
-def _common_checks(d: _Decision, common: Expr | None) -> list[Check]:
-    """Both inputs against ``common``, decided by one refinement; both
-    fail when there is no common expression.
-
-    A state's class depends only on what it reaches, so this answers as
-    two ``bisimilar`` calls would: only ``common`` is walked, and its
-    states join the decision's, from number ``len(d.outs)`` on.
-    """
-    left = right = False
-    if common is not None:
-        _, outs, numbered = _join((d.states, d.outs, d.numbered), _walk([common], d.alphabet))
-        block_of = _coarsest(outs, numbered)[0]
-        c = block_of[len(d.outs)]
-        left, right = block_of[0] == c, block_of[d.n] == c
-    return [
-        Check("common-bisimilar-left", left),
-        Check("common-bisimilar-right", right),
+        Check("projection-homomorphism", homomorphism),
+        Check("roots-meet", lists and all(h and type(h[0]) is int and h[0] == root for h in sides)),
+        Check("solution-proved", solution is not None and _proved(C, solution.assign)),
     ]
 
 
@@ -251,14 +255,17 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
         # the minimal quotient is isomorphic to the collapse of any witness
         # of the joined chart (the collapse theorem), so it is built directly
         tagged = [d.state(x) for x in range(len(d.states))]
-        witness = infer_witness(_quotient(alpha, (tagged, d.outs, d.numbered), d.block_of, d.block_of[0]))
+        C = _quotient(alpha, (tagged, d.outs, d.numbered), d.block_of, d.block_of[0])
+        checks.append(Check("collapse-minimal", bisimilarity(C).is_identity))
+        witness = infer_witness(C)
         if witness is None:
             raise RuntimeError("the minimal quotient has no layering witness, "
                                "which contradicts the collapse theorem")
         solution = canonical_solution(witness)
-        common = solution.assign[witness.base.root]
-        checks += _collapsed_checks(d, witness, solution) + _common_checks(d, common)
-        cert = Certificate("equivalent", e, f, alpha, checks, collapsed=witness, common=common)
+        projection = {"left": d.block_of[:d.n], "right": d.block_of[d.n:]}
+        checks += _proof_checks(alpha, (d.states, d.outs, d.numbered), d.n, witness, projection, solution)
+        cert = Certificate("equivalent", e, f, alpha, checks, collapsed=witness, projection=projection,
+                           common=solution.assign[C.root])
     failed = [c.name for c in cert.checks if not c.passed]
     if failed:
         raise RuntimeError(f"certification checks failed: {failed}")
@@ -288,33 +295,27 @@ def _named_violation(d: _Decision, v: Any) -> BisimViolation | None:
 
 
 def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
-    """Replay every named check of a serialized certificate from scratch.
-
-    A collapsed witness that does not verify fails its named check, and the
-    checks that need its solution fail with it; so does a distinguishing
-    clause that is no mapping of state names, or a common expression that is
-    no string, null included.  An unknown verdict raises ``ValueError``.
+    """Replay the named checks of a serialized certificate from scratch:
+    all of an inequivalent one's, and the local proof of an equivalent one
+    (see the module docstring).  Data that fails a check does not raise: a
+    witness that does not verify fails ``solution-proved`` too, and a
+    distinguishing clause or projection of the wrong shape, null or
+    missing, fails.  An unknown verdict, or a ``collapsed`` that is no
+    chart, raises ``ValueError``.
     """
     if doc["verdict"] not in ("equivalent", "inequivalent"):
         raise ValueError(f"unknown verdict {doc['verdict']!r}")
     alpha = tuple(doc["alphabet"])
     e = parse(doc["inputs"]["left"], alpha)
     f = parse(doc["inputs"]["right"], alpha)
-    d = _decide(e, f, alpha)
-    checks = [_relation_check(d)]
     if doc["verdict"] == "inequivalent":
+        d = _decide(e, f, alpha)
         v = _named_violation(d, doc["distinguishing"])
-        return checks + _inequivalent_checks(d, _candidate(d), v)
+        return [_relation_check(d)] + _inequivalent_checks(d, _candidate(d), v)
+    walk, n = _coproduct_walk(e, f, alpha)
     collapsed = witness_from_json(doc["collapsed"])
     solution = canonical_solution(collapsed) if verify_witness(collapsed)[0] else None
-    common = parse(doc["common"], alpha) if isinstance(doc["common"], str) else None
-    return (
-        checks
-        + _collapsed_checks(d, collapsed, solution)
-        + [Check("common-at-root", common is not None and solution is not None
-                 and solution.assign.get(collapsed.base.root) == common)]
-        + _common_checks(d, common)
-    )
+    return _proof_checks(alpha, walk, n, collapsed, doc.get("projection"), solution)
 
 
 # --- command surface ---------------------------------------------------------

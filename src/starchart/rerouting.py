@@ -140,10 +140,10 @@ def find_pair(
     such a pair.
     """
     a = analysis_of_verified(L)
-    R = _checked_partition(L.base, R)  # block members follow discovery order
+    _checked_partition(L.base, R)
     if R.is_identity:
         return None
-    return _first_safe_pair(a, R.block_containing)
+    return _first_safe_pair(a, PartitionRelation.from_blocks(L.base.states, R.blocks).block_containing)
 
 
 def _first_safe_pair(

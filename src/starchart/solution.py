@@ -257,6 +257,11 @@ def _first_unsolved(
     return None
 
 
+def _proved(X: Prechart, assign: Mapping[StateId, Expr]) -> bool:
+    """``verify_solution``'s first stage: whether the axioms alone prove every equation."""
+    return _first_unsolved(X, assign, _NormalForms().of) is None
+
+
 def verify_solution(
     X: Prechart, solution: Solution | Mapping[StateId, Expr]
 ) -> tuple[bool, StateId | None]:
@@ -273,7 +278,7 @@ def verify_solution(
     for x in X.states:
         if x not in assign:
             raise ValueError(f"partial assignment: no expression for state {x!r}")
-    if _first_unsolved(X, assign, _NormalForms().of) is None:
+    if _proved(X, assign):
         return True, None
     exprs = list(assign.values())
     R = bisimilarity(joint_chart(exprs, tuple(sorted(set().union(*map(atoms, exprs))))))

@@ -3,11 +3,14 @@
 The verdict is read off the coproduct of the two charts, refined on the
 state numbers of the two walks; an equivalent pair is certified on the
 quotient by that decision, with no syntactic witness and no collapse, and
-both inputs are checked against the common expression by one refinement
-that walks only the common expression.  Replay runs the same checks on
-the certificate's data, so a tampered certificate fails.  The checks on
-state numbers are compared with the same checks on the joined chart, the
-coproduct of both charts, which certification itself never builds.
+its certificate carries the projections of both walks onto the quotient.
+Replay of an equivalent certificate checks the local proof, the
+projections as homomorphisms and the canonical solution proved by the
+axioms, with no refinement; replay of an inequivalent one runs the
+certifying checks again.  Either way a tampered certificate fails.  The
+checks on state numbers are compared with the same checks on charts:
+the joined chart, the coproduct of both charts, which certification
+itself never builds, and ``is_homomorphism``.
 """
 
 from __future__ import annotations
@@ -20,26 +23,28 @@ from itertools import chain
 
 import pytest
 
-from starchart import (Atom, PartitionRelation, Prechart, Sum, Zero, atoms, bisimilar, bisimilarity, certify,
-                       chart_of, coproduct, formats, parse, quotient, recheck_certificate, render)
+from starchart import (PartitionRelation, Prechart, Sum, bisimilar, bisimilarity, canonical_solution, certify,
+                       chart_of, coproduct, formats, is_homomorphism, parse, quotient, recheck_certificate,
+                       render)
 from starchart.bisim import _violations
-from starchart.cli import (_candidate, _clauses, _common_checks, _decide, _distinguishing_violation,
-                           _on_states)
-from starchart.formats import iter_state_ids, state_ids, witness_from_json
-from starchart.semantics import _numbered_chart, joint_chart
+from starchart.cli import _candidate, _clauses, _decide, _distinguishing_violation, _on_states, _proof_checks
+from starchart.formats import iter_state_ids, state_ids
+from starchart.semantics import _coproduct_walk, _numbered_chart
+from starchart.solution import _proved
 from gen import joined_chart, random_expr, rewrite_steps, round_by_round_bisimilarity
 
 ALPHA = ("a", "b", "c")
 # declared orders other than the sorted one, and multi-letter actions
 ALPHABETS = [ALPHA, ("x", "y"), ("c", "a", "b"), ("ab", "b", "c1", "d")]
 
-# the check names, in order, that certification and replay reported before
-# they shared one path
+# the check names, in order: certification guards its quotient, then runs
+# the local proof's checks, which are all that the replay of an equivalent
+# certificate runs
 EQUIVALENT = [
-    "bisimulation-relation-valid", "roots-bisimilar", "collapsed-witness-valid",
-    "collapse-minimal", "solution-verified", "common-bisimilar-left", "common-bisimilar-right",
+    "bisimulation-relation-valid", "collapse-minimal", "collapsed-witness-valid",
+    "projection-homomorphism", "roots-meet", "solution-proved",
 ]
-REPLAYED_EQUIVALENT = EQUIVALENT[:5] + ["common-at-root"] + EQUIVALENT[5:]
+REPLAYED_EQUIVALENT = EQUIVALENT[2:]
 INEQUIVALENT = ["bisimulation-relation-valid", "roots-not-bisimilar", "distinguishing-clause"]
 
 
@@ -94,30 +99,69 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
     return calls
 
 
-class TestOneRefinementForTheCommonExpression:
-    def test_agrees_with_two_bisimilar_calls(self):
-        corpus = list(alphabet_pairs(401, 520))
-        commons = [certify(e, f, alpha).common for alpha, e, f in corpus]
+def failed_checks(doc) -> set:
+    """The names of the checks that fail when ``doc`` is replayed, which
+    must be the equivalent certificate's local-proof checks."""
+    replayed = recheck_certificate(doc)
+    assert [c.name for c in replayed] == REPLAYED_EQUIVALENT
+    return {c.name for c in replayed if not c.passed}
+
+
+def equivalent_docs(seed: int, count: int):
+    """Round-tripped equivalent certificates of ``e`` beside an axiom
+    rewrite of it, then beside ``e + e``; no walk has fewer than three
+    states, so each projection list has an entry besides the root's."""
+    rng = random.Random(seed)
+    while count:
+        e = random_expr(rng, depth=rng.randint(3, 4))
+        f = rewrite_steps(rng, e, rng.randint(1, 3)) if count % 2 else Sum(e, e)
+        doc = roundtrip(certify(e, f, ALPHA))
+        if min(map(len, doc["projection"].values())) >= 3:
+            assert not failed_checks(doc)
+            yield doc
+            count -= 1
+
+
+class TestProjectionCheck:
+    def test_agrees_with_is_homomorphism(self):
+        rng = random.Random(401)
         outcomes = set()
-        for i, (alpha, e, f) in enumerate(corpus):
-            d = _decide(e, f, alpha)
-            # another pair's common over the same alphabet
-            other = next(c for c in commons[i + 1:] + commons[:i]
-                         if c is not None and atoms(c) <= set(alpha))
-            candidates = [e, f, Zero(), other]
-            if commons[i] is not None:
-                candidates += [commons[i], Sum(commons[i], Atom(alpha[i % len(alpha)]))]
-            for common in candidates:
-                checks = _common_checks(d, common)
-                assert [c.name for c in checks] == ["common-bisimilar-left", "common-bisimilar-right"]
-                got = tuple(c.passed for c in checks)
-                # as one refinement of the joint chart of all three expressions
-                R = round_by_round_bisimilarity(joint_chart([e, f, common], alpha))
-                assert got == (R.related(e, common), R.related(f, common)), (e, f, common)
-                assert got == (bisimilar(e, common, alpha), bisimilar(f, common, alpha)), (e, f, common)
+        seen = 0
+        for alpha, e, f in alphabet_pairs(401, 480):
+            cert = certify(e, f, alpha)
+            if cert.verdict != "equivalent":
+                continue
+            X, Y, C = chart_of(e, alpha), chart_of(f, alpha), cert.collapsed.base
+            walk, n = _coproduct_walk(e, f, alpha)
+            # the certificate's projection, then one entry moved to another state
+            left, right = cert.projection["left"], cert.projection["right"]
+            moved = [list(left), list(right)]
+            side = moved[rng.randrange(2)]
+            side[rng.randrange(len(side))] = rng.randrange(len(C.states))
+            for h_left, h_right in ((left, right), moved):
+                checks = _proof_checks(alpha, walk, n, cert.collapsed, {"left": h_left, "right": h_right}, None)
+                got = dict((c.name, c.passed) for c in checks)["projection-homomorphism"]
+                on_charts = [is_homomorphism({x: C.states[b] for x, b in zip(Z.states, h)}, Z, C)[0]
+                             for Z, h in ((X, h_left), (Y, h_right))]
+                assert got == all(on_charts), (render(e), render(f), h_left, h_right)
                 outcomes.add(got)
-        # every combination occurs, so neither side is compared vacuously
-        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+            seen += 1
+        assert seen >= 200
+        assert outcomes == {True, False}
+
+
+class TestLocalProofs:
+    def test_the_axioms_prove_every_equivalent_pair(self):
+        # 2 000 pairs of depth 3 to 8: an axiom rewrite of ``e``, then ``e + e``
+        rng = random.Random(467)
+        for i in range(2000):
+            e = random_expr(rng, depth=3 + i % 6)
+            f = rewrite_steps(rng, e, rng.randint(1, 3)) if i % 2 == 0 else Sum(e, e)
+            cert = certify(e, f)
+            assert cert.verdict == "equivalent"
+            # the axiom stage alone, with no bisimilarity fallback
+            assert _proved(cert.collapsed.base, canonical_solution(cert.collapsed).assign)
+            assert all(c.passed for c in recheck_certificate(roundtrip(cert))), (render(e), render(f))
 
 
 class TestReplayKeepsItsChecks:
@@ -143,13 +187,15 @@ class TestDecideFirst:
     def calls(self, monkeypatch):
         # ``_walk`` walks each expression; ``_numbered_chart`` builds every
         # chart from numbered arrays: the quotient, or the joint chart of
-        # ``verify_solution``'s fallback; ``_stable`` checks a partition
+        # ``verify_solution``'s fallback; ``_stable`` checks a partition, and
+        # ``_coarsest`` is every refinement to the largest bisimulation
         counted = [("semantics", "chart_of"), ("semantics", "_walk"),
                    ("semantics", "_numbered_chart"), ("layering", "syntactic_witness"),
                    ("bisim", "bisimilar"), ("bisim", "bisimilarity"), ("rerouting", "collapse"),
                    ("layering", "enumerate_witnesses"), ("bisim", "_stable"),
                    ("bisim", "_checked_partition"), ("bisim", "check_bisimulation"),
-                   ("semantics", "quotient"), ("semantics", "_quotient")]
+                   ("semantics", "quotient"), ("semantics", "_quotient"), ("bisim", "_coarsest"),
+                   ("solution", "verify_solution")]
         return {name: count_calls(monkeypatch, module, name) for module, name in counted}
 
     def counts(self, calls) -> dict:
@@ -173,7 +219,7 @@ class TestDecideFirst:
                                "syntactic_witness": 0, "bisimilar": 0, "bisimilarity": 0,
                                "collapse": 0, "enumerate_witnesses": 0, "_stable": 1,
                                "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
-                               "_quotient": 0}
+                               "_quotient": 0, "_coarsest": 1, "verify_solution": 0}
             seen += 1
         assert seen >= 20
 
@@ -181,23 +227,25 @@ class TestDecideFirst:
         seen = 0
         for e, f in pairs(421, 60)[::2]:
             cert = certify(e, f)
-            # both sides and the common expression are walked once each; the
-            # partition is checked once, and the only chart built is the
+            # both sides are walked once each, and no common expression is;
+            # the partition is checked once, and the only chart built is the
             # quotient, from the decision's arrays, with no joined chart and
             # no second check; ``bisimilarity`` runs once, for
-            # collapse-minimal; the witness is inferred on the quotient, with
-            # neither a syntactic witness, a collapse nor the search
-            expected = {"chart_of": 0, "_walk": 3, "_numbered_chart": 1, "syntactic_witness": 0,
+            # collapse-minimal, so the decision's refinement is the other
+            # ``_coarsest`` call; the witness is inferred on the quotient,
+            # with neither a syntactic witness, a collapse nor the search;
+            # the solution is proved by the axioms alone
+            expected = {"chart_of": 0, "_walk": 2, "_numbered_chart": 1, "syntactic_witness": 0,
                         "bisimilar": 0, "bisimilarity": 1, "collapse": 0, "enumerate_witnesses": 0,
                         "_stable": 1, "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
-                        "_quotient": 1}
+                        "_quotient": 1, "_coarsest": 2, "verify_solution": 0}
             assert [args[0] for args in calls["bisimilarity"]] == [cert.collapsed.base]
             assert self.counts(calls) == expected
-            doc = roundtrip(cert)
-            recheck_certificate(doc)
-            # replay builds no chart from arrays
-            assert [args[0] for args in calls["bisimilarity"]] == [witness_from_json(doc["collapsed"]).base]
-            assert self.counts(calls) == {**expected, "_numbered_chart": 0, "_quotient": 0}
+            assert all(c.passed for c in recheck_certificate(roundtrip(cert)))
+            # replay walks each side once and refines nothing: no partition,
+            # no bisimilarity and no fallback, and it builds no chart from arrays
+            assert self.counts(calls) == {**expected, "_numbered_chart": 0, "_quotient": 0,
+                                          "bisimilarity": 0, "_stable": 0, "_coarsest": 0}
             seen += 1
         assert seen == 30
 
@@ -214,6 +262,9 @@ class TestOneQuotient:
             z = projection[inl[e]]
             assert projection[inr[f]] == z
             assert cert.collapsed.base == dataclasses.replace(Q, root=z)
+            # the certificate's projections are the quotient's, as positions
+            assert cert.projection == {side: [Q.index(projection[x]) for x in injection.values()]
+                                       for side, injection in (("left", inl), ("right", inr))}
             seen += 1
         assert seen >= 200
 
@@ -310,21 +361,6 @@ class TestReplayNamesOnlyTheClause:
 
 
 class TestTamperedCertificates:
-    def test_an_edited_common_fails_replay(self):
-        edited = 0
-        for e, f in pairs(431, 60)[::2]:
-            cert = certify(e, f, ALPHA)
-            doc = roundtrip(cert)
-            for wrong in (Zero(), Sum(cert.common, Atom("a"))):
-                if bisimilar(e, wrong, ALPHA):
-                    continue
-                doc["common"] = render(wrong)
-                failed = {c.name for c in recheck_certificate(doc) if not c.passed}
-                assert "common-at-root" in failed
-                assert failed & {"common-bisimilar-left", "common-bisimilar-right"}
-                edited += 1
-        assert edited >= 30
-
     def test_an_edited_action_fails_the_distinguishing_clause(self):
         doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
         assert doc["distinguishing"]["clause"] == "output"
@@ -404,27 +440,12 @@ class TestTamperedCertificates:
         assert not results["distinguishing-clause"]
         assert results["roots-not-bisimilar"]
 
-    def test_a_collapsed_witness_without_a_root_fails_common_at_root(self):
-        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
-        doc["collapsed"]["root"] = None
-        replayed = recheck_certificate(doc)
-        assert [c.name for c in replayed] == REPLAYED_EQUIVALENT
-        assert {c.name for c in replayed if not c.passed} == {"common-at-root"}
-
     def test_a_null_distinguishing_clause_fails(self):
         doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
         doc["distinguishing"] = None
         results = {c.name: c.passed for c in recheck_certificate(doc)}
         assert list(results) == INEQUIVALENT
         assert {name for name, passed in results.items() if not passed} == {"distinguishing-clause"}
-
-    def test_a_null_common_expression_fails_its_three_checks(self):
-        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
-        doc["common"] = None
-        replayed = recheck_certificate(doc)
-        assert [c.name for c in replayed] == REPLAYED_EQUIVALENT
-        assert {c.name for c in replayed if not c.passed} == {
-            "common-at-root", "common-bisimilar-left", "common-bisimilar-right"}
 
     def test_a_clause_that_is_no_mapping_of_state_names_fails(self):
         doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
@@ -436,23 +457,113 @@ class TestTamperedCertificates:
             assert list(results) == INEQUIVALENT
             assert {name for name, passed in results.items() if not passed} == {"distinguishing-clause"}
 
-    def test_a_common_expression_that_is_no_string_fails_its_three_checks(self):
+    def test_a_moved_projection_entry_fails_the_homomorphism(self):
+        moved = 0
+        for doc in equivalent_docs(431, 30):
+            size = len(doc["collapsed"]["states"])
+            for side in ("left", "right"):
+                tampered = json.loads(json.dumps(doc))
+                h = tampered["projection"][side]
+                x = len(h) - 1  # not the root, whose image roots-meet also checks
+                h[x] = (h[x] + 1) % size
+                assert failed_checks(tampered) == {"projection-homomorphism"}, (doc["inputs"], side)
+                moved += 1
+        assert moved == 60
+
+    def test_a_short_projection_list_fails_the_homomorphism(self):
+        for doc in equivalent_docs(433, 10):
+            for side in ("left", "right"):
+                tampered = json.loads(json.dumps(doc))
+                tampered["projection"][side].pop()
+                assert failed_checks(tampered) == {"projection-homomorphism"}
+        # one entry moved across: the joined list is the same, and so are the
+        # roots' images, but the right list no longer starts at its root
+        doc = roundtrip(certify(parse("a*0", ("a",)), parse("(a a)*0", ("a",))))
+        assert doc["projection"] == {"left": [0], "right": [0, 0]}
+        doc["projection"] = {"left": [0, 0], "right": [0]}
+        assert failed_checks(doc) == {"projection-homomorphism"}
+
+    def test_projection_entries_that_are_no_ints_fail_the_homomorphism(self):
+        # each stands for an entry it equals or reads as, so only its type is wrong
+        replaced = 0
+        for doc in equivalent_docs(435, 10):
+            for side in ("left", "right"):
+                h = doc["projection"][side]
+                for x in range(1, len(h)):
+                    for wrong in {0: ["0", False, 0.0], 1: [True, "1"]}.get(h[x], [str(h[x])]):
+                        tampered = json.loads(json.dumps(doc))
+                        tampered["projection"][side][x] = wrong
+                        assert failed_checks(tampered) == {"projection-homomorphism"}, (side, x, wrong)
+                        replaced += 1
+        assert replaced >= 40
+
+    def test_a_moved_root_image_fails_roots_meet(self):
+        for doc in equivalent_docs(437, 10):
+            size = len(doc["collapsed"]["states"])
+            root = doc["collapsed"]["states"].index(doc["collapsed"]["root"])
+            for other in set(range(size)) - {root}:
+                tampered = json.loads(json.dumps(doc))
+                for h in tampered["projection"].values():
+                    h[0] = other
+                # the roots still meet, but elsewhere: no homomorphism maps them there
+                assert failed_checks(tampered) == {"projection-homomorphism", "roots-meet"}
+
+    def test_a_collapsed_witness_with_no_root_fails_roots_meet(self):
         doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
-        for wrong in (5, ["a"], {"common": doc["common"]}):
-            replayed = recheck_certificate({**doc, "common": wrong})
-            assert [c.name for c in replayed] == REPLAYED_EQUIVALENT
-            assert {c.name for c in replayed if not c.passed} == {
-                "common-at-root", "common-bisimilar-left", "common-bisimilar-right"}
+        doc["collapsed"]["root"] = None
+        assert failed_checks(doc) == {"roots-meet"}
 
     def test_flipped_tags_fail_their_named_checks(self):
         left, right = parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))
         doc = roundtrip(certify(left, right))
-        for transition in doc["collapsed"]["transitions"]:
+        everything = json.loads(json.dumps(doc))
+        for transition in everything["collapsed"]["transitions"]:
             transition["tag"] = "b"
-        replayed = recheck_certificate(doc)
-        assert [c.name for c in replayed] == REPLAYED_EQUIVALENT
-        assert {c.name for c in replayed if not c.passed} == {
-            "collapsed-witness-valid", "solution-verified", "common-at-root"}
+        assert failed_checks(everything) == {"collapsed-witness-valid", "solution-proved"}
+        # one tag flipped, on certificates with several tags
+        flipped = 0
+        for doc in equivalent_docs(439, 30):
+            for i, transition in enumerate(doc["collapsed"]["transitions"]):
+                tampered = json.loads(json.dumps(doc))
+                tampered["collapsed"]["transitions"][i]["tag"] = {"e": "b", "b": "e"}[transition["tag"]]
+                if all(c.passed for c in recheck_certificate(tampered)):
+                    continue  # another witness of the same chart
+                assert failed_checks(tampered) == {"collapsed-witness-valid", "solution-proved"}
+                flipped += 1
+        assert flipped >= 30
+
+    def test_a_dropped_output_fails_the_homomorphism(self):
+        dropped = 0
+        for doc in equivalent_docs(441, 30):
+            for state, actions in doc["collapsed"]["outputs"].items():
+                tampered = json.loads(json.dumps(doc))
+                tampered["collapsed"]["outputs"][state] = actions[1:]
+                assert failed_checks(tampered) == {"projection-homomorphism"}
+                dropped += 1
+        assert dropped >= 20
+
+    def test_a_mismatched_collapsed_alphabet_fails_the_homomorphism(self):
+        # each still holds every action of the chart, which stays a chart
+        for doc in equivalent_docs(443, 10):
+            for alphabet in (ALPHA[::-1], ("b", "a", "c"), ALPHA + ("d",), ("d",) + ALPHA):
+                tampered = json.loads(json.dumps(doc))
+                tampered["collapsed"]["alphabet"] = list(alphabet)
+                assert failed_checks(tampered) == {"projection-homomorphism"}, alphabet
+
+    def test_a_version_1_document_fails_without_raising(self):
+        # a version-1 certificate rendered the common expression in place of the projections
+        cert = certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b")))
+        doc = {key: value for key, value in roundtrip(cert).items() if key != "projection"}
+        doc["common"] = render(cert.common)
+        assert failed_checks(doc) == {"projection-homomorphism", "roots-meet"}
+
+    def test_a_projection_of_no_two_int_lists_fails(self):
+        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        h = doc["projection"]
+        for wrong in (None, [], "x", [h["left"], h["right"]], {"left": h["left"]}, {"right": h["right"]},
+                      {"left": 0, "right": 0}, {"left": [], "right": []},
+                      {"left": tuple(h["left"]), "right": h["right"]}):
+            assert failed_checks({**doc, "projection": wrong}) == {"projection-homomorphism", "roots-meet"}, wrong
 
     def test_an_unknown_verdict_raises(self):
         doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))

@@ -206,6 +206,12 @@ class TestFindPair:
         w1, w2, condition = find_pair(L, R)
         assert {w1, w2} == {"w1", "w2"} and condition == "C1"
 
+    def test_blocks_are_scanned_in_discovery_order_however_listed(self):
+        _, L = fig3_left()
+        R = bisimilarity(L.base)
+        reversed_members = PartitionRelation(R.universe, tuple(tuple(reversed(b)) for b in R.blocks))
+        assert find_pair(L, R) == find_pair(L, reversed_members) == ("x2", "v", "C2")
+
     def test_non_bisimulation_rejected(self):
         L = two_sinks_witness()
         bad = PartitionRelation.from_pairs(L.base.states, [("r", "w1")])
