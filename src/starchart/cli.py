@@ -202,7 +202,7 @@ def _inequivalent_checks(d: _Decision, candidate: list[int], v: BisimViolation |
     ]
 
 
-def _proof_checks(alphabet: tuple[str, ...], walk: _Walk, n: int, collapsed: LabelledPrechart,
+def _proof_checks(alphabet: tuple[str, ...], walk: _Walk, n: int, collapsed: LabelledPrechart | None,
                   projection: Any, solution: Solution | None) -> list[Check]:
     """The local proof: the witness ``collapsed``; ``projection``, which maps
     the walk's first ``n`` states by its list ``left`` and the rest by
@@ -210,7 +210,11 @@ def _proof_checks(alphabet: tuple[str, ...], walk: _Walk, n: int, collapsed: Lab
     (outputs agree, and per action the images of a state's successors are
     its image's successors), checked in time linear in the walk; both
     roots' images at ``C``'s root; and the canonical ``solution``, ``None``
-    when ``collapsed`` is no witness, proved by the axioms alone."""
+    when ``collapsed`` is no witness, proved by the axioms alone.  A
+    ``collapsed`` of ``None``, a document that is no chart, fails them all."""
+    if collapsed is None:
+        names = ("collapsed-witness-valid", "projection-homomorphism", "roots-meet", "solution-proved")
+        return [Check(name, False) for name in names]
     C, (_, outs, numbered) = collapsed.base, walk
     sides = [projection.get(k) for k in ("left", "right")] if isinstance(projection, Mapping) else [None] * 2
     lists = all(isinstance(h, list) for h in sides)
@@ -300,8 +304,9 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     (see the module docstring).  Data that fails a check does not raise: a
     witness that does not verify fails ``solution-proved`` too, and a
     distinguishing clause or projection of the wrong shape, null or
-    missing, fails.  An unknown verdict, or a ``collapsed`` that is no
-    chart, raises ``ValueError``.
+    missing, fails, and a ``collapsed`` that is no chart fails every
+    check.  Of the evidence a certificate carries, only an unknown verdict
+    raises ``ValueError``; its inputs must parse.
     """
     if doc["verdict"] not in ("equivalent", "inequivalent"):
         raise ValueError(f"unknown verdict {doc['verdict']!r}")
@@ -313,8 +318,11 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
         v = _named_violation(d, doc["distinguishing"])
         return [_relation_check(d)] + _inequivalent_checks(d, _candidate(d), v)
     walk, n = _coproduct_walk(e, f, alpha)
-    collapsed = witness_from_json(doc["collapsed"])
-    solution = canonical_solution(collapsed) if verify_witness(collapsed)[0] else None
+    try:
+        collapsed = witness_from_json(doc["collapsed"])
+    except ValueError:
+        collapsed = None
+    solution = canonical_solution(collapsed) if collapsed is not None and verify_witness(collapsed)[0] else None
     return _proof_checks(alpha, walk, n, collapsed, doc.get("projection"), solution)
 
 

@@ -8,10 +8,9 @@ star expressions always carry one, derived syntactically.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .semantics import Prechart, StateId, coproduct, expr_step, restriction
 from .syntax import Expr, Seq, Star, Sum, can_terminate, star_height
@@ -80,53 +79,9 @@ class WitnessViolation:
         return f"{self.clause}: {self.detail}"
 
 
-def _find_cycle(nodes: tuple[StateId, ...], adj: Mapping[StateId, Iterable[StateId]],
-                ) -> tuple[list[StateId] | None, list[StateId]]:
-    """A cycle in a finite digraph, as a closed node path, or None; and the
-    nodes in depth-first finishing order, each after all its successors
-    when there is no cycle."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = dict.fromkeys(nodes, WHITE)
-    finished: list[StateId] = []
-    for start in nodes:
-        if colour[start] != WHITE:
-            continue
-        stack: list[tuple[StateId, Iterator[StateId]]] = [(start, iter(adj.get(start, ())))]
-        colour[start] = GREY
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                c = colour[nxt]
-                if c == WHITE:
-                    colour[nxt] = GREY
-                    stack.append((nxt, iter(adj.get(nxt, ()))))
-                    break
-                if c == GREY:  # on the stack: close the path from it
-                    path = [x for x, _ in stack]
-                    return path[path.index(nxt):] + [nxt], finished
-            else:
-                colour[node] = BLACK
-                finished.append(node)
-                stack.pop()
-    return None, finished
-
-
-def _closure(seeds: Iterable[StateId], adj: Mapping[StateId, Iterable[StateId]]) -> frozenset[StateId]:
-    """The states reachable from ``seeds`` in ``adj``, the seeds included."""
-    seen: set[StateId] = set(seeds)
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
-
-
 def _reach(seeds: int, adj: Sequence[int], forbidden: int = 0) -> int:
     """The states reachable from ``seeds`` in ``adj``, never passing
-    ``forbidden``, the seeds included: the one loop primitive.
+    ``forbidden``, the seeds included: the one closure primitive.
 
     States are numbered, and a set of them is a bitmask whose bit ``i``
     stands for state ``i``; ``adj[i]`` is the mask of ``i``'s successors.
@@ -149,115 +104,174 @@ def _reach(seeds: int, adj: Sequence[int], forbidden: int = 0) -> int:
     return seen & ~forbidden
 
 
-def _acyclic(states: int, adj: Sequence[int]) -> bool:
-    """Whether the steps of ``adj`` among ``states`` close no cycle, masks as
-    in ``_reach``: the states with no step left among them are peeled off
-    until none is left, or none can be."""
-    while states:
-        sinks = 0
-        for i in _members(states, range(len(adj))):
-            if not adj[i] & states:
-                sinks |= 1 << i
-        if not sinks:
-            return False
-        states ^= sinks
-    return True
+def _depth_first(states: int, adj: Sequence[int]) -> tuple[list[int] | None, list[int]]:
+    """The one depth-first search, over the steps of ``adj`` among
+    ``states`` (masks as in ``_reach``), from each state in turn and
+    through the successors of each in number order: a cycle, as a closed
+    path, or None; and the states it finished, in finishing order, each
+    after all its successors when there is no cycle."""
+    unfinished, finished = states, []
+    while unfinished:
+        low = unfinished & -unfinished  # the least state not entered yet
+        path, rests, on_path = [low.bit_length() - 1], [adj[low.bit_length() - 1]], low
+        while path:
+            rest = rests[-1] & unfinished
+            if rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                if low & on_path:  # close the path from there
+                    return path[path.index(y):] + [y], finished
+                rests[-1] = rest ^ low
+                path.append(y)
+                rests.append(adj[y])
+                on_path |= low
+            else:
+                x = path.pop()
+                rests.pop()
+                on_path ^= 1 << x
+                unfinished ^= 1 << x
+                finished.append(x)
+    return None, finished
 
 
-def _members(mask: int, states: Sequence[StateId]) -> list[StateId]:
-    """The states of a mask over ``states``, in their order."""
+def _members(mask: int) -> list[int]:
+    """The state numbers of a mask, in order."""
     members = []
     while mask:
         low = mask & -mask
-        members.append(states[low.bit_length() - 1])
+        members.append(low.bit_length() - 1)
         mask ^= low
     return members
+
+
+def _successors(X: Prechart) -> list[int]:
+    """Per state number, the mask of its successors, action labels forgotten."""
+    succ = []
+    for rows in X.numbered_succ():
+        m = 0
+        for js in rows:
+            for j in js:
+                m |= 1 << j
+        succ.append(m)
+    return succ
+
+
+def _outputs(X: Prechart) -> int:
+    """The mask of the states of ``X`` with an output action."""
+    return sum(1 << X.index(x) for x, out in X.outputs.items() if out)
+
+
+def _recompute_reach(succ: Sequence[int], sources: Sequence[int], reach: list[int]) -> None:
+    """Set ``reach[x]``, for each of ``sources``, to the mask of the states
+    reachable from ``x`` in one or more steps of ``succ``.
+
+    ``reach`` holds the still valid masks of the states outside
+    ``sources``: a search confined by ``_reach`` to the sources not done
+    yet takes the mask of every other state it steps to whole.  The sources
+    are done in reverse, so that on sources in number order a search mostly
+    steps to states already done.
+    """
+    pending = sum(1 << x for x in sources)
+    for x in reversed(sources):
+        out = succ[x]
+        for v in _members(_reach(out, succ, ~pending)):
+            out |= succ[v]
+        for d in _members(out & ~pending):
+            out |= reach[d]
+        reach[x] = out
+        pending ^= 1 << x
+
+
+def _reachability(X: Prechart) -> Sequence[int]:
+    """Per state number of ``X``, the mask of the states reachable in one or
+    more steps.  Memoised on the prechart, as an attribute outside the
+    dataclass fields, so the memo dies with the prechart."""
+    memo = getattr(X, "_reachability", None)
+    if memo is None:
+        succ = _successors(X)
+        reach = [0] * len(succ)
+        _recompute_reach(succ, range(len(succ)), reach)
+        memo = tuple(reach)
+        object.__setattr__(X, "_reachability", memo)
+    return memo
 
 
 class _Analysis:
     """Per-state loop relations of a labelling, shared by the checks and measures.
 
-    Each relation is held once, as a map from a state: its entry and body
-    successors (``entry_adj``, ``body_adj``, in discovery order); its loop
-    descent (``descent``, keyed in discovery order; ``diredge_adj`` lists it
-    in discovery order); ``descended``, the states some loop descends to;
-    and, for every state, the headers of the loops it lies directly inside
-    (``headers``) and their transitive closure (``headers_plus``).
+    States are numbered, and every relation is a list of masks indexed by
+    state number (see ``_reach``): the entry and body successors
+    (``entry``, ``body``); the loop descent (``descent``, 0 for a state
+    with no loop), and ``descended``, the mask of the states some loop
+    descends to; for every state, the headers of the loops it lies
+    directly inside (``headers``) and their transitive closure
+    (``headers_plus``).
 
-    It is built from the maps it reads: the ``states`` in discovery order,
-    their ``index`` key, the ``outputs``, the reachability ``reach_plus`` (in
-    one or more steps) and the ``tags``, keyed by transition.  The relations
-    are computed on masks over the states' positions in ``states`` (see
-    ``_reach``): one pass over the tags gives each state's entry, body and
-    body-predecessor masks; a state's loop is its ``_reach`` forward through
-    the body steps, and the states lying directly inside it are those of
-    the loop that also reach it back through body steps, ``_reach`` over
-    the predecessors confined to the loop.
+    It is built from what it reads: the numbers of the ``states``, in
+    order (``mask`` is their mask), the mask of the states with an
+    ``outputs`` action, the
+    reachability ``reach`` (in one or more steps) and the ``tagged`` steps
+    ``(x, y, tag)``.  A state's loop is its ``_reach`` forward through the
+    body steps, and the states lying directly inside it are those of the
+    loop that also reach it back through body steps, ``_reach`` over the
+    predecessors confined to the loop.
     """
 
-    def __init__(self, states: tuple[StateId, ...], index: Callable[[StateId], int],
-                 outputs: Mapping[StateId, frozenset[str]],
-                 reach_plus: Mapping[StateId, frozenset[StateId]], tags: Mapping[Edge, str]):
-        self.states = states
-        self.index = index
-        self.outputs = outputs
-        self.reach_plus = reach_plus
-        n = len(states)
-        number = {x: i for i, x in enumerate(states)}
+    def __init__(self, states: Sequence[int], outputs: int, reach: Sequence[int],
+                 tagged: Iterable[tuple[int, int, str]]):
+        self.states, self.outputs, self.reach = states, outputs, reach
+        n, self.mask = len(reach), sum(1 << i for i in states)
         entry, body, body_pred = [0] * n, [0] * n, [0] * n
-        for (x, _, y), t in tags.items():
-            i, j = number[x], number[y]
+        self.entry, self.body = entry, body
+        for x, y, t in tagged:
             if t == ENTRY:
-                entry[i] |= 1 << j
+                entry[x] |= 1 << y
             else:
-                body[i] |= 1 << j
-                body_pred[j] |= 1 << i
-        self.entry_adj = {states[i]: _members(m, states) for i, m in enumerate(entry) if m}
-        self.body_adj = {states[i]: _members(m, states) for i, m in enumerate(body) if m}
-        self.descent: dict[StateId, frozenset[StateId]] = {}
-        self.diredge_adj: dict[StateId, list[StateId]] = {}
-        descended = 0
-        headers = [0] * n  # per state, the mask of the headers of its loops
-        for i, m in enumerate(entry):
+                body[x] |= 1 << y
+                body_pred[y] |= 1 << x
+        self.descent = [0] * n
+        self.descended = 0
+        headers = self.headers = [0] * n
+        for i in states:
+            m = entry[i]
             if not m or m == 1 << i:
                 continue  # no entry step to another state: an empty loop
-            forward = _reach(m, body, 1 << i)
-            x = states[i]
-            self.diredge_adj[x] = ys = _members(forward, states)
-            self.descent[x] = frozenset(ys)
-            descended |= forward
-            # the states of the loop with a body path back to x; the path
+            forward = self.descent[i] = _reach(m, body, 1 << i)
+            self.descended |= forward
+            # the states of the loop with a body path back to i; the path
             # stays inside the loop, so the search back is confined to it
-            inside = _reach(body_pred[i] & forward, body_pred, ~forward)
-            while inside:
-                low = inside & -inside
-                headers[low.bit_length() - 1] |= 1 << i
-                inside ^= low
-        self.descended = frozenset(_members(descended, states))
-        sets = {0: (frozenset(), frozenset())}  # the states of one loop share their headers
+            for y in _members(_reach(body_pred[i] & forward, body_pred, ~forward)):
+                headers[y] |= 1 << i
+        plus = {0: 0}  # the states of one loop share their headers
         for m in headers:
-            if m not in sets:
-                plus = _reach(m, headers)
-                sets[m] = frozenset(_members(m, states)), frozenset(_members(plus, states))
-        self.headers = {y: sets[m][0] for y, m in zip(states, headers)}
-        self.headers_plus = {y: sets[m][1] for y, m in zip(states, headers)}
+            if m not in plus:
+                plus[m] = _reach(m, headers)
+        self.headers_plus = [plus[m] for m in headers]
 
-    def longest_paths(self, adj: Mapping[StateId, Iterable[StateId]]) -> dict[StateId, int]:
-        """Longest path lengths out of each node of a DAG, folded over the
-        finishing order of ``_find_cycle``; raises on a cycle."""
-        cycle, finished = _find_cycle(self.states, adj)
+    def longest_paths(self, adj: Sequence[int]) -> list[int]:
+        """Longest path lengths out of each state of a DAG, by number,
+        folded over the finishing order of ``_depth_first``; raises on a
+        cycle."""
+        cycle, finished = _depth_first(self.mask, adj)
         if cycle is not None:
             raise RuntimeError("longest paths of a graph with a cycle")
-        length: dict[StateId, int] = {}
+        length = [0] * len(adj)
         for x in finished:
-            ys = adj.get(x)
-            length[x] = 1 + max(map(length.__getitem__, ys)) if ys else 0
+            if adj[x]:
+                length[x] = 1 + max([length[y] for y in _members(adj[x])])
         return length
 
 
 def _analysis_of(L: LabelledPrechart) -> _Analysis:
     X = L.base
-    return _Analysis(X.states, X.index, X.outputs, X.reach_plus(), L.tags)
+    number = X.index
+    tagged = ((number(x), number(y), t) for (x, _, y), t in L.tags.items())
+    return _Analysis(range(len(X.states)), _outputs(X), _reachability(X), tagged)
+
+
+def _named(v: WitnessViolation, states: Sequence[StateId]) -> WitnessViolation:
+    """A violation on state numbers as one on the states they number."""
+    return WitnessViolation(v.clause, tuple([states[x] for x in v.detail]))
 
 
 def derived_relations(
@@ -271,31 +285,31 @@ def derived_relations(
     inside a loop that leaves ``x`` by an entry step and returns to it by
     body steps.
     """
-    a = _analysis_of(L)
-    return (frozenset((x, y) for x, ys in a.descent.items() for y in ys),
-            frozenset((y, x) for y, xs in a.headers.items() for x in xs))
+    a, name = _analysis_of(L), L.base.states
+    return (frozenset((name[x], name[y]) for x in a.states for y in _members(a.descent[x])),
+            frozenset((name[y], name[x]) for y in a.states for x in _members(a.headers[y])))
 
 
 def _first_violation(a: _Analysis) -> WitnessViolation | None:
-    """The first violated clause, scanning pairs in discovery order."""
-    for x, ys in a.entry_adj.items():
-        for y in ys:
-            if y in a.body_adj.get(x, ()):
-                return WitnessViolation("flat", (x, y))
-    body_cycle = _find_cycle(a.states, a.body_adj)[0]
+    """The first violated clause, on state numbers, scanning pairs in
+    number order."""
+    for x in a.states:
+        if both := a.entry[x] & a.body[x]:
+            return WitnessViolation("flat", (x, _members(both)[0]))
+    body_cycle = _depth_first(a.mask, a.body)[0]
     if body_cycle:
         return WitnessViolation("fully_specified_a", tuple(body_cycle))
-    for x, ys in a.entry_adj.items():
-        for y in ys:
-            if y != x and x not in a.reach_plus[y]:
-                return WitnessViolation("fully_specified_b", (x, y))
-    loop_cycle = _find_cycle(a.states, a.diredge_adj)[0]
+    for x in a.states:
+        if a.entry[x]:
+            for y in _members(a.entry[x] & ~(1 << x)):
+                if not a.reach[y] >> x & 1:
+                    return WitnessViolation("fully_specified_b", (x, y))
+    loop_cycle = _depth_first(a.mask, a.descent)[0]
     if loop_cycle:
         return WitnessViolation("layered", tuple(loop_cycle))
-    for x, ys in a.diredge_adj.items():
-        for y in ys:
-            if a.outputs.get(y):
-                return WitnessViolation("goto_free", (x, y))
+    for x in a.states:
+        if gotos := a.descent[x] & a.outputs:
+            return WitnessViolation("goto_free", (x, _members(gotos)[0]))
     return None
 
 
@@ -308,7 +322,8 @@ def _checked(L: LabelledPrechart) -> tuple[_Analysis, WitnessViolation | None]:
     memo = getattr(L, "_checked", None)
     if memo is None:
         a = _analysis_of(L)
-        memo = (a, _first_violation(a))
+        violation = _first_violation(a)
+        memo = (a, violation and _named(violation, L.base.states))
         object.__setattr__(L, "_checked", memo)
     return memo
 
@@ -343,9 +358,8 @@ def measures(L: LabelledPrechart, x: StateId) -> tuple[int, int]:
     a = analysis_of_verified(L)
     if not L.base.has_state(x):
         raise ValueError(f"unknown state {x!r}")
-    en = a.longest_paths(a.diredge_adj)
-    b = a.longest_paths(a.body_adj)
-    return en[x], b[x]
+    i = L.base.index(x)
+    return a.longest_paths(a.descent)[i], a.longest_paths(a.body)[i]
 
 
 def loop_depth(L: LabelledPrechart, x: StateId, action: str, y: StateId) -> int:
@@ -374,20 +388,20 @@ def to_llee(L: LabelledPrechart) -> WeightedLabelling:
     A loop level of 0 can only happen on an entry self-loop; it is lifted to
     1 so that entries stay positive and the translation inverts.
     """
-    a = analysis_of_verified(L)
-    en = a.longest_paths(a.diredge_adj)
+    a, number = analysis_of_verified(L), L.base.index
+    en = a.longest_paths(a.descent)
     weights = {
-        edge: (max(en[edge[0]], 1) if t == ENTRY else 0) for edge, t in L.tags.items()
+        edge: (max(en[number(edge[0])], 1) if t == ENTRY else 0) for edge, t in L.tags.items()
     }
     return WeightedLabelling(L.base, weights)
 
 
 def from_llee(W: WeightedLabelling) -> LabelledPrechart:
     """Read tags off weights: positive weight with a return path is an entry."""
-    reach_plus = W.base.reach_plus()
+    reach, number = _reachability(W.base), W.base.index
     tags = {}
     for (x, a, y), n in W.weights.items():
-        tags[(x, a, y)] = ENTRY if n > 0 and x in reach_plus[y] else BODY
+        tags[(x, a, y)] = ENTRY if n > 0 and reach[number(y)] >> number(x) & 1 else BODY
     return LabelledPrechart(W.base, tags)
 
 
@@ -474,8 +488,8 @@ def _loop_spanned(succ: Sequence[int], outputs: int, v: int, w: int) -> int | No
     """The states inside the loop that the steps of ``v -> w`` span, as a
     mask, or None when they span none (see ``_eliminable``)."""
     inside = _reach(1 << w, succ, 1 << v)
-    if w != v and (inside & outputs or not _acyclic(inside, succ)
-                   or not any(succ[u] >> v & 1 for u in _members(inside, range(len(succ))))):
+    if w != v and (inside & outputs or _depth_first(inside, succ)[0]
+                   or not any(succ[u] >> v & 1 for u in _members(inside))):
         return None
     return inside
 
@@ -514,11 +528,11 @@ def _eliminable(succ: Sequence[int], outputs: int) -> bool:
     while eliminated:
         eliminated = False
         for v in states:
-            for w in _members(succ[v], states):
+            for w in _members(succ[v]):
                 if _loop_spanned(succ, outputs, v, w) is not None:
                     succ[v] &= ~(1 << w)
                     eliminated = True
-    return _acyclic((1 << len(succ)) - 1, succ)
+    return _depth_first((1 << len(succ)) - 1, succ)[0] is None
 
 
 def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledPrechart]:
@@ -562,20 +576,17 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     groups: dict[tuple[int, int], list[Edge]] = {}
     for edge in X.edges():
         groups.setdefault((number[edge[0]], number[edge[2]]), []).append(edge)
-    succ = [0] * n  # action labels forgotten
-    for x, y in groups:
-        succ[x] |= 1 << y
-    outputs = sum(1 << number[x] for x in X.outputs)
+    succ, outputs = _successors(X), _outputs(X)
     if not _eliminable(succ, outputs):
         return []
-    reach_plus, states = X.reach_plus(), X.states  # memoised for the leaf's verify_witness
+    reach = _reachability(X)  # memoised for the leaf's verify_witness
 
     forced: dict[tuple[int, int], str] = {}
     free: list[tuple[int, int]] = []
     for x, y in sorted(groups):
         if x == y:
             forced[(x, y)] = ENTRY
-        elif states[x] not in reach_plus[states[y]]:
+        elif not reach[y] >> x & 1:
             forced[(x, y)] = BODY  # an entry here could never be fully specified
         elif outputs >> y & 1:
             forced[(x, y)] = BODY  # an entry here could never be goto-free
@@ -649,30 +660,27 @@ def infer_witness(X: Prechart) -> LabelledPrechart | None:
     verify, raises ``RuntimeError``; otherwise the answer is ``None``.
     """
     n = len(X.states)
-    number = {x: i for i, x in enumerate(X.states)}
-    succ, frozen, entries = [0] * n, [0] * n, set()
-    for x, _, y in X.edges():  # action labels forgotten
-        succ[number[x]] |= 1 << number[y]
-    outputs = sum(1 << number[x] for x in X.outputs)
-    states = range(n)
+    number = X.index
+    succ, frozen, entries = _successors(X), [0] * n, set()
+    outputs = _outputs(X)
     eliminated = True
     while eliminated:
         eliminated = False
-        for v in states:
-            for w in _members(succ[v] & ~frozen[v], states):
+        for v in range(n):
+            for w in _members(succ[v] & ~frozen[v]):
                 inside = _loop_spanned(succ, outputs, v, w)
                 if inside is not None:
                     succ[v] &= ~(1 << w)
                     entries.add((v, w))
-                    for u in _members(inside, states):
+                    for u in _members(inside):
                         frozen[u] = succ[u]
                     eliminated = True
-    if not _acyclic((1 << n) - 1, succ):
+    if _depth_first((1 << n) - 1, succ)[0]:
         if _eliminable(succ, outputs):
             raise RuntimeError(f"loop elimination clears the {n}-state chart of cycles, "
                                "yet the frozen run was left with one")
         return None
-    L = LabelledPrechart(X, {(x, a, y): ENTRY if (number[x], number[y]) in entries else BODY
+    L = LabelledPrechart(X, {(x, a, y): ENTRY if (number(x), number(y)) in entries else BODY
                              for x, a, y in X.edges()})
     ok, violation = verify_witness(L)
     if not ok:

@@ -11,7 +11,7 @@ relabelling so that well-layeredness is preserved at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .bisim import PartitionRelation, _checked_partition, bisimilarity
 from .layering import (
@@ -22,12 +22,18 @@ from .layering import (
     LabelledPrechart,
     WitnessViolation,
     _Analysis,
-    _closure,
     _first_violation,
+    _members,
+    _named,
+    _outputs,
+    _reach,
+    _reachability,
+    _recompute_reach,
+    _successors,
     analysis_of_verified,
     verify_witness,
 )
-from .semantics import Prechart, StateId, _reach_closures
+from .semantics import Prechart, StateId
 
 CONDITIONS = ("C1", "C2", "C3")
 
@@ -104,19 +110,21 @@ def restrict_relation(
 # --- the three safe-pair conditions ---------------------------------------------
 
 
-def _condition_of(a: _Analysis, w1: StateId, w2: StateId) -> str | None:
-    out, reach = a.outputs.get, a.reach_plus[w2]
+def _condition_of(a: _Analysis, w1: int, w2: int) -> str | None:
+    """The first safe-pair condition that the state numbers ``w1``, ``w2`` meet."""
+    reach = a.reach[w2]
     # C1: w1 is unreachable from w2, and if some loop descends to w1 then
     # nothing reachable from w2 has an output
-    if w1 not in reach and (w1 not in a.descended or not (out(w2) or any(out(y) for y in reach))):
+    if not reach >> w1 & 1 and (not a.descended >> w1 & 1 or not (reach | 1 << w2) & a.outputs):
         return "C1"
     # C2: w2 lies (transitively) inside the loop at w1
-    if w1 in a.headers_plus[w2]:
+    if a.headers_plus[w2] >> w1 & 1:
         return "C2"
     # C3: no body path from w2 to w1, and some loop containing w1 directly
     # also contains w2 below it and is minimal among w1's loops
-    minimal = any(a.headers[w1] - {x} <= a.headers[x] for x in a.headers[w1] & a.headers_plus[w2])
-    if minimal and w1 not in _closure(a.body_adj.get(w2, ()), a.body_adj):
+    headers = a.headers[w1]
+    minimal = any(not headers & ~(1 << x) & ~a.headers[x] for x in _members(headers & a.headers_plus[w2]))
+    if minimal and not _reach(a.body[w2], a.body) >> w1 & 1:
         return "C3"
     return None
 
@@ -127,7 +135,7 @@ def check_condition(L: LabelledPrechart, w1: StateId, w2: StateId) -> str | None
         raise ValueError("the pair must be distinct")
     if not (L.base.has_state(w1) and L.base.has_state(w2)):
         raise ValueError("unknown states")
-    return _condition_of(analysis_of_verified(L), w1, w2)
+    return _condition_of(analysis_of_verified(L), L.base.index(w1), L.base.index(w2))
 
 
 def find_pair(
@@ -143,17 +151,26 @@ def find_pair(
     _checked_partition(L.base, R)
     if R.is_identity:
         return None
-    return _first_safe_pair(a, PartitionRelation.from_blocks(L.base.states, R.blocks).block_containing)
+    block_of = [R.block_index(x) for x in L.base.states]
+    w1, w2, condition = _first_safe_pair(a, block_of, _block_lists(block_of))
+    return L.base.states[w1], L.base.states[w2], condition
 
 
-def _first_safe_pair(
-    a: _Analysis, block_containing: Callable[[StateId], Sequence[StateId]]
-) -> tuple[StateId, StateId, str]:
-    """The first related distinct pair, in discovery order of both components,
-    that satisfies a safety condition; each block lists its members in
-    discovery order."""
+def _block_lists(block_of: Sequence[int]) -> dict[int, list[int]]:
+    """The state numbers of each block, in order, by block number."""
+    blocks: dict[int, list[int]] = {}
+    for x, b in enumerate(block_of):
+        blocks.setdefault(b, []).append(x)
+    return blocks
+
+
+def _first_safe_pair(a: _Analysis, block_of: Sequence[int], blocks: Mapping[int, list[int]]) -> tuple[int, int, str]:
+    """The first related distinct pair of state numbers, in number order of
+    both components, that satisfies a safety condition: ``block_of`` numbers
+    the block of each state, and ``blocks`` lists each one's members in
+    number order."""
     for w1 in a.states:
-        for w2 in block_containing(w1):
+        for w2 in blocks[block_of[w1]]:
             if w2 != w1:
                 condition = _condition_of(a, w1, w2)
                 if condition is not None:
@@ -165,15 +182,15 @@ def _first_safe_pair(
 # --- relabelling after a connect-through ------------------------------------------
 
 
-def _c2_promotion_state(a: _Analysis, w1: StateId, w2: StateId) -> StateId:
+def _c2_promotion_state(a: _Analysis, w1: int, w2: int) -> int:
     # the last loop header below w1 on a chain from w2: w2 lies (reflexively)
     # inside its loop and it lies directly inside the loop at w1, minimally so
-    candidates = [w for w in {w2} | a.headers_plus[w2] if w1 in a.headers[w]]
-    filtered = [w for w in candidates if a.headers[w] - {w1} <= a.headers_plus[w1]]
+    candidates = [w for w in _members(1 << w2 | a.headers_plus[w2]) if a.headers[w] >> w1 & 1]
+    filtered = [w for w in candidates if not a.headers[w] & ~(1 << w1) & ~a.headers_plus[w1]]
     pool = filtered or candidates
     if not pool:
         raise RuntimeError("C2 held but no promotion state exists")
-    return min(pool, key=a.index)
+    return min(pool)
 
 
 def relabel(
@@ -192,11 +209,17 @@ def relabel(
     actual = check_condition(L, w1, w2)
     if actual != condition:
         raise ValueError(f"pair does not satisfy {condition} (got {actual})")
-    a = analysis_of_verified(L)
-    promote = _c2_promotion_state(a, w1, w2) if condition == "C2" else None
-    base2 = connect_through(L.base, w1, w2)
-    # base2's reachability is shared with the candidate's analysis
-    candidate = LabelledPrechart(base2, _carry_tags(L.tags, w1, w2, promote, base2.reach_plus()))
+    X, base2 = L.base, connect_through(L.base, w1, w2)
+    # the tags on base2's state numbers, w1 numbered -1; base2's
+    # reachability is shared with the candidate's analysis
+    number = {x: i for i, x in enumerate(base2.states)} | {w1: -1}
+    tags = {(number[x], act, number[y]): t for (x, act, y), t in L.tags.items()}
+    promote = None
+    if condition == "C2":
+        promote = number[X.states[_c2_promotion_state(analysis_of_verified(L), X.index(w1), X.index(w2))]]
+    carried = _carry_tags(tags, -1, number[w2], promote, _reachability(base2))
+    name = base2.states
+    candidate = LabelledPrechart(base2, {(name[x], act, name[y]): t for (x, act, y), t in carried.items()})
     ok, violation = verify_witness(candidate)
     if not ok:
         raise _broken_witness(w1, w2, condition, violation)
@@ -204,16 +227,15 @@ def relabel(
 
 
 def _carry_tags(
-    tags: Mapping[Edge, str], w1: StateId, w2: StateId, promote: StateId | None,
-    reach_plus: Mapping[StateId, Iterable[StateId]],
+    tags: Mapping[Edge, str], w1: int, w2: int, promote: int | None, reach: Sequence[int],
 ) -> dict[Edge, str]:
-    """The tags carried across connecting ``w1`` through ``w2``.
+    """The tags, on state numbers, carried across connecting ``w1`` through ``w2``.
 
     Redirected transitions keep their tags (a merged parallel pair becomes
     an entry, which demotion may settle); the body steps out of ``promote``
     (the C2 promotion state, or None) become entries; then every entry with
-    no return path in the connected chart, whose reachability is
-    ``reach_plus``, is demoted to a body step.
+    no return path in the connected chart, whose reachability masks are
+    ``reach``, is demoted to a body step.
     """
     carried: dict[Edge, str] = {}
     for (x, act, y), t in tags.items():
@@ -228,7 +250,7 @@ def _carry_tags(
         x, _, y = key
         if x == promote and t == BODY:
             t = carried[key] = ENTRY
-        if t == ENTRY and x not in reach_plus[y]:
+        if t == ENTRY and not reach[y] >> x & 1:
             carried[key] = BODY
     return carried
 
@@ -253,18 +275,16 @@ def collapse(L: LabelledPrechart) -> tuple[LabelledPrechart, dict[StateId, State
     (``_Merging``), and the collapsed chart is ``L.base`` rerouted once,
     along the splitting that the merges compose to.
     """
-    work = _Merging(L)
-    name = L.base.states.__getitem__
-    named = lambda v: WitnessViolation(v.clause, tuple(map(name, v.detail)))
+    work, name = _Merging(L), L.base.states
     a, violation = work.analysis()
     if violation is not None:
-        raise InvalidWitnessError(str(named(violation)))
+        raise InvalidWitnessError(str(_named(violation, name)))
     work.carry(bisimilarity(L.base))
     while work.has_related_pair():
         w1, w2, condition = work.merge_first_safe_pair(a)
         a, violation = work.analysis()
         if violation is not None:
-            raise _broken_witness(name(w1), name(w2), condition, named(violation))
+            raise _broken_witness(name[w1], name[w2], condition, _named(violation, name))
     return _collapsed(L, work)
 
 
@@ -279,43 +299,41 @@ def _collapsed(L: LabelledPrechart, work: "_Merging") -> tuple[LabelledPrechart,
 
 
 class _Merging:
-    """The merges of a collapse, on the states' discovery indices.
+    """The merges of a collapse, on the states' numbers.
 
     The states are numbered once, so integer order is the discovery order
-    that every tie-break follows.  Each merge updates in place only what
-    the witness checks and the next merge read: the surviving states and
-    their outputs, the unlabelled successor sets and their reachability
-    (recomputed only for the states that reached the deleted state), the
-    tags, the carried partition's blocks and the projection (``image``).
+    that every tie-break follows, and sets of states are masks (see
+    ``layering._reach``).  Each merge updates in place only what the
+    witness checks and the next merge read: the surviving states and the
+    mask of those with an output, the successor masks and the reachability
+    masks (recomputed only for the states that reached the deleted state),
+    the tags, the carried partition's blocks and the projection
+    (``image``).
     """
 
     def __init__(self, L: LabelledPrechart):
         X = L.base
-        number = {x: i for i, x in enumerate(X.states)}
+        number = X.index
         self.states = tuple(range(len(X.states)))
-        self.outputs = {number[x]: out for x, out in X.outputs.items()}
-        self.succ = {x: set() for x in self.states}  # action labels forgotten
-        for x, row in X.transitions.items():
-            for ys in row.values():
-                self.succ[number[x]].update(number[y] for y in ys)
-        self.reach = _reach_closures(self.succ, self.states)
-        self.image = list(self.states)  # the projection, by index
-        self.tags = {(number[x], a, number[y]): t for (x, a, y), t in L.tags.items()}
+        self.outputs = _outputs(X)
+        self.succ = _successors(X)  # action labels forgotten
+        self.reach = [0] * len(self.states)
+        _recompute_reach(self.succ, self.states, self.reach)
+        self.image = list(self.states)  # the projection, by number
+        self.tags = {(number(x), a, number(y)): t for (x, a, y), t in L.tags.items()}
 
     def carry(self, R: PartitionRelation) -> None:
         """Carry the blocks of ``R``, the bisimilarity of the input chart,
         whose universe lists the states in discovery order; before the
         first merge."""
         self.block_of = [R.block_index(x) for x in R.universe]
-        self.blocks: dict[int, list[int]] = {}
-        for x in self.states:
-            self.blocks.setdefault(self.block_of[x], []).append(x)
+        self.blocks = _block_lists(self.block_of)
 
     def analysis(self) -> tuple[_Analysis, WitnessViolation | None]:
         """The analysis of the current labelling and its first violated
         condition; the analysis reads this object's maps, so it is valid
         until the next merge."""
-        a = _Analysis(self.states, int, self.outputs, self.reach, self.tags)
+        a = _Analysis(self.states, self.outputs, self.reach, ((x, y, t) for (x, _, y), t in self.tags.items()))
         return a, _first_violation(a)
 
     # --- one merge
@@ -327,17 +345,17 @@ class _Merging:
         """Connect the first safe pair ``w1`` through ``w2``, as ``find_pair``
         and ``relabel`` would, and carry the tags across; ``a`` is the
         analysis of the current labelling.  Returns ``(w1, w2, condition)``."""
-        w1, w2, condition = _first_safe_pair(a, lambda x: self.blocks[self.block_of[x]])
+        w1, w2, condition = _first_safe_pair(a, self.block_of, self.blocks)
         promote = _c2_promotion_state(a, w1, w2) if condition == "C2" else None
         self.states = tuple(x for x in self.states if x != w1)
-        reached = [x for x in self.states if w1 in self.reach[x]]
+        bit = 1 << w1
+        reached = [x for x in self.states if self.reach[x] & bit]
         for x in reached:
-            if w1 in self.succ[x]:
-                self.succ[x].discard(w1)
-                self.succ[x].add(w2)
-        for table in (self.succ, self.reach, self.outputs):
-            table.pop(w1, None)
-        self.reach.update(_reach_closures(self.succ, reached, self.reach))
+            if self.succ[x] & bit:
+                self.succ[x] = self.succ[x] & ~bit | 1 << w2
+        self.succ[w1] = self.reach[w1] = 0
+        self.outputs &= ~bit
+        _recompute_reach(self.succ, reached, self.reach)
         self.blocks[self.block_of[w1]].remove(w1)  # w2 stays, so no block empties
         self.image = [w2 if v == w1 else v for v in self.image]
         self.tags = _carry_tags(self.tags, w1, w2, promote, self.reach)

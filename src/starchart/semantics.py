@@ -121,22 +121,11 @@ class Prechart:
                     queue.append(w)
         return tuple(order)
 
-    def reach_plus(self) -> Mapping[StateId, frozenset[StateId]]:
-        """States reachable from each state in one or more steps.
-
-        Computed once and memoised on the prechart, as an attribute outside
-        the dataclass fields, so the memo dies with the prechart.
-        """
-        memo = getattr(self, "_reach_plus", None)
-        if memo is None:
-            memo = MappingProxyType(_reach_plus(self))
-            object.__setattr__(self, "_reach_plus", memo)
-        return memo
-
     def numbered_succ(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Per state and action, the distinct successors as state numbers
-        (positions in ``states``), in discovery order.  Memoised like
-        ``reach_plus``; the charting walk fills the memo as it goes."""
+        (positions in ``states``), in discovery order.  Memoised on the
+        prechart, as an attribute outside the dataclass fields, so the memo
+        dies with the prechart; the charting walk fills it as it goes."""
         memo = getattr(self, "_numbered", None)
         if memo is None:
             number = self._index.__getitem__  # type: ignore[attr-defined]
@@ -153,43 +142,6 @@ class Prechart:
 
     def is_chart(self) -> bool:
         return self.root is not None and len(self.reachable_from(self.root)) == len(self.states)
-
-
-def _reach_plus(X: Prechart) -> dict[StateId, frozenset[StateId]]:
-    return _reach_closures({x: X.underlying_succ(x) for x in X.states}, X.states)
-
-
-def _reach_closures(
-    adj: Mapping[StateId, Iterable[StateId]],
-    sources: Sequence[StateId],
-    known: Mapping[StateId, Iterable[StateId]] = MappingProxyType({}),
-) -> dict[StateId, frozenset[StateId]]:
-    """The states reachable in one or more steps from each of ``sources``.
-
-    ``adj`` maps every state to its successors.  ``known`` holds the still
-    valid closures of states outside ``sources``: a search that meets such
-    a state, or a source already done, takes its closure whole instead of
-    walking it again.  The sources are walked in reverse, so that on
-    sources in discovery order a walk mostly meets finished successors.
-    The result follows the order of ``sources``.
-    """
-    closures: dict[StateId, frozenset[StateId]] = {}
-    pending = set(sources)
-    for x in reversed(sources):
-        seen: set[StateId] = set()
-        stack = list(adj[x])
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            if v in pending:
-                stack.extend(adj[v])
-            else:
-                seen.update(closures[v] if v in closures else known[v])
-        closures[x] = frozenset(seen)
-        pending.discard(x)
-    return {x: closures[x] for x in sources}
 
 
 def restriction(X: Prechart, kept: Iterable[StateId], root: StateId | None = None) -> Prechart:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NoReturn
 
 from .bisim import bisimilarity
-from .layering import BODY, LabelledPrechart, analysis_of_verified
+from .layering import LabelledPrechart, analysis_of_verified
 from .semantics import Prechart, StateId, expr_step, joint_chart
 from .syntax import Atom, Expr, Seq, Star, Sum, Zero, atoms, gsum
 
@@ -68,42 +68,47 @@ def _fail(kind: str, x: StateId, y: StateId, *under: StateId) -> NoReturn:
 
 
 class _Terms:
-    """The starred term of each state of a verified witness, per anchor.
+    """The starred term of each state of a verified witness, per anchor, on
+    state numbers.
 
     ``term(x, _OWN)`` is the solution at ``x``; ``term(x, z)`` is the
     companion of ``x`` relative to the loop header ``z``, whose body steps
-    back to ``z`` end the term.  Both are memoised in ``memo``.
+    back to ``z`` end the term.  Both are memoised in ``memo``.  The steps
+    of each state, its loop descent and both measures are read off the
+    witness's analysis.
     """
 
     def __init__(self, L: LabelledPrechart):
         a = analysis_of_verified(L)
         X = L.base
-        self.en = a.longest_paths(a.diredge_adj)
-        self.bd = a.longest_paths(a.body_adj)
+        self.states = X.states
+        self.en = a.longest_paths(a.descent)
+        self.bd = a.longest_paths(a.body)
         self.descent = a.descent
-        self.outputs = {x: [act for act in X.alphabet if act in X.out(x)] for x in X.states}
-        self.entry_self: dict[StateId, list[str]] = {x: [] for x in X.states}
-        self.entry_steps: dict[StateId, list[tuple[str, StateId]]] = {x: [] for x in X.states}
-        self.body_steps: dict[StateId, list[tuple[str, StateId]]] = {x: [] for x in X.states}
-        for edge in X.edges():
-            x, act, y = edge
-            if L.tags[edge] == BODY:
-                self.body_steps[x].append((act, y))
-            elif y == x:
-                self.entry_self[x].append(act)
-            else:
-                self.entry_steps[x].append((act, y))
-        self.memo: dict[tuple[StateId, object], Expr] = {}
+        self.outputs = [[act for act in X.alphabet if act in X.out(x)] for x in X.states]
+        self.entry_self: list[list[str]] = [[] for _ in X.states]
+        self.entry_steps: list[list[tuple[str, int]]] = [[] for _ in X.states]
+        self.body_steps: list[list[tuple[str, int]]] = [[] for _ in X.states]
+        for x, rows in enumerate(X.numbered_succ()):
+            for act, ys in zip(X.alphabet, rows):
+                for y in ys:  # a verified witness tags each state pair once
+                    if not a.entry[x] >> y & 1:
+                        self.body_steps[x].append((act, y))
+                    elif y == x:
+                        self.entry_self[x].append(act)
+                    else:
+                        self.entry_steps[x].append((act, y))
+        self.memo: dict[tuple[int, object], Expr] = {}
 
-    def term(self, x: StateId, anchor: object) -> Expr:
+    def term(self, x: int, anchor: object) -> Expr:
         key = (x, anchor)
         if key in self.memo:
             return self.memo[key]
-        en, bd, descent = self.en, self.bd, self.descent
+        en, bd, descent, name = self.en, self.bd, self.descent, self.states
         first_terms = []
         for act, y in self.entry_steps[x]:
-            if not (y in descent[x] and en[y] < en[x]):
-                _fail("entry", x, y)
+            if not (descent[x] >> y & 1 and en[y] < en[x]):
+                _fail("entry", name[x], name[y])
             first_terms.append(Seq(Atom(act), self.term(y, x)))
         own = anchor is _OWN
         second_terms: list[Expr] = []
@@ -111,8 +116,8 @@ class _Terms:
             if not own and y == anchor:
                 second_terms.append(Atom(act))
                 continue
-            if not (bd[y] < bd[x] and (own or y in descent.get(anchor, ()))):
-                _fail("body", x, y, *(() if own else (anchor,)))
+            if not (bd[y] < bd[x] and (own or descent[anchor] >> y & 1)):
+                _fail("body", name[x], name[y], *(() if own else (name[anchor],)))
             second_terms.append(Seq(Atom(act), self.term(y, anchor)))
         result = Star(
             _component([Atom(act) for act in self.entry_self[x]], first_terms),
@@ -132,9 +137,9 @@ def canonical_solution(L: LabelledPrechart) -> Solution:
     recursion must descend in loop level and body recursion in body depth,
     and companions are only ever taken inside the anchor's loop.
     """
-    terms = _Terms(L)
-    assign = {x: terms.term(x, _OWN) for x in L.base.states}
-    companion = {key: t for key, t in terms.memo.items() if key[1] is not _OWN}
+    terms, name = _Terms(L), L.base.states
+    assign = {x: terms.term(i, _OWN) for i, x in enumerate(name)}
+    companion = {(name[x], name[z]): t for (x, z), t in terms.memo.items() if z is not _OWN}
     return Solution(L.base, assign, companion)
 
 

@@ -188,14 +188,15 @@ class TestDecideFirst:
         # ``_walk`` walks each expression; ``_numbered_chart`` builds every
         # chart from numbered arrays: the quotient, or the joint chart of
         # ``verify_solution``'s fallback; ``_stable`` checks a partition, and
-        # ``_coarsest`` is every refinement to the largest bisimulation
+        # ``_coarsest`` is every refinement to the largest bisimulation;
+        # ``_Analysis`` is every witness analysis built
         counted = [("semantics", "chart_of"), ("semantics", "_walk"),
                    ("semantics", "_numbered_chart"), ("layering", "syntactic_witness"),
                    ("bisim", "bisimilar"), ("bisim", "bisimilarity"), ("rerouting", "collapse"),
                    ("layering", "enumerate_witnesses"), ("bisim", "_stable"),
                    ("bisim", "_checked_partition"), ("bisim", "check_bisimulation"),
                    ("semantics", "quotient"), ("semantics", "_quotient"), ("bisim", "_coarsest"),
-                   ("solution", "verify_solution")]
+                   ("solution", "verify_solution"), ("layering", "_Analysis")]
         return {name: count_calls(monkeypatch, module, name) for module, name in counted}
 
     def counts(self, calls) -> dict:
@@ -219,7 +220,7 @@ class TestDecideFirst:
                                "syntactic_witness": 0, "bisimilar": 0, "bisimilarity": 0,
                                "collapse": 0, "enumerate_witnesses": 0, "_stable": 1,
                                "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
-                               "_quotient": 0, "_coarsest": 1, "verify_solution": 0}
+                               "_quotient": 0, "_coarsest": 1, "verify_solution": 0, "_Analysis": 0}
             seen += 1
         assert seen >= 20
 
@@ -234,16 +235,19 @@ class TestDecideFirst:
             # collapse-minimal, so the decision's refinement is the other
             # ``_coarsest`` call; the witness is inferred on the quotient,
             # with neither a syntactic witness, a collapse nor the search;
-            # the solution is proved by the axioms alone
+            # the solution is proved by the axioms alone; the inferred witness
+            # is analysed once, and inference, the solution and the check
+            # table share that analysis
             expected = {"chart_of": 0, "_walk": 2, "_numbered_chart": 1, "syntactic_witness": 0,
                         "bisimilar": 0, "bisimilarity": 1, "collapse": 0, "enumerate_witnesses": 0,
                         "_stable": 1, "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
-                        "_quotient": 1, "_coarsest": 2, "verify_solution": 0}
+                        "_quotient": 1, "_coarsest": 2, "verify_solution": 0, "_Analysis": 1}
             assert [args[0] for args in calls["bisimilarity"]] == [cert.collapsed.base]
             assert self.counts(calls) == expected
             assert all(c.passed for c in recheck_certificate(roundtrip(cert)))
             # replay walks each side once and refines nothing: no partition,
-            # no bisimilarity and no fallback, and it builds no chart from arrays
+            # no bisimilarity and no fallback, and it builds no chart from
+            # arrays; it analyses the witness it reads once
             assert self.counts(calls) == {**expected, "_numbered_chart": 0, "_quotient": 0,
                                           "bisimilarity": 0, "_stable": 0, "_coarsest": 0}
             seen += 1
@@ -549,6 +553,13 @@ class TestTamperedCertificates:
                 tampered = json.loads(json.dumps(doc))
                 tampered["collapsed"]["alphabet"] = list(alphabet)
                 assert failed_checks(tampered) == {"projection-homomorphism"}, alphabet
+
+    @pytest.mark.parametrize("field, value", [("alphabet", ["a"]), ("root", "nope")])
+    def test_a_collapsed_document_that_is_no_chart_fails_every_check(self, field, value):
+        # an alphabet that drops an action a transition uses, a root that names no state
+        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        doc["collapsed"][field] = value
+        assert failed_checks(doc) == set(REPLAYED_EQUIVALENT)
 
     def test_a_version_1_document_fails_without_raising(self):
         # a version-1 certificate rendered the common expression in place of the projections

@@ -25,7 +25,7 @@ from starchart import (
     verify_solution,
     verify_witness,
 )
-from starchart.layering import analysis_of_verified, enumerate_witnesses, infer_witness
+from starchart.layering import _reachability, analysis_of_verified, enumerate_witnesses, infer_witness
 from gen import distinct_nodes, random_chart
 
 
@@ -90,13 +90,13 @@ def test_witnesses_and_their_analyses_die_after_use():
 def test_reachability_dies_with_its_chart():
     e = parse("(a b + a)*(b a*0) + c", ("a", "b", "c"))
     X = chart_of(e)
-    reach = X.reach_plus()
-    assert X.reach_plus() is reach  # computed once per chart
-    assert "_reach_plus" in vars(X)
+    reach = _reachability(X)
+    assert _reachability(X) is reach  # computed once per chart
+    assert "_reachability" in vars(X)
     # copies and pickles are rebuilt from the fields, without the memo
     for twin in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
-        assert twin == X and "_reach_plus" not in vars(twin)
-        assert twin.reach_plus() == reach
+        assert twin == X and "_reachability" not in vars(twin)
+        assert _reachability(twin) == reach
     refs = [weakref.ref(x) for x in (e, X, *X.states)]
     del e, X, reach, twin
     gc.collect()

@@ -1,7 +1,7 @@
-"""The golden CLI output and certificate bytes do not depend on string
-hashing: both golden checks pass again in a child interpreter under a fixed
-``PYTHONHASHSEED`` other than the one this process drew.  Neither does the
-violation that ``is_homomorphism`` names."""
+"""The golden CLI output, certificate bytes and witness table do not depend
+on string hashing: the golden checks pass again in a child interpreter under
+a fixed ``PYTHONHASHSEED`` other than the one this process drew.  Neither
+does the violation that ``is_homomorphism`` names."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ def test_golden_checks_pass_under_a_fixed_hash_seed():
     env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": "src"}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_golden.py", "tests/test_golden_certs.py"],
+         "tests/test_golden.py", "tests/test_golden_certs.py", "tests/test_witness_table.py"],
         capture_output=True, text=True, env=env, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

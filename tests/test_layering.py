@@ -41,6 +41,7 @@ from gen import (
     fig3_left,
     fig3_right,
     matched_loop_depth,
+    pair_closure,
     path_relations,
     random_chart,
     random_expr,
@@ -250,8 +251,12 @@ def brute_force_longest(adj, x):
 class TestLongestPaths:
     @staticmethod
     def longest_paths(states, adj):
-        # the method reads only ``states`` off the analysis
-        return _Analysis.longest_paths(type("Nodes", (), {"states": tuple(states)})(), adj)
+        # the method reads only the mask of the states off the analysis; the
+        # graph is numbered by position in ``states``, its steps are masks
+        number = {x: i for i, x in enumerate(states)}
+        masks = [sum(1 << number[y] for y in set(adj.get(x, ()))) for x in states]
+        length = _Analysis.longest_paths(type("Nodes", (), {"mask": (1 << len(states)) - 1})(), masks)
+        return {x: length[i] for i, x in enumerate(states)}
 
     def test_matches_brute_force_on_random_dags(self):
         rng = random.Random(131)
@@ -392,9 +397,15 @@ class TestOneDerivationWalk:
                     depth = outcome(loop_depth, labelling, *edge)
                     assert depth == outcome(matched_loop_depth, labelling, *edge)
                     depths[depth if isinstance(depth, int) else "error"] += 1
-            a = analysis_of_verified(L)
-            en = searched_longest_paths(X.states, a.diredge_adj)
-            bd = searched_longest_paths(X.states, a.body_adj)
+            descent = {}
+            for x, y in derived_relations(L)[0]:
+                descent.setdefault(x, []).append(y)
+            body = {}
+            for (x, _, y), t in L.tags.items():
+                if t == "b":
+                    body.setdefault(x, []).append(y)
+            en = searched_longest_paths(X.states, descent)
+            bd = searched_longest_paths(X.states, body)
             assert [measures(L, x) for x in X.states] == [(en[x], bd[x]) for x in X.states]
             assert to_llee(L).weights == {
                 (x, act, y): max(en[x], 1) if t == ENTRY else 0 for (x, act, y), t in L.tags.items()}
@@ -518,7 +529,8 @@ class TestPrunedSearch:
         # with fig3_right
         X = chart_of(a_then(70, parse("(a a a)*(b (a b)*0)", ("a", "b"))))
         assert len(X.states) >= 70
-        assert min(X.index(x) for x in X.states if x in X.reach_plus()[x]) > 64
+        reach_plus = pair_closure((x, y) for x, _, y in X.edges())
+        assert min(X.index(x) for x in X.states if (x, x) in reach_plus) > 64
         assert self.assert_same(erased(X)) > 1
         assert self.assert_same(erased(X, fig3_right())) == 0
 

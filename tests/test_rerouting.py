@@ -34,7 +34,7 @@ from starchart import (
     syntactic_witness,
     verify_witness,
 )
-from starchart import layering, semantics
+from starchart import layering
 from starchart.cli import main
 from starchart.formats import chart_to_json
 from starchart.layering import WitnessViolation, analysis_of_verified, union_witness
@@ -45,6 +45,7 @@ from gen import (
     fig3_left,
     fig3_right,
     isomorphic,
+    pair_closure,
     random_chart,
     random_expr,
     rewrite_steps,
@@ -361,8 +362,9 @@ class TestCollapseDoesEachStepOnce:
 
     def test_one_reachability_per_merge(self, monkeypatch):
         computed = []
-        closures = semantics._reach_plus
-        monkeypatch.setattr(semantics, "_reach_plus", lambda X: computed.append(X) or closures(X))
+        closures = layering._recompute_reach
+        monkeypatch.setattr(layering, "_recompute_reach",
+                            lambda succ, *args: computed.append(list(succ)) or closures(succ, *args))
         merges = 0
         for L in joined_witnesses(193, 30):
             R = bisimilarity(L.base)
@@ -373,7 +375,8 @@ class TestCollapseDoesEachStepOnce:
                 w1, w2, condition = find_pair(current, R)
                 current = relabel(current, w1, w2, condition)
                 # relabel's demotion snapshot and the new witness's analysis
-                assert computed == [current.base]
+                # share one computation, on the connected chart's steps
+                assert computed == [layering._successors(current.base)]
                 R = R.without(w1)
                 merges += 1
         assert merges > 30
@@ -503,19 +506,20 @@ class TestCollapseOnTheWorkingChart:
             sources = [list(number.values())]
             current = L
             for after, w1, _ in hand_stepped(L, bisimilarity(L.base))[2]:
-                reach = current.base.reach_plus()
-                sources.append([number[x] for x in current.base.states if x != w1 and w1 in reach[x]])
+                reach = pair_closure((x, y) for x, _, y in current.base.edges())
+                sources.append([number[x] for x in current.base.states if x != w1 and (x, w1) in reach])
                 current = after
             expected.append(sources)
 
         full = []
-        reach_plus = semantics._reach_plus
-        monkeypatch.setattr(semantics, "_reach_plus", lambda X: full.append(X) or reach_plus(X))
+        reachability = layering._reachability
         module = sys.modules["starchart.rerouting"]
-        closures = module._reach_closures
+        for bound in (layering, module):
+            monkeypatch.setattr(bound, "_reachability", lambda X: full.append(X) or reachability(X))
+        closures = module._recompute_reach
         recomputed = []
-        monkeypatch.setattr(module, "_reach_closures", lambda adj, sources, *known:
-                            recomputed.append(list(sources)) or closures(adj, sources, *known))
+        monkeypatch.setattr(module, "_recompute_reach", lambda succ, sources, reach:
+                            recomputed.append(list(sources)) or closures(succ, sources, reach))
         for L, sources in zip(inputs, expected):
             recomputed.clear()
             collapse(L)
@@ -558,7 +562,9 @@ class TestTheConditionsAreThePairScan:
                         condition = check_condition(L, w1, w2)
                         assert condition == scan.condition(w1, w2)
                         if condition == "C2":
-                            assert _c2_promotion_state(a, w1, w2) == scan.promotion_state(w1, w2)
+                            number, name = L.base.index, L.base.states
+                            promote = name[_c2_promotion_state(a, number(w1), number(w2))]
+                            assert promote == scan.promotion_state(w1, w2)
                         seen[condition] += 1
         assert min(seen[condition] for condition in (*CONDITIONS, None)) > 100
 

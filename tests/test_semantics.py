@@ -23,7 +23,7 @@ from starchart import (
     size_bound,
 )
 from gen import all_exprs, random_chart, random_expr, reference_quotient, reference_step, rewrite_steps
-from starchart.semantics import _reach_closures
+from starchart.layering import _members, _reachability, _recompute_reach, _successors
 
 A, B = Atom("a"), Atom("b")
 AA0 = Star(Seq(A, A), Zero())  # (aa)*0, the two-state a-cycle
@@ -186,6 +186,9 @@ class TestChartOf:
 
 
 class TestReachability:
+    """The reachability masks of ``layering``: per state number, the states
+    reachable in one or more steps."""
+
     @staticmethod
     def walked(X, x):
         # one or more steps: the states reachable from x's successors
@@ -195,34 +198,36 @@ class TestReachability:
         rng = random.Random(223)
         for _ in range(60):
             X = random_chart(rng, n_states=rng.randint(1, 9), edge_prob=rng.choice((0.1, 0.3)))
-            assert X.reach_plus() == {x: frozenset(self.walked(X, x)) for x in X.states}
+            reach = _reachability(X)
+            assert [{X.states[y] for y in _members(m)} for m in reach] == [self.walked(X, x) for x in X.states]
 
     def test_recomputing_some_closures_reuses_the_others(self):
         rng = random.Random(227)
         for _ in range(60):
             X = random_chart(rng, n_states=rng.randint(2, 9), edge_prob=rng.choice((0.1, 0.3)))
-            truth = X.reach_plus()
-            sources = [x for x in X.states if rng.random() < 0.5]
+            truth = _reachability(X)
+            sources = [x for x in range(len(X.states)) if rng.random() < 0.5]
             # stale closures for the sources, valid ones for every other state
-            known = {x: (frozenset() if x in sources else truth[x]) for x in X.states}
-            adj = {x: X.underlying_succ(x) for x in X.states}
-            assert _reach_closures(adj, sources, known) == {x: truth[x] for x in sources}
+            reach = [0 if x in sources else m for x, m in enumerate(truth)]
+            _recompute_reach(_successors(X), sources, reach)
+            assert reach == list(truth)
 
     def test_a_chain_looks_up_each_successor_list_about_once(self):
-        # sources in discovery order are walked in reverse, so each walk
+        # sources in number order are done in reverse, so each search
         # takes its successor's finished closure whole
-        class Counting(dict):
+        class Counting(list):
             lookups = 0
 
             def __getitem__(self, x):
                 Counting.lookups += 1
-                return dict.__getitem__(self, x)
+                return list.__getitem__(self, x)
 
         n = 2000
-        adj = Counting({i: (i + 1,) if i + 1 < n else () for i in range(n)})
-        closures = _reach_closures(adj, range(n))
-        assert list(closures) == list(range(n))
-        assert closures[0] == frozenset(range(1, n)) and closures[n - 1] == frozenset()
+        succ = Counting([1 << i + 1 if i + 1 < n else 0 for i in range(n)])
+        reach = [0] * n
+        _recompute_reach(succ, range(n), reach)
+        assert reach[0] == (1 << n) - 2 and reach[n - 1] == 0
+        assert all(m == (1 << n) - (2 << x) for x, m in enumerate(reach))
         assert Counting.lookups <= 2 * n
 
 
