@@ -55,34 +55,8 @@ class PartitionRelation:
         universe = tuple(universe)
         return cls.from_blocks(universe, [universe] if universe else [])
 
-    @classmethod
-    def from_pairs(
-        cls, universe: Iterable[StateId], pairs: Iterable[tuple[StateId, StateId]]
-    ) -> "PartitionRelation":
-        """Finest partition relating every given pair (transitive closure)."""
-        universe = tuple(universe)
-        parent = {x: x for x in universe}
-
-        def find(x: StateId) -> StateId:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x, y in pairs:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-        groups: dict[StateId, list[StateId]] = {}
-        for x in universe:
-            groups.setdefault(find(x), []).append(x)
-        return cls.from_blocks(universe, groups.values())
-
     def block_index(self, x: StateId) -> int:
         return self._block_of[x]  # type: ignore[attr-defined]
-
-    def block_containing(self, x: StateId) -> tuple[StateId, ...]:
-        return self.blocks[self.block_index(x)]
 
     def related(self, x: StateId, y: StateId) -> bool:
         return self.block_index(x) == self.block_index(y)
@@ -97,14 +71,6 @@ class PartitionRelation:
     @property
     def is_identity(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
-
-    def without(self, x: StateId) -> "PartitionRelation":
-        """The restriction to every state but ``x``."""
-        universe = tuple(y for y in self.universe if y != x)
-        return PartitionRelation.from_blocks(universe, ((y for y in b if y != x) for b in self.blocks))
-
-    def same_partition(self, other: "PartitionRelation") -> bool:
-        return set(map(frozenset, self.blocks)) == set(map(frozenset, other.blocks))
 
 
 @dataclass(frozen=True)

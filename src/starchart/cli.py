@@ -34,7 +34,6 @@ from .bisim import BisimViolation, _coarsest, _stable, bisimilarity
 from .formats import (
     chart_from_json,
     chart_to_json,
-    iter_state_ids,
     state_ids,
     state_label,
     to_dot,
@@ -276,25 +275,35 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     return cert
 
 
-def _named_violation(d: _Decision, v: Any) -> BisimViolation | None:
+def _named_violation(d: _Decision, v: Any, parsed: Mapping[str, Expr]) -> BisimViolation | None:
     """The serialized clause ``v`` on the state numbers of ``d``; ``None``
     when ``v`` is no mapping of string state names (null included) or names
-    a state the joined chart lacks."""
+    a state the joined chart lacks.
+
+    A name is a side, ``L:`` or ``R:``, and a text: its entry in ``parsed``
+    (the inputs, parsed once) or else parsed.  A state of that side with
+    the expression's hash is accepted only if it renders back to exactly
+    the name.  Walk states are distinct and ``parse(render(e)) == e``, so
+    their names carry no ``#n`` suffix (``formats.iter_state_ids``)."""
     if not isinstance(v, Mapping):
         return None
     left, right, successor = v.get("left"), v.get("right"), v.get("successor")
     if not (isinstance(left, str) and isinstance(right, str) and isinstance(successor, (str, type(None)))):
         return None
-    names = {left, right, successor} - {None}
-    number = {}
-    tagged = map(d.state, range(len(d.states)))
-    for x, (_, name) in enumerate(iter_state_ids(tagged)):  # stop once the clause's names are known
-        if name in names:
-            number[name] = x
-            if len(number) == len(names):
-                break
-    if len(number) != len(names):
-        return None
+    number: dict[str, int] = {}
+    for name in {left, right, successor} - {None}:
+        if name[:2] not in ("L:", "R:"):
+            return None
+        try:
+            h = hash(parsed.get(name[2:]) or parse(name[2:], d.alphabet))
+        except ValueError:
+            return None
+        side = range(d.n) if name[0] == "L" else range(d.n, len(d.states))
+        # an equal hash names a candidate, and its rendering decides
+        x = next((x for x in side if hash(d.states[x]) == h and state_label(d.state(x)) == name), None)
+        if x is None:
+            return None
+        number[name] = x
     return BisimViolation(v.get("clause"), number[left], number[right], v.get("action"), number.get(successor))
 
 
@@ -315,7 +324,7 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     f = parse(doc["inputs"]["right"], alpha)
     if doc["verdict"] == "inequivalent":
         d = _decide(e, f, alpha)
-        v = _named_violation(d, doc["distinguishing"])
+        v = _named_violation(d, doc["distinguishing"], {doc["inputs"]["left"]: e, doc["inputs"]["right"]: f})
         return [_relation_check(d)] + _inequivalent_checks(d, _candidate(d), v)
     walk, n = _coproduct_walk(e, f, alpha)
     try:

@@ -9,6 +9,7 @@ star expressions always carry one, derived syntactically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -214,7 +215,9 @@ class _Analysis:
     ``(x, y, tag)``.  A state's loop is its ``_reach`` forward through the
     body steps, and the states lying directly inside it are those of the
     loop that also reach it back through body steps, ``_reach`` over the
-    predecessors confined to the loop.
+    predecessors confined to the loop.  ``_first_violation`` keeps the
+    finishing orders of its searches on the analysis (``body_finished``,
+    ``descent_finished``).
     """
 
     def __init__(self, states: Sequence[int], outputs: int, reach: Sequence[int],
@@ -248,18 +251,19 @@ class _Analysis:
                 plus[m] = _reach(m, headers)
         self.headers_plus = [plus[m] for m in headers]
 
-    def longest_paths(self, adj: Sequence[int]) -> list[int]:
-        """Longest path lengths out of each state of a DAG, by number,
-        folded over the finishing order of ``_depth_first``; raises on a
-        cycle."""
-        cycle, finished = _depth_first(self.mask, adj)
-        if cycle is not None:
-            raise RuntimeError("longest paths of a graph with a cycle")
-        length = [0] * len(adj)
-        for x in finished:
-            if adj[x]:
-                length[x] = 1 + max([length[y] for y in _members(adj[x])])
-        return length
+    @cached_property
+    def lengths(self) -> tuple[list[int], list[int]]:
+        """Per state number, the loop level and the body depth: the longest
+        paths out of it along ``descent`` and ``body``, folded over the
+        finishing orders of ``_first_violation``; on verified analyses only."""
+        folded = []
+        for adj, finished in ((self.descent, self.descent_finished), (self.body, self.body_finished)):
+            length = [0] * len(adj)
+            for x in finished:
+                if adj[x]:
+                    length[x] = 1 + max([length[y] for y in _members(adj[x])])
+            folded.append(length)
+        return tuple(folded)
 
 
 def _analysis_of(L: LabelledPrechart) -> _Analysis:
@@ -296,7 +300,7 @@ def _first_violation(a: _Analysis) -> WitnessViolation | None:
     for x in a.states:
         if both := a.entry[x] & a.body[x]:
             return WitnessViolation("flat", (x, _members(both)[0]))
-    body_cycle = _depth_first(a.mask, a.body)[0]
+    body_cycle, a.body_finished = _depth_first(a.mask, a.body)
     if body_cycle:
         return WitnessViolation("fully_specified_a", tuple(body_cycle))
     for x in a.states:
@@ -304,7 +308,7 @@ def _first_violation(a: _Analysis) -> WitnessViolation | None:
             for y in _members(a.entry[x] & ~(1 << x)):
                 if not a.reach[y] >> x & 1:
                     return WitnessViolation("fully_specified_b", (x, y))
-    loop_cycle = _depth_first(a.mask, a.descent)[0]
+    loop_cycle, a.descent_finished = _depth_first(a.mask, a.descent)
     if loop_cycle:
         return WitnessViolation("layered", tuple(loop_cycle))
     for x in a.states:
@@ -359,7 +363,8 @@ def measures(L: LabelledPrechart, x: StateId) -> tuple[int, int]:
     if not L.base.has_state(x):
         raise ValueError(f"unknown state {x!r}")
     i = L.base.index(x)
-    return a.longest_paths(a.descent)[i], a.longest_paths(a.body)[i]
+    en, bd = a.lengths
+    return en[i], bd[i]
 
 
 def loop_depth(L: LabelledPrechart, x: StateId, action: str, y: StateId) -> int:
@@ -389,7 +394,7 @@ def to_llee(L: LabelledPrechart) -> WeightedLabelling:
     1 so that entries stay positive and the translation inverts.
     """
     a, number = analysis_of_verified(L), L.base.index
-    en = a.longest_paths(a.descent)
+    en = a.lengths[0]
     weights = {
         edge: (max(en[number(edge[0])], 1) if t == ENTRY else 0) for edge, t in L.tags.items()
     }
@@ -486,7 +491,7 @@ def union_witness(
 
 def _loop_spanned(succ: Sequence[int], outputs: int, v: int, w: int) -> int | None:
     """The states inside the loop that the steps of ``v -> w`` span, as a
-    mask, or None when they span none (see ``_eliminable``)."""
+    mask, or None when they span none (see ``_eliminated``)."""
     inside = _reach(1 << w, succ, 1 << v)
     if w != v and (inside & outputs or _depth_first(inside, succ)[0]
                    or not any(succ[u] >> v & 1 for u in _members(inside))):
@@ -494,8 +499,9 @@ def _loop_spanned(succ: Sequence[int], outputs: int, v: int, w: int) -> int | No
     return inside
 
 
-def _eliminable(succ: Sequence[int], outputs: int) -> bool:
-    """Whether greedy loop elimination leaves no cycle in a chart.
+def _eliminated(succ: Sequence[int], outputs: int) -> set[tuple[int, int]] | None:
+    """The state pairs whose steps loop elimination removes, if it clears
+    the chart of cycles; None when the chart has no layering witness.
 
     ``succ`` holds each state's successor mask, action labels forgotten, and
     ``outputs`` the mask of the states with an output (masks as in
@@ -503,11 +509,11 @@ def _eliminable(succ: Sequence[int], outputs: int) -> bool:
     or when the states ``_reach(1 << w, succ, 1 << v)``, those that ``w``
     reaches without passing ``v``, have no output, close no cycle and step
     back to ``v``: then every path out of ``w`` returns to ``v`` or stops.
-    Such a pair is eliminable (``_loop_spanned``): its steps are removed,
-    and pairs are removed until none is left.  The answer is whether the
-    steps left are acyclic.  (A pair that never steps back lies on no cycle,
-    so its removal would not change the answer; the test keeps each removed
-    pair a loop, whose steps could be tagged as returning entries.)
+    Such a pair is eliminable (``_loop_spanned``), and passes over the
+    pairs in number order remove eliminable pairs until none is left.  (A
+    pair that never steps back lies on no cycle, so its removal would not
+    change the answer; the test keeps each removed pair a loop, whose steps
+    could be tagged as returning entries.)
 
     This is loop existence and elimination (LEE), which holds exactly when
     the chart has a layering witness (Grabmayer & Fokkink, LICS 2020).  The
@@ -520,28 +526,54 @@ def _eliminable(succ: Sequence[int], outputs: int) -> bool:
     ``_reach(1 << w, succ, 1 << v)``, so they have no output (goto-free),
     close no cycle (fully specified) and step back to ``v`` (the entry
     returns).  So a chart with a witness is always eliminated to an acyclic
-    one, and ``False`` means that there is no witness.
+    one, and a run that stops with a cycle proves that there is none.
+
+    The run freezes: a removal holds back the steps still present out of
+    the states of its loop, which are never removed later (``infer_witness``
+    tags them as that loop's body).  A frozen run that stops with a cycle
+    looks again only at the held steps: every other pair was just found not
+    eliminable against the same successor masks.  If none is, the answer is
+    None; otherwise the run goes on without freezing, and if that clears
+    the cycles, the freeze missed a witness, which raises ``RuntimeError``.
     """
-    succ = list(succ)
-    states = range(len(succ))
-    eliminated = True
-    while eliminated:
-        eliminated = False
-        for v in states:
-            for w in _members(succ[v]):
-                if _loop_spanned(succ, outputs, v, w) is not None:
+    succ, n = list(succ), len(succ)
+    removed: set[tuple[int, int]] = set()
+    look = [-1] * n  # per state, the steps that the next pass looks at
+    for freezing in (True, False):
+        before = len(removed)
+        eliminated = True
+        while eliminated:
+            eliminated = False
+            for v in range(n):
+                for w in _members(succ[v] & look[v]):
+                    inside = _loop_spanned(succ, outputs, v, w)
+                    if inside is None:
+                        continue
                     succ[v] &= ~(1 << w)
+                    removed.add((v, w))
                     eliminated = True
-    return _depth_first((1 << len(succ)) - 1, succ)[0] is None
+                    if freezing:
+                        for u in _members(inside):
+                            look[u] = ~succ[u]  # held back: the loop's body
+            if not freezing:
+                look = [-1] * n
+        # test for a cycle only if a step went since the last test
+        if (freezing or len(removed) > before) and _depth_first((1 << n) - 1, succ)[0] is None:
+            if freezing:
+                return removed
+            raise RuntimeError(f"loop elimination clears the {n}-state chart of cycles, "
+                               "yet the frozen run was left with one")
+        look = [~m for m in look]  # the next pass looks only at the held steps
+    return None
 
 
 def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledPrechart]:
     """All layering witnesses of ``X``, in a fixed deterministic order.
 
-    A chart that greedy loop elimination (``_eliminable``) does not clear of
-    cycles has no witness, and is answered without a search.  Otherwise it
-    has one, and the search finds it; a search that finds none raises
-    ``RuntimeError``.
+    A chart that loop elimination (``_eliminated``, as in ``infer_witness``)
+    does not clear of cycles has no witness, and is answered without a
+    search.  Otherwise it has one, and the search finds it; a search that
+    finds none raises ``RuntimeError``.
 
     Flatness lets the search assign one tag per state pair.  Self-loops are
     forced entries (a body self-loop is a body cycle); pairs with no return
@@ -576,8 +608,8 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     groups: dict[tuple[int, int], list[Edge]] = {}
     for edge in X.edges():
         groups.setdefault((number[edge[0]], number[edge[2]]), []).append(edge)
-    succ, outputs = _successors(X), _outputs(X)
-    if not _eliminable(succ, outputs):
+    outputs = _outputs(X)
+    if _eliminated(_successors(X), outputs) is None:
         return []
     reach = _reachability(X)  # memoised for the leaf's verify_witness
 
@@ -644,45 +676,24 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
 
 def infer_witness(X: Prechart) -> LabelledPrechart | None:
     """Some layering witness of ``X`` if one exists: the trace of loop
-    elimination, built in polynomial time.
+    elimination (``_eliminated``), built in polynomial time.
 
-    The elimination of ``_eliminable`` runs on the state-number masks of
-    ``X``, and the steps of each removed pair become entries; every other
-    step is a body step.  When a pair ``v -> w`` is removed, the steps still
-    present out of the states of its loop, ``_reach(1 << w, succ, 1 << v)``,
-    are frozen: they are the body of the loop that the removed steps enter,
-    so they stay body steps and are never removed later.  A run that ends
-    acyclic gives the labelling, which must pass ``verify_witness``.  A
-    frozen run left with a cycle goes on from there without freezing, by
-    ``_eliminable``, whose answer does not depend on the order of the
-    eliminations: when that clears the cycles, a witness exists that this
-    construction missed.  A missed witness, or a labelling that does not
-    verify, raises ``RuntimeError``; otherwise the answer is ``None``.
+    The steps of each removed pair become entries and every other step is a
+    body step: the steps that a removal held back are the body of the loop
+    that the removed steps enter.  The labelling must pass
+    ``verify_witness``.  A witness that the frozen run missed (elimination
+    without freezing clears the cycles it stopped with), or a labelling that
+    does not verify, raises ``RuntimeError``; with no witness the answer is
+    ``None``.
     """
-    n = len(X.states)
-    number = X.index
-    succ, frozen, entries = _successors(X), [0] * n, set()
-    outputs = _outputs(X)
-    eliminated = True
-    while eliminated:
-        eliminated = False
-        for v in range(n):
-            for w in _members(succ[v] & ~frozen[v]):
-                inside = _loop_spanned(succ, outputs, v, w)
-                if inside is not None:
-                    succ[v] &= ~(1 << w)
-                    entries.add((v, w))
-                    for u in _members(inside):
-                        frozen[u] = succ[u]
-                    eliminated = True
-    if _depth_first((1 << n) - 1, succ)[0]:
-        if _eliminable(succ, outputs):
-            raise RuntimeError(f"loop elimination clears the {n}-state chart of cycles, "
-                               "yet the frozen run was left with one")
+    entries = _eliminated(_successors(X), _outputs(X))
+    if entries is None:
         return None
+    number = X.index
     L = LabelledPrechart(X, {(x, a, y): ENTRY if (number(x), number(y)) in entries else BODY
                              for x, a, y in X.edges()})
     ok, violation = verify_witness(L)
     if not ok:
-        raise RuntimeError(f"loop elimination labelled the {n}-state chart with no witness: {violation}")
+        raise RuntimeError(f"loop elimination labelled the {len(X.states)}-state chart "
+                           f"with no witness: {violation}")
     return L

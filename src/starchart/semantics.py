@@ -140,9 +140,6 @@ class Prechart:
         # copies and pickles are rebuilt from the fields, without the memos
         return type(self), (self.alphabet, self.states, self.outputs, self.transitions, self.root)
 
-    def is_chart(self) -> bool:
-        return self.root is not None and len(self.reachable_from(self.root)) == len(self.states)
-
 
 def restriction(X: Prechart, kept: Iterable[StateId], root: StateId | None = None) -> Prechart:
     """Restrict to a transition-closed subset, keeping relative state order."""

@@ -82,8 +82,7 @@ class _Terms:
         a = analysis_of_verified(L)
         X = L.base
         self.states = X.states
-        self.en = a.longest_paths(a.descent)
-        self.bd = a.longest_paths(a.body)
+        self.en, self.bd = a.lengths
         self.descent = a.descent
         self.outputs = [[act for act in X.alphabet if act in X.out(x)] for x in X.states]
         self.entry_self: list[list[str]] = [[] for _ in X.states]

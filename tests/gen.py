@@ -331,7 +331,7 @@ def reference_quotient(X: Prechart, R: PartitionRelation) -> tuple[Prechart, dic
     """The quotient by a bisimulation partition as a rerouting: the
     splitting keeps each block's least member in discovery order and
     retracts every state onto it.  Returns the chart and the retraction."""
-    projection = {x: min(R.block_containing(x), key=X.index) for x in X.states}
+    projection = {x: min(R.blocks[R.block_index(x)], key=X.index) for x in X.states}
     reps = tuple(x for x in X.states if projection[x] == x)
     return rerouting(X, Splitting(reps, projection)), projection
 
@@ -389,7 +389,7 @@ def eliminable_pairs(X: Prechart) -> list[tuple]:
     eliminated: ``w == v``, or the states ``w`` reaches without passing
     ``v`` have no output, no cycle among them, and a step back to ``v``.
 
-    The reference for the elimination step of ``layering._eliminable``,
+    The reference for the elimination step of ``layering._eliminated``,
     on state sets instead of masks.
     """
     pairs = {(x, y) for x, _, y in X.edges()}
@@ -406,6 +406,45 @@ def eliminable_pairs(X: Prechart) -> list[tuple]:
                       and any(v in X.underlying_succ(x) for x in inside)):
             found.append((v, w))
     return found
+
+
+def partition_from_pairs(universe, pairs) -> PartitionRelation:
+    """The finest partition of ``universe`` relating every given pair: the
+    equivalence that the pairs generate."""
+    universe = tuple(universe)
+    block = {x: frozenset((x,)) for x in universe}
+    for x, y in pairs:
+        if block[x] is not block[y]:
+            merged = block[x] | block[y]
+            block.update(dict.fromkeys(merged, merged))
+    return PartitionRelation.from_blocks(universe, set(block.values()))
+
+
+def partition_without(R: PartitionRelation, x) -> PartitionRelation:
+    """The restriction of ``R`` to every state but ``x``."""
+    universe = tuple(y for y in R.universe if y != x)
+    return PartitionRelation.from_blocks(universe, ([y for y in b if y != x] for b in R.blocks))
+
+
+def same_partition(R: PartitionRelation, S: PartitionRelation) -> bool:
+    """Whether two partitions have the same blocks, in any order."""
+    return set(map(frozenset, R.blocks)) == set(map(frozenset, S.blocks))
+
+
+def is_chart(X: Prechart) -> bool:
+    """Whether ``X`` has a root from which every state is reachable."""
+    return X.root is not None and len(X.reachable_from(X.root)) == len(X.states)
+
+
+def holding_every_state(loop_spanned):
+    """``layering._loop_spanned`` reporting every state but ``v`` inside
+    each loop that it finds, so that each removal holds back the steps of
+    every other state: a freeze that holds too much, whose run stalls on
+    cycles that elimination without freezing clears."""
+    def spanned(succ, outputs, v, w):
+        inside = loop_spanned(succ, outputs, v, w)
+        return None if inside is None else ((1 << len(succ)) - 1) & ~(1 << v)
+    return spanned
 
 
 def without_pair(X: Prechart, v, w) -> Prechart:
@@ -604,7 +643,7 @@ def matched_loop_depth(L: LabelledPrechart, x, action: str, y) -> int:
 def searched_longest_paths(states, adj) -> dict:
     """Longest path lengths out of each node of a DAG, by a depth-first
     search of their own; raises ``RuntimeError`` on a cycle.  The reference
-    for ``_Analysis.longest_paths``."""
+    for the measures folded by ``_Analysis.lengths``."""
     length: dict = {}
     for start in states:
         if start in length:

@@ -47,6 +47,7 @@ from gen import (
     random_chart,
     random_expr,
     rewrite_steps,
+    same_partition,
 )
 
 A = Atom("a")
@@ -243,7 +244,7 @@ def test_criterion_09_collapse_closure():
             verify_witness(result) == (True, None)
             and bisimilarity(result.base).is_identity
             and is_homomorphism(projection, L.base, result.base) == (True, None)
-            and kernel_partition(projection, L.base.states).same_partition(R)
+            and same_partition(kernel_partition(projection, L.base.states), R)
             and bisimilar(canonical_solution(result).assign[projection[L.base.root]], e)
         )
         if not ok:

@@ -26,12 +26,14 @@ import pytest
 from starchart import (PartitionRelation, Prechart, Sum, bisimilar, bisimilarity, canonical_solution, certify,
                        chart_of, coproduct, formats, is_homomorphism, parse, quotient, recheck_certificate,
                        render)
-from starchart.bisim import _violations
-from starchart.cli import _candidate, _clauses, _decide, _distinguishing_violation, _on_states, _proof_checks
+from starchart import cli
+from starchart.bisim import BisimViolation, _violations
+from starchart.cli import (_candidate, _clauses, _decide, _distinguishing_violation, _named_violation, _on_states,
+                           _proof_checks)
 from starchart.formats import iter_state_ids, state_ids
 from starchart.semantics import _coproduct_walk, _numbered_chart
 from starchart.solution import _proved
-from gen import joined_chart, random_expr, rewrite_steps, round_by_round_bisimilarity
+from gen import joined_chart, partition_from_pairs, random_expr, rewrite_steps, round_by_round_bisimilarity
 
 ALPHA = ("a", "b", "c")
 # declared orders other than the sorted one, and multi-letter actions
@@ -309,7 +311,7 @@ class TestOneWalkDecides:
             roots = (Z.states[0], Z.states[d.n])
             merged = partition_of(Z, _candidate(d))
             # the bisimilarity with the roots' blocks joined
-            assert merged == PartitionRelation.from_pairs(Z.states, chain(bisimilarity(Z).pairs(), [roots]))
+            assert merged == partition_from_pairs(Z.states, chain(bisimilarity(Z).pairs(), [roots]))
             # the output partition is coarser, so many of its pairs fail a clause
             outputs: dict = {}
             by_output = [outputs.setdefault(out, len(outputs)) for out in d.outs]
@@ -329,7 +331,7 @@ class TestOneWalkDecides:
 
 
 class TestReplayNamesOnlyTheClause:
-    def test_replay_labels_states_up_to_the_last_one_the_clause_names(self, monkeypatch):
+    def test_replay_labels_only_the_states_the_clause_names(self, monkeypatch):
         labelled = []
         label = formats.state_label
 
@@ -341,6 +343,7 @@ class TestReplayNamesOnlyTheClause:
             return label(s)
 
         monkeypatch.setattr(formats, "state_label", counting)
+        monkeypatch.setattr(cli, "state_label", counting)
         saved = seen = 0
         for e, f in pairs(439, 80)[1::2]:
             cert = certify(e, f, ALPHA)
@@ -351,11 +354,42 @@ class TestReplayNamesOnlyTheClause:
             assert all(c.passed for c in recheck_certificate(doc))
             Z = joined_chart(e, f, ALPHA)
             v = cert.distinguishing
-            named = [s for s in (v.left, v.right, v.successor) if s is not None]
-            assert labelled == list(Z.states[: 1 + max(map(Z.index, named))])
-            saved += len(Z.states) - len(labelled)
+            named = {s for s in (v.left, v.right, v.successor) if s is not None}
+            assert sorted(labelled, key=Z.index) == sorted(named, key=Z.index)
+            saved += len(Z.states[: 1 + max(map(Z.index, named))]) - len(labelled)
             seen += 1
         assert seen >= 20 and saved > 0
+
+    def test_the_clause_resolves_as_the_rendered_ids_did(self):
+        # the lookup of the rendered ids, every joined state up to the last
+        # one the clause names, is the oracle
+        def rendered(d, v):
+            names = {v["left"], v["right"], v["successor"]} - {None}
+            number = {name: x for x, (_, name) in enumerate(iter_state_ids(map(d.state, range(len(d.states)))))
+                      if name in names}
+            if len(number) != len(names):
+                return None
+            return BisimViolation(v["clause"], number[v["left"]], number[v["right"]], v["action"],
+                                  number.get(v["successor"]))
+
+        compared = resolved = 0
+        for alphabet in ALPHABETS:
+            rng = random.Random(457)
+            for _ in range(25):
+                e, f = (random_expr(rng, alphabet, depth=3) for _ in range(2))
+                cert = certify(e, f, alphabet)
+                if cert.verdict != "inequivalent":
+                    continue
+                d, clause = _decide(e, f, alphabet), roundtrip(cert)["distinguishing"]
+                ids = [name for _, name in iter_state_ids(map(d.state, range(len(d.states))))]
+                for name in ids + ["L:(" + ids[0][2:] + ")", ids[0] + "#2", "R:" + ids[0][2:]]:
+                    for key in ("left", "right", "successor"):
+                        v = {**clause, key: name}
+                        got = _named_violation(d, v, {})
+                        assert got == rendered(d, v) == _named_violation(d, v, {render(e): e, render(f): f})
+                        compared += 1
+                        resolved += got is not None
+        assert compared > 1000 and 0 < resolved < compared
 
     def test_lazy_ids_are_the_state_ids(self):
         X = Prechart.make(("a",), ("L:x", (0, "x"), "L:x#2", (0, "y"), "L:x#3"), {}, {})
@@ -443,6 +477,17 @@ class TestTamperedCertificates:
         assert list(results) == INEQUIVALENT
         assert not results["distinguishing-clause"]
         assert results["roots-not-bisimilar"]
+
+    @pytest.mark.parametrize("name", ["L:(a)", "L:a#2", "L:a +", "M:a", "L:", ""])
+    def test_a_name_that_is_no_rendered_state_fails(self, name):
+        # non-canonical spelling, a suffix, no expression, an unknown side
+        doc = roundtrip(certify(parse("b a", ("a", "b")), parse("b b", ("a", "b"))))
+        assert doc["distinguishing"]["successor"] == "L:a"
+        for key in ("left", "successor"):
+            tampered = {**doc, "distinguishing": {**doc["distinguishing"], key: name}}
+            results = {c.name: c.passed for c in recheck_certificate(tampered)}
+            assert list(results) == INEQUIVALENT
+            assert {name for name, passed in results.items() if not passed} == {"distinguishing-clause"}
 
     def test_a_null_distinguishing_clause_fails(self):
         doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))

@@ -27,7 +27,7 @@ from starchart import layering
 from starchart.cli import main
 from starchart.formats import chart_to_json, witness_to_json
 from starchart.layering import syntactic_witness
-from gen import fig3_right, random_expr, rewrite_steps
+from gen import fig3_right, holding_every_state, random_expr, rewrite_steps
 
 A = Atom("a")
 AA0 = Star(Seq(A, A), Zero())
@@ -167,11 +167,12 @@ class TestSolveCommand:
         assert code == 1 and "no layering witness" in err
 
     def test_a_search_that_misses_an_eliminated_chart_exits_3(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(layering, "_eliminable", lambda succ, outputs: True)
-        path = tmp_path / "fig3-right.json"
-        path.write_text(json.dumps(chart_to_json(fig3_right())))
+        # a freeze that holds every state back misses the chart's witness
+        monkeypatch.setattr(layering, "_loop_spanned", holding_every_state(layering._loop_spanned))
+        path = tmp_path / "stars.json"
+        path.write_text(json.dumps(chart_to_json(chart_of(parse("a*(b*(c*0))", "abc")))))
         code, _, err = run(capsys, "solve", str(path))
-        assert code == 3 and "3-state chart" in err
+        assert code == 3 and "clears the 3-state chart of cycles" in err
 
     def test_foreign_witness_rejected(self, capsys, tmp_path):
         path = tmp_path / "cycle.json"

@@ -31,8 +31,8 @@ from starchart import (
     union_witness,
     verify_witness,
 )
-from starchart import layering
-from starchart.layering import ENTRY, _Analysis, analysis_of_verified
+from starchart import canonical_solution, layering
+from starchart.layering import ENTRY, analysis_of_verified
 from gen import (
     all_labellings,
     deadline,
@@ -40,6 +40,7 @@ from gen import (
     exhaustive_witnesses,
     fig3_left,
     fig3_right,
+    holding_every_state,
     matched_loop_depth,
     pair_closure,
     path_relations,
@@ -208,6 +209,25 @@ class TestTheAnalysisIsBuiltOnce:
         verify_witness(L), measures(L, L.base.root), to_llee(L)
         assert analysis_of_verified(L) is first
 
+    def test_the_measures_fold_the_searches_of_the_check(self, monkeypatch):
+        # the body and descent searches of ``_first_violation`` are the only
+        # ones: every reader of the measures folds their finishing orders
+        searched = []
+        depth_first = layering._depth_first
+
+        def recorded(states, adj):
+            searched.append(adj)
+            return depth_first(states, adj)
+
+        monkeypatch.setattr(layering, "_depth_first", recorded)
+        L = syntactic_witness(chart_of(parse("(a (b a)*c + b)*(a b*0)", "abc")))
+        for _ in range(2):
+            assert [measures(L, x) for x in L.base.states]
+            to_llee(L), canonical_solution(L)
+        a = analysis_of_verified(L)
+        assert len(searched) == 2 and searched[0] is a.body and searched[1] is a.descent
+        assert max(a.lengths[0]) == 2 and max(a.lengths[1]) > 0
+
     def test_a_violation_is_remembered_and_raised_each_time(self):
         L = all_body(chart_of(AA0))
         assert verify_witness(L) == verify_witness(L)
@@ -251,12 +271,11 @@ def brute_force_longest(adj, x):
 class TestLongestPaths:
     @staticmethod
     def longest_paths(states, adj):
-        # the method reads only the mask of the states off the analysis; the
-        # graph is numbered by position in ``states``, its steps are masks
-        number = {x: i for i, x in enumerate(states)}
-        masks = [sum(1 << number[y] for y in set(adj.get(x, ()))) for x in states]
-        length = _Analysis.longest_paths(type("Nodes", (), {"mask": (1 << len(states)) - 1})(), masks)
-        return {x: length[i] for i, x in enumerate(states)}
+        # with every step a body step, a state's body depth is the longest
+        # path out of it, folded from the finishing order of the body search
+        X = Prechart.make(("a",), states, {}, {x: {"a": ys} for x, ys in adj.items()})
+        L = all_body(X)
+        return {x: measures(L, x)[1] for x in states}
 
     def test_matches_brute_force_on_random_dags(self):
         rng = random.Random(131)
@@ -284,7 +303,7 @@ class TestLongestPaths:
         {"x": ["y", "z"], "y": ["z"], "z": ["w"], "w": ["y"]},
     ])
     def test_a_cycle_raises_instead_of_hanging(self, adj):
-        with deadline(5, "longest_paths"), pytest.raises(RuntimeError, match="cycle"):
+        with deadline(5, "longest_paths"), pytest.raises(InvalidWitnessError, match="fully_specified_a"):
             self.longest_paths("xyzw", adj)
 
 
@@ -613,11 +632,20 @@ def one_action_charts(max_states: int):
 
 
 def eliminable(X: Prechart) -> bool:
-    """``layering._eliminable`` on the state-number masks of ``X``."""
+    """Whether ``layering._eliminated``, on the state-number masks of ``X``,
+    clears it of cycles."""
     succ = [0] * len(X.states)
     for x, _, y in X.edges():
         succ[X.index(x)] |= 1 << X.index(y)
-    return layering._eliminable(succ, sum(1 << X.index(x) for x in X.outputs))
+    return layering._eliminated(succ, sum(1 << X.index(x) for x in X.outputs)) is not None
+
+
+def counted(counts: Counter, name: str, f):
+    """``f``, counting its calls in ``counts[name]``."""
+    def call(*args):
+        counts[name] += 1
+        return f(*args)
+    return call
 
 
 class TestLoopElimination:
@@ -658,7 +686,7 @@ class TestLoopElimination:
             assert infer_witness(random_chart(random.Random(seed), n_states=10, out_prob=0)) is None
 
     def test_a_search_that_misses_an_eliminated_chart_raises(self, monkeypatch):
-        monkeypatch.setattr(layering, "_eliminable", lambda succ, outputs: True)
+        monkeypatch.setattr(layering, "_eliminated", lambda succ, outputs: set())
         with pytest.raises(RuntimeError, match="3-state"):
             enumerate_witnesses(fig3_right())
         assert enumerate_witnesses(fig3_right(), limit=0) == []
@@ -721,10 +749,43 @@ class TestEliminationWitness:
             assert L is not None and verify_witness(L) == (True, None)
 
     def test_a_stuck_run_raises_naming_the_chart_size(self, monkeypatch):
-        # fig3_right has no witness, so the frozen run is left with a cycle
-        monkeypatch.setattr(layering, "_eliminable", lambda succ, outputs: True)
-        with pytest.raises(RuntimeError, match="3-state chart"):
-            infer_witness(fig3_right())
+        # removing a*'s self-loop holds back the other two self-loops, so the
+        # frozen run is left with cycles that unfrozen elimination clears
+        X = chart_of(parse("a*(b*(c*0))", "abc"))
+        assert infer_witness(X) is not None
+        monkeypatch.setattr(layering, "_loop_spanned", holding_every_state(layering._loop_spanned))
+        with pytest.raises(RuntimeError, match="clears the 3-state chart of cycles, yet the frozen run"):
+            infer_witness(X)
+
+    def test_fig3_right_is_answered_by_one_frozen_pass(self, monkeypatch):
+        # fig3_right holds no step back: six pairs, none eliminable, each
+        # searched for a cycle inside its loop, and the chart searched once
+        counts = Counter()
+        for name in ("_loop_spanned", "_depth_first"):
+            monkeypatch.setattr(layering, name, counted(counts, name, getattr(layering, name)))
+        assert infer_witness(fig3_right()) is None
+        assert counts == {"_loop_spanned": 6, "_depth_first": 7}
+
+    def test_a_stalled_run_looks_again_only_at_the_held_steps(self, monkeypatch):
+        # removing s0 -> s1 holds back s1 -> s0; the run then stalls on
+        # fig3_right's cycle among s2, s3 and s4
+        X = erased(chart_of(parse("(a b)*0", "ab")), extra=fig3_right())
+        tested = []
+        loop_spanned, depth_first = layering._loop_spanned, layering._depth_first
+
+        def spanned(succ, outputs, v, w):
+            tested.append((v, w))
+            return loop_spanned(succ, outputs, v, w)
+
+        def searched(states, adj):
+            if states == (1 << len(adj)) - 1:
+                tested.append("stalled")
+            return depth_first(states, adj)
+
+        monkeypatch.setattr(layering, "_loop_spanned", spanned)
+        monkeypatch.setattr(layering, "_depth_first", searched)
+        assert infer_witness(X) is None
+        assert tested[tested.index("stalled"):] == ["stalled", (1, 0)]
 
 
 class TestWitnessClosureProperties:

@@ -46,9 +46,12 @@ from gen import (
     fig3_right,
     isomorphic,
     pair_closure,
+    partition_from_pairs,
+    partition_without,
     random_chart,
     random_expr,
     rewrite_steps,
+    same_partition,
     wstar_pair,
 )
 from test_golden_certs import RECORDED, corpus as golden_cert_pairs
@@ -203,7 +206,7 @@ class TestFindPair:
 
     def test_sink_merge_pair_is_c1(self):
         L = two_sinks_witness()
-        R = PartitionRelation.from_pairs(L.base.states, [("w1", "w2")])
+        R = partition_from_pairs(L.base.states, [("w1", "w2")])
         w1, w2, condition = find_pair(L, R)
         assert {w1, w2} == {"w1", "w2"} and condition == "C1"
 
@@ -215,7 +218,7 @@ class TestFindPair:
 
     def test_non_bisimulation_rejected(self):
         L = two_sinks_witness()
-        bad = PartitionRelation.from_pairs(L.base.states, [("r", "w1")])
+        bad = partition_from_pairs(L.base.states, [("r", "w1")])
         with pytest.raises(ValueError):
             find_pair(L, bad)
 
@@ -304,7 +307,7 @@ class TestCollapse:
             assert bisimilarity(result.base).is_identity
             assert verify_witness(result) == (True, None)
             assert is_homomorphism(projection, L.base, result.base) == (True, None)
-            assert kernel_partition(projection, L.base.states).same_partition(R)
+            assert same_partition(kernel_partition(projection, L.base.states), R)
 
 
 def joined_witnesses(seed: int, count: int):
@@ -328,7 +331,7 @@ class TestCollapseDoesEachStepOnce:
             while not R.is_identity:
                 w1, w2, condition = find_pair(current, R)
                 current = relabel(current, w1, w2, condition)
-                R = R.without(w1)
+                R = partition_without(R, w1)
                 assert R == bisimilarity(current.base)
                 merges += 1
             result, _ = collapse(L)
@@ -356,7 +359,7 @@ class TestCollapseDoesEachStepOnce:
                 shuffled = PartitionRelation.from_blocks(reversed(R.universe), R.blocks)
                 assert find_pair(current, shuffled) == found
                 current = relabel(current, *found)
-                R = R.without(found[0])
+                R = partition_without(R, found[0])
                 merges += 1
         assert merges > 50
 
@@ -377,7 +380,7 @@ class TestCollapseDoesEachStepOnce:
                 # relabel's demotion snapshot and the new witness's analysis
                 # share one computation, on the connected chart's steps
                 assert computed == [layering._successors(current.base)]
-                R = R.without(w1)
+                R = partition_without(R, w1)
                 merges += 1
         assert merges > 30
 
@@ -449,7 +452,7 @@ def hand_stepped(L, R):
         w1, w2, condition = find_pair(current, R)
         current = relabel(current, w1, w2, condition)
         projection = {x: (w2 if v == w1 else v) for x, v in projection.items()}
-        R = R.without(w1)
+        R = partition_without(R, w1)
         steps.append((current, w1, condition))
     return current, projection, steps
 

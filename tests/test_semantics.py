@@ -22,7 +22,8 @@ from starchart import (
     quotient,
     size_bound,
 )
-from gen import all_exprs, random_chart, random_expr, reference_quotient, reference_step, rewrite_steps
+from gen import (all_exprs, is_chart, random_chart, random_expr, reference_quotient, reference_step, rewrite_steps,
+                 same_partition)
 from starchart.layering import _members, _reachability, _recompute_reach, _successors
 
 A, B = Atom("a"), Atom("b")
@@ -175,7 +176,7 @@ class TestChartOf:
             e = random_expr(rng, depth=4)
             X = chart_of(e)
             assert len(X.states) <= size_bound(e)
-            assert X.is_chart()
+            assert is_chart(X)
             for f in X.states:
                 outs, succ = expr_step(f)
                 assert X.out(f) == outs
@@ -340,7 +341,7 @@ class TestQuotient:
             R = bisimilarity(X)
             Q, proj = quotient(X, R)
             assert is_homomorphism(proj, X, Q) == (True, None)
-            assert kernel_partition(proj, X.states).same_partition(R)
+            assert same_partition(kernel_partition(proj, X.states), R)
 
 
 class TestIsHomomorphism:

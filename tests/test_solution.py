@@ -120,15 +120,13 @@ class TestCanonicalSolution:
          f"->Seq(left=Atom(action='b'), right={STAR_ABB0}) under {STAR_ABB0}"),
     ])
     def test_a_failed_descent_names_its_step(self, monkeypatch, text, flattened, what):
-        longest_paths = layering._Analysis.longest_paths
+        lengths = layering._Analysis.lengths
 
-        def flatten(a, adj):
-            got = longest_paths(a, adj)
-            if (adj is a.descent) == (flattened == "loop"):
-                return [0] * len(got)
-            return got
+        def flatten(a):
+            en, bd = lengths.func(a)
+            return ([0] * len(en), bd) if flattened == "loop" else (en, [0] * len(bd))
 
-        monkeypatch.setattr(layering._Analysis, "longest_paths", flatten)
+        monkeypatch.setattr(layering._Analysis, "lengths", property(flatten))
         L = syntactic_witness(chart_of(parse(text, ("a", "b", "c"))))
         with pytest.raises(MeasureError) as failure:
             canonical_solution(L)
@@ -404,7 +402,7 @@ def _graph_passes(X, assign):
     )
     classes = bisimilarity(Y)
     relation = [
-        (x, g) for x in X.states for g in classes.block_containing(assign[x])
+        (x, g) for x in X.states for g in classes.blocks[classes.block_index(assign[x])]
     ]
     ok, _ = check_bisimulation(X, Y, relation)
     return ok

@@ -38,7 +38,7 @@ from starchart import (
     union_witness,
     verify_witness,
 )
-from gen import random_chart, random_expr, rewrite_steps
+from gen import partition_without, random_chart, random_expr, rewrite_steps
 
 GOLDEN = Path(__file__).with_name("golden_witnesses.json")
 ALPHA = ("a", "b", "c")
@@ -119,7 +119,7 @@ def collapsed_by_hand(L: LabelledPrechart) -> list:
     while (found := find_pair(L, R)) is not None:
         w1, w2, condition = found
         pairs.append([L.base.index(w1), L.base.index(w2), condition])
-        L, R = relabel(L, w1, w2, condition), R.without(w1)
+        L, R = relabel(L, w1, w2, condition), partition_without(R, w1)
     return pairs
 
 
