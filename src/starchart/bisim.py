@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -176,17 +177,20 @@ def _refine(numbered: _Numbered, block_of: list[int]) -> tuple[list[int], int]:
     return refined, len(numbers)
 
 
-def _coarsest(outs: Sequence[frozenset[str]], numbered: _Numbered) -> tuple[list[int], int]:
-    """The largest bisimulation as ``(block_of, count)``: blocks by output
-    set, split by successor blocks until a round splits none.  Blocks are
-    numbered by their least member."""
+def _coarsest(outs: Sequence[frozenset[str]], numbered: _Numbered) -> tuple[list[list[int]], int]:
+    """The largest bisimulation as ``(rounds, count)``: blocks by output
+    set, split by successor blocks until a round splits none.  ``rounds``
+    holds the numbering of each round, the output partition first; the
+    last is the largest bisimulation's ``block_of``, with ``count`` blocks.
+    Blocks are numbered by their least member."""
     numbers: dict[frozenset[str], int] = {}
-    block_of = [numbers.setdefault(out, len(numbers)) for out in outs]
+    rounds = [[numbers.setdefault(out, len(numbers)) for out in outs]]
     count = len(numbers)
     while True:
-        block_of, refined = _refine(numbered, block_of)
+        block_of, refined = _refine(numbered, rounds[-1])
         if refined == count:
-            return block_of, count
+            return rounds, count
+        rounds.append(block_of)
         count = refined
 
 
@@ -198,6 +202,72 @@ def _stable(outs: Sequence[frozenset[str]], numbered: _Numbered, block_of: list[
     if any(first.setdefault(b, out) != out for b, out in zip(block_of, outs)):
         return False
     return _refine(numbered, block_of)[1] == count
+
+
+def _distinguishing_formula(alphabet: tuple[str, ...], outs: Sequence[frozenset[str]], numbered: _Numbered,
+                            rounds: list[list[int]], x: int, y: int) -> list[list]:
+    """A Hennessy–Milner formula that holds at state ``x`` and fails at
+    ``y``, which the last of the refinement ``rounds`` separates (see
+    ``_coarsest``), as a node list, the root last: ``["out", a]``,
+    ``["not", i]``, ``["and", [i, ...]]`` (true when empty) and
+    ``["dia", a, i]``, whose children ``i`` are earlier indices.
+
+    The first round ``r`` that separates a pair gives its formula
+    (Cleaveland, CAV 1990).  At ``r = 0`` it is an output one state has,
+    or the negation of one it lacks.  Else, per action ``a`` in order, a
+    successor ``x'`` of ``x`` whose round ``r - 1`` block no successor
+    ``y'`` of ``y`` shares gives ``⟨a⟩ ⋀ φ(x', y')``; failing that, such a
+    successor ``y'`` of ``y`` gives the mirror formula, negated.  Each
+    conjunct's pair is separated in an earlier round, so the derivation
+    ends.  Formulas are memoised on the pair and equal nodes are one, so
+    the list has O(n²) nodes; it is built on an explicit stack."""
+    nodes: list[list] = []
+    number: dict[tuple, int] = {}
+
+    def node(*key) -> int:
+        i = number.get(key)
+        if i is None:
+            i = number[key] = len(nodes)
+            nodes.append(list(key) if key[0] != "and" else ["and", list(key[1])])
+        return i
+
+    def split(x: int, y: int) -> tuple[str, bool, list[tuple[int, int]] | None]:
+        """The output (pairs ``None``) or the action that first separates
+        ``x`` and ``y``, whether the formula is negated, and the pairs of
+        its conjunction."""
+        r = bisect_left(range(len(rounds)), True, key=lambda k: rounds[k][x] != rounds[k][y])
+        if r == 0:
+            a = min(outs[x] ^ outs[y])
+            return a, a not in outs[x], None
+        before = rounds[r - 1]
+        for a, xs, ys in zip(alphabet, numbered[x], numbered[y]):
+            for ps, qs, negated in ((xs, ys, False), (ys, xs, True)):
+                blocks = {before[q] for q in qs}
+                p = next((p for p in ps if before[p] not in blocks), None)
+                if p is not None:
+                    return a, negated, [(p, q) for q in qs]
+        raise RuntimeError(f"round {r} separates states {x} and {y} but no clause of round {r - 1} does")
+
+    formula: dict[tuple[int, int], int] = {}
+    stack = [(x, y)]
+    while stack:
+        pair = stack[-1]
+        if pair in formula:
+            stack.pop()
+            continue
+        a, negated, pairs = split(*pair)
+        missing = [q for q in pairs or () if q not in formula]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        if pairs is None:
+            i = node("out", a)
+        else:
+            conjuncts = tuple(dict.fromkeys([formula[q] for q in pairs]))
+            i = node("dia", a, conjuncts[0] if len(conjuncts) == 1 else node("and", conjuncts))
+        formula[pair] = node("not", i) if negated else i
+    return nodes
 
 
 def _outputs(X: Prechart) -> list[frozenset[str]]:
@@ -222,7 +292,8 @@ def bisimilarity(X: Prechart) -> PartitionRelation:
     Starts from the per-action output signature and iterates successor-block
     splitting to the greatest fixpoint, on a list of blocks by state number.
     """
-    return _partition(X, *_coarsest(_outputs(X), X.numbered_succ()))
+    rounds, count = _coarsest(_outputs(X), X.numbered_succ())
+    return _partition(X, rounds[-1], count)
 
 
 def bisimilar(e: Expr, f: Expr, alphabet: Iterable[str] | None = None) -> bool:
@@ -231,5 +302,5 @@ def bisimilar(e: Expr, f: Expr, alphabet: Iterable[str] | None = None) -> bool:
     for x in (e, f):
         _alphabet_for(x, alpha)  # raises on an atom outside the alphabet
     (_, outs, numbered), n = _coproduct_walk(e, f, alpha)
-    block_of = _coarsest(outs, numbered)[0]
+    block_of = _coarsest(outs, numbered)[0][-1]
     return block_of[0] == block_of[n]

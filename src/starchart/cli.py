@@ -2,12 +2,19 @@
 
 ``certify`` walks both expressions, numbering the states of the coproduct
 of their charts, and decides bisimilarity there by partition refinement on
-those numbers; an inequivalent pair's checks and distinguishing clause
-read the numbered arrays, and no chart is built for them.  For an
+those numbers.  An inequivalent pair's certificate carries a
+Hennessy–Milner formula that holds at ``e`` and fails at ``f``, derived
+from the rounds of that refinement; no chart is built for it.  For an
 equivalent pair the quotient ``C`` by the decided partition is built from
 the same arrays: the minimal chart, in which both roots are one state.
 Loop elimination gives ``C`` a layering witness, and the certificate
 carries it with the projections of both walks onto ``C``.
+
+Replay of an inequivalent certificate model-checks its formula on the
+derivatives of both inputs that the formula reaches, with no walk and no
+refinement.  This is sound: bisimilar states satisfy the same formulas
+(Hennessy and Milner, JACM 1985), so a formula that holds at ``e`` and
+fails at ``f`` proves that they are not bisimilar.
 
 Replay of an equivalent certificate checks the local proof (Grabmayer and
 Fokkink, LICS 2020) with no refinement: it walks each input once, checks
@@ -30,8 +37,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Iterator, Mapping, NamedTuple
 
-from .bisim import BisimViolation, _coarsest, _stable, bisimilarity
+from .bisim import BisimViolation, _coarsest, _distinguishing_formula, _stable, bisimilarity
 from .formats import (
+    _is_strings,
     chart_from_json,
     chart_to_json,
     state_ids,
@@ -43,7 +51,7 @@ from .formats import (
 )
 from .layering import LabelledPrechart, infer_witness, syntactic_witness, to_llee, verify_witness
 from .rerouting import collapse, connect_through
-from .semantics import Prechart, StateId, _coproduct_walk, _quotient, _Walk, chart_of
+from .semantics import Prechart, StateId, _coproduct_walk, _distinguishes, _quotient, _Walk, chart_of
 from .solution import Solution, _proved, canonical_solution, simplify
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
@@ -62,7 +70,9 @@ class Certificate:
     minimal quotient of both charts, rooted at the image of both inputs;
     ``projection`` lists, per walk, its states' positions there (the
     decision's blocks); ``common``, the canonical solution at the root, is
-    not serialized.  Every listed check passed.
+    not serialized.  When it is ``inequivalent``, ``distinguishing`` is the
+    node list of a formula that holds at ``left`` and fails at ``right``
+    (see ``bisim._distinguishing_formula``).  Every listed check passed.
     """
 
     verdict: str  # "equivalent" | "inequivalent"
@@ -73,30 +83,18 @@ class Certificate:
     collapsed: LabelledPrechart | None = None
     projection: dict[str, list[int]] | None = None
     common: Expr | None = None
-    distinguishing: BisimViolation | None = None
+    distinguishing: list[list] | None = None
 
     def to_json(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
+        return {
             "verdict": self.verdict,
             "inputs": {"left": render(self.left), "right": render(self.right)},
             "alphabet": list(self.alphabet),
             "checks": [{"name": c.name, "passed": c.passed} for c in self.checks],
             "collapsed": witness_to_json(self.collapsed) if self.collapsed else None,
             "projection": self.projection,
-            "distinguishing": None,
+            "distinguishing": None if self.distinguishing is None else {"formula": self.distinguishing},
         }
-        if (v := self.distinguishing) is not None:
-            doc["distinguishing"] = {"clause": v.clause, **_clause_doc(v)}
-        return doc
-
-
-def _clause_doc(v: BisimViolation) -> dict[str, Any]:
-    return {
-        "left": state_label(v.left),
-        "right": state_label(v.right),
-        "action": v.action,
-        "successor": state_label(v.successor) if v.successor is not None else None,
-    }
 
 
 class _Decision(NamedTuple):
@@ -107,8 +105,9 @@ class _Decision(NamedTuple):
     discover, the states of ``coproduct(chart_of(e), chart_of(f))`` in its
     order but untagged; ``outs`` and ``numbered`` hold each one's outputs
     and per-action successor numbers.  The first ``n`` are ``e``'s, so the
-    roots are numbers 0 and ``n``.  ``block_of`` numbers the block of each
-    state in the bisimilarity, which has ``count`` blocks.  No chart of
+    roots are numbers 0 and ``n``.  ``rounds`` numbers the block of each
+    state in each round of the refinement, and the last, ``block_of``, in
+    the bisimilarity, which has ``count`` blocks.  No chart of
     these states is built: an equivalent pair's quotient is built from the
     arrays, on the states that ``state`` tags.
     """
@@ -118,8 +117,12 @@ class _Decision(NamedTuple):
     outs: list[frozenset[str]]
     numbered: list[tuple[tuple[int, ...], ...]]
     n: int
-    block_of: list[int]
+    rounds: list[list[int]]
     count: int
+
+    @property
+    def block_of(self) -> list[int]:
+        return self.rounds[-1]
 
     @property
     def bisimilar(self) -> bool:
@@ -134,6 +137,10 @@ def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
     """Decide bisimilarity of ``e`` and ``f`` on the coproduct of their charts."""
     (states, outs, numbered), n = _coproduct_walk(e, f, alphabet)
     return _Decision(alphabet, states, outs, numbered, n, *_coarsest(outs, numbered))
+
+
+# ``bisim --witness`` names a failed clause of the bisimilarity with the
+# roots' blocks joined, on state numbers
 
 
 def _candidate(d: _Decision) -> list[int]:
@@ -181,24 +188,19 @@ def _on_states(d: _Decision, v: BisimViolation) -> BisimViolation:
     return BisimViolation(v.clause, d.state(v.left), d.state(v.right), v.action, successor)
 
 
+def _relation_check(d: _Decision) -> Check:
+    """``certify``'s guard on its decision: the decided partition is a bisimulation."""
+    return Check("bisimulation-relation-valid", _stable(d.outs, d.numbered, d.block_of, d.count))
+
+
 # The checks below are shared by ``certify``, which builds the evidence, and
 # ``recheck_certificate``, which reads it back from a certificate.
 
 
-def _relation_check(d: _Decision) -> Check:
-    return Check("bisimulation-relation-valid", _stable(d.outs, d.numbered, d.block_of, d.count))
-
-
-def _inequivalent_checks(d: _Decision, candidate: list[int], v: BisimViolation | None) -> list[Check]:
-    """The roots' verdict, and that ``v``, on state numbers, is a failed
-    clause of a pair that ``candidate``, ``d.block_of`` with the roots'
-    blocks joined, relates; ``None``, a clause naming states the joined
-    chart lacks, fails."""
-    return [
-        Check("roots-not-bisimilar", not d.bisimilar),
-        Check("distinguishing-clause", v is not None and candidate[v.left] == candidate[v.right]
-              and v in _clauses(d, candidate, v.left, v.right)),
-    ]
+def _formula_check(alphabet: tuple[str, ...], formula: Any, e: Expr, f: Expr) -> Check:
+    """That ``formula``, a node list, holds at ``e`` and fails at ``f``; a
+    formula of the wrong shape, null or missing, fails."""
+    return Check("distinguishing-formula", _distinguishes(formula, e, f, alphabet))
 
 
 def _proof_checks(alphabet: tuple[str, ...], walk: _Walk, n: int, collapsed: LabelledPrechart | None,
@@ -248,10 +250,9 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     checks = [_relation_check(d)]
 
     if not d.bisimilar:
-        candidate = _candidate(d)
-        violation = _distinguishing_violation(d, candidate)
-        checks += _inequivalent_checks(d, candidate, violation)
-        cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=_on_states(d, violation))
+        formula = _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, 0, d.n)
+        checks.append(_formula_check(alpha, formula, e, f))
+        cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=formula)
     elif not checks[0].passed:  # only a bisimulation has a quotient to build
         raise RuntimeError(f"certification checks failed: {[checks[0].name]}")
     else:
@@ -275,60 +276,30 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     return cert
 
 
-def _named_violation(d: _Decision, v: Any, parsed: Mapping[str, Expr]) -> BisimViolation | None:
-    """The serialized clause ``v`` on the state numbers of ``d``; ``None``
-    when ``v`` is no mapping of string state names (null included) or names
-    a state the joined chart lacks.
-
-    A name is a side, ``L:`` or ``R:``, and a text: its entry in ``parsed``
-    (the inputs, parsed once) or else parsed.  A state of that side with
-    the expression's hash is accepted only if it renders back to exactly
-    the name.  Walk states are distinct and ``parse(render(e)) == e``, so
-    their names carry no ``#n`` suffix (``formats.iter_state_ids``)."""
-    if not isinstance(v, Mapping):
-        return None
-    left, right, successor = v.get("left"), v.get("right"), v.get("successor")
-    if not (isinstance(left, str) and isinstance(right, str) and isinstance(successor, (str, type(None)))):
-        return None
-    number: dict[str, int] = {}
-    for name in {left, right, successor} - {None}:
-        if name[:2] not in ("L:", "R:"):
-            return None
-        try:
-            h = hash(parsed.get(name[2:]) or parse(name[2:], d.alphabet))
-        except ValueError:
-            return None
-        side = range(d.n) if name[0] == "L" else range(d.n, len(d.states))
-        # an equal hash names a candidate, and its rendering decides
-        x = next((x for x in side if hash(d.states[x]) == h and state_label(d.state(x)) == name), None)
-        if x is None:
-            return None
-        number[name] = x
-    return BisimViolation(v.get("clause"), number[left], number[right], v.get("action"), number.get(successor))
-
-
 def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
-    """Replay the named checks of a serialized certificate from scratch:
-    all of an inequivalent one's, and the local proof of an equivalent one
-    (see the module docstring).  Data that fails a check does not raise: a
-    witness that does not verify fails ``solution-proved`` too, and a
-    distinguishing clause or projection of the wrong shape, null or
-    missing, fails, and a ``collapsed`` that is no chart fails every
-    check.  Of the evidence a certificate carries, only an unknown verdict
-    raises ``ValueError``; its inputs must parse.
+    """Replay the shared checks of a serialized certificate from scratch,
+    with no refinement (see the module docstring): an inequivalent one's
+    ``distinguishing-formula``, and the local proof of an equivalent one.
+    Data that fails a check does not raise: a witness that does not verify
+    fails ``solution-proved`` too, a formula or projection of the wrong
+    shape, null or missing, fails, and a ``collapsed`` that is no chart,
+    null or missing, fails every check.  Of the evidence a certificate
+    carries, only an unknown verdict or an ``alphabet`` that is no list of
+    action names raises ``ValueError``; its inputs must parse.
     """
     if doc["verdict"] not in ("equivalent", "inequivalent"):
         raise ValueError(f"unknown verdict {doc['verdict']!r}")
-    alpha = tuple(doc["alphabet"])
+    if not _is_strings(doc["alphabet"]):
+        raise ValueError("'alphabet' must be a list of strings")
+    alpha = declare_alphabet(doc["alphabet"])  # as ``--alphabet`` reads it
     e = parse(doc["inputs"]["left"], alpha)
     f = parse(doc["inputs"]["right"], alpha)
     if doc["verdict"] == "inequivalent":
-        d = _decide(e, f, alpha)
-        v = _named_violation(d, doc["distinguishing"], {doc["inputs"]["left"]: e, doc["inputs"]["right"]: f})
-        return [_relation_check(d)] + _inequivalent_checks(d, _candidate(d), v)
+        v = doc.get("distinguishing")
+        return [_formula_check(alpha, v.get("formula") if isinstance(v, Mapping) else None, e, f)]
     walk, n = _coproduct_walk(e, f, alpha)
     try:
-        collapsed = witness_from_json(doc["collapsed"])
+        collapsed = witness_from_json(doc.get("collapsed"))
     except ValueError:
         collapsed = None
     solution = canonical_solution(collapsed) if collapsed is not None and verify_witness(collapsed)[0] else None
@@ -412,7 +383,10 @@ def cmd_bisim(args: argparse.Namespace) -> int:
         _emit({"bisimilar": True, "relation": relation})
     elif args.witness:
         v = _on_states(d, _distinguishing_violation(d, _candidate(d)))
-        _emit({"bisimilar": False, "clause": {"kind": v.clause, **_clause_doc(v)}})
+        successor = state_label(v.successor) if v.successor is not None else None
+        _emit({"bisimilar": False, "clause": {"kind": v.clause, "left": state_label(v.left),
+                                              "right": state_label(v.right), "action": v.action,
+                                              "successor": successor}})
     return 0 if d.bisimilar else 1
 
 

@@ -313,6 +313,68 @@ def _numbered_chart(alphabet: tuple[str, ...], walk: _Walk, root: StateId | None
     return X
 
 
+def _distinguishes(formula: Any, e: Expr, f: Expr, alphabet: tuple[str, ...]) -> bool:
+    """Whether the Hennessy–Milner formula ``formula`` holds at ``e`` and
+    fails at ``f``.  It is a node list, the root last, as
+    ``bisim._distinguishing_formula`` writes it: ``["out", a]``, ``["not",
+    i]``, ``["and", [i, ...]]`` and ``["dia", a, i]``, whose children ``i``
+    are earlier indices.  Anything else fails and nothing raises: an empty
+    list, a node of an unknown kind or length, a child index that is no
+    earlier node's or is a bool, an action outside ``alphabet``.
+
+    Satisfaction is decided only at the derivatives that the formula
+    reaches from ``e`` and ``f``, stepped by ``expr_step`` and numbered in a
+    table keyed by expression, as ``_walk`` numbers its states.  Each node
+    is decided at each such state once, on an explicit stack, so the check
+    costs O(|φ|·m) for the ``m`` transitions it reaches."""
+    if not isinstance(formula, list) or not formula:
+        return False
+    for i, node in enumerate(formula):
+        kind, *args = node if isinstance(node, list) and node else [None]
+        earlier = lambda j: type(j) is int and 0 <= j < i  # neither a bool nor a later index
+        if not (kind == "out" and len(args) == 1 and args[0] in alphabet
+                or kind == "not" and len(args) == 1 and earlier(args[0])
+                or kind == "and" and len(args) == 1 and isinstance(args[0], list) and all(map(earlier, args[0]))
+                or kind == "dia" and len(args) == 2 and args[0] in alphabet and earlier(args[1])):
+            return False
+    states: list[Expr] = []
+    number: dict[Expr, int] = {}
+
+    def state(x: Expr) -> int:
+        j = number.get(x)
+        if j is None:
+            j = number[x] = len(states)
+            states.append(x)
+        return j
+
+    root = len(formula) - 1
+    left, right = state(e), state(f)
+    holds: dict[tuple[int, int], bool] = {}
+    stack: list[tuple] = [(root, right), (root, left)]
+    while stack:
+        task = stack.pop()
+        if len(task) == 3:  # every child is decided
+            i, x, children = task
+            kind = formula[i][0]
+            values = map(holds.__getitem__, children)
+            holds[i, x] = not next(values) if kind == "not" else any(values) if kind == "dia" else all(values)
+            continue
+        i, x = task
+        if task in holds:
+            continue
+        kind, *args = formula[i]
+        if kind == "out":
+            holds[task] = args[0] in expr_step(states[x])[0]
+            continue
+        if kind == "dia":
+            children = [(args[1], state(y)) for y in expr_step(states[x])[1].get(args[0], ())]
+        else:
+            children = [(j, x) for j in (args if kind == "not" else args[0])]
+        stack.append((i, x, children))
+        stack += [child for child in children if child not in holds]
+    return holds[root, left] and not holds[root, right]
+
+
 # --- coalgebra constructions ---------------------------------------------------
 
 

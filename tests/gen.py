@@ -342,6 +342,24 @@ def joined_chart(e: Expr, f: Expr, alphabet) -> Prechart:
     return coproduct(chart_of(e, alphabet), chart_of(f, alphabet))[0]
 
 
+def satisfies(X: Prechart, formula) -> bool:
+    """Whether the Hennessy–Milner ``formula``, a node list as certificates
+    carry it, holds at the root of the chart ``X``, by brute force: the set
+    of states at which each node holds, over every state, node by node."""
+    holds: list[set] = []
+    for kind, *args in formula:
+        if kind == "out":
+            holds.append({x for x in X.states if args[0] in X.out(x)})
+        elif kind == "not":
+            holds.append(set(X.states) - holds[args[0]])
+        elif kind == "and":
+            holds.append(set(X.states).intersection(*(holds[j] for j in args[0])))
+        else:
+            a, j = args
+            holds.append({x for x in X.states if set(X.succ(x, a)) & holds[j]})
+    return X.root in holds[-1]
+
+
 def fig3_left() -> tuple[Prechart, LabelledPrechart]:
     """The four-state well-layered chart whose naive rerouting loses layering."""
     states = ("x2", "v", "v'", "x1")

@@ -250,7 +250,12 @@ class TestRefinementOnStateNumbers:
             (states, outs, numbered), n = _coproduct_walk(e, f, alpha)
             Z, inl, inr = coproduct(chart_of(e, alpha), chart_of(f, alpha))
             assert (len(states), n) == (len(Z.states), len(inl))
-            block_of, count = _coarsest(outs, numbered)
+            rounds, count = _coarsest(outs, numbered)
+            block_of = rounds[-1]
+            # the output partition first, then rounds that each split some block
+            assert rounds[0] == [list(dict.fromkeys(outs)).index(out) for out in outs]
+            for before, after in zip(rounds, rounds[1:]):
+                assert len(set(zip(before, after))) == len(set(after)) > len(set(before))
             R = _partition(Z, block_of, count)
             assert R == bisimilarity(Z) == round_by_round_bisimilarity(Z)
             assert bisimilar(e, f, alpha) == (block_of[0] == block_of[n]) == R.related(inl[e], inr[f])

@@ -6,11 +6,13 @@ quotient by that decision, with no syntactic witness and no collapse, and
 its certificate carries the projections of both walks onto the quotient.
 Replay of an equivalent certificate checks the local proof, the
 projections as homomorphisms and the canonical solution proved by the
-axioms, with no refinement; replay of an inequivalent one runs the
-certifying checks again.  Either way a tampered certificate fails.  The
-checks on state numbers are compared with the same checks on charts:
+axioms, with no refinement; replay of an inequivalent one model-checks
+its Hennessy–Milner formula on the derivatives of both inputs that the
+formula reaches, with no walk.  Either way a tampered certificate fails.
+The checks on state numbers are compared with the same checks on charts:
 the joined chart, the coproduct of both charts, which certification
-itself never builds, and ``is_homomorphism``.
+itself never builds, ``is_homomorphism``, and a brute-force model
+checker on each input's chart.
 """
 
 from __future__ import annotations
@@ -18,22 +20,23 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import subprocess
 import sys
+from collections import Counter
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
 from starchart import (PartitionRelation, Prechart, Sum, bisimilar, bisimilarity, canonical_solution, certify,
-                       chart_of, coproduct, formats, is_homomorphism, parse, quotient, recheck_certificate,
-                       render)
-from starchart import cli
-from starchart.bisim import BisimViolation, _violations
-from starchart.cli import (_candidate, _clauses, _decide, _distinguishing_violation, _named_violation, _on_states,
-                           _proof_checks)
-from starchart.formats import iter_state_ids, state_ids
-from starchart.semantics import _coproduct_walk, _numbered_chart
+                       chart_of, coproduct, is_homomorphism, parse, quotient, recheck_certificate, render)
+from starchart import semantics
+from starchart.bisim import _violations
+from starchart.cli import _candidate, _clauses, _decide, _distinguishing_violation, _on_states, _proof_checks
+from starchart.semantics import _coproduct_walk, _distinguishes, _numbered_chart
 from starchart.solution import _proved
-from gen import joined_chart, partition_from_pairs, random_expr, rewrite_steps, round_by_round_bisimilarity
+from gen import (joined_chart, partition_from_pairs, random_expr, rewrite_steps, round_by_round_bisimilarity,
+                 satisfies)
 
 ALPHA = ("a", "b", "c")
 # declared orders other than the sorted one, and multi-letter actions
@@ -47,7 +50,9 @@ EQUIVALENT = [
     "projection-homomorphism", "roots-meet", "solution-proved",
 ]
 REPLAYED_EQUIVALENT = EQUIVALENT[2:]
-INEQUIVALENT = ["bisimulation-relation-valid", "roots-not-bisimilar", "distinguishing-clause"]
+# likewise for an inequivalent pair: the decided partition, then the formula
+INEQUIVALENT = ["bisimulation-relation-valid", "distinguishing-formula"]
+REPLAYED_INEQUIVALENT = INEQUIVALENT[1:]
 
 
 def pairs(seed: int, count: int):
@@ -99,6 +104,31 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
                 if value is original:
                     monkeypatch.setattr(mod, bound, counting)
     return calls
+
+
+def failed_formula(doc) -> set:
+    """The names of the checks that fail when ``doc`` is replayed, which
+    must be the inequivalent certificate's formula check alone."""
+    replayed = recheck_certificate(doc)
+    assert [c.name for c in replayed] == REPLAYED_INEQUIVALENT
+    return {c.name for c in replayed if not c.passed}
+
+
+def inequivalent_pairs(seed: int, count: int, alphabet=ALPHA):
+    """Seeded inequivalent pairs, with their round-tripped certificates, by
+    turns: independent draws, then ``e`` beside an axiom rewrite of it
+    joined with a small draw, which often differ only past a few steps."""
+    rng = random.Random(seed)
+    while count:
+        e = random_expr(rng, alphabet, depth=rng.randint(2, 4))
+        if count % 2:
+            f = random_expr(rng, alphabet, depth=rng.randint(2, 4))
+        else:
+            f = Sum(rewrite_steps(rng, e, 2), random_expr(rng, alphabet, depth=2))
+        cert = certify(e, f, alphabet)
+        if cert.verdict == "inequivalent":
+            yield e, f, roundtrip(cert)
+            count -= 1
 
 
 def failed_checks(doc) -> set:
@@ -179,7 +209,7 @@ class TestReplayKeepsItsChecks:
                 assert names == REPLAYED_EQUIVALENT
             else:
                 assert [c.name for c in cert.checks] == INEQUIVALENT
-                assert names == INEQUIVALENT
+                assert names == REPLAYED_INEQUIVALENT
             verdicts.add(cert.verdict)
         assert verdicts == {"equivalent", "inequivalent"}
 
@@ -214,15 +244,17 @@ class TestDecideFirst:
             certified = self.counts(calls)
             if cert.verdict != "inequivalent":
                 continue
-            recheck_certificate(roundtrip(cert))
+            assert all(c.passed for c in recheck_certificate(roundtrip(cert)))
             replayed = self.counts(calls)
-            for got in (certified, replayed):
-                # one walk of each side, refined on its numbers: no chart at all
-                assert got == {"chart_of": 0, "_walk": 2, "_numbered_chart": 0,
-                               "syntactic_witness": 0, "bisimilar": 0, "bisimilarity": 0,
-                               "collapse": 0, "enumerate_witnesses": 0, "_stable": 1,
-                               "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
-                               "_quotient": 0, "_coarsest": 1, "verify_solution": 0, "_Analysis": 0}
+            # one walk of each side, refined on its numbers: no chart at all
+            assert certified == {"chart_of": 0, "_walk": 2, "_numbered_chart": 0,
+                                 "syntactic_witness": 0, "bisimilar": 0, "bisimilarity": 0,
+                                 "collapse": 0, "enumerate_witnesses": 0, "_stable": 1,
+                                 "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
+                                 "_quotient": 0, "_coarsest": 1, "verify_solution": 0, "_Analysis": 0}
+            # replay model-checks the formula on derivatives: no walk, no
+            # refinement and no check of a partition
+            assert replayed == dict.fromkeys(certified, 0)
             seen += 1
         assert seen >= 20
 
@@ -330,181 +362,180 @@ class TestOneWalkDecides:
         assert clauses == {"output", "forth", "back"}
 
 
-class TestReplayNamesOnlyTheClause:
-    def test_replay_labels_only_the_states_the_clause_names(self, monkeypatch):
-        labelled = []
-        label = formats.state_label
+def reached_states(Z: Prechart, formula, roots) -> set:
+    """The states of ``Z`` at which some output or diamond node of
+    ``formula`` is decided, from its root at ``roots``: those that the lazy
+    check must step."""
+    seen, stack, stepped = set(), [(len(formula) - 1, x) for x in roots], set()
+    while stack:
+        i, x = stack.pop()
+        if (i, x) in seen:
+            continue
+        seen.add((i, x))
+        kind, *args = formula[i]
+        if kind in ("out", "dia"):
+            stepped.add(x)
+        if kind == "dia":
+            stack += [(args[1], y) for y in Z.succ(x, args[0])]
+        elif kind != "out":
+            stack += [(j, x) for j in ([args[0]] if kind == "not" else args[0])]
+    return stepped
 
-        def counting(s):
-            # joined states are (side, expression) tuples; the inner call
-            # for the expression is not counted
-            if isinstance(s, tuple):
-                labelled.append(s)
-            return label(s)
 
-        monkeypatch.setattr(formats, "state_label", counting)
-        monkeypatch.setattr(cli, "state_label", counting)
-        saved = seen = 0
-        for e, f in pairs(439, 80)[1::2]:
-            cert = certify(e, f, ALPHA)
-            if cert.verdict != "inequivalent":
-                continue
-            doc = roundtrip(cert)
-            labelled.clear()
-            assert all(c.passed for c in recheck_certificate(doc))
-            Z = joined_chart(e, f, ALPHA)
-            v = cert.distinguishing
-            named = {s for s in (v.left, v.right, v.successor) if s is not None}
-            assert sorted(labelled, key=Z.index) == sorted(named, key=Z.index)
-            saved += len(Z.states[: 1 + max(map(Z.index, named))]) - len(labelled)
-            seen += 1
-        assert seen >= 20 and saved > 0
-
-    def test_the_clause_resolves_as_the_rendered_ids_did(self):
-        # the lookup of the rendered ids, every joined state up to the last
-        # one the clause names, is the oracle
-        def rendered(d, v):
-            names = {v["left"], v["right"], v["successor"]} - {None}
-            number = {name: x for x, (_, name) in enumerate(iter_state_ids(map(d.state, range(len(d.states)))))
-                      if name in names}
-            if len(number) != len(names):
-                return None
-            return BisimViolation(v["clause"], number[v["left"]], number[v["right"]], v["action"],
-                                  number.get(v["successor"]))
-
-        compared = resolved = 0
+class TestDistinguishingFormulas:
+    def test_the_lazy_check_agrees_with_the_oracle(self):
+        # 1 000 inequivalent pairs over four alphabets: the formula holds at
+        # ``e`` and fails at ``f`` on their charts, by brute force, and so on
+        # ``e + e`` and ``f + f``, which are bisimilar to them
+        nodes, kinds = [], Counter()
         for alphabet in ALPHABETS:
-            rng = random.Random(457)
-            for _ in range(25):
-                e, f = (random_expr(rng, alphabet, depth=3) for _ in range(2))
-                cert = certify(e, f, alphabet)
-                if cert.verdict != "inequivalent":
-                    continue
-                d, clause = _decide(e, f, alphabet), roundtrip(cert)["distinguishing"]
-                ids = [name for _, name in iter_state_ids(map(d.state, range(len(d.states))))]
-                for name in ids + ["L:(" + ids[0][2:] + ")", ids[0] + "#2", "R:" + ids[0][2:]]:
-                    for key in ("left", "right", "successor"):
-                        v = {**clause, key: name}
-                        got = _named_violation(d, v, {})
-                        assert got == rendered(d, v) == _named_violation(d, v, {render(e): e, render(f): f})
-                        compared += 1
-                        resolved += got is not None
-        assert compared > 1000 and 0 < resolved < compared
+            for e, f, doc in inequivalent_pairs(457 + len(alphabet), 250, alphabet):
+                formula = doc["distinguishing"]["formula"]
+                assert satisfies(chart_of(e, alphabet), formula), (render(e), render(f), formula)
+                assert not satisfies(chart_of(f, alphabet), formula), (render(e), render(f), formula)
+                assert satisfies(chart_of(Sum(e, e), alphabet), formula)
+                assert not satisfies(chart_of(Sum(f, f), alphabet), formula)
+                assert _distinguishes(formula, e, f, alphabet)
+                assert _distinguishes(formula, Sum(e, e), Sum(f, f), alphabet)
+                assert not _distinguishes(formula, f, e, alphabet)
+                n = len(_decide(e, f, alphabet).states)
+                assert len(formula) <= n * n
+                nodes.append(len(formula))
+                kinds.update(kind if kind != "and" else f"and of {min(len(args[0]), 2)}" for kind, *args in formula)
+        assert len(nodes) == 1000 and max(nodes) >= 6
+        assert set(kinds) == {"out", "not", "dia", "and of 0", "and of 2"}
 
-    def test_lazy_ids_are_the_state_ids(self):
-        X = Prechart.make(("a",), ("L:x", (0, "x"), "L:x#2", (0, "y"), "L:x#3"), {}, {})
-        pairs_ = list(iter_state_ids(X.states))
-        assert [name for _, name in pairs_] == ["L:x", "L:x#2", "L:x#2#2", "L:y", "L:x#3"]
-        assert dict(pairs_) == state_ids(X)
+    def test_replay_steps_only_the_states_the_formula_reaches(self, monkeypatch):
+        stepped, depth = [], [0]
+        step = semantics.expr_step
+
+        def recording(e):
+            # only the outermost call is the check's; the rest are the
+            # operational rules recursing into subterms
+            if not depth[0]:
+                stepped.append(e)
+            depth[0] += 1
+            try:
+                return step(e)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(semantics, "expr_step", recording)
+        saved = 0
+        for e, f, doc in inequivalent_pairs(439, 40):
+            Z, d = joined_chart(e, f, ALPHA), _decide(e, f, ALPHA)
+            stepped.clear()
+            assert all(c.passed for c in recheck_certificate(doc))
+            reached = reached_states(Z, doc["distinguishing"]["formula"], (Z.states[0], Z.states[d.n]))
+            # each reached derivative is stepped, at most once per node, and
+            # nothing else is; states are expressions, whichever side they are on
+            assert {x for _, x in reached} == set(stepped)
+            assert len(stepped) <= len(doc["distinguishing"]["formula"]) * len(reached)
+            saved += len({x for _, x in Z.states}) - len(set(stepped))
+        assert saved > 0
+
+    def test_a_chain_deeper_than_the_recursion_limit_certifies_and_replays(self):
+        # right-nested a(a(...)): the formula is 300 diamonds deep, so a
+        # recursive derivation or evaluation would fail at this limit
+        script = """
+import json, sys
+from starchart import Atom, Seq, certify, recheck_certificate
+def chain(k):
+    e = Atom("a")
+    for _ in range(k - 1):
+        e = Seq(Atom("a"), e)
+    return e
+sys.setrecursionlimit(150)
+cert = certify(chain(300), chain(301), ("a",))
+doc = json.loads(json.dumps(cert.to_json()))
+print(cert.verdict, len(doc["distinguishing"]["formula"]),
+      all(c.passed for c in cert.checks), all(c.passed for c in recheck_certificate(doc)))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={"PYTHONPATH": "src"}, cwd=Path(__file__).resolve().parent.parent)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split() == ["inequivalent", "300", "True", "True"]
 
 
 class TestTamperedCertificates:
-    def test_an_edited_action_fails_the_distinguishing_clause(self):
+    def test_an_edited_action_fails_the_distinguishing_formula(self):
         doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
-        assert doc["distinguishing"]["clause"] == "output"
-        assert doc["distinguishing"]["action"] == "b"
-        assert all(c.passed for c in recheck_certificate(doc))
-        doc["distinguishing"]["action"] = "a"  # both sides output a
-        assert not dict((c.name, c.passed) for c in recheck_certificate(doc))["distinguishing-clause"]
+        assert doc["distinguishing"] == {"formula": [["out", "b"]]}
+        assert not failed_formula(doc)
+        doc["distinguishing"]["formula"][0][1] = "a"  # both sides output a
+        assert failed_formula(doc) == {"distinguishing-formula"}
 
-    def test_an_edited_successor_or_action_fails_on_random_pairs(self):
-        edited = 0
-        for e, f in pairs(433, 120)[1::2]:
-            cert = certify(e, f, ALPHA)
-            if cert.verdict != "inequivalent":
-                continue
-            doc = roundtrip(cert)
-            v = cert.distinguishing
-            Z = joined_chart(e, f, ALPHA)
-            ids = state_ids(Z)
-            edits = []
-            if v.clause == "output":
-                # an action on which the two outputs agree
-                edits += [
-                    {"action": a} for a in ALPHA if (a in Z.out(v.left)) == (a in Z.out(v.right))
-                ]
-            else:
-                # a successor neither state reaches by the action, or an
-                # action by which neither reaches the successor
-                near = set(Z.succ(v.left, v.action)) | set(Z.succ(v.right, v.action))
-                edits += [{"successor": ids[s]} for s in Z.states if s not in near][:2]
-                edits += [
-                    {"action": a}
-                    for a in ALPHA
-                    if v.successor not in Z.succ(v.left, a) + Z.succ(v.right, a)
-                ]
-            for edit in edits:
-                tampered = json.loads(json.dumps(doc))
-                tampered["distinguishing"].update(edit)
-                results = {c.name: c.passed for c in recheck_certificate(tampered)}
-                assert not results["distinguishing-clause"], (render(e), render(f), edit)
-                assert results["roots-not-bisimilar"]
-                edited += 1
-        assert edited >= 40
+    def test_edited_formulas_fail_on_random_pairs(self):
+        # the polarity flipped at the root, by a negation wrapped around it or
+        # the root's negation removed, always fails; an action edited in one
+        # node fails exactly when the oracle says the formula no longer
+        # distinguishes the inputs
+        flipped = edited = 0
+        for alphabet in ALPHABETS:
+            for e, f, doc in inequivalent_pairs(433 + len(alphabet), 30, alphabet):
+                formula = doc["distinguishing"]["formula"]
+                root = len(formula) - 1
+                flips = [formula + [["not", root]]]
+                if formula[root][0] == "not":
+                    flips.append(formula[:root] + [formula[formula[root][1]]])
+                for tampered in flips:
+                    assert failed_formula({**doc, "distinguishing": {"formula": tampered}}) == {
+                        "distinguishing-formula"}
+                    flipped += 1
+                X, Y = chart_of(e, alphabet), chart_of(f, alphabet)
+                for i, (kind, *args) in enumerate(formula):
+                    if kind not in ("out", "dia"):
+                        continue
+                    for a in set(alphabet) - {args[0]}:
+                        tampered = json.loads(json.dumps(formula))
+                        tampered[i][1] = a
+                        distinguishes = satisfies(X, tampered) and not satisfies(Y, tampered)
+                        got = failed_formula({**doc, "distinguishing": {"formula": tampered}})
+                        assert got == (set() if distinguishes else {"distinguishing-formula"}), (formula, tampered)
+                        edited += not distinguishes
+        assert flipped >= 120 and edited >= 100
 
-    def test_a_clause_on_a_pair_the_joined_classes_do_not_relate_fails(self):
-        rng = random.Random(5)
-        while True:
-            e, f = random_expr(rng, depth=3), random_expr(rng, depth=3)
-            cert = certify(e, f, ALPHA)
-            if cert.verdict == "inequivalent":
-                break
-        doc = roundtrip(cert)
-        assert all(c.passed for c in recheck_certificate(doc))
-        d = _decide(e, f, ALPHA)
-        Z = joined_chart(e, f, ALPHA)
-        candidate = partition_of(Z, _candidate(d))
-        ids = state_ids(Z)
-        x, y = next((x, y) for x in Z.states for y in Z.states
-                    if Z.out(x) != Z.out(y) and not candidate.related(x, y))
-        action = sorted(Z.out(x) ^ Z.out(y))[0]
-        doc["distinguishing"] = {"clause": "output", "left": ids[x], "right": ids[y],
-                                 "action": action, "successor": None}
-        results = {c.name: c.passed for c in recheck_certificate(doc)}
-        assert not results["distinguishing-clause"]
-        assert results["roots-not-bisimilar"]
+    def test_the_formula_of_the_swapped_pair_fails(self):
+        # the formula holds at the left input and fails at the right one, so
+        # with the inputs swapped it is evidence for no pair of the certificate
+        for _, _, doc in inequivalent_pairs(5, 20):
+            inputs = doc["inputs"]
+            swapped = {**doc, "inputs": {"left": inputs["right"], "right": inputs["left"]}}
+            assert failed_formula(swapped) == {"distinguishing-formula"}
 
-    def test_an_output_clause_names_no_successor(self):
+    @pytest.mark.parametrize("formula", [
+        [], [[]], [["out"]], [["out", "b", 0]], [["out", 1]], [["box", "b", 0]],
+        [["out", "b"], ["out", "zz"], ["not", 1], ["and", [0, 2]]],
+        [["out", "b"], ["dia", "zz", 0], ["not", 1], ["and", [0, 2]]],
+        [["out", "b"], ["not", 1]], [["not", 0]], [["out", "b"], ["not", True]], [["out", "b"], ["not", -1]],
+        [["out", "b"], ["not", "0"]], [["out", "b"], ["not", 0], ["not", 1, 1]], [["out", "b"], ["and", 0]],
+        [["out", "b"], ["and", [0, 2]]], [["out", "b"], ["and", [False]]],
+        [["out", "b"], ["dia", "a", 1]], [["out", "b"], ["dia", "a"]], ["out", "b"], [("out", "b")],
+        [{"kind": "out"}], [None], "out b", {"0": ["out", "b"]},
+    ], ids=lambda formula: json.dumps(formula))
+    def test_a_malformed_formula_fails(self, formula):
+        # the empty list, unknown kinds and lengths, an action outside the
+        # alphabet, a self, forward, negative, bool or string child index,
+        # a node that is no list; read leniently, several would distinguish
+        # the inputs, as ``b ∧ ¬⟨zz⟩b`` and ``¬¬b`` do
         doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
-        assert doc["distinguishing"]["successor"] is None
-        doc["distinguishing"]["successor"] = doc["distinguishing"]["left"]
-        assert not dict((c.name, c.passed) for c in recheck_certificate(doc))["distinguishing-clause"]
-
-    def test_a_clause_naming_an_unknown_state_fails(self):
-        doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
-        doc["distinguishing"]["left"] = "L:zz"
-        results = {c.name: c.passed for c in recheck_certificate(doc)}
-        assert list(results) == INEQUIVALENT
-        assert not results["distinguishing-clause"]
-        assert results["roots-not-bisimilar"]
-
-    @pytest.mark.parametrize("name", ["L:(a)", "L:a#2", "L:a +", "M:a", "L:", ""])
-    def test_a_name_that_is_no_rendered_state_fails(self, name):
-        # non-canonical spelling, a suffix, no expression, an unknown side
-        doc = roundtrip(certify(parse("b a", ("a", "b")), parse("b b", ("a", "b"))))
-        assert doc["distinguishing"]["successor"] == "L:a"
-        for key in ("left", "successor"):
-            tampered = {**doc, "distinguishing": {**doc["distinguishing"], key: name}}
-            results = {c.name: c.passed for c in recheck_certificate(tampered)}
-            assert list(results) == INEQUIVALENT
-            assert {name for name, passed in results.items() if not passed} == {"distinguishing-clause"}
+        assert failed_formula({**doc, "distinguishing": {"formula": formula}}) == {"distinguishing-formula"}
 
     def test_a_null_distinguishing_clause_fails(self):
+        # a null or missing distinguishing value carries no formula
         doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
-        doc["distinguishing"] = None
-        results = {c.name: c.passed for c in recheck_certificate(doc)}
-        assert list(results) == INEQUIVALENT
-        assert {name for name, passed in results.items() if not passed} == {"distinguishing-clause"}
+        for distinguishing in (None, {"formula": None}):
+            assert failed_formula({**doc, "distinguishing": distinguishing}) == {"distinguishing-formula"}
+        assert failed_formula({key: value for key, value in doc.items() if key != "distinguishing"}) == {
+            "distinguishing-formula"}
 
     def test_a_clause_that_is_no_mapping_of_state_names_fails(self):
+        # a distinguishing value that is no ``{"formula": [...]}`` mapping,
+        # the clause of state names that the earlier format carried among them
         doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
-        clause = doc["distinguishing"]
-        malformed = [{}, "x", {**clause, "left": []}, {**clause, "right": None},
-                     {**clause, "successor": 5}]
-        for wrong in malformed:
-            results = {c.name: c.passed for c in recheck_certificate({**doc, "distinguishing": wrong})}
-            assert list(results) == INEQUIVALENT
-            assert {name for name, passed in results.items() if not passed} == {"distinguishing-clause"}
+        clause = {"clause": "output", "left": "L:a + b", "right": "R:a", "action": "b", "successor": None}
+        for distinguishing in ({}, "x", [], clause, {**clause, "left": []}, {**clause, "successor": 5}):
+            assert failed_formula({**doc, "distinguishing": distinguishing}) == {"distinguishing-formula"}
 
     def test_a_moved_projection_entry_fails_the_homomorphism(self):
         moved = 0
@@ -626,3 +657,24 @@ class TestTamperedCertificates:
         doc["verdict"] = "maybe"
         with pytest.raises(ValueError, match="unknown verdict 'maybe'"):
             recheck_certificate(doc)
+
+    def test_a_missing_collapsed_fails_every_proof_check(self):
+        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        assert failed_checks({**doc, "collapsed": None}) == set(REPLAYED_EQUIVALENT)
+        assert failed_checks({key: value for key, value in doc.items() if key != "collapsed"}) == set(
+            REPLAYED_EQUIVALENT)
+
+    @pytest.mark.parametrize("alphabet", ["ab", None, ("a", "b"), ["a", 1], [["a"], "b"], ["a b", "b"], ["a", ""]])
+    def test_an_alphabet_that_is_no_list_of_action_names_raises(self, alphabet):
+        # a string, no list, a list holding no string or no action name; a
+        # tuple is no JSON value
+        for doc in (roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b")))),
+                    roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))):
+            with pytest.raises(ValueError):
+                recheck_certificate({**doc, "alphabet": alphabet})
+
+    def test_a_repeated_action_is_read_once(self):
+        # as ``--alphabet a,b,b`` declares the alphabet a, b
+        for doc in (roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b")))),
+                    roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))):
+            assert all(c.passed for c in recheck_certificate({**doc, "alphabet": ["a", "b", "b"]}))

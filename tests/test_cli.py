@@ -228,7 +228,8 @@ class TestCertifyCommand:
         doc = json.loads(out)
         assert code == 1
         assert doc["verdict"] == "inequivalent"
-        assert doc["distinguishing"]["clause"] == "output"
+        # a outputs a and b does not
+        assert doc["distinguishing"] == {"formula": [["out", "a"]]}
 
     def test_reflexive_certification(self):
         rng = random.Random(103)

@@ -1,9 +1,10 @@
 import random
 
-from starchart import Atom, Seq, Star, Zero, chart_of, to_llee, verify_witness
+from starchart import Atom, Prechart, Seq, Star, Zero, chart_of, to_llee, verify_witness
 from starchart.formats import (
     chart_from_json,
     chart_to_json,
+    iter_state_ids,
     state_ids,
     to_dot,
     weighted_to_json,
@@ -59,3 +60,10 @@ def test_dot_escapes_quotes_and_marks_structure():
     text = to_dot(X, syntactic_witness(X))
     assert text.count("penwidth=2") == 1
     assert "peripheries=2" in text
+
+
+def test_lazy_ids_are_the_state_ids():
+    X = Prechart.make(("a",), ("L:x", (0, "x"), "L:x#2", (0, "y"), "L:x#3"), {}, {})
+    pairs_ = list(iter_state_ids(X.states))
+    assert [name for _, name in pairs_] == ["L:x", "L:x#2", "L:x#2#2", "L:y", "L:x#3"]
+    assert dict(pairs_) == state_ids(X)

@@ -488,7 +488,7 @@ class TestCollapseOnTheWorkingChart:
     def test_certify_reports_a_wrong_partition_as_an_internal_error(self, monkeypatch, capsys):
         # the refinement seam of the decision answers one block
         cli = sys.modules["starchart.cli"]
-        monkeypatch.setattr(cli, "_coarsest", lambda outs, numbered: ([0] * len(outs), 1))
+        monkeypatch.setattr(cli, "_coarsest", lambda outs, numbered: ([[0] * len(outs)], 1))
         built = []
         for name in ("infer_witness", "_quotient"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: built.append(name))
