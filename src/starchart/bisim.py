@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .semantics import Prechart, StateId, _alphabet_for, _coproduct_walk
+from .semantics import Prechart, StateId, _alphabet_for, _coproduct_walk, _join, _layers
 from .syntax import Expr, atoms
 
 
@@ -169,12 +169,18 @@ def _refine(numbered: _Numbered, block_of: list[int]) -> tuple[list[int], int]:
     and the number of blocks.
     """
     numbers: dict[tuple, int] = {}
+    return _signed(numbers, block_of, block_of, numbered), len(numbers)
+
+
+def _signed(numbers: dict[tuple, int], block_of: Sequence[int], blocks: Iterable[int],
+            rows: Iterable[tuple[tuple[int, ...], ...]]) -> list[int]:
+    """The blocks, one round after ``block_of``, of the states whose blocks
+    and successor rows ``blocks`` and ``rows`` list: each state's signature,
+    its block and per action the set of its successors' blocks, numbered in
+    ``numbers``, which gives a new signature the next number."""
     block = block_of.__getitem__
-    refined = [
-        numbers.setdefault((b, tuple([frozenset(map(block, js)) for js in rows])), len(numbers))
-        for b, rows in zip(block_of, numbered)
-    ]
-    return refined, len(numbers)
+    return [numbers.setdefault((b, tuple([frozenset(map(block, js)) for js in row])), len(numbers))
+            for b, row in zip(blocks, rows)]
 
 
 def _coarsest(outs: Sequence[frozenset[str]], numbered: _Numbered) -> tuple[list[list[int]], int]:
@@ -207,10 +213,11 @@ def _stable(outs: Sequence[frozenset[str]], numbered: _Numbered, block_of: list[
 def _distinguishing_formula(alphabet: tuple[str, ...], outs: Sequence[frozenset[str]], numbered: _Numbered,
                             rounds: list[list[int]], x: int, y: int) -> list[list]:
     """A Hennessy–Milner formula that holds at state ``x`` and fails at
-    ``y``, which the last of the refinement ``rounds`` separates (see
-    ``_coarsest``), as a node list, the root last: ``["out", a]``,
-    ``["not", i]``, ``["and", [i, ...]]`` (true when empty) and
-    ``["dia", a, i]``, whose children ``i`` are earlier indices.
+    ``y``, which the last of the refinement ``rounds`` separates (those of
+    ``_coarsest``, or the layered rounds of ``_decide``), as a node list,
+    the root last: ``["out", a]``, ``["not", i]``, ``["and", [i, ...]]``
+    (true when empty) and ``["dia", a, i]``, whose children ``i`` are
+    earlier indices.
 
     The first round ``r`` that separates a pair gives its formula
     (Cleaveland, CAV 1990).  At ``r = 0`` it is an output one state has,
@@ -220,7 +227,9 @@ def _distinguishing_formula(alphabet: tuple[str, ...], outs: Sequence[frozenset[
     successor ``y'`` of ``y`` gives the mirror formula, negated.  Each
     conjunct's pair is separated in an earlier round, so the derivation
     ends.  Formulas are memoised on the pair and equal nodes are one, so
-    the list has O(n²) nodes; it is built on an explicit stack."""
+    the list has O(n²) nodes; it is built on an explicit stack.  A pair's
+    first separating round is found by a scan, so rounds may leave out the
+    states whose entries no pair that the derivation meets reads."""
     nodes: list[list] = []
     number: dict[tuple, int] = {}
 
@@ -235,7 +244,7 @@ def _distinguishing_formula(alphabet: tuple[str, ...], outs: Sequence[frozenset[
         """The output (pairs ``None``) or the action that first separates
         ``x`` and ``y``, whether the formula is negated, and the pairs of
         its conjunction."""
-        r = bisect_left(range(len(rounds)), True, key=lambda k: rounds[k][x] != rounds[k][y])
+        r = next((k for k, blocks in enumerate(rounds) if blocks[x] != blocks[y]), len(rounds))
         if r == 0:
             a = min(outs[x] ^ outs[y])
             return a, a not in outs[x], None
@@ -297,10 +306,128 @@ def bisimilarity(X: Prechart) -> PartitionRelation:
 
 
 def bisimilar(e: Expr, f: Expr, alphabet: Iterable[str] | None = None) -> bool:
-    """Decide whether two expressions have bisimilar charts."""
+    """Decide whether two expressions have bisimilar charts, by the decision
+    that stops at the round that separates them (``_decide``)."""
     alpha = tuple(alphabet) if alphabet is not None else tuple(sorted(atoms(e) | atoms(f)))
     for x in (e, f):
         _alphabet_for(x, alpha)  # raises on an atom outside the alphabet
-    (_, outs, numbered), n = _coproduct_walk(e, f, alpha)
-    block_of = _coarsest(outs, numbered)[0][-1]
-    return block_of[0] == block_of[n]
+    return _decide(e, f, alpha).bisimilar
+
+
+class _Decision:
+    """The coproduct of both charts and its bisimilarity, on state numbers:
+    a verdict's data.
+
+    ``states`` are the expressions that the walks of ``e`` and then of ``f``
+    discover, the states of ``coproduct(chart_of(e), chart_of(f))`` in its
+    order but untagged; ``outs`` and ``numbered`` hold each one's outputs
+    and per-action successor numbers.  The first ``n`` are ``e``'s, so the
+    roots are numbers 0 and ``n``.  ``rounds`` numbers the block of each
+    state in each round of the refinement, and the last, ``block_of``, in
+    the bisimilarity, which has ``count`` blocks.  No chart of these states
+    is built: an equivalent pair's quotient is built from the arrays, on the
+    states that ``state`` tags.
+
+    A decision that separated the roots before its walks ended (see
+    ``_decide``) holds only what the walks reached: ``states`` what each
+    discovered, ``outs`` and ``numbered`` the entries of the states each
+    stepped, and round ``k`` the blocks of the states within ``r - k``
+    steps of their root, where round ``r``, the last, is the first that
+    separates the roots; every other entry is ``None``, and ``count`` is
+    the number of round ``r`` blocks among the states it covers.
+    """
+
+    def __init__(self, alphabet: tuple[str, ...], states: tuple[Expr, ...], outs: list[frozenset[str]],
+                 numbered: list[tuple[tuple[int, ...], ...]], n: int, rounds: list[list[int]], count: int) -> None:
+        self.alphabet, self.states, self.outs, self.numbered = alphabet, states, outs, numbered
+        self.n, self.rounds, self.count = n, rounds, count
+
+    @property
+    def block_of(self) -> list[int]:
+        return self.rounds[-1]
+
+    @property
+    def bisimilar(self) -> bool:
+        return self.block_of[0] == self.block_of[self.n]
+
+    def state(self, x: int) -> StateId:
+        """The state of the joined chart numbered ``x``."""
+        return (0 if x < self.n else 1, self.states[x])
+
+
+def _decide_fully(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
+    """Decide bisimilarity of ``e`` and ``f`` on the whole coproduct of
+    their charts, refined to the largest bisimulation."""
+    (states, outs, numbered), n = _coproduct_walk(e, f, alphabet)
+    return _Decision(alphabet, states, outs, numbered, n, *_coarsest(outs, numbered))
+
+
+def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
+    """Decide bisimilarity of ``e`` and ``f``, stopping at the first round
+    that separates them.
+
+    Round ``k`` of the refinement is ``k``-step bisimilarity, which depends
+    only on the states within ``k`` steps (Hennessy and Milner, JACM 1985).
+    So the walks of ``e`` and ``f`` advance one layer at a time
+    (``semantics._layers``), and once both have stepped every state within
+    ``d`` steps of their root, round ``d - i`` is computed for the states
+    ``i`` steps away: round 0 from the outputs of the layer just stepped,
+    and each later round from the one before by ``_refine``'s signature.
+    Block numbers are shared by both sides.  The first ``d`` at which the
+    roots' round ``d`` blocks differ separates them; the decision stops
+    there, and its rounds reach every entry that ``_distinguishing_formula``
+    reads, so the formula is the one that all rounds give.
+
+    The check deepens only while its round entries, summed over layers, are
+    no more than the states plus transitions walked, so that a deep chart
+    pays at most its walk again.  When it stops, or when the walks end with
+    the roots unseparated, the walks run to their end on the same arrays
+    and ``_coarsest`` decides, as ``_decide_fully`` does."""
+    walks = [_layers([e], alphabet), _layers([f], alphabet)]
+    sides: list = [None, None]  # per side: the arrays of its walk
+    ends: tuple[list[int], list[int]] = ([], [])  # per side and distance d: how many states lie within d steps
+    rounds: tuple[list[list[int]], list[list[int]]] = ([], [])  # per side and round: its blocks
+    numbers: list[dict] = []  # per round: the block number of each signature
+    entries = walked = 0
+    d = 0
+    while True:
+        ended = True
+        for s, walk in enumerate(walks):
+            # a walk that has ended leaves its arrays as they are
+            sides[s] = states, outs, numbered = next(walk, sides[s])
+            stepped = ends[s][-1] if ends[s] else 0
+            walked += len(outs) - stepped + sum(map(len, chain.from_iterable(numbered[stepped:])))
+            ends[s].append(len(outs))
+            ended = ended and len(outs) == len(states)
+        entries += ends[0][d] + ends[1][d]
+        if entries > walked:
+            break
+        numbers.append({})
+        for (_, outs, numbered), end, blocks in zip(sides, ends, rounds):
+            blocks.append([])
+            hi = end[d]
+            for k, table in enumerate(numbers):  # round k of the states d - k steps away
+                lo = end[d - k - 1] if k < d else 0
+                if k:
+                    before = blocks[k - 1]
+                    blocks[k] += _signed(table, before, before[lo:hi], numbered[lo:hi])
+                else:
+                    blocks[0] += [table.setdefault(out, len(table)) for out in outs[lo:hi]]
+                hi = lo
+        if rounds[0][d][0] != rounds[1][d][0]:
+            # ``f``'s states follow all that ``e``'s walk discovered: ``e``'s
+            # entries are padded to them, then each round is joined
+            n = len(sides[0][0])
+            for column in (*sides[0][1:], *rounds[0]):
+                column += [None] * (n - len(column))
+            for left, right in zip(*rounds):
+                left += right
+            return _Decision(alphabet, *_join(*sides), n, rounds[0], len(numbers[d]))
+        if ended:
+            break
+        d += 1
+    for walk in walks:
+        for _ in walk:
+            pass
+    states, outs, numbered = _join(*sides)
+    return _Decision(alphabet, states, outs, numbered, len(sides[0][0]), *_coarsest(outs, numbered))

@@ -1,20 +1,27 @@
 """Command-line surface and end-to-end equivalence certification.
 
-``certify`` walks both expressions, numbering the states of the coproduct
-of their charts, and decides bisimilarity there by partition refinement on
-those numbers.  An inequivalent pair's certificate carries a
-Hennessy–Milner formula that holds at ``e`` and fails at ``f``, derived
-from the rounds of that refinement; no chart is built for it.  For an
-equivalent pair the quotient ``C`` by the decided partition is built from
-the same arrays: the minimal chart, in which both roots are one state.
-Loop elimination gives ``C`` a layering witness, and the certificate
-carries it with the projections of both walks onto ``C``.
+``certify`` decides bisimilarity by ``bisim._decide``, which walks both
+expressions layer by layer and refines on the state numbers of the walks,
+round ``k`` for the states ``d - k`` steps away once the walks reach ``d``
+steps, and stops at the first round that separates the roots.  An
+inequivalent pair's certificate carries a Hennessy–Milner formula that
+holds at ``e`` and fails at ``f``, derived from those rounds; no chart is
+built for it, and most such pairs are decided on the first few layers of
+their walks.  When no round separates the roots early, the walks run to
+their end and partition refinement decides on the coproduct of both
+charts.  For an equivalent pair the quotient ``C`` by the decided
+partition is built from the same arrays: the minimal chart, in which both
+roots are one state.  Loop elimination gives ``C`` a layering witness, and
+the certificate carries it with the projections of both walks onto ``C``.
 
 Replay of an inequivalent certificate model-checks its formula on the
 derivatives of both inputs that the formula reaches, with no walk and no
 refinement.  This is sound: bisimilar states satisfy the same formulas
 (Hennessy and Milner, JACM 1985), so a formula that holds at ``e`` and
-fails at ``f`` proves that they are not bisimilar.
+fails at ``f`` proves that they are not bisimilar.  ``certify`` runs the
+same check, ``distinguishing-formula``, before it emits the certificate,
+and no other: a decision that separated bisimilar roots could derive no
+formula that passes it.
 
 Replay of an equivalent certificate checks the local proof (Grabmayer and
 Fokkink, LICS 2020) with no refinement: it walks each input once, checks
@@ -35,9 +42,10 @@ import json
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Iterator, Mapping, NamedTuple
+from typing import Any, Iterator, Mapping
 
-from .bisim import BisimViolation, _coarsest, _distinguishing_formula, _stable, bisimilarity
+from .bisim import (BisimViolation, _Decision, _decide, _decide_fully, _distinguishing_formula, _stable,
+                    bisimilarity)
 from .formats import (
     _is_strings,
     chart_from_json,
@@ -72,7 +80,8 @@ class Certificate:
     decision's blocks); ``common``, the canonical solution at the root, is
     not serialized.  When it is ``inequivalent``, ``distinguishing`` is the
     node list of a formula that holds at ``left`` and fails at ``right``
-    (see ``bisim._distinguishing_formula``).  Every listed check passed.
+    (see ``bisim._distinguishing_formula``), and its one check is the one
+    that replay runs, ``distinguishing-formula``.  Every listed check passed.
     """
 
     verdict: str  # "equivalent" | "inequivalent"
@@ -95,48 +104,6 @@ class Certificate:
             "projection": self.projection,
             "distinguishing": None if self.distinguishing is None else {"formula": self.distinguishing},
         }
-
-
-class _Decision(NamedTuple):
-    """The coproduct of both charts and its bisimilarity, on state numbers:
-    a verdict's data.
-
-    ``states`` are the expressions that the walks of ``e`` and then of ``f``
-    discover, the states of ``coproduct(chart_of(e), chart_of(f))`` in its
-    order but untagged; ``outs`` and ``numbered`` hold each one's outputs
-    and per-action successor numbers.  The first ``n`` are ``e``'s, so the
-    roots are numbers 0 and ``n``.  ``rounds`` numbers the block of each
-    state in each round of the refinement, and the last, ``block_of``, in
-    the bisimilarity, which has ``count`` blocks.  No chart of
-    these states is built: an equivalent pair's quotient is built from the
-    arrays, on the states that ``state`` tags.
-    """
-
-    alphabet: tuple[str, ...]
-    states: tuple[Expr, ...]
-    outs: list[frozenset[str]]
-    numbered: list[tuple[tuple[int, ...], ...]]
-    n: int
-    rounds: list[list[int]]
-    count: int
-
-    @property
-    def block_of(self) -> list[int]:
-        return self.rounds[-1]
-
-    @property
-    def bisimilar(self) -> bool:
-        return self.block_of[0] == self.block_of[self.n]
-
-    def state(self, x: int) -> StateId:
-        """The state of the joined chart numbered ``x``."""
-        return (0 if x < self.n else 1, self.states[x])
-
-
-def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
-    """Decide bisimilarity of ``e`` and ``f`` on the coproduct of their charts."""
-    (states, outs, numbered), n = _coproduct_walk(e, f, alphabet)
-    return _Decision(alphabet, states, outs, numbered, n, *_coarsest(outs, numbered))
 
 
 # ``bisim --witness`` names a failed clause of the bisimilarity with the
@@ -186,11 +153,6 @@ def _on_states(d: _Decision, v: BisimViolation) -> BisimViolation:
     """The clause ``v`` on state numbers as a clause on the joined chart's states."""
     successor = d.state(v.successor) if v.successor is not None else None
     return BisimViolation(v.clause, d.state(v.left), d.state(v.right), v.action, successor)
-
-
-def _relation_check(d: _Decision) -> Check:
-    """``certify``'s guard on its decision: the decided partition is a bisimulation."""
-    return Check("bisimulation-relation-valid", _stable(d.outs, d.numbered, d.block_of, d.count))
 
 
 # The checks below are shared by ``certify``, which builds the evidence, and
@@ -247,15 +209,15 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     if missing:
         raise ValueError(f"atoms outside the declared alphabet: {sorted(missing)}")
     d = _decide(e, f, alpha)
-    checks = [_relation_check(d)]
-
     if not d.bisimilar:
         formula = _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, 0, d.n)
-        checks.append(_formula_check(alpha, formula, e, f))
+        checks = [_formula_check(alpha, formula, e, f)]
         cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=formula)
-    elif not checks[0].passed:  # only a bisimulation has a quotient to build
-        raise RuntimeError(f"certification checks failed: {[checks[0].name]}")
     else:
+        # ``certify``'s guard on its decision: the decided partition is a bisimulation
+        checks = [Check("bisimulation-relation-valid", _stable(d.outs, d.numbered, d.block_of, d.count))]
+        if not checks[0].passed:  # only a bisimulation has a quotient to build
+            raise RuntimeError(f"certification checks failed: {[checks[0].name]}")
         # the minimal quotient is isomorphic to the collapse of any witness
         # of the joined chart (the collapse theorem), so it is built directly
         tagged = [d.state(x) for x in range(len(d.states))]
@@ -370,7 +332,8 @@ def cmd_chart(args: argparse.Namespace) -> int:
 
 def cmd_bisim(args: argparse.Namespace) -> int:
     alpha, (e, f) = _parse_exprs(args, args.left, args.right)
-    d = _decide(e, f, alpha)
+    # a relation or a clause needs the full bisimilarity, not only the separating round
+    d = (_decide_fully if args.witness else _decide)(e, f, alpha)
     print("bisimilar" if d.bisimilar else "not-bisimilar")
     if args.witness and d.bisimilar:
         block_of, n = d.block_of, d.n

@@ -256,15 +256,26 @@ def joint_chart(
 _Walk = tuple[tuple[StateId, ...], Sequence[frozenset[str]], Sequence[tuple[tuple[int, ...], ...]]]
 
 
-def _walk(roots: Iterable[Expr], alphabet: tuple[str, ...]) -> _Walk:
-    """The charting walk: the states, in the order it discovers them
-    breadth first from ``roots``, their outputs, and their numbered
-    successors (see ``Prechart.numbered_succ``).  Equal expressions are
-    one state, the first discovered."""
+def _layers(roots: Iterable[Expr], alphabet: tuple[str, ...]) -> Iterator[_Walk]:
+    """The charting walk, one layer at a time: breadth first from ``roots``,
+    it numbers states in the order it discovers them, and steps them in that
+    order, recording their outputs and numbered successors (see
+    ``Prechart.numbered_succ``).  Equal expressions are one state, the first
+    discovered.  Yields ``(states, outs, numbered)``, the same growing lists
+    each time, once per layer, when it has stepped every state that it had
+    discovered when the layer began: then ``outs`` and ``numbered`` cover
+    the states within some distance ``d`` of the roots, and ``states``
+    holds those within ``d + 1``."""
     states = list(dict.fromkeys(roots))
     number = {x: i for i, x in enumerate(states)}
-    outs, numbered = [], []
+    outs: list[frozenset[str]] = []
+    numbered: list[tuple[tuple[int, ...], ...]] = []
+    walk = states, outs, numbered
+    layer = len(states)  # how many states were discovered when the layer began
     for x in states:  # grows as the walk discovers states: a queue
+        if len(outs) == layer:
+            yield walk
+            layer = len(states)
         out, succ = expr_step(x)
         outs.append(out)
         rows = []
@@ -278,6 +289,17 @@ def _walk(roots: Iterable[Expr], alphabet: tuple[str, ...]) -> _Walk:
                 js.append(j)
             rows.append(tuple(sorted(js)))
         numbered.append(tuple(rows))
+    if states:
+        yield walk
+
+
+def _walk(roots: Iterable[Expr], alphabet: tuple[str, ...]) -> _Walk:
+    """The charting walk (see ``_layers``) run to its end: the states, their
+    outputs and their numbered successors."""
+    walk: _Walk = ((), [], [])
+    for walk in _layers(roots, alphabet):
+        pass
+    states, outs, numbered = walk
     return tuple(states), outs, numbered
 
 

@@ -28,15 +28,15 @@ from pathlib import Path
 
 import pytest
 
-from starchart import (PartitionRelation, Prechart, Sum, bisimilar, bisimilarity, canonical_solution, certify,
+from starchart import (PartitionRelation, Prechart, Sum, atoms, bisimilar, bisimilarity, canonical_solution, certify,
                        chart_of, coproduct, is_homomorphism, parse, quotient, recheck_certificate, render)
-from starchart import semantics
-from starchart.bisim import _violations
-from starchart.cli import _candidate, _clauses, _decide, _distinguishing_violation, _on_states, _proof_checks
+from starchart import bisim, semantics
+from starchart.bisim import _coarsest, _decide, _decide_fully, _distinguishing_formula, _violations
+from starchart.cli import _candidate, _clauses, _distinguishing_violation, _on_states, _proof_checks
 from starchart.semantics import _coproduct_walk, _distinguishes, _numbered_chart
 from starchart.solution import _proved
 from gen import (joined_chart, partition_from_pairs, random_expr, rewrite_steps, round_by_round_bisimilarity,
-                 satisfies)
+                 satisfies, wstar_pair)
 
 ALPHA = ("a", "b", "c")
 # declared orders other than the sorted one, and multi-letter actions
@@ -50,9 +50,11 @@ EQUIVALENT = [
     "projection-homomorphism", "roots-meet", "solution-proved",
 ]
 REPLAYED_EQUIVALENT = EQUIVALENT[2:]
-# likewise for an inequivalent pair: the decided partition, then the formula
-INEQUIVALENT = ["bisimulation-relation-valid", "distinguishing-formula"]
-REPLAYED_INEQUIVALENT = INEQUIVALENT[1:]
+# an inequivalent pair's one check is the formula's, which replay runs too:
+# a formula that holds at one input and fails at the other proves them
+# inequivalent whatever partition the decision held
+INEQUIVALENT = ["distinguishing-formula"]
+REPLAYED_INEQUIVALENT = INEQUIVALENT
 
 
 def pairs(seed: int, count: int):
@@ -104,6 +106,25 @@ def count_calls(monkeypatch, module: str, name: str) -> list:
                 if value is original:
                     monkeypatch.setattr(mod, bound, counting)
     return calls
+
+
+def outermost_steps(monkeypatch) -> list:
+    """Record each expression that ``semantics.expr_step`` is asked to step
+    from outside, not the operational rules recursing into subterms."""
+    stepped, depth = [], [0]
+    step = semantics.expr_step
+
+    def recording(e):
+        if not depth[0]:
+            stepped.append(e)
+        depth[0] += 1
+        try:
+            return step(e)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(semantics, "expr_step", recording)
+    return stepped
 
 
 def failed_formula(doc) -> set:
@@ -217,12 +238,13 @@ class TestReplayKeepsItsChecks:
 class TestDecideFirst:
     @pytest.fixture
     def calls(self, monkeypatch):
-        # ``_walk`` walks each expression; ``_numbered_chart`` builds every
-        # chart from numbered arrays: the quotient, or the joint chart of
-        # ``verify_solution``'s fallback; ``_stable`` checks a partition, and
-        # ``_coarsest`` is every refinement to the largest bisimulation;
-        # ``_Analysis`` is every witness analysis built
-        counted = [("semantics", "chart_of"), ("semantics", "_walk"),
+        # ``_layers`` is every charting walk, and ``_walk`` one run to its
+        # end; ``_numbered_chart`` builds every chart from numbered arrays:
+        # the quotient, or the joint chart of ``verify_solution``'s
+        # fallback; ``_stable`` checks a partition, and ``_coarsest`` is
+        # every refinement to the largest bisimulation; ``_Analysis`` is
+        # every witness analysis built
+        counted = [("semantics", "chart_of"), ("semantics", "_layers"), ("semantics", "_walk"),
                    ("semantics", "_numbered_chart"), ("layering", "syntactic_witness"),
                    ("bisim", "bisimilar"), ("bisim", "bisimilarity"), ("rerouting", "collapse"),
                    ("layering", "enumerate_witnesses"), ("bisim", "_stable"),
@@ -238,7 +260,7 @@ class TestDecideFirst:
         return out
 
     def test_inequivalent_pairs_build_no_witness(self, calls):
-        seen = 0
+        seen = early = 0
         for e, f in pairs(419, 60):
             cert = certify(e, f)
             certified = self.counts(calls)
@@ -247,16 +269,34 @@ class TestDecideFirst:
             assert all(c.passed for c in recheck_certificate(roundtrip(cert)))
             replayed = self.counts(calls)
             # one walk of each side, refined on its numbers: no chart at all
-            assert certified == {"chart_of": 0, "_walk": 2, "_numbered_chart": 0,
+            # and no partition check; the refinement to the largest
+            # bisimulation runs only when no round separated the roots early
+            refined = certified.pop("_coarsest")
+            assert certified == {"chart_of": 0, "_layers": 2, "_walk": 0, "_numbered_chart": 0,
                                  "syntactic_witness": 0, "bisimilar": 0, "bisimilarity": 0,
-                                 "collapse": 0, "enumerate_witnesses": 0, "_stable": 1,
+                                 "collapse": 0, "enumerate_witnesses": 0, "_stable": 0,
                                  "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
-                                 "_quotient": 0, "_coarsest": 1, "verify_solution": 0, "_Analysis": 0}
+                                 "_quotient": 0, "verify_solution": 0, "_Analysis": 0}
+            assert refined in (0, 1)
             # replay model-checks the formula on derivatives: no walk, no
             # refinement and no check of a partition
-            assert replayed == dict.fromkeys(certified, 0)
+            assert replayed == dict.fromkeys(calls, 0)
             seen += 1
-        assert seen >= 20
+            early += not refined
+        assert seen >= 20 and early >= seen * 3 // 4
+
+    def test_roots_with_different_outputs_are_decided_on_their_own_steps(self, calls, monkeypatch):
+        stepped = outermost_steps(monkeypatch)
+        alpha = ("a", "b")
+        e, f = parse("a", alpha), parse("a b", alpha)
+        d = _decide(e, f, alpha)
+        # each walk steps its root and nothing more; round 0 separates them
+        assert stepped == [e, f] and len(d.rounds) == 1 and not d.bisimilar
+        self.counts(calls)
+        cert = certify(e, f, alpha)
+        assert cert.distinguishing == [["out", "a"]]
+        counted = self.counts(calls)
+        assert counted["_coarsest"] == counted["_stable"] == 0
 
     def test_equivalent_pairs_build_each_chart_once(self, calls):
         seen = 0
@@ -272,20 +312,130 @@ class TestDecideFirst:
             # the solution is proved by the axioms alone; the inferred witness
             # is analysed once, and inference, the solution and the check
             # table share that analysis
-            expected = {"chart_of": 0, "_walk": 2, "_numbered_chart": 1, "syntactic_witness": 0,
+            expected = {"chart_of": 0, "_layers": 2, "_walk": 0, "_numbered_chart": 1, "syntactic_witness": 0,
                         "bisimilar": 0, "bisimilarity": 1, "collapse": 0, "enumerate_witnesses": 0,
                         "_stable": 1, "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
                         "_quotient": 1, "_coarsest": 2, "verify_solution": 0, "_Analysis": 1}
             assert [args[0] for args in calls["bisimilarity"]] == [cert.collapsed.base]
             assert self.counts(calls) == expected
             assert all(c.passed for c in recheck_certificate(roundtrip(cert)))
-            # replay walks each side once and refines nothing: no partition,
-            # no bisimilarity and no fallback, and it builds no chart from
-            # arrays; it analyses the witness it reads once
-            assert self.counts(calls) == {**expected, "_numbered_chart": 0, "_quotient": 0,
+            # replay walks each side once, to its end, and refines nothing:
+            # no partition, no bisimilarity and no fallback, and it builds no
+            # chart from arrays; it analyses the witness it reads once
+            assert self.counts(calls) == {**expected, "_walk": 2, "_numbered_chart": 0, "_quotient": 0,
                                           "bisimilarity": 0, "_stable": 0, "_coarsest": 0}
             seen += 1
         assert seen == 30
+
+
+def a_chain(k: int):
+    """``a`` sequenced ``k`` times, as ``starchart`` reads ``aa…a``."""
+    return parse("a" * k, ("a",))
+
+
+class TestLayeredDecision:
+    def test_formulas_are_those_of_all_rounds(self, monkeypatch):
+        # 1 000 seeded pairs over two alphabets, depths 2 to 6, every fourth
+        # an axiom rewrite; then ``c`` against ``c*c``, whose walks end
+        # before round 1 separates them, and a chain pair deeper than the
+        # work bound lets the layered check go: the formula is the one
+        # that every round of the full refinement gives, and replays
+        refined = count_calls(monkeypatch, "bisim", "_coarsest")
+        rng = random.Random(487)
+        cases = []
+        for i in range(1000):
+            alpha = ALPHABETS[i % 2]
+            e = random_expr(rng, alpha, depth=2 + i % 5)
+            f = rewrite_steps(rng, e, rng.randint(1, 3)) if i % 4 == 0 else random_expr(rng, alpha, depth=2 + i % 5)
+            cases.append((alpha, e, f))
+        cases += [(("c",), parse("c", ("c",)), parse("c*c", ("c",))), (("a",), a_chain(30), a_chain(31))]
+        verdicts, early, handed_over = Counter(), 0, []
+        for alpha, e, f in cases:
+            refined.clear()
+            cert = certify(e, f, alpha)
+            handed_over.append(len(refined))
+            (_, outs, numbered), n = _coproduct_walk(e, f, alpha)
+            rounds, _ = _coarsest(outs, numbered)
+            assert (cert.verdict == "equivalent") == (rounds[-1][0] == rounds[-1][n])
+            if cert.verdict == "inequivalent":
+                assert cert.distinguishing == _distinguishing_formula(alpha, outs, numbered, rounds, 0, n), (
+                    render(e), render(f))
+                early += not refined
+            assert all(c.passed for c in recheck_certificate(roundtrip(cert))), (render(e), render(f))
+            verdicts[cert.verdict] += 1
+        # the last two were handed to the full refinement, and are inequivalent
+        assert handed_over[-2:] == [1, 1] and cert.verdict == "inequivalent"
+        assert verdicts["equivalent"] >= 250 and verdicts["inequivalent"] >= 600
+        assert early >= verdicts["inequivalent"] * 9 // 10
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Decide a pair, and count the round entries past round 0 that the
+        layered check numbers before the full refinement takes over."""
+        events = []
+        signed, coarsest = bisim._signed, bisim._coarsest
+
+        def numbering(*args):
+            blocks = signed(*args)
+            events.append(len(blocks))
+            return blocks
+
+        def refining(*args):
+            events.append(None)
+            return coarsest(*args)
+
+        monkeypatch.setattr(bisim, "_signed", numbering)
+        monkeypatch.setattr(bisim, "_coarsest", refining)
+
+        def decide(e, f):
+            events.clear()
+            verdict = _decide(e, f, tuple(sorted(atoms(e) | atoms(f)))).bisimilar
+            assert None in events  # handed over
+            return verdict, sum(events[:events.index(None)])
+
+        return decide
+
+    @pytest.mark.parametrize("size", [10, 50, 150])
+    def test_the_check_stops_at_its_work_bound(self, checked, size):
+        # each walk of ``e = (w)*0`` against ``e + e`` and of the chains
+        # steps one state and one transition per layer, so the check's round
+        # entries, 2 + 4 + … + 2(d + 1) by layer d, pass the 4(d + 1) states
+        # and transitions walked at layer 3, whatever the size: rounds 1 and
+        # 2 number 6 entries in all, before the full refinement takes over
+        assert checked(*wstar_pair(size)) == (True, 6)
+        assert checked(a_chain(size), a_chain(size + 1)) == (False, 6)
+
+    def test_walks_that_end_unseparated_hand_over_at_once(self, checked):
+        # ``c`` and ``c*c`` end their walks on layer 0, where round 0 cannot
+        # separate them; ``a*0`` and ``(a a)*0`` end on layer 1, where only
+        # the roots have a round 1 entry, and so do ``e = (a + b)*0`` and
+        # ``e + e``, whose six transitions would let the check go on
+        assert checked(parse("c", ("c",)), parse("c*c", ("c",))) == (False, 0)
+        assert checked(parse("a*0", ("a",)), parse("(a a)*0", ("a",))) == (True, 2)
+        e = parse("(a + b)*0", ("a", "b"))
+        assert checked(e, Sum(e, e)) == (True, 2)
+
+    def test_large_inputs_certify_in_a_child_within_a_time_limit(self):
+        # a deep equivalent pair, which the work bound hands to the full
+        # refinement, and chains of 200 against 201 states, under a timeout:
+        # a bound that let the check run on fails here instead of hanging
+        script = """
+import io, sys
+from contextlib import redirect_stdout
+from starchart import render
+from starchart.cli import main
+from gen import wstar_pair
+e, f = wstar_pair(150)
+for argv in (["certify", render(e), render(f)], ["certify", "a" * 200, "a" * 201]):
+    with redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(code)
+"""
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                              env={"PYTHONPATH": "src:tests"}, cwd=root)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split() == ["0", "1"]
 
 
 class TestOneQuotient:
@@ -311,7 +461,7 @@ class TestOneWalkDecides:
     def test_the_decision_is_the_coproduct_of_both_charts_and_its_refinement(self):
         verdicts = set()
         for alpha, e, f in alphabet_pairs(449, 520):
-            d = _decide(e, f, alpha)
+            d = _decide_fully(e, f, alpha)
             X, Y = chart_of(e, alpha), chart_of(f, alpha)
             Z, inl, inr = coproduct(X, Y)
             # the chart of the decision's arrays is the coproduct
@@ -327,7 +477,7 @@ class TestOneWalkDecides:
             # ``block_of`` numbers the bisimilarity's blocks by least member
             assert R == round_by_round_bisimilarity(Z)
             assert d.block_of == [R.block_index(x) for x in Z.states] and d.count == len(R.blocks)
-            assert d.bisimilar == R.related(inl[e], inr[f]) == bisimilar(e, f, alpha)
+            assert d.bisimilar == R.related(inl[e], inr[f]) == bisimilar(e, f, alpha) == _decide(e, f, alpha).bisimilar
             # the walk's numbered successors are those a copy computes
             assert tuple(d.numbered) == joined.numbered_succ() == Prechart.make(
                 alpha, Z.states, Z.outputs, Z.transitions).numbered_succ()
@@ -338,7 +488,7 @@ class TestOneWalkDecides:
         verdicts = set()
         clauses = set()
         for alpha, e, f in alphabet_pairs(457, 520):
-            d = _decide(e, f, alpha)
+            d = _decide_fully(e, f, alpha)
             Z = joined_chart(e, f, alpha)
             roots = (Z.states[0], Z.states[d.n])
             merged = partition_of(Z, _candidate(d))
@@ -398,7 +548,7 @@ class TestDistinguishingFormulas:
                 assert _distinguishes(formula, e, f, alphabet)
                 assert _distinguishes(formula, Sum(e, e), Sum(f, f), alphabet)
                 assert not _distinguishes(formula, f, e, alphabet)
-                n = len(_decide(e, f, alphabet).states)
+                n = len(_decide_fully(e, f, alphabet).states)
                 assert len(formula) <= n * n
                 nodes.append(len(formula))
                 kinds.update(kind if kind != "and" else f"and of {min(len(args[0]), 2)}" for kind, *args in formula)
@@ -406,24 +556,10 @@ class TestDistinguishingFormulas:
         assert set(kinds) == {"out", "not", "dia", "and of 0", "and of 2"}
 
     def test_replay_steps_only_the_states_the_formula_reaches(self, monkeypatch):
-        stepped, depth = [], [0]
-        step = semantics.expr_step
-
-        def recording(e):
-            # only the outermost call is the check's; the rest are the
-            # operational rules recursing into subterms
-            if not depth[0]:
-                stepped.append(e)
-            depth[0] += 1
-            try:
-                return step(e)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(semantics, "expr_step", recording)
+        stepped = outermost_steps(monkeypatch)
         saved = 0
         for e, f, doc in inequivalent_pairs(439, 40):
-            Z, d = joined_chart(e, f, ALPHA), _decide(e, f, ALPHA)
+            Z, d = joined_chart(e, f, ALPHA), _decide_fully(e, f, ALPHA)
             stepped.clear()
             assert all(c.passed for c in recheck_certificate(doc))
             reached = reached_states(Z, doc["distinguishing"]["formula"], (Z.states[0], Z.states[d.n]))

@@ -27,6 +27,7 @@ from starchart import (
     infer_witness,
     is_homomorphism,
     kernel_partition,
+    parse,
     quotient,
     relabel,
     rerouting,
@@ -486,16 +487,34 @@ class TestCollapseOnTheWorkingChart:
         assert merges["C2"] >= 10 and merges["C3"] >= 3
 
     def test_certify_reports_a_wrong_partition_as_an_internal_error(self, monkeypatch, capsys):
-        # the refinement seam of the decision answers one block
-        cli = sys.modules["starchart.cli"]
-        monkeypatch.setattr(cli, "_coarsest", lambda outs, numbered: ([[0] * len(outs)], 1))
+        # the refinement seam of the decision answers one block; ``a`` and
+        # ``a*a`` agree on round 0, where both walks end, so the layered
+        # check hands them to the full refinement, which no longer
+        # separates them
+        bisim, cli = sys.modules["starchart.bisim"], sys.modules["starchart.cli"]
+        monkeypatch.setattr(bisim, "_coarsest", lambda outs, numbered: ([[0] * len(outs)], 1))
         built = []
         for name in ("infer_witness", "_quotient"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: built.append(name))
-        assert main(["certify", "a b", "b a"]) == 3
+        assert main(["certify", "a", "a*a"]) == 3
         err = capsys.readouterr().err
         assert "internal error: RuntimeError: certification checks failed: ['bisimulation-relation-valid']" in err
         # the relation check fails before any quotient or witness is built
+        assert built == []
+
+    def test_certify_reports_a_wrong_separation_as_an_internal_error(self, monkeypatch, capsys):
+        # the decision seam separates bisimilar roots: it answers for ``a``
+        # in place of the right input, so the formula it derives fails on
+        # the inputs themselves
+        cli = sys.modules["starchart.cli"]
+        decide = cli._decide
+        monkeypatch.setattr(cli, "_decide", lambda e, f, alphabet: decide(e, parse("a", alphabet), alphabet))
+        built = []
+        for name in ("infer_witness", "_quotient"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: built.append(name))
+        assert main(["certify", "a b", "a b + a b"]) == 3
+        err = capsys.readouterr().err
+        assert "internal error: RuntimeError: certification checks failed: ['distinguishing-formula']" in err
         assert built == []
 
     def test_reachability_is_recomputed_only_for_the_states_that_reached_w1(self, monkeypatch):
