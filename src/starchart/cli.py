@@ -26,11 +26,14 @@ formula that passes it.
 Replay of an equivalent certificate checks the local proof (Grabmayer and
 Fokkink, LICS 2020) with no refinement: it walks each input once, checks
 that each projection ``h`` is a homomorphism and that the roots meet, and
-proves ``C``'s canonical solution ``s`` by the axioms alone.  This is
-sound: homomorphisms whose roots meet make ``e`` and ``f`` bisimilar, and
-as ``s ∘ h`` and the identity both solve the chart of ``e``, which has
-the syntactic LLEE witness, uniqueness of solutions gives ``e ≡ s(h(e))``
-in Milner's system, and likewise for ``f``.  Minimality of ``C`` is not
+proves ``C``'s canonical solution ``s`` by the axioms alone.  ``s`` is
+built from the witness straight as normal forms, and each state's
+equation is checked on the derivatives of its normal form, so neither
+replay nor ``certify`` builds an expression solution.  This is sound:
+homomorphisms whose roots meet make ``e`` and ``f`` bisimilar, and as
+``s ∘ h`` and the identity both solve the chart of ``e``, which has the
+syntactic LLEE witness, uniqueness of solutions gives ``e ≡ s(h(e))`` in
+Milner's system, and likewise for ``f``.  Minimality of ``C`` is not
 needed; ``certify`` checks it, and the decided partition, before the
 checks it shares with ``recheck_certificate``.
 """
@@ -41,6 +44,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Any, Iterator, Mapping
 
@@ -60,7 +64,7 @@ from .formats import (
 from .layering import LabelledPrechart, infer_witness, syntactic_witness, to_llee, verify_witness
 from .rerouting import collapse, connect_through
 from .semantics import Prechart, StateId, _coproduct_walk, _distinguishes, _quotient, _Walk, chart_of
-from .solution import Solution, _proved, canonical_solution, simplify
+from .solution import _witness_proved, canonical_solution, simplify
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
 
@@ -77,8 +81,9 @@ class Certificate:
     When the verdict is ``equivalent``, ``collapsed`` is a witness on the
     minimal quotient of both charts, rooted at the image of both inputs;
     ``projection`` lists, per walk, its states' positions there (the
-    decision's blocks); ``common``, the canonical solution at the root, is
-    not serialized.  When it is ``inequivalent``, ``distinguishing`` is the
+    decision's blocks); ``common``, the canonical solution at the root as
+    an expression, is built from ``collapsed`` on first read, and is not
+    serialized.  When it is ``inequivalent``, ``distinguishing`` is the
     node list of a formula that holds at ``left`` and fails at ``right``
     (see ``bisim._distinguishing_formula``), and its one check is the one
     that replay runs, ``distinguishing-formula``.  Every listed check passed.
@@ -91,8 +96,13 @@ class Certificate:
     checks: list[Check] = field(default_factory=list)
     collapsed: LabelledPrechart | None = None
     projection: dict[str, list[int]] | None = None
-    common: Expr | None = None
     distinguishing: list[list] | None = None
+
+    @cached_property
+    def common(self):
+        if self.collapsed is None:
+            return None
+        return canonical_solution(self.collapsed).assign[self.collapsed.base.root]
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -166,15 +176,16 @@ def _formula_check(alphabet: tuple[str, ...], formula: Any, e: Expr, f: Expr) ->
 
 
 def _proof_checks(alphabet: tuple[str, ...], walk: _Walk, n: int, collapsed: LabelledPrechart | None,
-                  projection: Any, solution: Solution | None) -> list[Check]:
+                  projection: Any) -> list[Check]:
     """The local proof: the witness ``collapsed``; ``projection``, which maps
     the walk's first ``n`` states by its list ``left`` and the rest by
     ``right`` to positions in the witness's chart ``C``, as a homomorphism
     (outputs agree, and per action the images of a state's successors are
     its image's successors), checked in time linear in the walk; both
-    roots' images at ``C``'s root; and the canonical ``solution``, ``None``
-    when ``collapsed`` is no witness, proved by the axioms alone.  A
-    ``collapsed`` of ``None``, a document that is no chart, fails them all."""
+    roots' images at ``C``'s root; and the witness's canonical solution,
+    built as normal forms, proved by the axioms alone, which fails when
+    ``collapsed`` is no witness.  A ``collapsed`` of ``None``, a document
+    that is no chart, fails them all."""
     if collapsed is None:
         names = ("collapsed-witness-valid", "projection-homomorphism", "roots-meet", "solution-proved")
         return [Check(name, False) for name in names]
@@ -190,11 +201,12 @@ def _proof_checks(alphabet: tuple[str, ...], walk: _Walk, n: int, collapsed: Lab
                 and tuple([tuple(sorted({image[j] for j in js})) for js in succ]) == rows[b]
                 for out, succ, b in zip(outs, numbered, image)))
     root = None if C.root is None else C.index(C.root)
+    valid = verify_witness(collapsed)[0]
     return [
-        Check("collapsed-witness-valid", verify_witness(collapsed)[0]),
+        Check("collapsed-witness-valid", valid),
         Check("projection-homomorphism", homomorphism),
         Check("roots-meet", lists and all(h and type(h[0]) is int and h[0] == root for h in sides)),
-        Check("solution-proved", solution is not None and _proved(C, solution.assign)),
+        Check("solution-proved", valid and _witness_proved(collapsed)),
     ]
 
 
@@ -227,11 +239,9 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
         if witness is None:
             raise RuntimeError("the minimal quotient has no layering witness, "
                                "which contradicts the collapse theorem")
-        solution = canonical_solution(witness)
         projection = {"left": d.block_of[:d.n], "right": d.block_of[d.n:]}
-        checks += _proof_checks(alpha, (d.states, d.outs, d.numbered), d.n, witness, projection, solution)
-        cert = Certificate("equivalent", e, f, alpha, checks, collapsed=witness, projection=projection,
-                           common=solution.assign[C.root])
+        checks += _proof_checks(alpha, (d.states, d.outs, d.numbered), d.n, witness, projection)
+        cert = Certificate("equivalent", e, f, alpha, checks, collapsed=witness, projection=projection)
     failed = [c.name for c in cert.checks if not c.passed]
     if failed:
         raise RuntimeError(f"certification checks failed: {failed}")
@@ -264,8 +274,7 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
         collapsed = witness_from_json(doc.get("collapsed"))
     except ValueError:
         collapsed = None
-    solution = canonical_solution(collapsed) if collapsed is not None and verify_witness(collapsed)[0] else None
-    return _proof_checks(alpha, walk, n, collapsed, doc.get("projection"), solution)
+    return _proof_checks(alpha, walk, n, collapsed, doc.get("projection"))
 
 
 # --- command surface ---------------------------------------------------------

@@ -4,18 +4,25 @@ A solution assigns an expression to every state so that each state's
 expression is equivalent to the sum of its outputs and of action-prefixed
 successor expressions.  One equation loop checks them, after one step of
 the fundamental theorem, in two stages.  The first proves them from sound
-axioms of Milner's system: expressions are compared by normal forms modulo
-ACI of ``+`` and the laws of sequencing.  Provable implies bisimilar, so a
+axioms of Milner's system: terms are compared by normal forms modulo ACI
+of ``+`` and the laws of sequencing.  Provable implies bisimilar, so a
 proof is the answer.  The axioms used are not complete, so when they do not
 suffice the same loop compares bisimilarity classes instead: bisimilarity
 is an exact oracle for provable equivalence on this fragment.
+
+The canonical solution of a witness is built by one recursion, as
+expressions or straight as normal forms.  A certificate's solution is
+proved on its normal forms, whose derivatives are taken on the normal
+forms themselves, as Antimirov's partial derivatives are taken on
+expressions, so proving it builds no expression.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NoReturn
+from itertools import chain
+from typing import Any, Callable, Mapping, NoReturn
 
 from .bisim import bisimilarity
 from .layering import LabelledPrechart, analysis_of_verified
@@ -50,12 +57,18 @@ def unfold(e: Expr) -> Expr:
     return Sum(gsum(outputs), gsum(steps))
 
 
-def _component(first: list[Expr], second: list[Expr]) -> Expr:
-    # a star component is the sum of its two halves; entirely empty ones
-    # collapse to 0 rather than 0 + 0
-    if not first and not second:
-        return Zero()
-    return Sum(gsum(first), gsum(second))
+def _starred(first, second) -> Expr:
+    """The star of two sums, each given by its two halves, lists of steps
+    ``(a, t)``: ``a·t``, or ``a`` for a ``t`` of ``None``."""
+    sums = []
+    for halves in (first, second):
+        terms = ([], [])
+        for half, out in zip(halves, terms):
+            for a, t in half:
+                out.append(Atom(a) if t is None else Seq(Atom(a), t))
+        # entirely empty sums collapse to 0 rather than 0 + 0
+        sums.append(Sum(gsum(terms[0]), gsum(terms[1])) if any(halves) else Zero())
+    return Star(*sums)
 
 
 _OWN = object()  # the anchor of a state's own solution
@@ -75,31 +88,44 @@ class _Terms:
     companion of ``x`` relative to the loop header ``z``, whose body steps
     back to ``z`` end the term.  Both are memoised in ``memo``.  The steps
     of each state, its loop descent and both measures are read off the
-    witness's analysis.
+    witness's analysis.  A term is the star of two sums of prefixed steps
+    ``(a, t)``, built by ``starred`` as in ``_starred``: as an expression
+    by ``_starred`` itself, or as a normal form by ``_NormalForms.starred``.
     """
 
-    def __init__(self, L: LabelledPrechart):
+    def __init__(self, L: LabelledPrechart, starred):
         a = analysis_of_verified(L)
         X = L.base
         self.states = X.states
         self.en, self.bd = a.lengths
         self.descent = a.descent
-        self.outputs = [[act for act in X.alphabet if act in X.out(x)] for x in X.states]
-        self.entry_self: list[list[str]] = [[] for _ in X.states]
-        self.entry_steps: list[list[tuple[str, int]]] = [[] for _ in X.states]
-        self.body_steps: list[list[tuple[str, int]]] = [[] for _ in X.states]
-        for x, rows in enumerate(X.numbered_succ()):
+        # per state: its outputs and entry self-loops as steps (a, None),
+        # and its other entry steps and its body steps (a, y)
+        self.outputs: list[list[tuple[str, None]]] = []
+        self.entry_self: list[list[tuple[str, None]]] = []
+        self.entry_steps: list[list[tuple[str, int]]] = []
+        self.body_steps: list[list[tuple[str, int]]] = []
+        for x, (state, rows) in enumerate(zip(X.states, X.numbered_succ())):
+            outputs, entry_self, entry_steps, body_steps = [], [], [], []
+            outs = X.out(state)
             for act, ys in zip(X.alphabet, rows):
+                if act in outs:
+                    outputs.append((act, None))
                 for y in ys:  # a verified witness tags each state pair once
                     if not a.entry[x] >> y & 1:
-                        self.body_steps[x].append((act, y))
+                        body_steps.append((act, y))
                     elif y == x:
-                        self.entry_self[x].append(act)
+                        entry_self.append((act, None))
                     else:
-                        self.entry_steps[x].append((act, y))
-        self.memo: dict[tuple[int, object], Expr] = {}
+                        entry_steps.append((act, y))
+            self.outputs.append(outputs)
+            self.entry_self.append(entry_self)
+            self.entry_steps.append(entry_steps)
+            self.body_steps.append(body_steps)
+        self.starred = starred
+        self.memo: dict[tuple[int, object], Any] = {}
 
-    def term(self, x: int, anchor: object) -> Expr:
+    def term(self, x: int, anchor: object = _OWN) -> Any:
         key = (x, anchor)
         if key in self.memo:
             return self.memo[key]
@@ -108,20 +134,17 @@ class _Terms:
         for act, y in self.entry_steps[x]:
             if not (descent[x] >> y & 1 and en[y] < en[x]):
                 _fail("entry", name[x], name[y])
-            first_terms.append(Seq(Atom(act), self.term(y, x)))
+            first_terms.append((act, self.term(y, x)))
         own = anchor is _OWN
-        second_terms: list[Expr] = []
+        second_terms = []
         for act, y in self.body_steps[x]:
             if not own and y == anchor:
-                second_terms.append(Atom(act))
+                second_terms.append((act, None))
                 continue
             if not (bd[y] < bd[x] and (own or descent[anchor] >> y & 1)):
                 _fail("body", name[x], name[y], *(() if own else (name[anchor],)))
-            second_terms.append(Seq(Atom(act), self.term(y, anchor)))
-        result = Star(
-            _component([Atom(act) for act in self.entry_self[x]], first_terms),
-            _component([Atom(act) for act in self.outputs[x]], second_terms),
-        )
+            second_terms.append((act, self.term(y, anchor)))
+        result = self.starred((self.entry_self[x], first_terms), (self.outputs[x], second_terms))
         self.memo[key] = result
         return result
 
@@ -136,8 +159,8 @@ def canonical_solution(L: LabelledPrechart) -> Solution:
     recursion must descend in loop level and body recursion in body depth,
     and companions are only ever taken inside the anchor's loop.
     """
-    terms, name = _Terms(L), L.base.states
-    assign = {x: terms.term(i, _OWN) for i, x in enumerate(name)}
+    terms, name = _Terms(L, _starred), L.base.states
+    assign = dict(zip(name, map(terms.term, range(len(name)))))
     companion = {(name[x], name[z]): t for (x, z), t in terms.memo.items() if z is not _OWN}
     return Solution(L.base, assign, companion)
 
@@ -156,7 +179,7 @@ class _NormalForms:
     sum is sequenced summand by summand.  Equal keys get equal ids, so
     equal normal forms are equal ints.  Expressions are memoised by node
     identity, so no structural comparison of expressions ever runs, and
-    both walks are iterative.
+    all three walks are iterative.
     """
 
     def __init__(self) -> None:
@@ -165,6 +188,7 @@ class _NormalForms:
         # id(node) -> (node, normal form); holding the node keeps its id unique
         self.of_node: dict[int, tuple[Expr, int]] = {}
         self.seqs: dict[tuple[int, int], int] = {}
+        self.steps: dict[int, tuple[frozenset[str], dict[str, set[int]]]] = {}
         self.zero = self.intern(frozenset())
 
     def intern(self, key) -> int:
@@ -173,6 +197,66 @@ class _NormalForms:
             i = self.ids[key] = len(self.keys)
             self.keys.append(key)
         return i
+
+    def starred(self, first, second) -> int:
+        """The normal form of ``_starred(first, second)``: the prefixed
+        step ``(a, t)`` is the summand of that key."""
+        intern = self.intern
+        head = intern(frozenset(map(intern, chain(*first))))
+        tail = intern(frozenset(map(intern, chain(*second))))
+        return intern(frozenset((intern((head, tail)),)))
+
+    def step(self, n) -> tuple[frozenset[str], dict[str, set[int]]]:
+        """Outputs and per-action derivatives of the normal form ``n``.
+
+        Read off its summands: ``(a, None)`` outputs ``a``; ``(a, t)``
+        steps by ``a`` to ``t``; a star summand ``s = (h, t)`` steps to
+        ``d·{s}`` for each derivative ``d`` of ``h``, by each output of
+        ``h`` back to ``{s}``, and as ``t`` does.  So ``n`` is provably the
+        sum of its outputs and of ``a·d`` over its derivatives: ``e``
+        equals its normal form by the axioms, and the star axiom unfolds
+        ``h*t`` to ``h·(h*t) + t``.  Memoised and iterative; a star's head
+        and tail are interned before the normal forms it is a summand of.
+        """
+        keys, steps = self.keys, self.steps
+        stack = [n]
+        while stack:
+            m = stack[-1]
+            if m in steps:
+                stack.pop()
+                continue
+            pending = []
+            for s in keys[m]:
+                head, tail = keys[s]
+                if type(head) is int and (head not in steps or tail not in steps):
+                    pending += (head, tail)
+            if pending:
+                stack += pending
+                continue
+            outs: set[str] = set()
+            succ: dict[str, set[int]] = {}
+            for s in keys[m]:
+                head, tail = keys[s]
+                if type(head) is str:
+                    if tail is None:
+                        outs.add(head)
+                    else:
+                        succ.setdefault(head, set()).add(tail)
+                    continue
+                star = self.intern(frozenset((s,)))
+                (houts, hsucc), (touts, tsucc) = steps[head], steps[tail]
+                outs |= touts
+                for a, ds in tsucc.items():
+                    succ.setdefault(a, set()).update(ds)
+                for a, ds in hsucc.items():
+                    row = succ.setdefault(a, set())
+                    for d in ds:
+                        row.add(self.seq(d, star))
+                for a in houts:
+                    succ.setdefault(a, set()).add(star)
+            steps[m] = (frozenset(outs), succ)
+            stack.pop()
+        return steps[n]
 
     def seq(self, n: int, g: int) -> int:
         """The normal form of ``n·g``: ``g`` appended to every summand's tail."""
@@ -231,18 +315,22 @@ class _NormalForms:
 
 
 def _first_unsolved(
-    X: Prechart, assign: Mapping[StateId, Expr], cls: Callable[[Expr], object]
+    X: Prechart, assign: Mapping[StateId, Any], step: Callable, cls: Callable
 ) -> StateId | None:
     """The first state in ``X.states`` order whose equation fails under ``cls``.
 
-    By the fundamental theorem ``assign[x]`` equals the sum of its outputs
-    and of ``a·f`` over its ``a``-derivatives ``f``.  So the equation at
-    ``x`` holds when those outputs are ``X.out(x)``, no step leaves
-    ``X.alphabet``, and per action the derivatives and the successors'
-    assignments have the same classes.  Under normal forms this proves
-    equations but decides nothing when it fails; under bisimilarity
-    classes it is exact, as the right side's ``a``-derivatives are the
-    successors' assignments.
+    ``step`` gives a term's outputs and per-action derivatives, and
+    ``assign[x]`` equals the sum of its outputs and of ``a·f`` over its
+    ``a``-derivatives ``f``.  So the equation at ``x`` holds when those
+    outputs are ``X.out(x)``, no step leaves ``X.alphabet``, and per action
+    the derivatives and the successors' assignments have the same classes.
+    Under normal forms this proves equations but decides nothing when it
+    fails: on expressions stepped by ``expr_step`` and classed by
+    ``_NormalForms.of``, or on normal forms stepped by ``_NormalForms.step``
+    and compared as the ints they are, which is the same verdict, as a
+    normal form's derivatives are those of its expression.  Under
+    bisimilarity classes it is exact, as the right side's ``a``-derivatives
+    are the successors' assignments.
 
     Canonical solutions pass under normal forms.  Along a body step the
     derivative of ``s(x)`` is the successor's solution itself.  Along an
@@ -252,7 +340,7 @@ def _first_unsolved(
     """
     alphabet = set(X.alphabet)
     for x in X.states:
-        outs, succ = expr_step(assign[x])
+        outs, succ = step(assign[x])
         if outs != X.out(x) or not alphabet.issuperset(succ):
             return x
         for a in X.alphabet:
@@ -263,7 +351,15 @@ def _first_unsolved(
 
 def _proved(X: Prechart, assign: Mapping[StateId, Expr]) -> bool:
     """``verify_solution``'s first stage: whether the axioms alone prove every equation."""
-    return _first_unsolved(X, assign, _NormalForms().of) is None
+    return _first_unsolved(X, assign, expr_step, _NormalForms().of) is None
+
+
+def _witness_proved(L: LabelledPrechart) -> bool:
+    """Whether the axioms alone prove the canonical solution of the verified
+    witness ``L``, built straight as normal forms."""
+    forms, X = _NormalForms(), L.base
+    assign = dict(zip(X.states, map(_Terms(L, forms.starred).term, range(len(X.states)))))
+    return _first_unsolved(X, assign, forms.step, int) is None
 
 
 def verify_solution(
@@ -286,7 +382,7 @@ def verify_solution(
         return True, None
     exprs = list(assign.values())
     R = bisimilarity(joint_chart(exprs, tuple(sorted(set().union(*map(atoms, exprs))))))
-    bad = _first_unsolved(X, assign, R.block_index)
+    bad = _first_unsolved(X, assign, expr_step, R.block_index)
     return bad is None, bad
 
 

@@ -30,11 +30,12 @@ import pytest
 
 from starchart import (PartitionRelation, Prechart, Sum, atoms, bisimilar, bisimilarity, canonical_solution, certify,
                        chart_of, coproduct, is_homomorphism, parse, quotient, recheck_certificate, render)
-from starchart import bisim, semantics
+from starchart import bisim, cli, semantics, solution
 from starchart.bisim import _coarsest, _decide, _decide_fully, _distinguishing_formula, _violations
 from starchart.cli import _candidate, _clauses, _distinguishing_violation, _on_states, _proof_checks
 from starchart.semantics import _coproduct_walk, _distinguishes, _numbered_chart
 from starchart.solution import _proved
+from test_golden_certs import corpus as golden_corpus
 from gen import (joined_chart, partition_from_pairs, random_expr, rewrite_steps, round_by_round_bisimilarity,
                  satisfies, wstar_pair)
 
@@ -192,7 +193,7 @@ class TestProjectionCheck:
             side = moved[rng.randrange(2)]
             side[rng.randrange(len(side))] = rng.randrange(len(C.states))
             for h_left, h_right in ((left, right), moved):
-                checks = _proof_checks(alpha, walk, n, cert.collapsed, {"left": h_left, "right": h_right}, None)
+                checks = _proof_checks(alpha, walk, n, cert.collapsed, {"left": h_left, "right": h_right})
                 got = dict((c.name, c.passed) for c in checks)["projection-homomorphism"]
                 on_charts = [is_homomorphism({x: C.states[b] for x, b in zip(Z.states, h)}, Z, C)[0]
                              for Z, h in ((X, h_left), (Y, h_right))]
@@ -215,6 +216,25 @@ class TestLocalProofs:
             # the axiom stage alone, with no bisimilarity fallback
             assert _proved(cert.collapsed.base, canonical_solution(cert.collapsed).assign)
             assert all(c.passed for c in recheck_certificate(roundtrip(cert))), (render(e), render(f))
+
+    def test_certify_and_replay_build_no_expression_solution(self, monkeypatch):
+        # the canonical solution is proved on normal forms built from the
+        # witness; only a read of ``common`` builds an expression
+        def refuse(*args):
+            raise AssertionError("an expression solution was built")
+
+        monkeypatch.setattr(cli, "canonical_solution", refuse)
+        monkeypatch.setattr(solution, "_starred", refuse)
+        equivalent = 0
+        for e, f in golden_corpus():
+            cert = certify(e, f)
+            if cert.verdict != "equivalent":
+                continue
+            assert [c.name for c in cert.checks] == EQUIVALENT and all(c.passed for c in cert.checks)
+            replayed = recheck_certificate(roundtrip(cert))
+            assert [c.name for c in replayed] == REPLAYED_EQUIVALENT and all(c.passed for c in replayed)
+            equivalent += 1
+        assert equivalent >= 100
 
 
 class TestReplayKeepsItsChecks:

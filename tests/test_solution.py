@@ -30,7 +30,7 @@ from starchart import (
 )
 from starchart import layering
 from starchart import solution as solution_module
-from starchart.solution import MeasureError, _NormalForms, _first_unsolved
+from starchart.solution import MeasureError, _NormalForms, _proved, _Terms, _witness_proved
 from gen import deadline, distinct_nodes, doubling_chain, per_equation_check, random_chart, random_expr
 from test_golden_certs import corpus as golden_corpus
 
@@ -292,7 +292,7 @@ class TestTheAxiomStage:
             for candidate in TestOneRefinementPerCheck.corruptions(rng, X, assign):
                 candidate = reparsed(candidate)
                 expected = per_equation_check(X, candidate)
-                if _first_unsolved(X, candidate, _NormalForms().of) is None:
+                if _proved(X, candidate):
                     assert expected == (True, None)
                     accepted += 1
                 assert verify_solution(X, candidate) == expected
@@ -316,7 +316,7 @@ class TestTheAxiomStage:
     ])
     def test_it_uses_no_unsound_law(self, X, candidate):
         candidate = {x: parse(text, ("a", "b", "c", "d", "z")) for x, text in candidate.items()}
-        assert _first_unsolved(X, candidate, _NormalForms().of) is not None
+        assert not _proved(X, candidate)
         assert verify_solution(X, candidate) == per_equation_check(X, candidate) == (False, "x")
 
     @pytest.fixture
@@ -369,6 +369,51 @@ class TestTheAxiomStage:
             assert verify_solution(X, s) == (True, None)
         finally:
             sys.setrecursionlimit(limit)
+
+
+class TestNormalFormSteps:
+    """Derivatives taken on normal forms are the normal forms of the derivatives."""
+
+    def test_they_are_those_of_the_expressions(self):
+        rng = random.Random(2298)
+        for i in range(2100):
+            e = random_expr(rng, depth=1 + i % 7)
+            forms = _NormalForms()
+            outs, succ = expr_step(e)
+            assert forms.step(forms.of(e)) == (outs, {a: {forms.of(f) for f in fs} for a, fs in succ.items()})
+
+    def test_witnesses_build_the_normal_forms_of_their_canonical_solutions(self):
+        # each state's solution and each companion, built straight as a
+        # normal form, is the normal form of the expression built for it
+        rng = random.Random(2299)
+        witnesses = 0
+        for _ in range(300):
+            X = chart_of(random_expr(rng, depth=min(rng.randint(2, 6), rng.randint(2, 6))))
+            for L in (syntactic_witness(X), infer_witness(X)):
+                forms = _NormalForms()
+                terms = _Terms(L, forms.starred)
+                s = canonical_solution(L)
+                built = [terms.term(x) for x in range(len(X.states))]
+                assert built == [forms.of(s.assign[x]) for x in X.states]
+                for (x, z), t in s.companion.items():
+                    assert terms.memo[X.index(x), X.index(z)] == forms.of(t)
+                assert _witness_proved(L)
+                witnesses += 1
+        assert witnesses == 600
+
+    def test_stepping_does_not_recurse(self):
+        # 5 000 stars nested in their heads; each steps its head first
+        e = Star(Zero(), A)
+        for _ in range(5000):
+            e = Star(e, Zero())
+        forms = _NormalForms()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            stepped = forms.step(forms.of(e))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert stepped == (frozenset(), {"a": {forms.of(Star(Star(Zero(), A), Zero()))}})
 
 
 def _tree_and_dag_nodes(e):
