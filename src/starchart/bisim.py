@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .semantics import Prechart, StateId, _alphabet_for, _coproduct_walk, _join, _layers
+from .semantics import Prechart, StateId, _alphabet_for, _join, _layers
 from .syntax import Expr, atoms
 
 
@@ -355,13 +355,6 @@ class _Decision:
         return (0 if x < self.n else 1, self.states[x])
 
 
-def _decide_fully(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
-    """Decide bisimilarity of ``e`` and ``f`` on the whole coproduct of
-    their charts, refined to the largest bisimulation."""
-    (states, outs, numbered), n = _coproduct_walk(e, f, alphabet)
-    return _Decision(alphabet, states, outs, numbered, n, *_coarsest(outs, numbered))
-
-
 def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
     """Decide bisimilarity of ``e`` and ``f``, stopping at the first round
     that separates them.
@@ -382,7 +375,8 @@ def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
     no more than the states plus transitions walked, so that a deep chart
     pays at most its walk again.  When it stops, or when the walks end with
     the roots unseparated, the walks run to their end on the same arrays
-    and ``_coarsest`` decides, as ``_decide_fully`` does."""
+    and ``_coarsest`` decides on the whole coproduct, so an equivalent
+    pair's ``block_of`` is the largest bisimulation's on every state."""
     walks = [_layers([e], alphabet), _layers([f], alphabet)]
     sides: list = [None, None]  # per side: the arrays of its walk
     ends: tuple[list[int], list[int]] = ([], [])  # per side and distance d: how many states lie within d steps

@@ -21,7 +21,9 @@ refinement.  This is sound: bisimilar states satisfy the same formulas
 fails at ``f`` proves that they are not bisimilar.  ``certify`` runs the
 same check, ``distinguishing-formula``, before it emits the certificate,
 and no other: a decision that separated bisimilar roots could derive no
-formula that passes it.
+formula that passes it.  ``starchart bisim --witness`` makes the same one
+decision and prints the same formula; for a bisimilar pair it prints the
+relation that the decided partition gives.
 
 Replay of an equivalent certificate checks the local proof (Grabmayer and
 Fokkink, LICS 2020) with no refinement: it walks each input once, checks
@@ -45,17 +47,14 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
-from .bisim import (BisimViolation, _Decision, _decide, _decide_fully, _distinguishing_formula, _stable,
-                    bisimilarity)
+from .bisim import _decide, _distinguishing_formula, _stable, bisimilarity
 from .formats import (
     _is_strings,
     chart_from_json,
     chart_to_json,
     state_ids,
-    state_label,
     to_dot,
     weighted_to_json,
     witness_from_json,
@@ -63,7 +62,7 @@ from .formats import (
 )
 from .layering import LabelledPrechart, infer_witness, syntactic_witness, to_llee, verify_witness
 from .rerouting import collapse, connect_through
-from .semantics import Prechart, StateId, _coproduct_walk, _distinguishes, _quotient, _Walk, chart_of
+from .semantics import Prechart, _coproduct_walk, _distinguishes, _quotient, _Walk, chart_of
 from .solution import _witness_proved, canonical_solution, simplify
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
@@ -114,55 +113,6 @@ class Certificate:
             "projection": self.projection,
             "distinguishing": None if self.distinguishing is None else {"formula": self.distinguishing},
         }
-
-
-# ``bisim --witness`` names a failed clause of the bisimilarity with the
-# roots' blocks joined, on state numbers
-
-
-def _candidate(d: _Decision) -> list[int]:
-    """``d.block_of`` with the roots' blocks joined."""
-    left, right = d.block_of[0], d.block_of[d.n]
-    return [left if b == right else b for b in d.block_of]
-
-
-def _clauses(d: _Decision, candidate: list[int], x: int, y: int) -> Iterator[BisimViolation]:
-    """The failed clauses of the pair of state numbers ``(x, y)`` under the
-    partition ``candidate``, on state numbers, in the order of
-    ``bisim._violations``: the output actions on which the two disagree,
-    sorted; then, per action, each unmatched successor of ``x`` (``forth``)
-    before each unmatched one of ``y`` (``back``)."""
-    for action in sorted(d.outs[x] ^ d.outs[y]):
-        yield BisimViolation("output", x, y, action)
-    for a, xs, ys in zip(d.alphabet, d.numbered[x], d.numbered[y]):
-        x_blocks = {candidate[j] for j in xs}
-        y_blocks = {candidate[k] for k in ys}
-        for j in xs:
-            if candidate[j] not in y_blocks:
-                yield BisimViolation("forth", x, y, a, j)
-        for k in ys:
-            if candidate[k] not in x_blocks:
-                yield BisimViolation("back", x, y, a, k)
-
-
-def _distinguishing_violation(d: _Decision, candidate: list[int]) -> BisimViolation:
-    """The first failing clause of ``candidate``, on state numbers: the
-    roots' pair first, then every related pair, blocks by least member and
-    members in discovery order."""
-    blocks: dict[int, list[int]] = {}
-    for x, b in enumerate(candidate):
-        blocks.setdefault(b, []).append(x)
-    pairs = ((x, y) for block in blocks.values() for x in block for y in block)
-    for x, y in chain([(0, d.n)], pairs):
-        for violation in _clauses(d, candidate, x, y):
-            return violation
-    raise RuntimeError("roots are not bisimilar yet joining their classes yields a bisimulation")
-
-
-def _on_states(d: _Decision, v: BisimViolation) -> BisimViolation:
-    """The clause ``v`` on state numbers as a clause on the joined chart's states."""
-    successor = d.state(v.successor) if v.successor is not None else None
-    return BisimViolation(v.clause, d.state(v.left), d.state(v.right), v.action, successor)
 
 
 # The checks below are shared by ``certify``, which builds the evidence, and
@@ -256,16 +206,20 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     fails ``solution-proved`` too, a formula or projection of the wrong
     shape, null or missing, fails, and a ``collapsed`` that is no chart,
     null or missing, fails every check.  Of the evidence a certificate
-    carries, only an unknown verdict or an ``alphabet`` that is no list of
-    action names raises ``ValueError``; its inputs must parse.
+    carries, only an unknown verdict, an ``alphabet`` that is no list of
+    action names or ``inputs`` that are no mapping of ``left`` and
+    ``right`` to strings raises ``ValueError``; its inputs must parse.
     """
     if doc["verdict"] not in ("equivalent", "inequivalent"):
         raise ValueError(f"unknown verdict {doc['verdict']!r}")
     if not _is_strings(doc["alphabet"]):
         raise ValueError("'alphabet' must be a list of strings")
+    inputs = doc["inputs"]
+    texts = [inputs.get(k) for k in ("left", "right")] if isinstance(inputs, Mapping) else None
+    if not _is_strings(texts):
+        raise ValueError("'inputs' must map 'left' and 'right' to strings")
     alpha = declare_alphabet(doc["alphabet"])  # as ``--alphabet`` reads it
-    e = parse(doc["inputs"]["left"], alpha)
-    f = parse(doc["inputs"]["right"], alpha)
+    e, f = parse(texts[0], alpha), parse(texts[1], alpha)
     if doc["verdict"] == "inequivalent":
         v = doc.get("distinguishing")
         return [_formula_check(alpha, v.get("formula") if isinstance(v, Mapping) else None, e, f)]
@@ -341,10 +295,10 @@ def cmd_chart(args: argparse.Namespace) -> int:
 
 def cmd_bisim(args: argparse.Namespace) -> int:
     alpha, (e, f) = _parse_exprs(args, args.left, args.right)
-    # a relation or a clause needs the full bisimilarity, not only the separating round
-    d = (_decide_fully if args.witness else _decide)(e, f, alpha)
+    d = _decide(e, f, alpha)
     print("bisimilar" if d.bisimilar else "not-bisimilar")
     if args.witness and d.bisimilar:
+        # an equivalent pair's decision ends in ``_coarsest``, so ``block_of`` covers every state
         block_of, n = d.block_of, d.n
         relation = [
             [render(x), render(y)]
@@ -354,11 +308,7 @@ def cmd_bisim(args: argparse.Namespace) -> int:
         ]
         _emit({"bisimilar": True, "relation": relation})
     elif args.witness:
-        v = _on_states(d, _distinguishing_violation(d, _candidate(d)))
-        successor = state_label(v.successor) if v.successor is not None else None
-        _emit({"bisimilar": False, "clause": {"kind": v.clause, "left": state_label(v.left),
-                                              "right": state_label(v.right), "action": v.action,
-                                              "successor": successor}})
+        _emit({"bisimilar": False, "formula": _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, 0, d.n)})
     return 0 if d.bisimilar else 1
 
 
@@ -468,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--alphabet")
     p.add_argument("--witness", action="store_true",
-                   help="also print the relation or a distinguishing clause")
+                   help="also print the relation, or a formula that holds at LEFT and fails at RIGHT")
     p.set_defaults(func=cmd_bisim)
 
     p = sub.add_parser("witness", help="verify, infer, or derive a layering witness")

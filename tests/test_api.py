@@ -1,4 +1,5 @@
-"""The package exports its public names, and no submodule; it keeps no unused private name."""
+"""The package exports its public names, and no submodule; it keeps no unused private name and
+no unused import."""
 
 import ast
 import pathlib
@@ -42,3 +43,23 @@ def test_every_private_module_name_is_used():
                if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
     assert len(private) > 20
     assert [(m, name) for m, name in private if name not in used] == []
+
+
+def test_every_imported_name_is_used():
+    # an import that a deletion leaves behind is referenced nowhere in its
+    # module; ``__init__`` imports to export
+    package = pathlib.Path(starchart.__file__).parent
+    imported, unused = 0, []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [(alias.asname or alias.name).partition(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imported += len(names)
+        unused += [(path.name, name) for name in names if name not in used]
+    assert imported > 50
+    assert unused == []

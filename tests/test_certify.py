@@ -23,21 +23,19 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from starchart import (PartitionRelation, Prechart, Sum, atoms, bisimilar, bisimilarity, canonical_solution, certify,
+from starchart import (Prechart, Sum, atoms, bisimilar, bisimilarity, canonical_solution, certify,
                        chart_of, coproduct, is_homomorphism, parse, quotient, recheck_certificate, render)
 from starchart import bisim, cli, semantics, solution
-from starchart.bisim import _coarsest, _decide, _decide_fully, _distinguishing_formula, _violations
-from starchart.cli import _candidate, _clauses, _distinguishing_violation, _on_states, _proof_checks
+from starchart.bisim import _coarsest, _decide, _distinguishing_formula
+from starchart.cli import _proof_checks
 from starchart.semantics import _coproduct_walk, _distinguishes, _numbered_chart
 from starchart.solution import _proved
 from test_golden_certs import corpus as golden_corpus
-from gen import (joined_chart, partition_from_pairs, random_expr, rewrite_steps, round_by_round_bisimilarity,
-                 satisfies, wstar_pair)
+from gen import joined_chart, random_expr, rewrite_steps, round_by_round_bisimilarity, satisfies, wstar_pair
 
 ALPHA = ("a", "b", "c")
 # declared orders other than the sorted one, and multi-letter actions
@@ -78,14 +76,6 @@ def alphabet_pairs(seed: int, count: int):
         e = random_expr(rng, alpha, depth=rng.randint(1, 4))
         f = rewrite_steps(rng, e, rng.randint(1, 3)) if i % 2 == 0 else random_expr(rng, alpha, depth=3)
         yield alpha, e, f
-
-
-def partition_of(Z: Prechart, block_of: list) -> PartitionRelation:
-    """The partition of ``Z.states`` that a list of block labels by state number gives."""
-    groups: dict = {}
-    for x, b in zip(Z.states, block_of):
-        groups.setdefault(b, []).append(x)
-    return PartitionRelation.from_blocks(Z.states, groups.values())
 
 
 def roundtrip(cert) -> dict:
@@ -481,55 +471,40 @@ class TestOneWalkDecides:
     def test_the_decision_is_the_coproduct_of_both_charts_and_its_refinement(self):
         verdicts = set()
         for alpha, e, f in alphabet_pairs(449, 520):
-            d = _decide_fully(e, f, alpha)
+            (states, outs, numbered), n = _coproduct_walk(e, f, alpha)
+            rounds, count = _coarsest(outs, numbered)
+            block_of = rounds[-1]
+            tagged = [(0 if x < n else 1, y) for x, y in enumerate(states)]
             X, Y = chart_of(e, alpha), chart_of(f, alpha)
             Z, inl, inr = coproduct(X, Y)
-            # the chart of the decision's arrays is the coproduct
-            joined = _numbered_chart(alpha, (tuple(map(d.state, range(len(d.states)))), d.outs, d.numbered))
+            # the chart of the joined walks' arrays is the coproduct
+            joined = _numbered_chart(alpha, (tuple(tagged), outs, numbered))
             R = bisimilarity(Z)
             assert joined == Z
             assert [list(m) for m in (joined.outputs, joined.transitions)] == [
                 list(m) for m in (Z.outputs, Z.transitions)]
-            assert d.n == len(X.states)
-            assert [d.state(x) for x in range(len(d.states))] == list(Z.states)
-            assert list(inl.items()) == [(x, d.state(i)) for i, x in enumerate(X.states)]
-            assert list(inr.items()) == [(y, d.state(d.n + i)) for i, y in enumerate(Y.states)]
+            assert n == len(X.states)
+            assert tagged == list(Z.states)
+            assert list(inl.items()) == [(x, tagged[i]) for i, x in enumerate(X.states)]
+            assert list(inr.items()) == [(y, tagged[n + i]) for i, y in enumerate(Y.states)]
             # ``block_of`` numbers the bisimilarity's blocks by least member
             assert R == round_by_round_bisimilarity(Z)
-            assert d.block_of == [R.block_index(x) for x in Z.states] and d.count == len(R.blocks)
-            assert d.bisimilar == R.related(inl[e], inr[f]) == bisimilar(e, f, alpha) == _decide(e, f, alpha).bisimilar
+            assert block_of == [R.block_index(x) for x in Z.states] and count == len(R.blocks)
+            d = _decide(e, f, alpha)
+            verdict = block_of[0] == block_of[n]
+            assert verdict == R.related(inl[e], inr[f]) == bisimilar(e, f, alpha) == d.bisimilar
             # the walk's numbered successors are those a copy computes
-            assert tuple(d.numbered) == joined.numbered_succ() == Prechart.make(
+            assert tuple(numbered) == joined.numbered_succ() == Prechart.make(
                 alpha, Z.states, Z.outputs, Z.transitions).numbered_succ()
-            verdicts.add(d.bisimilar)
+            if verdict:
+                # an equivalent pair's decision refines the whole joined walks
+                # to the largest bisimulation, on which ``bisim --witness``
+                # reads the relation
+                assert (d.states, d.outs, d.numbered, d.n, d.rounds, d.count) == (
+                    states, outs, numbered, n, rounds, count)
+                assert [d.state(x) for x in range(len(d.states))] == tagged
+            verdicts.add(verdict)
         assert verdicts == {True, False}
-
-    def test_clauses_on_numbers_are_the_violations_of_the_joined_chart(self):
-        verdicts = set()
-        clauses = set()
-        for alpha, e, f in alphabet_pairs(457, 520):
-            d = _decide_fully(e, f, alpha)
-            Z = joined_chart(e, f, alpha)
-            roots = (Z.states[0], Z.states[d.n])
-            merged = partition_of(Z, _candidate(d))
-            # the bisimilarity with the roots' blocks joined
-            assert merged == partition_from_pairs(Z.states, chain(bisimilarity(Z).pairs(), [roots]))
-            # the output partition is coarser, so many of its pairs fail a clause
-            outputs: dict = {}
-            by_output = [outputs.setdefault(out, len(outputs)) for out in d.outs]
-            for candidate in (_candidate(d), by_output):
-                P = partition_of(Z, candidate)
-                for x, y in P.pairs():
-                    got = [_on_states(d, v) for v in _clauses(d, candidate, Z.index(x), Z.index(y))]
-                    assert got == list(_violations(Z, Z, P.related, x, y))
-                    clauses.update(v.clause for v in got)
-            if not d.bisimilar:
-                first = next(v for x, y in chain([roots], merged.pairs())
-                             for v in _violations(Z, Z, merged.related, x, y))
-                assert _on_states(d, _distinguishing_violation(d, _candidate(d))) == first
-            verdicts.add(d.bisimilar)
-        assert verdicts == {True, False}
-        assert clauses == {"output", "forth", "back"}
 
 
 def reached_states(Z: Prechart, formula, roots) -> set:
@@ -568,7 +543,7 @@ class TestDistinguishingFormulas:
                 assert _distinguishes(formula, e, f, alphabet)
                 assert _distinguishes(formula, Sum(e, e), Sum(f, f), alphabet)
                 assert not _distinguishes(formula, f, e, alphabet)
-                n = len(_decide_fully(e, f, alphabet).states)
+                n = len(_coproduct_walk(e, f, alphabet)[0][0])
                 assert len(formula) <= n * n
                 nodes.append(len(formula))
                 kinds.update(kind if kind != "and" else f"and of {min(len(args[0]), 2)}" for kind, *args in formula)
@@ -579,10 +554,10 @@ class TestDistinguishingFormulas:
         stepped = outermost_steps(monkeypatch)
         saved = 0
         for e, f, doc in inequivalent_pairs(439, 40):
-            Z, d = joined_chart(e, f, ALPHA), _decide_fully(e, f, ALPHA)
+            Z, n = joined_chart(e, f, ALPHA), _coproduct_walk(e, f, ALPHA)[1]
             stepped.clear()
             assert all(c.passed for c in recheck_certificate(doc))
-            reached = reached_states(Z, doc["distinguishing"]["formula"], (Z.states[0], Z.states[d.n]))
+            reached = reached_states(Z, doc["distinguishing"]["formula"], (Z.states[0], Z.states[n]))
             # each reached derivative is stepped, at most once per node, and
             # nothing else is; states are expressions, whichever side they are on
             assert {x for _, x in reached} == set(stepped)
@@ -828,6 +803,15 @@ class TestTamperedCertificates:
                     roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))):
             with pytest.raises(ValueError):
                 recheck_certificate({**doc, "alphabet": alphabet})
+
+    @pytest.mark.parametrize("inputs", [1, None, [], "a", ["a", "a"], {"left": 1, "right": "a"},
+                                        {"left": "a", "right": None}, {"left": "a"}, {}])
+    def test_inputs_that_are_no_mapping_of_two_strings_raise(self, inputs):
+        # as for the alphabet, an input error names its field
+        for doc in (roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b")))),
+                    roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))):
+            with pytest.raises(ValueError, match="'inputs'"):
+                recheck_certificate({**doc, "inputs": inputs})
 
     def test_a_repeated_action_is_read_once(self):
         # as ``--alphabet a,b,b`` declares the alphabet a, b

@@ -15,7 +15,9 @@ from starchart import (
     Atom,
     Seq,
     Star,
+    Sum,
     Zero,
+    atoms,
     bisimilar,
     certify,
     chart_of,
@@ -27,7 +29,8 @@ from starchart import layering
 from starchart.cli import main
 from starchart.formats import chart_to_json, witness_to_json
 from starchart.layering import syntactic_witness
-from gen import fig3_right, holding_every_state, random_expr, rewrite_steps
+from starchart.semantics import _distinguishes
+from gen import fig3_right, holding_every_state, random_expr, rewrite_steps, satisfies
 
 A = Atom("a")
 AA0 = Star(Seq(A, A), Zero())
@@ -94,11 +97,39 @@ class TestBisimCommand:
         assert doc["bisimilar"] is True
         assert ["a*0", "(a a)*0"] in doc["relation"]
 
-    def test_witness_clause(self, capsys):
+    def test_witness_formula(self, capsys):
         code, out, _ = run(capsys, "bisim", "a", "b", "--witness")
         doc = json.loads("\n".join(out.splitlines()[1:]))
-        assert doc["bisimilar"] is False
-        assert doc["clause"]["kind"] == "output"
+        assert code == 1 and doc["bisimilar"] is False
+        # ``a`` has the output ``a``, ``b`` lacks it
+        assert doc["formula"] == [["out", "a"]]
+
+    def test_witness_formula_is_the_certificates(self, capsys):
+        # one refutation format: the formula that ``bisim --witness`` prints
+        # is the one the certificate carries, byte for byte, and it holds at
+        # the left input and fails at the right one, by brute force and by
+        # replay's lazy check; every third pair declares an alphabet wider
+        # than its atoms, in an order other than the sorted one
+        rng = random.Random(3201)
+        checked = wider = 0
+        while checked < 200:
+            alpha = ("a", "b") if checked % 3 else ("c", "b", "a")
+            e = random_expr(rng, ("a", "b"), depth=rng.randint(2, 4))
+            f = random_expr(rng, ("a", "b"), depth=rng.randint(2, 4)) if checked % 2 else Sum(
+                rewrite_steps(rng, e, 2), random_expr(rng, ("a", "b"), depth=2))
+            cert = certify(e, f, alpha)
+            if cert.verdict != "inequivalent":
+                continue
+            formula = cert.to_json()["distinguishing"]["formula"]
+            code, out, _ = run(capsys, "bisim", render(e), render(f), "--alphabet", ",".join(alpha), "--witness")
+            assert code == 1
+            assert out == "not-bisimilar\n" + json.dumps(
+                {"bisimilar": False, "formula": formula}, indent=2, ensure_ascii=False) + "\n"
+            assert satisfies(chart_of(e, alpha), formula) and not satisfies(chart_of(f, alpha), formula)
+            assert _distinguishes(formula, e, f, alpha)
+            checked += 1
+            wider += len(alpha) > len(atoms(e) | atoms(f))
+        assert wider >= 60
 
 
 class TestWitnessCommand:
