@@ -337,9 +337,9 @@ class _Decision:
     the number of round ``r`` blocks among the states it covers.
     """
 
-    def __init__(self, alphabet: tuple[str, ...], states: tuple[Expr, ...], outs: list[frozenset[str]],
+    def __init__(self, states: tuple[Expr, ...], outs: list[frozenset[str]],
                  numbered: list[tuple[tuple[int, ...], ...]], n: int, rounds: list[list[int]], count: int) -> None:
-        self.alphabet, self.states, self.outs, self.numbered = alphabet, states, outs, numbered
+        self.states, self.outs, self.numbered = states, outs, numbered
         self.n, self.rounds, self.count = n, rounds, count
 
     @property
@@ -416,7 +416,7 @@ def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
                 column += [None] * (n - len(column))
             for left, right in zip(*rounds):
                 left += right
-            return _Decision(alphabet, *_join(*sides), n, rounds[0], len(numbers[d]))
+            return _Decision(*_join(*sides), n, rounds[0], len(numbers[d]))
         if ended:
             break
         d += 1
@@ -424,4 +424,4 @@ def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
         for _ in walk:
             pass
     states, outs, numbered = _join(*sides)
-    return _Decision(alphabet, states, outs, numbered, len(sides[0][0]), *_coarsest(outs, numbered))
+    return _Decision(states, outs, numbered, len(sides[0][0]), *_coarsest(outs, numbered))

@@ -26,9 +26,10 @@ decision and prints the same formula; for a bisimilar pair it prints the
 relation that the decided partition gives.
 
 Replay of an equivalent certificate checks the local proof (Grabmayer and
-Fokkink, LICS 2020) with no refinement: it walks each input once, checks
-that each projection ``h`` is a homomorphism and that the roots meet, and
-proves ``C``'s canonical solution ``s`` by the axioms alone.  ``s`` is
+Fokkink, LICS 2020) with no refinement: it walks each input once, builds
+``C`` straight from the certificate's numbered rows, checks that each
+projection ``h`` is a homomorphism and that the roots meet, and proves
+``C``'s canonical solution ``s`` by the axioms alone.  ``s`` is
 built from the witness straight as normal forms, and each state's
 equation is checked on the derivatives of its normal form, so neither
 replay nor ``certify`` builds an expression solution.  This is sound:
@@ -38,6 +39,22 @@ syntactic LLEE witness, uniqueness of solutions gives ``e ≡ s(h(e))`` in
 Milner's system, and likewise for ``f``.  Minimality of ``C`` is not
 needed; ``certify`` checks it, and the decided partition, before the
 checks it shares with ``recheck_certificate``.
+
+Certificates are written in format version 3, one JSON object with
+``"version": 3``, which ``certify`` prints on one line.  Nothing in the
+local proof reads a state of ``C`` by name, so ``collapsed`` names none:
+it numbers ``C``'s states ``0..k-1`` in ``_quotient``'s order and holds
+``root``, a state number or null, ``outputs``, one sorted list of actions
+per state, and ``transitions``, one row ``[i, action, j, tag]`` per
+transition, under the certificate's ``alphabet``.  No field holds an
+expression except ``inputs``, so an equivalent certificate's size is
+linear in ``C``'s states and transitions and in its walks.  Replay reads
+the rows as strictly as the named witness format is read: a state number
+that is no int (a bool is none) or out of range, an action outside the
+alphabet, a tag other than entry or body, a row of another length or a
+transition tagged both ways makes ``collapsed`` no witness, which fails
+every check of the local proof.  Other commands print the named,
+indented formats of ``formats``.
 """
 
 from __future__ import annotations
@@ -60,11 +77,16 @@ from .formats import (
     witness_from_json,
     witness_to_json,
 )
-from .layering import LabelledPrechart, infer_witness, syntactic_witness, to_llee, verify_witness
+from .layering import BODY, ENTRY, LabelledPrechart, infer_witness, syntactic_witness, to_llee, verify_witness
 from .rerouting import collapse, connect_through
-from .semantics import Prechart, _coproduct_walk, _distinguishes, _quotient, _Walk, chart_of
+from .semantics import Prechart, _coproduct_walk, _distinguishes, _numbered_chart, _quotient, _Walk, chart_of
 from .solution import _witness_proved, canonical_solution, simplify
 from .syntax import Expr, atoms, declare_alphabet, parse, render
+
+
+# the certificate format that ``Certificate.to_json`` writes and
+# ``recheck_certificate`` reads (see the module docstring)
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -86,6 +108,11 @@ class Certificate:
     node list of a formula that holds at ``left`` and fails at ``right``
     (see ``bisim._distinguishing_formula``), and its one check is the one
     that replay runs, ``distinguishing-formula``.  Every listed check passed.
+
+    ``to_json`` writes format version 3 (see the module docstring): there
+    ``collapsed`` is ``{"root": r, "outputs": [[a, ...], ...],
+    "transitions": [[i, a, j, tag], ...]}`` on the state numbers that
+    ``projection`` holds, and no field but ``inputs`` holds an expression.
     """
 
     verdict: str  # "equivalent" | "inequivalent"
@@ -105,14 +132,68 @@ class Certificate:
 
     def to_json(self) -> dict[str, Any]:
         return {
+            "version": FORMAT_VERSION,
             "verdict": self.verdict,
             "inputs": {"left": render(self.left), "right": render(self.right)},
             "alphabet": list(self.alphabet),
             "checks": [{"name": c.name, "passed": c.passed} for c in self.checks],
-            "collapsed": witness_to_json(self.collapsed) if self.collapsed else None,
+            "collapsed": _rows_of(self.collapsed) if self.collapsed else None,
             "projection": self.projection,
             "distinguishing": None if self.distinguishing is None else {"formula": self.distinguishing},
         }
+
+
+def _rows_of(L: LabelledPrechart) -> dict[str, Any]:
+    """``collapsed`` in format version 3: ``L``'s chart by state number,
+    its transitions as rows ``[i, action, j, tag]`` in ``edges()`` order."""
+    C, tags = L.base, L.tags
+    states = C.states
+    rows = [
+        [i, a, j, tags[x, a, states[j]]]
+        for i, (x, succ) in enumerate(zip(states, C.numbered_succ()))
+        for a, js in zip(C.alphabet, succ)
+        for j in js
+    ]
+    return {
+        "root": None if C.root is None else C.index(C.root),
+        "outputs": [sorted(C.out(x)) for x in states],
+        "transitions": rows,
+    }
+
+
+def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> LabelledPrechart:
+    """The witness that a version-3 ``collapsed`` writes, on the states
+    ``0..k-1`` of its ``k`` output lists, built by ``_numbered_chart`` with
+    no state names.  Raises ``ValueError`` naming the first field that is
+    no such witness: outputs that are no lists of actions of ``alphabet``,
+    a root that is neither null nor a state number, or a row that is not
+    ``[i, action, j, tag]`` with state numbers ``i`` and ``j`` (ints, not
+    bools, in range), an action of ``alphabet`` and an entry or body tag;
+    and a transition tagged both ways."""
+    if not isinstance(doc, Mapping):
+        raise ValueError("'collapsed' must be an object")
+    outputs, root, transitions = doc.get("outputs"), doc.get("root"), doc.get("transitions")
+    position = {a: p for p, a in enumerate(alphabet)}
+    if not (isinstance(outputs, list) and all([_is_strings(out) and position.keys() >= set(out) for out in outputs])):
+        raise ValueError("'outputs' must be a list of action lists, one per state")
+    k = len(outputs)
+    if not (root is None or type(root) is int and 0 <= root < k):  # neither a bool nor a float
+        raise ValueError("'root' must be a state number or null")
+    if not isinstance(transitions, list):
+        raise ValueError("'transitions' must be a list of rows")
+    succ: list[list[list[int]]] = [[[] for _ in alphabet] for _ in range(k)]
+    tags: dict[tuple[int, str, int], str] = {}
+    for row in transitions:
+        i, a, j, tag = row if isinstance(row, list) and len(row) == 4 else (None,) * 4
+        if not (type(i) is int and type(j) is int and 0 <= i < k and 0 <= j < k
+                and isinstance(a, str) and a in position and tag in (ENTRY, BODY)):
+            raise ValueError(f"'transitions' must hold rows [i, action, j, tag], not {row!r}")
+        if tags.setdefault((i, a, j), tag) != tag:
+            raise ValueError(f"transition {(i, a, j)} is tagged both {tags[i, a, j]!r} and {tag!r}")
+        succ[i][position[a]].append(j)
+    numbered = [tuple([tuple(sorted(set(js))) for js in rows]) for rows in succ]
+    C = _numbered_chart(alphabet, (tuple(range(k)), list(map(frozenset, outputs)), numbered), root)
+    return LabelledPrechart(C, tags)
 
 
 # The checks below are shared by ``certify``, which builds the evidence, and
@@ -125,17 +206,16 @@ def _formula_check(alphabet: tuple[str, ...], formula: Any, e: Expr, f: Expr) ->
     return Check("distinguishing-formula", _distinguishes(formula, e, f, alphabet))
 
 
-def _proof_checks(alphabet: tuple[str, ...], walk: _Walk, n: int, collapsed: LabelledPrechart | None,
-                  projection: Any) -> list[Check]:
-    """The local proof: the witness ``collapsed``; ``projection``, which maps
-    the walk's first ``n`` states by its list ``left`` and the rest by
-    ``right`` to positions in the witness's chart ``C``, as a homomorphism
-    (outputs agree, and per action the images of a state's successors are
-    its image's successors), checked in time linear in the walk; both
-    roots' images at ``C``'s root; and the witness's canonical solution,
-    built as normal forms, proved by the axioms alone, which fails when
-    ``collapsed`` is no witness.  A ``collapsed`` of ``None``, a document
-    that is no chart, fails them all."""
+def _proof_checks(walk: _Walk, n: int, collapsed: LabelledPrechart | None, projection: Any) -> list[Check]:
+    """The local proof: the witness ``collapsed``, whose chart ``C`` has the
+    walk's alphabet; ``projection``, which maps the walk's first ``n``
+    states by its list ``left`` and the rest by ``right`` to positions in
+    ``C``, as a homomorphism (outputs agree, and per action the images of a
+    state's successors are its image's successors), checked in time linear
+    in the walk; both roots' images at ``C``'s root; and the witness's
+    canonical solution, built as normal forms, proved by the axioms alone,
+    which fails when ``collapsed`` is no witness.  A ``collapsed`` of
+    ``None``, a document that is no witness, fails them all."""
     if collapsed is None:
         names = ("collapsed-witness-valid", "projection-homomorphism", "roots-meet", "solution-proved")
         return [Check(name, False) for name in names]
@@ -145,7 +225,7 @@ def _proof_checks(alphabet: tuple[str, ...], walk: _Walk, n: int, collapsed: Lab
     image = sides[0] + sides[1] if lists else []
     rows, states = C.numbered_succ(), range(len(C.states))
     homomorphism = (
-        lists and C.alphabet == alphabet and len(sides[0]) == n and len(image) == len(outs)
+        lists and len(sides[0]) == n and len(image) == len(outs)
         and all(type(b) is int and b in states for b in image)  # neither bools nor strings
         and all(out == C.out(C.states[b])
                 and tuple([tuple(sorted({image[j] for j in js})) for js in succ]) == rows[b]
@@ -190,7 +270,7 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
             raise RuntimeError("the minimal quotient has no layering witness, "
                                "which contradicts the collapse theorem")
         projection = {"left": d.block_of[:d.n], "right": d.block_of[d.n:]}
-        checks += _proof_checks(alpha, (d.states, d.outs, d.numbered), d.n, witness, projection)
+        checks += _proof_checks((d.states, d.outs, d.numbered), d.n, witness, projection)
         cert = Certificate("equivalent", e, f, alpha, checks, collapsed=witness, projection=projection)
     failed = [c.name for c in cert.checks if not c.passed]
     if failed:
@@ -204,12 +284,19 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     ``distinguishing-formula``, and the local proof of an equivalent one.
     Data that fails a check does not raise: a witness that does not verify
     fails ``solution-proved`` too, a formula or projection of the wrong
-    shape, null or missing, fails, and a ``collapsed`` that is no chart,
-    null or missing, fails every check.  Of the evidence a certificate
-    carries, only an unknown verdict, an ``alphabet`` that is no list of
-    action names or ``inputs`` that are no mapping of ``left`` and
-    ``right`` to strings raises ``ValueError``; its inputs must parse.
+    shape, null or missing, fails, and a ``collapsed`` that is no witness
+    in numbered rows (see ``_witness_of_rows``), null or missing, fails
+    every check.  Of the evidence a certificate carries, only a document
+    that is no JSON object or of a version other than ``FORMAT_VERSION``,
+    an unknown verdict, an ``alphabet`` that is no list of action names or
+    ``inputs`` that are no mapping of ``left`` and ``right`` to strings
+    raises ``ValueError``; its inputs must parse.
     """
+    if not isinstance(doc, Mapping):
+        raise ValueError("a certificate must be a JSON object")
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:  # neither a bool nor a float
+        raise ValueError(f"certificate 'version' {version!r} is not {FORMAT_VERSION}")
     if doc["verdict"] not in ("equivalent", "inequivalent"):
         raise ValueError(f"unknown verdict {doc['verdict']!r}")
     if not _is_strings(doc["alphabet"]):
@@ -225,10 +312,10 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
         return [_formula_check(alpha, v.get("formula") if isinstance(v, Mapping) else None, e, f)]
     walk, n = _coproduct_walk(e, f, alpha)
     try:
-        collapsed = witness_from_json(doc.get("collapsed"))
+        collapsed = _witness_of_rows(alpha, doc.get("collapsed"))
     except ValueError:
         collapsed = None
-    return _proof_checks(alpha, walk, n, collapsed, doc.get("projection"))
+    return _proof_checks(walk, n, collapsed, doc.get("projection"))
 
 
 # --- command surface ---------------------------------------------------------
@@ -381,7 +468,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     alpha, (e, f) = _parse_exprs(args, args.left, args.right)
     cert = certify(e, f, alpha)
-    _emit(cert.to_json())
+    print(json.dumps(cert.to_json(), ensure_ascii=False))  # one line, by the C encoder
     return 0 if cert.verdict == "equivalent" else 1
 
 

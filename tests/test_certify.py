@@ -18,6 +18,7 @@ checker on each input's chart.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 import subprocess
@@ -32,6 +33,7 @@ from starchart import (Prechart, Sum, atoms, bisimilar, bisimilarity, canonical_
 from starchart import bisim, cli, semantics, solution
 from starchart.bisim import _coarsest, _decide, _distinguishing_formula
 from starchart.cli import _proof_checks
+from starchart.formats import witness_to_json
 from starchart.semantics import _coproduct_walk, _distinguishes, _numbered_chart
 from starchart.solution import _proved
 from test_golden_certs import corpus as golden_corpus
@@ -183,7 +185,7 @@ class TestProjectionCheck:
             side = moved[rng.randrange(2)]
             side[rng.randrange(len(side))] = rng.randrange(len(C.states))
             for h_left, h_right in ((left, right), moved):
-                checks = _proof_checks(alpha, walk, n, cert.collapsed, {"left": h_left, "right": h_right})
+                checks = _proof_checks(walk, n, cert.collapsed, {"left": h_left, "right": h_right})
                 got = dict((c.name, c.passed) for c in checks)["projection-homomorphism"]
                 on_charts = [is_homomorphism({x: C.states[b] for x, b in zip(Z.states, h)}, Z, C)[0]
                              for Z, h in ((X, h_left), (Y, h_right))]
@@ -253,8 +255,10 @@ class TestDecideFirst:
         # the quotient, or the joint chart of ``verify_solution``'s
         # fallback; ``_stable`` checks a partition, and ``_coarsest`` is
         # every refinement to the largest bisimulation; ``_Analysis`` is
-        # every witness analysis built
-        counted = [("semantics", "chart_of"), ("semantics", "_layers"), ("semantics", "_walk"),
+        # every witness analysis built; the named formats' readers and
+        # ``state_ids`` are every state name written or read
+        counted = [("formats", "chart_from_json"), ("formats", "witness_from_json"), ("formats", "state_ids"),
+                   ("semantics", "chart_of"), ("semantics", "_layers"), ("semantics", "_walk"),
                    ("semantics", "_numbered_chart"), ("layering", "syntactic_witness"),
                    ("bisim", "bisimilar"), ("bisim", "bisimilarity"), ("rerouting", "collapse"),
                    ("layering", "enumerate_witnesses"), ("bisim", "_stable"),
@@ -282,7 +286,8 @@ class TestDecideFirst:
             # and no partition check; the refinement to the largest
             # bisimulation runs only when no round separated the roots early
             refined = certified.pop("_coarsest")
-            assert certified == {"chart_of": 0, "_layers": 2, "_walk": 0, "_numbered_chart": 0,
+            assert certified == {"chart_from_json": 0, "witness_from_json": 0, "state_ids": 0,
+                                 "chart_of": 0, "_layers": 2, "_walk": 0, "_numbered_chart": 0,
                                  "syntactic_witness": 0, "bisimilar": 0, "bisimilarity": 0,
                                  "collapse": 0, "enumerate_witnesses": 0, "_stable": 0,
                                  "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
@@ -322,17 +327,20 @@ class TestDecideFirst:
             # the solution is proved by the axioms alone; the inferred witness
             # is analysed once, and inference, the solution and the check
             # table share that analysis
-            expected = {"chart_of": 0, "_layers": 2, "_walk": 0, "_numbered_chart": 1, "syntactic_witness": 0,
+            expected = {"chart_from_json": 0, "witness_from_json": 0, "state_ids": 0,
+                        "chart_of": 0, "_layers": 2, "_walk": 0, "_numbered_chart": 1, "syntactic_witness": 0,
                         "bisimilar": 0, "bisimilarity": 1, "collapse": 0, "enumerate_witnesses": 0,
                         "_stable": 1, "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
                         "_quotient": 1, "_coarsest": 2, "verify_solution": 0, "_Analysis": 1}
             assert [args[0] for args in calls["bisimilarity"]] == [cert.collapsed.base]
             assert self.counts(calls) == expected
             assert all(c.passed for c in recheck_certificate(roundtrip(cert)))
-            # replay walks each side once, to its end, and refines nothing:
-            # no partition, no bisimilarity and no fallback, and it builds no
-            # chart from arrays; it analyses the witness it reads once
-            assert self.counts(calls) == {**expected, "_walk": 2, "_numbered_chart": 0, "_quotient": 0,
+            # writing the certificate names no state; replay walks each side
+            # once, to its end, and refines nothing: no partition, no
+            # bisimilarity and no fallback; the one chart it builds is the
+            # quotient, from the certificate's numbered rows, with no state
+            # name read, and it analyses the witness it reads once
+            assert self.counts(calls) == {**expected, "_walk": 2, "_quotient": 0,
                                           "bisimilarity": 0, "_stable": 0, "_coarsest": 0}
             seen += 1
         assert seen == 30
@@ -588,6 +596,35 @@ print(cert.verdict, len(doc["distinguishing"]["formula"]),
         assert proc.stdout.split() == ["inequivalent", "300", "True", "True"]
 
 
+def certificate_bytes(cert) -> int:
+    """The size of the certificate as ``starchart certify`` prints it."""
+    return len(json.dumps(cert.to_json(), ensure_ascii=False).encode("utf-8"))
+
+
+class TestCertificateSize:
+    def test_the_seed_88_certificate_is_small(self):
+        # the quotient of this pair has 193 states and 629 transitions;
+        # named by rendered expressions, they took 713 147 bytes
+        e = random_expr(random.Random(88), depth=12)
+        cert = certify(e, Sum(e, e))
+        assert len(cert.collapsed.base.states) == 193
+        assert certificate_bytes(cert) < 60_000
+
+    def test_bytes_grow_linearly_in_the_quotient(self):
+        # an odd word's cycle is its own quotient, of n states and n
+        # transitions; the inputs and the walks grow linearly with it, so
+        # each state or transition added costs about the same bytes, where
+        # a name per state would cost more with every state added
+        sizes = []
+        for n in range(11, 200, 20):
+            cert = certify(*wstar_pair(n))
+            C = cert.collapsed.base
+            assert len(C.states) == n
+            sizes.append((len(C.states) + sum(1 for _ in C.edges()), certificate_bytes(cert)))
+        steps = [(b2 - b1) / (s2 - s1) for (s1, b1), (s2, b2) in zip(sizes, sizes[1:])]
+        assert max(steps) < 1.5 * min(steps) and max(steps) < 40, steps
+
+
 class TestTamperedCertificates:
     def test_an_edited_action_fails_the_distinguishing_formula(self):
         doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
@@ -671,7 +708,7 @@ class TestTamperedCertificates:
     def test_a_moved_projection_entry_fails_the_homomorphism(self):
         moved = 0
         for doc in equivalent_docs(431, 30):
-            size = len(doc["collapsed"]["states"])
+            size = len(doc["collapsed"]["outputs"])
             for side in ("left", "right"):
                 tampered = json.loads(json.dumps(doc))
                 h = tampered["projection"][side]
@@ -710,8 +747,7 @@ class TestTamperedCertificates:
 
     def test_a_moved_root_image_fails_roots_meet(self):
         for doc in equivalent_docs(437, 10):
-            size = len(doc["collapsed"]["states"])
-            root = doc["collapsed"]["states"].index(doc["collapsed"]["root"])
+            size, root = len(doc["collapsed"]["outputs"]), doc["collapsed"]["root"]
             for other in set(range(size)) - {root}:
                 tampered = json.loads(json.dumps(doc))
                 for h in tampered["projection"].values():
@@ -728,15 +764,15 @@ class TestTamperedCertificates:
         left, right = parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))
         doc = roundtrip(certify(left, right))
         everything = json.loads(json.dumps(doc))
-        for transition in everything["collapsed"]["transitions"]:
-            transition["tag"] = "b"
+        for row in everything["collapsed"]["transitions"]:
+            row[3] = "b"
         assert failed_checks(everything) == {"collapsed-witness-valid", "solution-proved"}
         # one tag flipped, on certificates with several tags
         flipped = 0
         for doc in equivalent_docs(439, 30):
-            for i, transition in enumerate(doc["collapsed"]["transitions"]):
+            for i, (_, _, _, tag) in enumerate(doc["collapsed"]["transitions"]):
                 tampered = json.loads(json.dumps(doc))
-                tampered["collapsed"]["transitions"][i]["tag"] = {"e": "b", "b": "e"}[transition["tag"]]
+                tampered["collapsed"]["transitions"][i][3] = {"e": "b", "b": "e"}[tag]
                 if all(c.passed for c in recheck_certificate(tampered)):
                     continue  # another witness of the same chart
                 assert failed_checks(tampered) == {"collapsed-witness-valid", "solution-proved"}
@@ -746,34 +782,98 @@ class TestTamperedCertificates:
     def test_a_dropped_output_fails_the_homomorphism(self):
         dropped = 0
         for doc in equivalent_docs(441, 30):
-            for state, actions in doc["collapsed"]["outputs"].items():
+            for state, actions in enumerate(doc["collapsed"]["outputs"]):
+                if not actions:
+                    continue
                 tampered = json.loads(json.dumps(doc))
                 tampered["collapsed"]["outputs"][state] = actions[1:]
                 assert failed_checks(tampered) == {"projection-homomorphism"}
                 dropped += 1
         assert dropped >= 20
 
-    def test_a_mismatched_collapsed_alphabet_fails_the_homomorphism(self):
-        # each still holds every action of the chart, which stays a chart
+    def test_permuted_actions_fail_the_homomorphism(self):
+        # the rows and outputs with the actions renamed by a permutation of
+        # the alphabet: ``C`` stays a chart whose witness verifies and whose
+        # solution is proved, but the projections, which are onto, map onto
+        # it only if the renaming leaves it the same chart
+        permuted = 0
         for doc in equivalent_docs(443, 10):
-            for alphabet in (ALPHA[::-1], ("b", "a", "c"), ALPHA + ("d",), ("d",) + ALPHA):
+            collapsed = doc["collapsed"]
+            chart = lambda c: ({(i, a, j) for i, a, j, _ in c["transitions"]}, [set(o) for o in c["outputs"]])
+            for order in itertools.permutations(ALPHA):
+                rename = dict(zip(ALPHA, order))
                 tampered = json.loads(json.dumps(doc))
-                tampered["collapsed"]["alphabet"] = list(alphabet)
-                assert failed_checks(tampered) == {"projection-homomorphism"}, alphabet
+                for row in tampered["collapsed"]["transitions"]:
+                    row[1] = rename[row[1]]
+                tampered["collapsed"]["outputs"] = [sorted(map(rename.get, o)) for o in collapsed["outputs"]]
+                if chart(tampered["collapsed"]) == chart(collapsed):
+                    assert not failed_checks(tampered)
+                    continue
+                assert failed_checks(tampered) == {"projection-homomorphism"}, order
+                permuted += 1
+        assert permuted >= 30
 
-    @pytest.mark.parametrize("field, value", [("alphabet", ["a"]), ("root", "nope")])
-    def test_a_collapsed_document_that_is_no_chart_fails_every_check(self, field, value):
-        # an alphabet that drops an action a transition uses, a root that names no state
+    def test_a_repeated_row_is_read_once(self):
         doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
-        doc["collapsed"][field] = value
+        rows = doc["collapsed"]["transitions"]
+        assert not failed_checks({**doc, "collapsed": {**doc["collapsed"], "transitions": rows + rows[:1]}})
+
+    @pytest.mark.parametrize("edit", [
+        # rows: a state number that is a bool (each reads as a right one),
+        # out of range, negative, a float or a string; a row too short or
+        # too long, or no list; an action outside the alphabet or no
+        # string; a tag that is neither entry nor body; one transition
+        # tagged both ways
+        {"row": [False, "a", 1, "e"]}, {"row": [0, "a", True, "e"]}, {"row": [0, "a", 2, "e"]},
+        {"row": [-1, "a", 1, "e"]}, {"row": [0.0, "a", 1, "e"]}, {"row": ["0", "a", 1, "e"]},
+        {"row": [0, "a", 1]}, {"row": [0, "a", 1, "e", "e"]}, {"row": {"from": 0, "action": "a", "to": 1}},
+        {"row": [0, "c", 1, "e"]}, {"row": [0, ["a"], 1, "e"]}, {"row": [0, None, 1, "e"]},
+        {"row": [0, "a", 1, "x"]}, {"row": [0, "a", 1, ["e"]]}, {"row": [0, "a", 1, None]},
+        {"extra": [0, "a", 1, "b"]},
+        # the root: no state number, out of range, a bool, a float, a name
+        {"root": 2}, {"root": -1}, {"root": True}, {"root": 0.0}, {"root": "L:(a b)*0"},
+        # the outputs: an action outside the alphabet, no list of strings,
+        # the name-keyed object that version 2 wrote, too few for the rows
+        {"outputs": [["c"], []]}, {"outputs": [[1], []]}, {"outputs": [["a"], None]}, {"outputs": {}},
+        {"outputs": None}, {"outputs": [[]]},
+        # the transitions: no list
+        {"transitions": None}, {"transitions": {}},
+    ], ids=lambda edit: json.dumps(edit))
+    def test_a_collapsed_document_that_is_no_chart_fails_every_check(self, edit):
+        # none is a witness in numbered rows: every proof check fails, and nothing raises
+        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        collapsed = doc["collapsed"]
+        assert collapsed == {"root": 0, "outputs": [[], []], "transitions": [[0, "a", 1, "e"], [1, "b", 0, "b"]]}
+        if "row" in edit:
+            collapsed["transitions"][0] = edit["row"]
+        elif "extra" in edit:
+            collapsed["transitions"].append(edit["extra"])
+        else:
+            collapsed.update(edit)
         assert failed_checks(doc) == set(REPLAYED_EQUIVALENT)
 
-    def test_a_version_1_document_fails_without_raising(self):
-        # a version-1 certificate rendered the common expression in place of the projections
-        cert = certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b")))
-        doc = {key: value for key, value in roundtrip(cert).items() if key != "projection"}
-        doc["common"] = render(cert.common)
-        assert failed_checks(doc) == {"projection-homomorphism", "roots-meet"}
+    def test_a_collapsed_witness_with_state_names_fails_every_check(self):
+        # the named ``collapsed`` of version 2, under a current version
+        left, right = parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))
+        cert = certify(left, right)
+        for collapsed in (witness_to_json(cert.collapsed), [], "x"):
+            assert failed_checks({**roundtrip(cert), "collapsed": collapsed}) == set(REPLAYED_EQUIVALENT)
+
+    @pytest.mark.parametrize("version", ["missing", None, 1, 2, 4, "3", 3.0, True, [3]])
+    def test_a_document_of_another_version_raises_naming_it(self, version):
+        # versions 1 and 2 wrote no version; either verdict, whatever it carries besides
+        for doc in (roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b")))),
+                    roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))):
+            assert doc.pop("version") == 3
+            if version != "missing":
+                doc["version"] = version
+            with pytest.raises(ValueError, match="'version'"):
+                recheck_certificate(doc)
+
+    @pytest.mark.parametrize("doc", [1, [], "x", None, ["version", 3]])
+    def test_a_document_that_is_no_object_raises(self, doc):
+        with pytest.raises(ValueError, match="^a certificate must be a JSON object$"):
+            recheck_certificate(doc)
 
     def test_a_projection_of_no_two_int_lists_fails(self):
         doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))

@@ -248,7 +248,7 @@ class TestCertifyCommand:
         doc = json.loads(out)
         assert code == 0
         assert doc["verdict"] == "equivalent"
-        assert len(doc["collapsed"]["states"]) == 1
+        assert len(doc["collapsed"]["outputs"]) == 1
         # both walks project onto the one state, with no rendered common expression
         assert doc["projection"] == {"left": [0], "right": [0, 0]}
         assert "common" not in doc

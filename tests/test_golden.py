@@ -9,6 +9,7 @@ re-record it after a deliberate output change, run
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import random
@@ -19,9 +20,10 @@ from pathlib import Path
 import pytest
 
 from starchart import Sum, chart_of, render
-from starchart.cli import main
+from starchart.cli import PARSER, _parse_exprs, main
 from starchart.formats import chart_to_json, witness_to_json
 from starchart.layering import syntactic_witness
+from test_golden_certs import digest
 from gen import fig3_right, milner_clique, random_chart, random_expr, rewrite_steps
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -112,6 +114,18 @@ def test_cli_output_matches_golden(index, tmp_path):
     got = run_case({"argv": expected["argv"], "files": expected["files"]}, tmp_path)
     assert got["code"] == expected["code"]
     assert got["stdout"] == expected["stdout"]
+
+
+def test_certify_prints_the_digested_certificate_on_one_line():
+    # the CLI and the digest golden pin one serialisation of each certificate
+    rows = [row for row in RECORDED if row["argv"][0] == "certify"]
+    assert len(rows) == 25
+    for row in rows:
+        args = PARSER.parse_args(row["argv"])
+        alpha, (e, f) = _parse_exprs(args, args.left, args.right)
+        line, end, rest = row["stdout"].partition("\n")
+        assert (end, rest) == ("\n", "")
+        assert hashlib.sha256(line.encode("utf-8")).hexdigest() == digest(e, f, alpha)["sha256"]
 
 
 def test_golden_corpus_is_the_seeded_corpus():

@@ -33,8 +33,8 @@ def corpus() -> list[tuple]:
     return pairs
 
 
-def digest(e, f) -> dict:
-    cert = certify(e, f)
+def digest(e, f, alphabet=None) -> dict:
+    cert = certify(e, f, alphabet)
     text = json.dumps(cert.to_json(), ensure_ascii=False)
     return {
         "left": render(e),
