@@ -26,10 +26,15 @@ decision and prints the same formula; for a bisimilar pair it prints the
 relation that the decided partition gives.
 
 Replay of an equivalent certificate checks the local proof (Grabmayer and
-Fokkink, LICS 2020) with no refinement: it walks each input once, builds
-``C`` straight from the certificate's numbered rows, checks that each
-projection ``h`` is a homomorphism and that the roots meet, and proves
-``C``'s canonical solution ``s`` by the axioms alone.  ``s`` is
+Fokkink, LICS 2020) with no refinement: it walks each input once and
+reads the certificate's numbered rows into one witness by state number
+(see ``layering._numbered_witness``): per state of ``C`` its outputs and
+its successor numbers per action, the root, and the witness analysis
+built from the rows' tagged steps.  No chart or labelling is built.  On
+that record it checks that the witness verifies, that each projection
+``h`` is a homomorphism and that the roots meet, and proves ``C``'s
+canonical solution ``s`` by the axioms alone; ``certify`` adapts its
+witness to the same record and runs the same checks.  ``s`` is
 built from the witness straight as normal forms, and each state's
 equation is checked on the derivatives of its normal form, so neither
 replay nor ``certify`` builds an expression solution.  This is sound:
@@ -77,9 +82,10 @@ from .formats import (
     witness_from_json,
     witness_to_json,
 )
-from .layering import BODY, ENTRY, LabelledPrechart, infer_witness, syntactic_witness, to_llee, verify_witness
+from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _numbered_witness, infer_witness,
+                       syntactic_witness, to_llee, verify_witness)
 from .rerouting import collapse, connect_through
-from .semantics import Prechart, _coproduct_walk, _distinguishes, _numbered_chart, _quotient, _Walk, chart_of
+from .semantics import Prechart, _coproduct_walk, _distinguishes, _quotient, _Walk, chart_of
 from .solution import _witness_proved, canonical_solution, simplify
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
@@ -161,15 +167,16 @@ def _rows_of(L: LabelledPrechart) -> dict[str, Any]:
     }
 
 
-def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> LabelledPrechart:
-    """The witness that a version-3 ``collapsed`` writes, on the states
-    ``0..k-1`` of its ``k`` output lists, built by ``_numbered_chart`` with
-    no state names.  Raises ``ValueError`` naming the first field that is
-    no such witness: outputs that are no lists of actions of ``alphabet``,
-    a root that is neither null nor a state number, or a row that is not
-    ``[i, action, j, tag]`` with state numbers ``i`` and ``j`` (ints, not
-    bools, in range), an action of ``alphabet`` and an entry or body tag;
-    and a transition tagged both ways."""
+def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> tuple:
+    """The witness by state number (see ``layering._numbered_witness``)
+    that a version-3 ``collapsed`` writes, on the states ``0..k-1`` of its
+    ``k`` output lists, with its analysis built from the rows' tagged steps
+    and no prechart or state name.  Raises ``ValueError`` naming the first
+    field that is no such witness: outputs that are no lists of actions of
+    ``alphabet``, a root that is neither null nor a state number, or a row
+    that is not ``[i, action, j, tag]`` with state numbers ``i`` and ``j``
+    (ints, not bools, in range), an action of ``alphabet`` and an entry or
+    body tag; and a transition tagged both ways."""
     if not isinstance(doc, Mapping):
         raise ValueError("'collapsed' must be an object")
     outputs, root, transitions = doc.get("outputs"), doc.get("root"), doc.get("transitions")
@@ -183,6 +190,7 @@ def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> LabelledPrechart:
         raise ValueError("'transitions' must be a list of rows")
     succ: list[list[list[int]]] = [[[] for _ in alphabet] for _ in range(k)]
     tags: dict[tuple[int, str, int], str] = {}
+    tagged: list[tuple[int, int, str]] = []  # a repeated row repeats its step, which changes no mask
     for row in transitions:
         i, a, j, tag = row if isinstance(row, list) and len(row) == 4 else (None,) * 4
         if not (type(i) is int and type(j) is int and 0 <= i < k and 0 <= j < k
@@ -191,9 +199,10 @@ def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> LabelledPrechart:
         if tags.setdefault((i, a, j), tag) != tag:
             raise ValueError(f"transition {(i, a, j)} is tagged both {tags[i, a, j]!r} and {tag!r}")
         succ[i][position[a]].append(j)
-    numbered = [tuple([tuple(sorted(set(js))) for js in rows]) for rows in succ]
-    C = _numbered_chart(alphabet, (tuple(range(k)), list(map(frozenset, outputs)), numbered), root)
-    return LabelledPrechart(C, tags)
+        tagged.append((i, j, tag))
+    outs = list(map(frozenset, outputs))
+    numbered = [tuple([tuple(sorted(set(js))) if js else () for js in rows]) for rows in succ]
+    return (alphabet, outs, numbered), root, _checked_rows(outs, numbered, tagged)
 
 
 # The checks below are shared by ``certify``, which builds the evidence, and
@@ -206,37 +215,38 @@ def _formula_check(alphabet: tuple[str, ...], formula: Any, e: Expr, f: Expr) ->
     return Check("distinguishing-formula", _distinguishes(formula, e, f, alphabet))
 
 
-def _proof_checks(walk: _Walk, n: int, collapsed: LabelledPrechart | None, projection: Any) -> list[Check]:
-    """The local proof: the witness ``collapsed``, whose chart ``C`` has the
-    walk's alphabet; ``projection``, which maps the walk's first ``n``
-    states by its list ``left`` and the rest by ``right`` to positions in
-    ``C``, as a homomorphism (outputs agree, and per action the images of a
-    state's successors are its image's successors), checked in time linear
-    in the walk; both roots' images at ``C``'s root; and the witness's
-    canonical solution, built as normal forms, proved by the axioms alone,
-    which fails when ``collapsed`` is no witness.  A ``collapsed`` of
-    ``None``, a document that is no witness, fails them all."""
-    if collapsed is None:
+def _proof_checks(walk: _Walk, n: int, witness: tuple | None, projection: Any) -> list[Check]:
+    """The local proof on ``witness``, a witness by state number (see
+    ``layering._numbered_witness``) of a chart ``C`` with the walk's
+    alphabet: the witness's analysis has no violated clause;
+    ``projection``, which maps the walk's first ``n`` states by its list
+    ``left`` and the rest by ``right`` to state numbers of ``C``, is a
+    homomorphism (outputs agree, and per action the images of a state's
+    successors are its image's successors), checked in time linear in the
+    walk against ``C``'s arrays; both roots' images are ``C``'s root; and
+    the witness's canonical solution, built as normal forms, is proved by
+    the axioms alone, which fails when the witness does not verify.  A
+    ``witness`` of ``None``, a document that is no witness, fails them all."""
+    if witness is None:
         names = ("collapsed-witness-valid", "projection-homomorphism", "roots-meet", "solution-proved")
         return [Check(name, False) for name in names]
-    C, (_, outs, numbered) = collapsed.base, walk
+    ((_, c_outs, rows), root, (_, violation)), (_, outs, numbered) = witness, walk
     sides = [projection.get(k) for k in ("left", "right")] if isinstance(projection, Mapping) else [None] * 2
-    lists = all(isinstance(h, list) for h in sides)
+    lists = isinstance(sides[0], list) and isinstance(sides[1], list)
     image = sides[0] + sides[1] if lists else []
-    rows, states = C.numbered_succ(), range(len(C.states))
+    states = range(len(rows))
+    targets = [list(map(set, r)) for r in rows]  # per state of C and action, its successors' set
     homomorphism = (
         lists and len(sides[0]) == n and len(image) == len(outs)
         and all(type(b) is int and b in states for b in image)  # neither bools nor strings
-        and all(out == C.out(C.states[b])
-                and tuple([tuple(sorted({image[j] for j in js})) for js in succ]) == rows[b]
+        and all(out == c_outs[b] and [{image[j] for j in js} for js in succ] == targets[b]
                 for out, succ, b in zip(outs, numbered, image)))
-    root = None if C.root is None else C.index(C.root)
-    valid = verify_witness(collapsed)[0]
+    valid = violation is None
     return [
         Check("collapsed-witness-valid", valid),
         Check("projection-homomorphism", homomorphism),
         Check("roots-meet", lists and all(h and type(h[0]) is int and h[0] == root for h in sides)),
-        Check("solution-proved", valid and _witness_proved(collapsed)),
+        Check("solution-proved", valid and _witness_proved(witness)),
     ]
 
 
@@ -270,7 +280,7 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
             raise RuntimeError("the minimal quotient has no layering witness, "
                                "which contradicts the collapse theorem")
         projection = {"left": d.block_of[:d.n], "right": d.block_of[d.n:]}
-        checks += _proof_checks((d.states, d.outs, d.numbered), d.n, witness, projection)
+        checks += _proof_checks((d.states, d.outs, d.numbered), d.n, _numbered_witness(witness), projection)
         cert = Certificate("equivalent", e, f, alpha, checks, collapsed=witness, projection=projection)
     failed = [c.name for c in cert.checks if not c.passed]
     if failed:
@@ -286,36 +296,39 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     fails ``solution-proved`` too, a formula or projection of the wrong
     shape, null or missing, fails, and a ``collapsed`` that is no witness
     in numbered rows (see ``_witness_of_rows``), null or missing, fails
-    every check.  Of the evidence a certificate carries, only a document
-    that is no JSON object or of a version other than ``FORMAT_VERSION``,
-    an unknown verdict, an ``alphabet`` that is no list of action names or
-    ``inputs`` that are no mapping of ``left`` and ``right`` to strings
-    raises ``ValueError``; its inputs must parse.
+    every check.  The rows are read into one witness by state number, and
+    no chart is built.  Of the evidence a certificate carries, only a
+    document that is no JSON object or of a version other than
+    ``FORMAT_VERSION``, an unknown or missing verdict, an ``alphabet`` that
+    is no list of action names or ``inputs`` that are no mapping of
+    ``left`` and ``right`` to strings, missing ones included, raises
+    ``ValueError`` naming the field; its inputs must parse.
     """
     if not isinstance(doc, Mapping):
         raise ValueError("a certificate must be a JSON object")
     version = doc.get("version")
     if type(version) is not int or version != FORMAT_VERSION:  # neither a bool nor a float
         raise ValueError(f"certificate 'version' {version!r} is not {FORMAT_VERSION}")
-    if doc["verdict"] not in ("equivalent", "inequivalent"):
-        raise ValueError(f"unknown verdict {doc['verdict']!r}")
-    if not _is_strings(doc["alphabet"]):
+    verdict = doc.get("verdict")
+    if verdict not in ("equivalent", "inequivalent"):  # a missing one too
+        raise ValueError(f"unknown verdict {verdict!r} in 'verdict'")
+    if not _is_strings(doc.get("alphabet")):
         raise ValueError("'alphabet' must be a list of strings")
-    inputs = doc["inputs"]
+    inputs = doc.get("inputs")
     texts = [inputs.get(k) for k in ("left", "right")] if isinstance(inputs, Mapping) else None
     if not _is_strings(texts):
         raise ValueError("'inputs' must map 'left' and 'right' to strings")
     alpha = declare_alphabet(doc["alphabet"])  # as ``--alphabet`` reads it
     e, f = parse(texts[0], alpha), parse(texts[1], alpha)
-    if doc["verdict"] == "inequivalent":
+    if verdict == "inequivalent":
         v = doc.get("distinguishing")
         return [_formula_check(alpha, v.get("formula") if isinstance(v, Mapping) else None, e, f)]
     walk, n = _coproduct_walk(e, f, alpha)
     try:
-        collapsed = _witness_of_rows(alpha, doc.get("collapsed"))
+        witness = _witness_of_rows(alpha, doc.get("collapsed"))
     except ValueError:
-        collapsed = None
-    return _proof_checks(walk, n, collapsed, doc.get("projection"))
+        witness = None
+    return _proof_checks(walk, n, witness, doc.get("projection"))
 
 
 # --- command surface ---------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -33,12 +34,20 @@ class LabelledPrechart:
     tags: Mapping[Edge, str]
 
     def __post_init__(self) -> None:
-        # a read-only copy: the memoised analysis (see ``_checked``) then
-        # cannot go stale through the caller's mapping
+        # a read-only copy: the memoised analysis (see
+        # ``_numbered_witness``) then cannot go stale through the caller's mapping
         tags = MappingProxyType(dict(self.tags))
         object.__setattr__(self, "tags", tags)
-        edges = set(self.base.edges())
-        if tags.keys() != edges:
+        # as many tags as transitions, each on a transition: by count and
+        # membership, with no set of the edges built unless to word the error
+        X = self.base
+        covered = len(tags) == sum(map(len, chain(*X.numbered_succ())))
+        for edge in tags if covered else ():
+            if not (isinstance(edge, tuple) and len(edge) == 3 and edge[2] in X.succ(edge[0], edge[1])):
+                covered = False
+                break
+        if not covered:
+            edges = set(X.edges())
             missing = edges - tags.keys()
             extra = tags.keys() - edges
             raise ValueError(f"tags must cover the transitions exactly (missing {missing}, extra {extra})")
@@ -145,10 +154,11 @@ def _members(mask: int) -> list[int]:
     return members
 
 
-def _successors(X: Prechart) -> list[int]:
-    """Per state number, the mask of its successors, action labels forgotten."""
+def _successors(numbered: Sequence[Sequence[Sequence[int]]]) -> list[int]:
+    """Per state number, the mask of its successors in ``numbered`` (see
+    ``Prechart.numbered_succ``), action labels forgotten."""
     succ = []
-    for rows in X.numbered_succ():
+    for rows in numbered:
         m = 0
         for js in rows:
             for j in js:
@@ -162,9 +172,9 @@ def _outputs(X: Prechart) -> int:
     return sum(1 << X.index(x) for x, out in X.outputs.items() if out)
 
 
-def _recompute_reach(succ: Sequence[int], sources: Sequence[int], reach: list[int]) -> None:
+def _recompute_reach(succ: Sequence[int], sources: Sequence[int], reach: list[int]) -> list[int]:
     """Set ``reach[x]``, for each of ``sources``, to the mask of the states
-    reachable from ``x`` in one or more steps of ``succ``.
+    reachable from ``x`` in one or more steps of ``succ``, and return ``reach``.
 
     ``reach`` holds the still valid masks of the states outside
     ``sources``: a search confined by ``_reach`` to the sources not done
@@ -181,6 +191,7 @@ def _recompute_reach(succ: Sequence[int], sources: Sequence[int], reach: list[in
             out |= reach[d]
         reach[x] = out
         pending ^= 1 << x
+    return reach
 
 
 def _reachability(X: Prechart) -> Sequence[int]:
@@ -189,10 +200,8 @@ def _reachability(X: Prechart) -> Sequence[int]:
     dataclass fields, so the memo dies with the prechart."""
     memo = getattr(X, "_reachability", None)
     if memo is None:
-        succ = _successors(X)
-        reach = [0] * len(succ)
-        _recompute_reach(succ, range(len(succ)), reach)
-        memo = tuple(reach)
+        succ = _successors(X.numbered_succ())
+        memo = tuple(_recompute_reach(succ, range(len(succ)), [0] * len(succ)))
         object.__setattr__(X, "_reachability", memo)
     return memo
 
@@ -266,13 +275,6 @@ class _Analysis:
         return tuple(folded)
 
 
-def _analysis_of(L: LabelledPrechart) -> _Analysis:
-    X = L.base
-    number = X.index
-    tagged = ((number(x), number(y), t) for (x, _, y), t in L.tags.items())
-    return _Analysis(range(len(X.states)), _outputs(X), _reachability(X), tagged)
-
-
 def _named(v: WitnessViolation, states: Sequence[StateId]) -> WitnessViolation:
     """A violation on state numbers as one on the states they number."""
     return WitnessViolation(v.clause, tuple([states[x] for x in v.detail]))
@@ -289,7 +291,7 @@ def derived_relations(
     inside a loop that leaves ``x`` by an entry step and returns to it by
     body steps.
     """
-    a, name = _analysis_of(L), L.base.states
+    a, name = _numbered_witness(L)[2][0], L.base.states
     return (frozenset((name[x], name[y]) for x in a.states for y in _members(a.descent[x])),
             frozenset((name[y], name[x]) for y in a.states for x in _members(a.headers[y])))
 
@@ -317,19 +319,49 @@ def _first_violation(a: _Analysis) -> WitnessViolation | None:
     return None
 
 
-def _checked(L: LabelledPrechart) -> tuple[_Analysis, WitnessViolation | None]:
-    """The analysis of ``L`` and its first violated condition, built once.
+# The local proof's checks read a witness by state number, the tuple
+# ``(chart, root, checked)``: ``chart`` is ``(alphabet, outs, numbered)``,
+# per state its output set and its successor numbers per action (see
+# ``Prechart.numbered_succ``); ``root`` is the root's number or None, and
+# ``checked`` the analysis of its tags with their first violated clause.
+# ``_numbered_witness`` adapts a labelling to it; a certificate's rows are
+# read into it with ``_checked_rows``, with no prechart built.
+
+
+def _numbered_witness(L: LabelledPrechart) -> tuple:
+    """``L`` as a witness by state number, its analysis and its first
+    violated condition, on the states of ``L``, built once.
 
     Memoised on the labelling itself, as an attribute outside the dataclass
     fields (``tags`` is read-only), so the memo dies with the labelling.
     """
-    memo = getattr(L, "_checked", None)
+    memo = getattr(L, "_numbered_witness", None)
     if memo is None:
-        a = _analysis_of(L)
+        X = L.base
+        number = X.index
+        tagged = ((number(x), number(y), t) for (x, _, y), t in L.tags.items())
+        a = _Analysis(range(len(X.states)), _outputs(X), _reachability(X), tagged)
         violation = _first_violation(a)
-        memo = (a, violation and _named(violation, L.base.states))
-        object.__setattr__(L, "_checked", memo)
+        root = None if X.root is None else number(X.root)
+        chart = X.alphabet, list(map(X.out, X.states)), X.numbered_succ()
+        memo = (chart, root, (a, violation and _named(violation, X.states)))
+        object.__setattr__(L, "_numbered_witness", memo)
     return memo
+
+
+def _checked_rows(outs: Sequence[frozenset[str]], numbered: Sequence[Sequence[Sequence[int]]],
+                  tagged: Iterable[tuple[int, int, str]]) -> tuple[_Analysis, WitnessViolation | None]:
+    """The analysis of the steps ``(i, j, tag)`` on the states ``0..k-1``
+    whose output sets are ``outs`` and successor numbers ``numbered``, and
+    its first violated clause, on state numbers."""
+    outputs = 0
+    for i, out in enumerate(outs):
+        if out:
+            outputs |= 1 << i
+    succ = _successors(numbered)
+    reach = _recompute_reach(succ, range(len(succ)), [0] * len(succ))
+    a = _Analysis(range(len(succ)), outputs, reach, tagged)
+    return a, _first_violation(a)
 
 
 def verify_witness(L: LabelledPrechart) -> tuple[bool, WitnessViolation | None]:
@@ -341,13 +373,13 @@ def verify_witness(L: LabelledPrechart) -> tuple[bool, WitnessViolation | None]:
     (loop descent is acyclic), 5. goto-free (no output strictly inside a
     loop).
     """
-    violation = _checked(L)[1]
+    violation = _numbered_witness(L)[2][1]
     return violation is None, violation
 
 
 def analysis_of_verified(L: LabelledPrechart) -> _Analysis:
     """Analysis of a witness that must verify; raises otherwise."""
-    a, violation = _checked(L)
+    a, violation = _numbered_witness(L)[2]
     if violation is not None:
         raise InvalidWitnessError(str(violation))
     return a
@@ -609,7 +641,7 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     for edge in X.edges():
         groups.setdefault((number[edge[0]], number[edge[2]]), []).append(edge)
     outputs = _outputs(X)
-    if _eliminated(_successors(X), outputs) is None:
+    if _eliminated(_successors(X.numbered_succ()), outputs) is None:
         return []
     reach = _reachability(X)  # memoised for the leaf's verify_witness
 
@@ -686,7 +718,7 @@ def infer_witness(X: Prechart) -> LabelledPrechart | None:
     does not verify, raises ``RuntimeError``; with no witness the answer is
     ``None``.
     """
-    entries = _eliminated(_successors(X), _outputs(X))
+    entries = _eliminated(_successors(X.numbered_succ()), _outputs(X))
     if entries is None:
         return None
     number = X.index

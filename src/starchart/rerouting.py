@@ -316,7 +316,7 @@ class _Merging:
         number = X.index
         self.states = tuple(range(len(X.states)))
         self.outputs = _outputs(X)
-        self.succ = _successors(X)  # action labels forgotten
+        self.succ = _successors(X.numbered_succ())  # action labels forgotten
         self.reach = [0] * len(self.states)
         _recompute_reach(self.succ, self.states, self.reach)
         self.image = list(self.states)  # the projection, by number

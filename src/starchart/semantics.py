@@ -130,7 +130,7 @@ class Prechart:
         if memo is None:
             number = self._index.__getitem__  # type: ignore[attr-defined]
             memo = tuple(
-                tuple(tuple(sorted(set(map(number, row.get(a, ()))))) for a in self.alphabet)
+                tuple([tuple(sorted(set(map(number, row[a])))) if a in row else () for a in self.alphabet])
                 for row in (self.transitions.get(x, {}) for x in self.states)
             )
             object.__setattr__(self, "_numbered", memo)

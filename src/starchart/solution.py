@@ -22,10 +22,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Mapping, NoReturn
+from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 from .bisim import bisimilarity
-from .layering import LabelledPrechart, analysis_of_verified
+from .layering import InvalidWitnessError, LabelledPrechart, _numbered_witness
 from .semantics import Prechart, StateId, expr_step, joint_chart
 from .syntax import Atom, Expr, Seq, Star, Sum, Zero, atoms, gsum
 
@@ -81,22 +81,26 @@ def _fail(kind: str, x: StateId, y: StateId, *under: StateId) -> NoReturn:
 
 
 class _Terms:
-    """The starred term of each state of a verified witness, per anchor, on
-    state numbers.
+    """The starred term of each state of a verified witness by state number
+    (see ``layering._numbered_witness``), per anchor.
 
     ``term(x, _OWN)`` is the solution at ``x``; ``term(x, z)`` is the
     companion of ``x`` relative to the loop header ``z``, whose body steps
     back to ``z`` end the term.  Both are memoised in ``memo``.  The steps
-    of each state, its loop descent and both measures are read off the
-    witness's analysis.  A term is the star of two sums of prefixed steps
-    ``(a, t)``, built by ``starred`` as in ``_starred``: as an expression
-    by ``_starred`` itself, or as a normal form by ``_NormalForms.starred``.
+    of each state are read off the witness's output sets and successor
+    numbers, and its loop descent and both measures off its analysis; a
+    witness that does not verify raises ``InvalidWitnessError``.  A term is
+    the star of two sums of prefixed steps ``(a, t)``, built by ``starred``
+    as in ``_starred``: as an expression by ``_starred`` itself, or as a
+    normal form by ``_NormalForms.starred``.  A failed descent names its
+    states by ``names``, their numbers by default.
     """
 
-    def __init__(self, L: LabelledPrechart, starred):
-        a = analysis_of_verified(L)
-        X = L.base
-        self.states = X.states
+    def __init__(self, witness: tuple, starred, names: Sequence[StateId] | None = None):
+        (alphabet, outs, numbered), _, (a, violation) = witness
+        if violation is not None:
+            raise InvalidWitnessError(str(violation))
+        self.names = range(len(outs)) if names is None else names
         self.en, self.bd = a.lengths
         self.descent = a.descent
         # per state: its outputs and entry self-loops as steps (a, None),
@@ -105,11 +109,10 @@ class _Terms:
         self.entry_self: list[list[tuple[str, None]]] = []
         self.entry_steps: list[list[tuple[str, int]]] = []
         self.body_steps: list[list[tuple[str, int]]] = []
-        for x, (state, rows) in enumerate(zip(X.states, X.numbered_succ())):
+        for x, (outs_x, rows) in enumerate(zip(outs, numbered)):
             outputs, entry_self, entry_steps, body_steps = [], [], [], []
-            outs = X.out(state)
-            for act, ys in zip(X.alphabet, rows):
-                if act in outs:
+            for act, ys in zip(alphabet, rows):
+                if act in outs_x:
                     outputs.append((act, None))
                 for y in ys:  # a verified witness tags each state pair once
                     if not a.entry[x] >> y & 1:
@@ -129,7 +132,7 @@ class _Terms:
         key = (x, anchor)
         if key in self.memo:
             return self.memo[key]
-        en, bd, descent, name = self.en, self.bd, self.descent, self.states
+        en, bd, descent, name = self.en, self.bd, self.descent, self.names
         first_terms = []
         for act, y in self.entry_steps[x]:
             if not (descent[x] >> y & 1 and en[y] < en[x]):
@@ -159,7 +162,8 @@ def canonical_solution(L: LabelledPrechart) -> Solution:
     recursion must descend in loop level and body recursion in body depth,
     and companions are only ever taken inside the anchor's loop.
     """
-    terms, name = _Terms(L, _starred), L.base.states
+    name = L.base.states
+    terms = _Terms(_numbered_witness(L), _starred, name)
     assign = dict(zip(name, map(terms.term, range(len(name)))))
     companion = {(name[x], name[z]): t for (x, z), t in terms.memo.items() if z is not _OWN}
     return Solution(L.base, assign, companion)
@@ -314,18 +318,19 @@ class _NormalForms:
         return memo[id(e)][1]
 
 
-def _first_unsolved(
-    X: Prechart, assign: Mapping[StateId, Any], step: Callable, cls: Callable
-) -> StateId | None:
-    """The first state in ``X.states`` order whose equation fails under ``cls``.
+def _first_unsolved(chart: tuple, assign: Sequence[Any], step: Callable, cls: Callable) -> int | None:
+    """The first state number whose equation fails under ``cls``, on a
+    chart by state number, ``(alphabet, outs, numbered)`` (see
+    ``layering._numbered_witness``), and an assignment ``assign`` by state
+    number.
 
     ``step`` gives a term's outputs and per-action derivatives, and
     ``assign[x]`` equals the sum of its outputs and of ``a·f`` over its
     ``a``-derivatives ``f``.  So the equation at ``x`` holds when those
-    outputs are ``X.out(x)``, no step leaves ``X.alphabet``, and per action
-    the derivatives and the successors' assignments have the same classes.
-    Under normal forms this proves equations but decides nothing when it
-    fails: on expressions stepped by ``expr_step`` and classed by
+    outputs are ``x``'s output set, no step leaves the alphabet, and per
+    action the derivatives and the successors' assignments have the same
+    classes.  Under normal forms this proves equations but decides nothing
+    when it fails: on expressions stepped by ``expr_step`` and classed by
     ``_NormalForms.of``, or on normal forms stepped by ``_NormalForms.step``
     and compared as the ints they are, which is the same verdict, as a
     normal form's derivatives are those of its expression.  Under
@@ -338,28 +343,33 @@ def _first_unsolved(
     relative to ``x``, which the sequencing axioms rewrite into ``s(y)``,
     because goto-freedom keeps the states of the loop free of outputs.
     """
-    alphabet = set(X.alphabet)
-    for x in X.states:
-        outs, succ = step(assign[x])
-        if outs != X.out(x) or not alphabet.issuperset(succ):
+    alphabet, outs, numbered = chart
+    actions = set(alphabet)
+    for x, (outs_x, rows) in enumerate(zip(outs, numbered)):
+        got, succ = step(assign[x])
+        if got != outs_x or not actions.issuperset(succ):
             return x
-        for a in X.alphabet:
-            if {cls(f) for f in succ.get(a, ())} != {cls(assign[y]) for y in X.succ(x, a)}:
+        for a, js in zip(alphabet, rows):
+            fs = succ.get(a, ())
+            if (fs or js) and {cls(f) for f in fs} != {cls(assign[j]) for j in js}:
                 return x
     return None
 
 
-def _proved(X: Prechart, assign: Mapping[StateId, Expr]) -> bool:
-    """``verify_solution``'s first stage: whether the axioms alone prove every equation."""
-    return _first_unsolved(X, assign, expr_step, _NormalForms().of) is None
+def _proved(chart: tuple, assign: Sequence[Expr]) -> bool:
+    """``verify_solution``'s first stage: whether the axioms alone prove
+    every equation, on a chart and an assignment by state number."""
+    return _first_unsolved(chart, assign, expr_step, _NormalForms().of) is None
 
 
-def _witness_proved(L: LabelledPrechart) -> bool:
+def _witness_proved(witness: tuple) -> bool:
     """Whether the axioms alone prove the canonical solution of the verified
-    witness ``L``, built straight as normal forms."""
-    forms, X = _NormalForms(), L.base
-    assign = dict(zip(X.states, map(_Terms(L, forms.starred).term, range(len(X.states)))))
-    return _first_unsolved(X, assign, forms.step, int) is None
+    witness by state number ``witness`` (see ``layering._numbered_witness``),
+    built straight as normal forms."""
+    forms = _NormalForms()
+    terms = _Terms(witness, forms.starred)
+    solution = list(map(terms.term, range(len(terms.outputs))))
+    return _first_unsolved(witness[0], solution, forms.step, int) is None
 
 
 def verify_solution(
@@ -378,12 +388,14 @@ def verify_solution(
     for x in X.states:
         if x not in assign:
             raise ValueError(f"partial assignment: no expression for state {x!r}")
-    if _proved(X, assign):
+    chart = X.alphabet, list(map(X.out, X.states)), X.numbered_succ()
+    values = list(map(assign.__getitem__, X.states))
+    if _proved(chart, values):
         return True, None
     exprs = list(assign.values())
     R = bisimilarity(joint_chart(exprs, tuple(sorted(set().union(*map(atoms, exprs))))))
-    bad = _first_unsolved(X, assign, expr_step, R.block_index)
-    return bad is None, bad
+    bad = _first_unsolved(chart, values, expr_step, R.block_index)
+    return bad is None, None if bad is None else X.states[bad]
 
 
 def simplify(e: Expr) -> Expr:

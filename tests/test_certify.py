@@ -28,14 +28,16 @@ from pathlib import Path
 
 import pytest
 
-from starchart import (Prechart, Sum, atoms, bisimilar, bisimilarity, canonical_solution, certify,
-                       chart_of, coproduct, is_homomorphism, parse, quotient, recheck_certificate, render)
+from starchart import (LabelledPrechart, Prechart, Sum, atoms, bisimilar, bisimilarity, canonical_solution, certify,
+                       chart_of, coproduct, is_homomorphism, parse, quotient, recheck_certificate, render,
+                       verify_witness)
 from starchart import bisim, cli, semantics, solution
 from starchart.bisim import _coarsest, _decide, _distinguishing_formula
 from starchart.cli import _proof_checks
 from starchart.formats import witness_to_json
+from starchart.layering import _numbered_witness
 from starchart.semantics import _coproduct_walk, _distinguishes, _numbered_chart
-from starchart.solution import _proved
+from starchart.solution import _proved, _witness_proved
 from test_golden_certs import corpus as golden_corpus
 from gen import joined_chart, random_expr, rewrite_steps, round_by_round_bisimilarity, satisfies, wstar_pair
 
@@ -185,7 +187,7 @@ class TestProjectionCheck:
             side = moved[rng.randrange(2)]
             side[rng.randrange(len(side))] = rng.randrange(len(C.states))
             for h_left, h_right in ((left, right), moved):
-                checks = _proof_checks(walk, n, cert.collapsed, {"left": h_left, "right": h_right})
+                checks = _proof_checks(walk, n, _numbered_witness(cert.collapsed), {"left": h_left, "right": h_right})
                 got = dict((c.name, c.passed) for c in checks)["projection-homomorphism"]
                 on_charts = [is_homomorphism({x: C.states[b] for x, b in zip(Z.states, h)}, Z, C)[0]
                              for Z, h in ((X, h_left), (Y, h_right))]
@@ -206,7 +208,8 @@ class TestLocalProofs:
             cert = certify(e, f)
             assert cert.verdict == "equivalent"
             # the axiom stage alone, with no bisimilarity fallback
-            assert _proved(cert.collapsed.base, canonical_solution(cert.collapsed).assign)
+            C, assign = cert.collapsed.base, canonical_solution(cert.collapsed).assign
+            assert _proved(_numbered_witness(cert.collapsed)[0], [assign[x] for x in C.states])
             assert all(c.passed for c in recheck_certificate(roundtrip(cert))), (render(e), render(f))
 
     def test_certify_and_replay_build_no_expression_solution(self, monkeypatch):
@@ -255,7 +258,8 @@ class TestDecideFirst:
         # the quotient, or the joint chart of ``verify_solution``'s
         # fallback; ``_stable`` checks a partition, and ``_coarsest`` is
         # every refinement to the largest bisimulation; ``_Analysis`` is
-        # every witness analysis built; the named formats' readers and
+        # every witness analysis built, and ``LabelledPrechart`` every
+        # labelling of a chart by name; the named formats' readers and
         # ``state_ids`` are every state name written or read
         counted = [("formats", "chart_from_json"), ("formats", "witness_from_json"), ("formats", "state_ids"),
                    ("semantics", "chart_of"), ("semantics", "_layers"), ("semantics", "_walk"),
@@ -264,7 +268,8 @@ class TestDecideFirst:
                    ("layering", "enumerate_witnesses"), ("bisim", "_stable"),
                    ("bisim", "_checked_partition"), ("bisim", "check_bisimulation"),
                    ("semantics", "quotient"), ("semantics", "_quotient"), ("bisim", "_coarsest"),
-                   ("solution", "verify_solution"), ("layering", "_Analysis")]
+                   ("solution", "verify_solution"), ("layering", "_Analysis"),
+                   ("layering", "LabelledPrechart")]
         return {name: count_calls(monkeypatch, module, name) for module, name in counted}
 
     def counts(self, calls) -> dict:
@@ -291,7 +296,7 @@ class TestDecideFirst:
                                  "syntactic_witness": 0, "bisimilar": 0, "bisimilarity": 0,
                                  "collapse": 0, "enumerate_witnesses": 0, "_stable": 0,
                                  "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
-                                 "_quotient": 0, "verify_solution": 0, "_Analysis": 0}
+                                 "_quotient": 0, "verify_solution": 0, "_Analysis": 0, "LabelledPrechart": 0}
             assert refined in (0, 1)
             # replay model-checks the formula on derivatives: no walk, no
             # refinement and no check of a partition
@@ -331,17 +336,19 @@ class TestDecideFirst:
                         "chart_of": 0, "_layers": 2, "_walk": 0, "_numbered_chart": 1, "syntactic_witness": 0,
                         "bisimilar": 0, "bisimilarity": 1, "collapse": 0, "enumerate_witnesses": 0,
                         "_stable": 1, "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
-                        "_quotient": 1, "_coarsest": 2, "verify_solution": 0, "_Analysis": 1}
+                        "_quotient": 1, "_coarsest": 2, "verify_solution": 0, "_Analysis": 1,
+                        "LabelledPrechart": 1}
             assert [args[0] for args in calls["bisimilarity"]] == [cert.collapsed.base]
             assert self.counts(calls) == expected
             assert all(c.passed for c in recheck_certificate(roundtrip(cert)))
             # writing the certificate names no state; replay walks each side
             # once, to its end, and refines nothing: no partition, no
-            # bisimilarity and no fallback; the one chart it builds is the
-            # quotient, from the certificate's numbered rows, with no state
-            # name read, and it analyses the witness it reads once
-            assert self.counts(calls) == {**expected, "_walk": 2, "_quotient": 0,
-                                          "bisimilarity": 0, "_stable": 0, "_coarsest": 0}
+            # bisimilarity and no fallback; it builds no chart and no
+            # labelling, and reads the certificate's numbered rows into one
+            # witness by state number, whose analysis it builds once
+            assert self.counts(calls) == {**expected, "_walk": 2, "_quotient": 0, "_numbered_chart": 0,
+                                          "LabelledPrechart": 0, "bisimilarity": 0, "_stable": 0,
+                                          "_coarsest": 0}
             seen += 1
         assert seen == 30
 
@@ -883,6 +890,16 @@ class TestTamperedCertificates:
                       {"left": tuple(h["left"]), "right": h["right"]}):
             assert failed_checks({**doc, "projection": wrong}) == {"projection-homomorphism", "roots-meet"}, wrong
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"version": 3}, "verdict"),
+        ({"version": 3, "verdict": "equivalent"}, "alphabet"),
+        ({"version": 3, "verdict": "equivalent", "alphabet": ["a"]}, "inputs"),
+    ])
+    def test_a_missing_field_raises_naming_it(self, doc, field):
+        # as a malformed one does: no bare KeyError
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            recheck_certificate(doc)
+
     def test_an_unknown_verdict_raises(self):
         doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
         doc["verdict"] = "maybe"
@@ -918,3 +935,44 @@ class TestTamperedCertificates:
         for doc in (roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b")))),
                     roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))):
             assert all(c.passed for c in recheck_certificate({**doc, "alphabet": ["a", "b", "b"]}))
+
+
+def named_witness(alphabet, collapsed) -> LabelledPrechart:
+    """The labelling of a chart by name that a version-3 ``collapsed``
+    writes, built by ``Prechart.make`` on the state names ``0..k-1``."""
+    outputs, rows = collapsed["outputs"], collapsed["transitions"]
+    transitions: dict = {}
+    for i, a, j, _ in rows:
+        transitions.setdefault(i, {}).setdefault(a, []).append(j)
+    C = Prechart.make(alphabet, range(len(outputs)), dict(enumerate(outputs)), transitions, collapsed["root"])
+    return LabelledPrechart(C, {(i, a, j): tag for i, a, j, tag in rows})
+
+
+class TestTheNamedWitnessIsTheOracle:
+    def test_edited_rows_get_the_verdicts_of_the_named_witness(self):
+        # every equivalent golden certificate with each row's tag flipped in
+        # turn, each row dropped in turn, and each state given every output
+        # in turn (an output inside a loop is a goto): replay reads the rows
+        # into one witness by state number, and its witness and solution
+        # verdicts are those of the labelling by name built from the same rows
+        edited = invalid = 0
+        for e, f in golden_corpus():
+            doc = roundtrip(certify(e, f))
+            if doc["verdict"] != "equivalent":
+                continue
+            rows, outputs = doc["collapsed"]["transitions"], doc["collapsed"]["outputs"]
+            flipped = [[*row[:3], {"e": "b", "b": "e"}[row[3]]] for row in rows]
+            edits = [{"transitions": rows[:i] + [flipped[i]] + rows[i + 1:]} for i in range(len(rows))]
+            edits += [{"transitions": rows[:i] + rows[i + 1:]} for i in range(len(rows))]
+            edits += [{"outputs": outputs[:i] + [doc["alphabet"]] + outputs[i + 1:]} for i in range(len(outputs))]
+            for edit in edits:
+                collapsed = {**doc["collapsed"], **edit}
+                got = {c.name: c.passed for c in recheck_certificate({**doc, "collapsed": collapsed})}
+                L = named_witness(tuple(doc["alphabet"]), collapsed)
+                valid = verify_witness(L)[0]
+                assert got["collapsed-witness-valid"] == valid, (doc["inputs"], edit)
+                assert got["solution-proved"] == (valid and _witness_proved(_numbered_witness(L)))
+                edited += 1
+                invalid += not valid
+        # 1 484 edits, of which 653 are no witness
+        assert edited > 1400 and invalid > 600 and edited - invalid > 700

@@ -3,6 +3,7 @@
 import copy
 import gc
 import importlib
+import json
 import pickle
 import pkgutil
 import random
@@ -20,6 +21,7 @@ from starchart import (
     loop_depth,
     measures,
     parse,
+    recheck_certificate,
     syntactic_witness,
     to_llee,
     verify_solution,
@@ -121,10 +123,19 @@ def test_charts_and_collapses_leave_no_reference_cycles():
         gc.enable()
 
 
+def _replayed(e, f, verdict):
+    """Replay the round-tripped certificate of ``e`` against ``f``, of the given verdict."""
+    doc = json.loads(json.dumps(certify(e, f).to_json()))
+    assert doc["verdict"] == verdict
+    return recheck_certificate(doc)
+
+
 # each is freed by reference counting alone: no helper on these paths is a
 # closure that refers to itself
 FREED_WITHOUT_THE_COLLECTOR = {
     "certify": lambda e, L: certify(e, Sum(e, e)),
+    "replay_equivalent": lambda e, L: _replayed(e, Sum(e, e), "equivalent"),
+    "replay_inequivalent": lambda e, L: _replayed(e, Sum(e, parse("b", ("b",))), "inequivalent"),
     "canonical_solution": lambda e, L: canonical_solution(L),
     "verify_solution": lambda e, L: verify_solution(L.base, canonical_solution(L)),
     "measures": lambda e, L: [measures(L, x) for x in L.base.states],

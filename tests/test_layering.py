@@ -191,6 +191,23 @@ class TestVerifyWitness:
         assert verify_witness(entry_jump_witness()) == (True, None)
 
 
+class TestTagsCoverTheTransitions:
+    # checked by count and membership; the message names what is off
+    X = Prechart.make(("a",), ("x", "y"), {}, {"x": {"a": ["y"]}, "y": {"a": ["x"]}}, root="x")
+
+    @pytest.mark.parametrize("tags, missing, extra", [
+        # as many tags as transitions, one of them on no transition
+        ({("x", "a", "y"): "e", ("x", "a", "x"): "b"}, "{('y', 'a', 'x')}", "{('x', 'a', 'x')}"),
+        # one tag short, and one too many
+        ({("x", "a", "y"): "e"}, "{('y', 'a', 'x')}", "set()"),
+        ({("x", "a", "y"): "e", ("y", "a", "x"): "b", ("y", "a", "y"): "b"}, "set()", "{('y', 'a', 'y')}"),
+    ])
+    def test_tags_off_the_transitions_raise_naming_them(self, tags, missing, extra):
+        with pytest.raises(ValueError) as failure:
+            LabelledPrechart(self.X, tags)
+        assert str(failure.value) == f"tags must cover the transitions exactly (missing {missing}, extra {extra})"
+
+
 class TestTheAnalysisIsBuiltOnce:
     def test_tags_are_a_read_only_copy(self):
         X = chart_of(AA0)
@@ -239,7 +256,7 @@ class TestTheAnalysisIsBuiltOnce:
         L = cycle_witness()
         analysis_of_verified(L)
         for twin in (copy.deepcopy(L), pickle.loads(pickle.dumps(L))):
-            assert twin == L and "_checked" not in vars(twin)
+            assert twin == L and "_numbered_witness" not in vars(twin)
             assert verify_witness(twin) == (True, None)
 
 

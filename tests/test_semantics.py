@@ -210,7 +210,7 @@ class TestReachability:
             sources = [x for x in range(len(X.states)) if rng.random() < 0.5]
             # stale closures for the sources, valid ones for every other state
             reach = [0 if x in sources else m for x, m in enumerate(truth)]
-            _recompute_reach(_successors(X), sources, reach)
+            _recompute_reach(_successors(X.numbered_succ()), sources, reach)
             assert reach == list(truth)
 
     def test_a_chain_looks_up_each_successor_list_about_once(self):

@@ -29,6 +29,7 @@ from starchart import (
     verify_witness,
 )
 from starchart import layering
+from starchart.layering import _numbered_witness
 from starchart import solution as solution_module
 from starchart.solution import MeasureError, _NormalForms, _proved, _Terms, _witness_proved
 from gen import deadline, distinct_nodes, doubling_chain, per_equation_check, random_chart, random_expr
@@ -282,6 +283,11 @@ def solved_charts(rng, syntactic, inferred):
             yield L.base, canonical_solution(L).assign
 
 
+def proved(X, assign) -> bool:
+    """``_proved`` on a chart and an assignment by name."""
+    return _proved((X.alphabet, [X.out(x) for x in X.states], X.numbered_succ()), [assign[x] for x in X.states])
+
+
 class TestTheAxiomStage:
     """The normal-form stage accepts only true equations; canonical solutions need no more."""
 
@@ -292,7 +298,7 @@ class TestTheAxiomStage:
             for candidate in TestOneRefinementPerCheck.corruptions(rng, X, assign):
                 candidate = reparsed(candidate)
                 expected = per_equation_check(X, candidate)
-                if _proved(X, candidate):
+                if proved(X, candidate):
                     assert expected == (True, None)
                     accepted += 1
                 assert verify_solution(X, candidate) == expected
@@ -316,7 +322,7 @@ class TestTheAxiomStage:
     ])
     def test_it_uses_no_unsound_law(self, X, candidate):
         candidate = {x: parse(text, ("a", "b", "c", "d", "z")) for x, text in candidate.items()}
-        assert not _proved(X, candidate)
+        assert not proved(X, candidate)
         assert verify_solution(X, candidate) == per_equation_check(X, candidate) == (False, "x")
 
     @pytest.fixture
@@ -391,13 +397,13 @@ class TestNormalFormSteps:
             X = chart_of(random_expr(rng, depth=min(rng.randint(2, 6), rng.randint(2, 6))))
             for L in (syntactic_witness(X), infer_witness(X)):
                 forms = _NormalForms()
-                terms = _Terms(L, forms.starred)
+                terms = _Terms(_numbered_witness(L), forms.starred)
                 s = canonical_solution(L)
                 built = [terms.term(x) for x in range(len(X.states))]
                 assert built == [forms.of(s.assign[x]) for x in X.states]
                 for (x, z), t in s.companion.items():
                     assert terms.memo[X.index(x), X.index(z)] == forms.of(t)
-                assert _witness_proved(L)
+                assert _witness_proved(_numbered_witness(L))
                 witnesses += 1
         assert witnesses == 600
 
