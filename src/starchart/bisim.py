@@ -325,8 +325,7 @@ class _Decision:
     roots are numbers 0 and ``n``.  ``rounds`` numbers the block of each
     state in each round of the refinement, and the last, ``block_of``, in
     the bisimilarity, which has ``count`` blocks.  No chart of these states
-    is built: an equivalent pair's quotient is built from the arrays, on the
-    states that ``state`` tags.
+    is built: an equivalent pair's quotient is built from the arrays.
 
     A decision that separated the roots before its walks ended (see
     ``_decide``) holds only what the walks reached: ``states`` what each
@@ -349,10 +348,6 @@ class _Decision:
     @property
     def bisimilar(self) -> bool:
         return self.block_of[0] == self.block_of[self.n]
-
-    def state(self, x: int) -> StateId:
-        """The state of the joined chart numbered ``x``."""
-        return (0 if x < self.n else 1, self.states[x])
 
 
 def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:

@@ -10,9 +10,10 @@ built for it, and most such pairs are decided on the first few layers of
 their walks.  When no round separates the roots early, the walks run to
 their end and partition refinement decides on the coproduct of both
 charts.  For an equivalent pair the quotient ``C`` by the decided
-partition is built from the same arrays: the minimal chart, in which both
-roots are one state.  Loop elimination gives ``C`` a layering witness, and
-the certificate carries it with the projections of both walks onto ``C``.
+partition is built from the same arrays, as arrays: the minimal chart, in
+which both roots are one state.  Loop elimination tags ``C``'s steps with a
+layering witness, and the certificate carries it as numbered rows with the
+projections of both walks onto ``C``.
 
 Replay of an inequivalent certificate model-checks its formula on the
 derivatives of both inputs that the formula reaches, with no walk and no
@@ -33,17 +34,19 @@ its successor numbers per action, the root, and the witness analysis
 built from the rows' tagged steps.  No chart or labelling is built.  On
 that record it checks that the witness verifies, that each projection
 ``h`` is a homomorphism and that the roots meet, and proves ``C``'s
-canonical solution ``s`` by the axioms alone; ``certify`` adapts its
-witness to the same record and runs the same checks.  ``s`` is
-built from the witness straight as normal forms, and each state's
-equation is checked on the derivatives of its normal form, so neither
-replay nor ``certify`` builds an expression solution.  This is sound:
+canonical solution ``s`` by the axioms alone; ``certify`` writes the
+rows and reads them back with replay's reader, and runs the same checks
+on the rows it emits.  ``s`` is built from the witness straight as normal
+forms, and each state's equation is checked on the derivatives of its
+normal form, so neither replay nor ``certify`` builds an expression
+solution.  This is sound:
 homomorphisms whose roots meet make ``e`` and ``f`` bisimilar, and as
 ``s ∘ h`` and the identity both solve the chart of ``e``, which has the
 syntactic LLEE witness, uniqueness of solutions gives ``e ≡ s(h(e))`` in
 Milner's system, and likewise for ``f``.  Minimality of ``C`` is not
-needed; ``certify`` checks it, and the decided partition, before the
-checks it shares with ``recheck_certificate``.
+needed; ``certify`` checks the decided partition before it builds ``C``,
+and the minimality of the rows it read back before the checks it shares
+with ``recheck_certificate``.
 
 Certificates are written in format version 3, one JSON object with
 ``"version": 3``, which ``certify`` prints on one line.  Nothing in the
@@ -71,7 +74,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping
 
-from .bisim import _decide, _distinguishing_formula, _stable, bisimilarity
+from .bisim import _coarsest, _decide, _distinguishing_formula, _stable
 from .formats import (
     _is_strings,
     chart_from_json,
@@ -82,11 +85,11 @@ from .formats import (
     witness_from_json,
     witness_to_json,
 )
-from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _numbered_witness, infer_witness,
+from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _eliminated, _successors, infer_witness,
                        syntactic_witness, to_llee, verify_witness)
 from .rerouting import collapse, connect_through
 from .semantics import Prechart, _coproduct_walk, _distinguishes, _quotient, _Walk, chart_of
-from .solution import _witness_proved, canonical_solution, simplify
+from .solution import _starred, _Terms, _witness_proved, canonical_solution, simplify
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
 
@@ -106,19 +109,20 @@ class Certificate:
     """Outcome of certifying two expressions equivalent or not.
 
     When the verdict is ``equivalent``, ``collapsed`` is a witness on the
-    minimal quotient of both charts, rooted at the image of both inputs;
-    ``projection`` lists, per walk, its states' positions there (the
-    decision's blocks); ``common``, the canonical solution at the root as
-    an expression, is built from ``collapsed`` on first read, and is not
-    serialized.  When it is ``inequivalent``, ``distinguishing`` is the
-    node list of a formula that holds at ``left`` and fails at ``right``
-    (see ``bisim._distinguishing_formula``), and its one check is the one
-    that replay runs, ``distinguishing-formula``.  Every listed check passed.
+    minimal quotient of both charts, rooted at the image of both inputs,
+    as the rows of format version 3 (see the module docstring): ``{"root":
+    r, "outputs": [[a, ...], ...], "transitions": [[i, a, j, tag], ...]}``
+    on the state numbers that ``projection`` holds, which lists, per walk,
+    its states' positions there (the decision's blocks).  ``common``, the
+    canonical solution at the root as an expression, is built on first
+    read from the rows, as the root's term alone, and is not serialized.
+    When it is ``inequivalent``, ``distinguishing`` is the node list of a
+    formula that holds at ``left`` and fails at ``right`` (see
+    ``bisim._distinguishing_formula``), and its one check is the one that
+    replay runs, ``distinguishing-formula``.  Every listed check passed.
 
-    ``to_json`` writes format version 3 (see the module docstring): there
-    ``collapsed`` is ``{"root": r, "outputs": [[a, ...], ...],
-    "transitions": [[i, a, j, tag], ...]}`` on the state numbers that
-    ``projection`` holds, and no field but ``inputs`` holds an expression.
+    ``to_json`` writes format version 3: ``collapsed`` as it is, not a
+    copy, and no field but ``inputs`` holds an expression.
     """
 
     verdict: str  # "equivalent" | "inequivalent"
@@ -126,7 +130,7 @@ class Certificate:
     right: Expr
     alphabet: tuple[str, ...]
     checks: list[Check] = field(default_factory=list)
-    collapsed: LabelledPrechart | None = None
+    collapsed: dict[str, Any] | None = None
     projection: dict[str, list[int]] | None = None
     distinguishing: list[list] | None = None
 
@@ -134,7 +138,8 @@ class Certificate:
     def common(self):
         if self.collapsed is None:
             return None
-        return canonical_solution(self.collapsed).assign[self.collapsed.base.root]
+        witness = _witness_of_rows(self.alphabet, self.collapsed)
+        return _Terms(witness, _starred).term(witness[1])
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -143,28 +148,10 @@ class Certificate:
             "inputs": {"left": render(self.left), "right": render(self.right)},
             "alphabet": list(self.alphabet),
             "checks": [{"name": c.name, "passed": c.passed} for c in self.checks],
-            "collapsed": _rows_of(self.collapsed) if self.collapsed else None,
+            "collapsed": self.collapsed,
             "projection": self.projection,
             "distinguishing": None if self.distinguishing is None else {"formula": self.distinguishing},
         }
-
-
-def _rows_of(L: LabelledPrechart) -> dict[str, Any]:
-    """``collapsed`` in format version 3: ``L``'s chart by state number,
-    its transitions as rows ``[i, action, j, tag]`` in ``edges()`` order."""
-    C, tags = L.base, L.tags
-    states = C.states
-    rows = [
-        [i, a, j, tags[x, a, states[j]]]
-        for i, (x, succ) in enumerate(zip(states, C.numbered_succ()))
-        for a, js in zip(C.alphabet, succ)
-        for j in js
-    ]
-    return {
-        "root": None if C.root is None else C.index(C.root),
-        "outputs": [sorted(C.out(x)) for x in states],
-        "transitions": rows,
-    }
 
 
 def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> tuple:
@@ -271,17 +258,27 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
         if not checks[0].passed:  # only a bisimulation has a quotient to build
             raise RuntimeError(f"certification checks failed: {[checks[0].name]}")
         # the minimal quotient is isomorphic to the collapse of any witness
-        # of the joined chart (the collapse theorem), so it is built directly
-        tagged = [d.state(x) for x in range(len(d.states))]
-        C = _quotient(alpha, (tagged, d.outs, d.numbered), d.block_of, d.block_of[0])
-        checks.append(Check("collapse-minimal", bisimilarity(C).is_identity))
-        witness = infer_witness(C)
-        if witness is None:
+        # of the joined chart (the collapse theorem), so it is built
+        # directly, and loop elimination tags its steps, as ``infer_witness``
+        # does
+        _, outs, rows = _quotient((d.states, d.outs, d.numbered), d.block_of)
+        entries = _eliminated(_successors(rows), sum([1 << i for i, out in enumerate(outs) if out]))
+        if entries is None:
             raise RuntimeError("the minimal quotient has no layering witness, "
                                "which contradicts the collapse theorem")
+        collapsed = {
+            "root": d.block_of[0],
+            "outputs": [sorted(out) for out in outs],
+            "transitions": [[i, a, j, ENTRY if (i, j) in entries else BODY]
+                            for i, succ in enumerate(rows) for a, js in zip(alpha, succ) for j in js],
+        }
+        # the checks run on the rows as replay reads them
+        witness = _witness_of_rows(alpha, collapsed)
+        _, c_outs, c_numbered = witness[0]
+        checks.append(Check("collapse-minimal", _coarsest(c_outs, c_numbered)[1] == len(c_outs)))
         projection = {"left": d.block_of[:d.n], "right": d.block_of[d.n:]}
-        checks += _proof_checks((d.states, d.outs, d.numbered), d.n, _numbered_witness(witness), projection)
-        cert = Certificate("equivalent", e, f, alpha, checks, collapsed=witness, projection=projection)
+        checks += _proof_checks((d.states, d.outs, d.numbered), d.n, witness, projection)
+        cert = Certificate("equivalent", e, f, alpha, checks, collapsed=collapsed, projection=projection)
     failed = [c.name for c in cert.checks if not c.passed]
     if failed:
         raise RuntimeError(f"certification checks failed: {failed}")

@@ -325,7 +325,9 @@ def _first_violation(a: _Analysis) -> WitnessViolation | None:
 # ``Prechart.numbered_succ``); ``root`` is the root's number or None, and
 # ``checked`` the analysis of its tags with their first violated clause.
 # ``_numbered_witness`` adapts a labelling to it; a certificate's rows are
-# read into it with ``_checked_rows``, with no prechart built.
+# read into it with ``_checked_rows``, with no prechart built, both by
+# replay and by ``certify``, which writes the rows from loop elimination's
+# tags (``_eliminated``) and reads them back before it emits them.
 
 
 def _numbered_witness(L: LabelledPrechart) -> tuple:

@@ -478,27 +478,24 @@ def quotient(X: Prechart, R: "PartitionRelation") -> tuple[Prechart, dict[StateI
     _checked_partition(X, R)
     numbers: dict[int, int] = {}  # blocks renumbered by least member
     block_of = [numbers.setdefault(R.block_index(x), len(numbers)) for x in X.states]
-    walk = (X.states, [X.out(x) for x in X.states], X.numbered_succ())
-    root = None if X.root is None else block_of[X.index(X.root)]
-    Q = _quotient(X.alphabet, walk, block_of, root)
+    kept = _quotient((X.states, [X.out(x) for x in X.states], X.numbered_succ()), block_of)
+    Q = _numbered_chart(X.alphabet, kept, None if X.root is None else kept[0][block_of[X.index(X.root)]])
     return Q, {x: Q.states[b] for x, b in zip(X.states, block_of)}
 
 
-def _quotient(alphabet: tuple[str, ...], walk: _Walk, block_of: Sequence[int], root: int | None) -> Prechart:
-    """The quotient of a walk's prechart by a bisimulation partition whose
-    blocks ``block_of`` numbers by least member: each block's least member
-    stands for the block, and each successor is its block, so block ``b`` is
-    state number ``b``; rooted at block ``root``.  Not checked: the caller
-    has checked that the partition is a bisimulation."""
+def _quotient(walk: _Walk, block_of: Sequence[int]) -> _Walk:
+    """The quotient of a walk by a bisimulation partition whose blocks
+    ``block_of`` numbers by least member, as a walk: each block's least
+    member stands for the block, with its outputs, and each successor is
+    its block, so block ``b`` is state number ``b``.  Not checked: the
+    caller has checked that the partition is a bisimulation."""
     states, outs, numbered = walk
     reps: list[int] = []
     for x, b in enumerate(block_of):
         if b == len(reps):
             reps.append(x)
-    kept = tuple([states[x] for x in reps])
     rows = [tuple([tuple(sorted({block_of[j] for j in js})) for js in numbered[x]]) for x in reps]
-    outputs = [outs[x] for x in reps]
-    return _numbered_chart(alphabet, (kept, outputs, rows), None if root is None else kept[root])
+    return tuple([states[x] for x in reps]), [outs[x] for x in reps], rows
 
 
 def kernel_partition(h: Mapping[StateId, StateId], states: tuple[StateId, ...]) -> "PartitionRelation":

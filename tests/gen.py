@@ -342,6 +342,17 @@ def joined_chart(e: Expr, f: Expr, alphabet) -> Prechart:
     return coproduct(chart_of(e, alphabet), chart_of(f, alphabet))[0]
 
 
+def named_witness(alphabet, collapsed) -> LabelledPrechart:
+    """The labelling of a chart by name that a version-3 ``collapsed``
+    writes, built by ``Prechart.make`` on the state names ``0..k-1``."""
+    outputs, rows = collapsed["outputs"], collapsed["transitions"]
+    transitions: dict = {}
+    for i, a, j, _ in rows:
+        transitions.setdefault(i, {}).setdefault(a, []).append(j)
+    C = Prechart.make(alphabet, range(len(outputs)), dict(enumerate(outputs)), transitions, collapsed["root"])
+    return LabelledPrechart(C, {(i, a, j): tag for i, a, j, tag in rows})
+
+
 def satisfies(X: Prechart, formula) -> bool:
     """Whether the Hennessy–Milner ``formula``, a node list as certificates
     carry it, holds at the root of the chart ``X``, by brute force: the set

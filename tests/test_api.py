@@ -4,6 +4,7 @@ no unused import."""
 import ast
 import pathlib
 import types
+from collections import Counter
 
 import starchart
 
@@ -39,10 +40,22 @@ def test_every_private_module_name_is_used():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    private = [(m, name) for m, name in defined
-               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+    dunder = lambda name: name.startswith("__") and name.endswith("__")
+    private = [(m, name) for m, name in defined if name.startswith("_") and not dunder(name)]
     assert len(private) > 20
     assert [(m, name) for m, name in private if name not in used] == []
+    # so is a method or property of a private class: it is read as an
+    # attribute somewhere outside its own body
+    attributes = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute))
+    methods = [(module, f"{cls.name}.{node.name}", node)
+               for module, tree in trees.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+               for node in cls.body if isinstance(node, ast.FunctionDef) and not dunder(node.name)]
+    own = lambda method: sum(isinstance(node, ast.Attribute) and node.attr == method.name
+                             for node in ast.walk(method))
+    assert len(methods) > 10
+    assert [(m, name) for m, name, node in methods if attributes[node.name] == own(node)] == []
 
 
 def test_every_imported_name_is_used():

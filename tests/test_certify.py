@@ -17,7 +17,6 @@ checker on each input's chart.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -28,9 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from starchart import (LabelledPrechart, Prechart, Sum, atoms, bisimilar, bisimilarity, canonical_solution, certify,
-                       chart_of, coproduct, is_homomorphism, parse, quotient, recheck_certificate, render,
-                       verify_witness)
+from starchart import (Prechart, Sum, atoms, bisimilar, bisimilarity, canonical_solution, certify, chart_of,
+                       coproduct, is_homomorphism, parse, quotient, recheck_certificate, render, verify_witness)
 from starchart import bisim, cli, semantics, solution
 from starchart.bisim import _coarsest, _decide, _distinguishing_formula
 from starchart.cli import _proof_checks
@@ -39,7 +37,8 @@ from starchart.layering import _numbered_witness
 from starchart.semantics import _coproduct_walk, _distinguishes, _numbered_chart
 from starchart.solution import _proved, _witness_proved
 from test_golden_certs import corpus as golden_corpus
-from gen import joined_chart, random_expr, rewrite_steps, round_by_round_bisimilarity, satisfies, wstar_pair
+from gen import (joined_chart, named_witness, random_expr, rewrite_steps, round_by_round_bisimilarity, satisfies,
+                 wstar_pair)
 
 ALPHA = ("a", "b", "c")
 # declared orders other than the sorted one, and multi-letter actions
@@ -179,7 +178,8 @@ class TestProjectionCheck:
             cert = certify(e, f, alpha)
             if cert.verdict != "equivalent":
                 continue
-            X, Y, C = chart_of(e, alpha), chart_of(f, alpha), cert.collapsed.base
+            L = named_witness(alpha, cert.collapsed)
+            X, Y, C = chart_of(e, alpha), chart_of(f, alpha), L.base
             walk, n = _coproduct_walk(e, f, alpha)
             # the certificate's projection, then one entry moved to another state
             left, right = cert.projection["left"], cert.projection["right"]
@@ -187,7 +187,7 @@ class TestProjectionCheck:
             side = moved[rng.randrange(2)]
             side[rng.randrange(len(side))] = rng.randrange(len(C.states))
             for h_left, h_right in ((left, right), moved):
-                checks = _proof_checks(walk, n, _numbered_witness(cert.collapsed), {"left": h_left, "right": h_right})
+                checks = _proof_checks(walk, n, _numbered_witness(L), {"left": h_left, "right": h_right})
                 got = dict((c.name, c.passed) for c in checks)["projection-homomorphism"]
                 on_charts = [is_homomorphism({x: C.states[b] for x, b in zip(Z.states, h)}, Z, C)[0]
                              for Z, h in ((X, h_left), (Y, h_right))]
@@ -208,8 +208,9 @@ class TestLocalProofs:
             cert = certify(e, f)
             assert cert.verdict == "equivalent"
             # the axiom stage alone, with no bisimilarity fallback
-            C, assign = cert.collapsed.base, canonical_solution(cert.collapsed).assign
-            assert _proved(_numbered_witness(cert.collapsed)[0], [assign[x] for x in C.states])
+            L = named_witness(cert.alphabet, cert.collapsed)
+            assign = canonical_solution(L).assign
+            assert _proved(_numbered_witness(L)[0], [assign[x] for x in L.base.states])
             assert all(c.passed for c in recheck_certificate(roundtrip(cert))), (render(e), render(f))
 
     def test_certify_and_replay_build_no_expression_solution(self, monkeypatch):
@@ -259,8 +260,9 @@ class TestDecideFirst:
         # fallback; ``_stable`` checks a partition, and ``_coarsest`` is
         # every refinement to the largest bisimulation; ``_Analysis`` is
         # every witness analysis built, and ``LabelledPrechart`` every
-        # labelling of a chart by name; the named formats' readers and
-        # ``state_ids`` are every state name written or read
+        # labelling of a chart by name; ``_witness_of_rows`` reads numbered
+        # rows into a witness; the named formats' readers and ``state_ids``
+        # are every state name written or read
         counted = [("formats", "chart_from_json"), ("formats", "witness_from_json"), ("formats", "state_ids"),
                    ("semantics", "chart_of"), ("semantics", "_layers"), ("semantics", "_walk"),
                    ("semantics", "_numbered_chart"), ("layering", "syntactic_witness"),
@@ -269,7 +271,7 @@ class TestDecideFirst:
                    ("bisim", "_checked_partition"), ("bisim", "check_bisimulation"),
                    ("semantics", "quotient"), ("semantics", "_quotient"), ("bisim", "_coarsest"),
                    ("solution", "verify_solution"), ("layering", "_Analysis"),
-                   ("layering", "LabelledPrechart")]
+                   ("layering", "LabelledPrechart"), ("cli", "_witness_of_rows")]
         return {name: count_calls(monkeypatch, module, name) for module, name in counted}
 
     def counts(self, calls) -> dict:
@@ -296,7 +298,8 @@ class TestDecideFirst:
                                  "syntactic_witness": 0, "bisimilar": 0, "bisimilarity": 0,
                                  "collapse": 0, "enumerate_witnesses": 0, "_stable": 0,
                                  "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
-                                 "_quotient": 0, "verify_solution": 0, "_Analysis": 0, "LabelledPrechart": 0}
+                                 "_quotient": 0, "verify_solution": 0, "_Analysis": 0, "LabelledPrechart": 0,
+                                 "_witness_of_rows": 0}
             assert refined in (0, 1)
             # replay model-checks the formula on derivatives: no walk, no
             # refinement and no check of a partition
@@ -323,22 +326,23 @@ class TestDecideFirst:
         for e, f in pairs(421, 60)[::2]:
             cert = certify(e, f)
             # both sides are walked once each, and no common expression is;
-            # the partition is checked once, and the only chart built is the
-            # quotient, from the decision's arrays, with no joined chart and
-            # no second check; ``bisimilarity`` runs once, for
-            # collapse-minimal, so the decision's refinement is the other
-            # ``_coarsest`` call; the witness is inferred on the quotient,
-            # with neither a syntactic witness, a collapse nor the search;
-            # the solution is proved by the axioms alone; the inferred witness
-            # is analysed once, and inference, the solution and the check
-            # table share that analysis
+            # the partition is checked once, and the quotient is built once,
+            # from the decision's arrays, as arrays: no chart, no labelling
+            # by name and no second check; loop elimination tags its steps
+            # with neither a syntactic witness, a collapse nor the search,
+            # and the rows that the certificate emits are read back once by
+            # replay's reader, whose one analysis the check table shares;
+            # collapse-minimal refines those rows, so the decision's
+            # refinement is the other ``_coarsest`` call; the solution is
+            # proved by the axioms alone
             expected = {"chart_from_json": 0, "witness_from_json": 0, "state_ids": 0,
-                        "chart_of": 0, "_layers": 2, "_walk": 0, "_numbered_chart": 1, "syntactic_witness": 0,
-                        "bisimilar": 0, "bisimilarity": 1, "collapse": 0, "enumerate_witnesses": 0,
+                        "chart_of": 0, "_layers": 2, "_walk": 0, "_numbered_chart": 0, "syntactic_witness": 0,
+                        "bisimilar": 0, "bisimilarity": 0, "collapse": 0, "enumerate_witnesses": 0,
                         "_stable": 1, "_checked_partition": 0, "check_bisimulation": 0, "quotient": 0,
                         "_quotient": 1, "_coarsest": 2, "verify_solution": 0, "_Analysis": 1,
-                        "LabelledPrechart": 1}
-            assert [args[0] for args in calls["bisimilarity"]] == [cert.collapsed.base]
+                        "LabelledPrechart": 0, "_witness_of_rows": 1}
+            # certify checks the very document that it emits
+            assert [args[1] for args in calls["_witness_of_rows"]] == [roundtrip(cert)["collapsed"]]
             assert self.counts(calls) == expected
             assert all(c.passed for c in recheck_certificate(roundtrip(cert)))
             # writing the certificate names no state; replay walks each side
@@ -346,9 +350,7 @@ class TestDecideFirst:
             # bisimilarity and no fallback; it builds no chart and no
             # labelling, and reads the certificate's numbered rows into one
             # witness by state number, whose analysis it builds once
-            assert self.counts(calls) == {**expected, "_walk": 2, "_quotient": 0, "_numbered_chart": 0,
-                                          "LabelledPrechart": 0, "bisimilarity": 0, "_stable": 0,
-                                          "_coarsest": 0}
+            assert self.counts(calls) == {**expected, "_walk": 2, "_quotient": 0, "_stable": 0, "_coarsest": 0}
             seen += 1
         assert seen == 30
 
@@ -474,7 +476,12 @@ class TestOneQuotient:
             Q, projection = quotient(Z, bisimilarity(Z))
             z = projection[inl[e]]
             assert projection[inr[f]] == z
-            assert cert.collapsed.base == dataclasses.replace(Q, root=z)
+            # the certificate's chart is ``Q``, its states numbered in order
+            number = Q.index
+            assert named_witness(alpha, cert.collapsed).base == Prechart.make(
+                alpha, range(len(Q.states)), {number(x): out for x, out in Q.outputs.items()},
+                {number(x): {a: map(number, ys) for a, ys in row.items()} for x, row in Q.transitions.items()},
+                number(z))
             # the certificate's projections are the quotient's, as positions
             assert cert.projection == {side: [Q.index(projection[x]) for x in injection.values()]
                                        for side, injection in (("left", inl), ("right", inr))}
@@ -517,7 +524,6 @@ class TestOneWalkDecides:
                 # reads the relation
                 assert (d.states, d.outs, d.numbered, d.n, d.rounds, d.count) == (
                     states, outs, numbered, n, rounds, count)
-                assert [d.state(x) for x in range(len(d.states))] == tagged
             verdicts.add(verdict)
         assert verdicts == {True, False}
 
@@ -614,7 +620,7 @@ class TestCertificateSize:
         # named by rendered expressions, they took 713 147 bytes
         e = random_expr(random.Random(88), depth=12)
         cert = certify(e, Sum(e, e))
-        assert len(cert.collapsed.base.states) == 193
+        assert len(named_witness(cert.alphabet, cert.collapsed).base.states) == 193
         assert certificate_bytes(cert) < 60_000
 
     def test_bytes_grow_linearly_in_the_quotient(self):
@@ -625,7 +631,7 @@ class TestCertificateSize:
         sizes = []
         for n in range(11, 200, 20):
             cert = certify(*wstar_pair(n))
-            C = cert.collapsed.base
+            C = named_witness(cert.alphabet, cert.collapsed).base
             assert len(C.states) == n
             sizes.append((len(C.states) + sum(1 for _ in C.edges()), certificate_bytes(cert)))
         steps = [(b2 - b1) / (s2 - s1) for (s1, b1), (s2, b2) in zip(sizes, sizes[1:])]
@@ -863,7 +869,7 @@ class TestTamperedCertificates:
         # the named ``collapsed`` of version 2, under a current version
         left, right = parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))
         cert = certify(left, right)
-        for collapsed in (witness_to_json(cert.collapsed), [], "x"):
+        for collapsed in (witness_to_json(named_witness(cert.alphabet, cert.collapsed)), [], "x"):
             assert failed_checks({**roundtrip(cert), "collapsed": collapsed}) == set(REPLAYED_EQUIVALENT)
 
     @pytest.mark.parametrize("version", ["missing", None, 1, 2, 4, "3", 3.0, True, [3]])
@@ -935,17 +941,6 @@ class TestTamperedCertificates:
         for doc in (roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b")))),
                     roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))):
             assert all(c.passed for c in recheck_certificate({**doc, "alphabet": ["a", "b", "b"]}))
-
-
-def named_witness(alphabet, collapsed) -> LabelledPrechart:
-    """The labelling of a chart by name that a version-3 ``collapsed``
-    writes, built by ``Prechart.make`` on the state names ``0..k-1``."""
-    outputs, rows = collapsed["outputs"], collapsed["transitions"]
-    transitions: dict = {}
-    for i, a, j, _ in rows:
-        transitions.setdefault(i, {}).setdefault(a, []).append(j)
-    C = Prechart.make(alphabet, range(len(outputs)), dict(enumerate(outputs)), transitions, collapsed["root"])
-    return LabelledPrechart(C, {(i, a, j): tag for i, a, j, tag in rows})
 
 
 class TestTheNamedWitnessIsTheOracle:

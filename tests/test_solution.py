@@ -32,7 +32,8 @@ from starchart import layering
 from starchart.layering import _numbered_witness
 from starchart import solution as solution_module
 from starchart.solution import MeasureError, _NormalForms, _proved, _Terms, _witness_proved
-from gen import deadline, distinct_nodes, doubling_chain, per_equation_check, random_chart, random_expr
+from gen import (deadline, distinct_nodes, doubling_chain, named_witness, per_equation_check, random_chart,
+                 random_expr)
 from test_golden_certs import corpus as golden_corpus
 
 A, B = Atom("a"), Atom("b")
@@ -344,7 +345,8 @@ class TestTheAxiomStage:
             if cert.verdict != "equivalent":
                 continue
             equivalent += 1
-            X, s = cert.collapsed.base, canonical_solution(cert.collapsed)
+            L = named_witness(cert.alphabet, cert.collapsed)
+            X, s = L.base, canonical_solution(L)
             assert verify_solution(X, s) == (True, None)
             assert verify_solution(X, reparsed(s.assign, X.alphabet)) == (True, None)
         assert equivalent >= 100
@@ -358,7 +360,8 @@ class TestTheAxiomStage:
         )
         cert = certify(e, Sum(e, e))
         assert _tree_and_dag_nodes(cert.common) == (8191, 113)
-        X, s = cert.collapsed.base, canonical_solution(cert.collapsed)
+        L = named_witness(cert.alphabet, cert.collapsed)
+        X, s = L.base, canonical_solution(L)
         assert verify_solution(X, s) == (True, None)
         assert verify_solution(X, reparsed(s.assign, alphabet)) == (True, None)
 
