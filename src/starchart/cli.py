@@ -9,7 +9,8 @@ holds at ``e`` and fails at ``f``, derived from those rounds; no chart is
 built for it, and most such pairs are decided on the first few layers of
 their walks.  When no round separates the roots early, the walks run to
 their end and partition refinement decides on the coproduct of both
-charts.  For an equivalent pair the quotient ``C`` by the decided
+charts.  For an equivalent pair whose normal forms differ (see below)
+the quotient ``C`` by the decided
 partition is built from the same arrays, as arrays: the minimal chart, in
 which both roots are one state.  Loop elimination tags ``C``'s steps with a
 layering witness, and the certificate carries it as numbered rows with the
@@ -26,7 +27,20 @@ formula that passes it.  ``starchart bisim --witness`` makes the same one
 decision and prints the same formula; for a bisimilar pair it prints the
 relation that the decided partition gives.
 
-Replay of an equivalent certificate checks the local proof (Grabmayer and
+An equivalent pair is proved in one of two ways, chosen from the input
+once the decision has found it bisimilar, so an inequivalent pair never
+pays for normal forms.  When ``e`` and ``f`` have the same normal form
+under ``solution._NormalForms`` (ACI of ``+`` with unit ``0``,
+associativity of ``·``, ``0·e = 0``, right distributivity and ``(e*f)·g =
+e*(f·g)``), the certificate carries ``"proof": "normal-forms"`` and one
+check, ``normal-forms-equal``, which replay runs again on the parsed
+inputs with no walk, chart, witness or refinement.  This is sound with
+no uniqueness theorem: those axioms are Milner's, which are sound for
+bisimilarity, so equal normal forms are a proof of ``e ≡ f`` in his
+system.  Otherwise the certificate carries the local proof, and no
+``proof`` key.
+
+Replay of a local-proof certificate checks the local proof (Grabmayer and
 Fokkink, LICS 2020) with no refinement: it walks each input once and
 reads the certificate's numbered rows into one witness by state number
 (see ``layering._numbered_witness``): per state of ``C`` its outputs and
@@ -49,7 +63,10 @@ and the minimality of the rows it read back before the checks it shares
 with ``recheck_certificate``.
 
 Certificates are written in format version 3, one JSON object with
-``"version": 3``, which ``certify`` prints on one line.  Nothing in the
+``"version": 3``, which ``certify`` prints on one line; a normal-forms
+certificate only adds ``proof`` to it, and has ``"collapsed": null``, so
+a reader that does not know ``proof`` fails every check of the local
+proof on it.  Nothing in the
 local proof reads a state of ``C`` by name, so ``collapsed`` names none:
 it numbers ``C``'s states ``0..k-1`` in ``_quotient``'s order and holds
 ``root``, a state number or null, ``outputs``, one sorted list of actions
@@ -74,7 +91,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping
 
-from .bisim import _coarsest, _decide, _distinguishing_formula, _stable
+from .bisim import _coarsest, _decide, _Decision, _distinguishing_formula, _stable
 from .formats import (
     _is_strings,
     chart_from_json,
@@ -89,13 +106,15 @@ from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _eliminated
                        syntactic_witness, to_llee, verify_witness)
 from .rerouting import collapse, connect_through
 from .semantics import Prechart, _coproduct_walk, _distinguishes, _quotient, _Walk, chart_of
-from .solution import _starred, _Terms, _witness_proved, canonical_solution, simplify
+from .solution import _NormalForms, _starred, _Terms, _witness_proved, canonical_solution, simplify
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
 
 # the certificate format that ``Certificate.to_json`` writes and
 # ``recheck_certificate`` reads (see the module docstring)
 FORMAT_VERSION = 3
+# the ``proof`` of an equivalent certificate whose inputs have one normal form
+NORMAL_FORMS = "normal-forms"
 
 
 @dataclass(frozen=True)
@@ -108,7 +127,12 @@ class Check:
 class Certificate:
     """Outcome of certifying two expressions equivalent or not.
 
-    When the verdict is ``equivalent``, ``collapsed`` is a witness on the
+    When the verdict is ``equivalent`` and ``proof`` is ``"normal-forms"``,
+    the inputs have one normal form: the one check is
+    ``normal-forms-equal``, ``collapsed`` and ``projection`` are ``None``,
+    and ``common`` is ``left``, which both inputs are proved equal to.
+    When it is ``equivalent`` with no ``proof``, the local proof's
+    certificate, ``collapsed`` is a witness on the
     minimal quotient of both charts, rooted at the image of both inputs,
     as the rows of format version 3 (see the module docstring): ``{"root":
     r, "outputs": [[a, ...], ...], "transitions": [[i, a, j, tag], ...]}``
@@ -121,8 +145,10 @@ class Certificate:
     ``bisim._distinguishing_formula``), and its one check is the one that
     replay runs, ``distinguishing-formula``.  Every listed check passed.
 
-    ``to_json`` writes format version 3: ``collapsed`` as it is, not a
-    copy, and no field but ``inputs`` holds an expression.
+    ``to_json`` writes format version 3, with ``proof`` only when it is
+    set: fresh lists of ``collapsed``'s rows and ``projection``'s images,
+    so that editing the document leaves the certificate as it is, and no
+    field but ``inputs`` holds an expression.
     """
 
     verdict: str  # "equivalent" | "inequivalent"
@@ -133,25 +159,34 @@ class Certificate:
     collapsed: dict[str, Any] | None = None
     projection: dict[str, list[int]] | None = None
     distinguishing: list[list] | None = None
+    proof: str | None = None
 
     @cached_property
     def common(self):
+        if self.proof == NORMAL_FORMS:
+            return self.left
         if self.collapsed is None:
             return None
         witness = _witness_of_rows(self.alphabet, self.collapsed)
         return _Terms(witness, _starred).term(witness[1])
 
     def to_json(self) -> dict[str, Any]:
-        return {
+        rows, projection = self.collapsed, self.projection
+        doc = {
             "version": FORMAT_VERSION,
             "verdict": self.verdict,
             "inputs": {"left": render(self.left), "right": render(self.right)},
             "alphabet": list(self.alphabet),
             "checks": [{"name": c.name, "passed": c.passed} for c in self.checks],
-            "collapsed": self.collapsed,
-            "projection": self.projection,
+            "collapsed": None if rows is None else {
+                "root": rows["root"], "outputs": [list(out) for out in rows["outputs"]],
+                "transitions": [list(row) for row in rows["transitions"]]},
+            "projection": None if projection is None else {side: list(h) for side, h in projection.items()},
             "distinguishing": None if self.distinguishing is None else {"formula": self.distinguishing},
         }
+        if self.proof is not None:
+            doc["proof"] = self.proof
+        return doc
 
 
 def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> tuple:
@@ -237,8 +272,16 @@ def _proof_checks(walk: _Walk, n: int, witness: tuple | None, projection: Any) -
     ]
 
 
-def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
-    """Certify two expressions equivalent (with a common solved collapse) or not."""
+def _normal_forms_check(e: Expr, f: Expr) -> Check:
+    """That the axioms of ``_NormalForms`` rewrite ``e`` and ``f`` to one
+    normal form, computed on one instance, whose ids are then comparable."""
+    forms = _NormalForms()
+    return Check("normal-forms-equal", forms.of(e) == forms.of(f))
+
+
+def _certified_alphabet(e: Expr, f: Expr, alphabet=None) -> tuple[str, ...]:
+    """The declared ``alphabet``, or else the atoms that ``e`` and ``f``
+    use; raises ``ValueError`` if they use an action outside it."""
     alpha = (
         declare_alphabet(alphabet)
         if alphabet is not None
@@ -247,48 +290,64 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     missing = (atoms(e) | atoms(f)) - set(alpha)
     if missing:
         raise ValueError(f"atoms outside the declared alphabet: {sorted(missing)}")
+    return alpha
+
+
+def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
+    """Certify two expressions equivalent (by their normal forms, or else by
+    the local proof on a common solved collapse) or not."""
+    alpha = _certified_alphabet(e, f, alphabet)
     d = _decide(e, f, alpha)
     if not d.bisimilar:
         formula = _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, 0, d.n)
         checks = [_formula_check(alpha, formula, e, f)]
         cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=formula)
+    elif (check := _normal_forms_check(e, f)).passed:
+        cert = Certificate("equivalent", e, f, alpha, [check], proof=NORMAL_FORMS)
     else:
-        # ``certify``'s guard on its decision: the decided partition is a bisimulation
-        checks = [Check("bisimulation-relation-valid", _stable(d.outs, d.numbered, d.block_of, d.count))]
-        if not checks[0].passed:  # only a bisimulation has a quotient to build
-            raise RuntimeError(f"certification checks failed: {[checks[0].name]}")
-        # the minimal quotient is isomorphic to the collapse of any witness
-        # of the joined chart (the collapse theorem), so it is built
-        # directly, and loop elimination tags its steps, as ``infer_witness``
-        # does
-        _, outs, rows = _quotient((d.states, d.outs, d.numbered), d.block_of)
-        entries = _eliminated(_successors(rows), sum([1 << i for i, out in enumerate(outs) if out]))
-        if entries is None:
-            raise RuntimeError("the minimal quotient has no layering witness, "
-                               "which contradicts the collapse theorem")
-        collapsed = {
-            "root": d.block_of[0],
-            "outputs": [sorted(out) for out in outs],
-            "transitions": [[i, a, j, ENTRY if (i, j) in entries else BODY]
-                            for i, succ in enumerate(rows) for a, js in zip(alpha, succ) for j in js],
-        }
-        # the checks run on the rows as replay reads them
-        witness = _witness_of_rows(alpha, collapsed)
-        _, c_outs, c_numbered = witness[0]
-        checks.append(Check("collapse-minimal", _coarsest(c_outs, c_numbered)[1] == len(c_outs)))
-        projection = {"left": d.block_of[:d.n], "right": d.block_of[d.n:]}
-        checks += _proof_checks((d.states, d.outs, d.numbered), d.n, witness, projection)
-        cert = Certificate("equivalent", e, f, alpha, checks, collapsed=collapsed, projection=projection)
+        cert = _local_certificate(e, f, alpha, d)
     failed = [c.name for c in cert.checks if not c.passed]
     if failed:
         raise RuntimeError(f"certification checks failed: {failed}")
     return cert
 
 
+def _local_certificate(e: Expr, f: Expr, alpha: tuple[str, ...], d: _Decision) -> Certificate:
+    """The certificate of the local proof, from ``_decide``'s decision ``d``
+    that ``e`` and ``f`` are bisimilar."""
+    # ``certify``'s guard on its decision: the decided partition is a bisimulation
+    checks = [Check("bisimulation-relation-valid", _stable(d.outs, d.numbered, d.block_of, d.count))]
+    if not checks[0].passed:  # only a bisimulation has a quotient to build
+        raise RuntimeError(f"certification checks failed: {[checks[0].name]}")
+    # the minimal quotient is isomorphic to the collapse of any witness of
+    # the joined chart (the collapse theorem), so it is built directly, and
+    # loop elimination tags its steps, as ``infer_witness`` does
+    _, outs, rows = _quotient((d.states, d.outs, d.numbered), d.block_of)
+    entries = _eliminated(_successors(rows), sum([1 << i for i, out in enumerate(outs) if out]))
+    if entries is None:
+        raise RuntimeError("the minimal quotient has no layering witness, "
+                           "which contradicts the collapse theorem")
+    collapsed = {
+        "root": d.block_of[0],
+        "outputs": [sorted(out) for out in outs],
+        "transitions": [[i, a, j, ENTRY if (i, j) in entries else BODY]
+                        for i, succ in enumerate(rows) for a, js in zip(alpha, succ) for j in js],
+    }
+    # the checks run on the rows as replay reads them
+    witness = _witness_of_rows(alpha, collapsed)
+    _, c_outs, c_numbered = witness[0]
+    checks.append(Check("collapse-minimal", _coarsest(c_outs, c_numbered)[1] == len(c_outs)))
+    projection = {"left": d.block_of[:d.n], "right": d.block_of[d.n:]}
+    checks += _proof_checks((d.states, d.outs, d.numbered), d.n, witness, projection)
+    return Certificate("equivalent", e, f, alpha, checks, collapsed=collapsed, projection=projection)
+
+
 def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     """Replay the shared checks of a serialized certificate from scratch,
     with no refinement (see the module docstring): an inequivalent one's
-    ``distinguishing-formula``, and the local proof of an equivalent one.
+    ``distinguishing-formula``, an equivalent one's ``normal-forms-equal``
+    when its ``proof`` is ``"normal-forms"``, and the local proof of an
+    equivalent one with no ``proof``.
     Data that fails a check does not raise: a witness that does not verify
     fails ``solution-proved`` too, a formula or projection of the wrong
     shape, null or missing, fails, and a ``collapsed`` that is no witness
@@ -298,8 +357,9 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     document that is no JSON object or of a version other than
     ``FORMAT_VERSION``, an unknown or missing verdict, an ``alphabet`` that
     is no list of action names or ``inputs`` that are no mapping of
-    ``left`` and ``right`` to strings, missing ones included, raises
-    ``ValueError`` naming the field; its inputs must parse.
+    ``left`` and ``right`` to strings, missing ones included, and an
+    equivalent one's ``proof`` that is present but not ``"normal-forms"``,
+    raises ``ValueError`` naming the field; its inputs must parse.
     """
     if not isinstance(doc, Mapping):
         raise ValueError("a certificate must be a JSON object")
@@ -320,6 +380,10 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     if verdict == "inequivalent":
         v = doc.get("distinguishing")
         return [_formula_check(alpha, v.get("formula") if isinstance(v, Mapping) else None, e, f)]
+    if "proof" in doc:
+        if doc["proof"] != NORMAL_FORMS:
+            raise ValueError(f"unknown proof {doc['proof']!r} in 'proof'")
+        return [_normal_forms_check(e, f)]
     walk, n = _coproduct_walk(e, f, alpha)
     try:
         witness = _witness_of_rows(alpha, doc.get("collapsed"))

@@ -21,6 +21,7 @@ from starchart import (
     Zero,
     Splitting,
     bisimilar,
+    certify,
     chart_of,
     coproduct,
     derived_relations,
@@ -29,6 +30,8 @@ from starchart import (
     size_bound,
     verify_witness,
 )
+from starchart import cli
+from starchart.bisim import _decide
 from starchart.semantics import expr_step
 from starchart.syntax import can_terminate, star_height
 
@@ -340,6 +343,20 @@ def joined_chart(e: Expr, f: Expr, alphabet) -> Prechart:
     """The coproduct of the charts of ``e`` and ``f``, on which certification
     decides them."""
     return coproduct(chart_of(e, alphabet), chart_of(f, alphabet))[0]
+
+
+def local_certify(e: Expr, f: Expr, alphabet=None):
+    """``certify``'s certificate, but by the local proof for every
+    equivalent pair, those whose normal forms meet included, which
+    ``certify`` proves by their normal forms alone; the certificate of an
+    inequivalent pair is ``certify``'s."""
+    alpha = cli._certified_alphabet(e, f, alphabet)
+    d = _decide(e, f, alpha)
+    if not d.bisimilar:
+        return certify(e, f, alphabet)
+    cert = cli._local_certificate(e, f, alpha, d)
+    assert all(c.passed for c in cert.checks), cert.checks
+    return cert
 
 
 def named_witness(alphabet, collapsed) -> LabelledPrechart:

@@ -13,6 +13,11 @@ The checks on state numbers are compared with the same checks on charts:
 the joined chart, the coproduct of both charts, which certification
 itself never builds, ``is_homomorphism``, and a brute-force model
 checker on each input's chart.
+
+An equivalent pair whose normal forms meet is certified by them alone, and
+its replay runs ``normal-forms-equal`` with no walk; the tests of the local
+proof certify through ``gen.local_certify``, which takes the local proof for
+every equivalent pair.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from starchart.layering import _numbered_witness
 from starchart.semantics import _coproduct_walk, _distinguishes, _numbered_chart
 from starchart.solution import _proved, _witness_proved
 from test_golden_certs import corpus as golden_corpus
-from gen import (joined_chart, named_witness, random_expr, rewrite_steps, round_by_round_bisimilarity, satisfies,
-                 wstar_pair)
+from gen import (joined_chart, local_certify, named_witness, random_expr, rewrite_steps, round_by_round_bisimilarity,
+                 satisfies, wstar_pair)
 
 ALPHA = ("a", "b", "c")
 # declared orders other than the sorted one, and multi-letter actions
@@ -162,7 +167,7 @@ def equivalent_docs(seed: int, count: int):
     while count:
         e = random_expr(rng, depth=rng.randint(3, 4))
         f = rewrite_steps(rng, e, rng.randint(1, 3)) if count % 2 else Sum(e, e)
-        doc = roundtrip(certify(e, f, ALPHA))
+        doc = roundtrip(local_certify(e, f, ALPHA))
         if min(map(len, doc["projection"].values())) >= 3:
             assert not failed_checks(doc)
             yield doc
@@ -175,7 +180,7 @@ class TestProjectionCheck:
         outcomes = set()
         seen = 0
         for alpha, e, f in alphabet_pairs(401, 480):
-            cert = certify(e, f, alpha)
+            cert = local_certify(e, f, alpha)
             if cert.verdict != "equivalent":
                 continue
             L = named_witness(alpha, cert.collapsed)
@@ -205,7 +210,7 @@ class TestLocalProofs:
         for i in range(2000):
             e = random_expr(rng, depth=3 + i % 6)
             f = rewrite_steps(rng, e, rng.randint(1, 3)) if i % 2 == 0 else Sum(e, e)
-            cert = certify(e, f)
+            cert = local_certify(e, f)
             assert cert.verdict == "equivalent"
             # the axiom stage alone, with no bisimilarity fallback
             L = named_witness(cert.alphabet, cert.collapsed)
@@ -223,7 +228,7 @@ class TestLocalProofs:
         monkeypatch.setattr(solution, "_starred", refuse)
         equivalent = 0
         for e, f in golden_corpus():
-            cert = certify(e, f)
+            cert = local_certify(e, f)
             if cert.verdict != "equivalent":
                 continue
             assert [c.name for c in cert.checks] == EQUIVALENT and all(c.passed for c in cert.checks)
@@ -237,7 +242,7 @@ class TestReplayKeepsItsChecks:
     def test_every_check_passes_under_the_same_names(self):
         verdicts = set()
         for e, f in pairs(409, 100):
-            cert = certify(e, f)
+            cert = local_certify(e, f)
             replayed = recheck_certificate(roundtrip(cert))
             assert all(c.passed for c in replayed)
             names = [c.name for c in replayed]
@@ -324,7 +329,7 @@ class TestDecideFirst:
     def test_equivalent_pairs_build_each_chart_once(self, calls):
         seen = 0
         for e, f in pairs(421, 60)[::2]:
-            cert = certify(e, f)
+            cert = local_certify(e, f)
             # both sides are walked once each, and no common expression is;
             # the partition is checked once, and the quotient is built once,
             # from the decision's arrays, as arrays: no chart, no labelling
@@ -469,7 +474,7 @@ class TestOneQuotient:
     def test_certify_builds_the_quotient_of_the_joined_chart(self):
         seen = 0
         for alpha, e, f in alphabet_pairs(463, 480):
-            cert = certify(e, f, alpha)
+            cert = local_certify(e, f, alpha)
             if cert.verdict != "equivalent":
                 continue
             Z, inl, inr = coproduct(chart_of(e, alpha), chart_of(f, alpha))
@@ -619,7 +624,7 @@ class TestCertificateSize:
         # the quotient of this pair has 193 states and 629 transitions;
         # named by rendered expressions, they took 713 147 bytes
         e = random_expr(random.Random(88), depth=12)
-        cert = certify(e, Sum(e, e))
+        cert = local_certify(e, Sum(e, e))
         assert len(named_witness(cert.alphabet, cert.collapsed).base.states) == 193
         assert certificate_bytes(cert) < 60_000
 
@@ -630,7 +635,7 @@ class TestCertificateSize:
         # a name per state would cost more with every state added
         sizes = []
         for n in range(11, 200, 20):
-            cert = certify(*wstar_pair(n))
+            cert = local_certify(*wstar_pair(n))
             C = named_witness(cert.alphabet, cert.collapsed).base
             assert len(C.states) == n
             sizes.append((len(C.states) + sum(1 for _ in C.edges()), certificate_bytes(cert)))
@@ -739,7 +744,7 @@ class TestTamperedCertificates:
                 assert failed_checks(tampered) == {"projection-homomorphism"}
         # one entry moved across: the joined list is the same, and so are the
         # roots' images, but the right list no longer starts at its root
-        doc = roundtrip(certify(parse("a*0", ("a",)), parse("(a a)*0", ("a",))))
+        doc = roundtrip(local_certify(parse("a*0", ("a",)), parse("(a a)*0", ("a",))))
         assert doc["projection"] == {"left": [0], "right": [0, 0]}
         doc["projection"] = {"left": [0, 0], "right": [0]}
         assert failed_checks(doc) == {"projection-homomorphism"}
@@ -769,13 +774,13 @@ class TestTamperedCertificates:
                 assert failed_checks(tampered) == {"projection-homomorphism", "roots-meet"}
 
     def test_a_collapsed_witness_with_no_root_fails_roots_meet(self):
-        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        doc = roundtrip(local_certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
         doc["collapsed"]["root"] = None
         assert failed_checks(doc) == {"roots-meet"}
 
     def test_flipped_tags_fail_their_named_checks(self):
         left, right = parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))
-        doc = roundtrip(certify(left, right))
+        doc = roundtrip(local_certify(left, right))
         everything = json.loads(json.dumps(doc))
         for row in everything["collapsed"]["transitions"]:
             row[3] = "b"
@@ -827,7 +832,7 @@ class TestTamperedCertificates:
         assert permuted >= 30
 
     def test_a_repeated_row_is_read_once(self):
-        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        doc = roundtrip(local_certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
         rows = doc["collapsed"]["transitions"]
         assert not failed_checks({**doc, "collapsed": {**doc["collapsed"], "transitions": rows + rows[:1]}})
 
@@ -854,7 +859,7 @@ class TestTamperedCertificates:
     ], ids=lambda edit: json.dumps(edit))
     def test_a_collapsed_document_that_is_no_chart_fails_every_check(self, edit):
         # none is a witness in numbered rows: every proof check fails, and nothing raises
-        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        doc = roundtrip(local_certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
         collapsed = doc["collapsed"]
         assert collapsed == {"root": 0, "outputs": [[], []], "transitions": [[0, "a", 1, "e"], [1, "b", 0, "b"]]}
         if "row" in edit:
@@ -868,7 +873,7 @@ class TestTamperedCertificates:
     def test_a_collapsed_witness_with_state_names_fails_every_check(self):
         # the named ``collapsed`` of version 2, under a current version
         left, right = parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))
-        cert = certify(left, right)
+        cert = local_certify(left, right)
         for collapsed in (witness_to_json(named_witness(cert.alphabet, cert.collapsed)), [], "x"):
             assert failed_checks({**roundtrip(cert), "collapsed": collapsed}) == set(REPLAYED_EQUIVALENT)
 
@@ -889,7 +894,7 @@ class TestTamperedCertificates:
             recheck_certificate(doc)
 
     def test_a_projection_of_no_two_int_lists_fails(self):
-        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        doc = roundtrip(local_certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
         h = doc["projection"]
         for wrong in (None, [], "x", [h["left"], h["right"]], {"left": h["left"]}, {"right": h["right"]},
                       {"left": 0, "right": 0}, {"left": [], "right": []},
@@ -913,7 +918,7 @@ class TestTamperedCertificates:
             recheck_certificate(doc)
 
     def test_a_missing_collapsed_fails_every_proof_check(self):
-        doc = roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
+        doc = roundtrip(local_certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b"))))
         assert failed_checks({**doc, "collapsed": None}) == set(REPLAYED_EQUIVALENT)
         assert failed_checks({key: value for key, value in doc.items() if key != "collapsed"}) == set(
             REPLAYED_EQUIVALENT)
@@ -938,7 +943,7 @@ class TestTamperedCertificates:
 
     def test_a_repeated_action_is_read_once(self):
         # as ``--alphabet a,b,b`` declares the alphabet a, b
-        for doc in (roundtrip(certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b")))),
+        for doc in (roundtrip(local_certify(parse("(a b)*0", ("a", "b")), parse("(a b)*0 + (a b)*0", ("a", "b")))),
                     roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))):
             assert all(c.passed for c in recheck_certificate({**doc, "alphabet": ["a", "b", "b"]}))
 
@@ -952,7 +957,7 @@ class TestTheNamedWitnessIsTheOracle:
         # verdicts are those of the labelling by name built from the same rows
         edited = invalid = 0
         for e, f in golden_corpus():
-            doc = roundtrip(certify(e, f))
+            doc = roundtrip(local_certify(e, f))
             if doc["verdict"] != "equivalent":
                 continue
             rows, outputs = doc["collapsed"]["transitions"], doc["collapsed"]["outputs"]
@@ -971,3 +976,144 @@ class TestTheNamedWitnessIsTheOracle:
                 invalid += not valid
         # 1 484 edits, of which 653 are no witness
         assert edited > 1400 and invalid > 600 and edited - invalid > 700
+
+
+def refuse_calls(monkeypatch, module: str, name: str) -> None:
+    """Make ``starchart.<module>.<name>`` raise through every starchart binding."""
+    original = getattr(sys.modules[f"starchart.{module}"], name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{module}.{name} was called")
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "starchart" or mod_name.startswith("starchart."):
+            for bound, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, bound, refuse)
+
+
+def normal_forms_doc(e, f, alphabet) -> dict:
+    """The certificate that ``certify`` writes when the normal forms of ``e``
+    and ``f`` meet, whatever they are: evidence for replay to judge."""
+    cert = cli.Certificate("equivalent", e, f, alphabet, [cli.Check("normal-forms-equal", True)],
+                           proof="normal-forms")
+    return roundtrip(cert)
+
+
+class TestNormalFormCertificates:
+    def test_certify_proves_by_normal_forms_exactly_when_they_meet(self):
+        # and by the local proof otherwise: the input selects the proof
+        proofs = Counter()
+        for e, f in golden_corpus():
+            cert = certify(e, f)
+            forms = solution._NormalForms()
+            meet = forms.of(e) == forms.of(f)
+            doc = roundtrip(cert)
+            if cert.verdict == "inequivalent":
+                assert "proof" not in doc and [c.name for c in cert.checks] == INEQUIVALENT
+                proofs["inequivalent"] += 1
+            elif meet:
+                assert [c.name for c in cert.checks] == ["normal-forms-equal"]
+                assert (doc["proof"], doc["collapsed"], doc["projection"]) == ("normal-forms", None, None)
+                # both inputs are proved equal to the left one
+                assert cert.common is e
+                assert [c.name for c in recheck_certificate(doc)] == ["normal-forms-equal"]
+                proofs["normal-forms"] += 1
+            else:
+                assert "proof" not in doc and [c.name for c in cert.checks] == EQUIVALENT
+                assert doc == roundtrip(local_certify(e, f))
+                proofs["local"] += 1
+            assert all(c.passed for c in recheck_certificate(doc))
+        assert proofs == {"inequivalent": 156, "normal-forms": 158, "local": 6}
+
+    def test_replay_walks_charts_and_refines_nothing(self, monkeypatch):
+        docs = [roundtrip(cert) for cert in (certify(e, f) for e, f in golden_corpus()) if cert.proof]
+        for module, name in (("semantics", "_layers"), ("bisim", "_coarsest"), ("cli", "_witness_of_rows"),
+                             ("semantics", "_numbered_chart"), ("semantics", "chart_of"),
+                             ("layering", "_Analysis"), ("bisim", "_stable")):
+            refuse_calls(monkeypatch, module, name)
+        for doc in docs:
+            assert [(c.name, c.passed) for c in recheck_certificate(doc)] == [("normal-forms-equal", True)]
+        assert len(docs) == 158
+
+    def test_an_edited_action_fails_normal_forms_equal(self):
+        alpha = ("a", "b", "c")
+        doc = roundtrip(certify(parse("a b + a c", alpha), parse("a c + a b", alpha)))
+        assert doc["proof"] == "normal-forms"
+        doc["inputs"]["right"] = "a c + a a"
+        assert [(c.name, c.passed) for c in recheck_certificate(doc)] == [("normal-forms-equal", False)]
+        # each action of each right input edited in turn: whenever the
+        # edited pair is not bisimilar, the check fails
+        failed = 0
+        for e, f in golden_corpus():
+            doc = roundtrip(certify(e, f))
+            if "proof" not in doc:
+                continue
+            text = doc["inputs"]["right"]
+            for i, ch in enumerate(text):
+                if ch not in doc["alphabet"]:
+                    continue
+                for a in set(doc["alphabet"]) - {ch}:
+                    edited = text[:i] + a + text[i + 1:]
+                    (check,) = recheck_certificate({**doc, "inputs": {**doc["inputs"], "right": edited}})
+                    if not bisimilar(e, parse(edited, tuple(doc["alphabet"])), tuple(doc["alphabet"])):
+                        assert not check.passed, (doc["inputs"], edited)
+                        failed += 1
+        assert failed > 900
+
+    @pytest.mark.parametrize("proof", [None, "local", "normal-form", "Normal-Forms", 1, True, ["normal-forms"], {}])
+    def test_an_unknown_proof_raises_naming_it(self, proof):
+        alpha = ("a", "b")
+        doc = roundtrip(certify(parse("a + b", alpha), parse("b + a", alpha)))
+        with pytest.raises(ValueError, match="'proof'"):
+            recheck_certificate({**doc, "proof": proof})
+        # a local certificate with a proof named, too
+        doc = roundtrip(local_certify(parse("(a b)*0", alpha), parse("(a b)*0 + (a b)*0", alpha)))
+        with pytest.raises(ValueError, match="'proof'"):
+            recheck_certificate({**doc, "proof": proof})
+        # an inequivalent certificate's proof is never read
+        doc = roundtrip(certify(parse("a + b", alpha), parse("a", alpha)))
+        assert all(c.passed for c in recheck_certificate({**doc, "proof": proof}))
+
+    def test_a_deleted_proof_fails_every_local_check(self):
+        # as a reader without the normal-forms proof reads the certificate:
+        # it fails closed
+        for e, f in golden_corpus():
+            doc = roundtrip(certify(e, f))
+            if doc.get("proof") == "normal-forms":
+                del doc["proof"]
+                assert failed_checks(doc) == set(REPLAYED_EQUIVALENT)
+
+    def test_an_accepted_normal_forms_certificate_is_sound(self):
+        # the normal-forms certificate of 600 rewrite pairs and 600
+        # independent draws, over two alphabets, whatever their verdict:
+        # whenever replay accepts one, a refinement that shares no code with
+        # the decision relates the roots of the joined chart
+        rng = random.Random(491)
+        accepted = rejected = 0
+        for i in range(1200):
+            alpha = ALPHABETS[i % 2]
+            e = random_expr(rng, alpha, depth=rng.randint(1, 4))
+            f = rewrite_steps(rng, e, rng.randint(1, 4)) if i % 2 == 0 else random_expr(rng, alpha, depth=3)
+            (check,) = recheck_certificate(normal_forms_doc(e, f, alpha))
+            assert check.name == "normal-forms-equal"
+            if check.passed:
+                Z = joined_chart(e, f, alpha)
+                R = round_by_round_bisimilarity(Z)
+                assert R.related(Z.states[0], Z.states[len(chart_of(e, alpha).states)]), (render(e), render(f))
+                accepted += 1
+            else:
+                rejected += 1
+        assert accepted >= 500 and rejected >= 500
+
+    def test_the_emitted_document_is_the_certificates_copy(self):
+        # editing what ``to_json`` returns leaves the certificate as it was
+        alpha = ("a", "b")
+        cert, twin = (local_certify(parse("(a b)*0", alpha), parse("(a b)*0 + (a b)*0", alpha)) for _ in range(2))
+        before = roundtrip(cert)
+        d = cert.to_json()
+        d["collapsed"]["transitions"][0][3] = "b"
+        d["projection"]["left"][0] = 1
+        # ``common`` is first built after the edit, from the certificate's own rows
+        assert render(cert.common) == render(twin.common) == "(0 + a 0*(0 + b))*0"
+        assert cert.projection == before["projection"] and roundtrip(cert) == before

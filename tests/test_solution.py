@@ -14,7 +14,6 @@ from starchart import (
     Zero,
     bisimilar,
     canonical_solution,
-    certify,
     chart_of,
     check_bisimulation,
     enumerate_witnesses,
@@ -32,8 +31,8 @@ from starchart import layering
 from starchart.layering import _numbered_witness
 from starchart import solution as solution_module
 from starchart.solution import MeasureError, _NormalForms, _proved, _Terms, _witness_proved
-from gen import (deadline, distinct_nodes, doubling_chain, named_witness, per_equation_check, random_chart,
-                 random_expr)
+from gen import (deadline, distinct_nodes, doubling_chain, local_certify, named_witness, per_equation_check,
+                 random_chart, random_expr)
 from test_golden_certs import corpus as golden_corpus
 
 A, B = Atom("a"), Atom("b")
@@ -341,7 +340,7 @@ class TestTheAxiomStage:
     def test_collapsed_certificate_charts_need_no_refinement(self, no_refinement):
         equivalent = 0
         for e, f in golden_corpus():
-            cert = certify(e, f)
+            cert = local_certify(e, f)
             if cert.verdict != "equivalent":
                 continue
             equivalent += 1
@@ -358,7 +357,7 @@ class TestTheAxiomStage:
             "*(c*a 0*a b))*((b*(a b) + c + a*a) + a))",
             alphabet,
         )
-        cert = certify(e, Sum(e, e))
+        cert = local_certify(e, Sum(e, e))
         assert _tree_and_dag_nodes(cert.common) == (8191, 113)
         L = named_witness(cert.alphabet, cert.collapsed)
         X, s = L.base, canonical_solution(L)
