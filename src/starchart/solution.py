@@ -183,7 +183,12 @@ class _NormalForms:
     sum is sequenced summand by summand.  Equal keys get equal ids, so
     equal normal forms are equal ints.  Expressions are memoised by node
     identity, so no structural comparison of expressions ever runs, and
-    all three walks are iterative.
+    all four walks are iterative.
+
+    ``of`` leaves out the one star axiom, Milner's unfolding ``h*t =
+    h·(h*t) + t``.  ``folded`` rewrites a normal form by three instances of
+    it afterwards, so only a caller that compares two forms which differ
+    pays for it, and solutions and their derivatives never do.
     """
 
     def __init__(self) -> None:
@@ -193,6 +198,8 @@ class _NormalForms:
         self.of_node: dict[int, tuple[Expr, int]] = {}
         self.seqs: dict[tuple[int, int], int] = {}
         self.steps: dict[int, tuple[frozenset[str], dict[str, set[int]]]] = {}
+        self.folds: dict[int, int] = {}
+        self.star_ends: dict[int, frozenset[int]] = {}
         self.zero = self.intern(frozenset())
 
     def intern(self, key) -> int:
@@ -316,6 +323,76 @@ class _NormalForms:
             memo[id(x)] = (x, n)
             stack.pop()
         return memo[id(e)][1]
+
+    def folded(self, n: int) -> int:
+        """``n`` with star unfoldings folded, bottom up, by three instances
+        of Milner's axioms, each applied in context, so the result is
+        provably equal to ``n``.  With the unfolding ``U(s) = h·{s} + t`` of
+        a star summand ``s = (h, t)``:
+
+        * ``0*t = t``: a star whose folded head is ``0`` becomes the
+          summands of its tail, by the unfolding, ``0·e = 0`` and ``0 + t = t``;
+        * a sum that holds every summand of ``U(s)`` holds ``s`` in their
+          place: the unfolding, read right to left;
+        * a sum that holds ``s`` drops the summands of ``U(s)``: ``s = s +
+          U(s)`` by the unfolding and idempotence.
+
+        The stars tried on a sum are its star summands and those whose
+        singleton ends the tail of one of its summands, as every summand of
+        ``h·{s}`` does; inner ones first, and again until none applies.
+        That ends, as every star tried was built before, and each
+        application shrinks the sum or swaps a summand ``u`` for a star
+        ``s`` with ``U(s) = {u}``: either ``u = σ·{s}`` contains ``s``, or
+        ``u = x*0`` and ``s`` is ``u*0`` or ``u*u``, which only ever swap
+        on to larger stars, so no chain of swaps returns to ``u``.  The
+        tails of a folded form are folded forms, so the stars that end
+        each, those that end the tail of every summand and the one summand
+        of a singleton star, are kept per folded form in ``star_ends``.
+        Memoised and iterative.
+        """
+        keys, folds, ends, intern = self.keys, self.folds, self.star_ends, self.intern
+        stack = [n]
+        while stack:
+            m = stack[-1]
+            if m in folds:
+                stack.pop()
+                continue
+            # the ints of a summand key are a star's head and a tail
+            pending = [c for s in keys[m] for c in keys[s] if type(c) is int and c not in folds]
+            if pending:
+                stack += pending
+                continue
+            summands: set[int] = set()
+            for s in keys[m]:
+                head, tail = keys[s]
+                if type(head) is str:
+                    summands.add(s if tail is None else intern((head, folds[tail])))
+                elif folds[head] == self.zero:
+                    summands |= keys[folds[tail]]
+                else:
+                    summands.add(intern((folds[head], folds[tail])))
+            changed = True
+            while changed:
+                stars, tails, changed = set(), set(), False
+                for s in summands:
+                    head, tail = keys[s]
+                    tails.add(tail)
+                    if type(head) is int:
+                        stars.add(s)
+                    if tail is not None:
+                        stars |= ends[tail]
+                for s in sorted(stars):
+                    head, tail = keys[s]
+                    unfolding = keys[self.seq(head, intern(frozenset((s,))))] | keys[tail]
+                    if not unfolding.isdisjoint(summands) if s in summands else unfolding <= summands:
+                        summands -= unfolding
+                        summands.add(s)
+                        changed = True
+            r = folds[m] = intern(frozenset(summands))
+            common = frozenset.intersection(*map(ends.get, tails)) if tails and None not in tails else frozenset()
+            ends[r] = common | summands if len(summands) == 1 and summands <= stars else common
+            stack.pop()
+        return folds[n]
 
 
 def _first_unsolved(chart: tuple, assign: Sequence[Any], step: Callable, cls: Callable) -> int | None:

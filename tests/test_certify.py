@@ -1007,7 +1007,8 @@ class TestNormalFormCertificates:
         for e, f in golden_corpus():
             cert = certify(e, f)
             forms = solution._NormalForms()
-            meet = forms.of(e) == forms.of(f)
+            n, m = forms.of(e), forms.of(f)
+            meet = n == m or forms.folded(n) == forms.folded(m)
             doc = roundtrip(cert)
             if cert.verdict == "inequivalent":
                 assert "proof" not in doc and [c.name for c in cert.checks] == INEQUIVALENT
@@ -1024,7 +1025,23 @@ class TestNormalFormCertificates:
                 assert doc == roundtrip(local_certify(e, f))
                 proofs["local"] += 1
             assert all(c.passed for c in recheck_certificate(doc))
-        assert proofs == {"inequivalent": 156, "normal-forms": 158, "local": 6}
+        assert proofs == {"inequivalent": 156, "normal-forms": 164}
+
+    @pytest.mark.parametrize("left, right", [
+        ("b*((b + b)*b)", "b + b*(b*b)"),
+        ("(0 b + b 0)*0", "b 0 b*b(0*b b)"),
+        ("a*(a*0(b a))", "(a a)*(0*0)(b + b*a)"),
+    ])
+    def test_pairs_whose_folded_forms_differ_get_the_local_proof(self, left, right):
+        alpha = ("a", "b")
+        e, f = parse(left, alpha), parse(right, alpha)
+        forms = solution._NormalForms()
+        assert forms.folded(forms.of(e)) != forms.folded(forms.of(f))
+        cert = certify(e, f, alpha)
+        assert cert.verdict == "equivalent" and cert.proof is None
+        assert [c.name for c in cert.checks] == EQUIVALENT and all(c.passed for c in cert.checks)
+        replayed = recheck_certificate(roundtrip(cert))
+        assert [c.name for c in replayed] == REPLAYED_EQUIVALENT and all(c.passed for c in replayed)
 
     def test_replay_walks_charts_and_refines_nothing(self, monkeypatch):
         docs = [roundtrip(cert) for cert in (certify(e, f) for e, f in golden_corpus()) if cert.proof]
@@ -1034,7 +1051,7 @@ class TestNormalFormCertificates:
             refuse_calls(monkeypatch, module, name)
         for doc in docs:
             assert [(c.name, c.passed) for c in recheck_certificate(doc)] == [("normal-forms-equal", True)]
-        assert len(docs) == 158
+        assert len(docs) == 164
 
     def test_an_edited_action_fails_normal_forms_equal(self):
         alpha = ("a", "b", "c")
@@ -1074,6 +1091,14 @@ class TestNormalFormCertificates:
         # an inequivalent certificate's proof is never read
         doc = roundtrip(certify(parse("a + b", alpha), parse("a", alpha)))
         assert all(c.passed for c in recheck_certificate({**doc, "proof": proof}))
+
+    def test_a_reader_that_does_not_fold_fails_folded_certificates(self, monkeypatch):
+        # as a reader that compares plain normal forms alone reads the
+        # certificates whose forms meet only once folded: it fails closed
+        docs = [roundtrip(cert) for cert in (certify(e, f) for e, f in golden_corpus()) if cert.proof]
+        monkeypatch.setattr(solution._NormalForms, "folded", lambda self, n: n)
+        replayed = [recheck_certificate(doc) for doc in docs]
+        assert Counter(check.passed for (check,) in replayed) == {True: 158, False: 6}
 
     def test_a_deleted_proof_fails_every_local_check(self):
         # as a reader without the normal-forms proof reads the certificate:
@@ -1117,3 +1142,14 @@ class TestNormalFormCertificates:
         # ``common`` is first built after the edit, from the certificate's own rows
         assert render(cert.common) == render(twin.common) == "(0 + a 0*(0 + b))*0"
         assert cert.projection == before["projection"] and roundtrip(cert) == before
+        # and a formula's nodes, an ``and`` node's children included
+        e, f = parse("a(a + b)", alpha), parse("a a + a b", alpha)
+        cert = certify(e, f, alpha)
+        before = roundtrip(cert)
+        d = cert.to_json()
+        formula = d["distinguishing"]["formula"]
+        assert ["and", [1, 0]] in formula
+        formula[0][1] = "b"
+        next(node for node in formula if node[0] == "and")[1][0] = 0
+        assert roundtrip(cert) == before and cert.distinguishing == before["distinguishing"]["formula"]
+        assert [(c.name, c.passed) for c in recheck_certificate(roundtrip(cert))] == [("distinguishing-formula", True)]

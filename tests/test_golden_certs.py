@@ -8,8 +8,9 @@ The expected sha256 digests live in ``golden_certs.json`` next to this file:
 ``local_sha256`` for the local proof's.  To re-record ``sha256`` after a
 deliberate certificate change, run
 ``PYTHONPATH=src python tests/test_golden_certs.py --record`` and review the
-diff.  It never rewrites ``local_sha256``: it exits non-zero, naming the
-pairs, if a local proof's certificate would change.
+diff; it prints the corpus indices whose ``sha256`` changed.  It never
+rewrites ``local_sha256``: it exits non-zero, naming the pairs, if a local
+proof's certificate would change.
 """
 
 from __future__ import annotations
@@ -82,10 +83,13 @@ def test_record_keeps_the_local_digests(monkeypatch, tmp_path):
     with pytest.raises(SystemExit, match=re.escape(repr([(row["left"], row["right"])]))):
         record()
     assert not path.exists()
-    # with the recorded local digests, ``sha256`` is rewritten as it is
-    monkeypatch.setattr(module, "RECORDED", recorded)
-    with redirect_stdout(io.StringIO()):
+    # with the recorded local digests, ``sha256`` is rewritten as it is,
+    # and the indices whose ``sha256`` changed are printed
+    monkeypatch.setattr(module, "RECORDED", [{**r, "sha256": "0" * 64} if r is row else r for r in recorded])
+    out = io.StringIO()
+    with redirect_stdout(out):
         record()
+    assert out.getvalue().endswith(f"; sha256 changed at indices [{recorded.index(row)}]\n")
     assert json.loads(path.read_text(encoding="utf-8")) == recorded
 
 
@@ -96,8 +100,10 @@ def record() -> None:
                if r.get("local_sha256") != recorded.get((r["left"], r["right"]))]
     if changed:
         sys.exit(f"not recorded: the local proof's certificate would change for {changed}")
+    digests = {(r["left"], r["right"]): r["sha256"] for r in RECORDED}
+    moved = [i for i, r in enumerate(results) if r["sha256"] != digests.get((r["left"], r["right"]))]
     GOLDEN.write_text(json.dumps(results, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
-    print(f"recorded {len(results)} certificate digests to {GOLDEN}")
+    print(f"recorded {len(results)} certificate digests to {GOLDEN.name}; sha256 changed at indices {moved}")
 
 
 if __name__ == "__main__":
