@@ -1,16 +1,29 @@
 """Command-line surface and end-to-end equivalence certification.
 
-``certify`` decides bisimilarity by ``bisim._decide``, which walks both
-expressions layer by layer and refines on the state numbers of the walks,
-round ``k`` for the states ``d - k`` steps away once the walks reach ``d``
-steps, and stops at the first round that separates the roots.  An
-inequivalent pair's certificate carries a Hennessy–Milner formula that
-holds at ``e`` and fails at ``f``, derived from those rounds; no chart is
-built for it, and most such pairs are decided on the first few layers of
-their walks.  When no round separates the roots early, the walks run to
-their end and partition refinement decides on the coproduct of both
-charts.  For an equivalent pair whose normal forms differ (see below)
-the quotient ``C`` by the decided
+``certify`` proves, then decides.  When the roots of ``e`` and ``f``
+agree on the first round of refinement (``semantics._first_round``: their
+outputs, and per step its action with its target's outputs, read from the
+syntax with no successor built), it tries the equational proof below, and
+when the normal forms meet it emits that proof and decides nothing.  The
+first round is a bisimulation invariant (Hennessy and Milner, JACM 1985),
+so a pair whose roots disagree on it is never bisimilar and goes straight
+to the decision; agreement proves nothing, and only chooses whether the
+normal forms are tried.  On the 320 pairs of the golden certificate corpus
+all 164 equivalent pairs and 1 of the 156 inequivalent ones agree; the
+outputs are compared first, as they are cheaper and already separate most
+inequivalent pairs.
+
+Otherwise ``certify`` decides bisimilarity by ``bisim._decide``, which
+walks both expressions layer by layer and refines on the state numbers
+of the walks, round ``k`` for the states ``d - k`` steps away once the
+walks reach ``d`` steps, and stops at the first round that separates the
+roots.  An inequivalent pair's certificate carries a Hennessy–Milner
+formula that holds at ``e`` and fails at ``f``, derived from those
+rounds; no chart is built for it, and most such pairs are decided on the
+first few layers of their walks.  When no round separates the roots
+early, the walks run to their end and partition refinement decides on
+the coproduct of both charts.  For a bisimilar pair, whose normal forms
+were not tried or differ (see below), the quotient ``C`` by the decided
 partition is built from the same arrays, as arrays: the minimal chart, in
 which both roots are one state.  Loop elimination tags ``C``'s steps with a
 layering witness, and the certificate carries it as numbered rows with the
@@ -27,9 +40,9 @@ formula that passes it.  ``starchart bisim --witness`` makes the same one
 decision and prints the same formula; for a bisimilar pair it prints the
 relation that the decided partition gives.
 
-An equivalent pair is proved in one of two ways, chosen from the input
-once the decision has found it bisimilar, so an inequivalent pair never
-pays for normal forms.  When ``e`` and ``f`` have the same normal form
+An equivalent pair is proved in one of two ways, chosen from the input:
+an inequivalent pair pays for normal forms only when its roots agree on
+the first round.  When ``e`` and ``f`` have the same normal form
 under ``solution._NormalForms`` (ACI of ``+`` with unit ``0``,
 associativity of ``·``, ``0·e = 0``, right distributivity and ``(e*f)·g =
 e*(f·g)``), or else the same once ``_NormalForms.folded`` has folded star
@@ -115,7 +128,8 @@ from .formats import (
 from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _eliminated, _successors, infer_witness,
                        syntactic_witness, to_llee, verify_witness)
 from .rerouting import collapse, connect_through
-from .semantics import Prechart, _coproduct_walk, _distinguishes, _quotient, _Walk, chart_of
+from .semantics import (Prechart, _coproduct_walk, _distinguishes, _first_round, _outputs, _quotient, _Walk,
+                        chart_of)
 from .solution import _NormalForms, _starred, _Terms, _witness_proved, canonical_solution, simplify
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
@@ -309,15 +323,19 @@ def _certified_alphabet(e: Expr, f: Expr, alphabet=None) -> tuple[str, ...]:
 
 def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     """Certify two expressions equivalent (by their normal forms, or else by
-    the local proof on a common solved collapse) or not."""
+    the local proof on a common solved collapse) or not.  The normal forms
+    are tried first, when the roots agree on the first round of
+    refinement; the decision runs only when they are not tried or do not
+    meet, and a bisimilar decision goes straight to the local proof."""
     alpha = _certified_alphabet(e, f, alphabet)
-    d = _decide(e, f, alpha)
-    if not d.bisimilar:
+    # the outputs first: they are cheaper, and separate most inequivalent pairs
+    if (_outputs(e) == _outputs(f) and _first_round(e) == _first_round(f)
+            and (check := _normal_forms_check(e, f)).passed):
+        cert = Certificate("equivalent", e, f, alpha, [check], proof=NORMAL_FORMS)
+    elif not (d := _decide(e, f, alpha)).bisimilar:
         formula = _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, 0, d.n)
         checks = [_formula_check(alpha, formula, e, f)]
         cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=formula)
-    elif (check := _normal_forms_check(e, f)).passed:
-        cert = Certificate("equivalent", e, f, alpha, [check], proof=NORMAL_FORMS)
     else:
         cert = _local_certificate(e, f, alpha, d)
     failed = [c.name for c in cert.checks if not c.passed]

@@ -229,6 +229,39 @@ def _extend(succ: dict[str, tuple[Expr, ...]], a: str, fs: Iterable[Expr]) -> No
     succ[a] = row + tuple([f for f in fs if f not in row])
 
 
+def _outputs(e: Expr) -> frozenset[str]:
+    """``expr_step(e)[0]``, read from the syntax: no successor is built."""
+    kind = type(e)
+    if kind is Sum:
+        return _outputs(e.left) | _outputs(e.right)
+    if kind is Star:
+        return _outputs(e.right)
+    return frozenset((e.action,)) if kind is Atom else _NO_OUTPUT
+
+
+def _first_round(e: Expr) -> tuple[frozenset[str], frozenset[tuple[str, frozenset[str]]]]:
+    """The outputs of ``e`` and the set of ``(a, outputs of f)`` over its
+    steps ``e -a-> f``, read from the syntax as ``expr_step`` reads it, with
+    no successor built: a step from ``e1`` inside ``e1 e2`` or ``e1*e2``
+    reaches a sequence, which outputs nothing.  Bisimilar expressions have
+    equal first rounds (the first round of refinement), so unequal ones
+    separate them; equal ones prove nothing."""
+    kind = type(e)
+    if kind is Sum:
+        louts, lsteps = _first_round(e.left)
+        routs, rsteps = _first_round(e.right)
+        return louts | routs, lsteps | rsteps
+    if kind is Seq:
+        louts, lsteps = _first_round(e.left)
+        after = _outputs(e.right)
+        return _NO_OUTPUT, frozenset([(a, _NO_OUTPUT) for a, _ in lsteps] + [(a, after) for a in louts])
+    if kind is Star:
+        louts, lsteps = _first_round(e.left)
+        outs, steps = _first_round(e.right)
+        return outs, steps.union([(a, _NO_OUTPUT) for a, _ in lsteps], [(a, outs) for a in louts])
+    return _outputs(e), frozenset()
+
+
 def _alphabet_for(e: Expr, alphabet: Iterable[str] | None) -> tuple[str, ...]:
     if alphabet is None:
         return tuple(sorted(atoms(e)))

@@ -39,9 +39,9 @@ from starchart.bisim import _coarsest, _decide, _distinguishing_formula
 from starchart.cli import _proof_checks
 from starchart.formats import witness_to_json
 from starchart.layering import _numbered_witness
-from starchart.semantics import _coproduct_walk, _distinguishes, _numbered_chart
+from starchart.semantics import _coproduct_walk, _distinguishes, _first_round, _numbered_chart, _outputs
 from starchart.solution import _proved, _witness_proved
-from test_golden_certs import corpus as golden_corpus
+from test_golden_certs import RECORDED as GOLDEN_ROWS, corpus as golden_corpus, sha256
 from gen import (joined_chart, local_certify, named_witness, random_expr, rewrite_steps, round_by_round_bisimilarity,
                  satisfies, wstar_pair)
 
@@ -1153,3 +1153,49 @@ class TestNormalFormCertificates:
         next(node for node in formula if node[0] == "and")[1][0] = 0
         assert roundtrip(cert) == before and cert.distinguishing == before["distinguishing"]["formula"]
         assert [(c.name, c.passed) for c in recheck_certificate(roundtrip(cert))] == [("distinguishing-formula", True)]
+
+
+def gated(e, f) -> bool:
+    """Whether ``certify`` tries the normal forms of ``e`` and ``f`` before
+    it decides: their roots agree on the first round of refinement."""
+    return _outputs(e) == _outputs(f) and _first_round(e) == _first_round(f)
+
+
+class TestProveBeforeDeciding:
+    def test_the_golden_pairs_take_the_pinned_paths(self):
+        paths = Counter()
+        for e, f in golden_corpus():
+            cert = certify(e, f)
+            paths["/".join(filter(None, (cert.verdict, cert.proof, str(gated(e, f)))))] += 1
+        assert paths == {"equivalent/normal-forms/True": 164, "inequivalent/False": 155, "inequivalent/True": 1}
+
+    def test_equivalent_golden_pairs_certify_without_the_decision(self, monkeypatch):
+        refuse_calls(monkeypatch, "bisim", "_decide")
+        rows = [(pair, row) for pair, row in zip(golden_corpus(), GOLDEN_ROWS) if row["verdict"] == "equivalent"]
+        for (e, f), row in rows:
+            assert sha256(certify(e, f)) == row["sha256"]
+        assert len(rows) == 164
+
+    def test_gated_off_golden_pairs_certify_without_normal_forms(self, monkeypatch):
+        refuse_calls(monkeypatch, "cli", "_normal_forms_check")
+        rows = [(pair, row) for pair, row in zip(golden_corpus(), GOLDEN_ROWS) if not gated(*pair)]
+        for (e, f), row in rows:
+            assert sha256(certify(e, f)) == row["sha256"]
+        assert len(rows) == 155
+
+    def test_the_verdict_agrees_with_an_independent_refinement(self):
+        # an equivalent verdict no longer passes through the decision, so it
+        # is checked against a refinement that shares no code with it: 600
+        # rewrite pairs and 600 independent draws, over two alphabets
+        rng = random.Random(727)
+        verdicts = Counter()
+        for i in range(1200):
+            alpha = ALPHABETS[i % 2]
+            e = random_expr(rng, alpha, depth=rng.randint(1, 4))
+            f = rewrite_steps(rng, e, rng.randint(1, 4)) if i % 4 < 2 else random_expr(rng, alpha, depth=3)
+            Z = joined_chart(e, f, alpha)
+            related = round_by_round_bisimilarity(Z).related(Z.states[0], Z.states[len(chart_of(e, alpha).states)])
+            verdict = certify(e, f, alpha).verdict
+            assert verdict == ("equivalent" if related else "inequivalent"), (render(e), render(f))
+            verdicts[verdict] += 1
+        assert verdicts["equivalent"] >= 600 and verdicts["inequivalent"] >= 500

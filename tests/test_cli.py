@@ -8,6 +8,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -311,6 +312,26 @@ def test_nesting_too_deep_gives_up_with_exit_4_without_a_traceback():
         cwd=__import__("pathlib").Path(__file__).resolve().parent.parent,
     )
     assert proc.returncode == 4
+    assert proc.stderr == "gave up: nesting too deep\n"
+    assert "Traceback" not in proc.stderr
+
+
+SEQUENCE, SUM = " ".join(["a"] * 30000), "+".join(["a"] * 30000)
+
+
+@pytest.mark.parametrize("left, right", [(SEQUENCE, f"{SEQUENCE} + {SEQUENCE}"), (SUM, f"{SUM} + a")],
+                         ids=["sequence", "sum"])
+def test_certify_of_deep_inputs_gives_up_with_exit_4(left, right):
+    # the first round that ``certify`` compares before it decides recurses
+    # only where the semantics does, so it gives up as the walk would
+    proc = subprocess.run(
+        [sys.executable, "-m", "starchart", "certify", left, right],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": "src"},
+        cwd=Path(__file__).resolve().parent.parent,
+    )
+    assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr == "gave up: nesting too deep\n"
     assert "Traceback" not in proc.stderr
 

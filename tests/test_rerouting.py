@@ -505,14 +505,15 @@ class TestCollapseOnTheWorkingChart:
     def test_certify_reports_a_wrong_separation_as_an_internal_error(self, monkeypatch, capsys):
         # the decision seam separates bisimilar roots: it answers for ``a``
         # in place of the right input, so the formula it derives fails on
-        # the inputs themselves
+        # the inputs themselves.  The pair needs RSP*: its folded normal
+        # forms differ, so ``certify`` reaches the decision
         cli = sys.modules["starchart.cli"]
         decide = cli._decide
         monkeypatch.setattr(cli, "_decide", lambda e, f, alphabet: decide(e, parse("a", alphabet), alphabet))
         built = []
         for name in ("infer_witness", "_quotient"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: built.append(name))
-        assert main(["certify", "a b", "a b + a b"]) == 3
+        assert main(["certify", "--alphabet", "a,b", "b*((b + b)*b)", "b + b*(b*b)"]) == 3
         err = capsys.readouterr().err
         assert "internal error: RuntimeError: certification checks failed: ['distinguishing-formula']" in err
         assert built == []

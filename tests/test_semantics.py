@@ -25,6 +25,7 @@ from starchart import (
 from gen import (all_exprs, is_chart, random_chart, random_expr, reference_quotient, reference_step, rewrite_steps,
                  same_partition)
 from starchart.layering import _members, _reachability, _recompute_reach, _successors
+from starchart.semantics import _first_round, _outputs
 
 A, B = Atom("a"), Atom("b")
 AA0 = Star(Seq(A, A), Zero())  # (aa)*0, the two-state a-cycle
@@ -90,6 +91,33 @@ def hash_formula(x):
     if isinstance(x, Zero):
         return hash("Zero")
     return hash((type(x).__name__, hash_formula(x.left), hash_formula(x.right)))
+
+
+class TestFirstRound:
+    def test_agrees_with_expr_step_on_random_expressions(self):
+        # the outputs, and each step's action with its target's outputs
+        rng = random.Random(1985)
+        for alpha in (("a", "b"), ("a", "b", "c")):
+            for i in range(10000):
+                e = random_expr(rng, alpha, depth=1 + i % 5)
+                o, s = expr_step(e)
+                assert _outputs(e) == o
+                assert _first_round(e) == (o, frozenset((a, expr_step(x)[0]) for a, xs in s.items() for x in xs))
+
+    def test_reads_the_syntax_and_steps_no_node(self):
+        e = parse("(a b + c)*(b*a) a + (a + 0)*(c c)", ("a", "b", "c"))
+        # steps into sequences reach no output; the left summand steps on
+        # ``a`` into ``a``, as its star outputs ``a``; ``c c`` steps into
+        # ``c``, and ``(a + 0)*(c c)`` loops on ``a``, outputting nothing
+        steps = {("a", ""), ("a", "a"), ("b", ""), ("c", ""), ("c", "c")}
+        assert _first_round(e) == (frozenset(), frozenset((a, frozenset(out)) for a, out in steps))
+        assert _outputs(e) == frozenset()
+        nodes, stack = [], [e]
+        while stack:
+            x = stack.pop()
+            nodes.append(x)
+            stack += [getattr(x, side) for side in ("left", "right") if hasattr(x, side)]
+        assert not any(hasattr(x, "_step") for x in nodes)
 
 
 class TestLeanStepAgainstTheReference:
