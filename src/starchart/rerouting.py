@@ -3,9 +3,11 @@
 A rerouting pushes a prechart's structure along a splitting (an inclusion
 with a retraction).  Connect-through, which deletes a state and redirects
 its incoming transitions to a chosen survivor, is the rerouting along a
-one-state merge; the quotient by a bisimulation is another.  Collapsing
-repeatedly connects carefully chosen bisimilar pairs through each other,
-relabelling so that well-layeredness is preserved at every step.
+one-state merge; the quotient by a bisimulation is another.  ``collapse``
+is the paper's loop: ``find_pair`` picks a safe bisimilar pair, ``relabel``
+connects it through and repairs the tags so that the witness stays
+well-layered, and the partition, carried without the deleted state, is
+scanned again until it is the identity.
 """
 
 from __future__ import annotations
@@ -18,18 +20,11 @@ from .layering import (
     BODY,
     ENTRY,
     Edge,
-    InvalidWitnessError,
     LabelledPrechart,
-    WitnessViolation,
     _Analysis,
-    _first_violation,
     _members,
-    _named,
-    _outputs,
     _reach,
     _reachability,
-    _recompute_reach,
-    _successors,
     analysis_of_verified,
     verify_witness,
 )
@@ -151,30 +146,14 @@ def find_pair(
     _checked_partition(L.base, R)
     if R.is_identity:
         return None
-    block_of = [R.block_index(x) for x in L.base.states]
-    w1, w2, condition = _first_safe_pair(a, block_of, _block_lists(block_of))
-    return L.base.states[w1], L.base.states[w2], condition
-
-
-def _block_lists(block_of: Sequence[int]) -> dict[int, list[int]]:
-    """The state numbers of each block, in order, by block number."""
-    blocks: dict[int, list[int]] = {}
-    for x, b in enumerate(block_of):
-        blocks.setdefault(b, []).append(x)
-    return blocks
-
-
-def _first_safe_pair(a: _Analysis, block_of: Sequence[int], blocks: Mapping[int, list[int]]) -> tuple[int, int, str]:
-    """The first related distinct pair of state numbers, in number order of
-    both components, that satisfies a safety condition: ``block_of`` numbers
-    the block of each state, and ``blocks`` lists each one's members in
-    number order."""
+    name = L.base.states
+    blocks = [sorted(map(L.base.index, b)) for b in R.blocks]  # by state number
     for w1 in a.states:
-        for w2 in blocks[block_of[w1]]:
+        for w2 in blocks[R.block_index(name[w1])]:
             if w2 != w1:
                 condition = _condition_of(a, w1, w2)
                 if condition is not None:
-                    return w1, w2, condition
+                    return name[w1], name[w2], condition
     raise RuntimeError("nontrivial bisimulation equivalence with no safe pair; "
                        "this contradicts the safe-pair existence guarantee")
 
@@ -265,98 +244,22 @@ def _broken_witness(w1: StateId, w2: StateId, condition: str, violation) -> Runt
 def collapse(L: LabelledPrechart) -> tuple[LabelledPrechart, dict[StateId, StateId]]:
     """Merge bisimilar states one safe pair at a time until none remain.
 
-    Returns the collapsed witness and the accumulated projection, whose
-    kernel is the bisimilarity of ``L.base``, computed once, after the
-    witness verifies.  Connecting ``w1`` through a bisimilar ``w2`` maps
-    every transition target into its own block, so no surviving state's
-    outputs or successor blocks change, and each merge only drops ``w1``
-    from its block.  Each merge is the one ``find_pair`` and ``relabel``
-    would make; it moves only the tags, the reachability and the blocks
-    (``_Merging``), and the collapsed chart is ``L.base`` rerouted once,
-    along the splitting that the merges compose to.
+    The paper's loop: ``find_pair``, then ``relabel``, carrying the
+    partition, until it is the identity.  Returns the collapsed witness and
+    the accumulated projection, whose kernel is the bisimilarity of
+    ``L.base``, computed once, after the witness verifies.  Connecting
+    ``w1`` through a bisimilar ``w2`` maps every transition target into its
+    own block, so no surviving state's outputs or successor blocks change,
+    and each merge only drops ``w1`` from its block.
     """
-    work, name = _Merging(L), L.base.states
-    a, violation = work.analysis()
-    if violation is not None:
-        raise InvalidWitnessError(str(_named(violation, name)))
-    work.carry(bisimilarity(L.base))
-    while work.has_related_pair():
-        w1, w2, condition = work.merge_first_safe_pair(a)
-        a, violation = work.analysis()
-        if violation is not None:
-            raise _broken_witness(name[w1], name[w2], condition, _named(violation, name))
-    return _collapsed(L, work)
-
-
-def _collapsed(L: LabelledPrechart, work: "_Merging") -> tuple[LabelledPrechart, dict[StateId, StateId]]:
-    """The merged witness on the original names, and its projection:
-    ``L.base`` rerouted along the splitting that the merges compose to."""
-    name = L.base.states.__getitem__
-    projection = {x: name(v) for x, v in zip(L.base.states, work.image)}
-    base = rerouting(L.base, Splitting(tuple(map(name, work.states)), projection))
-    tags = {(name(x), a, name(y)): t for (x, a, y), t in work.tags.items()}
-    return LabelledPrechart(base, tags), projection
-
-
-class _Merging:
-    """The merges of a collapse, on the states' numbers.
-
-    The states are numbered once, so integer order is the discovery order
-    that every tie-break follows, and sets of states are masks (see
-    ``layering._reach``).  Each merge updates in place only what the
-    witness checks and the next merge read: the surviving states and the
-    mask of those with an output, the successor masks and the reachability
-    masks (recomputed only for the states that reached the deleted state),
-    the tags, the carried partition's blocks and the projection
-    (``image``).
-    """
-
-    def __init__(self, L: LabelledPrechart):
-        X = L.base
-        number = X.index
-        self.states = tuple(range(len(X.states)))
-        self.outputs = _outputs(X)
-        self.succ = _successors(X.numbered_succ())  # action labels forgotten
-        self.reach = [0] * len(self.states)
-        _recompute_reach(self.succ, self.states, self.reach)
-        self.image = list(self.states)  # the projection, by number
-        self.tags = {(number(x), a, number(y)): t for (x, a, y), t in L.tags.items()}
-
-    def carry(self, R: PartitionRelation) -> None:
-        """Carry the blocks of ``R``, the bisimilarity of the input chart,
-        whose universe lists the states in discovery order; before the
-        first merge."""
-        self.block_of = [R.block_index(x) for x in R.universe]
-        self.blocks = _block_lists(self.block_of)
-
-    def analysis(self) -> tuple[_Analysis, WitnessViolation | None]:
-        """The analysis of the current labelling and its first violated
-        condition; the analysis reads this object's maps, so it is valid
-        until the next merge."""
-        a = _Analysis(self.states, self.outputs, self.reach, ((x, y, t) for (x, _, y), t in self.tags.items()))
-        return a, _first_violation(a)
-
-    # --- one merge
-
-    def has_related_pair(self) -> bool:
-        return len(self.blocks) < len(self.states)
-
-    def merge_first_safe_pair(self, a: _Analysis) -> tuple[int, int, str]:
-        """Connect the first safe pair ``w1`` through ``w2``, as ``find_pair``
-        and ``relabel`` would, and carry the tags across; ``a`` is the
-        analysis of the current labelling.  Returns ``(w1, w2, condition)``."""
-        w1, w2, condition = _first_safe_pair(a, self.block_of, self.blocks)
-        promote = _c2_promotion_state(a, w1, w2) if condition == "C2" else None
-        self.states = tuple(x for x in self.states if x != w1)
-        bit = 1 << w1
-        reached = [x for x in self.states if self.reach[x] & bit]
-        for x in reached:
-            if self.succ[x] & bit:
-                self.succ[x] = self.succ[x] & ~bit | 1 << w2
-        self.succ[w1] = self.reach[w1] = 0
-        self.outputs &= ~bit
-        _recompute_reach(self.succ, reached, self.reach)
-        self.blocks[self.block_of[w1]].remove(w1)  # w2 stays, so no block empties
-        self.image = [w2 if v == w1 else v for v in self.image]
-        self.tags = _carry_tags(self.tags, w1, w2, promote, self.reach)
-        return w1, w2, condition
+    analysis_of_verified(L)
+    R = bisimilarity(L.base)
+    projection = {x: x for x in L.base.states}
+    while not R.is_identity:
+        w1, w2, condition = find_pair(L, R)
+        L = relabel(L, w1, w2, condition)
+        R = PartitionRelation.from_blocks(L.base.states, ([y for y in b if y != w1] for b in R.blocks))
+        for x, v in projection.items():
+            if v == w1:
+                projection[x] = w2
+    return L, projection

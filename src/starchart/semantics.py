@@ -38,6 +38,8 @@ class Prechart:
             raise ValueError("duplicate states")
         object.__setattr__(self, "_index", index)
         alpha = set(self.alphabet)
+        if len(alpha) != len(self.alphabet):
+            raise ValueError(f"alphabet {self.alphabet!r} repeats an action")
         for x, acts in self.outputs.items():
             if x not in index:
                 raise ValueError(f"output at unknown state {x!r}")

@@ -108,8 +108,8 @@ def test_reachability_dies_with_its_chart():
 def test_charts_and_collapses_leave_no_reference_cycles():
     # everything is freed by reference counting, without waiting for the
     # cyclic collector: no expression memo refers back to its node (a star
-    # keeps no step memo), and the collapse's working chart refers to
-    # nothing that refers back to it
+    # keeps no step memo), and no witness that a collapse builds and drops
+    # on the way refers back to itself
     e = parse("(a b + a)*(b a*0) + (a b + a)*(b a*0)", ("a", "b"))
     gc.collect()
     gc.disable()

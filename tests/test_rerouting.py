@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -46,7 +47,6 @@ from gen import (
     fig3_left,
     fig3_right,
     isomorphic,
-    pair_closure,
     partition_from_pairs,
     partition_without,
     random_chart,
@@ -413,16 +413,15 @@ class TestCollapseDoesEachStepOnce:
     @staticmethod
     def fail_after_the_first_merge(monkeypatch, X):
         # every labelling smaller than X "fails" verification; the input passes.
-        # relabel checks through verify_witness and collapse on its working
-        # chart, and both end in _first_violation
+        # relabel checks through verify_witness, which ends in _first_violation
         inferred = []
         for module in ("starchart.layering", "starchart.rerouting"):
             monkeypatch.setattr(sys.modules[module], "infer_witness", inferred.append, raising=False)
-            monkeypatch.setattr(
-                sys.modules[module], "_first_violation",
-                lambda a: None if len(a.states) == len(X.states)
-                else WitnessViolation("layered", (a.states[-1],) * 2),
-            )
+        monkeypatch.setattr(
+            layering, "_first_violation",
+            lambda a: None if len(a.states) == len(X.states)
+            else WitnessViolation("layered", (a.states[-1],) * 2),
+        )
         return inferred
 
     def test_a_relabelling_that_breaks_the_witness_raises(self, monkeypatch):
@@ -518,37 +517,28 @@ class TestCollapseOnTheWorkingChart:
         assert "internal error: RuntimeError: certification checks failed: ['distinguishing-formula']" in err
         assert built == []
 
-    def test_reachability_is_recomputed_only_for_the_states_that_reached_w1(self, monkeypatch):
-        e, f = wstar_pair(12)
-        inputs = [union_witness(syntactic_witness(chart_of(e, ("a", "b"))),
-                                syntactic_witness(chart_of(f, ("a", "b"))))[0]]
-        inputs += joined_witnesses(197, 30)
-        expected = []  # per input: every state once, then per merge the states that reached w1
-        for L in inputs:
-            number = {x: i for i, x in enumerate(L.base.states)}
-            sources = [list(number.values())]
-            current = L
-            for after, w1, _ in hand_stepped(L, bisimilarity(L.base))[2]:
-                reach = pair_closure((x, y) for x, _, y in current.base.edges())
-                sources.append([number[x] for x in current.base.states if x != w1 and (x, w1) in reach])
-                current = after
-            expected.append(sources)
 
-        full = []
-        reachability = layering._reachability
-        module = sys.modules["starchart.rerouting"]
-        for bound in (layering, module):
-            monkeypatch.setattr(bound, "_reachability", lambda X: full.append(X) or reachability(X))
-        closures = module._recompute_reach
-        recomputed = []
-        monkeypatch.setattr(module, "_recompute_reach", lambda succ, sources, reach:
-                            recomputed.append(list(sources)) or closures(succ, sources, reach))
-        for L, sources in zip(inputs, expected):
-            recomputed.clear()
-            collapse(L)
-            assert recomputed == sources
-        assert full == []  # no chart's reachability is computed whole besides the first
-        assert sum(len(sources) - 1 for sources in expected) > 40
+class TestCollapseStaysPolynomial:
+    """Collapse rebuilds and re-verifies the witness once per merge; on
+    these inputs, of about 200 states each, it takes under a second, so a
+    time past the bound means the loop has gone super-polynomial."""
+
+    @staticmethod
+    def joined_wstar_pair():
+        return union_witness(*(syntactic_witness(chart_of(e, ("a", "b"))) for e in wstar_pair(100)))[0]
+
+    @staticmethod
+    def seed_88_sum():
+        e = random_expr(random.Random(88), depth=12)
+        return syntactic_witness(chart_of(Sum(e, e), tuple(sorted(atoms(e)))))
+
+    @pytest.mark.parametrize("make", ["joined_wstar_pair", "seed_88_sum"])
+    def test_a_200_state_collapse_takes_under_5_s(self, make):
+        L = getattr(self, make)()
+        start = time.perf_counter()
+        result, _ = collapse(L)
+        assert time.perf_counter() - start < 5.0
+        assert len(result.base.states) < len(L.base.states)
 
 
 class TestCollapseTheorem:

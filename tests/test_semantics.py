@@ -175,6 +175,14 @@ class TestChartOf:
                 copies += any(z == y and z is not y for z in expr_step(x)[1][a])
         assert copies > 0  # without canonical targets these would be copies
 
+    def test_a_repeated_action_in_the_alphabet_is_rejected(self):
+        # each action's successors are listed once per occurrence in the
+        # alphabet, so a repeat would double them
+        with pytest.raises(ValueError, match=r"alphabet \('a', 'a', 'b'\) repeats an action"):
+            chart_of(parse("a*b", ["a", "b"]), ["a", "a", "b"])
+        with pytest.raises(ValueError, match=r"alphabet \('a', 'a'\) repeats an action"):
+            Prechart.make(["a", "a"], ["x"], {}, {})
+
     def test_single_atom(self):
         X = chart_of(A)
         assert X.states == (A,)
