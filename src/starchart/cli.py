@@ -628,7 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("chart")
     p.add_argument("--witness", metavar="WITNESS_JSON")
     p.add_argument("--simplify", action="store_true",
-                   help="apply unit cleanups (e+0 -> e, 0e -> 0) to the output")
+                   help="apply unit cleanups (e+0 -> e, 0e -> 0) to the output; "
+                        "canonical solutions carry no unit summands, so this no longer "
+                        "changes it")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reroute", help="connect one state through to another")

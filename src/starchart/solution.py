@@ -62,12 +62,15 @@ def _starred(first, second) -> Expr:
     ``(a, t)``: ``a·t``, or ``a`` for a ``t`` of ``None``."""
     sums = []
     for halves in (first, second):
-        terms = ([], [])
-        for half, out in zip(halves, terms):
+        # e + 0 = e: a sum is built from its non-empty halves only, so it
+        # is a lone half when the other is empty and 0 when both are
+        parts = []
+        for half in filter(None, halves):
+            terms = []
             for a, t in half:
-                out.append(Atom(a) if t is None else Seq(Atom(a), t))
-        # entirely empty sums collapse to 0 rather than 0 + 0
-        sums.append(Sum(gsum(terms[0]), gsum(terms[1])) if any(halves) else Zero())
+                terms.append(Atom(a) if t is None else Seq(Atom(a), t))
+            parts.append(gsum(terms))
+        sums.append(gsum(parts))
     return Star(*sums)
 
 

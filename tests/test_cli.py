@@ -191,6 +191,8 @@ class TestSolveCommand:
         wpath.write_text(json.dumps(witness_to_json(syntactic_witness(X))))
         code, out, _ = run(capsys, "solve", str(path), "--witness", str(wpath), "--simplify")
         assert code == 0 and json.loads(out) == {"a*b": "a*b"}
+        # canonical solutions carry no unit summands, so the flag changes nothing
+        assert run(capsys, "solve", str(path), "--witness", str(wpath)) == (0, out, "")
 
     def test_no_witness_exits_1(self, capsys, tmp_path):
         path = tmp_path / "fig3-right.json"
