@@ -103,6 +103,17 @@ alphabet, a tag other than entry or body, a row of another length or a
 transition tagged both ways makes ``collapsed`` no witness, which fails
 every check of the local proof.  Other commands print the named,
 indented formats of ``formats``.
+
+``solve`` prints the canonical solution of each state of a chart under
+the state's name.  With no ``--witness`` it runs on state numbers from the
+document to the printed text: it reads the document once into numbered
+rows (``formats._chart_rows``), tags their steps by loop elimination as
+``infer_witness`` does, reads the tags into a witness by state number
+(``layering._checked_rows``) and solves that (``solution._Terms``), so no
+prechart, labelling or named solution is built.  A ``--witness`` file is
+read and verified as a labelling, and then solved by the same ``_Terms``.
+Solutions hold one another, so each is rendered once and its text copied
+where it is held.
 """
 
 from __future__ import annotations
@@ -116,6 +127,7 @@ from typing import Any, Mapping
 
 from .bisim import _coarsest, _decide, _Decision, _distinguishing_formula, _stable
 from .formats import (
+    _chart_rows,
     _is_strings,
     chart_from_json,
     chart_to_json,
@@ -125,12 +137,12 @@ from .formats import (
     witness_from_json,
     witness_to_json,
 )
-from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _eliminated, _successors, infer_witness,
-                       syntactic_witness, to_llee, verify_witness)
+from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _eliminated, _named,
+                       _numbered_witness, _successors, infer_witness, syntactic_witness, to_llee, verify_witness)
 from .rerouting import collapse, connect_through
 from .semantics import (Prechart, _coproduct_walk, _distinguishes, _first_round, _outputs, _quotient, _Walk,
                         chart_of)
-from .solution import _NormalForms, _starred, _Terms, _witness_proved, canonical_solution, simplify
+from .solution import _OWN, _NormalForms, _starred, _Terms, _witness_proved, simplify
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
 
@@ -529,16 +541,39 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    X = chart_from_json(_read_json(args.chart))
-    L = _load_witness(args, X)
-    if L is None:
-        return 1
-    solution = canonical_solution(L)
-    assign = {
-        name: render(simplify(solution.assign[x]) if args.simplify else solution.assign[x])
-        for x, name in state_ids(X).items()
-    }
-    _emit(assign)
+    doc = _read_json(args.chart)
+    if args.witness:
+        X = chart_from_json(doc)
+        L = _load_witness(args, X)
+        if L is None:
+            return 1
+        names, witness = X.states, _numbered_witness(L)
+    else:
+        # ``infer_witness`` on the document's rows, with no prechart or
+        # labelling built: the steps of the pairs that loop elimination
+        # removes are entries, and the others body steps
+        names, chart, root = _chart_rows(doc)
+        _, outs, numbered = chart
+        entries = _eliminated(_successors(numbered), sum([1 << i for i, out in enumerate(outs) if out]))
+        if entries is None:
+            print("no layering witness", file=sys.stderr)
+            return 1
+        a, violation = _checked_rows(outs, numbered, [(i, j, ENTRY if (i, j) in entries else BODY)
+                                                      for i, rows in enumerate(numbered) for js in rows for j in js])
+        if violation is not None:
+            raise RuntimeError(f"loop elimination labelled the {len(names)}-state chart "
+                               f"with no witness: {_named(violation, names)}")
+        witness = chart, root, (a, None)
+    terms = _Terms(witness, _starred, names)
+    solutions = list(map(terms.term, range(len(names))))
+    # a solution holds the solutions of other states: each is printed once,
+    # after those it holds (the memo's order), and ``render`` copies its text
+    # wherever it is held
+    for (_, anchor), t in terms.memo.items():
+        if anchor is _OWN:
+            object.__setattr__(t, "_text", render(t))
+    # a chart document's states are distinct strings, so each is its own id
+    _emit({name: render(simplify(t) if args.simplify else t) for name, t in zip(names, solutions)})
     return 0
 
 

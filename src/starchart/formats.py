@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Mapping
 
 from .layering import ENTRY, LabelledPrechart, WeightedLabelling
-from .semantics import Prechart, StateId
+from .semantics import Prechart, StateId, _numbered_chart
 from .syntax import Expr, declare_alphabet, render
 
 
@@ -63,7 +63,7 @@ def _chart_doc(X: Prechart, field: str | None = None, values: Mapping | None = N
 
 
 def _is_strings(v: Any) -> bool:
-    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+    return isinstance(v, list) and all([isinstance(s, str) for s in v])
 
 
 def _check_shape(doc: Any) -> None:
@@ -81,25 +81,67 @@ def _check_shape(doc: Any) -> None:
         raise ValueError("'outputs' must be an object of string lists")
     transitions = doc.get("transitions", [])
     if not (isinstance(transitions, list) and all(
-            isinstance(t, dict) and all(isinstance(t.get(k), str) for k in ("from", "action", "to"))
-            for t in transitions)):
+            isinstance(t, dict) and isinstance(t.get("from"), str) and isinstance(t.get("action"), str)
+            and isinstance(t.get("to"), str) for t in transitions)):
         raise ValueError("'transitions' must be a list of objects with string 'from', 'action' and 'to'")
     if not isinstance(doc.get("root"), (str, type(None))):
         raise ValueError("'root' must be a string or null")
 
 
-def chart_from_json(doc: Mapping[str, Any]) -> Prechart:
+def _chart_rows(doc: Any) -> tuple[tuple[str, ...], tuple, int | None]:
+    """A chart document read in one pass into state numbers: its state
+    names in order, the chart ``(alphabet, outs, numbered)`` by state number
+    (see ``layering._numbered_witness``) and the root's number, or None.
+
+    Raises ``ValueError``: first for a wrong shape (``_check_shape``) or an
+    invalid action name, then for a transition target that is not a state,
+    in the order of the first transitions from each state and by each of its
+    actions, then for duplicate states, an output at an unknown state or
+    outside the alphabet, a transition from an unknown state or by an action
+    outside the alphabet, and a root that is not a state."""
     _check_shape(doc)
-    transitions: dict[str, dict[str, list[str]]] = {}
+    alphabet = declare_alphabet(doc["alphabet"])  # as ``--alphabet`` reads it
+    names = tuple(doc["states"])
+    number = {x: i for i, x in enumerate(names)}
+    rows: dict[str, dict[str, Any]] = {}
     for t in doc.get("transitions", ()):
-        transitions.setdefault(t["from"], {}).setdefault(t["action"], []).append(t["to"])
-    return Prechart.make(
-        declare_alphabet(doc["alphabet"]),  # as ``--alphabet`` reads it
-        doc["states"],
-        {x: set(acts) for x, acts in doc.get("outputs", {}).items()},
-        transitions,
-        doc.get("root"),
-    )
+        rows.setdefault(t["from"], {}).setdefault(t["action"], []).append(t["to"])
+    try:
+        for row in rows.values():
+            for a, targets in row.items():
+                row[a] = tuple(sorted({number[y] for y in targets}))
+    except KeyError as exc:  # a target outside ``states`` has no number
+        raise ValueError(f"transition target {exc.args[0]!r} not a state") from None
+    if len(number) != len(names):
+        raise ValueError("duplicate states")
+    actions = set(alphabet)
+    outs = [frozenset()] * len(names)
+    for x, acts in doc.get("outputs", {}).items():
+        if acts:
+            if x not in number:
+                raise ValueError(f"output at unknown state {x!r}")
+            out = outs[number[x]] = frozenset(acts)
+            if not out <= actions:
+                raise ValueError(f"output action outside alphabet at {x!r}")
+    numbered = [((),) * len(alphabet)] * len(names)
+    for x, row in rows.items():
+        if x not in number:
+            raise ValueError(f"transition from unknown state {x!r}")
+        for a in row:
+            if a not in actions:
+                raise ValueError(f"transition action {a!r} outside alphabet")
+        numbered[number[x]] = tuple([row.get(a, ()) for a in alphabet])
+    root = doc.get("root")
+    if root is not None and root not in number:
+        raise ValueError(f"root {root!r} not a state")
+    return names, (alphabet, outs, numbered), None if root is None else number[root]
+
+
+def chart_from_json(doc: Mapping[str, Any]) -> Prechart:
+    """The prechart of a chart document, read by ``_chart_rows``; its
+    ``numbered_succ`` memo is the document's rows."""
+    names, (alphabet, outs, numbered), root = _chart_rows(doc)
+    return _numbered_chart(alphabet, (names, outs, numbered), None if root is None else names[root])
 
 
 def witness_to_json(L: LabelledPrechart) -> dict[str, Any]:

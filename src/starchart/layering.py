@@ -327,7 +327,8 @@ def _first_violation(a: _Analysis) -> WitnessViolation | None:
 # ``_numbered_witness`` adapts a labelling to it; a certificate's rows are
 # read into it with ``_checked_rows``, with no prechart built, both by
 # replay and by ``certify``, which writes the rows from loop elimination's
-# tags (``_eliminated``) and reads them back before it emits them.
+# tags (``_eliminated``) and reads them back before it emits them, and by
+# ``solve``, which reads a chart document's rows and tags them likewise.
 
 
 def _numbered_witness(L: LabelledPrechart) -> tuple:

@@ -82,14 +82,9 @@ def rerouting(X: Prechart, s: Splitting) -> Prechart:
         if not X.has_state(u):
             raise ValueError(f"kept state {u!r} unknown")
     outputs = {u: X.out(u) for u in s.kept}
-    transitions = {
-        u: {
-            a: tuple(s.retract[y] for y in X.succ(u, a))
-            for a in X.alphabet
-            if X.succ(u, a)
-        }
-        for u in s.kept
-    }
+    retract = s.retract.__getitem__
+    # each kept state's row read once; ``make`` drops the empty targets
+    transitions = {u: {a: tuple(map(retract, ys)) for a, ys in X.transitions.get(u, {}).items()} for u in s.kept}
     root = s.retract[X.root] if X.root is not None else None
     return Prechart.make(X.alphabet, s.kept, outputs, transitions, root)
 

@@ -53,7 +53,9 @@ class Expr:
     attributes outside the dataclass fields: equality and repr see only the
     tree.  A memo write stores the value every caller computes, so racing
     threads are harmless, and the memos die with the expression.  Equal
-    subterms of one ``parse`` are one node, so they share these memos.
+    subterms of one ``parse`` are one node, so they share these memos.  A
+    star may also hold its ``render`` text as ``_text``: ``solve`` stores it
+    on each solution it prints, as solutions hold one another.
     """
 
     def __hash__(self) -> int:
@@ -377,7 +379,10 @@ def _first_char(e: Expr) -> str:
 def render(e: Expr) -> str:
     """Print with minimal parentheses; ``parse(render(e))`` equals ``e``.
 
-    Iterative: pieces are emitted left to right from an explicit stack.
+    Iterative: pieces are emitted left to right from an explicit stack.  A
+    star that carries its printed text (``_text``, see ``Expr``) is emitted
+    as that text: a node prints the same wherever it stands, as its parent
+    adds the parentheses and the space around it.
     """
     out: list[str] = []
     # stack items: an expression to print, a literal piece, or a 1-tuple
@@ -399,6 +404,8 @@ def render(e: Expr) -> str:
             stack += (")", x.right, "(") if type(x.right) in (Sum, Seq) else (x.right,)
             stack.append((x.right,))
             stack += (")", x.left, "(") if type(x.left) is Sum else (x.left,)
+        elif kind is Star and (text := getattr(x, "_text", None)) is not None:
+            out.append(text)
         elif kind is Star:
             stack += (x.right,) if type(x.right) in (Atom, Zero) else (")", x.right, "(")
             stack.append("*")

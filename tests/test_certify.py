@@ -224,7 +224,7 @@ class TestLocalProofs:
         def refuse(*args):
             raise AssertionError("an expression solution was built")
 
-        monkeypatch.setattr(cli, "canonical_solution", refuse)
+        monkeypatch.setattr(solution, "canonical_solution", refuse)
         monkeypatch.setattr(solution, "_starred", refuse)
         equivalent = 0
         for e, f in golden_corpus():

@@ -186,6 +186,11 @@ class TestRender:
     def test_right_nested_seq_keeps_parentheses(self):
         assert render(Seq(A, Seq(B, C))) == "a(b c)"
 
+    def test_a_star_carrying_its_text_is_emitted_as_that_text(self):
+        s = Star(A, B)
+        object.__setattr__(s, "_text", "<s>")
+        assert render(Sum(s, C)) == "<s> + c"
+
 
 class TestGsum:
     def test_empty_is_zero(self):
@@ -234,6 +239,23 @@ def exprs(alphabet=("a", "b", "c", "ab")):
 @given(exprs())
 def test_parse_render_round_trip(e):
     assert parse(render(e), ("a", "b", "c", "ab")) == e
+
+
+@settings(max_examples=300)
+@given(exprs())
+def test_stars_that_carry_their_text_print_the_same(e):
+    # ``solve`` stores each printed solution's text on it; a star prints
+    # the same wherever it stands, so emitting the stored text changes nothing
+    text = render(e)
+    stars, stack = [], [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (Sum, Seq, Star)):
+            stars += [x] if isinstance(x, Star) else []
+            stack += (x.left, x.right)
+    for s in reversed(stars):  # inner stars first
+        object.__setattr__(s, "_text", render(s))
+    assert render(e) == text
 
 
 @given(exprs(alphabet=("a", "b")))
