@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .semantics import Prechart, StateId, _alphabet_for, _join, _layers
+from .semantics import Prechart, StateId, _alphabet_for, _join, _layers, _outputs
 from .syntax import Expr, atoms
 
 
@@ -141,7 +141,7 @@ def _partition_is_bisimulation(X: Prechart, R: PartitionRelation) -> bool:
     if len(R.universe) != len(X.states) or not all(X.has_state(x) for x in R.universe):
         return False
     block_of = list(map(R._block_of.__getitem__, X.states))  # type: ignore[attr-defined]
-    return _stable(_outputs(X), X.numbered_succ(), block_of, len(R.blocks))
+    return _stable([X.out(x) for x in X.states], X.numbered_succ(), block_of, len(R.blocks))
 
 
 def _checked_partition(X: Prechart, R: PartitionRelation) -> None:
@@ -279,10 +279,6 @@ def _distinguishing_formula(alphabet: tuple[str, ...], outs: Sequence[frozenset[
     return nodes
 
 
-def _outputs(X: Prechart) -> list[frozenset[str]]:
-    return [X.out(x) for x in X.states]
-
-
 def _partition(X: Prechart, block_of: list[int], count: int) -> PartitionRelation:
     blocks: list[list[StateId]] = [[] for _ in range(count)]
     for x, b in zip(X.states, block_of):
@@ -301,7 +297,7 @@ def bisimilarity(X: Prechart) -> PartitionRelation:
     Starts from the per-action output signature and iterates successor-block
     splitting to the greatest fixpoint, on a list of blocks by state number.
     """
-    rounds, count = _coarsest(_outputs(X), X.numbered_succ())
+    rounds, count = _coarsest([X.out(x) for x in X.states], X.numbered_succ())
     return _partition(X, rounds[-1], count)
 
 
@@ -328,11 +324,13 @@ class _Decision:
     is built: an equivalent pair's quotient is built from the arrays.
 
     A decision that separated the roots before its walks ended (see
-    ``_decide``) holds only what the walks reached: ``states`` what each
-    discovered, ``outs`` and ``numbered`` the entries of the states each
-    stepped, and round ``k`` the blocks of the states within ``r - k``
-    steps of their root, where round ``r``, the last, is the first that
-    separates the roots; every other entry is ``None``, and ``count`` is
+    ``_decide``) holds only what the walks reached, where round ``r``, the
+    last, is the first that separates the roots: ``states`` the states
+    within ``r`` steps of their root, which each walk discovered, ``outs``
+    their outputs, read from the syntax, ``numbered`` the entries of the
+    states within ``r - 1`` steps, which each walk stepped, and round ``k``
+    the blocks of the states within ``r - k`` steps; every other entry is
+    ``None``, or past the end of its list on ``f``'s side, and ``count`` is
     the number of round ``r`` blocks among the states it covers.
     """
 
@@ -357,23 +355,29 @@ def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
     Round ``k`` of the refinement is ``k``-step bisimilarity, which depends
     only on the states within ``k`` steps (Hennessy and Milner, JACM 1985).
     So the walks of ``e`` and ``f`` advance one layer at a time
-    (``semantics._layers``), and once both have stepped every state within
-    ``d`` steps of their root, round ``d - i`` is computed for the states
-    ``i`` steps away: round 0 from the outputs of the layer just stepped,
-    and each later round from the one before by ``_refine``'s signature.
-    Block numbers are shared by both sides.  The first ``d`` at which the
-    roots' round ``d`` blocks differ separates them; the decision stops
-    there, and its rounds reach every entry that ``_distinguishing_formula``
-    reads, so the formula is the one that all rounds give.
+    (``semantics._layers``), and once both have discovered every state
+    within ``d`` steps of their root and stepped those within ``d - 1``,
+    round ``d - i`` is computed for the states ``i`` steps away: round 0
+    from the outputs of the states ``d`` steps away, read from the syntax
+    (``semantics._outputs``) with no step, and each later round from the
+    one before by ``_refine``'s signature.  So a pair that round 0
+    separates steps nothing, and one that round 1 separates steps only its
+    roots.  Block numbers are shared by both sides.  The first ``d`` at
+    which the roots' round ``d`` blocks differ separates them; the decision
+    stops there, and its rounds reach every entry that
+    ``_distinguishing_formula`` reads, so the formula is the one that all
+    rounds give.
 
     The check deepens only while its round entries, summed over layers, are
-    no more than the states plus transitions walked, so that a deep chart
-    pays at most its walk again.  When it stops, or when the walks end with
-    the roots unseparated, the walks run to their end on the same arrays
-    and ``_coarsest`` decides on the whole coproduct, so an equivalent
-    pair's ``block_of`` is the largest bisimulation's on every state."""
+    no more than the outputs read plus the states and transitions stepped,
+    so that a deep chart pays at most its walk again.  When it stops, or
+    when the walks end with the roots unseparated, the walks run to their
+    end on the same arrays and ``_coarsest`` decides on the whole
+    coproduct, so an equivalent pair's ``block_of`` is the largest
+    bisimulation's on every state."""
     walks = [_layers([e], alphabet), _layers([f], alphabet)]
     sides: list = [None, None]  # per side: the arrays of its walk
+    read: tuple[list[frozenset[str]], list[frozenset[str]]] = ([], [])  # per side: the outputs of the states discovered
     ends: tuple[list[int], list[int]] = ([], [])  # per side and distance d: how many states lie within d steps
     rounds: tuple[list[list[int]], list[list[int]]] = ([], [])  # per side and round: its blocks
     numbers: list[dict] = []  # per round: the block number of each signature
@@ -382,17 +386,19 @@ def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
     while True:
         ended = True
         for s, walk in enumerate(walks):
+            stepped = ends[s][-2] if d > 1 else 0  # how many states were stepped before this layer
             # a walk that has ended leaves its arrays as they are
             sides[s] = states, outs, numbered = next(walk, sides[s])
-            stepped = ends[s][-1] if ends[s] else 0
-            walked += len(outs) - stepped + sum(map(len, chain.from_iterable(numbered[stepped:])))
-            ends[s].append(len(outs))
+            read[s].extend(map(_outputs, states[len(read[s]):]))
+            # the states stepped in this layer, their transitions, and the outputs read past them
+            walked += len(states) - stepped + sum(map(len, chain.from_iterable(numbered[stepped:])))
+            ends[s].append(len(states))
             ended = ended and len(outs) == len(states)
         entries += ends[0][d] + ends[1][d]
         if entries > walked:
             break
         numbers.append({})
-        for (_, outs, numbered), end, blocks in zip(sides, ends, rounds):
+        for (_, _, numbered), outs, end, blocks in zip(sides, read, ends, rounds):
             blocks.append([])
             hi = end[d]
             for k, table in enumerate(numbers):  # round k of the states d - k steps away
@@ -405,13 +411,14 @@ def _decide(e: Expr, f: Expr, alphabet: tuple[str, ...]) -> _Decision:
                 hi = lo
         if rounds[0][d][0] != rounds[1][d][0]:
             # ``f``'s states follow all that ``e``'s walk discovered: ``e``'s
-            # entries are padded to them, then each round is joined
+            # rows and rounds are padded to them, then each round is joined
             n = len(sides[0][0])
-            for column in (*sides[0][1:], *rounds[0]):
+            for column in (sides[0][2], *rounds[0]):
                 column += [None] * (n - len(column))
             for left, right in zip(*rounds):
                 left += right
-            return _Decision(*_join(*sides), n, rounds[0], len(numbers[d]))
+            (xs, _, x_rows), (ys, _, y_rows) = sides
+            return _Decision(*_join((xs, read[0], x_rows), (ys, read[1], y_rows)), n, rounds[0], len(numbers[d]))
         if ended:
             break
         d += 1

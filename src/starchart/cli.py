@@ -17,21 +17,24 @@ Otherwise ``certify`` decides bisimilarity by ``bisim._decide``, which
 walks both expressions layer by layer and refines on the state numbers
 of the walks, round ``k`` for the states ``d - k`` steps away once the
 walks reach ``d`` steps, and stops at the first round that separates the
-roots.  An inequivalent pair's certificate carries a Hennessy–Milner
-formula that holds at ``e`` and fails at ``f``, derived from those
-rounds; no chart is built for it, and most such pairs are decided on the
-first few layers of their walks.  When no round separates the roots
-early, the walks run to their end and partition refinement decides on
-the coproduct of both charts.  For a bisimilar pair, whose normal forms
-were not tried or differ (see below), the quotient ``C`` by the decided
-partition is built from the same arrays, as arrays: the minimal chart, in
-which both roots are one state.  Loop elimination tags ``C``'s steps with a
-layering witness, and the certificate carries it as numbered rows with the
-projections of both walks onto ``C``.
+roots.  Round 0 reads outputs from the syntax, so a state is stepped only
+when a round needs its successors.  An inequivalent pair's certificate
+carries a Hennessy–Milner formula that holds at ``e`` and fails at ``f``,
+derived from those rounds; no chart is built for it, and most such pairs
+are decided on the first few layers of their walks.  When no round
+separates the roots early, the walks run to their end and partition
+refinement decides on the coproduct of both charts.  For a bisimilar
+pair, whose normal forms were not tried or differ (see below), the
+quotient ``C`` by the decided partition is built from the same arrays,
+as arrays: the minimal chart, in which both roots are one state.  Loop
+elimination tags ``C``'s steps with a layering witness, and the
+certificate carries it as numbered rows with the projections of both
+walks onto ``C``.
 
 Replay of an inequivalent certificate model-checks its formula on the
 derivatives of both inputs that the formula reaches, with no walk and no
-refinement.  This is sound: bisimilar states satisfy the same formulas
+refinement, stepping a derivative only where a diamond needs its
+successors.  This is sound: bisimilar states satisfy the same formulas
 (Hennessy and Milner, JACM 1985), so a formula that holds at ``e`` and
 fails at ``f`` proves that they are not bisimilar.  ``certify`` runs the
 same check, ``distinguishing-formula``, before it emits the certificate,

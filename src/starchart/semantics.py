@@ -297,16 +297,17 @@ def _layers(roots: Iterable[Expr], alphabet: tuple[str, ...]) -> Iterator[_Walk]
     order, recording their outputs and numbered successors (see
     ``Prechart.numbered_succ``).  Equal expressions are one state, the first
     discovered.  Yields ``(states, outs, numbered)``, the same growing lists
-    each time, once per layer, when it has stepped every state that it had
-    discovered when the layer began: then ``outs`` and ``numbered`` cover
-    the states within some distance ``d`` of the roots, and ``states``
-    holds those within ``d + 1``."""
+    each time, once before it steps anything and then once per layer, when
+    it has stepped every state that it had discovered when the layer began:
+    ``outs`` and ``numbered`` cover the states within some distance
+    ``d - 1`` of the roots, none at first, and ``states`` holds those within
+    ``d``.  The last yield follows the last step."""
     states = list(dict.fromkeys(roots))
     number = {x: i for i, x in enumerate(states)}
     outs: list[frozenset[str]] = []
     numbered: list[tuple[tuple[int, ...], ...]] = []
     walk = states, outs, numbered
-    layer = len(states)  # how many states were discovered when the layer began
+    layer = 0  # how many states were discovered when the layer began
     for x in states:  # grows as the walk discovers states: a queue
         if len(outs) == layer:
             yield walk
@@ -380,8 +381,10 @@ def _distinguishes(formula: Any, e: Expr, f: Expr, alphabet: tuple[str, ...]) ->
     earlier node's or is a bool, an action outside ``alphabet``.
 
     Satisfaction is decided only at the derivatives that the formula
-    reaches from ``e`` and ``f``, stepped by ``expr_step`` and numbered in a
-    table keyed by expression, as ``_walk`` numbers its states.  Each node
+    reaches from ``e`` and ``f``, numbered in a table keyed by expression,
+    as ``_walk`` numbers its states.  An ``out`` node reads a state's
+    outputs from the syntax (``_outputs``), so a state is stepped by
+    ``expr_step`` only where a ``dia`` node needs its successors.  Each node
     is decided at each such state once, on an explicit stack, so the check
     costs O(|φ|·m) for the ``m`` transitions it reaches."""
     if not isinstance(formula, list) or not formula:
@@ -421,7 +424,7 @@ def _distinguishes(formula: Any, e: Expr, f: Expr, alphabet: tuple[str, ...]) ->
             continue
         kind, *args = formula[i]
         if kind == "out":
-            holds[task] = args[0] in expr_step(states[x])[0]
+            holds[task] = args[0] in _outputs(states[x])
             continue
         if kind == "dia":
             children = [(args[1], state(y)) for y in expr_step(states[x])[1].get(args[0], ())]

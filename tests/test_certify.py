@@ -318,8 +318,9 @@ class TestDecideFirst:
         alpha = ("a", "b")
         e, f = parse("a", alpha), parse("a b", alpha)
         d = _decide(e, f, alpha)
-        # each walk steps its root and nothing more; round 0 separates them
-        assert stepped == [e, f] and len(d.rounds) == 1 and not d.bisimilar
+        # round 0 separates them on their outputs, read from the syntax:
+        # neither walk steps anything
+        assert stepped == [] and len(d.rounds) == 1 and not d.bisimilar
         self.counts(calls)
         cert = certify(e, f, alpha)
         assert cert.distinguishing == [["out", "a"]]
@@ -368,9 +369,9 @@ def a_chain(k: int):
 class TestLayeredDecision:
     def test_formulas_are_those_of_all_rounds(self, monkeypatch):
         # 1 000 seeded pairs over two alphabets, depths 2 to 6, every fourth
-        # an axiom rewrite; then ``c`` against ``c*c``, whose walks end
-        # before round 1 separates them, and a chain pair deeper than the
-        # work bound lets the layered check go: the formula is the one
+        # an axiom rewrite; then ``c`` against ``c*c``, which round 1
+        # separates once the roots are stepped, and a chain pair deeper than
+        # the work bound lets the layered check go: the formula is the one
         # that every round of the full refinement gives, and replays
         refined = count_calls(monkeypatch, "bisim", "_coarsest")
         rng = random.Random(487)
@@ -395,10 +396,38 @@ class TestLayeredDecision:
                 early += not refined
             assert all(c.passed for c in recheck_certificate(roundtrip(cert))), (render(e), render(f))
             verdicts[cert.verdict] += 1
-        # the last two were handed to the full refinement, and are inequivalent
-        assert handed_over[-2:] == [1, 1] and cert.verdict == "inequivalent"
+        # the layered check separated the next to last; the last was handed
+        # to the full refinement, and both are inequivalent
+        assert handed_over[-2:] == [0, 1] and cert.verdict == "inequivalent"
         assert verdicts["equivalent"] >= 250 and verdicts["inequivalent"] >= 600
         assert early >= verdicts["inequivalent"] * 9 // 10
+
+    def test_the_decision_agrees_with_the_full_refinement(self):
+        # 5 000 seeded pairs over four alphabets, every other an axiom
+        # rewrite, and every golden pair: the verdict, the formula and an
+        # equivalent pair's blocks are those that ``_coarsest`` gives on the
+        # whole joined walks, and the states and outputs that the decision
+        # holds, read from the syntax where a state was not stepped, are the
+        # walks' own
+        cases = list(alphabet_pairs(491, 5000))
+        cases += [(tuple(sorted(atoms(e) | atoms(f))), e, f) for e, f in golden_corpus()]
+        verdicts, rounds_taken = Counter(), Counter()
+        for alpha, e, f in cases:
+            d = _decide(e, f, alpha)
+            (states, outs, numbered), n = _coproduct_walk(e, f, alpha)
+            rounds, _ = _coarsest(outs, numbered)
+            assert d.bisimilar == (rounds[-1][0] == rounds[-1][n]), (render(e), render(f))
+            if d.bisimilar:
+                assert d.block_of == rounds[-1]
+            else:
+                assert _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, 0, d.n) == (
+                    _distinguishing_formula(alpha, outs, numbered, rounds, 0, n)), (render(e), render(f))
+                rounds_taken[len(d.rounds)] += 1
+            m = len(d.states) - d.n
+            assert (d.states, d.outs) == ((*states[:d.n], *states[n:n + m]), [*outs[:d.n], *outs[n:n + m]])
+            verdicts[d.bisimilar] += 1
+        assert verdicts[True] >= 2500 and verdicts[False] >= 2500
+        assert rounds_taken[1] >= 1500 and rounds_taken[2] >= 500 and max(rounds_taken) >= 4
 
     @pytest.fixture
     def checked(self, monkeypatch):
@@ -430,22 +459,30 @@ class TestLayeredDecision:
     @pytest.mark.parametrize("size", [10, 50, 150])
     def test_the_check_stops_at_its_work_bound(self, checked, size):
         # each walk of ``e = (w)*0`` against ``e + e`` and of the chains
-        # steps one state and one transition per layer, so the check's round
-        # entries, 2 + 4 + … + 2(d + 1) by layer d, pass the 4(d + 1) states
-        # and transitions walked at layer 3, whatever the size: rounds 1 and
-        # 2 number 6 entries in all, before the full refinement takes over
-        assert checked(*wstar_pair(size)) == (True, 6)
-        assert checked(a_chain(size), a_chain(size + 1)) == (False, 6)
+        # reads its root's outputs on layer 0, then on each later layer
+        # steps one state and one transition and reads one state's outputs,
+        # so the check's round entries, 2 + 4 + … + 2(d + 1) by layer d,
+        # pass the 2 + 6d outputs, states and transitions walked at layer 4
+        # (30 > 26), whatever the size: rounds 1 to 3 number 2 + 4 + 6 = 12
+        # entries in all, before the full refinement takes over
+        assert checked(*wstar_pair(size)) == (True, 12)
+        assert checked(a_chain(size), a_chain(size + 1)) == (False, 12)
 
     def test_walks_that_end_unseparated_hand_over_at_once(self, checked):
-        # ``c`` and ``c*c`` end their walks on layer 0, where round 0 cannot
-        # separate them; ``a*0`` and ``(a a)*0`` end on layer 1, where only
-        # the roots have a round 1 entry, and so do ``e = (a + b)*0`` and
-        # ``e + e``, whose six transitions would let the check go on
-        assert checked(parse("c", ("c",)), parse("c*c", ("c",))) == (False, 0)
-        assert checked(parse("a*0", ("a",)), parse("(a a)*0", ("a",))) == (True, 2)
-        e = parse("(a + b)*0", ("a", "b"))
-        assert checked(e, Sum(e, e)) == (True, 2)
+        # a walk ends on the layer after its last discovery, when it has
+        # stepped what that discovery found, and the check hands over once
+        # both walks have ended.  ``a b*0`` and ``(a b)*0`` both end on
+        # layer 2, where round 2 does not yet separate them (round 3 would):
+        # each root has a round 1 and a round 2 entry, and each state 1 step
+        # away a round 1 entry, 6 in all.  ``(a a)*0`` ends on layer 2 as
+        # well, but ``a*0`` on layer 1, with no state 1 step away: 5 in all,
+        # and so for ``e = (a + b)*0`` and ``e + e``, whose six transitions
+        # would let the check go on
+        ab = ("a", "b")
+        assert checked(parse("a b*0", ab), parse("(a b)*0", ab)) == (False, 6)
+        assert checked(parse("a*0", ("a",)), parse("(a a)*0", ("a",))) == (True, 5)
+        e = parse("(a + b)*0", ab)
+        assert checked(e, Sum(e, e)) == (True, 5)
 
     def test_large_inputs_certify_in_a_child_within_a_time_limit(self):
         # a deep equivalent pair, which the work bound hands to the full
@@ -534,9 +571,9 @@ class TestOneWalkDecides:
 
 
 def reached_states(Z: Prechart, formula, roots) -> set:
-    """The states of ``Z`` at which some output or diamond node of
-    ``formula`` is decided, from its root at ``roots``: those that the lazy
-    check must step."""
+    """The states of ``Z`` at which some diamond node of ``formula`` is
+    decided, from its root at ``roots``: those that the lazy check must
+    step, since an output node reads the syntax."""
     seen, stack, stepped = set(), [(len(formula) - 1, x) for x in roots], set()
     while stack:
         i, x = stack.pop()
@@ -544,9 +581,8 @@ def reached_states(Z: Prechart, formula, roots) -> set:
             continue
         seen.add((i, x))
         kind, *args = formula[i]
-        if kind in ("out", "dia"):
-            stepped.add(x)
         if kind == "dia":
+            stepped.add(x)
             stack += [(args[1], y) for y in Z.succ(x, args[0])]
         elif kind != "out":
             stack += [(j, x) for j in ([args[0]] if kind == "not" else args[0])]
@@ -584,8 +620,10 @@ class TestDistinguishingFormulas:
             stepped.clear()
             assert all(c.passed for c in recheck_certificate(doc))
             reached = reached_states(Z, doc["distinguishing"]["formula"], (Z.states[0], Z.states[n]))
-            # each reached derivative is stepped, at most once per node, and
-            # nothing else is; states are expressions, whichever side they are on
+            # each derivative reached by a diamond is stepped, at most once
+            # per node, and nothing else is, not even a state whose outputs
+            # an output node reads; states are expressions, whichever side
+            # they are on
             assert {x for _, x in reached} == set(stepped)
             assert len(stepped) <= len(doc["distinguishing"]["formula"]) * len(reached)
             saved += len({x for _, x in Z.states}) - len(set(stepped))

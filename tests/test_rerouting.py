@@ -486,16 +486,16 @@ class TestCollapseOnTheWorkingChart:
         assert merges["C2"] >= 10 and merges["C3"] >= 3
 
     def test_certify_reports_a_wrong_partition_as_an_internal_error(self, monkeypatch, capsys):
-        # the refinement seam of the decision answers one block; ``a`` and
-        # ``a*a`` agree on round 0, where both walks end, so the layered
-        # check hands them to the full refinement, which no longer
-        # separates them
+        # the refinement seam of the decision answers one block; ``a b*0``
+        # and ``(a b)*0`` agree on rounds 0 to 2, where both walks end, so
+        # the layered check hands them to the full refinement, which no
+        # longer separates them
         bisim, cli = sys.modules["starchart.bisim"], sys.modules["starchart.cli"]
         monkeypatch.setattr(bisim, "_coarsest", lambda outs, numbered: ([[0] * len(outs)], 1))
         built = []
         for name in ("infer_witness", "_quotient"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: built.append(name))
-        assert main(["certify", "a", "a*a"]) == 3
+        assert main(["certify", "a b*0", "(a b)*0"]) == 3
         err = capsys.readouterr().err
         assert "internal error: RuntimeError: certification checks failed: ['bisimulation-relation-valid']" in err
         # the relation check fails before any quotient or witness is built

@@ -104,6 +104,18 @@ class TestFirstRound:
                 assert _outputs(e) == o
                 assert _first_round(e) == (o, frozenset((a, expr_step(x)[0]) for a, xs in s.items() for x in xs))
 
+    def test_outputs_agree_with_expr_step_on_every_derivative(self):
+        # a decision and a formula's replay read the outputs of derivatives
+        # from the syntax, not only those of parsed roots
+        rng = random.Random(1990)
+        states = 0
+        for alpha in (("a", "b"), ("a", "b", "c")):
+            for i in range(1500):
+                for x in chart_of(random_expr(rng, alpha, depth=2 + i % 5), alpha).states:
+                    assert _outputs(x) == expr_step(x)[0]
+                    states += 1
+        assert states >= 9000
+
     def test_reads_the_syntax_and_steps_no_node(self):
         e = parse("(a b + c)*(b*a) a + (a + 0)*(c c)", ("a", "b", "c"))
         # steps into sequences reach no output; the left summand steps on
