@@ -22,7 +22,6 @@ from .layering import (
     enumerate_witnesses,
     from_llee,
     infer_witness,
-    loop_depth,
     measures,
     restrict_witness,
     syntactic_witness,
@@ -56,7 +55,6 @@ from .solution import (
     MeasureError,
     Solution,
     canonical_solution,
-    simplify,
     unfold,
     verify_solution,
 )
@@ -82,12 +80,12 @@ __all__ = [
     "BisimViolation", "PartitionRelation", "bisimilar", "bisimilarity", "check_bisimulation",
     "Certificate", "certify", "main", "recheck_certificate", "InvalidWitnessError",
     "LabelledPrechart", "WeightedLabelling", "WitnessViolation", "derived_relations",
-    "enumerate_witnesses", "from_llee", "infer_witness", "loop_depth", "measures",
+    "enumerate_witnesses", "from_llee", "infer_witness", "measures",
     "restrict_witness", "syntactic_witness", "to_llee", "union_witness", "verify_witness",
     "Splitting", "check_condition", "collapse", "connect_through", "find_pair", "relabel",
     "rerouting", "restrict_relation", "HomViolation", "Prechart", "chart_of", "coproduct",
     "expr_step", "generated", "is_homomorphism", "kernel_partition", "quotient", "restriction",
-    "MeasureError", "Solution", "canonical_solution", "simplify", "unfold", "verify_solution",
+    "MeasureError", "Solution", "canonical_solution", "unfold", "verify_solution",
     "Atom", "Expr", "ParseError", "Seq", "Star", "Sum", "UnknownActionError", "Zero", "atoms",
     "declare_alphabet", "gsum", "parse", "render", "size_bound", "star_height",
 ]

@@ -7,7 +7,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .semantics import Prechart, StateId, _alphabet_for, _join, _layers, _outputs
-from .syntax import Expr, atoms
+from .syntax import Expr, atoms, declare_alphabet
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,7 @@ def bisimilarity(X: Prechart) -> PartitionRelation:
 def bisimilar(e: Expr, f: Expr, alphabet: Iterable[str] | None = None) -> bool:
     """Decide whether two expressions have bisimilar charts, by the decision
     that stops at the round that separates them (``_decide``)."""
-    alpha = tuple(alphabet) if alphabet is not None else tuple(sorted(atoms(e) | atoms(f)))
+    alpha = declare_alphabet(alphabet) if alphabet is not None else tuple(sorted(atoms(e) | atoms(f)))
     for x in (e, f):
         _alphabet_for(x, alpha)  # raises on an atom outside the alphabet
     return _decide(e, f, alpha).bisimilar

@@ -123,6 +123,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -145,7 +146,7 @@ from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _eliminated
 from .rerouting import collapse, connect_through
 from .semantics import (Prechart, _coproduct_walk, _distinguishes, _first_round, _outputs, _quotient, _Walk,
                         chart_of)
-from .solution import _OWN, _NormalForms, _starred, _Terms, _witness_proved, simplify
+from .solution import _OWN, _NormalForms, _starred, _Terms, _witness_proved
 from .syntax import Expr, atoms, declare_alphabet, parse, render
 
 
@@ -576,7 +577,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if anchor is _OWN:
             object.__setattr__(t, "_text", render(t))
     # a chart document's states are distinct strings, so each is its own id
-    _emit({name: render(simplify(t) if args.simplify else t) for name, t in zip(names, solutions)})
+    _emit({name: render(t) for name, t in zip(names, solutions)})
     return 0
 
 
@@ -665,10 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="canonical per-state solution of a chart")
     p.add_argument("chart")
     p.add_argument("--witness", metavar="WITNESS_JSON")
-    p.add_argument("--simplify", action="store_true",
-                   help="apply unit cleanups (e+0 -> e, 0e -> 0) to the output; "
-                        "canonical solutions carry no unit summands, so this no longer "
-                        "changes it")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reroute", help="connect one state through to another")
@@ -702,7 +699,15 @@ PARSER = build_parser()
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as ``| head`` does
+        # the unwritten rest would fail again when the interpreter flushes at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a writer that SIGPIPE ended
     except (ValueError, OSError, KeyError) as exc:  # ParseError, InvalidWitnessError, bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2

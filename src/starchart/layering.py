@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .semantics import Prechart, StateId, coproduct, expr_step, restriction
-from .syntax import Expr, Seq, Star, Sum, can_terminate, star_height
+from .syntax import Expr, Seq, Star, Sum, can_terminate
 
 Edge = tuple[StateId, str, StateId]
 
@@ -400,23 +400,6 @@ def measures(L: LabelledPrechart, x: StateId) -> tuple[int, int]:
     i = L.base.index(x)
     en, bd = a.lengths
     return en[i], bd[i]
-
-
-def loop_depth(L: LabelledPrechart, x: StateId, action: str, y: StateId) -> int:
-    """Loop depth of one transition of an expression-state labelling.
-
-    Body steps have depth 0; an entry, a star's self-loop or unrolling (see
-    ``_derivation``), has one more than the star height of the iterated part.
-    """
-    tag = L.tag(x, action, y)
-    if not isinstance(x, Expr) or not isinstance(y, Expr):
-        raise ValueError("loop depth needs expression-structured states")
-    if tag == BODY:
-        return 0
-    rule, e, f = _derivation(x, action, y)
-    if rule not in ("self-loop", "unrolling"):
-        raise ValueError(f"no depth rule for {e} -> {f}")
-    return star_height(e.left) + 1
 
 
 # --- the weighted form --------------------------------------------------------

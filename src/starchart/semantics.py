@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .syntax import Atom, Expr, Seq, Star, Sum, atoms
+from .syntax import Atom, Expr, Seq, Star, Sum, atoms, declare_alphabet
 
 StateId = Hashable
 
@@ -38,6 +38,7 @@ class Prechart:
             raise ValueError("duplicate states")
         object.__setattr__(self, "_index", index)
         alpha = set(self.alphabet)
+        declare_alphabet(self.alphabet)  # raises on an invalid action name
         if len(alpha) != len(self.alphabet):
             raise ValueError(f"alphabet {self.alphabet!r} repeats an action")
         for x, acts in self.outputs.items():

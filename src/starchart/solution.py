@@ -477,38 +477,3 @@ def verify_solution(
     bad = _first_unsolved(chart, values, expr_step, R.block_index)
     return bad is None, None if bad is None else X.states[bad]
 
-
-def simplify(e: Expr) -> Expr:
-    """Cosmetic unit cleanup only: drop 0 summands and left-0 sequences.
-
-    Iterative, with a per-call memo by node identity: linear in the DAG of
-    ``e``, and its result shares what ``e`` shares.
-    """
-    # id(node) -> (node, simplified); holding the node keeps its id unique
-    done: dict[int, tuple[Expr, Expr]] = {}
-    stack = [e]
-    while stack:
-        x = stack[-1]
-        if id(x) in done:
-            stack.pop()
-            continue
-        kind = type(x)
-        out = x
-        if kind in (Sum, Seq, Star):
-            left, right = done.get(id(x.left)), done.get(id(x.right))
-            if left is None:
-                stack.append(x.left)
-                continue
-            if right is None:
-                stack.append(x.right)
-                continue
-            l, r = left[1], right[1]
-            if kind is Sum and type(l) is Zero:
-                out = r
-            elif kind is Sum and type(r) is Zero or kind is Seq and type(l) is Zero:
-                out = l
-            elif l is not x.left or r is not x.right:
-                out = kind(l, r)
-        done[id(x)] = (x, out)
-        stack.pop()
-    return done[id(e)][1]

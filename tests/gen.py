@@ -33,7 +33,7 @@ from starchart import (
 from starchart import cli
 from starchart.bisim import _decide
 from starchart.semantics import expr_step
-from starchart.syntax import can_terminate, star_height
+from starchart.syntax import can_terminate
 
 DEFAULT_ALPHABET = ("a", "b", "c")
 
@@ -668,22 +668,6 @@ def recursive_syntactic_tag(e: Expr, action: str, f: Expr) -> str:
     if len(found) != 1:
         raise ValueError(f"no unique tag derivation for {e} -{action}-> {f}: {found}")
     return found.pop()
-
-
-def matched_loop_depth(L: LabelledPrechart, x, action: str, y) -> int:
-    """Loop depth of a transition by its own match of the star rules: the
-    reference for ``loop_depth``."""
-    tag = L.tag(x, action, y)
-    if not isinstance(x, Expr) or not isinstance(y, Expr):
-        raise ValueError("loop depth needs expression-structured states")
-    if tag == "b":
-        return 0
-    e, f = x, y
-    while isinstance(e, Seq) and isinstance(f, Seq) and f.right == e.right:
-        e, f = e.left, f.left
-    if isinstance(e, Star) and (f == e or (isinstance(f, Seq) and f.right == e)):
-        return star_height(e.left) + 1
-    raise ValueError(f"no depth rule for {e} -> {f}")
 
 
 def searched_longest_paths(states, adj) -> dict:

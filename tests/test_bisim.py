@@ -14,6 +14,7 @@ from starchart import (
     Zero,
     bisimilar,
     bisimilarity,
+    certify,
     chart_of,
     check_bisimulation,
     coproduct,
@@ -294,6 +295,19 @@ class TestBisimilar:
         for _ in range(20):
             e = random_expr(rng, depth=4)
             assert bisimilar(e, e)
+
+    def test_reads_a_declared_alphabet_as_certify_does(self):
+        with pytest.raises(ValueError, match="invalid action name: 'B C'"):
+            bisimilar(A, A, ["a", "B C"])
+        with pytest.raises(ValueError, match="invalid action name: 'B C'"):
+            certify(A, A, ["a", "B C"])
+        # a repeated action is read once
+        rng = random.Random(37)
+        for _ in range(40):
+            e, f = random_expr(rng, depth=3), random_expr(rng, depth=3)
+            verdict = bisimilar(e, f, ["a", "b", "c"])
+            assert bisimilar(e, f, ["a", "b", "c", "a"]) == verdict
+            assert certify(e, f, ["c", "c", "b", "a"]).verdict == ("equivalent" if verdict else "inequivalent")
 
 
 class TestAxiomSoundness:

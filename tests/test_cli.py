@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
+import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,7 +30,7 @@ from starchart import (
     render,
 )
 from starchart import layering
-from starchart.cli import main
+from starchart.cli import PARSER, main
 from starchart.formats import chart_to_json, witness_to_json
 from starchart.layering import syntactic_witness
 from starchart.semantics import _distinguishes
@@ -182,17 +185,6 @@ class TestSolveCommand:
         assign = json.loads(out)
         for state, text in assign.items():
             assert bisimilar(parse(text, ("a",)), AA0)
-
-    def test_simplify_flag(self, capsys, tmp_path):
-        X = chart_of(Star(A, Atom("b")), ("a", "b"))
-        path = tmp_path / "star.json"
-        path.write_text(json.dumps(chart_to_json(X)))
-        wpath = tmp_path / "w.json"
-        wpath.write_text(json.dumps(witness_to_json(syntactic_witness(X))))
-        code, out, _ = run(capsys, "solve", str(path), "--witness", str(wpath), "--simplify")
-        assert code == 0 and json.loads(out) == {"a*b": "a*b"}
-        # canonical solutions carry no unit summands, so the flag changes nothing
-        assert run(capsys, "solve", str(path), "--witness", str(wpath)) == (0, out, "")
 
     def test_no_witness_exits_1(self, capsys, tmp_path):
         path = tmp_path / "fig3-right.json"
@@ -407,6 +399,47 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "a*b"
+
+
+def readme_synopsis() -> dict[str, set[str]]:
+    """The options that the README's command block shows, per subcommand."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(starchart .*?)```", text, re.S).group(1)
+    shown: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("starchart "):
+            options = re.findall(r"--[a-z][a-z-]*", line.partition("#")[0])
+            shown.setdefault(line.split()[1], set()).update(options)
+    return shown
+
+
+def test_the_readme_synopsis_shows_every_option_of_every_command():
+    sub = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+               for name, p in sub.choices.items()}
+    assert readme_synopsis() == options
+
+
+@pytest.mark.parametrize("expr", ["a", " ".join(["a"] * 300)], ids=["flushed-at-exit", "written-at-once"])
+@pytest.mark.parametrize("merged", [False, True], ids=["stderr-apart", "stderr-merged"])
+def test_a_closed_stdout_ends_with_exit_141_and_no_traceback(expr, merged):
+    # as ``starchart chart E | head -c 0`` ends: the reader is gone before
+    # the first write, so every write to the pipe fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "starchart", "chart", expr],
+            stdout=write_end,
+            stderr=write_end if merged else subprocess.PIPE,
+            env={"PYTHONPATH": "src"},
+            cwd=Path(__file__).resolve().parent.parent,
+            timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr in (None, b"")
 
 
 _FIELDS = ("alphabet", "states", "outputs", "transitions", "root", "from", "action", "to", "tag")

@@ -1,0 +1,39 @@
+"""``tools/collector_probe.py`` finds its anchor in the benchmark's worker and
+prints one count per workload."""
+
+import importlib.util
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("collector_probe", REPO / "tools" / "collector_probe.py")
+probe = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(probe)
+
+
+def test_the_ready_time_sample_occurs_exactly_once_in_the_worker():
+    worker = (REPO / probe.WORKER).read_text(encoding="utf-8")
+    assert worker.count(probe.ANCHOR) == 1
+    before, sample, after = probe.probed(worker).partition(probe.ANCHOR)
+    assert before.endswith(probe.PROBE) and sample and probe.ANCHOR not in after
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_an_anchor_that_is_not_found_exactly_once_stops_the_probe(count):
+    with pytest.raises(ValueError, match="not found exactly once"):
+        probe.probed("SPEED = Speed()\n" + probe.ANCHOR * count)
+
+
+def test_it_prints_the_counts_of_every_workload_and_writes_nothing_in_the_repository():
+    before = sorted(p for p in (REPO / "perfbench").rglob("*") if "__pycache__" not in p.parts)
+    proc = subprocess.run([sys.executable, str(REPO / "tools" / "collector_probe.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines] == ["certify_equiv", "certify_inequiv", "solve_infer"]
+    assert all(re.fullmatch(r"\S+ \(\d+, \d+, \d+\)", line) for line in lines)
+    assert sorted(p for p in (REPO / "perfbench").rglob("*") if "__pycache__" not in p.parts) == before

@@ -1,6 +1,8 @@
 import random
 
-from starchart import Atom, Prechart, Seq, Star, Zero, chart_of, to_llee, verify_witness
+import pytest
+
+from starchart import Atom, Prechart, Seq, Star, Zero, chart_of, parse, to_llee, verify_witness
 from starchart.formats import (
     chart_from_json,
     chart_to_json,
@@ -12,20 +14,39 @@ from starchart.formats import (
     witness_to_json,
 )
 from starchart.layering import syntactic_witness
-from gen import random_expr
+from gen import random_chart, random_expr
 
 A = Atom("a")
 AA0 = Star(Seq(A, A), Zero())
 
 
+def rows(X: Prechart):
+    """A chart by state number: its alphabet, outputs, successors and root."""
+    return X.alphabet, [X.out(x) for x in X.states], X.numbered_succ(), None if X.root is None else X.index(X.root)
+
+
 def test_chart_json_round_trip_preserves_structure():
     rng = random.Random(113)
-    for _ in range(30):
-        X = chart_of(random_expr(rng, depth=4))
+    charts = [chart_of(random_expr(rng, depth=4)) for _ in range(30)]
+    # declared actions that no state uses are rows too
+    charts += [chart_of(random_expr(rng, depth=4), ("c", "a", "b", "z_1")) for _ in range(20)]
+    charts += [random_chart(rng, n_states=2 + i % 6, alphabet=("b", "a0"), rooted=i % 2 == 0) for i in range(40)]
+    for X in charts:
         doc = chart_to_json(X)
         Y = chart_from_json(doc)
         assert chart_to_json(Y) == doc
-        assert len(Y.states) == len(X.states)
+        assert rows(Y) == rows(X)
+
+
+@pytest.mark.parametrize("alphabet", [["a", "B C"], ["a", ""], ["a", "1"]])
+def test_no_chart_has_an_action_that_its_document_cannot_name(alphabet):
+    # chart_from_json reads an alphabet as ``--alphabet`` does, so a chart
+    # under any other alphabet could be written but never read back
+    e = parse("a", ["a"])
+    with pytest.raises(ValueError, match=f"invalid action name: {alphabet[1]!r}"):
+        chart_of(e, alphabet)
+    with pytest.raises(ValueError, match="invalid action name"):
+        Prechart.make(alphabet, ("x",), {}, {})
 
 
 def test_witness_json_round_trip_preserves_tags_and_validity():

@@ -18,7 +18,6 @@ from starchart import (
     certify,
     chart_of,
     collapse,
-    loop_depth,
     measures,
     parse,
     recheck_certificate,
@@ -144,7 +143,6 @@ FREED_WITHOUT_THE_COLLECTOR = {
     "verify_solution": lambda e, L: verify_solution(L.base, canonical_solution(L)),
     "measures": lambda e, L: [measures(L, x) for x in L.base.states],
     "to_llee": lambda e, L: to_llee(L),
-    "loop_depth": lambda e, L: [loop_depth(L, *edge) for edge in L.tags],
 }
 
 

@@ -48,7 +48,7 @@ def corpus() -> list[dict]:
         X = chart_of(e)
         files = {"chart": chart_to_json(X), "witness": witness_to_json(syntactic_witness(X))}
         cases.append({"argv": ["solve", "{chart}"], "files": files})
-        cases.append({"argv": ["solve", "{chart}", "--witness", "{witness}", "--simplify"], "files": files})
+        cases.append({"argv": ["solve", "{chart}", "--witness", "{witness}"], "files": files})
     for _ in range(6):
         X = random_chart(rng, n_states=4, rooted=True)
         cases.append({"argv": ["solve", "{chart}"], "files": {"chart": chart_to_json(X)}})

@@ -22,7 +22,6 @@ from starchart import (
     from_llee,
     generated,
     infer_witness,
-    loop_depth,
     measures,
     parse,
     restrict_witness,
@@ -41,7 +40,6 @@ from gen import (
     fig3_left,
     fig3_right,
     holding_every_state,
-    matched_loop_depth,
     pair_closure,
     path_relations,
     random_chart,
@@ -324,26 +322,6 @@ class TestLongestPaths:
             self.longest_paths("xyzw", adj)
 
 
-class TestLoopDepth:
-    def test_body_steps_have_depth_zero(self):
-        L = cycle_witness()
-        assert loop_depth(L, X1, "a", AA0) == 0
-
-    def test_star_self_loop(self):
-        e = Star(A, B)
-        L = syntactic_witness(chart_of(e))
-        assert loop_depth(L, e, "a", e) == 1
-
-    def test_nested_star_self_loop(self):
-        e = Star(Star(A, A), B)
-        L = syntactic_witness(chart_of(e))
-        assert loop_depth(L, e, "a", e) == 2
-
-    def test_sequencing_preserves_depth(self):
-        L = cycle_witness()
-        assert loop_depth(L, AA0, "a", X1) == 1  # star unrolling at level 0 + 1
-
-
 class TestLlee:
     def test_all_body_weights_are_zero(self):
         W = to_llee(all_body(acyclic_chart()))
@@ -397,18 +375,10 @@ class TestSyntacticWitness:
             assert verify_witness(L) == (True, None)
 
 
-def outcome(f, *args):
-    """What ``f(*args)`` returns, or the message of the ``ValueError`` it raises."""
-    try:
-        return f(*args)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
-
-
 class TestOneDerivationWalk:
     """The one derivation walk, and the fold over one depth-first search,
-    against the recursive tagging, the matched loop depth and the searched
-    longest paths they replace."""
+    against the recursive tagging and the searched longest paths they
+    replace."""
 
     @staticmethod
     def charts():
@@ -422,17 +392,10 @@ class TestOneDerivationWalk:
             yield chart_of(Star(chain, B))
             yield chart_of(reduce(Seq, [Star(Seq(A, B), Sum(A, Zero()))] + [B] * n))
 
-    def test_tags_loop_depths_and_measures_are_unchanged(self):
-        depths = Counter()
+    def test_tags_and_measures_are_unchanged(self):
         for X in self.charts():
             L = syntactic_witness(X)
             assert dict(L.tags) == {edge: recursive_syntactic_tag(*edge) for edge in X.edges()}
-            all_entry = LabelledPrechart(X, dict.fromkeys(X.edges(), ENTRY))
-            for labelling in (L, all_entry):
-                for edge in X.edges():
-                    depth = outcome(loop_depth, labelling, *edge)
-                    assert depth == outcome(matched_loop_depth, labelling, *edge)
-                    depths[depth if isinstance(depth, int) else "error"] += 1
             descent = {}
             for x, y in derived_relations(L)[0]:
                 descent.setdefault(x, []).append(y)
@@ -445,7 +408,6 @@ class TestOneDerivationWalk:
             assert [measures(L, x) for x in X.states] == [(en[x], bd[x]) for x in X.states]
             assert to_llee(L).weights == {
                 (x, act, y): max(en[x], 1) if t == ENTRY else 0 for (x, act, y), t in L.tags.items()}
-        assert min(depths[0], depths[1], depths[2], depths["error"]) > 100
 
     def test_a_long_sequence_is_tagged_without_recursion(self):
         X = chart_of(reduce(Seq, [A] * 300))

@@ -21,7 +21,6 @@ from starchart import (
     infer_witness,
     parse,
     render,
-    simplify,
     syntactic_witness,
     unfold,
     verify_solution,
@@ -31,8 +30,8 @@ from starchart import layering
 from starchart.layering import _numbered_witness
 from starchart import solution as solution_module
 from starchart.solution import MeasureError, _NormalForms, _proved, _Terms, _witness_proved
-from gen import (deadline, distinct_nodes, doubling_chain, joined_chart, local_certify, named_witness,
-                 per_equation_check, random_chart, random_expr, rewrite_steps, round_by_round_bisimilarity)
+from gen import (joined_chart, local_certify, named_witness, per_equation_check, random_chart, random_expr,
+                 rewrite_steps, round_by_round_bisimilarity)
 from test_golden_certs import corpus as golden_corpus
 
 A, B = Atom("a"), Atom("b")
@@ -379,6 +378,23 @@ class TestTheAxiomStage:
             sys.setrecursionlimit(limit)
 
 
+def has_unit_summand(e) -> bool:
+    """Whether ``e`` holds a sum with a ``0`` side or a sequence ``0·f``.
+
+    Iterative, and each shared subterm is visited once.
+    """
+    seen, stack = set(), [e]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or not isinstance(x, (Sum, Seq, Star)):
+            continue
+        seen.add(id(x))
+        if isinstance(x, Sum) and Zero() in (x.left, x.right) or isinstance(x, Seq) and x.left == Zero():
+            return True
+        stack += (x.left, x.right)
+    return False
+
+
 class TestNormalFormSteps:
     """Derivatives taken on normal forms are the normal forms of the derivatives."""
 
@@ -393,7 +409,7 @@ class TestNormalFormSteps:
     def test_witnesses_build_the_normal_forms_of_their_canonical_solutions(self):
         # each state's solution and each companion, built straight as a
         # normal form, is the normal form of the expression built for it;
-        # the expressions carry no unit summand for ``simplify`` to drop
+        # the expressions carry no unit summand
         rng = random.Random(2299)
         witnesses = 0
         for _ in range(300):
@@ -404,10 +420,10 @@ class TestNormalFormSteps:
                 s = canonical_solution(L)
                 built = [terms.term(x) for x in range(len(X.states))]
                 assert built == [forms.of(s.assign[x]) for x in X.states]
-                assert all(simplify(t) is t for t in s.assign.values())
+                assert not any(map(has_unit_summand, s.assign.values()))
                 for (x, z), t in s.companion.items():
                     assert terms.memo[X.index(x), X.index(z)] == forms.of(t)
-                    assert simplify(t) is t
+                    assert not has_unit_summand(t)
                 assert _witness_proved(_numbered_witness(L))
                 witnesses += 1
         assert witnesses == 600
@@ -524,38 +540,3 @@ def _graph_passes(X, assign):
     ]
     ok, _ = check_bisimulation(X, Y, relation)
     return ok
-
-
-class TestSimplify:
-    def test_unit_sums_and_zero_sequences(self):
-        assert simplify(Sum(A, Zero())) == A
-        assert simplify(Sum(Zero(), A)) == A
-        assert simplify(Seq(Zero(), A)) == Zero()
-
-    def test_right_zero_sequence_is_kept(self):
-        assert simplify(Seq(A, Zero())) == Seq(A, Zero())
-
-    def test_cleans_canonical_output(self):
-        s = canonical_solution(single_state("b", self_loop_tag="e"))
-        assert simplify(s.assign["x"]) == Star(A, B)
-
-    def test_preserves_bisimilarity(self):
-        rng = random.Random(79)
-        for _ in range(40):
-            e = random_expr(rng, depth=4)
-            assert bisimilar(e, simplify(e))
-
-    def test_linear_in_the_dag(self):
-        # the trees of e_64 have ~10^20 nodes; simplify visits each node once
-        with deadline(1, "simplifying e_64"):
-            clean = doubling_chain(64, Seq(A, Zero()))
-            assert simplify(clean) is clean
-            messy = doubling_chain(64, Sum(Zero(), Seq(Sum(A, Zero()), Zero())))
-            simplified = simplify(messy)
-            assert simplified == clean and len(distinct_nodes(simplified)) == 3 * 64 + 3
-
-    def test_deep_chains_do_not_recurse(self):
-        e = A
-        for _ in range(30000):
-            e = Seq(Sum(e, Zero()), Sum(Zero(), B))
-        assert render(simplify(e)) == "a" + " b" * 30000
