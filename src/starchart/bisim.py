@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .semantics import Prechart, StateId, _alphabet_for, _join, _layers, _outputs
+from .semantics import Prechart, StateId, _join, _layers, _outputs
 from .syntax import Expr, atoms, declare_alphabet
 
 
@@ -301,13 +301,20 @@ def bisimilarity(X: Prechart) -> PartitionRelation:
     return _partition(X, rounds[-1], count)
 
 
+def _certified_alphabet(e: Expr, f: Expr, alphabet: Iterable[str] | None = None) -> tuple[str, ...]:
+    """The declared ``alphabet``, or else the atoms that ``e`` and ``f``
+    use; raises ``ValueError`` naming every atom of either outside it."""
+    used = atoms(e) | atoms(f)
+    alpha = declare_alphabet(alphabet) if alphabet is not None else tuple(sorted(used))
+    if missing := used - set(alpha):
+        raise ValueError(f"atoms outside the declared alphabet: {sorted(missing)}")
+    return alpha
+
+
 def bisimilar(e: Expr, f: Expr, alphabet: Iterable[str] | None = None) -> bool:
     """Decide whether two expressions have bisimilar charts, by the decision
     that stops at the round that separates them (``_decide``)."""
-    alpha = declare_alphabet(alphabet) if alphabet is not None else tuple(sorted(atoms(e) | atoms(f)))
-    for x in (e, f):
-        _alphabet_for(x, alpha)  # raises on an atom outside the alphabet
-    return _decide(e, f, alpha).bisimilar
+    return _decide(e, f, _certified_alphabet(e, f, alphabet)).bisimilar
 
 
 class _Decision:

@@ -110,8 +110,9 @@ indented formats of ``formats``.
 ``solve`` prints the canonical solution of each state of a chart under
 the state's name.  With no ``--witness`` it runs on state numbers from the
 document to the printed text: it reads the document once into numbered
-rows (``formats._chart_rows``), tags their steps by loop elimination as
-``infer_witness`` does, reads the tags into a witness by state number
+rows (``formats._chart_rows``, by every prechart's ``_check_chart``), tags
+their steps by loop elimination as ``infer_witness`` does, reads the tags,
+as a certificate's rows, into a witness by state number
 (``layering._checked_rows``) and solves that (``solution._Terms``), so no
 prechart, labelling or named solution is built.  A ``--witness`` file is
 read and verified as a labelling, and then solved by the same ``_Terms``.
@@ -129,7 +130,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping
 
-from .bisim import _coarsest, _decide, _Decision, _distinguishing_formula, _stable
+from .bisim import _certified_alphabet, _coarsest, _decide, _Decision, _distinguishing_formula, _stable
 from .formats import (
     _chart_rows,
     _is_strings,
@@ -141,8 +142,8 @@ from .formats import (
     witness_from_json,
     witness_to_json,
 )
-from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _eliminated, _named,
-                       _numbered_witness, _successors, infer_witness, syntactic_witness, to_llee, verify_witness)
+from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _eliminated, _named, _numbered_witness,
+                       _output_mask, _successors, infer_witness, syntactic_witness, to_llee, verify_witness)
 from .rerouting import collapse, connect_through
 from .semantics import (Prechart, _coproduct_walk, _distinguishes, _first_round, _outputs, _quotient, _Walk,
                         chart_of)
@@ -254,8 +255,7 @@ def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> tuple:
         raise ValueError("'transitions' must be a list of rows")
     succ: list[list[list[int]]] = [[[] for _ in alphabet] for _ in range(k)]
     tags: dict[tuple[int, str, int], str] = {}
-    tagged: list[tuple[int, int, str]] = []  # a repeated row repeats its step, which changes no mask
-    for row in transitions:
+    for row in transitions:  # a repeated row repeats its step, which changes no mask
         i, a, j, tag = row if isinstance(row, list) and len(row) == 4 else (None,) * 4
         if not (type(i) is int and type(j) is int and 0 <= i < k and 0 <= j < k
                 and isinstance(a, str) and a in position and tag in (ENTRY, BODY)):
@@ -263,10 +263,9 @@ def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> tuple:
         if tags.setdefault((i, a, j), tag) != tag:
             raise ValueError(f"transition {(i, a, j)} is tagged both {tags[i, a, j]!r} and {tag!r}")
         succ[i][position[a]].append(j)
-        tagged.append((i, j, tag))
     outs = list(map(frozenset, outputs))
     numbered = [tuple([tuple(sorted(set(js))) if js else () for js in rows]) for rows in succ]
-    return (alphabet, outs, numbered), root, _checked_rows(outs, numbered, tagged)
+    return (alphabet, outs, numbered), root, _checked_rows(outs, numbered, transitions)
 
 
 # The checks below are shared by ``certify``, which builds the evidence, and
@@ -323,20 +322,6 @@ def _normal_forms_check(e: Expr, f: Expr) -> Check:
     return Check("normal-forms-equal", n == m or forms.folded(n) == forms.folded(m))
 
 
-def _certified_alphabet(e: Expr, f: Expr, alphabet=None) -> tuple[str, ...]:
-    """The declared ``alphabet``, or else the atoms that ``e`` and ``f``
-    use; raises ``ValueError`` if they use an action outside it."""
-    alpha = (
-        declare_alphabet(alphabet)
-        if alphabet is not None
-        else tuple(sorted(atoms(e) | atoms(f)))
-    )
-    missing = (atoms(e) | atoms(f)) - set(alpha)
-    if missing:
-        raise ValueError(f"atoms outside the declared alphabet: {sorted(missing)}")
-    return alpha
-
-
 def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
     """Certify two expressions equivalent (by their normal forms, or else by
     the local proof on a common solved collapse) or not.  The normal forms
@@ -371,7 +356,7 @@ def _local_certificate(e: Expr, f: Expr, alpha: tuple[str, ...], d: _Decision) -
     # the joined chart (the collapse theorem), so it is built directly, and
     # loop elimination tags its steps, as ``infer_witness`` does
     _, outs, rows = _quotient((d.states, d.outs, d.numbered), d.block_of)
-    entries = _eliminated(_successors(rows), sum([1 << i for i, out in enumerate(outs) if out]))
+    entries = _eliminated(_successors(rows), _output_mask(outs))
     if entries is None:
         raise RuntimeError("the minimal quotient has no layering witness, "
                            "which contradicts the collapse theorem")
@@ -557,13 +542,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         # labelling built: the steps of the pairs that loop elimination
         # removes are entries, and the others body steps
         names, chart, root = _chart_rows(doc)
-        _, outs, numbered = chart
-        entries = _eliminated(_successors(numbered), sum([1 << i for i, out in enumerate(outs) if out]))
+        alphabet, outs, numbered = chart
+        entries = _eliminated(_successors(numbered), _output_mask(outs))
         if entries is None:
             print("no layering witness", file=sys.stderr)
             return 1
-        a, violation = _checked_rows(outs, numbered, [(i, j, ENTRY if (i, j) in entries else BODY)
-                                                      for i, rows in enumerate(numbered) for js in rows for j in js])
+        a, violation = _checked_rows(outs, numbered, [(i, action, j, ENTRY if (i, j) in entries else BODY)
+                                                      for i, succ in enumerate(numbered)
+                                                      for action, js in zip(alphabet, succ) for j in js])
         if violation is not None:
             raise RuntimeError(f"loop elimination labelled the {len(names)}-state chart "
                                f"with no witness: {_named(violation, names)}")
@@ -697,29 +683,38 @@ PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        try:
+            args = PARSER.parse_args(argv)
+            code = args.func(args)
+        except BrokenPipeError:
+            raise
+        except SystemExit as exc:  # a usage error, or --help
+            code = exc.code
+        except (ValueError, OSError, KeyError) as exc:  # ParseError, InvalidWitnessError, bad JSON
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except RecursionError:  # a resource limit of the recursive semantics, not a fault
+            print("gave up: nesting too deep", file=sys.stderr)
+            code = 4
+        except MemoryError:  # likewise a resource limit: never the negative verdict's exit 1
+            print("gave up: out of memory", file=sys.stderr)
+            code = 4
+        except RuntimeError as exc:  # failed self-checks, MeasureError
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 3
+        # so that a closed stream fails here, not at exit; argparse drops a
+        # failed write of its usage message, but the message stays buffered
+        sys.stdout.flush()
+        sys.stderr.flush()
         return code
-    except BrokenPipeError:  # the reader closed stdout, as ``| head`` does
+    except BrokenPipeError:  # the reader closed stdout or stderr, as ``| head`` does
         # the unwritten rest would fail again when the interpreter flushes at exit
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
         return 141  # 128 + SIGPIPE, as a shell reports a writer that SIGPIPE ended
-    except (ValueError, OSError, KeyError) as exc:  # ParseError, InvalidWitnessError, bad JSON
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:  # a resource limit of the recursive semantics, not a fault
-        print("gave up: nesting too deep", file=sys.stderr)
-        return 4
-    except MemoryError:  # likewise a resource limit: never the negative verdict's exit 1
-        print("gave up: out of memory", file=sys.stderr)
-        return 4
-    except RuntimeError as exc:  # failed self-checks, MeasureError
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Mapping
 
 from .layering import ENTRY, LabelledPrechart, WeightedLabelling
-from .semantics import Prechart, StateId, _numbered_chart
-from .syntax import Expr, declare_alphabet, render
+from .semantics import Prechart, StateId, _check_chart, _numbered_chart
+from .syntax import Expr, render
 
 
 def state_label(s: StateId) -> str:
@@ -89,51 +89,31 @@ def _check_shape(doc: Any) -> None:
 
 
 def _chart_rows(doc: Any) -> tuple[tuple[str, ...], tuple, int | None]:
-    """A chart document read in one pass into state numbers: its state
+    """A chart document read into state numbers: its state
     names in order, the chart ``(alphabet, outs, numbered)`` by state number
     (see ``layering._numbered_witness``) and the root's number, or None.
 
-    Raises ``ValueError``: first for a wrong shape (``_check_shape``) or an
-    invalid action name, then for a transition target that is not a state,
-    in the order of the first transitions from each state and by each of its
-    actions, then for duplicate states, an output at an unknown state or
-    outside the alphabet, a transition from an unknown state or by an action
-    outside the alphabet, and a root that is not a state."""
+    Raises ``ValueError`` for a wrong shape (``_check_shape``), and then
+    as ``semantics._check_chart`` does, on the alphabet with its repeats
+    dropped, as ``--alphabet`` reads it, the transitions grouped by state
+    and action in the document's order, and the outputs that are not
+    empty."""
     _check_shape(doc)
-    alphabet = declare_alphabet(doc["alphabet"])  # as ``--alphabet`` reads it
+    alphabet = tuple(dict.fromkeys(doc["alphabet"]))
     names = tuple(doc["states"])
-    number = {x: i for i, x in enumerate(names)}
     rows: dict[str, dict[str, Any]] = {}
     for t in doc.get("transitions", ()):
         rows.setdefault(t["from"], {}).setdefault(t["action"], []).append(t["to"])
-    try:
-        for row in rows.values():
-            for a, targets in row.items():
-                row[a] = tuple(sorted({number[y] for y in targets}))
-    except KeyError as exc:  # a target outside ``states`` has no number
-        raise ValueError(f"transition target {exc.args[0]!r} not a state") from None
-    if len(number) != len(names):
-        raise ValueError("duplicate states")
-    actions = set(alphabet)
+    outputs = {x: acts for x, acts in doc.get("outputs", {}).items() if acts}
+    root = doc.get("root")
+    number = _check_chart(alphabet, names, outputs, rows, root)
     outs = [frozenset()] * len(names)
-    for x, acts in doc.get("outputs", {}).items():
-        if acts:
-            if x not in number:
-                raise ValueError(f"output at unknown state {x!r}")
-            out = outs[number[x]] = frozenset(acts)
-            if not out <= actions:
-                raise ValueError(f"output action outside alphabet at {x!r}")
+    for x, acts in outputs.items():
+        outs[number[x]] = frozenset(acts)
     numbered = [((),) * len(alphabet)] * len(names)
     for x, row in rows.items():
-        if x not in number:
-            raise ValueError(f"transition from unknown state {x!r}")
-        for a in row:
-            if a not in actions:
-                raise ValueError(f"transition action {a!r} outside alphabet")
-        numbered[number[x]] = tuple([row.get(a, ()) for a in alphabet])
-    root = doc.get("root")
-    if root is not None and root not in number:
-        raise ValueError(f"root {root!r} not a state")
+        numbered[number[x]] = tuple([tuple(sorted({number[y] for y in row[a]})) if a in row else ()
+                                     for a in alphabet])
     return names, (alphabet, outs, numbered), None if root is None else number[root]
 
 

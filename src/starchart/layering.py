@@ -167,9 +167,13 @@ def _successors(numbered: Sequence[Sequence[Sequence[int]]]) -> list[int]:
     return succ
 
 
-def _outputs(X: Prechart) -> int:
-    """The mask of the states of ``X`` with an output action."""
-    return sum(1 << X.index(x) for x, out in X.outputs.items() if out)
+def _output_mask(outs: Iterable[frozenset[str]]) -> int:
+    """The mask of the state numbers ``i`` whose output set ``outs[i]`` is not empty."""
+    mask = 0
+    for i, out in enumerate(outs):
+        if out:
+            mask |= 1 << i
+    return mask
 
 
 def _recompute_reach(succ: Sequence[int], sources: Sequence[int], reach: list[int]) -> list[int]:
@@ -219,23 +223,23 @@ class _Analysis:
 
     It is built from what it reads: the numbers of the ``states``, in
     order (``mask`` is their mask), the mask of the states with an
-    ``outputs`` action, the
-    reachability ``reach`` (in one or more steps) and the ``tagged`` steps
-    ``(x, y, tag)``.  A state's loop is its ``_reach`` forward through the
-    body steps, and the states lying directly inside it are those of the
-    loop that also reach it back through body steps, ``_reach`` over the
-    predecessors confined to the loop.  ``_first_violation`` keeps the
+    ``outputs`` action, the reachability ``reach`` (in one or more steps)
+    and the ``tagged`` steps ``(x, action, y, tag)``.  A state's loop is
+    its ``_reach`` forward through the body steps, and the states lying
+    directly inside it are those of the loop that also reach it back
+    through body steps, ``_reach`` over the predecessors confined to the
+    loop.  ``_first_violation`` keeps the
     finishing orders of its searches on the analysis (``body_finished``,
     ``descent_finished``).
     """
 
     def __init__(self, states: Sequence[int], outputs: int, reach: Sequence[int],
-                 tagged: Iterable[tuple[int, int, str]]):
+                 tagged: Iterable[Sequence]):
         self.states, self.outputs, self.reach = states, outputs, reach
         n, self.mask = len(reach), sum(1 << i for i in states)
         entry, body, body_pred = [0] * n, [0] * n, [0] * n
         self.entry, self.body = entry, body
-        for x, y, t in tagged:
+        for x, _, y, t in tagged:
             if t == ENTRY:
                 entry[x] |= 1 << y
             else:
@@ -324,11 +328,11 @@ def _first_violation(a: _Analysis) -> WitnessViolation | None:
 # per state its output set and its successor numbers per action (see
 # ``Prechart.numbered_succ``); ``root`` is the root's number or None, and
 # ``checked`` the analysis of its tags with their first violated clause.
-# ``_numbered_witness`` adapts a labelling to it; a certificate's rows are
-# read into it with ``_checked_rows``, with no prechart built, both by
-# replay and by ``certify``, which writes the rows from loop elimination's
-# tags (``_eliminated``) and reads them back before it emits them, and by
-# ``solve``, which reads a chart document's rows and tags them likewise.
+# ``_numbered_witness`` adapts a labelling to it; ``_checked_rows`` reads
+# tagged steps, the rows ``[i, action, j, tag]`` of a certificate, into it
+# with no prechart built: for replay, for ``certify``, which writes the rows
+# from loop elimination's tags (``_eliminated``) and reads them back, and
+# for ``solve``, which tags a chart document's steps likewise.
 
 
 def _numbered_witness(L: LabelledPrechart) -> tuple:
@@ -342,28 +346,24 @@ def _numbered_witness(L: LabelledPrechart) -> tuple:
     if memo is None:
         X = L.base
         number = X.index
-        tagged = ((number(x), number(y), t) for (x, _, y), t in L.tags.items())
-        a = _Analysis(range(len(X.states)), _outputs(X), _reachability(X), tagged)
+        chart = X.alphabet, list(map(X.out, X.states)), X.numbered_succ()
+        tagged = ((number(x), action, number(y), t) for (x, action, y), t in L.tags.items())
+        a = _Analysis(range(len(X.states)), _output_mask(chart[1]), _reachability(X), tagged)
         violation = _first_violation(a)
         root = None if X.root is None else number(X.root)
-        chart = X.alphabet, list(map(X.out, X.states)), X.numbered_succ()
         memo = (chart, root, (a, violation and _named(violation, X.states)))
         object.__setattr__(L, "_numbered_witness", memo)
     return memo
 
 
 def _checked_rows(outs: Sequence[frozenset[str]], numbered: Sequence[Sequence[Sequence[int]]],
-                  tagged: Iterable[tuple[int, int, str]]) -> tuple[_Analysis, WitnessViolation | None]:
-    """The analysis of the steps ``(i, j, tag)`` on the states ``0..k-1``
-    whose output sets are ``outs`` and successor numbers ``numbered``, and
-    its first violated clause, on state numbers."""
-    outputs = 0
-    for i, out in enumerate(outs):
-        if out:
-            outputs |= 1 << i
+                  rows: Iterable[Sequence]) -> tuple[_Analysis, WitnessViolation | None]:
+    """The analysis of the rows ``[i, action, j, tag]`` on the states
+    ``0..k-1`` whose output sets are ``outs`` and successor numbers
+    ``numbered``, and its first violated clause, on state numbers."""
     succ = _successors(numbered)
     reach = _recompute_reach(succ, range(len(succ)), [0] * len(succ))
-    a = _Analysis(range(len(succ)), outputs, reach, tagged)
+    a = _Analysis(range(len(succ)), _output_mask(outs), reach, rows)
     return a, _first_violation(a)
 
 
@@ -626,7 +626,7 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     groups: dict[tuple[int, int], list[Edge]] = {}
     for edge in X.edges():
         groups.setdefault((number[edge[0]], number[edge[2]]), []).append(edge)
-    outputs = _outputs(X)
+    outputs = _output_mask(map(X.out, X.states))
     if _eliminated(_successors(X.numbered_succ()), outputs) is None:
         return []
     reach = _reachability(X)  # memoised for the leaf's verify_witness
@@ -704,7 +704,7 @@ def infer_witness(X: Prechart) -> LabelledPrechart | None:
     does not verify, raises ``RuntimeError``; with no witness the answer is
     ``None``.
     """
-    entries = _eliminated(_successors(X.numbered_succ()), _outputs(X))
+    entries = _eliminated(_successors(X.numbered_succ()), _output_mask(map(X.out, X.states)))
     if entries is None:
         return None
     number = X.index

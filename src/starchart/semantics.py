@@ -33,30 +33,8 @@ class Prechart:
     root: StateId | None = None
 
     def __post_init__(self) -> None:
-        index = {x: i for i, x in enumerate(self.states)}
-        if len(index) != len(self.states):
-            raise ValueError("duplicate states")
+        index = _check_chart(self.alphabet, self.states, self.outputs, self.transitions, self.root)
         object.__setattr__(self, "_index", index)
-        alpha = set(self.alphabet)
-        declare_alphabet(self.alphabet)  # raises on an invalid action name
-        if len(alpha) != len(self.alphabet):
-            raise ValueError(f"alphabet {self.alphabet!r} repeats an action")
-        for x, acts in self.outputs.items():
-            if x not in index:
-                raise ValueError(f"output at unknown state {x!r}")
-            if not acts <= alpha:
-                raise ValueError(f"output action outside alphabet at {x!r}")
-        for x, row in self.transitions.items():
-            if x not in index:
-                raise ValueError(f"transition from unknown state {x!r}")
-            for a, targets in row.items():
-                if a not in alpha:
-                    raise ValueError(f"transition action {a!r} outside alphabet")
-                for y in targets:
-                    if y not in index:
-                        raise ValueError(f"transition target {y!r} not a state")
-        if self.root is not None and self.root not in index:
-            raise ValueError(f"root {self.root!r} not a state")
 
     @classmethod
     def make(
@@ -68,22 +46,18 @@ class Prechart:
         root: StateId | None = None,
     ) -> "Prechart":
         """Normalise: drop empties, order targets by state discovery index."""
-        states = tuple(states)
-        index = {x: i for i, x in enumerate(states)}
+        alphabet, states = tuple(alphabet), tuple(states)
         outs = {x: frozenset(v) for x, v in outputs.items() if v}
         trans: dict[StateId, dict[str, tuple[StateId, ...]]] = {}
-        try:
-            for x, row in transitions.items():
-                new_row = {}
-                for a, targets in row.items():
-                    uniq = tuple(sorted(set(targets), key=index.__getitem__))
-                    if uniq:
-                        new_row[a] = uniq
-                if new_row:
-                    trans[x] = new_row
-        except KeyError as exc:  # a target outside ``states`` has no index to sort by
-            raise ValueError(f"transition target {exc.args[0]!r} not a state") from None
-        return cls(tuple(alphabet), states, outs, trans, root)
+        for x, row in transitions.items():
+            new_row = {a: uniq for a, ys in row.items() if (uniq := tuple(dict.fromkeys(ys)))}
+            if new_row:
+                trans[x] = new_row
+        index = _check_chart(alphabet, states, outs, trans, root)
+        for row in trans.values():
+            for a, ys in row.items():
+                row[a] = tuple(sorted(ys, key=index.__getitem__))
+        return cls(alphabet, states, outs, trans, root)
 
     def index(self, x: StateId) -> int:
         return self._index[x]  # type: ignore[attr-defined]
@@ -142,6 +116,43 @@ class Prechart:
     def __reduce__(self):
         # copies and pickles are rebuilt from the fields, without the memos
         return type(self), (self.alphabet, self.states, self.outputs, self.transitions, self.root)
+
+
+def _check_chart(alphabet: Sequence[str], states: Sequence[StateId], outputs: Mapping[StateId, Iterable[str]],
+                 transitions: Mapping[StateId, Mapping[str, Iterable[StateId]]],
+                 root: StateId | None) -> dict[StateId, int]:
+    """The states' numbers, once the chart that these fields give is
+    checked.  Raises ``ValueError`` for the first of: an invalid action
+    name, an action that ``alphabet`` repeats, a transition target that is
+    not a state (by the rows of ``transitions`` in order, and each row's
+    actions in order), duplicate states, an output at an unknown state or
+    outside ``alphabet``, a transition from an unknown state or by an
+    action outside ``alphabet``, and a root that is not a state."""
+    declare_alphabet(alphabet)  # raises on an invalid action name
+    actions = set(alphabet)
+    if len(actions) != len(alphabet):
+        raise ValueError(f"alphabet {alphabet!r} repeats an action")
+    number = {x: i for i, x in enumerate(states)}
+    for row in transitions.values():
+        for ys in row.values():
+            for y in ys:
+                if y not in number:
+                    raise ValueError(f"transition target {y!r} not a state")
+    if len(number) != len(states):
+        raise ValueError("duplicate states")
+    for x, acts in outputs.items():
+        if x not in number:
+            raise ValueError(f"output at unknown state {x!r}")
+        if not actions.issuperset(acts):
+            raise ValueError(f"output action outside alphabet at {x!r}")
+    for x, row in transitions.items():
+        if x not in number:
+            raise ValueError(f"transition from unknown state {x!r}")
+        if not actions.issuperset(row):
+            raise ValueError(f"transition action {next(a for a in row if a not in actions)!r} outside alphabet")
+    if root is not None and root not in number:
+        raise ValueError(f"root {root!r} not a state")
+    return number
 
 
 def restriction(X: Prechart, kept: Iterable[StateId], root: StateId | None = None) -> Prechart:

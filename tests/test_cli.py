@@ -420,16 +420,31 @@ def test_the_readme_synopsis_shows_every_option_of_every_command():
     assert readme_synopsis() == options
 
 
-@pytest.mark.parametrize("expr", ["a", " ".join(["a"] * 300)], ids=["flushed-at-exit", "written-at-once"])
+# per case, the arguments, and the exit code and the end of the stderr that
+# a closed stdout alone leaves as they are with no pipe closed
+_CLOSED_STDOUT = {
+    "flushed-at-exit": (["chart", "a"], 141, b""),
+    "written-at-once": (["chart", " ".join(["a"] * 300)], 141, b""),
+    "parse-error": (["parse", "a +"], 2, b"error: expected an expression (at position 3)\n"),
+    "missing-file": (["solve", "missing.json"], 2, b"error: [Errno 2] No such file or directory: 'missing.json'\n"),
+    "usage-error": (["chart", "--bogus", "a"], 2, b"starchart: error: unrecognized arguments: --bogus\n"),
+    "no-witness": (["solve", "{fig3}"], 1, b"no layering witness\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLOSED_STDOUT), ids=list(_CLOSED_STDOUT))
 @pytest.mark.parametrize("merged", [False, True], ids=["stderr-apart", "stderr-merged"])
-def test_a_closed_stdout_ends_with_exit_141_and_no_traceback(expr, merged):
+def test_a_closed_stdout_ends_with_exit_141_and_no_traceback(case, merged, tmp_path):
     # as ``starchart chart E | head -c 0`` ends: the reader is gone before
-    # the first write, so every write to the pipe fails
+    # the first write, so every write to the pipe fails; when stderr shares
+    # the pipe, so does every error message
+    argv, code, message = _CLOSED_STDOUT[case]
+    (tmp_path / "fig3.json").write_text(json.dumps(chart_to_json(fig3_right())), encoding="utf-8")
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "starchart", "chart", expr],
+            [sys.executable, "-m", "starchart", *[arg.format(fig3=tmp_path / "fig3.json") for arg in argv]],
             stdout=write_end,
             stderr=write_end if merged else subprocess.PIPE,
             env={"PYTHONPATH": "src"},
@@ -438,8 +453,12 @@ def test_a_closed_stdout_ends_with_exit_141_and_no_traceback(expr, merged):
         )
     finally:
         os.close(write_end)
-    assert proc.returncode == 141
-    assert proc.stderr in (None, b"")
+    if merged:
+        assert (proc.returncode, proc.stderr) == (141, None)
+    else:
+        assert proc.returncode == code
+        assert proc.stderr.endswith(message) and (message or not proc.stderr), proc.stderr
+        assert b"Traceback" not in proc.stderr
 
 
 _FIELDS = ("alphabet", "states", "outputs", "transitions", "root", "from", "action", "to", "tag")

@@ -90,13 +90,24 @@ class TestOracle:
     def test_chart_from_json_numbers_as_make_does(self):
         for X in ORACLE:
             doc = chart_to_json(X)
-            transitions: dict = {}
-            for t in doc["transitions"]:
-                transitions.setdefault(t["from"], {}).setdefault(t["action"], []).append(t["to"])
-            fresh = Prechart.make(doc["alphabet"], doc["states"], doc["outputs"], transitions, doc["root"])
+            fresh = made(doc)
             read = chart_from_json(doc)
             assert read == fresh
             assert read.numbered_succ() == fresh.numbered_succ() == X.numbered_succ()
+        # documents and ``make`` drop an empty output before the check; a
+        # prechart built directly has its outputs checked as they are
+        assert made(_doc(outputs={"y": ["a"], "z": []})) == made(_doc())
+        with pytest.raises(ValueError, match="^output at unknown state 'z'$"):
+            Prechart(("a",), ("x",), {"z": frozenset()}, {})
+
+
+def made(doc) -> Prechart:
+    """``Prechart.make`` on the fields of a chart document, its transitions
+    grouped by state and action in the document's order."""
+    transitions: dict = {}
+    for t in doc["transitions"]:
+        transitions.setdefault(t["from"], {}).setdefault(t["action"], []).append(t["to"])
+    return Prechart.make(doc["alphabet"], doc["states"], doc["outputs"], transitions, doc["root"])
 
 
 def test_solve_builds_no_prechart_or_named_witness(monkeypatch, tmp_path):
@@ -154,6 +165,10 @@ ERRORS = [
 def test_malformed_charts_keep_their_error_lines(doc, message, tmp_path):
     for argv in (["solve", "{chart}"], ["dot", "{chart}"], ["witness", "--infer", "{chart}"]):
         assert run(tmp_path, *argv, files={"chart": doc}) == (2, "", f"error: {message}\n"), argv
+    if isinstance(doc["states"], list):  # the shape is right, so ``make`` can take the fields
+        with pytest.raises(ValueError) as raised:
+            made(doc)
+        assert str(raised.value) == message
 
 
 def test_a_labelling_that_does_not_verify_is_an_internal_error(monkeypatch, tmp_path):
