@@ -51,7 +51,10 @@ associativity of ``·``, ``0·e = 0``, right distributivity and ``(e*f)·g =
 e*(f·g)``), or else the same once ``_NormalForms.folded`` has folded star
 unfoldings in both, the certificate carries ``"proof": "normal-forms"``
 and one check, ``normal-forms-equal``, which replay runs again on the
-parsed inputs with no walk, chart, witness or refinement.  Folding runs
+parsed inputs with no walk, chart, witness or refinement.  Replay parses
+both inputs into one node table, as ``certify`` and ``bisim`` do under
+``--alphabet``, so a subterm that both inputs hold is one node, and its
+normal form is taken once.  Folding runs
 only when the plain forms differ, and rewrites by three instances of
 Milner's unfolding ``h*t = h·(h*t) + t``, each applied in context: a
 star whose head is ``0`` becomes its tail (with ``0·e = 0`` and ``0 + t =
@@ -148,7 +151,7 @@ from .rerouting import collapse, connect_through
 from .semantics import (Prechart, _coproduct_walk, _distinguishes, _first_round, _outputs, _quotient, _Walk,
                         chart_of)
 from .solution import _OWN, _NormalForms, _starred, _Terms, _witness_proved
-from .syntax import Expr, atoms, declare_alphabet, parse, render
+from .syntax import Expr, _parse, atoms, declare_alphabet, parse, render
 
 
 # the certificate format that ``Certificate.to_json`` writes and
@@ -409,7 +412,8 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
     if not _is_strings(texts):
         raise ValueError("'inputs' must map 'left' and 'right' to strings")
     alpha = declare_alphabet(doc["alphabet"])  # as ``--alphabet`` reads it
-    e, f = parse(texts[0], alpha), parse(texts[1], alpha)
+    actions, shared = set(alpha), {}  # one node table for the pair
+    e, f = _parse(texts[0], actions, shared), _parse(texts[1], actions, shared)
     if verdict == "inequivalent":
         v = doc.get("distinguishing")
         return [_formula_check(alpha, v.get("formula") if isinstance(v, Mapping) else None, e, f)]
@@ -433,10 +437,13 @@ def _parse_exprs(args: argparse.Namespace, *texts: str) -> tuple[tuple[str, ...]
 
     Without ``--alphabet`` each text is split into the single letters it
     contains, so "aa" reads as a.a; multi-character actions need the flag.
+    Under ``--alphabet`` all texts are parsed into one node table, so equal
+    subterms of a pair are one node.
     """
     if args.alphabet is not None:
         alpha = declare_alphabet(a.strip() for a in args.alphabet.split(",") if a.strip())
-        return alpha, [parse(text, alpha) for text in texts]
+        actions, shared = set(alpha), {}
+        return alpha, [_parse(text, actions, shared) for text in texts]
     exprs = [parse(text, sorted({c for c in text if c.islower()}) or ["a"]) for text in texts]
     return tuple(sorted(set().union(*map(atoms, exprs)))), exprs
 

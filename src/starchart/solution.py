@@ -186,7 +186,9 @@ class _NormalForms:
     sum is sequenced summand by summand.  Equal keys get equal ids, so
     equal normal forms are equal ints.  Expressions are memoised by node
     identity, so no structural comparison of expressions ever runs, and
-    all four walks are iterative.
+    all four walks are iterative.  ``of`` expands each node once and
+    combines it once, so a subterm that both inputs of a pair share, when
+    ``cli`` parses them into one table, is normalised once.
 
     ``of`` leaves out the one star axiom, Milner's unfolding ``h*t =
     h·(h*t) + t``.  ``folded`` rewrites a normal form by three instances of
@@ -295,36 +297,32 @@ class _NormalForms:
         return seqs[n, g]
 
     def of(self, e: Expr) -> int:
-        """The normal form of ``e``."""
-        memo = self.of_node
+        """The normal form of ``e``: each node is expanded once, and
+        combined once, when the ``None`` above it on the stack is reached."""
+        memo, keys, intern = self.of_node, self.keys, self.intern
         stack = [e]
         while stack:
-            x = stack[-1]
-            if id(x) in memo:
-                stack.pop()
-                continue
-            kind = type(x)
-            if kind is Zero:
-                n = self.zero
-            elif kind is Atom:
-                n = self.intern(frozenset((self.intern((x.action, None)),)))
-            else:
-                left, right = memo.get(id(x.left)), memo.get(id(x.right))
-                if left is None:
-                    stack.append(x.left)
-                    continue
-                if right is None:
-                    stack.append(x.right)
-                    continue
-                l, r = left[1], right[1]
+            x = stack.pop()
+            if x is None:
+                x = stack.pop()
+                l, r = memo[id(x.left)][1], memo[id(x.right)][1]
+                kind = type(x)
                 if kind is Sum:
-                    n = self.intern(self.keys[l] | self.keys[r])
+                    n = intern(keys[l] | keys[r])
                 elif kind is Seq:
                     n = self.seq(l, r)
                 else:
-                    n = self.intern(frozenset((self.intern((l, r)),)))
+                    n = intern(frozenset((intern((l, r)),)))
+            elif id(x) in memo:
+                continue
+            elif type(x) is Zero:
+                n = self.zero
+            elif type(x) is Atom:
+                n = intern(frozenset((intern((x.action, None)),)))
+            else:
+                stack += (x, None, x.right, x.left)
+                continue
             memo[id(x)] = (x, n)
-            stack.pop()
         return memo[id(e)][1]
 
     def folded(self, n: int) -> int:

@@ -281,15 +281,20 @@ def parse(text: str, alphabet: Iterable[str]) -> Expr:
     a table that the call owns, and drops on return, maps each action and
     ``0`` to one leaf and each (class, left, right) to one node, keyed by
     the identities of the already shared children.  Two parses share no
-    node.  The root carries the ``atoms`` memo, the actions read.
+    node; ``cli`` parses the two inputs of a pair into one table, so equal
+    subterms of both are one node.  The root carries the ``atoms`` memo,
+    the actions read.
 
     Recursive descent run on an explicit stack, one frame per open
     parenthesis, so nesting depth is bounded by memory, not the C stack.
     """
-    alpha = set(declare_alphabet(alphabet))
+    return _parse(text, set(declare_alphabet(alphabet)), {})
+
+
+def _parse(text: str, alpha: set[str], shared: dict) -> Expr:
+    # ``parse`` under the declared actions ``alpha``, into the caller's table
     toks = _tokens(text, alpha)
     end = len(toks)
-    shared: dict = {}
 
     def node(cls, left: Expr, right: Expr) -> Expr:
         key = (cls, id(left), id(right))
