@@ -685,14 +685,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# parse_args leaves the parser unchanged, so one instance serves every call
+# parsing leaves the parsers unchanged, so one instance serves every call;
+# main hands an argv that starts with a command to that command's parser
 PARSER = build_parser()
+_COMMANDS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _arguments(argv: list[str]) -> argparse.Namespace:
+    # PARSER.parse_args would run argparse twice: once over the whole argv,
+    # then the command's parser over the rest.  The namespace lacks only
+    # ``command``, which nothing reads; messages and exit codes are the same.
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is None:  # no argv, an option such as -h, or an unknown command
+        return PARSER.parse_args(argv)
+    args, rest = sub.parse_known_args(argv[1:])
+    if rest:
+        PARSER.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
         try:
-            args = PARSER.parse_args(argv)
+            args = _arguments(sys.argv[1:] if argv is None else list(argv))
             code = args.func(args)
         except BrokenPipeError:
             raise

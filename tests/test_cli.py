@@ -30,7 +30,7 @@ from starchart import (
     render,
 )
 from starchart import layering
-from starchart.cli import PARSER, main
+from starchart.cli import PARSER, _arguments, main
 from starchart.formats import chart_to_json, witness_to_json
 from starchart.layering import syntactic_witness
 from starchart.semantics import _distinguishes
@@ -385,6 +385,44 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
         raise AssertionError("main rebuilt the parser")
 
     monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out, _ = run(capsys, "parse", "a*b")
+    assert code == 0 and out == "a*b\n"
+
+
+def parsed(step, argv: list[str]):
+    """``step(argv)``'s namespace, less ``command``, or its exit code; and
+    what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(step(list(argv)))
+            result.pop("command", None)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_MALFORMED_ARGVS = [
+    [], ["-h"], ["--help", "-h"], ["nosuch", "a"], ["-h", "certify"],
+    ["certify", "a"], ["certify", "a", "b", "c"], ["certify", "-h"], ["certify", "--", "a", "b"],
+    ["certify", "--alph", "a,b", "a", "b"], ["certify", "--alphabet=a,b", "a", "b"],
+    ["chart", "--bogus", "a"], ["witness", "--infer", "x", "--verify", "y"],
+]
+_GOLDEN_ARGVS = [row["argv"] for row in json.loads(Path(__file__).with_name("golden_cli.json").read_text("utf-8"))]
+
+
+@pytest.mark.parametrize("argv", _GOLDEN_ARGVS + _MALFORMED_ARGVS, ids=" ".join)
+def test_main_reads_an_argv_as_the_two_level_parse_does(argv):
+    # main hands a command's words straight to the command's parser; the
+    # namespace, or the exit code and messages, are those of PARSER.parse_args
+    assert parsed(_arguments, argv) == parsed(PARSER.parse_args, argv)
+
+
+def test_a_command_argv_is_parsed_once(monkeypatch, capsys):
+    def two_level(argv):
+        raise AssertionError("main ran the two-level parse")
+
+    monkeypatch.setattr(PARSER, "parse_args", two_level)
     code, out, _ = run(capsys, "parse", "a*b")
     assert code == 0 and out == "a*b\n"
 

@@ -20,6 +20,18 @@ through ``worker.replay_call`` under ``cProfile``, and its result through
 primary_calls replay_calls``, where a count is every call ``cProfile``
 sees, built-ins included.  A wrong answer, a failed replay or an exception
 exits 1.  It writes nothing in the repository.
+
+Limits: a count shows the direction of a change, and wall time stays the
+arbiter of a gain.
+- A built-in call counts as one call, whatever it does, so work moved into
+  ``sorted`` or a set operation looks cheaper than it is.
+- ``cProfile`` does not see slot-wrapper calls such as
+  ``object.__setattr__``.  When ``Sum``, ``Seq`` and ``Star`` stopped
+  making three such calls per node built, the replay counts stayed at
+  38 136 / 74 141 / 146 287, though every replay parses faster.
+- Counts differ across Python versions: compare lines from one interpreter.
+- Under another hash seed, hash order moves certify_inequiv's count by
+  about 0.02%.
 """
 
 from __future__ import annotations
