@@ -686,9 +686,66 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # parsing leaves the parsers unchanged, so one instance serves every call;
-# main hands an argv that starts with a command to that command's parser
+# main hands an argv that starts with a command to that command's parser,
+# and reads a plain one (see ``_read``) without argparse
 PARSER = build_parser()
 _COMMANDS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _read(sub, words):
+    # ``sub.parse_known_args(words)``'s namespace, read from ``sub``'s own
+    # actions, for a plain argv: each word a positional or the exact long
+    # option of a store or store_true action, no option twice, a store
+    # option's value a word that does not start with "-", and every
+    # positional and required option given.  None for any other argv, so
+    # that argparse alone writes help, usage and errors.
+    if sub._mutually_exclusive_groups:
+        return None
+    args = argparse.Namespace()
+    values = vars(args)
+    positionals = []
+    options = {}
+    for a in sub._actions:
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            values.setdefault(a.dest, a.default)
+        if type(a) is argparse._StoreTrueAction or (
+                type(a) is argparse._StoreAction and a.type is None and a.choices is None and a.nargs is None):
+            if not a.option_strings:
+                positionals.append(a)
+            for s in a.option_strings:
+                if s.startswith("--"):
+                    options[s] = a
+        elif not a.option_strings:
+            return None
+    for dest, value in sub._defaults.items():
+        values.setdefault(dest, value)
+    free = iter(positionals)
+    given = set()
+    words = iter(words)
+    for w in words:
+        if not w.startswith("-"):
+            a = next(free, None)
+            if a is None:
+                return None
+            values[a.dest] = w
+            continue
+        a = options.get(w)
+        if a is None or a in given:
+            return None
+        given.add(a)
+        if a.nargs == 0:
+            values[a.dest] = a.const
+            continue
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        values[a.dest] = value
+    if next(free, None) is not None:
+        return None
+    for a in sub._actions:
+        if a.required and a.option_strings and a not in given:
+            return None
+    return args
 
 
 def _arguments(argv: list[str]) -> argparse.Namespace:
@@ -698,6 +755,9 @@ def _arguments(argv: list[str]) -> argparse.Namespace:
     sub = _COMMANDS.get(argv[0]) if argv else None
     if sub is None:  # no argv, an option such as -h, or an unknown command
         return PARSER.parse_args(argv)
+    args = _read(sub, argv[1:])
+    if args is not None:
+        return args
     args, rest = sub.parse_known_args(argv[1:])
     if rest:
         PARSER.error(f"unrecognized arguments: {' '.join(rest)}")

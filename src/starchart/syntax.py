@@ -228,16 +228,21 @@ _NON_OPERAND = frozenset("+*).")
 
 def _split_actions(word: str, alphabet: set[str]) -> list[str] | None:
     # Greedy longest-prefix split of an alphanumeric run into declared
-    # actions, so "aa" means a.a under alphabet {a} while a declared
-    # multi-character action still lexes as itself; None if it does not
-    # split.  Only prefixes up to the longest declared action can match, so
-    # the split is linear in the run.
+    # actions and "0", so "aa" means a.a under alphabet {a} and "a0" means
+    # a.0, while a declared multi-character action still lexes as itself;
+    # None if it does not split.  No action starts with "0", so a "0" is
+    # split off where it starts a remainder.  Only prefixes up to the
+    # longest declared action can match, so the split is linear in the run.
     if word in alphabet:
         return [word]
     longest = max(map(len, alphabet), default=0)
     parts: list[str] = []
     i = 0
     while i < len(word):
+        if word[i] == "0":
+            parts.append("0")
+            i += 1
+            continue
         for k in range(min(longest, len(word) - i), 0, -1):
             if word[i:i + k] in alphabet:
                 parts.append(word[i:i + k])

@@ -30,7 +30,7 @@ from starchart import (
     render,
 )
 from starchart import layering
-from starchart.cli import PARSER, _arguments, main
+from starchart.cli import _COMMANDS, PARSER, _arguments, _read, main
 from starchart.formats import chart_to_json, witness_to_json
 from starchart.layering import syntactic_witness
 from starchart.semantics import _distinguishes
@@ -418,13 +418,90 @@ def test_main_reads_an_argv_as_the_two_level_parse_does(argv):
     assert parsed(_arguments, argv) == parsed(PARSER.parse_args, argv)
 
 
+# one plain argv per command but ``witness``, whose mutually exclusive
+# group only argparse reads
+_PLAIN_ARGVS = [
+    ["parse", "a*b", "--alphabet", "a,b"], ["chart", "--dot", "a*b"], ["bisim", "a", "--witness", "b"],
+    ["solve", "chart.json", "--witness", "w.json"], ["reroute", "--merge", "0:1", "chart.json"],
+    ["collapse", "chart.json", "--dot"], ["certify", "--alphabet", "a,b", "a", "b"], ["dot", "chart.json"],
+]
+
+
 def test_a_command_argv_is_parsed_once(monkeypatch, capsys):
+    assert {argv[0] for argv in _PLAIN_ARGVS} == set(_COMMANDS) - {"witness"}
+    wanted = [parsed(PARSER.parse_args, argv) for argv in _PLAIN_ARGVS]
+
     def two_level(argv):
         raise AssertionError("main ran the two-level parse")
 
     monkeypatch.setattr(PARSER, "parse_args", two_level)
     code, out, _ = run(capsys, "parse", "a*b")
     assert code == 0 and out == "a*b\n"
+
+    # a plain argv makes no argparse parse at all, and a witness argv one
+    class Parsed(Exception):
+        pass
+
+    def parse_known_args(self, args=None, namespace=None):
+        raise Parsed
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parse_known_args)
+    assert [parsed(_arguments, argv) for argv in _PLAIN_ARGVS] == wanted
+    with pytest.raises(Parsed):
+        _arguments(["witness", "--syntactic", "a*b"])
+
+
+# words that a generated argv draws its positionals and option values from:
+# plain ones, and ones that start with "-", look like options or are empty
+_WORDS = ["a", "a*b", "b c", "x.json", "0:1", "a,b", "", "-", "-a", "-1", "--", "-h", "--dot", "--alphabet"]
+
+
+def random_argv(rng: random.Random, name: str) -> list[str]:
+    """An argv of command ``name`` built from its parser's own actions: the
+    positionals and options in any order, each option given zero to two
+    times, in its exact form, as ``--opt=value`` or abbreviated, with now
+    and then one positional too few or too many, a ``-h`` or a ``--``, or a
+    trailing option with no value."""
+    actions = _COMMANDS[name]._actions
+    positionals = sum(1 for a in actions if not a.option_strings) + rng.choice((0, 0, 0, 0, -1, 1))
+    parts = [[rng.choice(_WORDS) if rng.random() < 0.2 else rng.choice(_WORDS[:6])] for _ in range(positionals)]
+    options = [a for a in actions if a.option_strings and a.dest != "help"]
+    for a in options:
+        for _ in range(rng.choice((0, 1, 1, 1, 2) if a.required else (0, 0, 1, 1, 2))):
+            opt = a.option_strings[-1]
+            form = rng.random()
+            if form < 0.1:
+                opt = opt[:rng.randint(3, len(opt) - 1)]
+            if a.nargs == 0:
+                parts.append([opt])
+                continue
+            value = rng.choice(_WORDS) if rng.random() < 0.2 else rng.choice(_WORDS[:6])
+            parts.append([f"{opt}={value}"] if form > 0.9 else [opt, value])
+    rng.shuffle(parts)
+    for special in ("-h", "--"):
+        if rng.random() < 0.08:
+            parts.insert(rng.randint(0, len(parts)), [special])
+    if options and rng.random() < 0.08:
+        parts.append([rng.choice(options).option_strings[-1]])
+    return [name] + [w for part in parts for w in part]
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_the_reader_gives_what_argparse_gives(name):
+    # every argv, read by ``_read`` or declined by it, ends as
+    # PARSER.parse_args ends it: the same namespace, or the same exit code
+    # and output
+    rng = random.Random(f"argv {name}")
+    read = 0
+    for _ in range(2_000):
+        argv = random_argv(rng, name)
+        assert parsed(_arguments, argv) == parsed(PARSER.parse_args, argv), argv
+        read += _read(_COMMANDS[name], argv[1:]) is not None
+    # both paths are common, so neither is tested by chance alone
+    if name == "witness":
+        assert read == 0
+    else:
+        assert 300 < read < 1_700, read
 
 
 def test_module_entry_point_runs_in_a_subprocess():

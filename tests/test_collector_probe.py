@@ -1,5 +1,5 @@
 """``tools/collector_probe.py`` finds its anchor in the benchmark's worker and
-prints one count per workload."""
+prints one count per bytecode setting and workload."""
 
 import importlib.util
 import re
@@ -28,12 +28,14 @@ def test_an_anchor_that_is_not_found_exactly_once_stops_the_probe(count):
         probe.probed("SPEED = Speed()\n" + probe.ANCHOR * count)
 
 
-def test_it_prints_the_counts_of_every_workload_and_writes_nothing_in_the_repository():
+def test_it_prints_the_counts_of_every_workload_under_both_settings_and_writes_nothing_in_the_repository():
     before = sorted(p for p in (REPO / "perfbench").rglob("*") if "__pycache__" not in p.parts)
     proc = subprocess.run([sys.executable, str(REPO / "tools" / "collector_probe.py")],
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
-    assert [line.split(" ", 1)[0] for line in lines] == ["certify_equiv", "certify_inequiv", "solve_infer"]
-    assert all(re.fullmatch(r"\S+ \(\d+, \d+, \d+\)", line) for line in lines)
+    workloads = ["certify_equiv", "certify_inequiv", "solve_infer"]
+    assert [tuple(line.split(" ", 2)[:2]) for line in lines] == (
+        [("dont-write-bytecode", w) for w in workloads] + [("write-bytecode", w) for w in workloads])
+    assert all(re.fullmatch(r"\S+ \S+ \(\d+, \d+, \d+\)", line) for line in lines)
     assert sorted(p for p in (REPO / "perfbench").rglob("*") if "__pycache__" not in p.parts) == before

@@ -72,6 +72,25 @@ class TestParse:
             parse("a + d", ALPHABET)
 
 
+# Runs of actions and "0" that split as the same words apart would parse.
+SPLIT_RUNS = [
+    ("a0", ALPHABET, Seq(A, Zero())),
+    ("a0b", ALPHABET, Seq(Seq(A, Zero()), B)),
+    ("ab0", ALPHABET, Seq(Seq(A, B), Zero())),
+    ("a00", ALPHABET, Seq(Seq(A, Zero()), Zero())),
+    ("a0*b", ALPHABET, Seq(A, Star(Zero(), B))),
+    ("0a", ALPHABET, Seq(Zero(), A)),
+    ("a0", ("a", "a0"), Atom("a0")),
+    ("a00", ("a", "a0"), Seq(Atom("a0"), Zero())),
+    ("a0a", ("a", "a0"), Seq(Atom("a0"), A)),
+]
+
+
+@pytest.mark.parametrize("text, alphabet, expected", SPLIT_RUNS)
+def test_a_run_splits_over_the_declared_actions_and_zero(text, alphabet, expected):
+    assert parse(text, alphabet) == expected
+
+
 # Malformed texts with the exception class, message and position that the
 # parser gave before it read text into shared nodes; they must not change.
 MALFORMED = [
@@ -97,12 +116,14 @@ MALFORMED = [
     ("a + d", ALPHABET, UnknownActionError, "unknown action 'd' (at position 4)", 4),
     ("ad", ALPHABET, UnknownActionError, "unknown action 'ad' (at position 0)", 0),
     ("a d b", ALPHABET, UnknownActionError, "unknown action 'd' (at position 2)", 2),
-    ("a0", ALPHABET, UnknownActionError, "unknown action 'a0' (at position 0)", 0),
     ("a_b", ALPHABET, UnknownActionError, "unknown action 'a_b' (at position 0)", 0),
     ("A", ALPHABET, ParseError, "unexpected character 'A' (at position 0)", 0),
     ("a # b", ALPHABET, ParseError, "unexpected character '#' (at position 2)", 2),
     ("1", ALPHABET, ParseError, "unexpected character '1' (at position 0)", 0),
     ("a1", ALPHABET, UnknownActionError, "unknown action 'a1' (at position 0)", 0),
+    ("a01", ALPHABET, UnknownActionError, "unknown action 'a01' (at position 0)", 0),
+    ("b + a01", ALPHABET, UnknownActionError, "unknown action 'a01' (at position 4)", 4),
+    ("a0 + a0d", ALPHABET, UnknownActionError, "unknown action 'a0d' (at position 5)", 5),
     ("0*", ALPHABET, ParseError, "expected an expression (at position 2)", 2),
     ("a*(b", ALPHABET, ParseError, "expected ')' (at position 4)", 4),
     ("a b )", ALPHABET, ParseError, "unexpected ')' (at position 4)", 4),

@@ -12,10 +12,17 @@ chart construction, and compare the lines.
 
 It copies the working tree, or ``git archive REV``, into a temporary
 directory, makes the copy's ``perfbench/worker.py`` print ``gc.get_count()``
-and exit just before the ready-time ``SPEED.sample()``, clears every
-``__pycache__``, and runs each workload's ``primary`` phase as ``run.py``
-does: ``PYTHONHASHSEED=0``, seed 3, copy 0 and ``run.ITEMS`` items.  It
-prints one line per workload and writes nothing in the repository.
+and exit just before the ready-time ``SPEED.sample()``, and runs each
+workload's ``primary`` phase as ``run.py`` does: ``PYTHONHASHSEED=0``, seed
+3, copy 0 and ``run.ITEMS`` items.  The compiler's work on the sources moves
+the count, and a benchmark run may compile them or load cached bytecode, so
+it runs every workload under two settings, each from cleared
+``__pycache__`` directories: ``dont-write-bytecode``, with
+``PYTHONDONTWRITEBYTECODE=1``, where every interpreter compiles the sources;
+and ``write-bytecode``, where the first workload writes the copy's caches
+and the later ones load them.  It prints one line per setting and workload,
+``setting workload (gen0, gen1, gen2)``, and writes nothing in the
+repository.
 """
 
 from __future__ import annotations
@@ -34,6 +41,11 @@ WORKER = Path("perfbench", "worker.py")
 ANCHOR = "            SPEED.sample()\n            setup_s = SPEED.scaled(START, ready)\n"
 PROBE = "            import gc; print(gc.get_count(), flush=True); raise SystemExit(0)\n"
 SEED, COPY = 3, 0
+# each setting's label and the environment variables it sets; the
+# variables that decide whether and where bytecode is written are unset
+# for both first
+SETTINGS = (("dont-write-bytecode", {"PYTHONDONTWRITEBYTECODE": "1"}), ("write-bytecode", {}))
+BYTECODE_VARIABLES = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
 
 
 def probed(worker: str) -> str:
@@ -68,19 +80,22 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(worker.parent))
         import run  # the copy's workloads and item counts
 
-        for cache in list(tree.rglob("__pycache__")):
-            shutil.rmtree(cache)
-        for workload in run.WORKLOADS:
-            proc = subprocess.run(
-                [sys.executable, str(worker), "primary", "--workload", workload, "--seed", str(SEED),
-                 "--copy", str(COPY), "--items", str(run.ITEMS[workload]),
-                 "--records", str(Path(tmp, "records.json")), "--work", tmp],
-                cwd=tree, env={**os.environ, "PYTHONHASHSEED": "0"}, capture_output=True, text=True,
-            )
-            if proc.returncode != 0:
-                print(f"error: {workload} exited {proc.returncode}:\n{proc.stderr[-2000:]}", file=sys.stderr)
-                return 1
-            print(workload, proc.stdout.strip())
+        base = {k: v for k, v in os.environ.items() if k not in BYTECODE_VARIABLES}
+        for label, variables in SETTINGS:
+            for cache in list(tree.rglob("__pycache__")):
+                shutil.rmtree(cache)
+            for workload in run.WORKLOADS:
+                proc = subprocess.run(
+                    [sys.executable, str(worker), "primary", "--workload", workload, "--seed", str(SEED),
+                     "--copy", str(COPY), "--items", str(run.ITEMS[workload]),
+                     "--records", str(Path(tmp, "records.json")), "--work", tmp],
+                    cwd=tree, env={**base, **variables, "PYTHONHASHSEED": "0"}, capture_output=True, text=True,
+                )
+                if proc.returncode != 0:
+                    print(f"error: {label} {workload} exited {proc.returncode}:\n{proc.stderr[-2000:]}",
+                          file=sys.stderr)
+                    return 1
+                print(label, workload, proc.stdout.strip())
     return 0
 
 
