@@ -119,8 +119,9 @@ as a certificate's rows, into a witness by state number
 (``layering._checked_rows``) and solves that (``solution._Terms``), so no
 prechart, labelling or named solution is built.  A ``--witness`` file is
 read and verified as a labelling, and then solved by the same ``_Terms``.
-Solutions hold one another, so each is rendered once and its text copied
-where it is held.
+A solution holds other states' solutions and companions, so each term is
+rendered once, into a table that the call keeps by node identity, and its
+text copied where it is held.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _eliminated
 from .rerouting import collapse, connect_through
 from .semantics import (Prechart, _coproduct_walk, _distinguishes, _first_round, _outputs, _quotient, _Walk,
                         chart_of)
-from .solution import _OWN, _NormalForms, _starred, _Terms, _witness_proved
-from .syntax import Expr, _parse, atoms, declare_alphabet, parse, render
+from .solution import _NormalForms, _starred, _Terms, _witness_proved
+from .syntax import Expr, _parse, _render, atoms, declare_alphabet, parse, render
 
 
 # the certificate format that ``Certificate.to_json`` writes and
@@ -548,7 +549,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         # ``infer_witness`` on the document's rows, with no prechart or
         # labelling built: the steps of the pairs that loop elimination
         # removes are entries, and the others body steps
-        names, chart, root = _chart_rows(doc)
+        names, chart, root, _ = _chart_rows(doc)
         alphabet, outs, numbered = chart
         entries = _eliminated(_successors(numbered), _output_mask(outs))
         if entries is None:
@@ -563,14 +564,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         witness = chart, root, (a, None)
     terms = _Terms(witness, _starred, names)
     solutions = list(map(terms.term, range(len(names))))
-    # a solution holds the solutions of other states: each is printed once,
-    # after those it holds (the memo's order), and ``render`` copies its text
-    # wherever it is held
-    for (_, anchor), t in terms.memo.items():
-        if anchor is _OWN:
-            object.__setattr__(t, "_text", render(t))
+    # a term holds other states' solutions and companions: each is printed
+    # once, after those it holds (the memo's order), and ``_render`` copies
+    # its text from the table wherever it is held; the memo keeps the nodes
+    # alive
+    texts: dict[int, str] = {}
+    for t in terms.memo.values():
+        texts[id(t)] = _render(t, texts)
     # a chart document's states are distinct strings, so each is its own id
-    _emit({name: render(t) for name, t in zip(names, solutions)})
+    _emit({name: texts[id(t)] for name, t in zip(names, solutions)})
     return 0
 
 

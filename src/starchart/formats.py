@@ -88,10 +88,11 @@ def _check_shape(doc: Any) -> None:
         raise ValueError("'root' must be a string or null")
 
 
-def _chart_rows(doc: Any) -> tuple[tuple[str, ...], tuple, int | None]:
+def _chart_rows(doc: Any) -> tuple[tuple[str, ...], tuple, int | None, dict[str, int]]:
     """A chart document read into state numbers: its state
     names in order, the chart ``(alphabet, outs, numbered)`` by state number
-    (see ``layering._numbered_witness``) and the root's number, or None.
+    (see ``layering._numbered_witness``), the root's number, or None, and
+    the names' numbers, as ``_check_chart`` returned them.
 
     Raises ``ValueError`` for a wrong shape (``_check_shape``), and then
     as ``semantics._check_chart`` does, on the alphabet with its repeats
@@ -114,14 +115,15 @@ def _chart_rows(doc: Any) -> tuple[tuple[str, ...], tuple, int | None]:
     for x, row in rows.items():
         numbered[number[x]] = tuple([tuple(sorted({number[y] for y in row[a]})) if a in row else ()
                                      for a in alphabet])
-    return names, (alphabet, outs, numbered), None if root is None else number[root]
+    return names, (alphabet, outs, numbered), None if root is None else number[root], number
 
 
 def chart_from_json(doc: Mapping[str, Any]) -> Prechart:
-    """The prechart of a chart document, read by ``_chart_rows``; its
-    ``numbered_succ`` memo is the document's rows."""
-    names, (alphabet, outs, numbered), root = _chart_rows(doc)
-    return _numbered_chart(alphabet, (names, outs, numbered), None if root is None else names[root])
+    """The prechart of a chart document, read by ``_chart_rows``, which
+    checked it, so it is built on that check's index with no second one;
+    its ``numbered_succ`` memo is the document's rows."""
+    names, (alphabet, outs, numbered), root, number = _chart_rows(doc)
+    return _numbered_chart(alphabet, (names, outs, numbered), None if root is None else names[root], number)
 
 
 def witness_to_json(L: LabelledPrechart) -> dict[str, Any]:

@@ -33,8 +33,12 @@ class Prechart:
     root: StateId | None = None
 
     def __post_init__(self) -> None:
-        index = _check_chart(self.alphabet, self.states, self.outputs, self.transitions, self.root)
-        object.__setattr__(self, "_index", index)
+        # ``make`` and ``_numbered_chart`` may set, before ``__init__`` runs,
+        # the states' numbers that their own ``_check_chart`` of the fields
+        # returned, so no chart is checked twice
+        if getattr(self, "_index", None) is None:
+            index = _check_chart(self.alphabet, self.states, self.outputs, self.transitions, self.root)
+            object.__setattr__(self, "_index", index)
 
     @classmethod
     def make(
@@ -57,7 +61,10 @@ class Prechart:
         for row in trans.values():
             for a, ys in row.items():
                 row[a] = tuple(sorted(ys, key=index.__getitem__))
-        return cls(alphabet, states, outs, trans, root)
+        X = object.__new__(cls)
+        object.__setattr__(X, "_index", index)
+        X.__init__(alphabet, states, outs, trans, root)
+        return X
 
     def index(self, x: StateId) -> int:
         return self._index[x]  # type: ignore[attr-defined]
@@ -368,17 +375,25 @@ def _join(left: _Walk, right: _Walk) -> _Walk:
     return (*xs, *ys), [*x_outs, *y_outs], [*x_numbered, *shifted]
 
 
-def _numbered_chart(alphabet: tuple[str, ...], walk: _Walk, root: StateId | None = None) -> Prechart:
+def _numbered_chart(alphabet: tuple[str, ...], walk: _Walk, root: StateId | None = None,
+                    index: dict[StateId, int] | None = None) -> Prechart:
     """The prechart of a walk's states, outputs and numbered successors,
     normalised as ``Prechart.make`` would; its ``numbered_succ`` memo is
-    the walk's."""
+    the walk's.  It is checked as every prechart is, unless the caller
+    passes the ``index`` that ``_check_chart`` returned for the same chart."""
     states, outs, numbered = walk
     transitions: dict[StateId, dict[str, tuple[StateId, ...]]] = {}
     for x, rows in zip(states, numbered):
         row = {a: tuple(map(states.__getitem__, js)) for a, js in zip(alphabet, rows) if js}
         if row:
             transitions[x] = row
-    X = Prechart(alphabet, states, {x: out for x, out in zip(states, outs) if out}, transitions, root)
+    outputs = {x: out for x, out in zip(states, outs) if out}
+    if index is None:
+        X = Prechart(alphabet, states, outputs, transitions, root)
+    else:
+        X = object.__new__(Prechart)
+        object.__setattr__(X, "_index", index)
+        X.__init__(alphabet, states, outputs, transitions, root)
     object.__setattr__(X, "_numbered", tuple(numbered))
     return X
 

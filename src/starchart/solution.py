@@ -59,7 +59,9 @@ def unfold(e: Expr) -> Expr:
 
 def _starred(first, second) -> Expr:
     """The star of two sums, each given by its two halves, lists of steps
-    ``(a, t)``: ``a·t``, or ``a`` for a ``t`` of ``None``."""
+    ``(a, t)``: ``a·t``, or ``a`` for a ``t`` of ``None``.  A first sum of
+    ``0`` is dropped, as ``0*t = t`` by the unfolding, ``0·e = 0`` and
+    ``0 + t = t``: the star is then the second sum itself."""
     sums = []
     for halves in (first, second):
         # e + 0 = e: a sum is built from its non-empty halves only, so it
@@ -71,7 +73,7 @@ def _starred(first, second) -> Expr:
                 terms.append(Atom(a) if t is None else Seq(Atom(a), t))
             parts.append(gsum(terms))
         sums.append(gsum(parts))
-    return Star(*sums)
+    return sums[1] if type(sums[0]) is Zero else Star(*sums)
 
 
 _OWN = object()  # the anchor of a state's own solution
@@ -216,11 +218,12 @@ class _NormalForms:
 
     def starred(self, first, second) -> int:
         """The normal form of ``_starred(first, second)``: the prefixed
-        step ``(a, t)`` is the summand of that key."""
+        step ``(a, t)`` is the summand of that key, and a head of ``0`` is
+        dropped, ``0*t = t``, as ``_starred`` drops it."""
         intern = self.intern
         head = intern(frozenset(map(intern, chain(*first))))
         tail = intern(frozenset(map(intern, chain(*second))))
-        return intern(frozenset((intern((head, tail)),)))
+        return tail if head == self.zero else intern(frozenset((intern((head, tail)),)))
 
     def step(self, n) -> tuple[frozenset[str], dict[str, set[int]]]:
         """Outputs and per-action derivatives of the normal form ``n``.

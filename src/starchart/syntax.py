@@ -55,9 +55,7 @@ class Expr:
     attributes outside the dataclass fields: equality and repr see only the
     tree.  A memo write stores the value every caller computes, so racing
     threads are harmless, and the memos die with the expression.  Equal
-    subterms of one ``parse`` are one node, so they share these memos.  A
-    star may also hold its ``render`` text as ``_text``: ``solve`` stores it
-    on each solution it prints, as solutions hold one another.
+    subterms of one ``parse`` are one node, so they share these memos.
     """
 
     def __hash__(self) -> int:
@@ -227,30 +225,41 @@ _NON_OPERAND = frozenset("+*).")
 
 
 def _split_actions(word: str, alphabet: set[str]) -> list[str] | None:
-    # Greedy longest-prefix split of an alphanumeric run into declared
-    # actions and "0", so "aa" means a.a under alphabet {a} and "a0" means
-    # a.0, while a declared multi-character action still lexes as itself;
-    # None if it does not split.  No action starts with "0", so a "0" is
-    # split off where it starts a remainder.  Only prefixes up to the
-    # longest declared action can match, so the split is linear in the run.
+    # A split of an alphanumeric run into declared actions and "0", so "aa"
+    # means a.a under alphabet {a}, "a0" means a.0 and "abc" means a.bc
+    # under {a, ab, bc}, while a declared multi-character action still
+    # lexes as itself; None if the run does not split.  No action starts
+    # with "0", so a "0" is split off where it starts a remainder.  The
+    # search runs depth first over run positions, on an explicit stack,
+    # trying the longest part first, so where the greedy longest-prefix
+    # split succeeds it is the split found.  A position from which no split
+    # ends is remembered and never tried again, and only parts up to the
+    # longest declared action can match, so the search is linear in the
+    # run's length times the longest action.
     if word in alphabet:
         return [word]
-    longest = max(map(len, alphabet), default=0)
-    parts: list[str] = []
-    i = 0
-    while i < len(word):
-        if word[i] == "0":
-            parts.append("0")
-            i += 1
-            continue
-        for k in range(min(longest, len(word) - i), 0, -1):
-            if word[i:i + k] in alphabet:
-                parts.append(word[i:i + k])
-                i += k
-                break
+    n = len(word)
+    longest = max(max(map(len, alphabet), default=0), 1)
+    dead: set[int] = set()
+    # where each part of the split so far starts, then where the next one
+    # would; and per start, the longest part still to try there
+    starts, lengths = [0], [min(longest, n)]
+    while starts:
+        i = starts[-1]
+        if i == n:
+            return [word[j:k] for j, k in zip(starts, starts[1:])]
+        k = lengths[-1]
+        while k and (i + k in dead or (part := word[i:i + k]) != "0" and part not in alphabet):
+            k -= 1
+        if k:
+            lengths[-1] = k - 1
+            starts.append(i + k)
+            lengths.append(min(longest, n - i - k))
         else:
-            return None
-    return parts
+            dead.add(i)
+            starts.pop()
+            lengths.pop()
+    return None
 
 
 def _position(text: str, alphabet: set[str], k: int) -> int:
@@ -385,23 +394,21 @@ _WORD_END = "abcdefghijklmnopqrstuvwxyz0123456789_"
 _WORD_START = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
-def _first_char(e: Expr) -> str:
-    # first character of the printed right operand of a sequence
-    if isinstance(e, Star):
-        e = e.left
-    if isinstance(e, Atom):
-        return e.action[0]
-    return "0" if isinstance(e, Zero) else "("
-
-
 def render(e: Expr) -> str:
     """Print with minimal parentheses; ``parse(render(e))`` equals ``e``.
 
-    Iterative: pieces are emitted left to right from an explicit stack.  A
-    star that carries its printed text (``_text``, see ``Expr``) is emitted
-    as that text: a node prints the same wherever it stands, as its parent
-    adds the parentheses and the space around it.
+    Iterative: pieces are emitted left to right from an explicit stack.
     """
+    return _render(e, None)
+
+
+def _render(e: Expr, texts: dict[int, str] | None) -> str:
+    # ``render``, where a node whose id is in the caller's table ``texts``
+    # is emitted as its entry there, whatever its kind: a node prints the
+    # same wherever it stands, as its parent adds the parentheses and the
+    # space around it.  A leaf prints as cheaply as its entry is copied, so
+    # only binary nodes are looked up.  The caller keeps the nodes alive, so
+    # their ids are unique.
     out: list[str] = []
     # stack items: an expression to print, a literal piece, or a 1-tuple
     # holding a sequence's right operand, which marks the point before it
@@ -415,6 +422,16 @@ def render(e: Expr) -> str:
             out.append(x.action)
         elif kind is Zero:
             out.append("0")
+        elif kind is tuple:
+            # the first character of the right operand's text, which is its
+            # left operand's for a star, whose operands are Atom and Zero
+            # leaves or parenthesised
+            y = x[0].left if type(x[0]) is Star else x[0]
+            first = y.action[0] if type(y) is Atom else "0" if type(y) is Zero else "("
+            if out[-1][-1] in _WORD_END and first in _WORD_START:
+                out.append(" ")
+        elif texts is not None and (text := texts.get(id(x))) is not None:
+            out.append(text)
         elif kind is Sum:
             stack += (x.right, " + ")
             stack += (")", x.left, "(") if type(x.left) is Sum else (x.left,)
@@ -422,15 +439,10 @@ def render(e: Expr) -> str:
             stack += (")", x.right, "(") if type(x.right) in (Sum, Seq) else (x.right,)
             stack.append((x.right,))
             stack += (")", x.left, "(") if type(x.left) is Sum else (x.left,)
-        elif kind is Star and (text := getattr(x, "_text", None)) is not None:
-            out.append(text)
         elif kind is Star:
             stack += (x.right,) if type(x.right) in (Atom, Zero) else (")", x.right, "(")
             stack.append("*")
             stack += (x.left,) if type(x.left) in (Atom, Zero) else (")", x.left, "(")
-        elif kind is tuple:
-            if out[-1][-1] in _WORD_END and _first_char(x[0]) in _WORD_START:
-                out.append(" ")
         else:
             raise TypeError(f"not an expression: {x!r}")
     return "".join(out)

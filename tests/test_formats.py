@@ -3,6 +3,7 @@ import random
 import pytest
 
 from starchart import Atom, Prechart, Seq, Star, Zero, chart_of, parse, to_llee, verify_witness
+from starchart import formats, semantics
 from starchart.formats import (
     chart_from_json,
     chart_to_json,
@@ -88,3 +89,27 @@ def test_lazy_ids_are_the_state_ids():
     pairs_ = list(iter_state_ids(X.states))
     assert [name for _, name in pairs_] == ["L:x", "L:x#2", "L:x#2#2", "L:y", "L:x#3"]
     assert dict(pairs_) == state_ids(X)
+
+
+def test_a_chart_is_checked_once_per_make_and_per_document(monkeypatch):
+    # ``Prechart.make`` and ``chart_from_json`` each build the prechart on
+    # the index of their own ``_check_chart``, which runs once
+    calls = []
+
+    def spy(*fields):
+        calls.append(fields)
+        return check(*fields)
+
+    check = semantics._check_chart
+    monkeypatch.setattr(semantics, "_check_chart", spy)
+    monkeypatch.setattr(formats, "_check_chart", spy)
+    X = Prechart.make(("a", "b"), ("x", "y"), {"y": {"a"}}, {"x": {"a": ["y", "y"], "b": ["x"]}}, root="x")
+    assert len(calls) == 1
+    Y = chart_from_json(chart_to_json(X))
+    assert len(calls) == 2
+    assert Y == X and [Y.index(x) for x in Y.states] == [0, 1] and Y.numbered_succ() == X.numbered_succ()
+    # a prechart built from its fields, and every chart of an expression,
+    # is checked as before
+    Prechart(X.alphabet, X.states, X.outputs, X.transitions, X.root)
+    chart_of(AA0)
+    assert len(calls) == 4

@@ -1,0 +1,103 @@
+"""One small scope, every guarantee: exhaustive checks on all small expressions.
+
+Every expression over ``a, b`` with at most ``SCOPE`` nodes
+(``gen.all_exprs``) is checked against what the paper and the local
+approach promise of it:
+
+* it prints and parses back to itself;
+* its chart has a layering witness, which ``infer_witness`` finds;
+* the canonical solution of that witness is proved by the axioms alone,
+  with no bisimilarity fallback;
+* ``solve`` on its chart document prints texts that parse and verify;
+* ``certify`` of it against ``e + e`` and against ``e·a`` agrees with the
+  reference bisimilarity (``gen.round_by_round_bisimilarity``), and replay
+  passes every check of the certificate, and of the local proof's
+  certificate of each equivalent pair (``gen.local_certify``), which
+  replays the canonical solution of the collapse.
+
+The counts of each scope are pinned.  Tier-1 runs the scope of 5 nodes;
+set ``STARCHART_SMALL_SCOPE=7`` to run the scope of 7 nodes.  A failure at
+any scope is a defect of the program, never a reason to shrink the scope.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+from collections import Counter
+from contextlib import redirect_stdout
+
+import pytest
+
+from starchart import (Atom, Seq, Sum, canonical_solution, certify, chart_of, infer_witness, main, parse,
+                       recheck_certificate, render, verify_solution)
+from starchart import solution as solution_module
+from starchart.formats import chart_from_json, chart_to_json
+from starchart.semantics import coproduct
+from gen import all_exprs, local_certify, round_by_round_bisimilarity
+
+ALPHABET = ("a", "b")
+SCOPE = int(os.environ.get("STARCHART_SMALL_SCOPE", "5"))
+EXPRS = all_exprs(ALPHABET, SCOPE)
+
+# per scope: the expressions, and the certificates replayed for the pairs
+# (e, e + e) and (e, e·a) by kind: a normal-forms proof, the local proof,
+# or a distinguishing formula
+PINNED = {
+    5: {"exprs": 516, "proofs": {"normal-forms": 688, "local": 688, "inequivalent": 344}},
+    7: {"exprs": 11451, "proofs": {"normal-forms": 15268, "local": 15268, "inequivalent": 7634}},
+}
+
+
+@pytest.fixture
+def no_refinement(monkeypatch):
+    def refuse(X):
+        raise AssertionError("verify_solution fell back to partition refinement")
+
+    monkeypatch.setattr(solution_module, "bisimilarity", refuse)
+
+
+def test_the_scope_is_the_pinned_one():
+    assert len(EXPRS) == len(set(EXPRS)) == PINNED[SCOPE]["exprs"]
+
+
+def test_every_expression_prints_and_parses_back():
+    for e in EXPRS:
+        assert parse(render(e), ALPHABET) == e
+
+
+def test_every_chart_has_a_witness_whose_solution_the_axioms_prove(no_refinement):
+    for e in EXPRS:
+        L = infer_witness(chart_of(e, ALPHABET))
+        assert L is not None, render(e)
+        assert verify_solution(L.base, canonical_solution(L)) == (True, None), render(e)
+
+
+def test_solve_prints_solutions_that_the_axioms_prove(no_refinement, tmp_path):
+    path = tmp_path / "chart.json"
+    for e in EXPRS:
+        doc = chart_to_json(chart_of(e, ALPHABET))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["solve", str(path)]) == 0, render(e)
+        assign = {x: parse(text, ALPHABET) for x, text in json.loads(out.getvalue()).items()}
+        assert verify_solution(chart_from_json(doc), assign) == (True, None), render(e)
+
+
+def test_certify_agrees_with_the_reference_and_replays():
+    kinds: Counter = Counter()
+    for e in EXPRS:
+        for f in (Sum(e, e), Seq(e, Atom("a"))):
+            X, inl, inr = coproduct(chart_of(e, ALPHABET), chart_of(f, ALPHABET))
+            R = round_by_round_bisimilarity(X)
+            expected = R.block_index(inl[e]) == R.block_index(inr[f])
+            certs = [certify(e, f, ALPHABET)]
+            assert certs[0].verdict == ("equivalent" if expected else "inequivalent"), (render(e), render(f))
+            if expected:  # the local proof too, which certify skips when normal forms meet
+                certs.append(local_certify(e, f, ALPHABET))
+            for cert in certs:
+                assert all(c.passed for c in recheck_certificate(cert.to_json())), (render(e), render(f))
+                kinds[cert.proof or ("local" if expected else "inequivalent")] += 1
+    assert kinds == PINNED[SCOPE]["proofs"]

@@ -29,10 +29,11 @@ from starchart import (
 from starchart import layering
 from starchart.layering import _numbered_witness
 from starchart import solution as solution_module
-from starchart.solution import MeasureError, _NormalForms, _proved, _Terms, _witness_proved
+from starchart.solution import MeasureError, _NormalForms, _proved, _starred, _Terms, _witness_proved
 from gen import (joined_chart, local_certify, named_witness, per_equation_check, random_chart, random_expr,
                  rewrite_steps, round_by_round_bisimilarity)
 from test_golden_certs import corpus as golden_corpus
+from test_layering import erased
 
 A, B = Atom("a"), Atom("b")
 AA0 = Star(Seq(A, A), Zero())
@@ -74,8 +75,32 @@ class TestCanonicalSolution:
     def test_output_only_state(self):
         L = single_state("a")
         s = canonical_solution(L)
-        assert s.assign["x"] == Star(Zero(), A)
-        assert bisimilar(s.assign["x"], A)
+        # 0*a = a: a state with no entry step is solved by its second sum
+        assert s.assign["x"] == A
+
+    @pytest.mark.parametrize("first, second", [
+        (([], []), ([("a", None)], [])),
+        (([], []), ([], [])),
+        (([("a", None)], []), ([("b", None)], [])),
+        (([], [("a", None)]), ([], [("b", None)])),
+    ])
+    def test_both_builders_drop_a_head_of_zero(self, first, second):
+        # 0*t = t, in the expression and in the normal form of the same term
+        forms = _NormalForms()
+        e = _starred(first, second)
+        assert (type(e) is Star) == any(first)
+        assert forms.of(e) == forms.starred(first, second)
+
+    def test_root_solutions_of_erased_charts_keep_their_size(self):
+        # seeds 0-59 of erased depth-10 charts; with a head of 0 kept on every
+        # state with no entry step they were 121 at the upper median, and
+        # 63 105 661 at the largest
+        sizes = []
+        for seed in range(60):
+            X = erased(chart_of(random_expr(random.Random(seed), depth=10)))
+            sizes.append(_tree_size(canonical_solution(infer_witness(X)).assign[X.root]))
+        sizes.sort()
+        assert (sizes[30], sizes[-1]) == (83, 48_376_863)
 
     def test_two_state_cycle_root(self):
         L = syntactic_witness(chart_of(AA0))
@@ -303,9 +328,9 @@ class TestTheAxiomStage:
                 assert verify_solution(X, candidate) == expected
                 checked += 1
                 rejected += not expected[0]
-        # 2 600 candidates: 883 proved, 1 667 rejected, and 50 that hold
+        # 2 600 candidates: 903 proved, 1 667 rejected, and 30 that hold
         # although the axioms do not prove them, so the refinement decides
-        assert accepted > 800 and rejected > 1500 and checked - accepted - rejected > 40
+        assert (checked, accepted, rejected) == (2600, 903, 1667)
 
     @pytest.mark.parametrize("X, candidate", [
         # a step outside the chart's alphabet
@@ -357,7 +382,7 @@ class TestTheAxiomStage:
             alphabet,
         )
         cert = local_certify(e, Sum(e, e))
-        assert _tree_and_dag_nodes(cert.common) == (5177, 89)
+        assert _tree_and_dag_nodes(cert.common) == (4693, 85)
         L = named_witness(cert.alphabet, cert.collapsed)
         X, s = L.base, canonical_solution(L)
         assert verify_solution(X, s) == (True, None)
@@ -515,6 +540,21 @@ def _tree_and_dag_nodes(e):
         if isinstance(x, (Sum, Seq, Star)):
             stack += (x.left, x.right)
     return tree, len(distinct)
+
+
+def _tree_size(e) -> int:
+    """Nodes of ``e`` as a tree, folded over its DAG, each distinct node once."""
+    size, stack = {}, [e]
+    while stack:
+        x = stack[-1]
+        children = (x.left, x.right) if isinstance(x, (Sum, Seq, Star)) else ()
+        pending = [c for c in children if id(c) not in size]
+        if pending:
+            stack += pending
+            continue
+        size[id(x)] = 1 + sum(size[id(c)] for c in children)
+        stack.pop()
+    return size[id(e)]
 
 
 def _graph_passes(X, assign):

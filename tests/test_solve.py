@@ -179,3 +179,42 @@ def test_a_labelling_that_does_not_verify_is_an_internal_error(monkeypatch, tmp_
     assert (code, out) == (3, "")
     assert err == ("internal error: RuntimeError: loop elimination labelled the 2-state chart "
                    "with no witness: layered: ('y', 'x')\n")
+
+
+def doubling_chart(k: int) -> dict:
+    """The chart document of ``k`` states in a row, each stepping by ``a``
+    and by ``b`` to the next, the last with the output ``a``: the solution
+    of a state holds the next one's twice, so its tree doubles with each
+    state, over a DAG that grows by three nodes."""
+    names = [f"s{i}" for i in range(k)]
+    return {"alphabet": ["a", "b"], "states": names, "root": "s0", "outputs": {names[-1]: ["a"]},
+            "transitions": [_t(names[i], act, names[i + 1]) for i in range(k - 1) for act in "ab"]}
+
+
+def test_solve_prints_shared_solutions_in_work_linear_in_the_states(monkeypatch, tmp_path):
+    # each term is printed once, into the call's table, and its text copied
+    # wherever it is held, so ``_render`` looks up each binary node of the
+    # DAG once, although the printed tree doubles with each state
+    render, steps = cli._render, []
+
+    class Counted:
+        def __init__(self, texts):
+            self.texts = texts
+
+        def get(self, key):
+            steps[-1] += 1
+            return self.texts.get(key)
+
+    monkeypatch.setattr(cli, "_render", lambda e, texts: render(e, Counted(texts)))
+    sizes = []
+    for k in (5, 10, 15):
+        steps.append(0)
+        code, out, _ = run(tmp_path, "solve", "{chart}", files={"chart": doubling_chart(k)})
+        assert code == 0
+        root = json.loads(out)["s0"]
+        sizes.append(len(root))
+        assert root.count("a") + root.count("b") == 3 * 2 ** (k - 1) - 2
+    # per state but the last: its 3 binary nodes, and the 2 lookups of the
+    # next state's solution, which is the leaf ``a`` for the last but one
+    assert steps == [5 * (k - 1) - 2 for k in (5, 10, 15)]
+    assert sizes[2] > 2 ** 4 * sizes[1]

@@ -25,7 +25,7 @@ from starchart import (
     star_height,
     syntactic_witness,
 )
-from starchart.syntax import can_terminate
+from starchart.syntax import _render, _split_actions, can_terminate
 from gen import all_exprs, deadline, distinct_nodes, doubling_chain, random_expr
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -89,6 +89,74 @@ SPLIT_RUNS = [
 @pytest.mark.parametrize("text, alphabet, expected", SPLIT_RUNS)
 def test_a_run_splits_over_the_declared_actions_and_zero(text, alphabet, expected):
     assert parse(text, alphabet) == expected
+
+
+def test_a_run_that_the_longest_prefix_strands_splits_by_backtracking():
+    # "ab" leaves "c", which no action reads, so the split backs up to "a"
+    alphabet = ("a", "ab", "bc")
+    assert parse("abc", alphabet) == Seq(A, Atom("bc")) == parse("a bc", alphabet)
+    assert parse("abcab", alphabet) == Seq(Seq(A, Atom("bc")), Atom("ab"))
+    # an error after such a run is placed at its own token, and a run that
+    # does not split at all is reported where it starts
+    with pytest.raises(ParseError) as err:
+        parse("abc )", alphabet)
+    assert (str(err.value), err.value.pos) == ("unexpected ')' (at position 4)", 4)
+    with pytest.raises(UnknownActionError) as err:
+        parse("a + abcc", alphabet)
+    assert (str(err.value), err.value.pos) == ("unknown action 'abcc' (at position 4)", 4)
+
+
+def greedy_split(word: str, alphabet: set[str]) -> list[str] | None:
+    """The split that the parser made before it backtracked, frozen as an
+    oracle: the longest declared prefix at each step, or "0"."""
+    if word in alphabet:
+        return [word]
+    longest = max(map(len, alphabet), default=0)
+    parts: list[str] = []
+    i = 0
+    while i < len(word):
+        if word[i] == "0":
+            parts.append("0")
+            i += 1
+            continue
+        for k in range(min(longest, len(word) - i), 0, -1):
+            if word[i:i + k] in alphabet:
+                parts.append(word[i:i + k])
+                i += k
+                break
+        else:
+            return None
+    return parts
+
+
+def all_splits(word: str, alphabet: set[str]) -> list[list[str]]:
+    """Every split of ``word`` into declared actions and "0", by brute force."""
+    if not word:
+        return [[]]
+    return [[word[:k], *rest] for k in range(1, len(word) + 1) if word[:k] in alphabet or word[:k] == "0"
+            for rest in all_splits(word[k:], alphabet)]
+
+
+def test_a_run_splits_greedily_where_that_succeeds_and_whenever_any_split_exists():
+    rng = random.Random(5110)
+    outcomes = {"greedy": 0, "backtracked": 0, "none": 0}
+    for _ in range(4000):
+        letters = rng.choice(("ab", "abc"))
+        alphabet = {"".join(rng.choices(letters, k=rng.randint(1, 3))) for _ in range(rng.randint(1, 4))}
+        # declared actions and "0" run together, then one letter changed in
+        # some, so that many runs split and many split in several ways
+        actions = sorted(alphabet)
+        word = rng.choice(actions) + "".join(rng.choices(actions + ["0"], k=rng.randint(0, 4)))
+        if rng.random() < 0.3:
+            i = rng.randrange(1, len(word)) if len(word) > 1 else 0
+            word = word[:i] + rng.choice("abc0"[:4 if i else 3]) + word[i + 1:]
+        got, greedy, splits = _split_actions(word, alphabet), greedy_split(word, alphabet), all_splits(word, alphabet)
+        if greedy is not None:
+            assert got == greedy, (word, alphabet)
+        # the split found is the one that prefers the longest part first
+        assert got == min(splits, key=lambda split: [-len(part) for part in split], default=None), (word, alphabet)
+        outcomes["none" if got is None else "greedy" if greedy is not None else "backtracked"] += 1
+    assert outcomes == {"greedy": 3194, "backtracked": 55, "none": 751}
 
 
 # Malformed texts with the exception class, message and position that the
@@ -207,10 +275,16 @@ class TestRender:
     def test_right_nested_seq_keeps_parentheses(self):
         assert render(Seq(A, Seq(B, C))) == "a(b c)"
 
-    def test_a_star_carrying_its_text_is_emitted_as_that_text(self):
-        s = Star(A, B)
-        object.__setattr__(s, "_text", "<s>")
-        assert render(Sum(s, C)) == "<s> + c"
+    def test_a_binary_node_in_the_table_is_emitted_as_its_entry(self):
+        s, t, u = Star(A, B), Seq(A, B), Sum(B, C)
+        texts = {id(s): "<s>", id(t): "<t>", id(u): "<u>"}
+        assert _render(Sum(s, Sum(t, C)), texts) == "<s> + <t> + c"
+        assert _render(Seq(Sum(s, t), u), texts) == "(<s> + <t>)(<u>)"
+        # a leaf prints as itself, which is what its entry would copy
+        assert _render(Sum(A, C), {id(A): "<a>"}) == "a + c"
+        # the table is the caller's, so ``render`` and the nodes keep nothing
+        assert render(Sum(s, C)) == "a*b + c"
+        assert not hasattr(s, "_text")
 
 
 class TestGsum:
@@ -263,20 +337,23 @@ def test_parse_render_round_trip(e):
 
 
 @settings(max_examples=300)
-@given(exprs())
-def test_stars_that_carry_their_text_print_the_same(e):
-    # ``solve`` stores each printed solution's text on it; a star prints
-    # the same wherever it stands, so emitting the stored text changes nothing
+@given(exprs(), st.randoms(use_true_random=False))
+def test_nodes_printed_from_a_table_print_the_same(e, rng):
+    # ``solve`` prints each term once into a table and copies its text
+    # wherever the term is held; a node prints the same wherever it stands,
+    # so copying its text from the table changes nothing
     text = render(e)
-    stars, stack = [], [e]
+    nodes, stack = [], [e]
     while stack:
         x = stack.pop()
+        nodes.append(x)
         if isinstance(x, (Sum, Seq, Star)):
-            stars += [x] if isinstance(x, Star) else []
             stack += (x.left, x.right)
-    for s in reversed(stars):  # inner stars first
-        object.__setattr__(s, "_text", render(s))
-    assert render(e) == text
+    texts: dict[int, str] = {}
+    for x in reversed(nodes):  # inner nodes first
+        if rng.random() < 0.5:
+            texts[id(x)] = _render(x, texts)
+    assert _render(e, texts) == text
 
 
 @given(exprs(alphabet=("a", "b")))
