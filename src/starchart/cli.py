@@ -72,9 +72,9 @@ certificate whose forms meet only once folded, closed.
 Replay of a local-proof certificate checks the local proof (Grabmayer and
 Fokkink, LICS 2020) with no refinement: it walks each input once and
 reads the certificate's numbered rows into one witness by state number
-(see ``layering._numbered_witness``): per state of ``C`` its outputs and
-its successor numbers per action, the root, and the witness analysis
-built from the rows' tagged steps.  No chart or labelling is built.  On
+(``layering._Analysis``): per state of ``C`` its outputs and its
+successor numbers per action, the root, and the loop relations built
+from the rows' tagged steps.  No chart or labelling is built.  On
 that record it checks that the witness verifies, that each projection
 ``h`` is a homomorphism and that the roots meet, and proves ``C``'s
 canonical solution ``s`` by the axioms alone; ``certify`` writes the
@@ -114,11 +114,12 @@ indented formats of ``formats``.
 the state's name.  With no ``--witness`` it runs on state numbers from the
 document to the printed text: it reads the document once into numbered
 rows (``formats._chart_rows``, by every prechart's ``_check_chart``), tags
-their steps by loop elimination as ``infer_witness`` does, reads the tags,
-as a certificate's rows, into a witness by state number
-(``layering._checked_rows``) and solves that (``solution._Terms``), so no
-prechart, labelling or named solution is built.  A ``--witness`` file is
-read and verified as a labelling, and then solved by the same ``_Terms``.
+their steps by loop elimination as ``infer_witness`` does
+(``layering._eliminated_rows``), reads the tagged rows, as a certificate's,
+into a witness by state number (``layering._Analysis``) and solves that
+(``solution._Terms``), so no prechart, labelling or named solution is
+built.  A ``--witness`` file is read and verified as a labelling, and
+then solved by the same ``_Terms``.
 A solution holds other states' solutions and companions, so each term is
 rendered once, into a table that the call keeps by node identity, and its
 text copied where it is held.
@@ -146,8 +147,8 @@ from .formats import (
     witness_from_json,
     witness_to_json,
 )
-from .layering import (BODY, ENTRY, LabelledPrechart, _checked_rows, _eliminated, _named, _numbered_witness,
-                       _output_mask, _successors, infer_witness, syntactic_witness, to_llee, verify_witness)
+from .layering import (BODY, ENTRY, LabelledPrechart, _Analysis, _eliminated_rows, _named, _numbered_witness,
+                       infer_witness, syntactic_witness, to_llee, verify_witness)
 from .rerouting import collapse, connect_through
 from .semantics import (Prechart, _coproduct_walk, _distinguishes, _first_round, _outputs, _quotient, _Walk,
                         chart_of)
@@ -214,7 +215,7 @@ class Certificate:
         if self.collapsed is None:
             return None
         witness = _witness_of_rows(self.alphabet, self.collapsed)
-        return _Terms(witness, _starred).term(witness[1])
+        return _Terms(witness, _starred).term(witness.root)
 
     def to_json(self) -> dict[str, Any]:
         rows, projection = self.collapsed, self.projection
@@ -236,11 +237,11 @@ class Certificate:
         return doc
 
 
-def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> tuple:
-    """The witness by state number (see ``layering._numbered_witness``)
-    that a version-3 ``collapsed`` writes, on the states ``0..k-1`` of its
-    ``k`` output lists, with its analysis built from the rows' tagged steps
-    and no prechart or state name.  Raises ``ValueError`` naming the first
+def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> _Analysis:
+    """The witness by state number (``layering._Analysis``) that a
+    version-3 ``collapsed`` writes, on the states ``0..k-1`` of its ``k``
+    output lists, with its relations built from the rows' tagged steps and
+    no prechart or state name.  Raises ``ValueError`` naming the first
     field that is no such witness: outputs that are no lists of actions of
     ``alphabet``, a root that is neither null nor a state number, or a row
     that is not ``[i, action, j, tag]`` with state numbers ``i`` and ``j``
@@ -269,7 +270,7 @@ def _witness_of_rows(alphabet: tuple[str, ...], doc: Any) -> tuple:
         succ[i][position[a]].append(j)
     outs = list(map(frozenset, outputs))
     numbered = [tuple([tuple(sorted(set(js))) if js else () for js in rows]) for rows in succ]
-    return (alphabet, outs, numbered), root, _checked_rows(outs, numbered, transitions)
+    return _Analysis(alphabet, outs, numbered, root, transitions)
 
 
 # The checks below are shared by ``certify``, which builds the evidence, and
@@ -282,10 +283,10 @@ def _formula_check(alphabet: tuple[str, ...], formula: Any, e: Expr, f: Expr) ->
     return Check("distinguishing-formula", _distinguishes(formula, e, f, alphabet))
 
 
-def _proof_checks(walk: _Walk, n: int, witness: tuple | None, projection: Any) -> list[Check]:
+def _proof_checks(walk: _Walk, n: int, witness: _Analysis | None, projection: Any) -> list[Check]:
     """The local proof on ``witness``, a witness by state number (see
-    ``layering._numbered_witness``) of a chart ``C`` with the walk's
-    alphabet: the witness's analysis has no violated clause;
+    ``layering._Analysis``) of a chart ``C`` with the walk's alphabet: the
+    witness has no violated clause;
     ``projection``, which maps the walk's first ``n`` states by its list
     ``left`` and the rest by ``right`` to state numbers of ``C``, is a
     homomorphism (outputs agree, and per action the images of a state's
@@ -297,7 +298,7 @@ def _proof_checks(walk: _Walk, n: int, witness: tuple | None, projection: Any) -
     if witness is None:
         names = ("collapsed-witness-valid", "projection-homomorphism", "roots-meet", "solution-proved")
         return [Check(name, False) for name in names]
-    ((_, c_outs, rows), root, (_, violation)), (_, outs, numbered) = witness, walk
+    c_outs, rows, (_, outs, numbered) = witness.outs, witness.numbered, walk
     sides = [projection.get(k) for k in ("left", "right")] if isinstance(projection, Mapping) else [None] * 2
     lists = isinstance(sides[0], list) and isinstance(sides[1], list)
     image = sides[0] + sides[1] if lists else []
@@ -308,11 +309,11 @@ def _proof_checks(walk: _Walk, n: int, witness: tuple | None, projection: Any) -
         and all(type(b) is int and b in states for b in image)  # neither bools nor strings
         and all(out == c_outs[b] and [{image[j] for j in js} for js in succ] == targets[b]
                 for out, succ, b in zip(outs, numbered, image)))
-    valid = violation is None
+    valid = witness.violation is None
     return [
         Check("collapsed-witness-valid", valid),
         Check("projection-homomorphism", homomorphism),
-        Check("roots-meet", lists and all(h and type(h[0]) is int and h[0] == root for h in sides)),
+        Check("roots-meet", lists and all(h and type(h[0]) is int and h[0] == witness.root for h in sides)),
         Check("solution-proved", valid and _witness_proved(witness)),
     ]
 
@@ -360,20 +361,14 @@ def _local_certificate(e: Expr, f: Expr, alpha: tuple[str, ...], d: _Decision) -
     # the joined chart (the collapse theorem), so it is built directly, and
     # loop elimination tags its steps, as ``infer_witness`` does
     _, outs, rows = _quotient((d.states, d.outs, d.numbered), d.block_of)
-    entries = _eliminated(_successors(rows), _output_mask(outs))
-    if entries is None:
+    transitions = _eliminated_rows(alpha, outs, rows)
+    if transitions is None:
         raise RuntimeError("the minimal quotient has no layering witness, "
                            "which contradicts the collapse theorem")
-    collapsed = {
-        "root": d.block_of[0],
-        "outputs": [sorted(out) for out in outs],
-        "transitions": [[i, a, j, ENTRY if (i, j) in entries else BODY]
-                        for i, succ in enumerate(rows) for a, js in zip(alpha, succ) for j in js],
-    }
+    collapsed = {"root": d.block_of[0], "outputs": [sorted(out) for out in outs], "transitions": transitions}
     # the checks run on the rows as replay reads them
     witness = _witness_of_rows(alpha, collapsed)
-    _, c_outs, c_numbered = witness[0]
-    checks.append(Check("collapse-minimal", _coarsest(c_outs, c_numbered)[1] == len(c_outs)))
+    checks.append(Check("collapse-minimal", _coarsest(witness.outs, witness.numbered)[1] == len(witness.outs)))
     projection = {"left": d.block_of[:d.n], "right": d.block_of[d.n:]}
     checks += _proof_checks((d.states, d.outs, d.numbered), d.n, witness, projection)
     return Certificate("equivalent", e, f, alpha, checks, collapsed=collapsed, projection=projection)
@@ -547,21 +542,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
         names, witness = X.states, _numbered_witness(L)
     else:
         # ``infer_witness`` on the document's rows, with no prechart or
-        # labelling built: the steps of the pairs that loop elimination
-        # removes are entries, and the others body steps
-        names, chart, root, _ = _chart_rows(doc)
-        alphabet, outs, numbered = chart
-        entries = _eliminated(_successors(numbered), _output_mask(outs))
-        if entries is None:
+        # labelling built
+        names, (alphabet, outs, numbered), root, _ = _chart_rows(doc)
+        rows = _eliminated_rows(alphabet, outs, numbered)
+        if rows is None:
             print("no layering witness", file=sys.stderr)
             return 1
-        a, violation = _checked_rows(outs, numbered, [(i, action, j, ENTRY if (i, j) in entries else BODY)
-                                                      for i, succ in enumerate(numbered)
-                                                      for action, js in zip(alphabet, succ) for j in js])
-        if violation is not None:
+        witness = _Analysis(alphabet, outs, numbered, root, rows)
+        if witness.violation is not None:
             raise RuntimeError(f"loop elimination labelled the {len(names)}-state chart "
-                               f"with no witness: {_named(violation, names)}")
-        witness = chart, root, (a, None)
+                               f"with no witness: {_named(witness.violation, names)}")
     terms = _Terms(witness, _starred, names)
     solutions = list(map(terms.term, range(len(names))))
     # a term holds other states' solutions and companions: each is printed

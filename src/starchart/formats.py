@@ -91,7 +91,7 @@ def _check_shape(doc: Any) -> None:
 def _chart_rows(doc: Any) -> tuple[tuple[str, ...], tuple, int | None, dict[str, int]]:
     """A chart document read into state numbers: its state
     names in order, the chart ``(alphabet, outs, numbered)`` by state number
-    (see ``layering._numbered_witness``), the root's number, or None, and
+    (as in ``layering._Analysis``), the root's number, or None, and
     the names' numbers, as ``_check_chart`` returned them.
 
     Raises ``ValueError`` for a wrong shape (``_check_shape``), and then

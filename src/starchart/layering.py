@@ -211,32 +211,44 @@ def _reachability(X: Prechart) -> Sequence[int]:
 
 
 class _Analysis:
-    """Per-state loop relations of a labelling, shared by the checks and measures.
+    """A layering witness by state number: the one record that the witness
+    checks, the measures, the derived relations, the safe-pair conditions,
+    the canonical solution and the local proof read.
 
-    States are numbered, and every relation is a list of masks indexed by
-    state number (see ``_reach``): the entry and body successors
-    (``entry``, ``body``); the loop descent (``descent``, 0 for a state
-    with no loop), and ``descended``, the mask of the states some loop
-    descends to; for every state, the headers of the loops it lies
-    directly inside (``headers``) and their transitive closure
-    (``headers_plus``).
-
-    It is built from what it reads: the numbers of the ``states``, in
-    order (``mask`` is their mask), the mask of the states with an
-    ``outputs`` action, the reachability ``reach`` (in one or more steps)
-    and the ``tagged`` steps ``(x, action, y, tag)``.  A state's loop is
-    its ``_reach`` forward through the body steps, and the states lying
+    The chart is ``alphabet``, per state number its output set (``outs``)
+    and its successor numbers per action (``numbered``, as
+    ``Prechart.numbered_succ`` gives them), and ``root``, the root's number
+    or None.  The witness is the ``tagged`` steps ``(x, action, y, tag)``.
+    Every relation is a list of masks indexed by state number (see
+    ``_reach``): the entry and body successors (``entry``, ``body``); the
+    loop descent (``descent``, 0 for a state with no loop), and
+    ``descended``, the mask of the states some loop descends to; for every
+    state, the headers of the loops it lies directly inside (``headers``)
+    and their transitive closure (``headers_plus``).  ``states`` are the
+    numbers in order, ``mask`` their mask, ``outputs`` the mask of those
+    with an output and ``reach`` the reachability in one or more steps,
+    computed from ``numbered`` unless it is given.  A state's loop is its
+    ``_reach`` forward through the body steps, and the states lying
     directly inside it are those of the loop that also reach it back
     through body steps, ``_reach`` over the predecessors confined to the
-    loop.  ``_first_violation`` keeps the
-    finishing orders of its searches on the analysis (``body_finished``,
-    ``descent_finished``).
+    loop.  ``violation`` is the first violated clause, or None
+    (``_first_violation``, which keeps the finishing orders of its searches
+    on the record: ``body_finished``, ``descent_finished``).
+
+    ``_numbered_witness`` builds the record of a labelling, with its
+    violation on the labelling's states; ``cli`` builds it from a
+    certificate's rows, and from loop elimination's rows of a chart
+    document (``_eliminated_rows``), with no prechart.
     """
 
-    def __init__(self, states: Sequence[int], outputs: int, reach: Sequence[int],
-                 tagged: Iterable[Sequence]):
-        self.states, self.outputs, self.reach = states, outputs, reach
-        n, self.mask = len(reach), sum(1 << i for i in states)
+    def __init__(self, alphabet: Sequence[str], outs: Sequence[frozenset[str]],
+                 numbered: Sequence[Sequence[Sequence[int]]], root: int | None,
+                 tagged: Iterable[Sequence], reach: Sequence[int] | None = None):
+        self.alphabet, self.outs, self.numbered, self.root = alphabet, outs, numbered, root
+        n = len(numbered)
+        if reach is None:
+            reach = _recompute_reach(_successors(numbered), range(n), [0] * n)
+        self.states, self.mask, self.outputs, self.reach = range(n), (1 << n) - 1, _output_mask(outs), reach
         entry, body, body_pred = [0] * n, [0] * n, [0] * n
         self.entry, self.body = entry, body
         for x, _, y, t in tagged:
@@ -248,7 +260,7 @@ class _Analysis:
         self.descent = [0] * n
         self.descended = 0
         headers = self.headers = [0] * n
-        for i in states:
+        for i in self.states:
             m = entry[i]
             if not m or m == 1 << i:
                 continue  # no entry step to another state: an empty loop
@@ -263,12 +275,13 @@ class _Analysis:
             if m not in plus:
                 plus[m] = _reach(m, headers)
         self.headers_plus = [plus[m] for m in headers]
+        self.violation = _first_violation(self)
 
     @cached_property
     def lengths(self) -> tuple[list[int], list[int]]:
         """Per state number, the loop level and the body depth: the longest
         paths out of it along ``descent`` and ``body``, folded over the
-        finishing orders of ``_first_violation``; on verified analyses only."""
+        finishing orders of ``_first_violation``; on verified witnesses only."""
         folded = []
         for adj, finished in ((self.descent, self.descent_finished), (self.body, self.body_finished)):
             length = [0] * len(adj)
@@ -295,7 +308,7 @@ def derived_relations(
     inside a loop that leaves ``x`` by an entry step and returns to it by
     body steps.
     """
-    a, name = _numbered_witness(L)[2][0], L.base.states
+    a, name = _numbered_witness(L), L.base.states
     return (frozenset((name[x], name[y]) for x in a.states for y in _members(a.descent[x])),
             frozenset((name[y], name[x]) for y in a.states for x in _members(a.headers[y])))
 
@@ -323,48 +336,25 @@ def _first_violation(a: _Analysis) -> WitnessViolation | None:
     return None
 
 
-# The local proof's checks read a witness by state number, the tuple
-# ``(chart, root, checked)``: ``chart`` is ``(alphabet, outs, numbered)``,
-# per state its output set and its successor numbers per action (see
-# ``Prechart.numbered_succ``); ``root`` is the root's number or None, and
-# ``checked`` the analysis of its tags with their first violated clause.
-# ``_numbered_witness`` adapts a labelling to it; ``_checked_rows`` reads
-# tagged steps, the rows ``[i, action, j, tag]`` of a certificate, into it
-# with no prechart built: for replay, for ``certify``, which writes the rows
-# from loop elimination's tags (``_eliminated``) and reads them back, and
-# for ``solve``, which tags a chart document's steps likewise.
-
-
-def _numbered_witness(L: LabelledPrechart) -> tuple:
-    """``L`` as a witness by state number, its analysis and its first
-    violated condition, on the states of ``L``, built once.
+def _numbered_witness(L: LabelledPrechart) -> _Analysis:
+    """``L`` as a witness by state number (see ``_Analysis``), with its
+    first violated clause on the states of ``L``, built once.
 
     Memoised on the labelling itself, as an attribute outside the dataclass
-    fields (``tags`` is read-only), so the memo dies with the labelling.
+    fields (``tags`` is read-only), so the memo dies with the labelling;
+    the reachability is the prechart's memo (``_reachability``).
     """
     memo = getattr(L, "_numbered_witness", None)
     if memo is None:
         X = L.base
         number = X.index
-        chart = X.alphabet, list(map(X.out, X.states)), X.numbered_succ()
         tagged = ((number(x), action, number(y), t) for (x, action, y), t in L.tags.items())
-        a = _Analysis(range(len(X.states)), _output_mask(chart[1]), _reachability(X), tagged)
-        violation = _first_violation(a)
-        root = None if X.root is None else number(X.root)
-        memo = (chart, root, (a, violation and _named(violation, X.states)))
+        memo = _Analysis(X.alphabet, list(map(X.out, X.states)), X.numbered_succ(),
+                         None if X.root is None else number(X.root), tagged, _reachability(X))
+        if memo.violation is not None:
+            memo.violation = _named(memo.violation, X.states)
         object.__setattr__(L, "_numbered_witness", memo)
     return memo
-
-
-def _checked_rows(outs: Sequence[frozenset[str]], numbered: Sequence[Sequence[Sequence[int]]],
-                  rows: Iterable[Sequence]) -> tuple[_Analysis, WitnessViolation | None]:
-    """The analysis of the rows ``[i, action, j, tag]`` on the states
-    ``0..k-1`` whose output sets are ``outs`` and successor numbers
-    ``numbered``, and its first violated clause, on state numbers."""
-    succ = _successors(numbered)
-    reach = _recompute_reach(succ, range(len(succ)), [0] * len(succ))
-    a = _Analysis(range(len(succ)), _output_mask(outs), reach, rows)
-    return a, _first_violation(a)
 
 
 def verify_witness(L: LabelledPrechart) -> tuple[bool, WitnessViolation | None]:
@@ -376,15 +366,15 @@ def verify_witness(L: LabelledPrechart) -> tuple[bool, WitnessViolation | None]:
     (loop descent is acyclic), 5. goto-free (no output strictly inside a
     loop).
     """
-    violation = _numbered_witness(L)[2][1]
+    violation = _numbered_witness(L).violation
     return violation is None, violation
 
 
 def analysis_of_verified(L: LabelledPrechart) -> _Analysis:
     """Analysis of a witness that must verify; raises otherwise."""
-    a, violation = _numbered_witness(L)[2]
-    if violation is not None:
-        raise InvalidWitnessError(str(violation))
+    a = _numbered_witness(L)
+    if a.violation is not None:
+        raise InvalidWitnessError(str(a.violation))
     return a
 
 
@@ -692,9 +682,23 @@ def enumerate_witnesses(X: Prechart, limit: int | None = None) -> list[LabelledP
     return results
 
 
+def _eliminated_rows(alphabet: Sequence[str], outs: Sequence[frozenset[str]],
+                     numbered: Sequence[Sequence[Sequence[int]]]) -> list[list] | None:
+    """Loop elimination's witness (``_eliminated``) of the chart ``alphabet``,
+    ``outs``, ``numbered`` (as in ``_Analysis``), as the rows ``[i, action,
+    j, tag]`` of its steps in ``Prechart.edges`` order: the steps of each
+    removed pair are entries, and every other step is a body step.  None
+    when the chart has no layering witness."""
+    entries = _eliminated(_successors(numbered), _output_mask(outs))
+    if entries is None:
+        return None
+    return [[i, a, j, ENTRY if (i, j) in entries else BODY]
+            for i, succ in enumerate(numbered) for a, js in zip(alphabet, succ) for j in js]
+
+
 def infer_witness(X: Prechart) -> LabelledPrechart | None:
     """Some layering witness of ``X`` if one exists: the trace of loop
-    elimination (``_eliminated``), built in polynomial time.
+    elimination (``_eliminated_rows``), built in polynomial time.
 
     The steps of each removed pair become entries and every other step is a
     body step: the steps that a removal held back are the body of the loop
@@ -704,12 +708,11 @@ def infer_witness(X: Prechart) -> LabelledPrechart | None:
     does not verify, raises ``RuntimeError``; with no witness the answer is
     ``None``.
     """
-    entries = _eliminated(_successors(X.numbered_succ()), _output_mask(map(X.out, X.states)))
-    if entries is None:
+    rows = _eliminated_rows(X.alphabet, list(map(X.out, X.states)), X.numbered_succ())
+    if rows is None:
         return None
-    number = X.index
-    L = LabelledPrechart(X, {(x, a, y): ENTRY if (number(x), number(y)) in entries else BODY
-                             for x, a, y in X.edges()})
+    name = X.states
+    L = LabelledPrechart(X, {(name[i], a, name[j]): t for i, a, j, t in rows})
     ok, violation = verify_witness(L)
     if not ok:
         raise RuntimeError(f"loop elimination labelled the {len(X.states)}-state chart "

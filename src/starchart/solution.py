@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 from .bisim import bisimilarity
-from .layering import InvalidWitnessError, LabelledPrechart, _numbered_witness
+from .layering import InvalidWitnessError, LabelledPrechart, _Analysis, _numbered_witness
 from .semantics import Prechart, StateId, expr_step, joint_chart
 from .syntax import Atom, Expr, Seq, Star, Sum, Zero, atoms, gsum
 
@@ -87,13 +87,13 @@ def _fail(kind: str, x: StateId, y: StateId, *under: StateId) -> NoReturn:
 
 class _Terms:
     """The starred term of each state of a verified witness by state number
-    (see ``layering._numbered_witness``), per anchor.
+    (``layering._Analysis``), per anchor.
 
     ``term(x, _OWN)`` is the solution at ``x``; ``term(x, z)`` is the
     companion of ``x`` relative to the loop header ``z``, whose body steps
     back to ``z`` end the term.  Both are memoised in ``memo``.  The steps
     of each state are read off the witness's output sets and successor
-    numbers, and its loop descent and both measures off its analysis; a
+    numbers, and its loop descent and both measures off its relations; a
     witness that does not verify raises ``InvalidWitnessError``.  A term is
     the star of two sums of prefixed steps ``(a, t)``, built by ``starred``
     as in ``_starred``: as an expression by ``_starred`` itself, or as a
@@ -101,11 +101,10 @@ class _Terms:
     states by ``names``, their numbers by default.
     """
 
-    def __init__(self, witness: tuple, starred, names: Sequence[StateId] | None = None):
-        (alphabet, outs, numbered), _, (a, violation) = witness
-        if violation is not None:
-            raise InvalidWitnessError(str(violation))
-        self.names = range(len(outs)) if names is None else names
+    def __init__(self, a: _Analysis, starred, names: Sequence[StateId] | None = None):
+        if a.violation is not None:
+            raise InvalidWitnessError(str(a.violation))
+        self.names = a.states if names is None else names
         self.en, self.bd = a.lengths
         self.descent = a.descent
         # per state: its outputs and entry self-loops as steps (a, None),
@@ -114,9 +113,9 @@ class _Terms:
         self.entry_self: list[list[tuple[str, None]]] = []
         self.entry_steps: list[list[tuple[str, int]]] = []
         self.body_steps: list[list[tuple[str, int]]] = []
-        for x, (outs_x, rows) in enumerate(zip(outs, numbered)):
+        for x, (outs_x, rows) in enumerate(zip(a.outs, a.numbered)):
             outputs, entry_self, entry_steps, body_steps = [], [], [], []
-            for act, ys in zip(alphabet, rows):
+            for act, ys in zip(a.alphabet, rows):
                 if act in outs_x:
                     outputs.append((act, None))
                 for y in ys:  # a verified witness tags each state pair once
@@ -401,9 +400,8 @@ class _NormalForms:
 
 def _first_unsolved(chart: tuple, assign: Sequence[Any], step: Callable, cls: Callable) -> int | None:
     """The first state number whose equation fails under ``cls``, on a
-    chart by state number, ``(alphabet, outs, numbered)`` (see
-    ``layering._numbered_witness``), and an assignment ``assign`` by state
-    number.
+    chart by state number, ``(alphabet, outs, numbered)`` (as in
+    ``layering._Analysis``), and an assignment ``assign`` by state number.
 
     ``step`` gives a term's outputs and per-action derivatives, and
     ``assign[x]`` equals the sum of its outputs and of ``a·f`` over its
@@ -443,14 +441,15 @@ def _proved(chart: tuple, assign: Sequence[Expr]) -> bool:
     return _first_unsolved(chart, assign, expr_step, _NormalForms().of) is None
 
 
-def _witness_proved(witness: tuple) -> bool:
+def _witness_proved(witness: _Analysis) -> bool:
     """Whether the axioms alone prove the canonical solution of the verified
-    witness by state number ``witness`` (see ``layering._numbered_witness``),
-    built straight as normal forms."""
+    witness by state number ``witness`` (``layering._Analysis``), built
+    straight as normal forms."""
     forms = _NormalForms()
     terms = _Terms(witness, forms.starred)
-    solution = list(map(terms.term, range(len(terms.outputs))))
-    return _first_unsolved(witness[0], solution, forms.step, int) is None
+    solution = list(map(terms.term, witness.states))
+    chart = witness.alphabet, witness.outs, witness.numbered
+    return _first_unsolved(chart, solution, forms.step, int) is None
 
 
 def verify_solution(

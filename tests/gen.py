@@ -32,6 +32,7 @@ from starchart import (
 )
 from starchart import cli
 from starchart.bisim import _decide
+from starchart.layering import _named
 from starchart.semantics import expr_step
 from starchart.syntax import can_terminate
 
@@ -368,6 +369,21 @@ def named_witness(alphabet, collapsed) -> LabelledPrechart:
         transitions.setdefault(i, {}).setdefault(a, []).append(j)
     C = Prechart.make(alphabet, range(len(outputs)), dict(enumerate(outputs)), transitions, collapsed["root"])
     return LabelledPrechart(C, {(i, a, j): tag for i, a, j, tag in rows})
+
+
+def assert_same_witness(numbered, named, names) -> None:
+    """That two witnesses by state number (``layering._Analysis``) agree
+    field by field: the chart, the root, the entry, body, loop descent and
+    header masks, the first violated clause, with ``numbered``'s detail
+    mapped through the state names ``names`` that ``named``'s detail holds,
+    and, when the witness verifies, the measures."""
+    assert (list(numbered.outs), list(numbered.numbered), numbered.root) == \
+        (list(named.outs), list(named.numbered), named.root)
+    masks = lambda a: (a.entry, a.body, a.descent, a.headers)
+    assert masks(numbered) == masks(named)
+    assert (numbered.violation and _named(numbered.violation, names)) == named.violation
+    if named.violation is None:
+        assert numbered.lengths == named.lengths
 
 
 def satisfies(X: Prechart, formula) -> bool:

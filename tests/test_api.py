@@ -77,5 +77,5 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         imported |= {(path.name, name) for name in names}
         unused += [(path.name, name) for name in names if name not in used]
-    assert {("cli.py", "_checked_rows"), ("rerouting.py", "bisimilarity")} <= imported
+    assert {("cli.py", "_eliminated_rows"), ("rerouting.py", "bisimilarity")} <= imported
     assert unused == []

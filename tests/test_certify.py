@@ -42,8 +42,8 @@ from starchart.layering import _numbered_witness
 from starchart.semantics import _coproduct_walk, _distinguishes, _first_round, _numbered_chart, _outputs
 from starchart.solution import _proved, _witness_proved
 from test_golden_certs import RECORDED as GOLDEN_ROWS, corpus as golden_corpus, sha256
-from gen import (joined_chart, local_certify, named_witness, random_expr, rewrite_steps, round_by_round_bisimilarity,
-                 satisfies, wstar_pair)
+from gen import (assert_same_witness, joined_chart, local_certify, named_witness, random_expr, rewrite_steps,
+                 round_by_round_bisimilarity, satisfies, wstar_pair)
 
 ALPHA = ("a", "b", "c")
 # declared orders other than the sorted one, and multi-letter actions
@@ -215,7 +215,8 @@ class TestLocalProofs:
             # the axiom stage alone, with no bisimilarity fallback
             L = named_witness(cert.alphabet, cert.collapsed)
             assign = canonical_solution(L).assign
-            assert _proved(_numbered_witness(L)[0], [assign[x] for x in L.base.states])
+            w = _numbered_witness(L)
+            assert _proved((w.alphabet, w.outs, w.numbered), [assign[x] for x in L.base.states])
             assert all(c.passed for c in recheck_certificate(roundtrip(cert))), (render(e), render(f))
 
     def test_certify_and_replay_build_no_expression_solution(self, monkeypatch):
@@ -991,8 +992,9 @@ class TestTheNamedWitnessIsTheOracle:
         # every equivalent golden certificate with each row's tag flipped in
         # turn, each row dropped in turn, and each state given every output
         # in turn (an output inside a loop is a goto): replay reads the rows
-        # into one witness by state number, and its witness and solution
-        # verdicts are those of the labelling by name built from the same rows
+        # into one witness by state number, which agrees field by field with
+        # the record of the labelling by name built from the same rows, and
+        # its witness and solution verdicts are those of that labelling
         edited = invalid = 0
         for e, f in golden_corpus():
             doc = roundtrip(local_certify(e, f))
@@ -1007,6 +1009,8 @@ class TestTheNamedWitnessIsTheOracle:
                 collapsed = {**doc["collapsed"], **edit}
                 got = {c.name: c.passed for c in recheck_certificate({**doc, "collapsed": collapsed})}
                 L = named_witness(tuple(doc["alphabet"]), collapsed)
+                rows_witness = cli._witness_of_rows(L.base.alphabet, collapsed)
+                assert_same_witness(rows_witness, _numbered_witness(L), L.base.states)
                 valid = verify_witness(L)[0]
                 assert got["collapsed-witness-valid"] == valid, (doc["inputs"], edit)
                 assert got["solution-proved"] == (valid and _witness_proved(_numbered_witness(L)))

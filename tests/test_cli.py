@@ -330,6 +330,22 @@ def test_certify_of_deep_inputs_gives_up_with_exit_4(left, right):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["solve"], ["witness", "--verify"], ["dot"]], ids=["solve", "witness", "dot"])
+def test_a_deeply_nested_json_document_gives_up_with_exit_4(argv, tmp_path):
+    # the JSON reader recurses once per nesting level, so a document of
+    # 200 000 nested arrays gives up before it is read as a chart or witness
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "starchart", *argv, str(path)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": "src"},
+        cwd=Path(__file__).resolve().parent.parent,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", "gave up: nesting too deep\n")
+
+
 def test_a_common_expression_with_an_exponential_tree_is_certified_at_once():
     # the common expression of this pair has 4 304 distinct nodes and a
     # tree of 5.4e8; a certificate that rendered it never finished printing.

@@ -8,14 +8,20 @@ approach promise of it:
 * its chart has a layering witness, which ``infer_witness`` finds;
 * the canonical solution of that witness is proved by the axioms alone,
   with no bisimilarity fallback;
-* ``solve`` on its chart document prints texts that parse and verify;
+* ``solve`` on its chart document prints texts that parse and verify, from
+  a witness by state number that agrees field by field with that of
+  ``infer_witness`` on its chart;
+* the collapse of the joined syntactic witness of ``e`` and ``e + e`` is
+  isomorphic to the bisimulation quotient of their joined chart (the
+  collapse theorem);
 * ``certify`` of it against ``e + e`` and against ``e·a`` agrees with the
   reference bisimilarity (``gen.round_by_round_bisimilarity``), and replay
   passes every check of the certificate, and of the local proof's
   certificate of each equivalent pair (``gen.local_certify``), which
   replays the canonical solution of the collapse.
 
-The counts of each scope are pinned.  Tier-1 runs the scope of 5 nodes;
+The counts of each scope are pinned, the collapses' merges per safe-pair
+condition among them.  Tier-1 runs the scope of 5 nodes;
 set ``STARCHART_SMALL_SCOPE=7`` to run the scope of 7 nodes.  A failure at
 any scope is a defect of the program, never a reason to shrink the scope.
 """
@@ -25,28 +31,34 @@ from __future__ import annotations
 import io
 import json
 import os
+import sys
 from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
 
-from starchart import (Atom, Seq, Sum, canonical_solution, certify, chart_of, infer_witness, main, parse,
-                       recheck_certificate, render, verify_solution)
+from starchart import (Atom, Seq, Sum, bisimilarity, canonical_solution, certify, chart_of, cli, collapse,
+                       infer_witness, main, parse, quotient, recheck_certificate, render, syntactic_witness,
+                       union_witness, verify_solution)
 from starchart import solution as solution_module
 from starchart.formats import chart_from_json, chart_to_json
+from starchart.layering import _numbered_witness
 from starchart.semantics import coproduct
-from gen import all_exprs, local_certify, round_by_round_bisimilarity
+from gen import all_exprs, assert_same_witness, isomorphic, local_certify, round_by_round_bisimilarity
 
 ALPHABET = ("a", "b")
 SCOPE = int(os.environ.get("STARCHART_SMALL_SCOPE", "5"))
 EXPRS = all_exprs(ALPHABET, SCOPE)
 
-# per scope: the expressions, and the certificates replayed for the pairs
+# per scope: the expressions, the certificates replayed for the pairs
 # (e, e + e) and (e, e·a) by kind: a normal-forms proof, the local proof,
-# or a distinguishing formula
+# or a distinguishing formula, and the merges of the collapses of the
+# joined witnesses of (e, e + e) by safe-pair condition
 PINNED = {
-    5: {"exprs": 516, "proofs": {"normal-forms": 688, "local": 688, "inequivalent": 344}},
-    7: {"exprs": 11451, "proofs": {"normal-forms": 15268, "local": 15268, "inequivalent": 7634}},
+    5: {"exprs": 516, "proofs": {"normal-forms": 688, "local": 688, "inequivalent": 344},
+        "merges": {"C1": 966, "C2": 12}},
+    7: {"exprs": 11451, "proofs": {"normal-forms": 15268, "local": 15268, "inequivalent": 7634},
+        "merges": {"C1": 26300, "C2": 496, "C3": 21}},
 }
 
 
@@ -74,16 +86,47 @@ def test_every_chart_has_a_witness_whose_solution_the_axioms_prove(no_refinement
         assert verify_solution(L.base, canonical_solution(L)) == (True, None), render(e)
 
 
-def test_solve_prints_solutions_that_the_axioms_prove(no_refinement, tmp_path):
+def test_solve_prints_solutions_that_the_axioms_prove(no_refinement, tmp_path, monkeypatch):
+    # ``solve`` solves the witness by state number that it builds from the
+    # document's rows; it is that of ``infer_witness`` on the chart, whose
+    # states the document lists in order
+    solved = []
+    terms = cli._Terms
+    monkeypatch.setattr(cli, "_Terms", lambda witness, *args: solved.append(witness) or terms(witness, *args))
     path = tmp_path / "chart.json"
     for e in EXPRS:
-        doc = chart_to_json(chart_of(e, ALPHABET))
+        X = chart_of(e, ALPHABET)
+        doc = chart_to_json(X)
         path.write_text(json.dumps(doc), encoding="utf-8")
         out = io.StringIO()
+        solved.clear()
         with redirect_stdout(out):
             assert main(["solve", str(path)]) == 0, render(e)
+        (witness,) = solved
+        assert_same_witness(witness, _numbered_witness(infer_witness(X)), X.states)
         assign = {x: parse(text, ALPHABET) for x, text in json.loads(out.getvalue()).items()}
         assert verify_solution(chart_from_json(doc), assign) == (True, None), render(e)
+
+
+def test_every_collapse_is_the_bisimulation_quotient(monkeypatch):
+    # the collapse theorem, on the joined syntactic witness of e and e + e,
+    # against ``TestCollapseTheorem``'s oracle; ``collapse`` reads the
+    # witness record at every merge, through ``find_pair`` and ``relabel``
+    merges: Counter = Counter()
+    rerouting = sys.modules["starchart.rerouting"]
+    find_pair = rerouting.find_pair
+
+    def counted(L, R):
+        found = find_pair(L, R)
+        merges[found[2]] += 1
+        return found
+
+    monkeypatch.setattr(rerouting, "find_pair", counted)
+    for e in EXPRS:
+        L, _, _ = union_witness(syntactic_witness(chart_of(e, ALPHABET)),
+                                syntactic_witness(chart_of(Sum(e, e), ALPHABET)))
+        assert isomorphic(collapse(L)[0].base, quotient(L.base, bisimilarity(L.base))[0]), render(e)
+    assert merges == PINNED[SCOPE]["merges"]
 
 
 def test_certify_agrees_with_the_reference_and_replays():
