@@ -147,7 +147,7 @@ from .formats import (
     witness_from_json,
     witness_to_json,
 )
-from .layering import (BODY, ENTRY, LabelledPrechart, _Analysis, _eliminated_rows, _named, _numbered_witness,
+from .layering import (BODY, ENTRY, LabelledPrechart, _Analysis, _eliminated_rows, _named,
                        infer_witness, syntactic_witness, to_llee, verify_witness)
 from .rerouting import collapse, connect_through
 from .semantics import (Prechart, _coproduct_walk, _distinguishes, _first_round, _outputs, _quotient, _Walk,
@@ -465,7 +465,7 @@ def _load_witness(args: argparse.Namespace, X: Prechart) -> LabelledPrechart | N
             print("no layering witness", file=sys.stderr)
         return L
     L = witness_from_json(_read_json(args.witness))
-    if chart_to_json(L.base) != chart_to_json(X):
+    if L.base != X:
         raise ValueError("witness file does not label the given chart")
     ok, violation = verify_witness(L)
     if not ok:
@@ -539,7 +539,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         L = _load_witness(args, X)
         if L is None:
             return 1
-        names, witness = X.states, _numbered_witness(L)
+        names, witness = X.states, L.analysis
     else:
         # ``infer_witness`` on the document's rows, with no prechart or
         # labelling built
@@ -605,8 +605,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_dot(args: argparse.Namespace) -> int:
     doc = _read_json(args.input)
     X = chart_from_json(doc)  # checks the document's shape first
-    transitions = doc.get("transitions", [])
-    L = witness_from_json(doc) if transitions and "tag" in transitions[0] else None
+    # a document that tags any transition is a witness, which tags them all
+    L = witness_from_json(doc) if any("tag" in t for t in doc.get("transitions", ())) else None
     sys.stdout.write(to_dot(X, L))
     return 0
 

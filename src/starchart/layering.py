@@ -28,24 +28,31 @@ class InvalidWitnessError(ValueError):
 
 @dataclass(frozen=True)
 class LabelledPrechart:
-    """A prechart whose every transition carries an entry/body tag."""
+    """A prechart whose every transition carries an entry/body tag.
+
+    ``analysis``, kept outside the dataclass fields, is the labelling as a
+    witness by state number (``_Analysis``), its violation on ``base``'s states.
+    """
 
     base: Prechart
     tags: Mapping[Edge, str]
 
     def __post_init__(self) -> None:
-        # a read-only copy: the memoised analysis (see
-        # ``_numbered_witness``) then cannot go stale through the caller's mapping
+        # a read-only copy: the analysis cannot go stale through the caller's mapping
         tags = MappingProxyType(dict(self.tags))
         object.__setattr__(self, "tags", tags)
         # as many tags as transitions, each on a transition: by count and
-        # membership, with no set of the edges built unless to word the error
+        # membership, numbered as they are checked, with no set of the
+        # edges built unless to word the error
         X = self.base
+        number = X.index
         covered = len(tags) == sum(map(len, chain(*X.numbered_succ())))
-        for edge in tags if covered else ():
+        tagged = []
+        for edge, t in tags.items() if covered else ():
             if not (isinstance(edge, tuple) and len(edge) == 3 and edge[2] in X.succ(edge[0], edge[1])):
                 covered = False
                 break
+            tagged.append((number(edge[0]), edge[1], number(edge[2]), t))
         if not covered:
             edges = set(X.edges())
             missing = edges - tags.keys()
@@ -54,9 +61,14 @@ class LabelledPrechart:
         for edge, tag in tags.items():
             if tag not in (ENTRY, BODY):
                 raise ValueError(f"bad tag {tag!r} on {edge}")
+        a = _Analysis(X.alphabet, list(map(X.out, X.states)), X.numbered_succ(),
+                      None if X.root is None else number(X.root), tagged, _reachability(X))
+        if a.violation is not None:
+            a.violation = _named(a.violation, X.states)
+        object.__setattr__(self, "analysis", a)
 
     def __reduce__(self):
-        # copies and pickles are rebuilt from the fields, without the memo
+        # copies and pickles are rebuilt from the fields, and analysed afresh
         return type(self), (self.base, dict(self.tags))
 
     def tag(self, x: StateId, a: str, y: StateId) -> str:
@@ -235,10 +247,10 @@ class _Analysis:
     (``_first_violation``, which keeps the finishing orders of its searches
     on the record: ``body_finished``, ``descent_finished``).
 
-    ``_numbered_witness`` builds the record of a labelling, with its
-    violation on the labelling's states; ``cli`` builds it from a
-    certificate's rows, and from loop elimination's rows of a chart
-    document (``_eliminated_rows``), with no prechart.
+    A labelling builds its record as it checks its tags, on the prechart's
+    ``_reachability`` memo, with the violation on its states; ``cli`` builds
+    it from a certificate's rows, and from loop elimination's rows of a
+    chart document (``_eliminated_rows``), with no prechart.
     """
 
     def __init__(self, alphabet: Sequence[str], outs: Sequence[frozenset[str]],
@@ -308,7 +320,7 @@ def derived_relations(
     inside a loop that leaves ``x`` by an entry step and returns to it by
     body steps.
     """
-    a, name = _numbered_witness(L), L.base.states
+    a, name = L.analysis, L.base.states
     return (frozenset((name[x], name[y]) for x in a.states for y in _members(a.descent[x])),
             frozenset((name[y], name[x]) for y in a.states for x in _members(a.headers[y])))
 
@@ -336,27 +348,6 @@ def _first_violation(a: _Analysis) -> WitnessViolation | None:
     return None
 
 
-def _numbered_witness(L: LabelledPrechart) -> _Analysis:
-    """``L`` as a witness by state number (see ``_Analysis``), with its
-    first violated clause on the states of ``L``, built once.
-
-    Memoised on the labelling itself, as an attribute outside the dataclass
-    fields (``tags`` is read-only), so the memo dies with the labelling;
-    the reachability is the prechart's memo (``_reachability``).
-    """
-    memo = getattr(L, "_numbered_witness", None)
-    if memo is None:
-        X = L.base
-        number = X.index
-        tagged = ((number(x), action, number(y), t) for (x, action, y), t in L.tags.items())
-        memo = _Analysis(X.alphabet, list(map(X.out, X.states)), X.numbered_succ(),
-                         None if X.root is None else number(X.root), tagged, _reachability(X))
-        if memo.violation is not None:
-            memo.violation = _named(memo.violation, X.states)
-        object.__setattr__(L, "_numbered_witness", memo)
-    return memo
-
-
 def verify_witness(L: LabelledPrechart) -> tuple[bool, WitnessViolation | None]:
     """Check the five layering-witness conditions, reporting the first failure.
 
@@ -366,13 +357,13 @@ def verify_witness(L: LabelledPrechart) -> tuple[bool, WitnessViolation | None]:
     (loop descent is acyclic), 5. goto-free (no output strictly inside a
     loop).
     """
-    violation = _numbered_witness(L).violation
+    violation = L.analysis.violation
     return violation is None, violation
 
 
 def analysis_of_verified(L: LabelledPrechart) -> _Analysis:
     """Analysis of a witness that must verify; raises otherwise."""
-    a = _numbered_witness(L)
+    a = L.analysis
     if a.violation is not None:
         raise InvalidWitnessError(str(a.violation))
     return a

@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 from .bisim import bisimilarity
-from .layering import InvalidWitnessError, LabelledPrechart, _Analysis, _numbered_witness
+from .layering import InvalidWitnessError, LabelledPrechart, _Analysis
 from .semantics import Prechart, StateId, expr_step, joint_chart
 from .syntax import Atom, Expr, Seq, Star, Sum, Zero, atoms, gsum
 
@@ -167,7 +167,7 @@ def canonical_solution(L: LabelledPrechart) -> Solution:
     and companions are only ever taken inside the anchor's loop.
     """
     name = L.base.states
-    terms = _Terms(_numbered_witness(L), _starred, name)
+    terms = _Terms(L.analysis, _starred, name)
     assign = dict(zip(name, map(terms.term, range(len(name)))))
     companion = {(name[x], name[z]): t for (x, z), t in terms.memo.items() if z is not _OWN}
     return Solution(L.base, assign, companion)

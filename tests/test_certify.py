@@ -38,7 +38,6 @@ from starchart import bisim, cli, semantics, solution
 from starchart.bisim import _coarsest, _decide, _distinguishing_formula
 from starchart.cli import _proof_checks
 from starchart.formats import witness_to_json
-from starchart.layering import _numbered_witness
 from starchart.semantics import _coproduct_walk, _distinguishes, _first_round, _numbered_chart, _outputs
 from starchart.solution import _proved, _witness_proved
 from test_golden_certs import RECORDED as GOLDEN_ROWS, corpus as golden_corpus, sha256
@@ -192,7 +191,7 @@ class TestProjectionCheck:
             side = moved[rng.randrange(2)]
             side[rng.randrange(len(side))] = rng.randrange(len(C.states))
             for h_left, h_right in ((left, right), moved):
-                checks = _proof_checks(walk, n, _numbered_witness(L), {"left": h_left, "right": h_right})
+                checks = _proof_checks(walk, n, L.analysis, {"left": h_left, "right": h_right})
                 got = dict((c.name, c.passed) for c in checks)["projection-homomorphism"]
                 on_charts = [is_homomorphism({x: C.states[b] for x, b in zip(Z.states, h)}, Z, C)[0]
                              for Z, h in ((X, h_left), (Y, h_right))]
@@ -215,7 +214,7 @@ class TestLocalProofs:
             # the axiom stage alone, with no bisimilarity fallback
             L = named_witness(cert.alphabet, cert.collapsed)
             assign = canonical_solution(L).assign
-            w = _numbered_witness(L)
+            w = L.analysis
             assert _proved((w.alphabet, w.outs, w.numbered), [assign[x] for x in L.base.states])
             assert all(c.passed for c in recheck_certificate(roundtrip(cert))), (render(e), render(f))
 
@@ -1010,10 +1009,10 @@ class TestTheNamedWitnessIsTheOracle:
                 got = {c.name: c.passed for c in recheck_certificate({**doc, "collapsed": collapsed})}
                 L = named_witness(tuple(doc["alphabet"]), collapsed)
                 rows_witness = cli._witness_of_rows(L.base.alphabet, collapsed)
-                assert_same_witness(rows_witness, _numbered_witness(L), L.base.states)
+                assert_same_witness(rows_witness, L.analysis, L.base.states)
                 valid = verify_witness(L)[0]
                 assert got["collapsed-witness-valid"] == valid, (doc["inputs"], edit)
-                assert got["solution-proved"] == (valid and _witness_proved(_numbered_witness(L)))
+                assert got["solution-proved"] == (valid and _witness_proved(L.analysis))
                 edited += 1
                 invalid += not valid
         # 1 484 edits, of which 653 are no witness

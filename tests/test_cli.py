@@ -237,6 +237,35 @@ class TestCollapseCommand:
         assert doc["projection"] == {"(a a)*0": "a(a a)*0", "a(a a)*0": "a(a a)*0"}
 
 
+class TestWitnessFileOfTheChart:
+    # ``solve --witness`` and ``collapse --witness`` take a witness file
+    # whose chart equals the given one, whatever the order of its rows
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        X = chart_of(AA0)
+        (tmp_path / "c.json").write_text(json.dumps(chart_to_json(X)))
+        return tmp_path, witness_to_json(syntactic_witness(X))
+
+    @pytest.mark.parametrize("command", ["solve", "collapse"])
+    def test_a_witness_of_the_chart_with_two_states_swapped_is_refused(self, capsys, files, command):
+        tmp_path, doc = files
+        doc["states"].reverse()
+        (tmp_path / "w.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(tmp_path / "c.json"), "--witness", str(tmp_path / "w.json"))
+        assert (code, out, err) == (2, "", "error: witness file does not label the given chart\n")
+
+    @pytest.mark.parametrize("command", ["solve", "collapse"])
+    def test_a_witness_listing_the_transitions_in_another_order_is_accepted(self, capsys, files, command):
+        tmp_path, doc = files
+        (tmp_path / "w.json").write_text(json.dumps(doc))
+        expected = run(capsys, command, str(tmp_path / "c.json"), "--witness", str(tmp_path / "w.json"))
+        assert expected[0] == 0
+        doc["transitions"].reverse()
+        (tmp_path / "w.json").write_text(json.dumps(doc))
+        assert run(capsys, command, str(tmp_path / "c.json"), "--witness", str(tmp_path / "w.json")) == expected
+
+
 class TestCertifyCommand:
     def test_equivalent_pair(self, capsys):
         code, out, _ = run(capsys, "certify", "a*0", "(aa)*0")
@@ -290,6 +319,16 @@ class TestDotCommand:
         assert code == 0 and "penwidth" not in out
         code, out, _ = run(capsys, "dot", str(tmp_path / "w.json"))
         assert code == 0 and "penwidth=2" in out
+
+    @pytest.mark.parametrize("untagged", [0, 1], ids=["first-untagged", "later-untagged"])
+    def test_a_partly_tagged_document_is_an_input_error(self, capsys, tmp_path, untagged):
+        # any tag makes the document a witness, which must tag every transition
+        doc = witness_to_json(syntactic_witness(chart_of(AA0)))
+        assert len(doc["transitions"]) == 2
+        del doc["transitions"][untagged]["tag"]
+        (tmp_path / "w.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "dot", str(tmp_path / "w.json"))
+        assert (code, out, err) == (2, "", "error: witness transitions need a 'tag' field\n")
 
     def test_missing_file_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "dot", "does-not-exist.json")

@@ -34,6 +34,7 @@ from starchart import canonical_solution, layering
 from starchart.layering import ENTRY, analysis_of_verified
 from gen import (
     all_labellings,
+    assert_same_witness,
     deadline,
     eliminable_pairs,
     exhaustive_witnesses,
@@ -205,6 +206,16 @@ class TestTagsCoverTheTransitions:
             LabelledPrechart(self.X, tags)
         assert str(failure.value) == f"tags must cover the transitions exactly (missing {missing}, extra {extra})"
 
+    def test_a_bad_tag_raises_naming_it_after_the_coverage_check(self):
+        with pytest.raises(ValueError) as failure:
+            LabelledPrechart(self.X, {("x", "a", "y"): "e", ("y", "a", "x"): "x"})
+        assert str(failure.value) == "bad tag 'x' on ('y', 'a', 'x')"
+        # a labelling off the transitions, with a bad tag too, fails its coverage first
+        with pytest.raises(ValueError, match=r"^tags must cover the transitions exactly \(missing set\(\), extra "):
+            LabelledPrechart(self.X, {("x", "a", "y"): "x", ("y", "a", "x"): "x", ("x", "a", "x"): "x"})
+        with pytest.raises(ValueError, match=r"^tags must cover the transitions exactly \(missing \{"):
+            LabelledPrechart(self.X, {("x", "a", "y"): "x"})
+
 
 class TestTheAnalysisIsBuiltOnce:
     def test_tags_are_a_read_only_copy(self):
@@ -218,11 +229,16 @@ class TestTheAnalysisIsBuiltOnce:
         assert L == cycle_witness()
         assert LabelledPrechart(X, {**L.tags, (X1, "a", AA0): "e"}).tag(X1, "a", AA0) == "e"
 
-    def test_every_query_shares_one_analysis(self):
+    def test_every_query_shares_one_analysis(self, monkeypatch):
+        # the labelling is analysed once, as it is built, and no query analyses it again
+        built = []
+        init = layering._Analysis.__init__
+        monkeypatch.setattr(layering._Analysis, "__init__", lambda a, *args: built.append(a) or init(a, *args))
         L = syntactic_witness(chart_of(Star(Sum(A, Seq(A, B)), B)))
-        first = analysis_of_verified(L)
-        verify_witness(L), measures(L, L.base.root), to_llee(L)
-        assert analysis_of_verified(L) is first
+        assert built == [L.analysis]
+        verify_witness(L), derived_relations(L), canonical_solution(L)
+        [measures(L, x) for x in L.base.states], to_llee(L)
+        assert analysis_of_verified(L) is L.analysis and built == [L.analysis]
 
     def test_the_measures_fold_the_searches_of_the_check(self, monkeypatch):
         # the body and descent searches of ``_first_violation`` are the only
@@ -250,11 +266,12 @@ class TestTheAnalysisIsBuiltOnce:
             with pytest.raises(InvalidWitnessError, match="fully_specified_a"):
                 analysis_of_verified(L)
 
-    def test_copies_and_pickles_leave_the_memo_behind(self):
+    def test_copies_and_pickles_are_analysed_afresh(self):
         L = cycle_witness()
         analysis_of_verified(L)
         for twin in (copy.deepcopy(L), pickle.loads(pickle.dumps(L))):
-            assert twin == L and "_numbered_witness" not in vars(twin)
+            assert twin == L and twin.analysis is not L.analysis
+            assert_same_witness(twin.analysis, L.analysis, L.base.states)
             assert verify_witness(twin) == (True, None)
 
 

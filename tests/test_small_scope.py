@@ -18,10 +18,13 @@ approach promise of it:
   reference bisimilarity (``gen.round_by_round_bisimilarity``), and replay
   passes every check of the certificate, and of the local proof's
   certificate of each equivalent pair (``gen.local_certify``), which
-  replays the canonical solution of the collapse.
+  replays the canonical solution of the collapse;
+* ``certify`` of it against the representative of its bisimilarity class
+  in the scope, and of the representatives against each other, agrees
+  with the classes, and replay passes every check of the certificate.
 
 The counts of each scope are pinned, the collapses' merges per safe-pair
-condition among them.  Tier-1 runs the scope of 5 nodes;
+condition and the classes among them.  Tier-1 runs the scope of 5 nodes;
 set ``STARCHART_SMALL_SCOPE=7`` to run the scope of 7 nodes.  A failure at
 any scope is a defect of the program, never a reason to shrink the scope.
 """
@@ -33,6 +36,7 @@ import json
 import os
 import sys
 from collections import Counter
+from itertools import combinations
 from contextlib import redirect_stdout
 
 import pytest
@@ -42,8 +46,7 @@ from starchart import (Atom, Seq, Sum, bisimilarity, canonical_solution, certify
                        union_witness, verify_solution)
 from starchart import solution as solution_module
 from starchart.formats import chart_from_json, chart_to_json
-from starchart.layering import _numbered_witness
-from starchart.semantics import coproduct
+from starchart.semantics import coproduct, joint_chart
 from gen import all_exprs, assert_same_witness, isomorphic, local_certify, round_by_round_bisimilarity
 
 ALPHABET = ("a", "b")
@@ -53,12 +56,16 @@ EXPRS = all_exprs(ALPHABET, SCOPE)
 # per scope: the expressions, the certificates replayed for the pairs
 # (e, e + e) and (e, e·a) by kind: a normal-forms proof, the local proof,
 # or a distinguishing formula, and the merges of the collapses of the
-# joined witnesses of (e, e + e) by safe-pair condition
+# joined witnesses of (e, e + e) by safe-pair condition, and the
+# bisimilarity classes with the certificates replayed within them by kind
+# and across them
 PINNED = {
     5: {"exprs": 516, "proofs": {"normal-forms": 688, "local": 688, "inequivalent": 344},
-        "merges": {"C1": 966, "C2": 12}},
+        "merges": {"C1": 966, "C2": 12},
+        "classes": (104, {"normal-forms": 388, "local": 24, "inequivalent": 5356})},
     7: {"exprs": 11451, "proofs": {"normal-forms": 15268, "local": 15268, "inequivalent": 7634},
-        "merges": {"C1": 26300, "C2": 496, "C3": 21}},
+        "merges": {"C1": 26300, "C2": 496, "C3": 21},
+        "classes": (911, {"normal-forms": 9348, "local": 1192, "inequivalent": 910})},
 }
 
 
@@ -103,7 +110,7 @@ def test_solve_prints_solutions_that_the_axioms_prove(no_refinement, tmp_path, m
         with redirect_stdout(out):
             assert main(["solve", str(path)]) == 0, render(e)
         (witness,) = solved
-        assert_same_witness(witness, _numbered_witness(infer_witness(X)), X.states)
+        assert_same_witness(witness, infer_witness(X).analysis, X.states)
         assign = {x: parse(text, ALPHABET) for x, text in json.loads(out.getvalue()).items()}
         assert verify_solution(chart_from_json(doc), assign) == (True, None), render(e)
 
@@ -144,3 +151,33 @@ def test_certify_agrees_with_the_reference_and_replays():
                 assert all(c.passed for c in recheck_certificate(cert.to_json())), (render(e), render(f))
                 kinds[cert.proof or ("local" if expected else "inequivalent")] += 1
     assert kinds == PINNED[SCOPE]["proofs"]
+
+
+def test_certify_within_and_across_the_bisimilarity_classes():
+    """The scope classed by the reference bisimilarity of its joint chart,
+    each class represented by its first expression in ``all_exprs`` order:
+    every other expression is certified equivalent to its representative,
+    and representatives inequivalent to each other, and every certificate
+    replays.  At 5 nodes every pair of representatives is certified; at 7
+    each one only against the next, since all 414 505 pairs of the 911
+    representatives would take about 80 s."""
+    R = round_by_round_bisimilarity(joint_chart(EXPRS, ALPHABET))
+    classes: dict = {}
+    for e in EXPRS:
+        classes.setdefault(R.block_index(e), []).append(e)
+    kinds: Counter = Counter()
+
+    def certified(e, f, verdict):
+        cert = certify(e, f, ALPHABET)
+        assert cert.verdict == verdict, (render(e), render(f))
+        assert all(c.passed for c in recheck_certificate(cert.to_json())), (render(e), render(f))
+        kinds[cert.proof or ("local" if verdict == "equivalent" else verdict)] += 1
+
+    for representative, *members in classes.values():
+        for e in members:
+            certified(e, representative, "equivalent")
+    representatives = [members[0] for members in classes.values()]
+    pairs = combinations(representatives, 2) if SCOPE <= 5 else zip(representatives, representatives[1:])
+    for e, f in pairs:
+        certified(e, f, "inequivalent")
+    assert (len(classes), kinds) == PINNED[SCOPE]["classes"]

@@ -27,7 +27,6 @@ from starchart import (
     verify_witness,
 )
 from starchart import layering
-from starchart.layering import _numbered_witness
 from starchart import solution as solution_module
 from starchart.solution import MeasureError, _NormalForms, _proved, _starred, _Terms, _witness_proved
 from gen import (joined_chart, local_certify, named_witness, per_equation_check, random_chart, random_expr,
@@ -441,7 +440,7 @@ class TestNormalFormSteps:
             X = chart_of(random_expr(rng, depth=min(rng.randint(2, 6), rng.randint(2, 6))))
             for L in (syntactic_witness(X), infer_witness(X)):
                 forms = _NormalForms()
-                terms = _Terms(_numbered_witness(L), forms.starred)
+                terms = _Terms(L.analysis, forms.starred)
                 s = canonical_solution(L)
                 built = [terms.term(x) for x in range(len(X.states))]
                 assert built == [forms.of(s.assign[x]) for x in X.states]
@@ -449,7 +448,7 @@ class TestNormalFormSteps:
                 for (x, z), t in s.companion.items():
                     assert terms.memo[X.index(x), X.index(z)] == forms.of(t)
                     assert not has_unit_summand(t)
-                assert _witness_proved(_numbered_witness(L))
+                assert _witness_proved(L.analysis)
                 witnesses += 1
         assert witnesses == 600
 
