@@ -138,6 +138,7 @@ from typing import Any, Mapping
 from .bisim import _certified_alphabet, _coarsest, _decide, _Decision, _distinguishing_formula, _stable
 from .formats import (
     _chart_rows,
+    _check_shape,
     _is_strings,
     chart_from_json,
     chart_to_json,
@@ -604,10 +605,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_dot(args: argparse.Namespace) -> int:
     doc = _read_json(args.input)
-    X = chart_from_json(doc)  # checks the document's shape first
+    _check_shape(doc)
     # a document that tags any transition is a witness, which tags them all
     L = witness_from_json(doc) if any("tag" in t for t in doc.get("transitions", ())) else None
-    sys.stdout.write(to_dot(X, L))
+    sys.stdout.write(to_dot(chart_from_json(doc) if L is None else L.base, L))
     return 0
 
 

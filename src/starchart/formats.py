@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Mapping
 
 from .layering import ENTRY, LabelledPrechart, WeightedLabelling
 from .semantics import Prechart, StateId, _check_chart, _numbered_chart
@@ -18,24 +18,20 @@ def state_label(s: StateId) -> str:
     return str(s)
 
 
-def iter_state_ids(states: Iterable[StateId]) -> Iterator[tuple[StateId, str]]:
-    """``(state, id)`` in the order of ``states``; an id clashing with an
+def state_ids(X: Prechart) -> dict[StateId, str]:
+    """Unique string ids in discovery order: an id clashing with an
     earlier one gets the first free ``#n`` suffix, from 2 up."""
+    ids: dict[StateId, str] = {}
     used: set[str] = set()
-    for x in states:
-        base = state_label(x)
-        name = base
+    for x in X.states:
+        base = name = state_label(x)
         n = 2
         while name in used:
             name = f"{base}#{n}"
             n += 1
         used.add(name)
-        yield x, name
-
-
-def state_ids(X: Prechart) -> dict[StateId, str]:
-    """Unique string ids in discovery order, uniquified on label clashes."""
-    return dict(iter_state_ids(X.states))
+        ids[x] = name
+    return ids
 
 
 def chart_to_json(X: Prechart) -> dict[str, Any]:

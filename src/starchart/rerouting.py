@@ -28,7 +28,7 @@ from .layering import (
     analysis_of_verified,
     verify_witness,
 )
-from .semantics import Prechart, StateId
+from .semantics import Prechart, StateId, _numbered_chart, _rerouted, _walk_of
 
 CONDITIONS = ("C1", "C2", "C3")
 
@@ -74,19 +74,17 @@ def connect_through(X: Prechart, x1: StateId, x2: StateId) -> Prechart:
 
 
 def rerouting(X: Prechart, s: Splitting) -> Prechart:
-    """Push the structure of the kept states through the retraction."""
+    """Push the structure of the kept states through the retraction, on state numbers."""
     for x in X.states:
         if x not in s.retract:
             raise ValueError(f"retraction not total: missing {x!r}")
     for u in s.kept:
         if not X.has_state(u):
             raise ValueError(f"kept state {u!r} unknown")
-    outputs = {u: X.out(u) for u in s.kept}
-    retract = s.retract.__getitem__
-    # each kept state's row read once; ``make`` drops the empty targets
-    transitions = {u: {a: tuple(map(retract, ys)) for a, ys in X.transitions.get(u, {}).items()} for u in s.kept}
+    position = {u: i for i, u in enumerate(s.kept)}
+    image = [position[s.retract[x]] for x in X.states]
     root = s.retract[X.root] if X.root is not None else None
-    return Prechart.make(X.alphabet, s.kept, outputs, transitions, root)
+    return _numbered_chart(X.alphabet, _rerouted(_walk_of(X), list(map(X.index, s.kept)), image), root)
 
 
 def restrict_relation(

@@ -33,9 +33,9 @@ class Prechart:
     root: StateId | None = None
 
     def __post_init__(self) -> None:
-        # ``make`` and ``_numbered_chart`` may set, before ``__init__`` runs,
-        # the states' numbers that their own ``_check_chart`` of the fields
-        # returned, so no chart is checked twice
+        # ``make``, and ``_numbered_chart`` for a chart document, set the
+        # states' numbers that their own ``_check_chart`` returned before
+        # ``__init__`` runs; every other chart, a rerouting too, is checked here
         if getattr(self, "_index", None) is None:
             index = _check_chart(self.alphabet, self.states, self.outputs, self.transitions, self.root)
             object.__setattr__(self, "_index", index)
@@ -163,22 +163,20 @@ def _check_chart(alphabet: Sequence[str], states: Sequence[StateId], outputs: Ma
 
 
 def restriction(X: Prechart, kept: Iterable[StateId], root: StateId | None = None) -> Prechart:
-    """Restrict to a transition-closed subset, keeping relative state order."""
-    kept_set = set(kept)
-    for x in kept_set:
+    """Restrict to a transition-closed subset, keeping relative state order.
+    An error names the first of ``kept`` that is no state, else the first
+    step outside, by state numbers."""
+    numbers: set[int] = set()
+    for x in kept:
         if not X.has_state(x):
             raise ValueError(f"unknown state {x!r}")
-        for y in X.underlying_succ(x):
-            if y not in kept_set:
-                raise ValueError(f"{x!r} steps outside the restriction to {y!r}")
-    states = tuple(x for x in X.states if x in kept_set)
-    return Prechart.make(
-        X.alphabet,
-        states,
-        {x: X.out(x) for x in states},
-        {x: {a: X.succ(x, a) for a in X.alphabet} for x in states},
-        root,
-    )
+        numbers.add(X.index(x))
+    order = sorted(numbers)
+    for i in order:
+        outside = [j for js in X.numbered_succ()[i] for j in js if j not in numbers]
+        if outside:
+            raise ValueError(f"{X.states[i]!r} steps outside the restriction to {X.states[min(outside)]!r}")
+    return _numbered_chart(X.alphabet, _rerouted(_walk_of(X), order, {j: i for i, j in enumerate(order)}), root)
 
 
 # --- the operational rules ----------------------------------------------------
@@ -472,24 +470,17 @@ def coproduct(
     of ``Y``, with both injections; the result has no root."""
     if X.alphabet != Y.alphabet:
         raise ValueError("alphabet mismatch")
-    walks = [(Z.states, [Z.out(x) for x in Z.states], Z.numbered_succ()) for Z in (X, Y)]
-    _, outs, numbered = _join(*walks)
+    _, outs, numbered = _join(_walk_of(X), _walk_of(Y))
     inl, inr = {x: (0, x) for x in X.states}, {y: (1, y) for y in Y.states}
     return _numbered_chart(X.alphabet, ((*inl.values(), *inr.values()), outs, numbered)), inl, inr
 
 
 def generated(X: Prechart, x: StateId) -> Prechart:
-    """Smallest subcoalgebra containing ``x``, rooted at ``x``."""
+    """Smallest subcoalgebra containing ``x``, rooted at ``x``, in ``X.reachable_from(x)`` order."""
     if not X.has_state(x):
         raise ValueError(f"unknown state {x!r}")
-    order = X.reachable_from(x)
-    return Prechart.make(
-        X.alphabet,
-        order,
-        {v: X.out(v) for v in order},
-        {v: {a: X.succ(v, a) for a in X.alphabet} for v in order},
-        root=x,
-    )
+    order = list(map(X.index, X.reachable_from(x)))
+    return _numbered_chart(X.alphabet, _rerouted(_walk_of(X), order, {j: i for i, j in enumerate(order)}), x)
 
 
 @dataclass(frozen=True)
@@ -543,24 +534,36 @@ def quotient(X: Prechart, R: "PartitionRelation") -> tuple[Prechart, dict[StateI
     _checked_partition(X, R)
     numbers: dict[int, int] = {}  # blocks renumbered by least member
     block_of = [numbers.setdefault(R.block_index(x), len(numbers)) for x in X.states]
-    kept = _quotient((X.states, [X.out(x) for x in X.states], X.numbered_succ()), block_of)
+    kept = _quotient(_walk_of(X), block_of)
     Q = _numbered_chart(X.alphabet, kept, None if X.root is None else kept[0][block_of[X.index(X.root)]])
     return Q, {x: Q.states[b] for x, b in zip(X.states, block_of)}
 
 
 def _quotient(walk: _Walk, block_of: Sequence[int]) -> _Walk:
     """The quotient of a walk by a bisimulation partition whose blocks
-    ``block_of`` numbers by least member, as a walk: each block's least
-    member stands for the block, with its outputs, and each successor is
-    its block, so block ``b`` is state number ``b``.  Not checked: the
+    ``block_of`` numbers by least member: the rerouting onto each block's
+    least member, so block ``b`` is state number ``b``.  Not checked: the
     caller has checked that the partition is a bisimulation."""
-    states, outs, numbered = walk
     reps: list[int] = []
     for x, b in enumerate(block_of):
         if b == len(reps):
             reps.append(x)
-    rows = [tuple([tuple(sorted({block_of[j] for j in js})) for js in numbered[x]]) for x in reps]
-    return tuple([states[x] for x in reps]), [outs[x] for x in reps], rows
+    return _rerouted(walk, reps, block_of)
+
+
+def _rerouted(walk: _Walk, kept: Sequence[int], image: Sequence[int] | Mapping[int, int]) -> _Walk:
+    """A walk pushed along a splitting: the states numbered ``kept``, in
+    that order, with their outputs, each successor ``j`` sent to its
+    position ``image[j]`` in ``kept`` and each row sorted and without
+    repeats.  Not checked: ``image`` covers every kept state's successors."""
+    states, outs, numbered = walk
+    rows = [tuple([tuple(sorted({image[j] for j in js})) for js in numbered[x]]) for x in kept]
+    return tuple([states[x] for x in kept]), [outs[x] for x in kept], rows
+
+
+def _walk_of(X: Prechart) -> _Walk:
+    """A prechart's states, outputs and numbered successors, as a walk."""
+    return X.states, [X.out(x) for x in X.states], X.numbered_succ()
 
 
 def kernel_partition(h: Mapping[StateId, StateId], states: tuple[StateId, ...]) -> "PartitionRelation":

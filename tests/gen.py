@@ -26,7 +26,6 @@ from starchart import (
     coproduct,
     derived_relations,
     gsum,
-    rerouting,
     size_bound,
     verify_witness,
 )
@@ -331,13 +330,54 @@ def connect_through_reference(X: Prechart, x1, x2) -> Prechart:
     return Prechart.make(X.alphabet, states, outputs, transitions, root)
 
 
+def _by_name(X: Prechart, states, image, root) -> Prechart:
+    """The rows of ``states`` in ``X``, each target ``y`` sent to
+    ``image[y]``, built by state name through ``Prechart.make``, which
+    drops the empty rows, orders each row's targets and checks the chart."""
+    transitions = {u: {a: [image[y] for y in X.succ(u, a)] for a in X.alphabet} for u in states}
+    return Prechart.make(X.alphabet, states, {u: X.out(u) for u in states}, transitions, root)
+
+
+def reference_rerouting(X: Prechart, s: Splitting) -> Prechart:
+    """``rerouting`` built by state name, with its checks and messages."""
+    for x in X.states:
+        if x not in s.retract:
+            raise ValueError(f"retraction not total: missing {x!r}")
+    for u in s.kept:
+        if not X.has_state(u):
+            raise ValueError(f"kept state {u!r} unknown")
+    return _by_name(X, s.kept, s.retract, None if X.root is None else s.retract[X.root])
+
+
 def reference_quotient(X: Prechart, R: PartitionRelation) -> tuple[Prechart, dict]:
-    """The quotient by a bisimulation partition as a rerouting: the
-    splitting keeps each block's least member in discovery order and
-    retracts every state onto it.  Returns the chart and the retraction."""
+    """The quotient by a bisimulation partition as a rerouting built by
+    state name: the splitting keeps each block's least member in discovery
+    order and retracts every state onto it.  Returns the chart and the
+    retraction."""
     projection = {x: min(R.blocks[R.block_index(x)], key=X.index) for x in X.states}
     reps = tuple(x for x in X.states if projection[x] == x)
-    return rerouting(X, Splitting(reps, projection)), projection
+    return reference_rerouting(X, Splitting(reps, projection)), projection
+
+
+def reference_restriction(X: Prechart, kept, root=None) -> Prechart:
+    """``restriction`` built by state name, with its messages.  Its checks
+    visit the kept states in set order, so of several faults the one it
+    names can depend on string hashing."""
+    kept_set = set(kept)
+    for x in kept_set:
+        if not X.has_state(x):
+            raise ValueError(f"unknown state {x!r}")
+        for y in X.underlying_succ(x):
+            if y not in kept_set:
+                raise ValueError(f"{x!r} steps outside the restriction to {y!r}")
+    return _by_name(X, tuple(x for x in X.states if x in kept_set), {x: x for x in X.states}, root)
+
+
+def reference_generated(X: Prechart, x) -> Prechart:
+    """``generated`` built by state name, with its message."""
+    if not X.has_state(x):
+        raise ValueError(f"unknown state {x!r}")
+    return _by_name(X, X.reachable_from(x), {y: y for y in X.states}, x)
 
 
 def joined_chart(e: Expr, f: Expr, alphabet) -> Prechart:

@@ -29,9 +29,9 @@ from starchart import (
     recheck_certificate,
     render,
 )
-from starchart import layering
+from starchart import cli, formats, layering
 from starchart.cli import _COMMANDS, PARSER, _arguments, _read, main
-from starchart.formats import chart_to_json, witness_to_json
+from starchart.formats import chart_from_json, chart_to_json, witness_to_json
 from starchart.layering import syntactic_witness
 from starchart.semantics import _distinguishes
 from gen import fig3_right, holding_every_state, local_certify, random_expr, rewrite_steps, satisfies
@@ -333,6 +333,23 @@ class TestDotCommand:
     def test_missing_file_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "dot", "does-not-exist.json")
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["chart", "witness"])
+    def test_a_document_is_read_once(self, capsys, tmp_path, monkeypatch, kind):
+        X = chart_of(AA0)
+        doc = chart_to_json(X) if kind == "chart" else witness_to_json(syntactic_witness(X))
+        (tmp_path / "d.json").write_text(json.dumps(doc))
+        calls = []
+
+        def spy(doc):
+            calls.append(doc)
+            return chart_from_json(doc)
+
+        monkeypatch.setattr(cli, "chart_from_json", spy)
+        monkeypatch.setattr(formats, "chart_from_json", spy)
+        code, out, _ = run(capsys, "dot", str(tmp_path / "d.json"))
+        assert code == 0 and ("penwidth=2" in out) == (kind == "witness")
+        assert len(calls) == 1
 
 
 def test_nesting_too_deep_gives_up_with_exit_4_without_a_traceback():

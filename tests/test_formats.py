@@ -7,7 +7,6 @@ from starchart import formats, semantics
 from starchart.formats import (
     chart_from_json,
     chart_to_json,
-    iter_state_ids,
     state_ids,
     to_dot,
     weighted_to_json,
@@ -86,9 +85,9 @@ def test_dot_escapes_quotes_and_marks_structure():
 
 def test_lazy_ids_are_the_state_ids():
     X = Prechart.make(("a",), ("L:x", (0, "x"), "L:x#2", (0, "y"), "L:x#3"), {}, {})
-    pairs_ = list(iter_state_ids(X.states))
-    assert [name for _, name in pairs_] == ["L:x", "L:x#2", "L:x#2#2", "L:y", "L:x#3"]
-    assert dict(pairs_) == state_ids(X)
+    ids = state_ids(X)
+    assert list(ids) == list(X.states)
+    assert list(ids.values()) == ["L:x", "L:x#2", "L:x#2#2", "L:y", "L:x#3"]
 
 
 def test_a_chart_is_checked_once_per_make_and_per_document(monkeypatch):

@@ -49,3 +49,30 @@ def test_homomorphism_violations_name_the_first_successor(seed):
         "HomViolation(reason='extra-edge', state='x', action='a', target='v')",
         "HomViolation(reason='missing-edge', state='u', action='a', target='p')",
     ]
+
+
+# ``x``, ``y`` and ``z`` each step outside the restriction to ``w``, and
+# ``p``, ``q`` and ``r`` are not states.
+RESTRICTION_ERRORS = """
+from starchart import Prechart, restriction
+X = Prechart.make(("a",), ("x", "y", "z", "w"), {}, {v: {"a": ["w"]} for v in "xyz"}, root="x")
+for kept in (["x", "y", "z"], ["x", "p", "q", "r"]):
+    try:
+        restriction(X, kept)
+    except ValueError as e:
+        print(e)
+"""
+
+
+@pytest.mark.parametrize("seed", ["8", "12345"])
+def test_restriction_names_the_first_fault(seed):
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": "src"}
+    proc = subprocess.run(
+        [sys.executable, "-c", RESTRICTION_ERRORS],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == [
+        "'x' steps outside the restriction to 'w'",
+        "unknown state 'p'",
+    ]

@@ -9,10 +9,12 @@ from starchart import (
     Seq,
     Star,
     Sum,
+    Splitting,
     Zero,
     bisimilarity,
     chart_of,
     check_bisimulation,
+    connect_through,
     coproduct,
     expr_step,
     generated,
@@ -20,9 +22,12 @@ from starchart import (
     kernel_partition,
     parse,
     quotient,
+    rerouting,
+    restriction,
     size_bound,
 )
-from gen import (all_exprs, is_chart, random_chart, random_expr, reference_quotient, reference_step, rewrite_steps,
+from gen import (all_exprs, connect_through_reference, is_chart, random_chart, random_expr, reference_generated,
+                 reference_quotient, reference_restriction, reference_rerouting, reference_step, rewrite_steps,
                  same_partition)
 from starchart.layering import _members, _reachability, _recompute_reach, _successors
 from starchart.semantics import _first_round, _outputs
@@ -390,6 +395,84 @@ class TestQuotient:
             Q, proj = quotient(X, R)
             assert is_homomorphism(proj, X, Q) == (True, None)
             assert same_partition(kernel_partition(proj, X.states), R)
+
+
+class TestConstructionsMatchTheirNameBasedReferences:
+    """``restriction``, ``generated``, ``rerouting`` (and so
+    ``connect_through``) and ``quotient`` are built by one rerouting on
+    state numbers; ``tests/gen.py`` builds each by state name through
+    ``Prechart.make`` instead."""
+
+    @staticmethod
+    def same(Y, Z):
+        assert Y == Z
+        assert list(Y.edges()) == list(Z.edges())
+        assert Y.numbered_succ() == Z.numbered_succ()
+        assert Y.root == Z.root
+
+    @staticmethod
+    def same_error(build, reference):
+        with pytest.raises(ValueError) as got:
+            build()
+        with pytest.raises(ValueError) as expected:
+            reference()
+        assert str(got.value) == str(expected.value)
+
+    def test_on_random_expression_and_joined_charts(self):
+        rng = random.Random(23)
+        alpha = ("a", "b", "c")
+        faults = {"unknown": 0, "outside": 0, "root": 0, "missing": 0}
+        for i in range(120):
+            if i % 3 == 0:
+                X = random_chart(rng, n_states=rng.randint(1, 7), out_prob=rng.choice((0.0, 0.25)),
+                                 rooted=i % 2 == 0)
+            else:
+                e = random_expr(rng, depth=rng.randint(2, 4))
+                X = chart_of(e, alpha)
+                if i % 3 == 2:
+                    X = coproduct(X, chart_of(rewrite_steps(rng, e, rng.randint(1, 3)), alpha))[0]
+            for R in (bisimilarity(X), PartitionRelation.identity(X.states)):
+                (Q, projection), (E, expected) = quotient(X, R), reference_quotient(X, R)
+                self.same(Q, E)
+                assert projection == expected
+            self.same_error(lambda: generated(X, "nowhere"), lambda: reference_generated(X, "nowhere"))
+            for x in X.states:
+                self.same(generated(X, x), reference_generated(X, x))
+                closed = X.reachable_from(x)
+                shuffled = rng.sample(closed, len(closed))
+                self.same(restriction(X, shuffled, x), reference_restriction(X, shuffled, x))
+                self.same(restriction(X, closed), reference_restriction(X, closed))
+                # one fault each: an unknown state, one kept state stepping
+                # outside, a root outside
+                ghost = [*closed, "nowhere"]
+                self.same_error(lambda: restriction(X, ghost), lambda: reference_restriction(X, ghost))
+                faults["unknown"] += 1
+                for y in closed[1:]:
+                    kept = [v for v in closed if v != y]
+                    if sum(any(w == y for w in X.underlying_succ(v)) for v in kept) == 1:
+                        self.same_error(lambda: restriction(X, kept), lambda: reference_restriction(X, kept))
+                        faults["outside"] += 1
+                outside = [v for v in X.states if v not in closed]
+                if outside:
+                    self.same_error(lambda: restriction(X, closed, outside[0]),
+                                    lambda: reference_restriction(X, closed, outside[0]))
+                    faults["root"] += 1
+            for _ in range(3):
+                kept = rng.sample(X.states, rng.randint(1, len(X.states)))  # in any order
+                retract = {x: x if x in kept else rng.choice(kept) for x in X.states}
+                s = Splitting(tuple(kept), retract)
+                self.same(rerouting(X, s), reference_rerouting(X, s))
+                ghost = Splitting((*kept, "nowhere"), {**retract, "nowhere": "nowhere"})
+                self.same_error(lambda: rerouting(X, ghost), lambda: reference_rerouting(X, ghost))
+                merged = [x for x in X.states if x not in kept]
+                if merged:
+                    partial = Splitting(tuple(kept), {x: u for x, u in retract.items() if x != merged[0]})
+                    self.same_error(lambda: rerouting(X, partial), lambda: reference_rerouting(X, partial))
+                    faults["missing"] += 1
+                if len(X.states) > 1:
+                    x1, x2 = rng.sample(X.states, 2)
+                    self.same(connect_through(X, x1, x2), connect_through_reference(X, x1, x2))
+        assert min(faults.values()) >= 100, faults
 
 
 class TestIsHomomorphism:
