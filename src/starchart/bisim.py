@@ -94,13 +94,16 @@ def check_bisimulation(
 
     Outputs must agree; every left transition must be matched on the right
     within the relation, and symmetrically.  The first failing pair is
-    reported with its clause.  A ``PartitionRelation`` on the states of
-    ``X`` (with ``Y is X``) is decided by one refinement round; only when
-    that fails are its pairs scanned, to name the violation.
+    reported with its clause.  A ``PartitionRelation`` on exactly the
+    states of ``X`` (with ``Y is X``) is decided by one refinement round
+    (``_stable``); only when that fails are its pairs scanned, to name the
+    violation.
     """
     if isinstance(relation, PartitionRelation):
-        if Y is X and _partition_is_bisimulation(X, relation):
-            return True, None
+        if Y is X and len(relation.universe) == len(X.states) and all(map(X.has_state, relation.universe)):
+            block_of = list(map(relation._block_of.__getitem__, X.states))  # type: ignore[attr-defined]
+            if _stable([X.out(x) for x in X.states], X.numbered_succ(), block_of, len(relation.blocks)):
+                return True, None
         relation = relation.pairs()
     pairs = list(relation)
     for x, y in pairs:
@@ -133,15 +136,6 @@ def _violations(
         for y2 in Y.succ(y, a):
             if not any(related(x2, y2) for x2 in X.succ(x, a)):
                 yield BisimViolation("back", x, y, a, y2)
-
-
-def _partition_is_bisimulation(X: Prechart, R: PartitionRelation) -> bool:
-    """Whether ``R`` is a bisimulation partition of exactly ``X.states``;
-    a partition of any other state set answers ``False``."""
-    if len(R.universe) != len(X.states) or not all(X.has_state(x) for x in R.universe):
-        return False
-    block_of = list(map(R._block_of.__getitem__, X.states))  # type: ignore[attr-defined]
-    return _stable([X.out(x) for x in X.states], X.numbered_succ(), block_of, len(R.blocks))
 
 
 def _checked_partition(X: Prechart, R: PartitionRelation) -> None:
@@ -211,9 +205,10 @@ def _stable(outs: Sequence[frozenset[str]], numbered: _Numbered, block_of: list[
 
 
 def _distinguishing_formula(alphabet: tuple[str, ...], outs: Sequence[frozenset[str]], numbered: _Numbered,
-                            rounds: list[list[int]], x: int, y: int) -> list[list]:
-    """A Hennessy–Milner formula that holds at state ``x`` and fails at
-    ``y``, which the last of the refinement ``rounds`` separates (those of
+                            rounds: list[list[int]], n: int) -> list[list]:
+    """A Hennessy–Milner formula that holds at state 0 and fails at state
+    ``n``, the roots of a coproduct whose left side has ``n`` states, which
+    the last of the refinement ``rounds`` separates (those of
     ``_coarsest``, or the layered rounds of ``_decide``), as a node list,
     the root last: ``["out", a]``, ``["not", i]``, ``["and", [i, ...]]``
     (true when empty) and ``["dia", a, i]``, whose children ``i`` are
@@ -258,7 +253,7 @@ def _distinguishing_formula(alphabet: tuple[str, ...], outs: Sequence[frozenset[
         raise RuntimeError(f"round {r} separates states {x} and {y} but no clause of round {r - 1} does")
 
     formula: dict[tuple[int, int], int] = {}
-    stack = [(x, y)]
+    stack = [(0, n)]
     while stack:
         pair = stack[-1]
         if pair in formula:

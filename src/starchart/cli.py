@@ -154,7 +154,7 @@ from .rerouting import collapse, connect_through
 from .semantics import (Prechart, _coproduct_walk, _distinguishes, _first_round, _outputs, _quotient, _Walk,
                         chart_of)
 from .solution import _NormalForms, _starred, _Terms, _witness_proved
-from .syntax import Expr, _parse, _render, atoms, declare_alphabet, parse, render
+from .syntax import Expr, _parse, _render, declare_alphabet, render
 
 
 # the certificate format that ``Certificate.to_json`` writes and
@@ -340,7 +340,7 @@ def certify(e: Expr, f: Expr, alphabet=None) -> Certificate:
             and (check := _normal_forms_check(e, f)).passed):
         cert = Certificate("equivalent", e, f, alpha, [check], proof=NORMAL_FORMS)
     elif not (d := _decide(e, f, alpha)).bisimilar:
-        formula = _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, 0, d.n)
+        formula = _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, d.n)
         checks = [_formula_check(alpha, formula, e, f)]
         cert = Certificate("inequivalent", e, f, alpha, checks, distinguishing=formula)
     else:
@@ -430,19 +430,20 @@ def recheck_certificate(doc: Mapping[str, Any]) -> list[Check]:
 
 
 def _parse_exprs(args: argparse.Namespace, *texts: str) -> tuple[tuple[str, ...], list[Expr]]:
-    """Parse under ``--alphabet``, or else under the atoms used.
+    """Parse all texts into one node table, so equal subterms of a pair are
+    one node, under ``--alphabet`` or else under the letters they use.
 
-    Without ``--alphabet`` each text is split into the single letters it
-    contains, so "aa" reads as a.a; multi-character actions need the flag.
-    Under ``--alphabet`` all texts are parsed into one node table, so equal
-    subterms of a pair are one node.
+    Without ``--alphabet`` the actions are the single lowercase letters of
+    the texts, in sorted order, so "aa" reads as a.a; multi-character
+    actions need the flag.  Every such letter lexes as an action, so the
+    alphabet is the atoms used.
     """
     if args.alphabet is not None:
         alpha = declare_alphabet(a.strip() for a in args.alphabet.split(",") if a.strip())
-        actions, shared = set(alpha), {}
-        return alpha, [_parse(text, actions, shared) for text in texts]
-    exprs = [parse(text, sorted({c for c in text if c.islower()}) or ["a"]) for text in texts]
-    return tuple(sorted(set().union(*map(atoms, exprs)))), exprs
+    else:
+        alpha = declare_alphabet(sorted({c for text in texts for c in text if c.islower()}))
+    actions, shared = set(alpha), {}
+    return alpha, [_parse(text, actions, shared) for text in texts]
 
 
 def _emit(doc: Any) -> None:
@@ -506,7 +507,7 @@ def cmd_bisim(args: argparse.Namespace) -> int:
         ]
         _emit({"bisimilar": True, "relation": relation})
     elif args.witness:
-        _emit({"bisimilar": False, "formula": _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, 0, d.n)})
+        _emit({"bisimilar": False, "formula": _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, d.n)})
     return 0 if d.bisimilar else 1
 
 
@@ -569,10 +570,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_reroute(args: argparse.Namespace) -> int:
     X = chart_from_json(_read_json(args.chart))
-    x1, sep, x2 = args.merge.partition(":")
-    if not sep:
-        raise ValueError("--merge expects x1:x2")
-    _emit(chart_to_json(connect_through(X, x1, x2)))
+    # a state name may hold ":", so the pair splits at the one ":" where both halves are states
+    merge = args.merge
+    pairs = [(merge[:i], merge[i + 1:]) for i, c in enumerate(merge) if c == ":"]
+    pairs = [(x1, x2) for x1, x2 in pairs if X.has_state(x1) and X.has_state(x2)]
+    if len(pairs) != 1:
+        how = "more than one ':'" if pairs else "no ':'"
+        raise ValueError(f"--merge {merge!r} splits into two states x1:x2 at {how}")
+    _emit(chart_to_json(connect_through(X, *pairs[0])))
     return 0
 
 

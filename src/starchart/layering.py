@@ -188,18 +188,18 @@ def _output_mask(outs: Iterable[frozenset[str]]) -> int:
     return mask
 
 
-def _recompute_reach(succ: Sequence[int], sources: Sequence[int], reach: list[int]) -> list[int]:
-    """Set ``reach[x]``, for each of ``sources``, to the mask of the states
-    reachable from ``x`` in one or more steps of ``succ``, and return ``reach``.
+def _recompute_reach(succ: Sequence[int]) -> list[int]:
+    """Per state number, the mask of the states reachable in one or more
+    steps of the successor masks ``succ``.
 
-    ``reach`` holds the still valid masks of the states outside
-    ``sources``: a search confined by ``_reach`` to the sources not done
-    yet takes the mask of every other state it steps to whole.  The sources
-    are done in reverse, so that on sources in number order a search mostly
-    steps to states already done.
+    The states are done in reverse number order.  A search confined by
+    ``_reach`` to the states not done yet takes the finished mask of every
+    other state it steps to whole, so on a chart numbered as a walk
+    discovers it a search mostly steps to states already done.
     """
-    pending = sum(1 << x for x in sources)
-    for x in reversed(sources):
+    n = len(succ)
+    reach, pending = [0] * n, (1 << n) - 1
+    for x in reversed(range(n)):
         out = succ[x]
         for v in _members(_reach(out, succ, ~pending)):
             out |= succ[v]
@@ -216,8 +216,7 @@ def _reachability(X: Prechart) -> Sequence[int]:
     dataclass fields, so the memo dies with the prechart."""
     memo = getattr(X, "_reachability", None)
     if memo is None:
-        succ = _successors(X.numbered_succ())
-        memo = tuple(_recompute_reach(succ, range(len(succ)), [0] * len(succ)))
+        memo = tuple(_recompute_reach(_successors(X.numbered_succ())))
         object.__setattr__(X, "_reachability", memo)
     return memo
 
@@ -259,7 +258,7 @@ class _Analysis:
         self.alphabet, self.outs, self.numbered, self.root = alphabet, outs, numbered, root
         n = len(numbered)
         if reach is None:
-            reach = _recompute_reach(_successors(numbered), range(n), [0] * n)
+            reach = _recompute_reach(_successors(numbered))
         self.states, self.mask, self.outputs, self.reach = range(n), (1 << n) - 1, _output_mask(outs), reach
         entry, body, body_pred = [0] * n, [0] * n, [0] * n
         self.entry, self.body = entry, body

@@ -13,7 +13,7 @@ scanned again until it is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .bisim import PartitionRelation, _checked_partition, bisimilarity
 from .layering import (
@@ -182,16 +182,10 @@ def relabel(
     if actual != condition:
         raise ValueError(f"pair does not satisfy {condition} (got {actual})")
     X, base2 = L.base, connect_through(L.base, w1, w2)
-    # the tags on base2's state numbers, w1 numbered -1; base2's
-    # reachability is shared with the candidate's analysis
-    number = {x: i for i, x in enumerate(base2.states)} | {w1: -1}
-    tags = {(number[x], act, number[y]): t for (x, act, y), t in L.tags.items()}
     promote = None
     if condition == "C2":
-        promote = number[X.states[_c2_promotion_state(analysis_of_verified(L), X.index(w1), X.index(w2))]]
-    carried = _carry_tags(tags, -1, number[w2], promote, _reachability(base2))
-    name = base2.states
-    candidate = LabelledPrechart(base2, {(name[x], act, name[y]): t for (x, act, y), t in carried.items()})
+        promote = X.states[_c2_promotion_state(analysis_of_verified(L), X.index(w1), X.index(w2))]
+    candidate = LabelledPrechart(base2, _carry_tags(L.tags, base2, w2, promote))
     ok, violation = verify_witness(candidate)
     if not ok:
         raise _broken_witness(w1, w2, condition, violation)
@@ -199,21 +193,24 @@ def relabel(
 
 
 def _carry_tags(
-    tags: Mapping[Edge, str], w1: int, w2: int, promote: int | None, reach: Sequence[int],
+    tags: Mapping[Edge, str], base2: Prechart, w2: StateId, promote: StateId | None,
 ) -> dict[Edge, str]:
-    """The tags, on state numbers, carried across connecting ``w1`` through ``w2``.
+    """The tags carried into ``base2``, the chart left by connecting the one
+    tagged state that it lacks through ``w2``.
 
-    Redirected transitions keep their tags (a merged parallel pair becomes
-    an entry, which demotion may settle); the body steps out of ``promote``
-    (the C2 promotion state, or None) become entries; then every entry with
-    no return path in the connected chart, whose reachability masks are
-    ``reach``, is demoted to a body step.
+    The transitions out of that state go, and those into it are redirected
+    to ``w2`` and keep their tags (a merged parallel pair becomes an entry,
+    which demotion may settle); the body steps out of ``promote`` (the C2
+    promotion state, or None) become entries; then every entry with no
+    return path in ``base2``, by its ``_reachability`` memo, which the
+    candidate's analysis shares, is demoted to a body step.
     """
+    has, index, reach = base2.has_state, base2.index, _reachability(base2)
     carried: dict[Edge, str] = {}
     for (x, act, y), t in tags.items():
-        if x == w1:
+        if not has(x):
             continue
-        key = (x, act, w2 if y == w1 else y)
+        key = (x, act, y if has(y) else w2)
         if key in carried and carried[key] != t:
             carried[key] = ENTRY
         else:
@@ -222,7 +219,7 @@ def _carry_tags(
         x, _, y = key
         if x == promote and t == BODY:
             t = carried[key] = ENTRY
-        if t == ENTRY and not reach[y] >> x & 1:
+        if t == ENTRY and not reach[index(y)] >> index(x) & 1:
             carried[key] = BODY
     return carried
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Callable, Mapping, NoReturn, Sequence
 
-from .bisim import bisimilarity
+from .bisim import _coarsest
 from .layering import InvalidWitnessError, LabelledPrechart, _Analysis
-from .semantics import Prechart, StateId, expr_step, joint_chart
+from .semantics import Prechart, StateId, _walk, expr_step
 from .syntax import Atom, Expr, Seq, Star, Sum, Zero, atoms, gsum
 
 # canonical solutions of deep charts nest expressions proportionally
@@ -461,8 +461,9 @@ def verify_solution(
     outputs and of action-prefixed assignments of its successors.  The
     equation loop ``_first_unsolved`` first compares normal forms; if every
     equation is provable, it is bisimilar.  Otherwise the loop runs again
-    on the bisimilarity classes of the joint chart of the assigned
-    expressions and reports the first failing state in ``X.states`` order.
+    on the bisimilarity classes of the assigned expressions, which
+    ``bisim._coarsest`` numbers on their charting walk (as ``bisim._decide``
+    does), and reports the first failing state in ``X.states`` order.
     """
     assign = solution.assign if isinstance(solution, Solution) else dict(solution)
     for x in X.states:
@@ -473,7 +474,8 @@ def verify_solution(
     if _proved(chart, values):
         return True, None
     exprs = list(assign.values())
-    R = bisimilarity(joint_chart(exprs, tuple(sorted(set().union(*map(atoms, exprs))))))
-    bad = _first_unsolved(chart, values, expr_step, R.block_index)
+    states, outs, numbered = _walk(exprs, tuple(sorted(set().union(*map(atoms, exprs)))))
+    block_of = dict(zip(states, _coarsest(outs, numbered)[0][-1]))
+    bad = _first_unsolved(chart, values, expr_step, block_of.__getitem__)
     return bad is None, None if bad is None else X.states[bad]
 

@@ -391,7 +391,7 @@ class TestLayeredDecision:
             rounds, _ = _coarsest(outs, numbered)
             assert (cert.verdict == "equivalent") == (rounds[-1][0] == rounds[-1][n])
             if cert.verdict == "inequivalent":
-                assert cert.distinguishing == _distinguishing_formula(alpha, outs, numbered, rounds, 0, n), (
+                assert cert.distinguishing == _distinguishing_formula(alpha, outs, numbered, rounds, n), (
                     render(e), render(f))
                 early += not refined
             assert all(c.passed for c in recheck_certificate(roundtrip(cert))), (render(e), render(f))
@@ -420,8 +420,8 @@ class TestLayeredDecision:
             if d.bisimilar:
                 assert d.block_of == rounds[-1]
             else:
-                assert _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, 0, d.n) == (
-                    _distinguishing_formula(alpha, outs, numbered, rounds, 0, n)), (render(e), render(f))
+                assert _distinguishing_formula(alpha, d.outs, d.numbered, d.rounds, d.n) == (
+                    _distinguishing_formula(alpha, outs, numbered, rounds, n)), (render(e), render(f))
                 rounds_taken[len(d.rounds)] += 1
             m = len(d.states) - d.n
             assert (d.states, d.outs) == ((*states[:d.n], *states[n:n + m]), [*outs[:d.n], *outs[n:n + m]])

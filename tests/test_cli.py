@@ -222,6 +222,23 @@ class TestRerouteCommand:
             {"from": "a(a a)*0", "action": "a", "to": "a(a a)*0"}
         ]
 
+    @pytest.mark.parametrize("merge, expected", [
+        ("p:1:q", ["q", "q:q", "q:q:q"]), ("q:p:1", ["p:1", "q:q", "q:q:q"]),
+        ("p:q", "error: --merge 'p:q' splits into two states x1:x2 at no ':'"),
+        ("pq", "error: --merge 'pq' splits into two states x1:x2 at no ':'"),
+        ("q:q:q:q", "error: --merge 'q:q:q:q' splits into two states x1:x2 at more than one ':'"),
+    ], ids=["colon-in-the-left", "colon-in-the-right", "unknown-states", "no-colon", "several-splits"])
+    def test_state_names_may_hold_a_colon(self, capsys, tmp_path, merge, expected):
+        path = tmp_path / "colons.json"
+        states = ["p:1", "q", "q:q", "q:q:q"]
+        path.write_text(json.dumps({"alphabet": ["a"], "states": states, "root": "p:1", "outputs": {},
+                                    "transitions": [{"from": x, "action": "a", "to": "q"} for x in states]}))
+        code, out, err = run(capsys, "reroute", str(path), "--merge", merge)
+        if isinstance(expected, str):
+            assert (code, out, err.strip()) == (2, "", expected)
+        else:
+            assert code == 0 and json.loads(out)["states"] == expected
+
 
 class TestCollapseCommand:
     def test_collapse_with_witness_file(self, capsys, tmp_path):

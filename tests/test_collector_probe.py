@@ -1,5 +1,6 @@
 """``tools/collector_probe.py`` finds its anchor in the benchmark's worker and
-prints one count per bytecode setting and workload."""
+prints, per bytecode setting and workload, the counts around the ready-time
+sample and the oldest generation that it collected."""
 
 import importlib.util
 import re
@@ -28,6 +29,14 @@ def test_an_anchor_that_is_not_found_exactly_once_stops_the_probe(count):
         probe.probed("SPEED = Speed()\n" + probe.ANCHOR * count)
 
 
+@pytest.mark.parametrize("before, after, generation", [
+    ((59, 2, 3), (72, 2, 3), "none"), ((28, 3, 3), (28, 3, 3), "none"), ((589, 10, 3), (0, 11, 3), "gen0"),
+    ((589, 11, 3), (0, 0, 4), "gen1"), ((700, 10, 9), (3, 0, 0), "gen2"), ((700, 10, 10), (5, 1, 0), "gen2"),
+])
+def test_the_oldest_collected_generation_is_read_off_the_counts(before, after, generation):
+    assert probe.collected(before, after) == generation
+
+
 def test_it_prints_the_counts_of_every_workload_under_both_settings_and_writes_nothing_in_the_repository():
     before = sorted(p for p in (REPO / "perfbench").rglob("*") if "__pycache__" not in p.parts)
     proc = subprocess.run([sys.executable, str(REPO / "tools" / "collector_probe.py")],
@@ -37,5 +46,6 @@ def test_it_prints_the_counts_of_every_workload_under_both_settings_and_writes_n
     workloads = ["certify_equiv", "certify_inequiv", "solve_infer"]
     assert [tuple(line.split(" ", 2)[:2]) for line in lines] == (
         [("dont-write-bytecode", w) for w in workloads] + [("write-bytecode", w) for w in workloads])
-    assert all(re.fullmatch(r"\S+ \S+ \(\d+, \d+, \d+\)", line) for line in lines)
+    assert all(re.fullmatch(r"\S+ \S+ \(\d+, \d+, \d+\) -> \(\d+, \d+, \d+\) (gen[012]|none)", line)
+               for line in lines)
     assert sorted(p for p in (REPO / "perfbench").rglob("*") if "__pycache__" not in p.parts) == before

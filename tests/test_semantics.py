@@ -29,7 +29,7 @@ from starchart import (
 from gen import (all_exprs, connect_through_reference, is_chart, random_chart, random_expr, reference_generated,
                  reference_quotient, reference_restriction, reference_rerouting, reference_step, rewrite_steps,
                  same_partition)
-from starchart.layering import _members, _reachability, _recompute_reach, _successors
+from starchart.layering import _members, _reachability, _recompute_reach
 from starchart.semantics import _first_round, _outputs
 
 A, B = Atom("a"), Atom("b")
@@ -255,20 +255,9 @@ class TestReachability:
             reach = _reachability(X)
             assert [{X.states[y] for y in _members(m)} for m in reach] == [self.walked(X, x) for x in X.states]
 
-    def test_recomputing_some_closures_reuses_the_others(self):
-        rng = random.Random(227)
-        for _ in range(60):
-            X = random_chart(rng, n_states=rng.randint(2, 9), edge_prob=rng.choice((0.1, 0.3)))
-            truth = _reachability(X)
-            sources = [x for x in range(len(X.states)) if rng.random() < 0.5]
-            # stale closures for the sources, valid ones for every other state
-            reach = [0 if x in sources else m for x, m in enumerate(truth)]
-            _recompute_reach(_successors(X.numbered_succ()), sources, reach)
-            assert reach == list(truth)
-
     def test_a_chain_looks_up_each_successor_list_about_once(self):
-        # sources in number order are done in reverse, so each search
-        # takes its successor's finished closure whole
+        # states are done in reverse number order, so each search takes
+        # its successor's finished closure whole
         class Counting(list):
             lookups = 0
 
@@ -278,8 +267,7 @@ class TestReachability:
 
         n = 2000
         succ = Counting([1 << i + 1 if i + 1 < n else 0 for i in range(n)])
-        reach = [0] * n
-        _recompute_reach(succ, range(n), reach)
+        reach = _recompute_reach(succ)
         assert reach[0] == (1 << n) - 2 and reach[n - 1] == 0
         assert all(m == (1 << n) - (2 << x) for x, m in enumerate(reach))
         assert Counting.lookups <= 2 * n

@@ -1,4 +1,4 @@
-"""Print the cyclic collector's counts at each workload's first operation.
+"""Print what the cyclic collector collects in each workload's ready-time sample.
 
     python3 tools/collector_probe.py          # the working tree
     python3 tools/collector_probe.py HEAD~1   # a committed revision
@@ -11,24 +11,31 @@ that point.  Run this before and after a change to import-time code or to
 chart construction, and compare the lines.
 
 It copies the working tree, or ``git archive REV``, into a temporary
-directory, makes the copy's ``perfbench/worker.py`` print ``gc.get_count()``
-and exit just before the ready-time ``SPEED.sample()``, and runs each
-workload's ``primary`` phase as ``run.py`` does: ``PYTHONHASHSEED=0``, seed
-3, copy 0 and ``run.ITEMS`` items.  The compiler's work on the sources moves
-the count, and a benchmark run may compile them or load cached bytecode, so
-it runs every workload under two settings, each from cleared
-``__pycache__`` directories: ``dont-write-bytecode``, with
-``PYTHONDONTWRITEBYTECODE=1``, where every interpreter compiles the sources;
-and ``write-bytecode``, where the first workload writes the copy's caches
-and the later ones load them.  It prints one line per setting and workload,
-``setting workload (gen0, gen1, gen2)``, and writes nothing in the
+directory, and makes the copy's ``perfbench/worker.py`` run the ready-time
+``SPEED.sample()`` between two reads of ``gc.get_count()`` and exit.  The
+first read is turned into a string at once, so the tuple is freed and the
+probe adds no tracked object before the sample, which runs as it does in
+the worker.  It runs each workload's ``primary`` phase as ``run.py`` does:
+``PYTHONHASHSEED=0``, seed 3, copy 0 and ``run.ITEMS`` items.  The
+compiler's work on the sources moves the count, and a benchmark run may
+compile them or load cached bytecode, so it runs every workload under two
+settings, each from cleared ``__pycache__`` directories:
+``dont-write-bytecode``, with ``PYTHONDONTWRITEBYTECODE=1``, where every
+interpreter compiles the sources; and ``write-bytecode``, where the first
+workload writes the copy's caches and the later ones load them.  It prints
+one line per setting and workload, ``setting workload (gen0, gen1, gen2) ->
+(gen0, gen1, gen2) collected``, the counts before and after the sample and
+the oldest generation that the sample collected (``gen0``, ``gen1``,
+``gen2`` or ``none``, see ``collected``), and writes nothing in the
 repository.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -39,7 +46,8 @@ REPO = Path(__file__).resolve().parent.parent
 WORKER = Path("perfbench", "worker.py")
 # the ready-time sample, which ``setup_s`` is measured up to
 ANCHOR = "            SPEED.sample()\n            setup_s = SPEED.scaled(START, ready)\n"
-PROBE = "            import gc; print(gc.get_count(), flush=True); raise SystemExit(0)\n"
+PROBE = ("            import gc; _before = str(gc.get_count()); SPEED.sample(); "
+         "print(_before, gc.get_count(), flush=True); raise SystemExit(0)\n")
 SEED, COPY = 3, 0
 # each setting's label and the environment variables it sets; the
 # variables that decide whether and where bytecode is written are unset
@@ -53,6 +61,23 @@ def probed(worker: str) -> str:
     if worker.count(ANCHOR) != 1:
         raise ValueError(f"the ready-time SPEED.sample() is not found exactly once in {WORKER}")
     return worker.replace(ANCHOR, PROBE + ANCHOR)
+
+
+def collected(before: tuple[int, int, int], after: tuple[int, int, int]) -> str:
+    """The oldest generation collected between two ``gc.get_count()`` reads.
+
+    A collection of generation ``g`` zeroes the counts of the generations
+    up to ``g`` and adds one to that of ``g + 1``, and only a collection
+    lowers the count of generation 1 or 2 or raises that of 1 or 2.  So a
+    lower count 2 means generation 2 was collected; else a higher count 2
+    or a lower count 1 means generation 1; else a higher count 1 means
+    generation 0.
+    """
+    if after[2] < before[2]:
+        return "gen2"
+    if after[2] > before[2] or after[1] < before[1]:
+        return "gen1"
+    return "gen0" if after[1] > before[1] else "none"
 
 
 def copy_tree(rev: str | None, dest: Path) -> None:
@@ -95,7 +120,8 @@ def main(argv=None) -> int:
                     print(f"error: {label} {workload} exited {proc.returncode}:\n{proc.stderr[-2000:]}",
                           file=sys.stderr)
                     return 1
-                print(label, workload, proc.stdout.strip())
+                before, after = map(ast.literal_eval, re.findall(r"\([^()]*\)", proc.stdout))
+                print(label, workload, before, "->", after, collected(before, after))
     return 0
 
 
