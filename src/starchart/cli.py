@@ -604,7 +604,7 @@ def cmd_collapse(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     alpha, (e, f) = _parse_exprs(args, args.left, args.right)
     cert = certify(e, f, alpha)
-    print(json.dumps(cert.to_json(), ensure_ascii=False))  # one line, by the C encoder
+    print(json.dumps(cert.to_json()))  # one line, by the C encoder
     return 0 if cert.verdict == "equivalent" else 1
 
 

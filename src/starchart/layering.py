@@ -135,22 +135,21 @@ def _depth_first(states: int, adj: Sequence[int]) -> tuple[list[int] | None, lis
     unfinished, finished = states, []
     while unfinished:
         low = unfinished & -unfinished  # the least state not entered yet
-        path, rests, on_path = [low.bit_length() - 1], [adj[low.bit_length() - 1]], low
+        path, rests, entered = [low.bit_length() - 1], [adj[low.bit_length() - 1]], low
         while path:
             rest = rests[-1] & unfinished
             if rest:
                 low = rest & -rest
                 y = low.bit_length() - 1
-                if low & on_path:  # close the path from there
+                if low & entered:  # entered and unfinished: on the path, so close it from there
                     return path[path.index(y):] + [y], finished
                 rests[-1] = rest ^ low
                 path.append(y)
                 rests.append(adj[y])
-                on_path |= low
+                entered |= low
             else:
                 x = path.pop()
                 rests.pop()
-                on_path ^= 1 << x
                 unfinished ^= 1 << x
                 finished.append(x)
     return None, finished
@@ -273,8 +272,8 @@ class _Analysis:
         headers = self.headers = [0] * n
         for i in self.states:
             m = entry[i]
-            if not m or m == 1 << i:
-                continue  # no entry step to another state: an empty loop
+            if not m:
+                continue  # no entry step: an empty loop
             forward = self.descent[i] = _reach(m, body, 1 << i)
             self.descended |= forward
             # the states of the loop with a body path back to i; the path
@@ -335,7 +334,7 @@ def _first_violation(a: _Analysis) -> WitnessViolation | None:
         return WitnessViolation("fully_specified_a", tuple(body_cycle))
     for x in a.states:
         if a.entry[x]:
-            for y in _members(a.entry[x] & ~(1 << x)):
+            for y in _members(a.entry[x]):
                 if not a.reach[y] >> x & 1:
                     return WitnessViolation("fully_specified_b", (x, y))
     loop_cycle, a.descent_finished = _depth_first(a.mask, a.descent)

@@ -68,8 +68,6 @@ def connect_through(X: Prechart, x1: StateId, x2: StateId) -> Prechart:
     """Delete ``x1``, redirecting every transition into it to ``x2``."""
     if x1 == x2:
         raise ValueError("cannot connect a state through to itself")
-    if not (X.has_state(x1) and X.has_state(x2)):
-        raise ValueError("unknown states")
     return rerouting(X, Splitting.merging(X, {x1: x2}))
 
 
@@ -199,8 +197,8 @@ def _carry_tags(
     tagged state that it lacks through ``w2``.
 
     The transitions out of that state go, and those into it are redirected
-    to ``w2`` and keep their tags (a merged parallel pair becomes an entry,
-    which demotion may settle); the body steps out of ``promote`` (the C2
+    to ``w2`` and keep their tags (a merged parallel pair is an entry if
+    either was, which demotion may settle); the body steps out of ``promote`` (the C2
     promotion state, or None) become entries; then every entry with no
     return path in ``base2``, by its ``_reachability`` memo, which the
     candidate's analysis shares, is demoted to a body step.
@@ -211,10 +209,8 @@ def _carry_tags(
         if not has(x):
             continue
         key = (x, act, y if has(y) else w2)
-        if key in carried and carried[key] != t:
-            carried[key] = ENTRY
-        else:
-            carried.setdefault(key, t)
+        if carried.get(key) != ENTRY:
+            carried[key] = t
     for key, t in carried.items():
         x, _, y = key
         if x == promote and t == BODY:

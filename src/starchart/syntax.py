@@ -239,7 +239,7 @@ def _split_actions(word: str, alphabet: set[str]) -> list[str] | None:
     if word in alphabet:
         return [word]
     n = len(word)
-    longest = max(max(map(len, alphabet), default=0), 1)
+    longest = max(map(len, alphabet), default=0)
     dead: set[int] = set()
     # where each part of the split so far starts, then where the next one
     # would; and per start, the longest part still to try there

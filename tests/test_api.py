@@ -2,11 +2,29 @@
 unused private name and no unused import."""
 
 import ast
+import dataclasses
 import pathlib
 import types
 from collections import Counter
 
+import pytest
+
 import starchart
+from starchart import (
+    LabelledPrechart,
+    Splitting,
+    bisimilarity,
+    certify,
+    chart_of,
+    check_bisimulation,
+    is_homomorphism,
+    parse,
+    recheck_certificate,
+    syntactic_witness,
+    to_llee,
+    verify_witness,
+)
+from starchart.layering import ENTRY
 
 # Why each name is exported: a CLI entry, a result or error type, a paper
 # construction (the charts, bisimulations, layering witnesses, reroutings
@@ -157,3 +175,32 @@ def test_every_imported_name_is_used():
         unused += [(path.name, name) for name in names if name not in used]
     assert {("cli.py", "_eliminated_rows"), ("rerouting.py", "bisimilarity")} <= imported
     assert unused == []
+
+
+def _values():
+    """One value of each frozen result type, made by the call that returns it."""
+    X = chart_of(parse("(a a)*0 + a", ("a",)))
+    x, y, z = X.states
+    L = syntactic_witness(X)
+    return {
+        "Expr": parse("a", ("a",)),
+        "Prechart": X,
+        "LabelledPrechart": L,
+        "WeightedLabelling": to_llee(L),
+        "WitnessViolation": verify_witness(LabelledPrechart(X, {edge: ENTRY for edge in L.tags}))[1],
+        "PartitionRelation": bisimilarity(X),
+        "BisimViolation": check_bisimulation(X, X, [(x, y)])[1],
+        "HomViolation": is_homomorphism({x: x, y: x, z: x}, X, X)[1],
+        "Splitting": Splitting.merging(X, {x: y}),
+        "Check": recheck_certificate(certify(parse("a", ("a",)), parse("a + a", ("a",))).to_json())[0],
+    }
+
+
+@pytest.mark.parametrize("name", ["Expr", "Prechart", "LabelledPrechart", "WeightedLabelling", "WitnessViolation",
+                                  "PartitionRelation", "BisimViolation", "HomViolation", "Splitting", "Check"])
+def test_every_result_type_is_an_immutable_value(name):
+    value = _values()[name]
+    assert isinstance(value, getattr(starchart, name, None) or getattr(starchart.cli, name))
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))

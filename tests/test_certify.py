@@ -484,6 +484,12 @@ class TestLayeredDecision:
         e = parse("(a + b)*0", ab)
         assert checked(e, Sum(e, e)) == (True, 5)
 
+    def test_the_bound_counts_the_entries_of_both_sides(self, checked):
+        # ``a*0``'s walk ends on layer 1 and ``(a a a a a a a a)*0``'s runs
+        # on: the check hands over after the same entries in either order
+        e, f = parse("a*0", ("a",)), parse("(a a a a a a a a)*0", ("a",))
+        assert checked(e, f) == checked(f, e) == (True, 5)
+
     def test_large_inputs_certify_in_a_child_within_a_time_limit(self):
         # a deep equivalent pair, which the work bound hands to the full
         # refinement, and chains of 200 against 201 states, under a timeout:
@@ -877,12 +883,13 @@ class TestTamperedCertificates:
     @pytest.mark.parametrize("edit", [
         # rows: a state number that is a bool (each reads as a right one),
         # out of range, negative, a float or a string; a row too short or
-        # too long, or no list; an action outside the alphabet or no
-        # string; a tag that is neither entry nor body; one transition
-        # tagged both ways
+        # too long, or no list (an object, a number or null); an action
+        # outside the alphabet or no string; a tag that is neither entry
+        # nor body; one transition tagged both ways
         {"row": [False, "a", 1, "e"]}, {"row": [0, "a", True, "e"]}, {"row": [0, "a", 2, "e"]},
         {"row": [-1, "a", 1, "e"]}, {"row": [0.0, "a", 1, "e"]}, {"row": ["0", "a", 1, "e"]},
         {"row": [0, "a", 1]}, {"row": [0, "a", 1, "e", "e"]}, {"row": {"from": 0, "action": "a", "to": 1}},
+        {"row": 0}, {"row": None},
         {"row": [0, "c", 1, "e"]}, {"row": [0, ["a"], 1, "e"]}, {"row": [0, None, 1, "e"]},
         {"row": [0, "a", 1, "x"]}, {"row": [0, "a", 1, ["e"]]}, {"row": [0, "a", 1, None]},
         {"extra": [0, "a", 1, "b"]},

@@ -253,6 +253,27 @@ class TestCollapseCommand:
         assert len(doc["collapsed"]["states"]) == 1
         assert doc["projection"] == {"(a a)*0": "a(a a)*0", "a(a a)*0": "a(a a)*0"}
 
+    def test_collapse_of_an_expressible_chart_infers_its_witness_silently(self, capsys, tmp_path):
+        (tmp_path / "c.json").write_text(json.dumps(chart_to_json(chart_of(AA0))))
+        code, out, err = run(capsys, "collapse", str(tmp_path / "c.json"))
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["collapsed"]["states"]) == 1
+
+    def test_collapse_to_dot(self, capsys, tmp_path):
+        (tmp_path / "c.json").write_text(json.dumps(chart_to_json(chart_of(AA0))))
+        code, out, err = run(capsys, "collapse", str(tmp_path / "c.json"), "--dot")
+        assert (code, err) == (0, "") and out.startswith("digraph") and out.count("->") == 1
+
+    def test_state_names_are_written_as_they_are_read(self, capsys, tmp_path):
+        # not as ASCII escapes: a JSON document of the command line holds
+        # its state names as the chart document gave them
+        (tmp_path / "c.json").write_text(json.dumps({
+            "alphabet": ["a"], "states": ["ä", "ö"], "root": "ä", "outputs": {},
+            "transitions": [{"from": "ä", "action": "a", "to": "ö"}, {"from": "ö", "action": "a", "to": "ä"}],
+        }), encoding="utf-8")
+        code, out, _ = run(capsys, "collapse", str(tmp_path / "c.json"))
+        assert code == 0 and '"ä": "ö"' in out and "\\u" not in out
+
 
 class TestWitnessFileOfTheChart:
     # ``solve --witness`` and ``collapse --witness`` take a witness file
@@ -540,6 +561,16 @@ def test_a_command_argv_is_parsed_once(monkeypatch, capsys):
         _arguments(["witness", "--syntactic", "a*b"])
 
 
+@pytest.mark.parametrize("argv, missing", [
+    ([], "the following arguments are required: command"),
+    (["witness", "--llee"], "one of the arguments --verify --infer --syntactic is required"),
+    (["reroute", "chart.json"], "the following arguments are required: --merge"),
+], ids=["command", "witness-mode", "merge"])
+def test_a_missing_required_argument_is_a_usage_error(capsys, argv, missing):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.endswith(f": error: {missing}\n")
+
+
 # words that a generated argv draws its positionals and option values from:
 # plain ones, and ones that start with "-", look like options or are empty
 _WORDS = ["a", "a*b", "b c", "x.json", "0:1", "a,b", "", "-", "-a", "-1", "--", "-h", "--dot", "--alphabet"]
@@ -549,8 +580,8 @@ def random_argv(rng: random.Random, name: str) -> list[str]:
     """An argv of command ``name`` built from its parser's own actions: the
     positionals and options in any order, each option given zero to two
     times, in its exact form, as ``--opt=value`` or abbreviated, with now
-    and then one positional too few or too many, a ``-h`` or a ``--``, or a
-    trailing option with no value."""
+    and then one positional too few or too many, a ``-h``, ``--help`` or
+    ``--``, or a trailing option with no value."""
     actions = _COMMANDS[name]._actions
     positionals = sum(1 for a in actions if not a.option_strings) + rng.choice((0, 0, 0, 0, -1, 1))
     parts = [[rng.choice(_WORDS) if rng.random() < 0.2 else rng.choice(_WORDS[:6])] for _ in range(positionals)]
@@ -567,7 +598,7 @@ def random_argv(rng: random.Random, name: str) -> list[str]:
             value = rng.choice(_WORDS) if rng.random() < 0.2 else rng.choice(_WORDS[:6])
             parts.append([f"{opt}={value}"] if form > 0.9 else [opt, value])
     rng.shuffle(parts)
-    for special in ("-h", "--"):
+    for special in ("-h", "--help", "--"):
         if rng.random() < 0.08:
             parts.insert(rng.randint(0, len(parts)), [special])
     if options and rng.random() < 0.08:
@@ -731,6 +762,8 @@ class TestMalformedInput:
             ([], "object"),
             ({"states": 5, "alphabet": ["a"]}, "'states'"),
             ({"states": [["x"]], "alphabet": ["a"]}, "'states'"),
+            ({"states": ["x"], "alphabet": ["a"], "outputs": ["a"]}, "'outputs'"),
+            ({"states": ["x"], "alphabet": ["a"], "outputs": {"x": "a"}}, "'outputs'"),
             ({"states": ["x"], "alphabet": ["a"], "transitions": [{"from": "x", "action": "a"}]},
              "'transitions'"),
         ):

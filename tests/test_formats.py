@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from starchart import Atom, Prechart, Seq, Star, Zero, chart_of, parse, to_llee, verify_witness
+from starchart import Atom, Prechart, Seq, Star, Zero, chart_of, coproduct, parse, to_llee, verify_witness
 from starchart import formats, semantics
 from starchart.formats import (
     chart_from_json,
@@ -14,7 +14,7 @@ from starchart.formats import (
     witness_to_json,
 )
 from starchart.layering import syntactic_witness
-from gen import random_chart, random_expr
+from gen import deadline, random_chart, random_expr
 
 A = Atom("a")
 AA0 = Star(Seq(A, A), Zero())
@@ -80,14 +80,30 @@ def test_dot_escapes_quotes_and_marks_structure():
     X = chart_of(AA0)
     text = to_dot(X, syntactic_witness(X))
     assert text.count("penwidth=2") == 1
-    assert "peripheries=2" in text
+    assert text.count("peripheries=2") == 1  # the root only
+    # thick strokes on the entry transitions only: one entry, two body steps
+    X = chart_of(parse("(a a a)*0", ("a",)))
+    assert to_dot(X, syntactic_witness(X)).count("penwidth=2") == 1
 
 
 def test_lazy_ids_are_the_state_ids():
     X = Prechart.make(("a",), ("L:x", (0, "x"), "L:x#2", (0, "y"), "L:x#3"), {}, {})
-    ids = state_ids(X)
+    # an id whose first suffix is taken gets the next free one
+    Y = Prechart.make(("a",), ("L:x", "L:x#2", (0, "x")), {}, {})
+    with deadline(5, "state_ids"):
+        ids, ids_y = state_ids(X), state_ids(Y)
     assert list(ids) == list(X.states)
     assert list(ids.values()) == ["L:x", "L:x#2", "L:x#2#2", "L:y", "L:x#3"]
+    assert list(ids_y.values()) == ["L:x", "L:x#2", "L:x#3"]
+
+
+def test_a_coproducts_states_are_named_by_their_side():
+    X, Y = chart_of(parse("a*0", ("a",))), chart_of(parse("(a a)*0", ("a",)))
+    doc = chart_to_json(coproduct(X, Y)[0])
+    assert doc["states"] == ["L:a*0", "R:(a a)*0", "R:a(a a)*0"]
+    assert doc["transitions"] == [{"from": "L:a*0", "action": "a", "to": "L:a*0"},
+                                  {"from": "R:(a a)*0", "action": "a", "to": "R:a(a a)*0"},
+                                  {"from": "R:a(a a)*0", "action": "a", "to": "R:(a a)*0"}]
 
 
 def test_a_chart_is_checked_once_per_make_and_per_document(monkeypatch):

@@ -1,8 +1,10 @@
 """No hidden global state: no memo tables at module level retain expressions."""
 
+import contextlib
 import copy
 import gc
 import importlib
+import io
 import json
 import pickle
 import pkgutil
@@ -26,6 +28,8 @@ from starchart import (
     verify_solution,
     verify_witness,
 )
+from starchart.cli import main
+from starchart.formats import chart_to_json
 from starchart.layering import _reachability, analysis_of_verified, enumerate_witnesses, infer_witness
 from gen import distinct_nodes, local_certify, random_chart
 
@@ -46,6 +50,58 @@ def test_no_function_carries_a_cache():
         if callable(value) and hasattr(value, "cache_info")
     ]
     assert cached == []
+
+
+def _table_sizes():
+    """The size of every dict, list and set bound at module level in
+    ``starchart.*``, or as an attribute of a class defined there."""
+    sizes = {}
+    for module in _modules():
+        for name, value in vars(module).items():
+            bound = [(f"{module.__name__}.{name}", value)]
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                bound += [(f"{module.__name__}.{name}.{attr}", v) for attr, v in vars(value).items()]
+            sizes.update((where, len(v)) for where, v in bound if isinstance(v, (dict, list, set)))
+    return sizes
+
+
+def _solve_file(text, tmp_path):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(chart_to_json(chart_of(parse(text, ("a", "b", "c"))))), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["solve", str(path)]) == 0
+    return out.getvalue()
+
+
+def _witness(text):
+    return syntactic_witness(chart_of(parse(text, ("a", "b", "c"))))
+
+
+# each public operation, on the text of an expression over a, b, c
+OPERATIONS = {
+    "parse": lambda text, tmp_path: parse(text, ("a", "b", "c")),
+    "chart_of": lambda text, tmp_path: chart_of(parse(text, ("a", "b", "c"))),
+    "certify": lambda text, tmp_path: certify(parse(text, ("a", "b", "c")), parse(f"({text}) + c b", ("a", "b", "c"))),
+    "recheck_certificate": lambda text, tmp_path: _replayed(
+        parse(text, ("a", "b", "c")), parse(f"({text}) + c b", ("a", "b", "c")), "inequivalent"),
+    "solve": _solve_file,
+    "infer_witness": lambda text, tmp_path: infer_witness(chart_of(parse(text, ("a", "b", "c")))),
+    "collapse": lambda text, tmp_path: collapse(_witness(f"{text} + ({text})")),
+    "verify_solution": lambda text, tmp_path: verify_solution(_witness(text).base, canonical_solution(_witness(text))),
+}
+
+
+@pytest.mark.parametrize("op", OPERATIONS)
+def test_no_module_level_table_grows(op, tmp_path):
+    # a table that outlives the call, such as an intern table bound at
+    # module level, grows with the inputs it has seen; one that the
+    # operation owns dies with it
+    before = _table_sizes()
+    for text in ("(a b + a)*(b a*0) c + c", "a (b c + a)*(c a*0) + b*(a c)", "((a a)*0 + b) c"):
+        assert OPERATIONS[op](text, tmp_path) is not None
+    after = _table_sizes()
+    assert {where: (n, after.get(where)) for where, n in before.items() if after.get(where) != n} == {}
+    assert after.keys() == before.keys()
 
 
 def test_expressions_die_after_use():

@@ -31,7 +31,7 @@ from starchart import (
     verify_witness,
 )
 from starchart import canonical_solution, layering
-from starchart.layering import ENTRY, analysis_of_verified
+from starchart.layering import ENTRY, WeightedLabelling, analysis_of_verified
 from gen import (
     all_labellings,
     assert_same_witness,
@@ -354,6 +354,12 @@ class TestLlee:
         W = to_llee(syntactic_witness(chart_of(e)))
         assert W.weights[(e, "a", e)] == 1
 
+    @pytest.mark.parametrize("weight", [-1, 1.0, "1", None])
+    def test_a_weight_that_is_no_natural_number_is_refused(self, weight):
+        W = to_llee(cycle_witness())
+        with pytest.raises(ValueError, match=f"bad weight {weight!r}"):
+            WeightedLabelling(W.base, {**W.weights, (AA0, "a", X1): weight})
+
     def test_round_trip_on_random_valid_witnesses(self):
         rng = random.Random(37)
         seen = 0
@@ -384,6 +390,15 @@ class TestSyntacticWitness:
         L = syntactic_witness(chart_of(AA0))
         assert L.tag(AA0, "a", X1) == "e"
         assert L.tag(X1, "a", AA0) == "b"
+
+    @pytest.mark.parametrize("e, f", [("(a + b) c", "b b"), ("a*b", "b b")])
+    def test_a_transition_that_no_rule_derives_is_refused(self, e, f):
+        # a chart of expressions whose step is none of the expression's:
+        # not a step of the left operand, nor a star's unrolling
+        e, f = parse(e, ("a", "b", "c")), parse(f, ("a", "b", "c"))
+        X = Prechart.make(("a", "b", "c"), (e, f), {}, {e: {"a": (f,)}})
+        with pytest.raises(ValueError, match="no rule derives"):
+            syntactic_witness(X)
 
     def test_always_verifies(self):
         rng = random.Random(41)
@@ -744,13 +759,16 @@ class TestEliminationWitness:
                 L = infer_witness(X)
             assert L is not None and verify_witness(L) == (True, None)
 
-    def test_a_stuck_run_raises_naming_the_chart_size(self, monkeypatch):
-        # removing a*'s self-loop holds back the other two self-loops, so the
-        # frozen run is left with cycles that unfrozen elimination clears
-        X = chart_of(parse("a*(b*(c*0))", "abc"))
+    @pytest.mark.parametrize("text, n", [("a*(b*(c*0))", 3), ("(a*a)*b", 2)])
+    def test_a_stuck_run_raises_naming_the_chart_size(self, monkeypatch, text, n):
+        # removing a*'s self-loop holds back the other steps, so the frozen
+        # run is left with cycles that unfrozen elimination clears: in one
+        # pass over the held steps for a*(b*(c*0)), and in a second pass
+        # over every step for (a*a)*b
+        X = chart_of(parse(text, "abc"))
         assert infer_witness(X) is not None
         monkeypatch.setattr(layering, "_loop_spanned", holding_every_state(layering._loop_spanned))
-        with pytest.raises(RuntimeError, match="clears the 3-state chart of cycles, yet the frozen run"):
+        with pytest.raises(RuntimeError, match=f"clears the {n}-state chart of cycles, yet the frozen run"):
             infer_witness(X)
 
     def test_fig3_right_is_answered_by_one_frozen_pass(self, monkeypatch):

@@ -117,8 +117,9 @@ class TestConnectThrough:
         X = two_sinks_chart()
         with pytest.raises(ValueError):
             connect_through(X, "w1", "w1")
-        with pytest.raises(ValueError):
-            connect_through(X, "nope", "w1")
+        for pair in (("nope", "w1"), ("w1", "nope")):
+            with pytest.raises(ValueError, match="unknown states"):
+                connect_through(X, *pair)
 
     def test_root_follows_the_merge(self):
         X = chart_of(AA0)
@@ -193,6 +194,11 @@ class TestCheckCondition:
     def test_distinct_pair_required(self):
         with pytest.raises(ValueError):
             check_condition(cycle_witness(), AA0, AA0)
+
+    @pytest.mark.parametrize("pair", [("nope", "w1"), ("w1", "nope"), ("nope", "nix")])
+    def test_unknown_states_are_refused(self, pair):
+        with pytest.raises(ValueError, match="unknown states"):
+            check_condition(two_sinks_witness(), *pair)
 
 
 class TestFindPair:

@@ -401,6 +401,14 @@ class TestNodeMemos:
         assert Atom("a") != Atom("b") and Zero() == Zero() and Atom("a") != Zero()
         assert Seq(A, B) != ("Seq", A, B) and (A == "a") is False
 
+    def test_equal_hashes_do_not_make_nodes_equal(self):
+        # equality walks the nodes after the hashes: forge a collision
+        collide = Atom("c")
+        object.__setattr__(collide, "_hash", hash(B))
+        assert Sum(A, collide) != Sum(A, B) and collide != B
+        object.__setattr__(collide, "_hash", hash(Zero()))
+        assert collide != Zero() and Zero() != collide
+
     def test_can_terminate_agrees_with_the_chart(self):
         for e in all_exprs(("a", "b"), 5):
             assert can_terminate(e) == bool(chart_of(e).outputs), e
