@@ -12,23 +12,21 @@ from .bisim import (
     bisimilarity,
     check_bisimulation,
 )
-from .cli import Certificate, certify, main, recheck_certificate
+from .cli import certify, main
 from .layering import (
     InvalidWitnessError,
     LabelledPrechart,
     WeightedLabelling,
     WitnessViolation,
     derived_relations,
-    enumerate_witnesses,
     from_llee,
     infer_witness,
     measures,
-    restrict_witness,
     syntactic_witness,
     to_llee,
-    union_witness,
     verify_witness,
 )
+from .replay import Certificate, recheck_certificate
 from .rerouting import (
     Splitting,
     check_condition,
@@ -37,7 +35,6 @@ from .rerouting import (
     find_pair,
     relabel,
     rerouting,
-    restrict_relation,
 )
 from .semantics import (
     HomViolation,
@@ -55,7 +52,6 @@ from .solution import (
     MeasureError,
     Solution,
     canonical_solution,
-    unfold,
     verify_solution,
 )
 from .syntax import (
@@ -80,12 +76,11 @@ __all__ = [
     "BisimViolation", "PartitionRelation", "bisimilar", "bisimilarity", "check_bisimulation",
     "Certificate", "certify", "main", "recheck_certificate", "InvalidWitnessError",
     "LabelledPrechart", "WeightedLabelling", "WitnessViolation", "derived_relations",
-    "enumerate_witnesses", "from_llee", "infer_witness", "measures",
-    "restrict_witness", "syntactic_witness", "to_llee", "union_witness", "verify_witness",
+    "from_llee", "infer_witness", "measures", "syntactic_witness", "to_llee", "verify_witness",
     "Splitting", "check_condition", "collapse", "connect_through", "find_pair", "relabel",
-    "rerouting", "restrict_relation", "HomViolation", "Prechart", "chart_of", "coproduct",
+    "rerouting", "HomViolation", "Prechart", "chart_of", "coproduct",
     "expr_step", "generated", "is_homomorphism", "kernel_partition", "quotient", "restriction",
-    "MeasureError", "Solution", "canonical_solution", "unfold", "verify_solution",
+    "MeasureError", "Solution", "canonical_solution", "verify_solution",
     "Atom", "Expr", "ParseError", "Seq", "Star", "Sum", "UnknownActionError", "Zero", "atoms",
     "declare_alphabet", "gsum", "parse", "render", "size_bound", "star_height",
 ]

@@ -6,7 +6,7 @@ from typing import Any, Mapping
 
 from .layering import ENTRY, LabelledPrechart, WeightedLabelling
 from .semantics import Prechart, StateId, _check_chart, _numbered_chart
-from .syntax import Expr, render
+from .syntax import Expr, _is_strings, render
 
 
 def state_label(s: StateId) -> str:
@@ -56,10 +56,6 @@ def _chart_doc(X: Prechart, field: str | None = None, values: Mapping | None = N
         "outputs": {ids[x]: sorted(X.out(x)) for x in X.states if X.out(x)},
         "transitions": transitions,
     }
-
-
-def _is_strings(v: Any) -> bool:
-    return isinstance(v, list) and all([isinstance(s, str) for s in v])
 
 
 def _check_shape(doc: Any) -> None:

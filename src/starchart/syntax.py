@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, fields
-from typing import Iterable, NoReturn
+from typing import Any, Iterable, NoReturn
 
 ACTION_TOKEN = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -37,6 +37,10 @@ def declare_alphabet(actions: Iterable[str]) -> tuple[str, ...]:
         if a not in seen:
             seen.append(a)
     return tuple(seen)
+
+
+def _is_strings(v: Any) -> bool:
+    return isinstance(v, list) and all([isinstance(s, str) for s in v])
 
 
 @dataclass(frozen=True)

@@ -187,8 +187,10 @@ def wstar_pair(n: int) -> tuple[Expr, Expr]:
     """The cycle family ``e = (w)*0`` against ``e + e``.
 
     ``w`` is the left-nested word ``a b a b ...`` of length ``n``, so the
-    chart of ``e`` is one cycle of ``n`` states, and certifying ``e`` against
-    ``e + e`` collapses ``n`` pairs of bisimilar states.
+    chart of ``e`` is one cycle of ``n`` states.  The local proof of ``e``
+    against ``e + e`` is on their bisimulation quotient: for odd ``n`` the
+    cycle is its own quotient, of ``n`` states, and for even ``n`` the
+    cycle ``(a b)^(n/2)`` is bisimilar to ``(a b)*0``, a quotient of 2.
     """
     if n < 1:
         raise ValueError("the word needs at least one letter")

@@ -23,20 +23,19 @@ from starchart import (
     check_bisimulation,
     collapse,
     coproduct,
-    enumerate_witnesses,
     infer_witness,
     is_homomorphism,
     kernel_partition,
     recheck_certificate,
-    restrict_relation,
     rerouting,
     size_bound,
     syntactic_witness,
-    unfold,
     verify_solution,
     verify_witness,
 )
-from starchart.rerouting import Splitting
+from starchart.layering import enumerate_witnesses
+from starchart.rerouting import Splitting, restrict_relation
+from starchart.solution import unfold
 from gen import (
     AXIOM_NAMES,
     all_exprs,

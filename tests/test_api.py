@@ -28,12 +28,10 @@ from starchart.layering import ENTRY
 
 # Why each name is exported: a CLI entry, a result or error type, a paper
 # construction (the charts, bisimulations, layering witnesses, reroutings
-# and solutions of Grabmayer & Fokkink, and the syntax they are built on),
-# or dead code that the benchmark's tracer still wraps by name.
+# and solutions of Grabmayer & Fokkink, and the syntax they are built on).
 CLI = "CLI entry"
 TYPE = "result or error type"
 PAPER = "paper construction"
-DEAD = "traced by `perfbench/tracing.py`'s `SPANNED`, no caller; goes with item 1b"
 EXPORTED = {
     "main": f"{CLI}: the starchart console script",
     "certify": f"{CLI}: the certify command as a library call",
@@ -91,18 +89,13 @@ EXPORTED = {
     "collapse": f"{PAPER}: the witness-preserving bisimulation collapse",
     "canonical_solution": f"{PAPER}: the canonical solution of a witness",
     "verify_solution": f"{PAPER}: the equations a solution satisfies",
-    "enumerate_witnesses": DEAD,
-    "union_witness": DEAD,
-    "unfold": DEAD,
-    "restrict_witness": DEAD,
-    "restrict_relation": DEAD,
 }
 
 
 def test_every_exported_name_has_a_reason_and_every_reason_an_exported_name():
     assert sorted(set(starchart.__all__) - set(EXPORTED)) == [], "exported without a reason"
     assert sorted(set(EXPORTED) - set(starchart.__all__)) == [], "a reason for a name not exported"
-    assert all(reason.startswith((CLI, TYPE, PAPER)) or reason == DEAD for reason in EXPORTED.values())
+    assert all(reason.startswith((CLI, TYPE, PAPER)) for reason in EXPORTED.values())
 
 
 def test_all_names_resolve_to_no_module():
@@ -200,7 +193,7 @@ def _values():
                                   "PartitionRelation", "BisimViolation", "HomViolation", "Splitting", "Check"])
 def test_every_result_type_is_an_immutable_value(name):
     value = _values()[name]
-    assert isinstance(value, getattr(starchart, name, None) or getattr(starchart.cli, name))
+    assert isinstance(value, getattr(starchart, name, None) or getattr(starchart.replay, name))
     field = dataclasses.fields(value)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, field, getattr(value, field))

@@ -34,10 +34,10 @@ import pytest
 
 from starchart import (Prechart, Sum, atoms, bisimilar, bisimilarity, canonical_solution, certify, chart_of,
                        coproduct, is_homomorphism, parse, quotient, recheck_certificate, render, verify_witness)
-from starchart import bisim, cli, semantics, solution
+from starchart import bisim, replay, semantics, solution
 from starchart.bisim import _coarsest, _decide, _distinguishing_formula
-from starchart.cli import _proof_checks
 from starchart.formats import witness_to_json
+from starchart.replay import _proof_checks
 from starchart.semantics import _coproduct_walk, _distinguishes, _first_round, _numbered_chart, _outputs
 from starchart.solution import _proved, _witness_proved
 from test_golden_certs import RECORDED as GOLDEN_ROWS, corpus as golden_corpus, sha256
@@ -276,7 +276,7 @@ class TestDecideFirst:
                    ("bisim", "_checked_partition"), ("bisim", "check_bisimulation"),
                    ("semantics", "quotient"), ("semantics", "_quotient"), ("bisim", "_coarsest"),
                    ("solution", "verify_solution"), ("layering", "_Analysis"),
-                   ("layering", "LabelledPrechart"), ("cli", "_witness_of_rows")]
+                   ("layering", "LabelledPrechart"), ("replay", "_witness_of_rows")]
         return {name: count_calls(monkeypatch, module, name) for module, name in counted}
 
     def counts(self, calls) -> dict:
@@ -687,6 +687,12 @@ class TestCertificateSize:
         assert max(steps) < 1.5 * min(steps) and max(steps) < 40, steps
 
 
+    @pytest.mark.parametrize("n, states", [(24, 2), (25, 25), (26, 2)])
+    def test_an_odd_word_is_its_own_quotient_and_an_even_one_collapses_to_two_states(self, n, states):
+        cert = local_certify(*wstar_pair(n))
+        assert len(cert.collapsed["outputs"]) == states
+
+
 class TestTamperedCertificates:
     def test_an_edited_action_fails_the_distinguishing_formula(self):
         doc = roundtrip(certify(parse("a + b", ("a", "b")), parse("a", ("a", "b"))))
@@ -1015,7 +1021,7 @@ class TestTheNamedWitnessIsTheOracle:
                 collapsed = {**doc["collapsed"], **edit}
                 got = {c.name: c.passed for c in recheck_certificate({**doc, "collapsed": collapsed})}
                 L = named_witness(tuple(doc["alphabet"]), collapsed)
-                rows_witness = cli._witness_of_rows(L.base.alphabet, collapsed)
+                rows_witness = replay._witness_of_rows(L.base.alphabet, collapsed)
                 assert_same_witness(rows_witness, L.analysis, L.base.states)
                 valid = verify_witness(L)[0]
                 assert got["collapsed-witness-valid"] == valid, (doc["inputs"], edit)
@@ -1043,8 +1049,8 @@ def refuse_calls(monkeypatch, module: str, name: str) -> None:
 def normal_forms_doc(e, f, alphabet) -> dict:
     """The certificate that ``certify`` writes when the normal forms of ``e``
     and ``f`` meet, whatever they are: evidence for replay to judge."""
-    cert = cli.Certificate("equivalent", e, f, alphabet, [cli.Check("normal-forms-equal", True)],
-                           proof="normal-forms")
+    cert = replay.Certificate("equivalent", e, f, alphabet, [replay.Check("normal-forms-equal", True)],
+                              proof="normal-forms")
     return roundtrip(cert)
 
 
@@ -1093,7 +1099,7 @@ class TestNormalFormCertificates:
 
     def test_replay_walks_charts_and_refines_nothing(self, monkeypatch):
         docs = [roundtrip(cert) for cert in (certify(e, f) for e, f in golden_corpus()) if cert.proof]
-        for module, name in (("semantics", "_layers"), ("bisim", "_coarsest"), ("cli", "_witness_of_rows"),
+        for module, name in (("semantics", "_layers"), ("bisim", "_coarsest"), ("replay", "_witness_of_rows"),
                              ("semantics", "_numbered_chart"), ("semantics", "chart_of"),
                              ("layering", "_Analysis"), ("bisim", "_stable")):
             refuse_calls(monkeypatch, module, name)
@@ -1225,7 +1231,7 @@ class TestProveBeforeDeciding:
         assert len(rows) == 164
 
     def test_gated_off_golden_pairs_certify_without_normal_forms(self, monkeypatch):
-        refuse_calls(monkeypatch, "cli", "_normal_forms_check")
+        refuse_calls(monkeypatch, "replay", "_normal_forms_check")
         rows = [(pair, row) for pair, row in zip(golden_corpus(), GOLDEN_ROWS) if not gated(*pair)]
         for (e, f), row in rows:
             assert sha256(certify(e, f)) == row["sha256"]

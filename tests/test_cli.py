@@ -424,10 +424,12 @@ def test_certify_of_deep_inputs_gives_up_with_exit_4(left, right):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["solve"], ["witness", "--verify"], ["dot"]], ids=["solve", "witness", "dot"])
+@pytest.mark.parametrize("argv", [["solve"], ["witness", "--verify"], ["dot"], ["replay"]],
+                         ids=["solve", "witness", "dot", "replay"])
 def test_a_deeply_nested_json_document_gives_up_with_exit_4(argv, tmp_path):
     # the JSON reader recurses once per nesting level, so a document of
-    # 200 000 nested arrays gives up before it is read as a chart or witness
+    # 200 000 nested arrays gives up before it is read as a chart, witness
+    # or certificate
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
     proc = subprocess.run(
@@ -534,6 +536,7 @@ _PLAIN_ARGVS = [
     ["parse", "a*b", "--alphabet", "a,b"], ["chart", "--dot", "a*b"], ["bisim", "a", "--witness", "b"],
     ["solve", "chart.json", "--witness", "w.json"], ["reroute", "--merge", "0:1", "chart.json"],
     ["collapse", "chart.json", "--dot"], ["certify", "--alphabet", "a,b", "a", "b"], ["dot", "chart.json"],
+    ["replay", "cert.json"],
 ]
 
 

@@ -18,20 +18,18 @@ from starchart import (
     Zero,
     chart_of,
     derived_relations,
-    enumerate_witnesses,
     from_llee,
     generated,
     infer_witness,
     measures,
     parse,
-    restrict_witness,
     syntactic_witness,
     to_llee,
-    union_witness,
     verify_witness,
 )
 from starchart import canonical_solution, layering
-from starchart.layering import ENTRY, WeightedLabelling, analysis_of_verified
+from starchart.layering import (ENTRY, WeightedLabelling, analysis_of_verified, enumerate_witnesses,
+                                restrict_witness, union_witness)
 from gen import (
     all_labellings,
     assert_same_witness,

@@ -48,6 +48,11 @@ def test_a_module_is_named_by_its_name_or_its_path(name):
     assert mutants.module_of(name) == "cli"
 
 
+def test_every_module_of_the_package_maps_to_test_files_that_exist():
+    assert sorted(mutants.TESTS) == sorted(path.stem for path in (REPO / mutants.SRC).glob("*.py"))
+    assert [f for files in mutants.TESTS.values() for f in files if not (REPO / f).is_file()] == []
+
+
 def test_an_unknown_module_is_refused():
     with pytest.raises(ValueError, match="no module 'toy'"):
         mutants.module_of("toy")

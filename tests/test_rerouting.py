@@ -32,7 +32,6 @@ from starchart import (
     quotient,
     relabel,
     rerouting,
-    restrict_relation,
     syntactic_witness,
     verify_witness,
 )
@@ -40,7 +39,7 @@ from starchart import layering
 from starchart.cli import main
 from starchart.formats import chart_to_json
 from starchart.layering import WitnessViolation, analysis_of_verified, union_witness
-from starchart.rerouting import CONDITIONS, Splitting, _c2_promotion_state
+from starchart.rerouting import CONDITIONS, Splitting, _c2_promotion_state, restrict_relation
 from gen import (
     PairScan,
     connect_through_reference,

@@ -21,14 +21,15 @@ import random
 import pytest
 
 from starchart import Atom, Seq, Star, Sum, Zero, atoms, parse, render
-from starchart import cli, syntax
+from starchart import cli, replay, syntax
 from starchart.solution import _NormalForms
 from gen import distinct_nodes, doubling_chain, random_expr, rewrite_steps
 
 
 def _separately(monkeypatch) -> None:
     # every text of a pair into a table of its own, as two ``parse`` calls do
-    monkeypatch.setattr(cli, "_parse", lambda text, alpha, shared: syntax._parse(text, alpha, {}))
+    for module in (cli, replay):
+        monkeypatch.setattr(module, "_parse", lambda text, alpha, shared: syntax._parse(text, alpha, {}))
 
 
 def _pairs(seed: int, alphabet: tuple[str, ...], count: int):
@@ -51,7 +52,7 @@ def _answers(alphabet: tuple[str, ...], left: str, right: str) -> tuple:
     n, m = forms.of(e), forms.of(f)
     if n != m:
         forms.folded(n), forms.folded(m)
-    return doc, cli.recheck_certificate(json.loads(doc)), forms.keys
+    return doc, replay.recheck_certificate(json.loads(doc)), forms.keys
 
 
 @pytest.mark.parametrize("alphabet, seed", [(("a", "b"), 4801), (("a", "b", "c"), 4802)])
@@ -93,11 +94,13 @@ def test_a_certificate_replays_on_one_table_and_two_parses_share_no_node(monkeyp
     e, f = parse(text, "abc"), parse(text, "abc")
     assert e == f and not {id(x) for x in distinct_nodes(e)} & {id(x) for x in distinct_nodes(f)}
     seen = []
-    normal_forms_check = cli._normal_forms_check
-    monkeypatch.setattr(cli, "_normal_forms_check", lambda e, f: seen.append((e, f)) or normal_forms_check(e, f))
+    normal_forms_check = replay._normal_forms_check
+    for module in (cli, replay):  # ``certify``'s binding and replay's
+        monkeypatch.setattr(module, "_normal_forms_check",
+                            lambda e, f: seen.append((e, f)) or normal_forms_check(e, f))
     doc = cli.certify(e, f, ("a", "b", "c")).to_json()
     assert doc["proof"] == "normal-forms" and len(seen) == 1
-    assert [c.passed for c in cli.recheck_certificate(doc)] == [True]
+    assert [c.passed for c in replay.recheck_certificate(doc)] == [True]
     assert seen[1][0] is seen[1][1]
 
 

@@ -43,9 +43,10 @@ import pytest
 
 from starchart import (Atom, Seq, Sum, bisimilarity, canonical_solution, certify, chart_of, cli, collapse,
                        infer_witness, main, parse, quotient, recheck_certificate, render, syntactic_witness,
-                       union_witness, verify_solution)
+                       verify_solution)
 from starchart import solution as solution_module
 from starchart.formats import chart_from_json, chart_to_json
+from starchart.layering import union_witness
 from starchart.semantics import coproduct, joint_chart
 from gen import all_exprs, assert_same_witness, isomorphic, local_certify, round_by_round_bisimilarity
 

@@ -16,19 +16,18 @@ from starchart import (
     canonical_solution,
     chart_of,
     check_bisimulation,
-    enumerate_witnesses,
     expr_step,
     infer_witness,
     parse,
     render,
     syntactic_witness,
-    unfold,
     verify_solution,
     verify_witness,
 )
 from starchart import layering
 from starchart import solution as solution_module
-from starchart.solution import MeasureError, _NormalForms, _proved, _starred, _Terms, _witness_proved
+from starchart.layering import enumerate_witnesses
+from starchart.solution import MeasureError, _NormalForms, _proved, _starred, _Terms, _witness_proved, unfold
 from gen import (joined_chart, local_certify, named_witness, per_equation_check, random_chart, random_expr,
                  rewrite_steps, round_by_round_bisimilarity)
 from test_golden_certs import corpus as golden_corpus

@@ -35,9 +35,9 @@ from starchart import (
     relabel,
     syntactic_witness,
     to_llee,
-    union_witness,
     verify_witness,
 )
+from starchart.layering import union_witness
 from gen import partition_without, random_chart, random_expr, rewrite_steps
 
 GOLDEN = Path(__file__).with_name("golden_witnesses.json")

@@ -78,6 +78,8 @@ TESTS = {
     "formats": ("tests/test_formats.py", "tests/test_golden.py", "tests/test_cli.py"),
     "layering": ("tests/test_layering.py", "tests/test_witness_table.py", "tests/test_census.py",
                  "tests/test_small_scope.py"),
+    "replay": ("tests/test_certify.py", "tests/test_golden_certs.py", "tests/test_replay_soundness.py",
+               "tests/test_cli.py"),
     "rerouting": ("tests/test_rerouting.py", "tests/test_small_scope.py"),
     "semantics": ("tests/test_semantics.py", "tests/test_small_scope.py", "tests/test_bisim.py",
                   "tests/test_golden.py"),
